@@ -11,7 +11,7 @@
 
 use crate::error::CompileError;
 use crate::logic::REGION_ROWS;
-use hipe_db::{CmpOp, DsmLayout, PruneStats, Query, ZoneMap};
+use hipe_db::{Bitmask, CmpOp, DsmLayout, Query, ZoneMap};
 use hipe_isa::{MicroOp, MicroOpKind, OpSize, VaultOp, LANE_BYTES};
 
 /// Operand size of the *stock* HMC 2.1 atomic instructions: 16 bytes
@@ -65,7 +65,9 @@ fn vault_cmp(cmp: CmpOp) -> VaultOp {
 /// combine, no loop overhead — and a packed mask word is stored only
 /// when at least one of its two regions survives (fully pruned words
 /// keep the reset image's correct zeros). A fully pruned query lowers
-/// to a valid *empty* stream, never an error.
+/// to a valid *empty* stream, never an error. The scanned-region set
+/// (one bit per region) is returned next to the stream, as in
+/// [`lower_host_scan`](crate::lower_host_scan).
 ///
 /// # Example
 ///
@@ -94,32 +96,13 @@ pub fn lower_hmc_scan(
     layout: &DsmLayout,
     op_size: OpSize,
     prune: Option<&ZoneMap>,
-) -> Result<(Vec<MicroOp>, PruneStats), CompileError> {
-    if layout.rows() == 0 {
-        return Err(CompileError::EmptyTable);
-    }
-    if query.predicates().iter().any(|p| !p.cmp.satisfiable()) {
-        return Err(CompileError::PredicateUnsatisfiable);
-    }
-    if let Some(zm) = prune {
-        assert_eq!(
-            zm.regions(),
-            layout.regions(),
-            "zone map summarizes a different table than the layout"
-        );
-    }
+) -> Result<(Vec<MicroOp>, Bitmask), CompileError> {
+    let scanned = crate::scan_set(query, layout, prune)?;
     let mask_base = layout.mask_base();
-    let regions = layout.rows().div_ceil(REGION_ROWS);
     let region_bytes = REGION_ROWS as u64 * LANE_BYTES;
     let chunks = (region_bytes / op_size.bytes()) as usize;
     let npreds = query.predicates().len();
-    let survivors: Vec<usize> = (0..regions)
-        .filter(|&r| prune.is_none_or(|zm| zm.region_may_match(query, r)))
-        .collect();
-    let stats = PruneStats {
-        scanned: survivors.len(),
-        pruned: regions - survivors.len(),
-    };
+    let survivors: Vec<usize> = scanned.iter_ones().collect();
     // Tight upper bound — per region: `npreds * chunks` dispatches,
     // `(npreds - 1) * chunks` combines, `chunks` packs, at most one
     // mask store and two loop ops. Plans run to tens of millions of
@@ -172,7 +155,7 @@ pub fn lower_hmc_scan(
         ops.push(MicroOp::new(MicroOpKind::IntAlu));
         ops.push(MicroOp::new(MicroOpKind::Branch { mispredict: false }).with_deps(1, 0));
     }
-    Ok((ops, stats))
+    Ok((ops, scanned))
 }
 
 #[cfg(test)]
@@ -330,7 +313,10 @@ mod tests {
         let layout = DsmLayout::new(0, rows);
         let q = Query::shipdate_window_permille(100);
         let (full, _) = lower_hmc_scan(&q, &layout, STOCK_HMC_OP, None).expect("valid");
-        let (pruned, stats) = lower_hmc_scan(&q, &layout, STOCK_HMC_OP, Some(&zm)).expect("valid");
+        let (pruned, scanned) =
+            lower_hmc_scan(&q, &layout, STOCK_HMC_OP, Some(&zm)).expect("valid");
+        let stats = hipe_db::PruneStats::of(&scanned);
+        assert_eq!(scanned, zm.scan_set(&q));
         assert!(stats.pruned > 0);
         assert_eq!(stats.total(), 128);
         let full_d = dispatches(&full).len();
@@ -362,10 +348,9 @@ mod tests {
             vec![ColumnPredicate::new(Column::Shipdate, CmpOp::Range(0, 50))],
             false,
         );
-        let (ops, stats) =
+        let (ops, scanned) =
             lower_hmc_scan(&q, &layout, STOCK_HMC_OP, Some(&zm)).expect("empty is valid");
         assert!(ops.is_empty());
-        assert_eq!(stats.scanned, 0);
-        assert_eq!(stats.pruned, layout.regions());
+        assert_eq!(scanned, hipe_db::Bitmask::zeros(layout.regions()));
     }
 }

@@ -1,7 +1,7 @@
 //! Lowering of select scans to x86-baseline micro-op streams.
 
 use crate::error::CompileError;
-use hipe_db::{DsmLayout, PruneStats, Query, ZoneMap, COLUMN_BYTES, REGION_ROWS};
+use hipe_db::{Bitmask, DsmLayout, Query, ZoneMap, COLUMN_BYTES, REGION_ROWS};
 use hipe_isa::{MicroOp, MicroOpKind, OpSize};
 
 /// Rows per vector line: one 64 B cache line of 8 B column values.
@@ -29,22 +29,24 @@ const LINES_PER_MASK_WORD: usize = 8;
 /// a packed mask word is only written if at least one of its 64 rows
 /// survives — fully pruned words keep the reset image's zeros, which
 /// is already the correct all-zero mask. A fully pruned query lowers
-/// to a valid *empty* stream, never an error: the machine's
-/// functional mask is computed by reference evaluation, so pruning
-/// here only removes timed work.
+/// to a valid *empty* stream, never an error.
+///
+/// Alongside the stream, the lowering returns the scanned-region set
+/// (one bit per 32-row region). The host executor evaluates the
+/// functional mask over the 64-row words those regions touch only, so
+/// pruning removes functional work as well as timed work.
 ///
 /// # Example
 ///
 /// ```
 /// use hipe_compiler::lower_host_scan;
-/// use hipe_db::{DsmLayout, Query};
+/// use hipe_db::{DsmLayout, PruneStats, Query};
 ///
 /// let layout = DsmLayout::new(0, 512);
-/// let (ops, stats) = lower_host_scan(&Query::q6(), &layout, None).expect("512 rows");
+/// let (ops, scanned) = lower_host_scan(&Query::q6(), &layout, None).expect("512 rows");
 /// // Three predicates, 64 lines each, >= 5 micro-ops per line.
 /// assert!(ops.len() >= 3 * 64 * 5);
-/// assert_eq!(stats.scanned, 16);
-/// assert_eq!(stats.pruned, 0);
+/// assert_eq!(PruneStats::of(&scanned), PruneStats::unpruned(16));
 /// ```
 ///
 /// # Errors
@@ -56,34 +58,13 @@ pub fn lower_host_scan(
     query: &Query,
     layout: &DsmLayout,
     prune: Option<&ZoneMap>,
-) -> Result<(Vec<MicroOp>, PruneStats), CompileError> {
-    if layout.rows() == 0 {
-        return Err(CompileError::EmptyTable);
-    }
-    if query.predicates().iter().any(|p| !p.cmp.satisfiable()) {
-        return Err(CompileError::PredicateUnsatisfiable);
-    }
-    if let Some(zm) = prune {
-        assert_eq!(
-            zm.regions(),
-            layout.regions(),
-            "zone map summarizes a different table than the layout"
-        );
-    }
-    let regions = layout.regions();
-    let keep: Vec<bool> = (0..regions)
-        .map(|r| prune.is_none_or(|zm| zm.region_may_match(query, r)))
-        .collect();
-    let scanned = keep.iter().filter(|&&k| k).count();
-    let stats = PruneStats {
-        scanned,
-        pruned: regions - scanned,
-    };
+) -> Result<(Vec<MicroOp>, Bitmask), CompileError> {
+    let scanned = crate::scan_set(query, layout, prune)?;
     let mask_base = layout.mask_base();
     let vec_size = OpSize::new(64).expect("64 B is a supported vector width");
     let lines = layout.rows().div_ceil(LINE_ROWS);
     let live_lines: Vec<usize> = (0..lines)
-        .filter(|&l| keep[l * LINE_ROWS / REGION_ROWS])
+        .filter(|&l| scanned.get(l * LINE_ROWS / REGION_ROWS))
         .collect();
     let mut ops = Vec::with_capacity(query.predicates().len() * live_lines.len() * 6);
 
@@ -135,7 +116,7 @@ pub fn lower_host_scan(
             ops.push(MicroOp::new(MicroOpKind::Branch { mispredict: false }).with_deps(1, 0));
         }
     }
-    Ok((ops, stats))
+    Ok((ops, scanned))
 }
 
 #[cfg(test)]
@@ -241,9 +222,9 @@ mod tests {
         let q = Query::shipdate_window_permille(100);
         let (full, fs) = lower_host_scan(&q, &layout, None).expect("valid");
         let (pruned, ps) = lower_host_scan(&q, &layout, Some(&zm)).expect("valid");
-        assert_eq!(fs.pruned, 0);
-        assert_eq!(ps.total(), layout.regions());
-        assert!(ps.pruned > 0);
+        assert_eq!(fs, hipe_db::Bitmask::ones(layout.regions()));
+        assert_eq!(ps, zm.scan_set(&q));
+        assert!(hipe_db::PruneStats::of(&ps).pruned > 0);
         assert!(pruned.len() < full.len());
         // Pruned stream only stores words at least one region of which
         // survives — a subset of the full stream's word addresses.
@@ -273,9 +254,8 @@ mod tests {
             vec![ColumnPredicate::new(Column::Shipdate, CmpOp::Range(0, 50))],
             false,
         );
-        let (ops, stats) = lower_host_scan(&q, &layout, Some(&zm)).expect("empty is valid");
+        let (ops, scanned) = lower_host_scan(&q, &layout, Some(&zm)).expect("empty is valid");
         assert!(ops.is_empty());
-        assert_eq!(stats.scanned, 0);
-        assert_eq!(stats.pruned, layout.regions());
+        assert_eq!(scanned, hipe_db::Bitmask::zeros(layout.regions()));
     }
 }

@@ -52,8 +52,10 @@
 //!
 //! The lowering is *timing-oriented*: the emitted streams drive the
 //! cycle models, while functional results are computed by the engines
-//! (logic path) or the reference evaluation over the memory image
-//! (host paths) in the top-level `hipe` crate.
+//! (logic path) or by the top-level `hipe` crate's host executor over
+//! the memory image (host paths). Every lowering also returns the set
+//! of regions it scans, so executors read back or evaluate exactly
+//! those regions and never consult the zone map again.
 //!
 //! Entry points not needed yet by the driver (NSM tuple-at-a-time
 //! lowering) are future work tracked in the ROADMAP.
@@ -69,3 +71,33 @@ pub use host::lower_host_scan;
 pub use logic::{
     lower_logic_aggregate, lower_logic_scan, LogicScanProgram, AGG_SLOT_BYTES, REGION_ROWS,
 };
+
+use hipe_db::{Bitmask, DsmLayout, Query, ZoneMap};
+
+/// The checks every lowering starts with, then the regions it emits
+/// work for: all of them, or with a zone map only those whose
+/// summaries can't rule out a match (one bit per region, set when
+/// scanned).
+fn scan_set(
+    query: &Query,
+    layout: &DsmLayout,
+    prune: Option<&ZoneMap>,
+) -> Result<Bitmask, CompileError> {
+    if layout.rows() == 0 {
+        return Err(CompileError::EmptyTable);
+    }
+    if query.predicates().iter().any(|p| !p.cmp.satisfiable()) {
+        return Err(CompileError::PredicateUnsatisfiable);
+    }
+    Ok(match prune {
+        Some(zm) => {
+            assert_eq!(
+                zm.regions(),
+                layout.regions(),
+                "zone map summarizes a different table than the layout"
+            );
+            zm.scan_set(query)
+        }
+        None => Bitmask::ones(layout.regions()),
+    })
+}

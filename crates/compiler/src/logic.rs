@@ -2,7 +2,7 @@
 //! logic-layer programs — one per vault-group partition.
 
 use crate::error::CompileError;
-use hipe_db::{CmpOp, Column, DsmLayout, PruneStats, Query, ZoneMap, REGION_BYTES};
+use hipe_db::{Bitmask, CmpOp, Column, DsmLayout, PruneStats, Query, ZoneMap, REGION_BYTES};
 use hipe_isa::{AluOp, LogicInstr, LogicProgram, OpSize, PartitionSpec, Predicate, RegId};
 
 /// Rows covered by one logic-layer operation: a full 256 B register
@@ -64,7 +64,7 @@ pub struct LogicScanProgram {
     programs: Vec<LogicProgram>,
     layout: DsmLayout,
     aggregate: bool,
-    prune: PruneStats,
+    scanned: Bitmask,
 }
 
 impl LogicScanProgram {
@@ -141,7 +141,15 @@ impl LogicScanProgram {
     /// the compiler drop ([`PruneStats::unpruned`] when lowered
     /// without one).
     pub fn prune_stats(&self) -> PruneStats {
-        self.prune
+        PruneStats::of(&self.scanned)
+    }
+
+    /// The regions the emitted streams scan, one bit per region. Only
+    /// these regions' mask chunks and partial-sum slots can be
+    /// non-zero after a run; every other region's stay at the reset
+    /// image's zeros.
+    pub fn scanned_regions(&self) -> &Bitmask {
+        &self.scanned
     }
 }
 
@@ -172,7 +180,8 @@ fn alu_op(cmp: CmpOp) -> AluOp {
 ///
 /// With `prune` set, regions whose zone-map summaries prove the
 /// predicate conjunction can't match are dropped from the emitted
-/// streams ([`LogicScanProgram::prune_stats`] counts them). A dropped
+/// streams ([`LogicScanProgram::scanned_regions`] keeps the rest,
+/// [`LogicScanProgram::prune_stats`] counts them). A dropped
 /// region's mask chunk is simply never written — the mask area starts
 /// zeroed, so it reads back as the correct all-zero mask. **Empty
 /// programs are a valid result**: a partition (or the whole query)
@@ -253,20 +262,7 @@ fn lower(
     fused_aggregate: bool,
     prune: Option<&ZoneMap>,
 ) -> Result<LogicScanProgram, CompileError> {
-    if layout.rows() == 0 {
-        return Err(CompileError::EmptyTable);
-    }
-    if query.predicates().iter().any(|p| !p.cmp.satisfiable()) {
-        return Err(CompileError::PredicateUnsatisfiable);
-    }
-    if let Some(zm) = prune {
-        assert_eq!(
-            zm.regions(),
-            layout.regions(),
-            "zone map summarizes a different table than the layout"
-        );
-    }
-    let mut stats = PruneStats::default();
+    let scanned = crate::scan_set(query, layout, prune)?;
     let size = OpSize::MAX;
     let npreds = query.predicates().len();
     let tail_len = if fused_aggregate { 6 } else { 0 };
@@ -294,20 +290,13 @@ fn lower(
             let vaults = layout.vault_group(p);
             PartitionSpec::new(p, vaults.start, vaults.len())
         };
-        let owned: Vec<usize> = layout.partition_regions(p).collect();
-        // The pruning pass: keep only regions the zone map can't prove
-        // empty. Survivors keep their *unpruned* local index (computed
-        // below) so output slots never move.
-        let survivors: Vec<usize> = match prune {
-            Some(zm) => owned
-                .iter()
-                .copied()
-                .filter(|&r| zm.region_may_match(query, r))
-                .collect(),
-            None => owned.clone(),
-        };
-        stats.scanned += survivors.len();
-        stats.pruned += owned.len() - survivors.len();
+        // Only regions the zone map can't prove empty survive. They keep
+        // their *unpruned* local index (computed below) so output slots
+        // never move.
+        let survivors: Vec<usize> = layout
+            .partition_regions(p)
+            .filter(|&r| scanned.get(r))
+            .collect();
         if survivors.is_empty() {
             programs.push(LogicProgram::new(spec, Vec::new()));
             continue;
@@ -466,7 +455,7 @@ fn lower(
         programs,
         layout: *layout,
         aggregate: fused_aggregate,
-        prune: stats,
+        scanned,
     })
 }
 
@@ -845,6 +834,7 @@ mod tests {
         let s = pruned.prune_stats();
         assert_eq!(s.total(), 64);
         assert!(s.pruned > 32, "only {} pruned", s.pruned);
+        assert_eq!(pruned.scanned_regions(), &zm.scan_set(&q));
         assert!(pruned.total_instrs() < full.total_instrs());
         // Every surviving region's mask store lands at the same
         // address as in the full stream.

@@ -5,7 +5,7 @@ use crate::session::Session;
 use crate::system::System;
 use crate::{host, neardata};
 use hipe_compiler::{CompileError, LogicScanProgram, STOCK_HMC_OP};
-use hipe_db::{PruneStats, Query};
+use hipe_db::{Bitmask, PruneStats, Query};
 use hipe_isa::{MicroOp, OpSize};
 
 /// One architecture's compile/execute implementation.
@@ -65,8 +65,8 @@ pub trait Backend {
 #[derive(Debug, Clone)]
 pub(crate) enum PlanCode {
     /// A micro-op stream executed by the out-of-order core (x86
-    /// baseline and HMC-ISA machines).
-    Micro(Vec<MicroOp>),
+    /// baseline and HMC-ISA machines), with the regions it scans.
+    Micro { ops: Vec<MicroOp>, scanned: Bitmask },
     /// Per-partition logic-layer programs posted to the in-cube
     /// engine cluster (HIVE/HIPE) — one program per vault group.
     /// Aggregate queries carry the fused aggregate tail unless the
@@ -89,7 +89,6 @@ pub struct ExecutablePlan {
     query: Query,
     rows: usize,
     partitions: usize,
-    prune: PruneStats,
     code: PlanCode,
 }
 
@@ -120,8 +119,19 @@ impl ExecutablePlan {
     /// logic-layer instructions).
     pub fn instructions(&self) -> usize {
         match &self.code {
-            PlanCode::Micro(ops) => ops.len(),
+            PlanCode::Micro { ops, .. } => ops.len(),
             PlanCode::Logic { program, .. } => program.total_instrs(),
+        }
+    }
+
+    /// The 32-row regions the plan scans, one bit per region. Without
+    /// [`SystemConfig::pruning`](crate::SystemConfig) every bit is set.
+    /// Executors evaluate or read back only these regions: the others'
+    /// output stays at the session reset's zeros.
+    pub fn scanned_regions(&self) -> &Bitmask {
+        match &self.code {
+            PlanCode::Micro { scanned, .. } => scanned,
+            PlanCode::Logic { program, .. } => program.scanned_regions(),
         }
     }
 
@@ -130,7 +140,7 @@ impl ExecutablePlan {
     /// [`SystemConfig::pruning`](crate::SystemConfig) every region is
     /// scanned and `pruned` is zero.
     pub fn prune_stats(&self) -> PruneStats {
-        self.prune
+        PruneStats::of(self.scanned_regions())
     }
 
     /// Returns `true` when the plan runs its aggregate fused inside
@@ -138,7 +148,7 @@ impl ExecutablePlan {
     /// rather than as a host-side gather of matched tuples.
     pub fn fused_aggregate(&self) -> bool {
         match &self.code {
-            PlanCode::Micro(_) => false,
+            PlanCode::Micro { .. } => false,
             PlanCode::Logic { program, .. } => program.aggregate_base().is_some(),
         }
     }
@@ -168,14 +178,13 @@ impl Backend for HostX86Backend {
 
     fn compile(&self, sys: &System, query: &Query) -> Result<ExecutablePlan, CompileError> {
         sys.note_compilation();
-        let (ops, prune) = hipe_compiler::lower_host_scan(query, sys.layout(), sys.prune())?;
+        let (ops, scanned) = hipe_compiler::lower_host_scan(query, sys.layout(), sys.prune())?;
         Ok(ExecutablePlan {
             arch: Arch::HostX86,
             query: query.clone(),
             rows: sys.config().rows,
             partitions: sys.config().partitions,
-            prune,
-            code: PlanCode::Micro(ops),
+            code: PlanCode::Micro { ops, scanned },
         })
     }
 
@@ -210,15 +219,14 @@ impl Backend for HmcIsaBackend {
 
     fn compile(&self, sys: &System, query: &Query) -> Result<ExecutablePlan, CompileError> {
         sys.note_compilation();
-        let (ops, prune) =
+        let (ops, scanned) =
             hipe_compiler::lower_hmc_scan(query, sys.layout(), self.op_size, sys.prune())?;
         Ok(ExecutablePlan {
             arch: Arch::HmcIsa,
             query: query.clone(),
             rows: sys.config().rows,
             partitions: sys.config().partitions,
-            prune,
-            code: PlanCode::Micro(ops),
+            code: PlanCode::Micro { ops, scanned },
         })
     }
 
@@ -284,7 +292,6 @@ fn compile_logic(
         query: query.clone(),
         rows: sys.config().rows,
         partitions: sys.config().partitions,
-        prune: program.prune_stats(),
         code: PlanCode::Logic {
             program,
             predicated,
@@ -415,6 +422,11 @@ mod tests {
             let s = plan.prune_stats();
             assert_eq!(s.total(), rows / 32, "{arch}");
             assert!(s.pruned > 0, "{arch} pruned nothing on a clustered table");
+            assert_eq!(
+                plan.scanned_regions(),
+                &sys.zonemap().scan_set(&q),
+                "{arch}"
+            );
         }
         // Without the flag the same system scans everything.
         let mut unpruned_cfg = sys.config().clone();

@@ -11,7 +11,7 @@ use crate::report::{PartitionPhase, PhaseBreakdown, RunReport};
 use crate::session::Session;
 use hipe_cache::CacheHierarchy;
 use hipe_cpu::{Core, MemoryPort};
-use hipe_db::Bitmask;
+use hipe_db::{Bitmask, DsmLayout, Query, COLUMN_BYTES, REGION_ROWS};
 use hipe_hmc::{AccessKind, Hmc};
 use hipe_isa::{MicroOpKind, OpSize, VaultOp};
 use hipe_sim::Cycle;
@@ -65,7 +65,7 @@ impl MemoryPort for CachedPort<'_> {
 /// the session's warm image.
 pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunReport {
     let sys = session.system();
-    let PlanCode::Micro(ops) = plan.code() else {
+    let PlanCode::Micro { ops, scanned } = plan.code() else {
         unreachable!("the host executor requires a micro-op plan");
     };
     let query = plan.query();
@@ -91,24 +91,9 @@ pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunRe
     // per-partition accounting).
     let scan_stats = session.hmc().stats();
 
-    // Functional outcome of the scan kernel: evaluate the predicates
-    // over the column values resident in the cube image and write the
-    // packed mask words the store stream modelled.
-    let rows = sys.layout().rows();
-    let hmc = session.hmc_mut();
-    let bitmask = Bitmask::from_fn(rows, |w| {
-        let start = w * 64;
-        let end = (start + 64).min(rows);
-        let mut bits = 0u64;
-        for i in start..end {
-            let hit = query.matches_with(|c| hmc.read_u64(sys.layout().value_addr(c, i)) as i64);
-            bits |= (hit as u64) << (i - start);
-        }
-        bits
-    });
-    for (w, word) in bitmask.words().iter().enumerate() {
-        hmc.write_u64(sys.mask_base() + w as u64 * 8, *word);
-    }
+    // Functional outcome of the scan kernel: the packed mask words the
+    // store stream modelled, from the column values in the cube image.
+    let bitmask = functional_mask(session.hmc_mut(), sys.layout(), query, scanned);
 
     // Host-side aggregate gather, through the caches like any other
     // demand traffic.
@@ -164,12 +149,56 @@ pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunRe
     }
 }
 
+/// Rows per packed mask word.
+const WORD_ROWS: usize = 64;
+
+/// Evaluates `query` over the 64-row mask words that touch a scanned
+/// region, a column slice at a time, and stores the non-zero words at
+/// the layout's mask area. Every other word is zero: its rows lie in
+/// regions the zone map proved matchless, and the session reset left
+/// its image word at zero.
+fn functional_mask(hmc: &mut Hmc, layout: &DsmLayout, query: &Query, scanned: &Bitmask) -> Bitmask {
+    let rows = layout.rows();
+    let mut mask = Bitmask::zeros(rows);
+    let mut last = None;
+    for region in scanned.iter_ones() {
+        let w = region * REGION_ROWS / WORD_ROWS;
+        if last == Some(w) {
+            continue;
+        }
+        last = Some(w);
+        let start = w * WORD_ROWS;
+        let n = (rows - start).min(WORD_ROWS);
+        let mut bits = !0u64 >> (WORD_ROWS - n);
+        for p in query.predicates() {
+            let slice = hmc.read_bytes(
+                layout.value_addr(p.column, start),
+                n * COLUMN_BYTES as usize,
+            );
+            let mut hits = 0u64;
+            for (i, v) in slice.chunks_exact(COLUMN_BYTES as usize).enumerate() {
+                let v = i64::from_le_bytes(v.try_into().expect("8-byte chunk"));
+                hits |= (p.cmp.eval(v) as u64) << i;
+            }
+            bits &= hits;
+            if bits == 0 {
+                break;
+            }
+        }
+        if bits != 0 {
+            mask.set_word(w, bits);
+            hmc.write_u64(layout.mask_base() + w as u64 * 8, bits);
+        }
+    }
+    mask
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::report::Arch;
     use crate::system::System;
-    use hipe_db::{scan, Query};
+    use hipe_db::scan;
 
     fn run(sys: &System, arch: Arch, q: &Query) -> RunReport {
         sys.session().run(arch, q)

@@ -25,7 +25,7 @@ use crate::session::Session;
 use hipe_compiler::{LogicScanProgram, REGION_ROWS};
 use hipe_cpu::{Core, MemoryPort};
 use hipe_db::scan::ScanResult;
-use hipe_db::Bitmask;
+use hipe_db::{Bitmask, COLUMN_BYTES, REGION_BYTES};
 use hipe_hmc::Hmc;
 use hipe_isa::{LogicInstr, MicroOp, MicroOpKind, OpSize, VaultOp};
 use hipe_logic::EngineCluster;
@@ -214,9 +214,12 @@ pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunRe
     let result = if program.aggregate_base().is_some() {
         // The functional aggregate comes from the partials the engines
         // actually stored, so the fused path is checked bit for bit
-        // against the reference executor like everything else.
+        // against the reference executor like everything else. Pruned
+        // regions' slots are zero by the reset protocol.
         let matches = bitmask.count_ones();
-        let aggregate = (0..program.regions())
+        let aggregate = program
+            .scanned_regions()
+            .iter_ones()
             .map(|i| hmc.read_u64(program.agg_addr(i)) as i64 as i128)
             .sum();
         ScanResult {
@@ -268,15 +271,23 @@ pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunRe
 }
 
 /// Reads the engine-written per-region masks (one 0/1 lane per row)
-/// back from the cube image as a row bitmask.
+/// back from the cube image as a row bitmask: each scanned region's
+/// 256 B chunk once, packed into its 32 bits. Pruned regions' chunks
+/// are zero by the session reset protocol, so they are never read.
 fn read_mask(hmc: &Hmc, program: &LogicScanProgram, rows: usize) -> Bitmask {
-    (0..rows)
-        .map(|i| {
-            let region = i / REGION_ROWS;
-            let lane = (i % REGION_ROWS) as u64;
-            hmc.read_u64(program.mask_addr(region) + lane * 8) != 0
-        })
-        .collect()
+    let mut mask = Bitmask::zeros(rows);
+    for region in program.scanned_regions().iter_ones() {
+        let chunk = hmc.read_bytes(program.mask_addr(region), REGION_BYTES as usize);
+        let mut bits = 0u64;
+        for (lane, v) in chunk.chunks_exact(COLUMN_BYTES as usize).enumerate() {
+            let lane_value = u64::from_le_bytes(v.try_into().expect("8-byte lane"));
+            bits |= u64::from(lane_value != 0) << lane;
+        }
+        // Lanes past the last row are dropped by `set_word`.
+        let (w, shift) = (region * REGION_ROWS / 64, region * REGION_ROWS % 64);
+        mask.set_word(w, mask.words()[w] | bits << shift);
+    }
+    mask
 }
 
 #[cfg(test)]

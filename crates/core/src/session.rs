@@ -60,11 +60,14 @@ impl PlanCache {
 ///
 /// Creating a session materializes the generated table into the cube
 /// image **once**; every subsequent run reuses that image. Before each
-/// run the session applies its *reset protocol* — the mask output area
-/// is cleared and the cube's run-scoped timing, stats and energy
-/// meters are rebuilt ([`Hmc::reset_run_state`]) while the table bytes
-/// stay put — so a warm run is bit- and cycle-identical to a cold
-/// [`System::run`] (the integration tests assert this).
+/// run the session applies its *reset protocol* — the output blocks
+/// the previous run wrote past the mask base are zeroed
+/// ([`Hmc::zero_dirty_from`]) and the cube's run-scoped timing, stats
+/// and energy meters are reset in place ([`Hmc::reset_run_state`])
+/// while the table bytes stay put — so a warm run is bit- and
+/// cycle-identical to a cold [`System::run`] (the integration tests
+/// assert this). Runs then read back only the regions their plan
+/// scans: every other region's output is zero by this protocol.
 ///
 /// This is the execution half of the compile → session → execute
 /// split: plans compiled by a [`Backend`](crate::Backend) can be
@@ -153,18 +156,19 @@ impl<'a> Session<'a> {
         &mut self.hmc
     }
 
-    /// Applies the reset protocol: zeroes the mask output area and
-    /// rebuilds the cube's run-scoped timing/stat/energy state, leaving
-    /// the table image untouched.
+    /// Applies the reset protocol: zeroes the blocks of the mask and
+    /// aggregate output areas written since the last reset (after
+    /// materialization that is all of them) and resets the cube's
+    /// run-scoped timing/stat/energy state, leaving the table image
+    /// untouched. Its cost follows the blocks the last run wrote, not
+    /// the table's size.
     ///
     /// [`run`](Self::run), [`run_plan`](Self::run_plan) and
     /// [`run_all`](Self::run_all) call this before every execution;
     /// it only needs to be invoked directly when driving a
     /// [`Backend`](crate::Backend) by hand.
     pub fn reset(&mut self) {
-        let mask_base = self.sys.mask_base();
-        let mask_len = self.hmc.image_len() - mask_base as usize;
-        self.hmc.zero_bytes(mask_base, mask_len);
+        self.hmc.zero_dirty_from(self.sys.mask_base());
         self.hmc.reset_run_state();
     }
 

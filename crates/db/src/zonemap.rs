@@ -17,6 +17,7 @@
 //! freshly reset image already holds — so pruned and unpruned runs are
 //! bit-identical.
 
+use crate::bitmask::Bitmask;
 use crate::layout::{DsmLayout, REGION_ROWS};
 use crate::lineitem::{Column, LineitemTable};
 use crate::query::Query;
@@ -164,6 +165,12 @@ impl ZoneMap {
         self.regions[r].may_match(query)
     }
 
+    /// The regions a scan of `query` must visit, one bit per region:
+    /// set unless the region's summaries prove no row can match.
+    pub fn scan_set(&self, query: &Query) -> Bitmask {
+        self.regions.iter().map(|s| s.may_match(query)).collect()
+    }
+
     /// Whether *any* region can contain a match — the rollup the serve
     /// layer uses to skip scattering a sub-query to this shard.
     pub fn table_may_match(&self, query: &Query) -> bool {
@@ -201,6 +208,16 @@ impl PruneStats {
         PruneStats {
             scanned: regions,
             pruned: 0,
+        }
+    }
+
+    /// Stats of a scanned-region set (one bit per region, set when the
+    /// region is scanned, as [`ZoneMap::scan_set`] returns).
+    pub fn of(scanned: &Bitmask) -> Self {
+        let n = scanned.count_ones();
+        PruneStats {
+            scanned: n,
+            pruned: scanned.len() - n,
         }
     }
 
@@ -348,6 +365,21 @@ mod tests {
         assert_eq!(a.scanned, 13);
         assert_eq!(a.pruned, 7);
         assert_eq!(a.total(), 20);
+    }
+
+    #[test]
+    fn scan_set_marks_the_regions_that_may_match() {
+        let t = LineitemTable::generate_clustered_range(7, 0, 2048, 2048);
+        let zm = ZoneMap::build(&t);
+        let q = Query::shipdate_window_permille(100);
+        let set = zm.scan_set(&q);
+        assert_eq!(set.len(), zm.regions());
+        for r in 0..zm.regions() {
+            assert_eq!(set.get(r), zm.region_may_match(&q, r), "region {r}");
+        }
+        let stats = PruneStats::of(&set);
+        assert_eq!(stats.total(), zm.regions());
+        assert!(stats.pruned > 0 && stats.scanned > 0);
     }
 
     #[test]

@@ -6,6 +6,10 @@ use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::vault::Vault;
 use hipe_sim::{Cycle, ThroughputPipe};
 
+/// Granularity of the image's dirty tracking: one 256 B block, the
+/// logic-layer engine's store size (and one DRAM row buffer).
+const DIRTY_BLOCK_BYTES: u64 = 256;
+
 /// What kind of access the host performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
@@ -124,6 +128,10 @@ pub struct Hmc {
     req_link: ThroughputPipe,
     /// Cube -> host direction (responses, read payloads).
     rsp_link: ThroughputPipe,
+    /// One bit per [`DIRTY_BLOCK_BYTES`] block of `mem`: set when a
+    /// functional write path touched the block since the last
+    /// [`zero_dirty_from`](Self::zero_dirty_from).
+    dirty: Vec<u64>,
     mem: Vec<u8>,
     stats: HmcStats,
     /// Per-vault accounting (run-scoped, reset with the timing state).
@@ -141,13 +149,22 @@ impl Hmc {
     /// and proportionally less at reduced scale).
     pub fn new(cfg: HmcConfig, image_bytes: usize) -> Self {
         let (num, den) = cfg.link_rate();
+        // The dirty bitmap is allocated first, before the vaults and the
+        // image. Allocated later, it lands in the space a dropped cube's
+        // image left behind, the next image no longer fits there, and
+        // every cube built after a dropped one maps (and faults in)
+        // fresh pages: set-up time doubled when it was measured.
+        let blocks = (image_bytes as u64).div_ceil(DIRTY_BLOCK_BYTES) as usize;
+        let dirty = vec![0; blocks.div_ceil(64)];
         let vaults = (0..cfg.vaults).map(|_| Vault::new(&cfg)).collect();
+        let mem = vec![0; image_bytes];
         Hmc {
             mapping: AddressMapping::new(&cfg),
             vaults,
             req_link: ThroughputPipe::new(num, den, cfg.link_latency),
             rsp_link: ThroughputPipe::new(num, den, cfg.link_latency),
-            mem: vec![0; image_bytes],
+            dirty,
+            mem,
             stats: HmcStats::default(),
             vault_activity: vec![VaultActivity::default(); cfg.vaults],
             energy_model: EnergyModel::paper(),
@@ -274,28 +291,28 @@ impl Hmc {
     }
 
     /// Resets every run-scoped timing and accounting structure —
-    /// vaults, link pipes, stats, energy — while keeping the memory
-    /// image intact.
+    /// vaults, link pipes, stats, energy — in place, while keeping the
+    /// memory image intact.
     ///
     /// This is the cube half of a warm session's reset protocol: after
     /// the call, the cube times and meters accesses exactly like a
     /// freshly constructed one, but the (expensive) table image does
-    /// not have to be re-materialized. Callers that reuse output areas
-    /// (e.g. scan mask buffers) must clear those bytes themselves via
-    /// [`write_bytes`](Self::write_bytes).
+    /// not have to be re-materialized. Output areas written by a run
+    /// (e.g. scan mask buffers) are restored separately by
+    /// [`zero_dirty_from`](Self::zero_dirty_from), which clears only
+    /// the blocks the run actually wrote.
     pub fn reset_run_state(&mut self) {
-        let (num, den) = self.cfg.link_rate();
-        self.vaults = (0..self.cfg.vaults)
-            .map(|_| Vault::new(&self.cfg))
-            .collect();
-        self.req_link = ThroughputPipe::new(num, den, self.cfg.link_latency);
-        self.rsp_link = ThroughputPipe::new(num, den, self.cfg.link_latency);
+        for vault in &mut self.vaults {
+            vault.reset();
+        }
+        self.req_link.reset();
+        self.rsp_link.reset();
         self.stats = HmcStats::default();
         // The per-vault(-group) accounting the engine cluster reads is
         // run-scoped like the aggregate stats: a warm run must start
         // from the same zeroed meters a cold cube has, or warm != cold
         // under partitioned execution.
-        self.vault_activity = vec![VaultActivity::default(); self.cfg.vaults];
+        self.vault_activity.fill(VaultActivity::default());
         self.energy = EnergyBreakdown::default();
     }
 
@@ -325,36 +342,72 @@ impl Hmc {
         &self.mem[addr as usize..addr as usize + len]
     }
 
-    /// Functional write to the memory image.
+    /// Functional write to the memory image. Marks the touched blocks
+    /// dirty (see [`zero_dirty_from`](Self::zero_dirty_from)).
     ///
     /// # Panics
     ///
     /// Panics if the range is outside the image.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
-        self.mem[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+        self.bytes_mut(addr, data.len()).copy_from_slice(data);
     }
 
     /// Mutable functional view of `len` image bytes at `addr` — the
     /// zero-copy write path: producers (table materialization, engine
     /// stores) serialize straight into the cube's backing memory
     /// instead of staging through a scratch buffer and
-    /// [`write_bytes`](Self::write_bytes).
+    /// [`write_bytes`](Self::write_bytes). Marks the covered blocks
+    /// dirty.
     ///
     /// # Panics
     ///
     /// Panics if the range is outside the image.
     pub fn bytes_mut(&mut self, addr: u64, len: usize) -> &mut [u8] {
-        &mut self.mem[addr as usize..addr as usize + len]
+        let range = addr as usize..addr as usize + len;
+        assert!(range.end <= self.mem.len(), "write past the image");
+        if len > 0 {
+            let first = (addr / DIRTY_BLOCK_BYTES) as usize;
+            let last = ((range.end as u64 - 1) / DIRTY_BLOCK_BYTES) as usize;
+            mark_bits(&mut self.dirty, first, last + 1);
+        }
+        &mut self.mem[range]
     }
 
     /// Functional in-place zeroing of `len` image bytes at `addr`
     /// (no scratch buffer, unlike [`write_bytes`](Self::write_bytes)).
+    /// Zeroing never marks a block dirty.
     ///
     /// # Panics
     ///
     /// Panics if the range is outside the image.
     pub fn zero_bytes(&mut self, addr: u64, len: usize) {
         self.mem[addr as usize..addr as usize + len].fill(0);
+    }
+
+    /// Zeroes every image byte at or after `from` that lies in a block
+    /// written since the last call, then forgets all dirty marks.
+    ///
+    /// This is the image half of a warm session's reset protocol: if
+    /// the image from `from` on was all-zero after the last call (or
+    /// after materialization, which marks every block), it is
+    /// all-zero again afterwards — at a cost proportional to the
+    /// blocks a run wrote, not to the size of the area.
+    pub fn zero_dirty_from(&mut self, from: u64) {
+        let first_word = (from / DIRTY_BLOCK_BYTES / 64) as usize;
+        self.dirty[..first_word].fill(0);
+        let len = self.mem.len() as u64;
+        for w in first_word..self.dirty.len() {
+            let mut bits = std::mem::take(&mut self.dirty[w]);
+            while bits != 0 {
+                let block = (w * 64) as u64 + u64::from(bits.trailing_zeros());
+                bits &= bits - 1;
+                let lo = (block * DIRTY_BLOCK_BYTES).max(from);
+                let hi = ((block + 1) * DIRTY_BLOCK_BYTES).min(len);
+                if lo < hi {
+                    self.zero_bytes(lo, (hi - lo) as usize);
+                }
+            }
+        }
     }
 
     /// Functional read of a little-endian `u64` at `addr`.
@@ -424,6 +477,20 @@ impl Hmc {
     pub fn bank_busy_cycles(&self) -> Cycle {
         self.vaults.iter().map(Vault::bank_busy_cycles).sum()
     }
+}
+
+/// Sets bits `[start, end)` of a packed bitmap, a word at a time.
+fn mark_bits(words: &mut [u64], start: usize, end: usize) {
+    let (first, last) = (start / 64, (end - 1) / 64);
+    let head = !0u64 << (start % 64);
+    let tail = !0u64 >> (63 - (end - 1) % 64);
+    if first == last {
+        words[first] |= head & tail;
+        return;
+    }
+    words[first] |= head;
+    words[first + 1..last].fill(!0);
+    words[last] |= tail;
 }
 
 #[cfg(test)]
@@ -594,6 +661,60 @@ mod tests {
             .iter()
             .all(|v| *v == VaultActivity::default()));
         assert_eq!(h.group_activity(4)[0], VaultActivity::default());
+    }
+
+    /// Indices of the blocks currently marked dirty.
+    fn dirty_blocks(h: &Hmc) -> Vec<usize> {
+        (0..h.dirty.len() * 64)
+            .filter(|&b| h.dirty[b / 64] >> (b % 64) & 1 == 1)
+            .collect()
+    }
+
+    #[test]
+    fn write_paths_mark_exactly_the_blocks_they_touch() {
+        let mut h = cube();
+        assert!(dirty_blocks(&h).is_empty());
+        // write_u64 inside block 1; write_bytes straddling blocks 3-4;
+        // bytes_mut over blocks 64..=130 (crossing bitmap words).
+        h.write_u64(256 + 8, 1);
+        h.write_bytes(4 * 256 - 2, &[7; 4]);
+        h.bytes_mut(64 * 256, 67 * 256).fill(9);
+        let mut expect = vec![1, 3, 4];
+        expect.extend(64..131);
+        assert_eq!(dirty_blocks(&h), expect);
+        // Zeroing and reads never mark anything.
+        h.zero_bytes(10 * 256, 256);
+        let _ = h.read_bytes(20 * 256, 512);
+        let _ = h.bytes_mut(30 * 256, 0);
+        assert_eq!(dirty_blocks(&h), expect);
+    }
+
+    #[test]
+    fn zero_dirty_from_clears_only_written_blocks_past_the_base() {
+        let mut h = cube();
+        // Clean non-zero bytes (as if materialized, then forgotten).
+        h.bytes_mut(0, 1 << 20).fill(0xAB);
+        h.zero_dirty_from(1 << 20);
+        assert!(dirty_blocks(&h).is_empty());
+        assert_eq!(h.read_bytes(0, 1), [0xAB]);
+        // A run dirties a block below the base and two past it.
+        h.write_u64(256, 1);
+        h.write_u64(100 * 256, 2);
+        h.write_u64(101 * 256 + 248, 3);
+        h.zero_dirty_from(64 * 256);
+        assert!(dirty_blocks(&h).is_empty());
+        // Below the base: kept.
+        assert_eq!(h.read_u64(256), 1);
+        // Past the base: the dirty blocks are zero in full ...
+        assert!(h.read_bytes(100 * 256, 512).iter().all(|&b| b == 0));
+        // ... and clean blocks keep their bytes.
+        assert_eq!(h.read_bytes(99 * 256, 256), [0xAB; 256]);
+        assert_eq!(h.read_bytes(102 * 256, 256), [0xAB; 256]);
+        // A base inside a dirty block zeroes only from the base on.
+        h.write_bytes(200 * 256, &[5; 256]);
+        h.zero_dirty_from(200 * 256 + 16);
+        assert_eq!(h.read_bytes(200 * 256, 16), [5; 16]);
+        assert!(h.read_bytes(200 * 256 + 16, 240).iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -188,6 +188,14 @@ impl Window {
     pub fn drain(&self) -> Cycle {
         self.inflight.iter().map(|Reverse(c)| *c).max().unwrap_or(0)
     }
+
+    /// Returns the window to its empty state in place, keeping its
+    /// capacity and its allocation.
+    pub fn reset(&mut self) {
+        self.inflight.clear();
+        self.admitted = 0;
+        self.stall = 0;
+    }
 }
 
 #[cfg(test)]
@@ -218,6 +226,18 @@ mod tests {
         }
         // 100 ops * (100/4) = 2500, plus pipeline fill.
         assert_eq!(last, 96 / 4 * 100 + 100);
+    }
+
+    #[test]
+    fn reset_empties_the_window() {
+        let mut w = Window::new(1);
+        w.admit_until(0, 100);
+        assert_eq!(w.admit(0), 100);
+        w.complete(200);
+        w.reset();
+        assert!(w.is_empty());
+        assert_eq!((w.admitted(), w.stall_cycles()), (0, 0));
+        assert_eq!(w.admit(0), 0);
     }
 
     #[test]

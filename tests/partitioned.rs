@@ -156,8 +156,7 @@ fn empty_partitions_are_harmless_and_idle() {
 fn warm_partitioned_sessions_replay_cold_runs_exactly() {
     // Regression for the reset protocol under partitions > 1: the
     // cube's per-vault-group accounting (and everything else) must be
-    // rebuilt between runs, so warm == cold measurement for
-    // measurement.
+    // reset between runs, so warm == cold measurement for measurement.
     let sys = System::partitioned(8192, 77, 4);
     let q = Query::q6();
     let mut session = sys.session();

@@ -1,15 +1,18 @@
 //! Zone-map pruning equivalence: pruned runs must be bit-identical to
 //! unpruned runs and to the reference executor, on every machine.
 //!
-//! Pruning only removes *timed* work: a pruned region's mask words and
-//! aggregate lanes stay at the session reset protocol's zeros, which
-//! is exactly what the full scan would have stored for a region with
-//! no matches. These tests sweep randomized predicates, boundary
-//! predicates sitting exactly on region summaries, partitioned and
-//! sharded/replicated layouts, and fully-pruned queries, asserting
-//! the equivalence everywhere — warm and cold.
+//! Pruning removes timed *and* functional work: executors evaluate or
+//! read back only the plan's scanned regions, and a pruned region's
+//! mask words and aggregate lanes stay at the zeros the session reset
+//! protocol restores (it zeroes exactly the output blocks the previous
+//! run wrote) — which is what the full scan would have stored for a
+//! region with no matches. These tests sweep randomized predicates,
+//! boundary predicates sitting exactly on region summaries,
+//! partitioned and sharded/replicated layouts, fully-pruned queries,
+//! and interleaved warm runs whose output blocks differ run to run,
+//! asserting the equivalence everywhere — warm and cold.
 
-use hipe::{Arch, System, SystemConfig, TableShape};
+use hipe::{Arch, RunReport, System, SystemConfig, TableShape};
 use hipe_db::{scan, CmpOp, Column, ColumnPredicate, Query, SplitMix64};
 use hipe_serve::{Cluster, ClusterConfig};
 
@@ -188,6 +191,79 @@ fn fully_pruned_queries_run_to_exact_zero_answers() {
             );
             assert_eq!(report.selectivity(), 0.0, "{arch}");
             assert!(!report.selectivity().is_nan(), "{arch}");
+        }
+    }
+}
+
+/// Asserts two reports identical in every field: answer, cycles,
+/// phases, partitions, component stats and energy.
+fn assert_same_report(warm: &RunReport, cold: &RunReport, what: &str) {
+    assert_eq!(warm.result, cold.result, "{what}: answer differs");
+    assert_eq!(warm.cycles, cold.cycles, "{what}: cycles differ");
+    assert_eq!(
+        format!("{warm:?}"),
+        format!("{cold:?}"),
+        "{what}: reports differ"
+    );
+}
+
+#[test]
+fn interleaved_warm_runs_leave_no_residue() {
+    // Consecutive runs write different output blocks: wide and narrow
+    // windows scan different regions; the selective query makes HIPE
+    // squash the mask stores of regions the wide window filled with
+    // ones (each conjunct has a hit in such a region, so the zone map
+    // keeps it); the fully pruned query writes nothing; the host
+    // machines store packed words where the logic machines store 256 B
+    // chunks; and the aggregate adds partial-sum rows. The reset zeroes
+    // only what the last run wrote, so every warm run must still equal
+    // a cold one — arch by arch, then query by query after the image
+    // is rematerialized.
+    let rows = 4096;
+    let wide = Query::shipdate_window_permille(300);
+    let q6 = Query::q6();
+    let narrow_q6 = vec![
+        Query::shipdate_window_permille(30).predicates()[0],
+        q6.predicates()[1],
+        q6.predicates()[2],
+    ];
+    let queries = [
+        wide.clone(),
+        Query::new(
+            vec![
+                wide.predicates()[0],
+                ColumnPredicate::new(Column::Quantity, CmpOp::Lt(3)),
+                ColumnPredicate::new(Column::Discount, CmpOp::Ge(9)),
+            ],
+            false,
+        ),
+        Query::shipdate_window_permille(10),
+        Query::new(
+            vec![
+                ColumnPredicate::new(Column::Shipdate, CmpOp::Ge(2000)),
+                ColumnPredicate::new(Column::Shipdate, CmpOp::Lt(100)),
+            ],
+            false,
+        ),
+        Query::new(narrow_q6, true),
+    ];
+    for partitions in [1, 4] {
+        let sys = clustered(rows, partitions, true);
+        let mut session = sys.session();
+        let check = |session: &mut hipe::Session<'_>, arch: Arch, q: &Query, round: &str| {
+            let what = format!("{arch} x{partitions} {round} [{q}]");
+            assert_same_report(&session.run(arch, q), &sys.run(arch, q), &what);
+        };
+        for arch in Arch::ALL {
+            for q in &queries {
+                check(&mut session, arch, q, "warm");
+            }
+        }
+        session.rematerialize();
+        for q in &queries {
+            for arch in Arch::ALL {
+                check(&mut session, arch, q, "rematerialized");
+            }
         }
     }
 }
