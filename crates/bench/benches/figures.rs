@@ -279,9 +279,9 @@ fn main() {
         ));
     }
 
-    // Replication point: the same load against 4 shards x 2 replica
-    // cubes. Each scattered sub-query goes to one replica per shard,
-    // so the copies serve concurrently — check_figures requires the
+    // Replication point: the same load against 4 shards x 2 replicas.
+    // Each scattered sub-query goes to one replica per shard, so the
+    // replicas serve concurrently — check_figures requires the
     // throughput to reach at least 1.7x of serve_4's.
     let cluster = Cluster::replicated(rows, SEED, 4, 2);
     let cfg = ServiceConfig::closed(Arch::Hipe, SERVE_QUERIES, mix.clone(), SERVE_CLIENTS);

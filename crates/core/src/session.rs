@@ -8,13 +8,13 @@ use hipe_hmc::Hmc;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// A compiled-plan cache shared by sessions over bit-identical
-/// systems — the replicas of one `hipe-serve` shard. Replicas are
-/// constructed from the same seed, rows and configuration, and
-/// compilation is deterministic, so a plan lowered against any of them
-/// is *the* plan for all of them: the first session to need an
-/// `(arch, query)` pair compiles it for every replica, cutting
-/// [`System::compilations`] by the replication factor.
+/// A compiled-plan cache that outlives the sessions opened over one
+/// [`System`] — a `hipe-serve` shard keeps one for the cluster's
+/// lifetime. Each service run opens a fresh session, and compilation
+/// is deterministic, so a plan lowered by an earlier session is *the*
+/// plan for every later one: the first session to need an
+/// `(arch, query)` pair compiles it, and later sessions find it here
+/// instead of lowering it again ([`System::compilations`] counts).
 ///
 /// Sessions keep their private per-arch map for lock-free hot-path
 /// hits; the shared map is consulted only on a local miss. The lock is

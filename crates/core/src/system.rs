@@ -273,9 +273,10 @@ impl System {
     }
 
     /// Opens a warm session whose plan lookups fall back to `plans`, a
-    /// [`PlanCache`] shared with sessions over bit-identical systems
-    /// (the replicas of a `hipe-serve` shard): each `(arch, query)`
-    /// pair is lowered once per cache, not once per session.
+    /// [`PlanCache`] shared with other sessions over this system (a
+    /// `hipe-serve` shard keeps one across its service runs): each
+    /// `(arch, query)` pair is lowered once per cache, not once per
+    /// session.
     pub fn session_with_plans(&self, plans: Arc<PlanCache>) -> Session<'_> {
         Session::with_shared_plans(self, plans)
     }

@@ -8,10 +8,11 @@
 //! then the router may keep sending sub-queries into the dark replica,
 //! and every such sub-query is *re-dispatched* to a surviving replica
 //! once detection fires (paying the detection wait plus a re-dispatch
-//! cost). Because replicas are bit-identical by construction, the
-//! re-routed answer — and therefore the service-level answer — is
-//! bit-identical to the fault-free run; the failover tests kill each
-//! replica across a sweep of cycles to prove it.
+//! cost). A fault kills a *server*, not data: every replica of a shard
+//! executes on the shard's one cube, so the re-routed answer — and
+//! therefore the service-level answer — is bit-identical to the
+//! fault-free run; the failover tests kill each replica across a
+//! sweep of cycles to prove it.
 
 use hipe_sim::Cycle;
 

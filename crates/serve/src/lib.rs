@@ -8,15 +8,17 @@
 //!
 //! # Sharding and replication: [`Cluster`]
 //!
-//! A [`Cluster`] owns N shards, each backed by R bit-identical
-//! [`System`](hipe::System) replicas (a [`ReplicaSet`]). The logical
+//! A [`Cluster`] owns N shards, each backed by one
+//! [`System`](hipe::System) and served by R replicas. The logical
 //! lineitem table's row space is split into contiguous, near-equal
-//! ranges; every replica of a shard generates exactly the monolithic
-//! table's rows for its range (`LineitemTable::generate_range` jumps
-//! the RNG stream to the shard's offset, and the same seed makes
-//! replicas bit-identical *by construction*), lays them out in its
-//! own cube image with its own `DsmLayout`, and can itself be
-//! partitioned across vault-group engines (the PR 4 knob). Queries
+//! ranges; every shard generates exactly the monolithic table's rows
+//! for its range (`LineitemTable::generate_range` jumps the RNG stream
+//! to the shard's offset), lays them out in its own cube image with
+//! its own `DsmLayout`, and can itself be partitioned across
+//! vault-group engines (`ClusterConfig::partitions`). Replicas are
+//! servers, not copies: a copy of a shard would answer every query
+//! bit- and cycle-identically, so a replica is a scheduler
+//! [`Server`](hipe_sim::Server) over its shard's one cube. Queries
 //! *scatter-gather*, with a [`Router`] picking one replica per shard:
 //!
 //! ```text
@@ -24,14 +26,14 @@
 //!                         │      ├────────► shard 1 ─Router─► replica 0 │ replica 1 │ …
 //!                         │      └────────► shard N-1 ───────► …         (rows split
 //!                         ▼                                               per shard,
-//!            gather: mask concatenation + partial-sum addition            copied per
-//!                                                                         replica)
+//!            gather: mask concatenation + partial-sum addition            one cube
+//!                                                                         per shard)
 //! ```
 //!
-//! Each replica session caches compiled plans, so a batch compiles
-//! each distinct `(arch, query)` once per replica. A single-shard,
-//! single-replica cluster is the plain `System`, bit for bit *and*
-//! cycle for cycle; a sharded, replicated cluster returns
+//! Each shard keeps one plan cache across the sessions opened over
+//! it, so the cluster compiles each distinct `(arch, query)` once per
+//! shard. A single-shard cluster is the plain `System`, bit for bit
+//! *and* cycle for cycle; a sharded, replicated cluster returns
 //! bit-identical functional results on all four architectures
 //! whatever the routing (the integration tests assert both).
 //!
@@ -40,11 +42,11 @@
 //! [`run_service`] drives an open- or closed-loop query stream
 //! ([`LoadModel`]) through a warm cluster with a discrete-event loop
 //! built from the `hipe-sim` primitives: the front end and each
-//! replica cube are [`Server`](hipe_sim::Server)s, admission is a
+//! replica are [`Server`](hipe_sim::Server)s, admission is a
 //! [`Window`](hipe_sim::Window), arrivals and the weighted query mix
 //! draw from `SplitMix64`. Batching amortizes the front-end setup
 //! cost; per-query service times are the deterministic modeled cycles
-//! of actually executing that query on that replica. The configured
+//! of actually executing that query on that shard. The configured
 //! [`RoutingPolicy`] sends each scattered sub-query to exactly one
 //! replica per shard, so R replicas serve ~R× the throughput; a
 //! [`FaultPlan`] kills a replica mid-run fail-stop, and lost
@@ -74,9 +76,7 @@ mod fault;
 mod routing;
 mod service;
 
-pub use cluster::{
-    Cluster, ClusterConfig, ClusterReport, ClusterSession, ReplicaSet, MERGE_CYCLES_PER_SHARD,
-};
+pub use cluster::{Cluster, ClusterConfig, ClusterReport, ClusterSession, MERGE_CYCLES_PER_SHARD};
 pub use fault::FaultPlan;
 pub use routing::{FastestReplica, LeastOutstanding, RoundRobin, RouteCtx, Router, RoutingPolicy};
 pub use service::{

@@ -1,14 +1,15 @@
-//! Replica routing: the policy object in front of the per-shard
-//! sessions.
+//! Replica routing: the policy object in front of each shard's
+//! servers.
 //!
-//! A query scattered to a shard must be answered by exactly **one** of
-//! the shard's replicas (they are bit-identical by construction, so
-//! any choice is answer-preserving). *Which* replica is a pure policy
-//! decision, factored out behind the [`Router`] trait: the service
-//! scheduler builds a [`RouteCtx`] snapshot of the candidate replicas'
-//! state at dispatch time — liveness, backlog, outstanding queries,
-//! measured durations — and the router picks an index. Three stock
-//! policies cover the classic trade-offs:
+//! A query scattered to a shard must be served by exactly **one** of
+//! the shard's replicas. Replicas are servers over the shard's one
+//! cube, so any choice is answer-preserving and takes the same
+//! measured duration; only the queueing differs. *Which* replica is a
+//! pure policy decision, factored out behind the [`Router`] trait: the
+//! service scheduler builds a [`RouteCtx`] snapshot of the candidate
+//! replicas' state at dispatch time — liveness, backlog, outstanding
+//! queries — plus the sub-query's measured duration, and the router
+//! picks an index. Three stock policies cover the classic trade-offs:
 //!
 //! * [`RoundRobin`] — cyclic, state-oblivious; perfect spread under a
 //!   uniform mix.
@@ -16,8 +17,8 @@
 //!   in-flight sub-queries (ties broken toward the earlier-free one);
 //!   the classic "join the shortest queue" heuristic.
 //! * [`FastestReplica`] — latency-aware: picks the replica whose
-//!   *predicted completion* (backlog plus this query's measured
-//!   duration on that replica) is earliest.
+//!   *predicted completion* (backlog end plus this query's measured
+//!   duration) is earliest.
 //!
 //! Routers must return a replica the context marks alive; the
 //! scheduler asserts it. A replica that went dark stays routable until
@@ -29,7 +30,8 @@ use hipe_sim::Cycle;
 
 /// Snapshot of one shard's replica state offered to a [`Router`] at
 /// dispatch time. All slices are indexed by replica; they share one
-/// length (the shard's replica count).
+/// length (the shard's replica count). The sub-query's duration is
+/// one number: every replica executes it on the shard's one cube.
 #[derive(Debug, Clone, Copy)]
 pub struct RouteCtx<'a> {
     /// Dispatch cycle of the sub-query being routed.
@@ -44,9 +46,9 @@ pub struct RouteCtx<'a> {
     /// Sub-queries dispatched to each replica and not yet complete at
     /// [`now`](Self::now).
     pub outstanding: &'a [u32],
-    /// Measured cycles this query needs on each replica of this shard
-    /// (from the service's profile pass).
-    pub durations: &'a [Cycle],
+    /// Measured cycles this query needs on this shard (from the
+    /// service's profile pass), whichever replica serves it.
+    pub duration: Cycle,
 }
 
 impl RouteCtx<'_> {
@@ -65,9 +67,9 @@ impl RouteCtx<'_> {
 
     /// The replica's predicted completion were this sub-query sent to
     /// it now: its backlog end (or `now` if idle) plus the query's
-    /// measured duration there.
+    /// measured duration.
     pub fn predicted_completion(&self, r: usize) -> Cycle {
-        self.now.max(self.next_free[r]) + self.durations[r]
+        self.now.max(self.next_free[r]) + self.duration
     }
 }
 
@@ -137,10 +139,10 @@ impl Router for LeastOutstanding {
 
 /// Latency-aware: the alive replica with the earliest *predicted
 /// completion* for this query — backlog end plus the query's measured
-/// duration on that replica — ties broken toward the lowest index.
-/// With heterogeneous replicas (or durations) this beats queue-length
-/// heuristics; with bit-identical replicas it degrades gracefully to
-/// earliest-free.
+/// duration — ties broken toward the lowest index. The duration is
+/// the same on every replica of a shard, so this is earliest-free:
+/// unlike [`LeastOutstanding`] it weighs a queue by when it drains,
+/// not by how many sub-queries it holds.
 #[derive(Debug, Default)]
 pub struct FastestReplica;
 
@@ -194,7 +196,7 @@ mod tests {
         alive: &'a [bool],
         next_free: &'a [Cycle],
         outstanding: &'a [u32],
-        durations: &'a [Cycle],
+        duration: Cycle,
         now: Cycle,
     ) -> RouteCtx<'a> {
         RouteCtx {
@@ -203,7 +205,7 @@ mod tests {
             alive,
             next_free,
             outstanding,
-            durations,
+            duration,
         }
     }
 
@@ -211,7 +213,7 @@ mod tests {
     fn round_robin_cycles_and_skips_the_dead() {
         let mut rr = RoundRobin::new();
         let alive = [true, true, true];
-        let c = ctx(&alive, &[0; 3], &[0; 3], &[10; 3], 0);
+        let c = ctx(&alive, &[0; 3], &[0; 3], 10, 0);
         assert_eq!(rr.pick(0, &c), 0);
         assert_eq!(rr.pick(0, &c), 1);
         assert_eq!(rr.pick(0, &c), 2);
@@ -221,7 +223,7 @@ mod tests {
         // A detected-dead replica is skipped without stalling the
         // cursor's rotation.
         let alive = [true, false, true];
-        let c = ctx(&alive, &[0; 3], &[0; 3], &[10; 3], 0);
+        let c = ctx(&alive, &[0; 3], &[0; 3], 10, 0);
         assert_eq!(rr.pick(0, &c), 2);
         assert_eq!(rr.pick(0, &c), 0);
         assert_eq!(rr.pick(0, &c), 2);
@@ -231,13 +233,13 @@ mod tests {
     fn least_outstanding_joins_the_shortest_queue() {
         let mut lo = LeastOutstanding::new();
         let alive = [true, true, true];
-        let c = ctx(&alive, &[500, 100, 300], &[2, 1, 1], &[10; 3], 0);
+        let c = ctx(&alive, &[500, 100, 300], &[2, 1, 1], 10, 0);
         // Replicas 1 and 2 tie on outstanding; 1 frees earlier.
         assert_eq!(lo.pick(0, &c), 1);
         // The busiest replica is never picked while a shorter queue is
         // alive.
         let alive = [true, false, true];
-        let c = ctx(&alive, &[500, 100, 300], &[2, 0, 1], &[10; 3], 0);
+        let c = ctx(&alive, &[500, 100, 300], &[2, 0, 1], 10, 0);
         assert_eq!(lo.pick(0, &c), 2);
     }
 
@@ -245,21 +247,23 @@ mod tests {
     fn fastest_replica_minimizes_predicted_completion() {
         let mut fr = FastestReplica::new();
         let alive = [true, true];
-        // Replica 0 is idle but slow (duration 900); replica 1 is busy
-        // until 200 but fast (duration 100): predicted completions are
-        // 900 vs 300.
-        let c = ctx(&alive, &[0, 200], &[0, 1], &[900, 100], 0);
+        // Replica 0 holds one sub-query until 400; replica 1 holds
+        // three that drain by 200: predicted completions are 500 vs
+        // 300, where the shortest queue would pick replica 0.
+        let c = ctx(&alive, &[400, 200], &[1, 3], 100, 0);
         assert_eq!(fr.pick(0, &c), 1);
-        // With equal durations it degrades to earliest-free.
-        let c = ctx(&alive, &[400, 200], &[1, 1], &[100, 100], 0);
-        assert_eq!(fr.pick(0, &c), 1);
+        assert_eq!(LeastOutstanding::new().pick(0, &c), 0);
         assert_eq!(c.predicted_completion(1), 300);
+        // Both idle by `now`: a tie, broken toward the lowest index.
+        let c = ctx(&alive, &[400, 200], &[0, 0], 100, 1000);
+        assert_eq!(fr.pick(0, &c), 0);
+        assert_eq!(c.predicted_completion(1), 1100);
     }
 
     #[test]
     fn policy_builds_matching_routers() {
         let alive = [true, true];
-        let c = ctx(&alive, &[100, 0], &[1, 0], &[10, 10], 0);
+        let c = ctx(&alive, &[100, 0], &[1, 0], 10, 0);
         assert_eq!(RoutingPolicy::default(), RoutingPolicy::LeastOutstanding);
         assert_eq!(RoutingPolicy::RoundRobin.router().pick(0, &c), 0);
         assert_eq!(RoutingPolicy::LeastOutstanding.router().pick(0, &c), 1);
@@ -270,7 +274,7 @@ mod tests {
     #[should_panic(expected = "no live replica")]
     fn all_dead_candidates_panic() {
         let alive = [false, false];
-        let c = ctx(&alive, &[0, 0], &[0, 0], &[10, 10], 0);
+        let c = ctx(&alive, &[0, 0], &[0, 0], 10, 0);
         let _ = LeastOutstanding::new().pick(3, &c);
     }
 }

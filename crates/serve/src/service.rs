@@ -2,19 +2,20 @@
 //! stream through a warm, replicated [`Cluster`].
 //!
 //! Built from the `hipe-sim` primitives the component models already
-//! use: each replica cube is a [`Server`] (one query resident at a
-//! time), the service front end is a `Server` (admission, plan lookup
-//! and scatter dispatch, amortized over a batch), and a [`Window`] caps
+//! use: each replica is a [`Server`] (one query resident at a time),
+//! the service front end is a `Server` (admission, plan lookup and
+//! scatter dispatch, amortized over a batch), and a [`Window`] caps
 //! the queries in flight. Per-query service times are the *modeled
-//! cycle counts* of actually executing that query on that replica —
-//! each distinct query of the mix is executed once per replica of
-//! every shard through the warm sessions (compiling once, thanks to
-//! the session plan cache), and the deterministic measured durations
-//! drive the event loop. Warm ≡ cold and run-order independence are
-//! proven by the `hipe-core` session tests, which is what makes the
-//! replay honest; the profile pass additionally asserts that every
-//! replica of a shard returns the bit-identical answer, which is what
-//! makes replica routing and failover answer-preserving.
+//! cycle counts* of actually executing that query on that shard —
+//! each distinct query of the mix is executed once on every shard
+//! through one warm session per shard (compiling once, thanks to the
+//! shard plan cache), and the deterministic measured durations drive
+//! the event loop. Warm ≡ cold and run-order independence are proven
+//! by the `hipe-core` session tests, which is what makes the replay
+//! honest. Every replica of a shard executes on the shard's one
+//! [`System`](hipe::System), so the measured duration and answer hold
+//! for whichever replica serves a sub-query: replica routing and
+//! failover are answer-preserving by construction.
 //!
 //! Each scattered sub-query goes to exactly **one** replica of each
 //! shard, chosen by the configured [`Router`] policy; a
@@ -22,7 +23,7 @@
 //! sub-queries are detected and re-dispatched to a survivor (the
 //! fail-stop model of [`crate::fault`]).
 
-use crate::cluster::{Cluster, ClusterReport, MERGE_CYCLES_PER_SHARD};
+use crate::cluster::{Cluster, MERGE_CYCLES_PER_SHARD};
 use crate::fault::{self, FaultPlan};
 use crate::routing::{RouteCtx, Router, RoutingPolicy};
 use hipe::{Arch, PhaseBreakdown};
@@ -197,9 +198,9 @@ pub struct ServiceReport {
     /// [`Samples::merge`].
     pub subquery_latency: LatencySummary,
     /// Busy cycles per shard, summed over its replicas (for a
-    /// single-replica cluster this is the per-cube busy of old).
+    /// single-replica cluster this is the shard cube's busy).
     pub shard_busy: Vec<Cycle>,
-    /// Busy cycles per replica cube, `replica_busy[shard][replica]`.
+    /// Busy cycles per replica, `replica_busy[shard][replica]`.
     /// A replica killed by a fault accrues busy only up to its fault
     /// cycle.
     pub replica_busy: Vec<Vec<Cycle>>,
@@ -225,16 +226,16 @@ pub struct ServiceReport {
     /// survivor.
     pub redispatched: u64,
     /// Combined functional answer of each mix query, in mix order —
-    /// the service-level result, proven bit-identical across replicas
-    /// by the profile pass (and therefore across routings and
-    /// failovers).
+    /// the service-level result, computed once per shard by the
+    /// profile pass. Every replica of a shard executes on the shard's
+    /// one cube, so no routing or failover can change it.
     pub answers: Vec<ScanResult>,
     /// Query compilations this run performed across all shards —
-    /// real lowerings only. Each shard's replicas share one
-    /// [`PlanCache`](hipe::PlanCache) (replicas are bit-identical, so
-    /// their plans are too), so the count is one per distinct mix
-    /// query per *shard*, however many replicas serve it or queries
-    /// were served.
+    /// real lowerings only. Each shard keeps one
+    /// [`PlanCache`](hipe::PlanCache) for the cluster's lifetime, so
+    /// the count is one per distinct mix query per *shard* on a fresh
+    /// cluster, and zero for plans an earlier run already lowered —
+    /// however many replicas serve the shard or queries were served.
     pub compilations: u64,
     /// Table materializations this run performed (one per shard: the
     /// run opens a single warm session over the cluster).
@@ -385,7 +386,7 @@ struct Served {
     completion: Cycle,
 }
 
-/// One replica cube in the event loop: its server, its (optional)
+/// One replica in the event loop: its server, its (optional)
 /// fail-stop cycle, and the completions of sub-queries still in
 /// flight on it (for the router's outstanding counts).
 #[derive(Debug)]
@@ -415,7 +416,7 @@ impl Replica {
 /// Trace plumbing of one service run: the sink plus the tracks the
 /// scheduler emits onto — admission and front-end rows, an async
 /// `queries` row for overlapping arrival-to-completion lifetimes, and
-/// one sync row per shard×replica engine.
+/// one sync row per shard×replica server.
 struct SchedTrace<'a> {
     sink: &'a mut dyn TraceSink,
     admission: TrackId,
@@ -487,12 +488,12 @@ fn trace_phases(sink: &mut dyn TraceSink, track: TrackId, ph: PhaseBreakdown, st
 /// The event-loop state: front end, replica servers, admission window.
 struct Scheduler<'a> {
     cfg: &'a ServiceConfig,
-    /// Measured cycles of mix query `q` on replica `r` of shard `s`:
-    /// `durations[q][s][r]`.
-    durations: &'a [Vec<Vec<Cycle>>],
+    /// Measured cycles of mix query `q` on shard `s`, whichever
+    /// replica serves it: `durations[q][s]`.
+    durations: &'a [Vec<Cycle>],
     /// Measured phase breakdowns, same shape as
     /// [`durations`](Self::durations) (read only when tracing).
-    phases: &'a [Vec<Vec<PhaseBreakdown>>],
+    phases: &'a [Vec<PhaseBreakdown>],
     /// `skipped[q][s]`: the profile pass found shard `s`'s zone-map
     /// rollup prunes mix query `q` entirely — the scheduler never
     /// scatters that sub-query (no replica occupancy, no merge share).
@@ -522,8 +523,8 @@ struct Scheduler<'a> {
 impl<'a> Scheduler<'a> {
     fn new(
         cfg: &'a ServiceConfig,
-        durations: &'a [Vec<Vec<Cycle>>],
-        phases: &'a [Vec<Vec<PhaseBreakdown>>],
+        durations: &'a [Vec<Cycle>],
+        phases: &'a [Vec<PhaseBreakdown>],
         skipped: &'a [Vec<bool>],
         cluster: &Cluster,
         trace: Option<SchedTrace<'a>>,
@@ -698,6 +699,7 @@ impl<'a> Scheduler<'a> {
     /// completion cycle.
     fn route_and_serve(&mut self, tag: usize, query: usize, shard: usize, mut at: Cycle) -> Cycle {
         let dispatched = at;
+        let duration = self.durations[query][shard];
         // Scratch per-replica state for the router's context.
         let mut alive = Vec::with_capacity(self.replicas[shard].len());
         let mut next_free = Vec::with_capacity(alive.capacity());
@@ -723,7 +725,7 @@ impl<'a> Scheduler<'a> {
                 alive: &alive,
                 next_free: &next_free,
                 outstanding: &outstanding,
-                durations: &self.durations[query][shard],
+                duration,
             };
             let r = self.router.pick(shard, &ctx);
             assert!(
@@ -732,7 +734,6 @@ impl<'a> Scheduler<'a> {
                  cycle {:?}",
                 self.replicas[shard][r].fail_at
             );
-            let duration = self.durations[query][shard][r];
             let replica = &mut self.replicas[shard][r];
             let served = match replica.fail_at {
                 None => {
@@ -765,7 +766,7 @@ impl<'a> Scheduler<'a> {
                             end,
                             vec![("tag", tag.into()), ("queued_cyc", (start - at).into())],
                         );
-                        trace_phases(t.sink, track, self.phases[query][shard][r], start);
+                        trace_phases(t.sink, track, self.phases[query][shard], start);
                     }
                     return end;
                 }
@@ -798,19 +799,21 @@ impl<'a> Scheduler<'a> {
 /// utilization and tail latency.
 ///
 /// The service opens one [`ClusterSession`](crate::ClusterSession)
-/// (one materialization per replica cube), executes each distinct
-/// query of the mix once on every replica of every shard to obtain its
-/// functional answer and its deterministic per-replica durations
-/// (asserting all replicas answer bit-identically), then drives the
-/// configured arrival process through the discrete-event scheduler,
-/// routing each scattered sub-query to one replica per shard and
-/// failing over around any injected fault.
+/// (one materialization per shard), executes each distinct query of
+/// the mix once on every shard to obtain its functional answer and
+/// its deterministic per-shard durations, then drives the configured
+/// arrival process through the discrete-event scheduler, routing each
+/// scattered sub-query to one replica per shard and failing over
+/// around any injected fault.
 ///
 /// # Panics
 ///
 /// Panics if the config asks for zero queries, an empty or zero-weight
-/// mix, a zero batch, zero admitted queries in flight, or a fault plan
-/// that is out of range or leaves some shard with no survivor.
+/// mix, a zero batch, a batch wider than
+/// [`max_in_flight`](ServiceConfig::max_in_flight), a closed loop with
+/// zero clients, or a fault plan that is out of range or leaves some
+/// shard with no survivor. Every check runs before the cluster
+/// session opens, so a rejected config simulates nothing.
 pub fn run_service(cluster: &Cluster, cfg: &ServiceConfig) -> ServiceReport {
     run_service_traced(cluster, cfg, None)
 }
@@ -823,7 +826,7 @@ pub fn run_service(cluster: &Cluster, cfg: &ServiceConfig) -> ServiceReport {
 /// `redispatch` instants on the front-end track, one async span per
 /// query (arrival to completion, with a `gather` instant at the merge
 /// point), nested dispatch/scan/gather execute spans on one track per
-/// shard×replica engine, and `fault.kill` / `fault.detect` instants on
+/// shard×replica server, and `fault.kill` / `fault.detect` instants on
 /// the dying replica's track.
 ///
 /// Tracing is observational by construction: the scheduler replays
@@ -849,6 +852,9 @@ pub fn run_service_traced(
     );
     let total_weight: u64 = cfg.mix.iter().map(|&(_, w)| w as u64).sum();
     assert!(total_weight > 0, "the query mix has zero total weight");
+    if let LoadModel::Closed { clients, .. } = cfg.load {
+        assert!(clients > 0, "a closed loop needs at least one client");
+    }
     fault::validate(&cfg.faults, cluster.shards(), cluster.replicas());
 
     // Counter snapshots, so the report covers this run alone — a
@@ -858,48 +864,23 @@ pub fn run_service_traced(
     let materializations_before = cluster.materializations();
 
     // Profile pass: one warm execution of each distinct mix query on
-    // *every replica* of every shard. The plan caches make this
-    // compile-once; determinism (warm == cold, order independence)
-    // makes replaying the measured durations in the event loop exact.
-    // Asserting every replica's combined answer bit-identical to
-    // replica 0's is what licenses the router to pick any replica —
-    // and failover to re-pick — without changing the service answer.
+    // every shard. The plan caches make this compile-once; determinism
+    // (warm == cold, order independence) makes replaying the measured
+    // durations in the event loop exact. Every replica of a shard
+    // executes on the shard's one `System`, so the measured duration
+    // and answer hold for whichever replica the router picks — and
+    // for the survivor a failover re-picks.
     let mut session = cluster.session();
-    let mut durations: Vec<Vec<Vec<Cycle>>> = Vec::with_capacity(cfg.mix.len());
-    let mut phases: Vec<Vec<Vec<PhaseBreakdown>>> = Vec::with_capacity(cfg.mix.len());
+    let mut durations: Vec<Vec<Cycle>> = Vec::with_capacity(cfg.mix.len());
+    let mut phases: Vec<Vec<PhaseBreakdown>> = Vec::with_capacity(cfg.mix.len());
     let mut skipped: Vec<Vec<bool>> = Vec::with_capacity(cfg.mix.len());
     let mut answers: Vec<ScanResult> = Vec::with_capacity(cfg.mix.len());
-    for (q, (query, _)) in cfg.mix.iter().enumerate() {
-        // durations[q][s][r], built replica-major then transposed.
-        let mut per_shard: Vec<Vec<Cycle>> = vec![Vec::new(); cluster.shards()];
-        let mut shard_phases: Vec<Vec<PhaseBreakdown>> = vec![Vec::new(); cluster.shards()];
-        let mut reference: Option<ClusterReport> = None;
-        for r in 0..cluster.replicas() {
-            let route = vec![r; cluster.shards()];
-            let report = session.run_routed(cfg.arch, query, &route);
-            for (s, shard_report) in report.shard_reports.iter().enumerate() {
-                per_shard[s].push(shard_report.cycles);
-                shard_phases[s].push(shard_report.phases);
-            }
-            match &reference {
-                None => reference = Some(report),
-                Some(reference) => {
-                    assert_eq!(
-                        report.result, reference.result,
-                        "replica {r} disagrees with replica 0 on mix query {q}"
-                    );
-                    // Replicas share their shard's table, hence its
-                    // rollup — the skip decision cannot depend on
-                    // routing.
-                    debug_assert_eq!(report.skipped, reference.skipped);
-                }
-            }
-        }
-        durations.push(per_shard);
-        phases.push(shard_phases);
-        let reference = reference.expect("clusters have at least one replica");
-        skipped.push(reference.skipped);
-        answers.push(reference.result);
+    for (query, _) in &cfg.mix {
+        let report = session.run(cfg.arch, query);
+        durations.push(report.shard_reports.iter().map(|r| r.cycles).collect());
+        phases.push(report.shard_reports.iter().map(|r| r.phases).collect());
+        skipped.push(report.skipped);
+        answers.push(report.result);
     }
 
     let mut rng = SplitMix64::new(cfg.seed);
@@ -929,7 +910,6 @@ pub fn run_service_traced(
             let _ = sched.dispatch();
         }
         LoadModel::Closed { clients, think } => {
-            assert!(clients > 0, "a closed loop needs at least one client");
             // Min-heap of (next issue time, client); staggered epsilon
             // starts keep the order deterministic.
             let mut idle: BinaryHeap<Reverse<(Cycle, usize)>> =

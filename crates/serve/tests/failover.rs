@@ -142,11 +142,11 @@ fn a_fault_past_the_makespan_never_fires() {
 #[test]
 fn profile_pass_compiles_once_per_mix_query_per_shard() {
     let report = run_service(&Cluster::replicated(512, SEED, 2, 2), &closed(24, 4));
-    // 3 mix queries x 2 shards: replicas share their shard's plan
-    // cache (they are bit-identical, so plans are too), so replication
-    // adds no lowerings — only one materialization per replica cube.
+    // 3 mix queries x 2 shards: replicas are servers over their
+    // shard's one cube, so replication adds no lowerings and no
+    // materializations.
     assert_eq!(report.compilations, 6);
-    assert_eq!(report.materializations, 4);
+    assert_eq!(report.materializations, 2);
 }
 
 #[test]

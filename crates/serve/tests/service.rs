@@ -378,3 +378,16 @@ fn zero_weight_mix_panics() {
     let cfg = ServiceConfig::closed(Arch::Hipe, 4, vec![(Query::q6(), 0)], 1);
     let _ = run_service(&cluster, &cfg);
 }
+
+#[test]
+fn zero_clients_fail_before_simulating() {
+    let cluster = Cluster::new(64, SEED, 1);
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_service(&cluster, &closed(4, 0))
+    }))
+    .expect_err("a closed loop without clients must panic");
+    let msg = panic.downcast_ref::<&str>().expect("a literal message");
+    assert!(msg.contains("at least one client"), "{msg}");
+    // Rejected by the up-front checks: no session, no profile pass.
+    assert_eq!(cluster.materializations(), 0);
+}
