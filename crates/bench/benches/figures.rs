@@ -77,7 +77,7 @@ use hipe::{Arch, RunReport, System, SystemConfig, TableShape};
 use hipe_db::Query;
 use hipe_serve::{run_service, Cluster, ClusterConfig, FaultPlan, ServiceConfig, ServiceReport};
 use hipe_sim::WorkerPool;
-use std::fmt::Write as _;
+use hipe_trace::{json, Value};
 use std::time::Instant;
 
 const SEED: u64 = 2018;
@@ -274,7 +274,7 @@ fn main() {
         json_points.push(serve_json_point(
             &name,
             &report,
-            "",
+            Vec::new(),
             wall.as_secs_f64() * 1e3,
         ));
     }
@@ -302,7 +302,7 @@ fn main() {
     json_points.push(serve_json_point(
         "serve_4x2",
         &replicated,
-        "",
+        Vec::new(),
         wall.as_secs_f64() * 1e3,
     ));
 
@@ -313,7 +313,7 @@ fn main() {
     // architecture — the per-arch digest pairs below are what
     // check_figures compares.
     let start = Instant::now();
-    let mut digests = String::new();
+    let mut digests = Vec::new();
     let mut hipe_failed = None;
     for arch in Arch::ALL {
         let cfg = ServiceConfig::closed(arch, SERVE_QUERIES, mix.clone(), SERVE_CLIENTS);
@@ -333,13 +333,9 @@ fn main() {
             failed.answers, clean.answers,
             "{arch}: failover changed the service answer"
         );
-        writeln!(
-            digests,
-            "      \"digest_{arch}_clean\": {},\n      \"digest_{arch}_fault\": {},",
-            clean.answers_digest(),
-            failed.answers_digest(),
-        )
-        .expect("writing to a String cannot fail");
+        let key = |run: &str| format!("digest_{arch}_{run}");
+        digests.push((key("clean"), clean.answers_digest().into()));
+        digests.push((key("fault"), failed.answers_digest().into()));
         if matches!(arch, Arch::Hipe) {
             hipe_failed = Some(failed);
         }
@@ -361,7 +357,7 @@ fn main() {
     json_points.push(serve_json_point(
         "serve_fail",
         &failed,
-        &digests,
+        digests,
         wall.as_secs_f64() * 1e3,
     ));
 
@@ -460,15 +456,14 @@ fn main() {
         skip_report.shards_skipped(),
         wall.as_secs_f64() * 1e3,
     );
-    json_points.push(format!(
-        "    {{\n      \"name\": \"serve_skip\",\n      \"shards\": 4,\n      \
-         \"shards_skipped\": {},\n      \"cycles\": {},\n      \"base_cycles\": {},\n      \
-         \"host_ms\": {:.3}\n    }}",
-        skip_report.shards_skipped(),
-        skip_report.cycles,
-        full_report.cycles,
-        wall.as_secs_f64() * 1e3,
-    ));
+    json_points.push(Value::object([
+        ("name", "serve_skip".into()),
+        ("shards", 4u64.into()),
+        ("shards_skipped", skip_report.shards_skipped().into()),
+        ("cycles", skip_report.cycles.into()),
+        ("base_cycles", full_report.cycles.into()),
+        ("host_ms", Value::fixed(wall.as_secs_f64() * 1e3, 3)),
+    ]));
 
     // Host-parallel speedup row: the same four-arch batch and the same
     // 4-shard scatter, once on a 1-worker pool and once on a 4-worker
@@ -545,19 +540,21 @@ fn main() {
     // check_figures only enforces the speedup when host_cpus >= 2
     // (digest equality is enforced unconditionally).
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    json_points.push(format!(
-        "    {{\n      \"name\": \"host_par\",\n      \"workers\": {HOST_PAR_WORKERS},\n      \
-         \"host_cpus\": {host_cpus},\n      \
-         \"sweep_serial_ms\": {sweep_ser_ms:.3},\n      \
-         \"sweep_parallel_ms\": {sweep_par_ms:.3},\n      \
-         \"scatter_serial_ms\": {scatter_ser_ms:.3},\n      \
-         \"scatter_parallel_ms\": {scatter_par_ms:.3},\n      \
-         \"digest_serial\": {},\n      \"digest_parallel\": {},\n      \
-         \"host_ms\": {:.3}\n    }}",
-        sweep_ser_digest ^ scatter_ser_digest,
-        sweep_par_digest ^ scatter_par_digest,
-        sweep_ser_ms + sweep_par_ms + scatter_ser_ms + scatter_par_ms,
-    ));
+    let digest_serial = sweep_ser_digest ^ scatter_ser_digest;
+    let digest_parallel = sweep_par_digest ^ scatter_par_digest;
+    let host_ms = sweep_ser_ms + sweep_par_ms + scatter_ser_ms + scatter_par_ms;
+    json_points.push(Value::object([
+        ("name", "host_par".into()),
+        ("workers", HOST_PAR_WORKERS.into()),
+        ("host_cpus", host_cpus.into()),
+        ("sweep_serial_ms", Value::fixed(sweep_ser_ms, 3)),
+        ("sweep_parallel_ms", Value::fixed(sweep_par_ms, 3)),
+        ("scatter_serial_ms", Value::fixed(scatter_ser_ms, 3)),
+        ("scatter_parallel_ms", Value::fixed(scatter_par_ms, 3)),
+        ("digest_serial", digest_serial.into()),
+        ("digest_parallel", digest_parallel.into()),
+        ("host_ms", Value::fixed(host_ms, 3)),
+    ]));
 
     // Data-plane rate rows: the zero-copy hot paths' host throughput
     // (materialization bytes/s, generation rows/s, engine simulated
@@ -584,23 +581,34 @@ fn main() {
             r.headline_unit(),
             r.host_ms,
         );
-        json_points.push(format!(
-            "    {{\n      \"name\": \"{}\",\n      \"unit\": \"{}\",\n      \
-             \"work\": {},\n      \"rate_per_s\": {},\n      \
-             \"host_ms\": {:.3}\n    }}",
-            r.name, r.unit, r.work, r.rate_per_s, r.host_ms,
-        ));
+        json_points.push(Value::object([
+            ("name", r.name.into()),
+            ("unit", r.unit.into()),
+            ("work", r.work.into()),
+            ("rate_per_s", r.rate_per_s.into()),
+            ("host_ms", Value::fixed(r.host_ms, 3)),
+        ]));
     }
 
     // Default next to the workspace root regardless of the bench CWD.
     let path = std::env::var("HIPE_BENCH_JSON").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_figures.json").into()
     });
-    let json = render_json(rows, &json_points);
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("# wrote {path}"),
-        Err(e) => eprintln!("# could not write {path}: {e}"),
+    let archs = Arch::ALL.map(|a| Value::from(a.to_string())).to_vec();
+    let doc = Value::object([
+        ("bench", "figures".into()),
+        ("rows", rows.into()),
+        ("seed", SEED.into()),
+        ("workers", hipe_bench::bench_workers().into()),
+        ("archs", Value::Array(archs)),
+        ("points", Value::Array(json_points)),
+    ]);
+    // A failed write must fail the run: `check_figures` would otherwise
+    // validate the stale file left at `path`.
+    if let Err(e) = std::fs::write(&path, json::write(&doc)) {
+        panic!("could not write {path}: {e}");
     }
+    println!("# wrote {path}");
 }
 
 /// One FNV-1a step over a 64-bit word.
@@ -630,121 +638,101 @@ fn digest_runs(reports: &[RunReport]) -> u64 {
     h
 }
 
-/// Renders one sweep point as a JSON object (the build is offline, so
-/// the JSON is assembled by hand — every string interpolated below is
-/// ASCII without quotes or escapes).
-fn json_point(name: &str, query: &Query, reports: &[RunReport], wall_ms: f64) -> String {
-    let mut out = String::new();
-    let sel = reports[0].selectivity();
-    write!(
-        out,
-        "    {{\n      \"name\": \"{name}\",\n      \"query\": \"{query}\",\n      \
-         \"selectivity\": {sel:.6},\n      \"host_ms\": {wall_ms:.3},\n      \"archs\": {{"
-    )
-    .expect("writing to a String cannot fail");
-    for (i, r) in reports.iter().enumerate() {
-        let sep = if i + 1 < reports.len() { "," } else { "" };
-        // Phase keys are self-describing: `*_end` values are absolute
-        // completion cycles, `*_cycles` are durations, and
-        // cycles == scan_end + gather_cycles.
-        write!(
-            out,
-            "\n        \"{}\": {{\"cycles\": {}, \"dispatch_end\": {}, \"scan_end\": {}, \
-             \"gather_cycles\": {}, \"dram_pj\": {:.1}, \"link_pj\": {:.1}, \
-             \"logic_pj\": {:.1}, \"total_pj\": {:.1}}}{sep}",
-            r.arch,
-            r.cycles,
-            r.phases.dispatch,
-            r.phases.scan,
-            r.phases.gather_aggregate,
-            r.energy.dram_pj(),
-            r.energy.link_pj(),
-            r.energy.logic_pj(),
-            r.energy.total_pj(),
-        )
-        .expect("writing to a String cannot fail");
-    }
-    out.push_str("\n      }\n    }");
-    out
+/// One per-arch sweep point: the query, its selectivity, the host
+/// wall-clock and one object per architecture.
+fn point(
+    name: &str,
+    query: &Query,
+    selectivity: f64,
+    wall_ms: f64,
+    archs: impl Iterator<Item = (String, Value)>,
+) -> Value {
+    Value::object([
+        ("name", name.into()),
+        ("query", query.to_string().into()),
+        ("selectivity", Value::fixed(selectivity, 6)),
+        ("host_ms", Value::fixed(wall_ms, 3)),
+        ("archs", Value::object(archs)),
+    ])
 }
 
-/// Renders one zone-map skip point: per-arch objects carrying the
-/// pruned run's cycles, phase ends and region counters alongside the
-/// unpruned baseline's as `base_*` fields, so `check_figures` can
-/// compare the two runs of the same query without a second row.
+/// One sweep point. Phase keys are self-describing: `*_end` values are
+/// absolute completion cycles, `*_cycles` are durations, and
+/// cycles == scan_end + gather_cycles.
+fn json_point(name: &str, query: &Query, reports: &[RunReport], wall_ms: f64) -> Value {
+    let archs = reports.iter().map(|r| {
+        let row = Value::object([
+            ("cycles", r.cycles.into()),
+            ("dispatch_end", r.phases.dispatch.into()),
+            ("scan_end", r.phases.scan.into()),
+            ("gather_cycles", r.phases.gather_aggregate.into()),
+            ("dram_pj", Value::fixed(r.energy.dram_pj(), 1)),
+            ("link_pj", Value::fixed(r.energy.link_pj(), 1)),
+            ("logic_pj", Value::fixed(r.energy.logic_pj(), 1)),
+            ("total_pj", Value::fixed(r.energy.total_pj(), 1)),
+        ]);
+        (r.arch.to_string(), row)
+    });
+    point(name, query, reports[0].selectivity(), wall_ms, archs)
+}
+
+/// One zone-map skip point: per-arch objects carrying the pruned run's
+/// cycles, phase ends and region counters alongside the unpruned
+/// baseline's as `base_*` fields, so `check_figures` can compare the
+/// two runs of the same query without a second row.
 fn skip_json_point(
     name: &str,
     query: &Query,
     pruned: &[RunReport],
     full: &[RunReport],
     wall_ms: f64,
-) -> String {
-    let mut out = String::new();
-    let sel = pruned[0].selectivity();
-    write!(
-        out,
-        "    {{\n      \"name\": \"{name}\",\n      \"query\": \"{query}\",\n      \
-         \"selectivity\": {sel:.6},\n      \"host_ms\": {wall_ms:.3},\n      \"archs\": {{"
-    )
-    .expect("writing to a String cannot fail");
-    for (i, (p, u)) in pruned.iter().zip(full).enumerate() {
-        let sep = if i + 1 < pruned.len() { "," } else { "" };
-        write!(
-            out,
-            "\n        \"{}\": {{\"cycles\": {}, \"dispatch_end\": {}, \"scan_end\": {}, \
-             \"gather_cycles\": {}, \"regions_scanned\": {}, \"regions_pruned\": {}, \
-             \"base_cycles\": {}, \"base_dispatch_end\": {}, \"base_scan_end\": {}}}{sep}",
-            p.arch,
-            p.cycles,
-            p.phases.dispatch,
-            p.phases.scan,
-            p.phases.gather_aggregate,
-            p.regions_scanned,
-            p.regions_pruned,
-            u.cycles,
-            u.phases.dispatch,
-            u.phases.scan,
-        )
-        .expect("writing to a String cannot fail");
-    }
-    out.push_str("\n      }\n    }");
-    out
+) -> Value {
+    let archs = pruned.iter().zip(full).map(|(p, u)| {
+        let row = Value::object([
+            ("cycles", p.cycles.into()),
+            ("dispatch_end", p.phases.dispatch.into()),
+            ("scan_end", p.phases.scan.into()),
+            ("gather_cycles", p.phases.gather_aggregate.into()),
+            ("regions_scanned", p.regions_scanned.into()),
+            ("regions_pruned", p.regions_pruned.into()),
+            ("base_cycles", u.cycles.into()),
+            ("base_dispatch_end", u.phases.dispatch.into()),
+            ("base_scan_end", u.phases.scan.into()),
+        ]);
+        (p.arch.to_string(), row)
+    });
+    point(name, query, pruned[0].selectivity(), wall_ms, archs)
 }
 
-/// Renders one service-sweep point. No per-arch objects here — the
-/// row describes the service (throughput + latency percentiles + the
-/// failover counters), and every integer field is digit-parseable by
-/// `check_figures`. `extra` carries additional pre-indented
-/// `"key": value,` lines (the `serve_fail` answer digests).
-fn serve_json_point(name: &str, report: &ServiceReport, extra: &str, wall_ms: f64) -> String {
-    format!(
-        "    {{\n      \"name\": \"{name}\",\n      \"shards\": {},\n      \
-         \"replicas\": {},\n      \"queries\": {},\n      \"makespan_cycles\": {},\n      \
-         \"queries_per_gigacycle\": {},\n      \"p50_cycles\": {},\n      \
-         \"p95_cycles\": {},\n      \"p99_cycles\": {},\n      \
-         \"failovers\": {},\n      \"redispatched\": {},\n{extra}      \
-         \"host_ms\": {wall_ms:.3}\n    }}",
-        report.shards,
-        report.replicas,
-        report.queries,
-        report.makespan,
-        report.queries_per_gigacycle(),
-        report.latency.p50,
-        report.latency.p95,
-        report.latency.p99,
-        report.failovers,
-        report.redispatched,
-    )
-}
-
-/// Assembles the sweep document.
-fn render_json(rows: usize, points: &[String]) -> String {
-    let archs: Vec<String> = Arch::ALL.iter().map(|a| format!("\"{a}\"")).collect();
-    format!(
-        "{{\n  \"bench\": \"figures\",\n  \"rows\": {rows},\n  \"seed\": {SEED},\n  \
-         \"workers\": {},\n  \"archs\": [{}],\n  \"points\": [\n{}\n  ]\n}}\n",
-        hipe_bench::bench_workers(),
-        archs.join(", "),
-        points.join(",\n")
-    )
+/// One service-sweep point. No per-arch objects here — the row
+/// describes the service (throughput + latency percentiles + the
+/// failover counters). `extra` members (the `serve_fail` answer
+/// digests) go just before `host_ms`.
+fn serve_json_point(
+    name: &str,
+    report: &ServiceReport,
+    extra: Vec<(String, Value)>,
+    wall_ms: f64,
+) -> Value {
+    let mut members: Vec<(String, Value)> = [
+        ("name", name.into()),
+        ("shards", report.shards.into()),
+        ("replicas", report.replicas.into()),
+        ("queries", report.queries.into()),
+        ("makespan_cycles", report.makespan.into()),
+        (
+            "queries_per_gigacycle",
+            report.queries_per_gigacycle().into(),
+        ),
+        ("p50_cycles", report.latency.p50.into()),
+        ("p95_cycles", report.latency.p95.into()),
+        ("p99_cycles", report.latency.p99.into()),
+        ("failovers", report.failovers.into()),
+        ("redispatched", report.redispatched.into()),
+    ]
+    .map(|(k, v)| (k.to_string(), v))
+    .into();
+    members.extend(extra);
+    members.push(("host_ms".to_string(), Value::fixed(wall_ms, 3)));
+    Value::Object(members)
 }

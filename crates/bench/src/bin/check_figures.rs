@@ -1,82 +1,20 @@
-//! CI schema check for `BENCH_figures.json`.
+//! CI gate for the bench artifacts.
 //!
-//! The `figures` bench emits the four-machine sweep as hand-rendered
-//! JSON; this binary re-reads the emitted file and fails the pipeline
-//! if the schema drifts — in particular it requires the aggregate
-//! sweep (the `agg_*` points plus `q6`) to be present with all four
-//! architectures and non-empty phase breakdowns, so a regression that
-//! silently drops the fused-aggregate rows (or zeroes their cycles)
-//! cannot pass CI. The partitioned-execution sweep (`par_1` through
-//! `par_8`, HIVE/HIPE only) is validated for presence and for
-//! *monotonically non-increasing* cycles and scan ends as the engine
-//! count grows — a regression that makes more engines slower fails
-//! the pipeline.
-//!
-//! The sharded service sweep (`serve_1` / `serve_2` / `serve_4` /
-//! `serve_4x2`, emitted by the `hipe-serve` scheduler) is validated
-//! for presence, ordered latency percentiles, and *monotonically
-//! non-decreasing* throughput (queries per gigacycle) as the cube
-//! count grows — a regression where adding cubes slows the service
-//! down fails CI. The replication point `serve_4x2` must additionally
-//! reach at least 1.7x of `serve_4`'s throughput (one sub-query per
-//! replica means two replicas serve nearly twice the load), and the
-//! failover point `serve_fail` must have actually failed over
-//! (`failovers` ≥ 1), served every query, and produced per-arch
-//! answer digests equal to its fault-free counterparts — the
-//! machine-checked form of "failover is bit-identical".
-//!
-//! The zone-map skip sweep (`skip_1%` / `skip_3%` / `skip_10%`) pairs
-//! a pruned and an unpruned run of the same clustered-shipdate window
-//! in one row (`base_*` fields are the unpruned baseline). Every
-//! machine must have pruned something (`regions_pruned` ≥ 1) and must
-//! not be slower pruned than unpruned; the ≤ 3 % selectivity rows
-//! must additionally cut both the scan and the dispatch completion
-//! cycle by at least 1.5x. The `serve_skip` row must report at least
-//! one shard never scattered to, at no cycle cost over the full
-//! scatter — a data-skipping regression fails CI.
-//!
-//! The data-plane rate rows (`perf_materialize` / `perf_generate` /
-//! `perf_engine`) record the host-side throughput of the zero-copy
-//! hot paths: each must be present and report a positive work size
-//! and a positive integer rate — a rate of zero means the measured
-//! path produced nothing (or the recording harness broke), and a
-//! missing row means the sweep silently dropped its throughput
-//! tracking.
-//!
-//! Every point must also record its host wall-clock as a `host_ms`
-//! field — the simulator-speed trajectory is part of the schema — and
-//! the `host_par` row (the same four-arch batch and 4-shard scatter on
-//! a 1-worker and a 4-worker pool) must show equal result digests for
-//! both legs (parallel co-simulation is bit-identical to serial) and
-//! parallel legs no slower than the serial ones. The wall-clock half
-//! of that contract is only enforced when the recording host reported
-//! `host_cpus` ≥ 2 — a single-core runner cannot demonstrate a
-//! speedup, only determinism.
-//!
-//! With `--trace [PATH]` the binary validates a Chrome trace written
-//! by `trace_dump` (default `BENCH_trace.json` at the workspace root)
-//! instead of the figures document: every event line must parse, sync
-//! spans on each track must nest (a child may not straddle its
-//! parent's end) and end inside the recorded makespan, async
-//! begin/end pairs must balance id-for-id, and the event population
-//! must reconcile exactly with the `ServiceReport` counters embedded
-//! in `otherData` — one async lifetime span per query served, one
-//! `fault.kill` instant per failover, one `redispatch` instant per
-//! lost sub-query, and a total event count matching the recorder's.
-//!
-//! Usage: run the `figures` bench first, then
-//! `cargo run -p hipe-bench --bin check_figures`. The file location
-//! follows the bench's convention: `HIPE_BENCH_JSON` if set, else
-//! `BENCH_figures.json` at the workspace root.
-//!
-//! The parser is intentionally a small line scanner (the workspace is
-//! offline: no serde); it understands exactly the shape the bench
-//! writes.
+//! Parses `BENCH_figures.json` (`HIPE_BENCH_JSON` if set, else the file
+//! at the workspace root) with the strict [`hipe_trace::json`] parser
+//! and fails the pipeline when the file is malformed or a sweep breaks
+//! its contract; each rule is stated where [`check`] enforces it. With
+//! `--trace [PATH]` it instead validates a `trace_dump` Chrome trace
+//! (default `BENCH_trace.json`): sync spans nest inside the makespan,
+//! async pairs balance, and the events reconcile exactly with the
+//! `ServiceReport` counters in `otherData`.
 
 // The bench harness is the terminal boundary of the workspace: the
 // library-wide print lints stop here.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
+use hipe_trace::json::{self, At, Value};
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 /// The architecture labels every selectivity point must report, in
@@ -89,66 +27,42 @@ const AGGREGATE_POINTS: [&str; 4] = ["agg_2%", "agg_10%", "agg_50%", "q6"];
 /// The logic machines the partition sweep reports.
 const LOGIC_ARCHS: [&str; 2] = ["HIVE", "HIPE"];
 
-/// Point names of the partitioned-execution sweep, in engine-count
-/// order (cycles must not increase along this list).
+/// The partitioned-execution sweep, in engine-count order.
 const PARTITION_POINTS: [&str; 4] = ["par_1", "par_2", "par_4", "par_8"];
 
-/// Point names of the sharded service sweep, in cube-count order
-/// (throughput must not decrease along this list; the last point
+/// The sharded service sweep, in cube-count order (the last point
 /// doubles the shards of `serve_4` into replicas).
 const SERVE_POINTS: [&str; 4] = ["serve_1", "serve_2", "serve_4", "serve_4x2"];
 
-/// Point names of the zone-map skip sweep, in selectivity order.
+/// The zone-map skip sweep, in selectivity order.
 const SKIP_POINTS: [&str; 3] = ["skip_1%", "skip_3%", "skip_10%"];
 
-/// Skip points at ≤ 3 % selectivity: these owe a ≥ 1.5x reduction in
-/// both scan and dispatch completion cycles on every machine.
+/// Skip points at ≤ 3 % selectivity, which owe a ≥ 1.5x cut.
 const SKIP_TIGHT_POINTS: [&str; 2] = ["skip_1%", "skip_3%"];
 
-/// Data-plane rate rows recorded by the figures bench (host-side
-/// throughput of the zero-copy hot paths).
+/// The data-plane rate rows.
 const PERF_POINTS: [&str; 3] = ["perf_materialize", "perf_generate", "perf_engine"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(at) = args.iter().position(|a| a == "--trace") {
-        let path = args.get(at + 1).cloned().unwrap_or_else(|| {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json").into()
-        });
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => return fail(&format!("cannot read {path}: {e} (run trace_dump first)")),
-        };
-        return match check_trace(&text) {
-            Ok((events, queries)) => {
-                println!(
-                    "check_figures: {path} ok ({events} trace events, \
-                     {queries} query spans reconciled)"
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(&e),
-        };
-    }
-    if let Some(unknown) = args.first() {
-        return fail(&format!(
-            "unknown argument `{unknown}` (only --trace [PATH] is accepted)"
-        ));
-    }
-    let path = std::env::var("HIPE_BENCH_JSON").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_figures.json").into()
-    });
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            return fail(&format!(
-                "cannot read {path}: {e} (run the figures bench first)"
-            ))
-        }
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let figures = std::env::var("HIPE_BENCH_JSON");
+    let figures = figures.unwrap_or_else(|_| format!("{root}/BENCH_figures.json"));
+    let (path, producer) = match args.as_slice() {
+        [] => (figures, "the figures bench"),
+        [flag] if flag == "--trace" => (format!("{root}/BENCH_trace.json"), "trace_dump"),
+        [flag, path] if flag == "--trace" => (path.clone(), "trace_dump"),
+        _ => return fail(&format!("unknown arguments {args:?} (only --trace [PATH])")),
     };
-    match check(&text) {
-        Ok(points) => {
-            println!("check_figures: {path} ok ({points} points, aggregate sweep present)");
+    let verdict = match std::fs::read_to_string(&path) {
+        Err(e) => Err(format!("cannot read {path}: {e} (run {producer} first)")),
+        Ok(text) if args.is_empty() => check(&text).map(|n| format!("{n} points")),
+        Ok(text) => check_trace(&text)
+            .map(|(events, spans)| format!("{events} trace events, {spans} query spans")),
+    };
+    match verdict {
+        Ok(summary) => {
+            println!("check_figures: {path} ok ({summary})");
             ExitCode::SUCCESS
         }
         Err(e) => fail(&e),
@@ -160,692 +74,468 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Validates the document; returns the number of points on success.
+/// `Err(msg())` unless `ok`.
+fn ensure(ok: bool, msg: impl FnOnce() -> String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(msg())
+    }
+}
+
+/// `arch`'s row of a per-arch point.
+fn arch<'a>(point: &At<'a>, arch: &str) -> Result<At<'a>, String> {
+    point.get("archs")?.get(arch)
+}
+
+/// Validates the figures document; returns the number of points.
 fn check(text: &str) -> Result<usize, String> {
-    if !text.contains("\"bench\": \"figures\"") {
-        return Err("not a figures document (missing \"bench\": \"figures\")".into());
+    let root = json::parse(text).map_err(|e| format!("figures document: {e}"))?;
+    let doc = At::new("figures", &root);
+    ensure(doc.str("bench") == Ok("figures"), || {
+        "not a figures document (missing \"bench\": \"figures\")".into()
+    })?;
+    let archs = Value::Array(ARCHS.map(Value::from).to_vec());
+    ensure(root.get("archs") == Some(&archs), || {
+        format!("arch list drifted (expected {ARCHS:?})")
+    })?;
+    let mut points = Vec::new();
+    for p in doc.items("points")? {
+        let name = p.str("name")?;
+        points.push((name, At::new(format!("point {name}"), p.value)));
     }
-    let archs_line = format!(
-        "\"archs\": [{}]",
-        ARCHS.map(|a| format!("\"{a}\"")).join(", ")
-    );
-    if !text.contains(&archs_line) {
-        return Err(format!("arch list drifted (expected {archs_line})"));
-    }
+    ensure(!points.is_empty(), || "no sweep points found".into())?;
+    let point = |wanted: &str, sweep: &str| {
+        let found = points.iter().find(|(name, _)| *name == wanted);
+        found
+            .map(|(_, p)| p)
+            .ok_or_else(|| format!("{sweep} point {wanted} missing"))
+    };
 
-    // Each point starts with its "name" key; everything up to the next
-    // "name" (or EOF) is that point's block.
-    let blocks: Vec<(String, &str)> = text
-        .match_indices("\"name\": \"")
-        .map(|(at, pat)| {
-            let name_start = at + pat.len();
-            let name_end = text[name_start..]
-                .find('"')
-                .map(|i| name_start + i)
-                .unwrap_or(text.len());
-            let block_end = text[name_end..]
-                .find("\"name\": \"")
-                .map(|i| name_end + i)
-                .unwrap_or(text.len());
-            (text[name_start..name_end].to_string(), &text[at..block_end])
-        })
-        .collect();
-    if blocks.is_empty() {
-        return Err("no sweep points found".into());
-    }
-
-    for (name, block) in &blocks {
-        // Service-sweep points describe the scheduler, the
-        // host-parallel row describes the simulator, and the perf rows
-        // describe host data-plane rates, not per-arch runs; their own
-        // fields are validated below.
-        if name.starts_with("serve_") || name.starts_with("perf_") || name == "host_par" {
+    // Per-arch points: every machine ran, with nonempty phases. Service,
+    // perf and host_par rows describe the scheduler and the simulator,
+    // and the partition sweep carries only the logic machines.
+    for (name, p) in &points {
+        if name.starts_with("serve_") || name.starts_with("perf_") || *name == "host_par" {
             continue;
         }
-        // Partition-sweep points carry only the logic machines.
         let archs: &[&str] = if name.starts_with("par_") {
             &LOGIC_ARCHS
         } else {
             &ARCHS
         };
-        for &arch in archs {
-            let cycles = arch_field(block, arch, "cycles")
-                .ok_or_else(|| format!("point {name}: arch {arch} missing or lacks cycles"))?;
-            let scan = arch_field(block, arch, "scan_end")
-                .ok_or_else(|| format!("point {name}: arch {arch} lacks scan_end"))?;
-            if cycles == 0 || scan == 0 {
-                return Err(format!("point {name}: arch {arch} has empty phases"));
-            }
+        for a in archs {
+            let row = arch(p, a)?;
+            ensure(row.u64("cycles")? > 0 && row.u64("scan_end")? > 0, || {
+                format!("point {name}: arch {a} has empty phases")
+            })?;
         }
     }
-
+    // Aggregate sweep: a regression that drops the fused-aggregate rows
+    // or zeroes their gather phase fails here.
     for wanted in AGGREGATE_POINTS {
-        let (_, block) = blocks
-            .iter()
-            .find(|(name, _)| name == wanted)
-            .ok_or_else(|| format!("aggregate sweep point {wanted} missing"))?;
-        for arch in ARCHS {
-            let gather = arch_field(block, arch, "gather_cycles")
-                .ok_or_else(|| format!("point {wanted}: arch {arch} lacks gather_cycles"))?;
-            if gather == 0 {
-                return Err(format!(
-                    "point {wanted}: arch {arch} reports a zero-cycle aggregate phase"
-                ));
-            }
+        let p = point(wanted, "aggregate sweep")?;
+        for a in ARCHS {
+            ensure(arch(p, a)?.u64("gather_cycles")? > 0, || {
+                format!("point {wanted}: arch {a} reports a zero-cycle aggregate phase")
+            })?;
         }
     }
-
-    // Partition sweep: all four engine counts present, and on both
-    // logic machines scan ends and total cycles fall monotonically
-    // (non-increasing) with the engine count.
-    for arch in LOGIC_ARCHS {
+    // Partition sweep: more engines never make a logic machine slower.
+    for a in LOGIC_ARCHS {
         let mut prev = (u64::MAX, u64::MAX);
         for wanted in PARTITION_POINTS {
-            let (_, block) = blocks
-                .iter()
-                .find(|(name, _)| name == wanted)
-                .ok_or_else(|| format!("partition sweep point {wanted} missing"))?;
-            let cycles = arch_field(block, arch, "cycles")
-                .ok_or_else(|| format!("point {wanted}: arch {arch} lacks cycles"))?;
-            let scan = arch_field(block, arch, "scan_end")
-                .ok_or_else(|| format!("point {wanted}: arch {arch} lacks scan_end"))?;
-            if scan > prev.0 || cycles > prev.1 {
-                return Err(format!(
-                    "point {wanted}: {arch} got slower with more engines \
-                     (scan {} -> {scan}, cycles {} -> {cycles})",
-                    prev.0, prev.1
-                ));
-            }
+            let row = arch(point(wanted, "partition sweep")?, a)?;
+            let (scan, cycles) = (row.u64("scan_end")?, row.u64("cycles")?);
+            ensure(scan <= prev.0 && cycles <= prev.1, || {
+                format!("point {wanted}: {a} got slower with more engines (scan {} -> {scan}, cycles {} -> {cycles})", prev.0, prev.1)
+            })?;
             prev = (scan, cycles);
         }
     }
-
-    // Service sweep: every cube count present, throughput monotone
-    // non-decreasing in cube count, percentiles present and ordered.
-    let mut prev_qpgc = 0;
-    let mut serve_4_qpgc = 0;
-    let mut serve_4x2_qpgc = 0;
+    // Service sweep: adding cubes never lowers throughput.
+    let mut qpgc = Vec::new();
     for wanted in SERVE_POINTS {
-        let (_, block) = blocks
-            .iter()
-            .find(|(name, _)| name == wanted)
-            .ok_or_else(|| format!("service sweep point {wanted} missing"))?;
-        let qpgc = point_field(block, "queries_per_gigacycle")
-            .ok_or_else(|| format!("point {wanted} lacks queries_per_gigacycle"))?;
-        if qpgc == 0 {
-            return Err(format!("point {wanted}: zero service throughput"));
-        }
-        if qpgc < prev_qpgc {
-            return Err(format!(
-                "point {wanted}: throughput fell with more cubes \
-                 ({prev_qpgc} -> {qpgc} q/Gcyc)"
-            ));
-        }
-        prev_qpgc = qpgc;
-        match wanted {
-            "serve_4" => serve_4_qpgc = qpgc,
-            "serve_4x2" => serve_4x2_qpgc = qpgc,
-            _ => {}
-        }
-        let p50 = point_field(block, "p50_cycles")
-            .ok_or_else(|| format!("point {wanted} lacks p50_cycles"))?;
-        let p95 = point_field(block, "p95_cycles")
-            .ok_or_else(|| format!("point {wanted} lacks p95_cycles"))?;
-        let p99 = point_field(block, "p99_cycles")
-            .ok_or_else(|| format!("point {wanted} lacks p99_cycles"))?;
-        if p50 == 0 || p50 > p95 || p95 > p99 {
-            return Err(format!(
-                "point {wanted}: latency percentiles disordered \
-                 (p50 {p50}, p95 {p95}, p99 {p99})"
-            ));
-        }
+        let p = point(wanted, "service sweep")?;
+        let q = p.u64("queries_per_gigacycle")?;
+        let prev = qpgc.last().copied().unwrap_or(0);
+        ensure(q > 0, || format!("point {wanted}: zero service throughput"))?;
+        ensure(q >= prev, || {
+            format!("point {wanted}: throughput fell with more cubes ({prev} -> {q} q/Gcyc)")
+        })?;
+        qpgc.push(q);
+        let [p50, p95, p99] = [50, 95, 99].map(|pct| p.u64(&format!("p{pct}_cycles")));
+        let (p50, p95, p99) = (p50?, p95?, p99?);
+        ensure(p50 > 0 && p50 <= p95 && p95 <= p99, || {
+            format!(
+                "point {wanted}: latency percentiles disordered (p50 {p50}, p95 {p95}, p99 {p99})"
+            )
+        })?;
     }
-
-    // Replication: two replicas per shard must buy at least 1.7x of
-    // the single-replica throughput (integer-only: qpgc_4x2 / qpgc_4
-    // >= 17/10), and the point must really carry two replicas.
-    let (_, block_4x2) = blocks
-        .iter()
-        .find(|(name, _)| name == "serve_4x2")
-        .expect("presence checked in the sweep loop");
-    if point_field(block_4x2, "replicas") != Some(2) {
-        return Err("point serve_4x2 does not report 2 replicas".into());
+    // Replication: one sub-query per replica, so two replicas per shard
+    // owe 1.7x the single-replica throughput (integer-only).
+    let (q4, q4x2) = (qpgc[2], qpgc[3]);
+    let replicated = point("serve_4x2", "service sweep")?;
+    ensure(replicated.u64("replicas") == Ok(2), || {
+        "point serve_4x2 does not report 2 replicas".into()
+    })?;
+    ensure(q4x2 * 10 >= q4 * 17, || {
+        format!("point serve_4x2: replication speedup below 1.7x ({q4} -> {q4x2} q/Gcyc)")
+    })?;
+    // Failover: the kill fired, every query was still served, and every
+    // machine's answer is bit-identical to the fault-free run's.
+    let fail = point("serve_fail", "failover")?;
+    ensure(fail.u64("failovers")? > 0, || {
+        "point serve_fail: no failover fired (the fault was a no-op)".into()
+    })?;
+    fail.u64("redispatched")?;
+    let (clean, faulted) = (replicated.u64("queries")?, fail.u64("queries")?);
+    ensure(clean == faulted, || {
+        format!("point serve_fail: lost queries under failover ({clean} clean vs {faulted} with the fault)")
+    })?;
+    for a in ARCHS {
+        let clean = fail.u64(&format!("digest_{a}_clean"))?;
+        let fault = fail.u64(&format!("digest_{a}_fault"))?;
+        ensure(clean == fault, || {
+            format!("point serve_fail: {a} answer digest changed under failover ({clean} clean vs {fault} with the fault)")
+        })?;
     }
-    if serve_4x2_qpgc * 10 < serve_4_qpgc * 17 {
-        return Err(format!(
-            "point serve_4x2: replication speedup below 1.7x \
-             ({serve_4_qpgc} -> {serve_4x2_qpgc} q/Gcyc)"
-        ));
-    }
-    let queries_4x2 = point_field(block_4x2, "queries").ok_or("point serve_4x2 lacks queries")?;
-
-    // Failover: the kill actually fired, every query was still
-    // served, and on every architecture the answer digest equals the
-    // fault-free run's — bit-identical failover, machine-checked.
-    let (_, fail) = blocks
-        .iter()
-        .find(|(name, _)| name == "serve_fail")
-        .ok_or("failover point serve_fail missing")?;
-    let failovers = point_field(fail, "failovers").ok_or("point serve_fail lacks failovers")?;
-    if failovers == 0 {
-        return Err("point serve_fail: no failover fired (the fault was a no-op)".into());
-    }
-    point_field(fail, "redispatched").ok_or("point serve_fail lacks redispatched")?;
-    let queries_fail = point_field(fail, "queries").ok_or("point serve_fail lacks queries")?;
-    if queries_fail != queries_4x2 {
-        return Err(format!(
-            "point serve_fail: lost queries under failover \
-             ({queries_4x2} clean vs {queries_fail} with the fault)"
-        ));
-    }
-    for arch in ARCHS {
-        let clean = point_field(fail, &format!("digest_{arch}_clean"))
-            .ok_or_else(|| format!("point serve_fail lacks digest_{arch}_clean"))?;
-        let fault = point_field(fail, &format!("digest_{arch}_fault"))
-            .ok_or_else(|| format!("point serve_fail lacks digest_{arch}_fault"))?;
-        if clean != fault {
-            return Err(format!(
-                "point serve_fail: {arch} answer digest changed under failover \
-                 ({clean} clean vs {fault} with the fault)"
-            ));
-        }
-    }
-
-    // Zone-map skip sweep: each point carries a pruned run next to its
-    // unpruned baseline. Pruning must have fired on every machine, must
-    // never cost cycles, and at <= 3 % selectivity must cut both scan
-    // and dispatch completion by at least 1.5x (integer-only:
-    // base * 10 >= pruned * 15).
+    // Zone-map skip sweep: pruning fired on every machine and never cost
+    // cycles; at ≤ 3 % selectivity it cut scan and dispatch completion
+    // by 1.5x (integer-only: base * 10 >= pruned * 15).
     for wanted in SKIP_POINTS {
-        let (_, block) = blocks
-            .iter()
-            .find(|(name, _)| name == wanted)
-            .ok_or_else(|| format!("zone-map skip point {wanted} missing"))?;
-        let tight = SKIP_TIGHT_POINTS.contains(&wanted);
-        for arch in ARCHS {
-            let cycles = arch_field(block, arch, "cycles")
-                .ok_or_else(|| format!("point {wanted}: arch {arch} lacks cycles"))?;
-            let base_cycles = arch_field(block, arch, "base_cycles")
-                .ok_or_else(|| format!("point {wanted}: arch {arch} lacks base_cycles"))?;
-            if cycles > base_cycles {
-                return Err(format!(
-                    "point {wanted}: {arch} pruned run slower than unpruned \
-                     ({base_cycles} -> {cycles} cycles)"
-                ));
-            }
-            let pruned = arch_field(block, arch, "regions_pruned")
-                .ok_or_else(|| format!("point {wanted}: arch {arch} lacks regions_pruned"))?;
-            if pruned == 0 {
-                return Err(format!("point {wanted}: {arch} pruned no regions"));
-            }
-            if tight {
-                let scan = arch_field(block, arch, "scan_end")
-                    .ok_or_else(|| format!("point {wanted}: arch {arch} lacks scan_end"))?;
-                let base_scan = arch_field(block, arch, "base_scan_end")
-                    .ok_or_else(|| format!("point {wanted}: arch {arch} lacks base_scan_end"))?;
-                let dispatch = arch_field(block, arch, "dispatch_end")
-                    .ok_or_else(|| format!("point {wanted}: arch {arch} lacks dispatch_end"))?;
-                let base_dispatch =
-                    arch_field(block, arch, "base_dispatch_end").ok_or_else(|| {
-                        format!("point {wanted}: arch {arch} lacks base_dispatch_end")
-                    })?;
-                if base_scan * 10 < scan * 15 || base_dispatch * 10 < dispatch * 15 {
-                    return Err(format!(
-                        "point {wanted}: {arch} skip win below 1.5x \
-                         (scan {base_scan} -> {scan}, dispatch {base_dispatch} -> {dispatch})"
-                    ));
-                }
+        let p = point(wanted, "zone-map skip")?;
+        for a in ARCHS {
+            let row = arch(p, a)?;
+            let (cycles, base) = (row.u64("cycles")?, row.u64("base_cycles")?);
+            ensure(cycles <= base, || {
+                format!("point {wanted}: {a} pruned run slower than unpruned ({base} -> {cycles} cycles)")
+            })?;
+            ensure(row.u64("regions_pruned")? > 0, || {
+                format!("point {wanted}: {a} pruned no regions")
+            })?;
+            if SKIP_TIGHT_POINTS.contains(&wanted) {
+                let (scan, base_scan) = (row.u64("scan_end")?, row.u64("base_scan_end")?);
+                let (dispatch, base_dispatch) =
+                    (row.u64("dispatch_end")?, row.u64("base_dispatch_end")?);
+                let win = base_scan * 10 >= scan * 15 && base_dispatch * 10 >= dispatch * 15;
+                ensure(win, || {
+                    format!("point {wanted}: {a} skip win below 1.5x (scan {base_scan} -> {scan}, dispatch {base_dispatch} -> {dispatch})")
+                })?;
             }
         }
     }
-
-    // Serve skip row: the scatter path must really have skipped shards,
-    // at no cycle cost over the full scatter.
-    let (_, skip) = blocks
-        .iter()
-        .find(|(name, _)| name == "serve_skip")
-        .ok_or("shard-skipping point serve_skip missing")?;
-    let skipped =
-        point_field(skip, "shards_skipped").ok_or("point serve_skip lacks shards_skipped")?;
-    if skipped == 0 {
-        return Err("point serve_skip: the scatter path skipped no shards".into());
-    }
-    let cycles = point_field(skip, "cycles").ok_or("point serve_skip lacks cycles")?;
-    let base_cycles =
-        point_field(skip, "base_cycles").ok_or("point serve_skip lacks base_cycles")?;
-    if cycles > base_cycles {
-        return Err(format!(
-            "point serve_skip: shard skipping slower than the full scatter \
-             ({base_cycles} -> {cycles} cycles)"
-        ));
-    }
-
-    // Data-plane rate rows: every perf point present, with a positive
-    // work size and a positive integer rate — a zero rate means the
-    // measured hot path did no work per unit time (a recording bug or
-    // a catastrophic regression either way).
+    // Shard skipping: the scatter path skipped a shard, at no cycle cost.
+    let skip = point("serve_skip", "shard-skipping")?;
+    ensure(skip.u64("shards_skipped")? > 0, || {
+        "point serve_skip: the scatter path skipped no shards".into()
+    })?;
+    let (cycles, base) = (skip.u64("cycles")?, skip.u64("base_cycles")?);
+    ensure(cycles <= base, || {
+        format!("point serve_skip: shard skipping slower than the full scatter ({base} -> {cycles} cycles)")
+    })?;
+    // Data-plane rates: a zero rate means the measured hot path did no
+    // work per unit time (a recording bug or a collapse, either way).
     for wanted in PERF_POINTS {
-        let (_, block) = blocks
-            .iter()
-            .find(|(name, _)| name == wanted)
-            .ok_or_else(|| format!("data-plane rate point {wanted} missing"))?;
-        let work =
-            point_field(block, "work").ok_or_else(|| format!("point {wanted} lacks work"))?;
-        if work == 0 {
-            return Err(format!("point {wanted}: zero work per iteration"));
-        }
-        let rate = point_field(block, "rate_per_s")
-            .ok_or_else(|| format!("point {wanted} lacks rate_per_s"))?;
-        if rate == 0 {
-            return Err(format!("point {wanted}: zero data-plane rate"));
-        }
+        let p = point(wanted, "data-plane rate")?;
+        ensure(p.u64("work")? > 0, || {
+            format!("point {wanted}: zero work per iteration")
+        })?;
+        ensure(p.u64("rate_per_s")? > 0, || {
+            format!("point {wanted}: zero data-plane rate")
+        })?;
     }
-
-    // Host wall-clock: every row must record how long the simulator
-    // itself took (the figures track simulated cycles *and* the cost
-    // of producing them).
-    for (name, block) in &blocks {
-        point_field(block, "host_ms")
-            .ok_or_else(|| format!("point {name} lacks host_ms (host wall-clock)"))?;
+    // Every row records what the simulator itself cost.
+    for (_, p) in &points {
+        p.f64("host_ms")
+            .map_err(|e| format!("{e} (host wall-clock)"))?;
     }
-
-    // Host-parallel speedup row: both legs must have produced
-    // bit-identical results (equal digests), and the 4-worker legs
-    // must not be slower than the serial ones (millisecond-integer
-    // comparison; the bench itself asserts the digests too). The
-    // wall-clock requirement only applies when the recording host had
-    // at least two CPUs — on a single-core runner the parallel leg
-    // cannot win and the comparison is pure scheduler noise.
-    let (_, par) = blocks
-        .iter()
-        .find(|(name, _)| name == "host_par")
-        .ok_or("host-parallel point host_par missing")?;
-    let workers = point_field(par, "workers").ok_or("point host_par lacks workers")?;
-    if workers < 2 {
-        return Err(format!(
-            "point host_par: parallel leg ran on {workers} worker(s)"
-        ));
-    }
-    let digest_serial =
-        point_field(par, "digest_serial").ok_or("point host_par lacks digest_serial")?;
-    let digest_parallel =
-        point_field(par, "digest_parallel").ok_or("point host_par lacks digest_parallel")?;
-    if digest_serial != digest_parallel {
-        return Err(format!(
-            "point host_par: parallel results diverged from serial \
-             (digest {digest_serial} vs {digest_parallel})"
-        ));
-    }
-    let host_cpus = point_field(par, "host_cpus").ok_or("point host_par lacks host_cpus")?;
+    // Host-parallel co-simulation is bit-identical to serial, and no
+    // slower in whole milliseconds — the latter only where the recording
+    // host had two CPUs to show it.
+    let par = point("host_par", "host-parallel")?;
+    let workers = par.u64("workers")?;
+    ensure(workers >= 2, || {
+        format!("point host_par: parallel leg ran on {workers} worker(s)")
+    })?;
+    let (serial, parallel) = (par.u64("digest_serial")?, par.u64("digest_parallel")?);
+    ensure(serial == parallel, || {
+        format!(
+            "point host_par: parallel results diverged from serial (digest {serial} vs {parallel})"
+        )
+    })?;
+    let host_cpus = par.u64("host_cpus")?;
     for leg in ["sweep", "scatter"] {
-        let serial = point_field(par, &format!("{leg}_serial_ms"))
-            .ok_or_else(|| format!("point host_par lacks {leg}_serial_ms"))?;
-        let parallel = point_field(par, &format!("{leg}_parallel_ms"))
-            .ok_or_else(|| format!("point host_par lacks {leg}_parallel_ms"))?;
-        if host_cpus >= 2 && parallel > serial {
-            return Err(format!(
-                "point host_par: {leg} slower on {workers} workers than serial \
-                 ({serial} ms -> {parallel} ms)"
-            ));
-        }
+        let serial = par.f64(&format!("{leg}_serial_ms"))?.floor();
+        let parallel = par.f64(&format!("{leg}_parallel_ms"))?.floor();
+        ensure(host_cpus < 2 || parallel <= serial, || {
+            format!("point host_par: {leg} slower on {workers} workers than serial ({serial} ms -> {parallel} ms)")
+        })?;
     }
-    Ok(blocks.len())
+    Ok(points.len())
 }
 
-/// Extracts top-level integer `field` from a point block.
-///
-/// The search stops at the nested per-arch object map (point-level
-/// fields precede it), and a key only counts when it sits at a JSON
-/// delimiter — `{`, `,`, or whitespace — so the same text inside a
-/// string value (where the quote would be escaped) or in the middle
-/// of a longer field name cannot satisfy it.
-fn point_field(block: &str, field: &str) -> Option<u64> {
-    let top = &block[..block.find("\"archs\": {").unwrap_or(block.len())];
-    let key = format!("\"{field}\": ");
-    let mut from = 0;
-    while let Some(i) = top[from..].find(&key) {
-        let at = from + i;
-        let anchored = top[..at]
-            .chars()
-            .next_back()
-            .is_none_or(|c| c == '{' || c == ',' || c.is_whitespace());
-        if anchored {
-            let digits: String = top[at + key.len()..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            return digits.parse().ok();
-        }
-        from = at + key.len();
-    }
-    None
-}
-
-/// Extracts integer `field` from `arch`'s object within a point block.
-fn arch_field(block: &str, arch: &str, field: &str) -> Option<u64> {
-    let obj_at = block.find(&format!("\"{arch}\": {{"))?;
-    let obj = &block[obj_at..block[obj_at..].find('}').map(|i| obj_at + i)?];
-    let key = format!("\"{field}\": ");
-    let at = obj.find(&key)? + key.len();
-    let digits: String = obj[at..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-// ---------------------------------------------------------------------
-// Trace validation (`--trace`): the Chrome trace written by trace_dump.
-// ---------------------------------------------------------------------
-
-/// Extracts integer `key` from the trace's `otherData` header. The
-/// header grammar puts a space after the colon (`"key": 42`); event
-/// lines use `"key":42` with no space, so the two scans cannot match
-/// each other's fields.
-fn other_num(head: &str, key: &str) -> Result<u64, String> {
-    let pat = format!("\"{key}\": ");
-    let at = head
-        .find(&pat)
-        .ok_or_else(|| format!("otherData is missing `{key}`"))?;
-    let digits: String = head[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits
-        .parse()
-        .map_err(|_| format!("otherData `{key}` is not a non-negative integer"))
-}
-
-/// Extracts integer `key` from one event line (`"key":42`).
-fn evt_num(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts string `key` from one event line (`"key":"value"`). The
-/// structural fields this reads (`ph`, `name`) never contain escapes.
-fn evt_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    rest.find('"').map(|end| &rest[..end])
-}
-
-/// Validates a Chrome trace document; returns `(events, query spans)`
-/// on success.
-///
-/// Checks, in order: every event line parses with the structural
-/// fields its phase requires; sync spans on each track nest properly
-/// (sorted by start, a span must close before the enclosing span's
-/// end) and end within the recorded makespan; async begin/end events
-/// pair one-to-one by id with `end.ts >= begin.ts`; and the event
-/// population reconciles with the `ServiceReport` counters in
-/// `otherData` — async spans on the `queries` track == queries
-/// served, `fault.kill` instants == failovers, `redispatch` instants
-/// == re-dispatched sub-queries, total events == the recorder's count.
+/// Validates a Chrome trace; returns `(events, query spans)`.
 fn check_trace(text: &str) -> Result<(u64, u64), String> {
-    use std::collections::BTreeMap;
+    let root = json::parse(text).map_err(|e| format!("trace document: {e}"))?;
+    let doc = At::new("trace", &root);
+    let events = doc.items("traceEvents")?;
+    let other = doc.get("otherData")?;
+    let (queries, failovers) = (other.u64("queries")?, other.u64("failovers")?);
+    let (redispatched, recorded) = (other.u64("redispatched")?, other.u64("events")?);
+    let makespan = other.u64("makespan_cyc")?;
 
-    let events_at = text
-        .find("\"traceEvents\": [")
-        .ok_or("not a trace document (missing \"traceEvents\" array)")?;
-    let head = &text[..events_at];
-    let queries = other_num(head, "queries")?;
-    let failovers = other_num(head, "failovers")?;
-    let redispatched = other_num(head, "redispatched")?;
-    let events = other_num(head, "events")?;
-    let makespan = other_num(head, "makespan_cyc")?;
-
-    let mut queries_tid: Option<u64> = None;
+    let mut queries_tid = None;
     let mut sync_spans: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
     let mut begins: BTreeMap<u64, (u64, u64)> = BTreeMap::new(); // id -> (tid, ts)
     let mut ends: BTreeMap<u64, u64> = BTreeMap::new(); // id -> ts
-    let (mut x_count, mut i_count, mut c_count) = (0u64, 0u64, 0u64);
-    let (mut kills, mut redispatches) = (0u64, 0u64);
-
-    for raw in text[events_at..].lines() {
-        let line = raw.trim_start().trim_end_matches(',');
-        if !line.starts_with("{\"ph\":\"") {
-            continue;
-        }
-        let ph = evt_str(line, "ph").ok_or_else(|| format!("event has no phase: {line}"))?;
+    let (mut decoded, mut kills, mut redispatches) = (0u64, 0u64, 0u64);
+    for e in &events {
+        let ph = e.str("ph")?;
         if ph == "M" {
-            if evt_str(line, "name") == Some("thread_name")
-                && line.contains("\"args\":{\"name\":\"queries\"}")
-            {
-                queries_tid = Some(evt_num(line, "tid").ok_or("thread_name record without a tid")?);
+            if e.str("name")? == "thread_name" && e.get("args")?.str("name")? == "queries" {
+                queries_tid = Some(e.u64("tid")?);
             }
             continue;
         }
-        let tid = evt_num(line, "tid").ok_or_else(|| format!("event has no tid: {line}"))?;
-        let ts = evt_num(line, "ts").ok_or_else(|| format!("event has no ts: {line}"))?;
+        let (tid, ts) = (e.u64("tid")?, e.u64("ts")?);
+        let past = |end| {
+            format!(
+                "{}: ends at {end} cyc, past the {makespan} cyc makespan",
+                e.path
+            )
+        };
         match ph {
             "X" => {
-                let dur = evt_num(line, "dur")
-                    .ok_or_else(|| format!("complete event has no dur: {line}"))?;
-                if ts + dur > makespan {
-                    return Err(format!(
-                        "span ends at {} cyc, past the {makespan} cyc makespan: {line}",
-                        ts + dur
-                    ));
-                }
-                sync_spans.entry(tid).or_default().push((ts, dur));
-                x_count += 1;
+                let end = ts + e.u64("dur")?;
+                ensure(end <= makespan, || past(end))?;
+                sync_spans.entry(tid).or_default().push((ts, end));
             }
             "b" => {
-                let id =
-                    evt_num(line, "id").ok_or_else(|| format!("async begin has no id: {line}"))?;
-                if begins.insert(id, (tid, ts)).is_some() {
-                    return Err(format!("async id {id} begun twice"));
-                }
+                let id = e.u64("id")?;
+                ensure(begins.insert(id, (tid, ts)).is_none(), || {
+                    format!("async id {id} begun twice")
+                })?;
             }
             "e" => {
-                let id =
-                    evt_num(line, "id").ok_or_else(|| format!("async end has no id: {line}"))?;
-                if ts > makespan {
-                    return Err(format!(
-                        "async span ends at {ts} cyc, past the {makespan} cyc makespan: {line}"
-                    ));
-                }
-                if ends.insert(id, ts).is_some() {
-                    return Err(format!("async id {id} ended twice"));
-                }
+                let id = e.u64("id")?;
+                ensure(ts <= makespan, || past(ts))?;
+                ensure(ends.insert(id, ts).is_none(), || {
+                    format!("async id {id} ended twice")
+                })?;
+                continue; // one recorded span, counted at its begin
             }
-            "i" => {
-                match evt_str(line, "name") {
-                    Some("fault.kill") => kills += 1,
-                    Some("redispatch") => redispatches += 1,
-                    Some(_) => {}
-                    None => return Err(format!("instant has no name: {line}")),
-                }
-                i_count += 1;
-            }
-            "C" => {
-                evt_num(line, "value").ok_or_else(|| format!("counter has no value: {line}"))?;
-                c_count += 1;
-            }
-            other => return Err(format!("unknown phase `{other}`: {line}")),
+            "i" => match e.str("name")? {
+                "fault.kill" => kills += 1,
+                "redispatch" => redispatches += 1,
+                _ => {}
+            },
+            "C" => drop(e.get("args")?.u64("value")?),
+            other => return Err(format!("{}: unknown phase `{other}`", e.path)),
         }
+        decoded += 1;
     }
 
-    // Async begin/end pairs must balance id-for-id, time-ordered.
-    if begins.len() != ends.len() {
-        return Err(format!(
-            "{} async begins but {} async ends",
-            begins.len(),
-            ends.len()
-        ));
-    }
-    for (id, (_, b_ts)) in &begins {
-        let e_ts = ends
+    // Async begin/end pairs balance id-for-id, time-ordered.
+    let (b, e) = (begins.len(), ends.len());
+    ensure(b == e, || format!("{b} async begins but {e} async ends"))?;
+    for (id, (_, begin)) in &begins {
+        let end = ends
             .get(id)
             .ok_or_else(|| format!("async id {id} begins but never ends"))?;
-        if e_ts < b_ts {
-            return Err(format!(
-                "async id {id} ends at {e_ts}, before its begin at {b_ts}"
-            ));
-        }
+        ensure(end >= begin, || {
+            format!("async id {id} ends at {end}, before its begin at {begin}")
+        })?;
     }
-
-    // Sync spans on each track must nest: sorted by (start asc, dur
-    // desc), every span must close before the innermost still-open
-    // enclosing span does.
-    for (tid, spans) in sync_spans.iter_mut() {
+    // Sync spans on each track nest: sorted by (start asc, end desc),
+    // each closes before the innermost still-open enclosing span does.
+    for (tid, spans) in &mut sync_spans {
         spans.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         let mut open: Vec<u64> = Vec::new();
-        for &(ts, dur) in spans.iter() {
-            while let Some(&end) = open.last() {
-                if end <= ts {
-                    open.pop();
-                } else {
-                    break;
-                }
+        for &(ts, end) in spans.iter() {
+            while open.last().is_some_and(|&parent| parent <= ts) {
+                open.pop();
             }
-            if let Some(&end) = open.last() {
-                if ts + dur > end {
-                    return Err(format!(
-                        "track {tid}: span [{ts}, {}] straddles its parent's end at {end}",
-                        ts + dur
-                    ));
-                }
+            if let Some(&parent) = open.last() {
+                ensure(end <= parent, || {
+                    format!(
+                        "track {tid}: span [{ts}, {end}] straddles its parent's end at {parent}"
+                    )
+                })?;
             }
-            open.push(ts + dur);
+            open.push(end);
         }
     }
-
-    // The events must reconcile with the ServiceReport counters.
+    // The events reconcile with the ServiceReport counters.
     let qtid = queries_tid.ok_or("no `queries` track in the metadata records")?;
-    let query_spans = begins.values().filter(|(tid, _)| *tid == qtid).count() as u64;
-    if query_spans != queries {
-        return Err(format!(
-            "{query_spans} query lifetime spans for {queries} queries served"
-        ));
-    }
-    if kills != failovers {
-        return Err(format!(
-            "{kills} fault.kill instants for {failovers} failover(s)"
-        ));
-    }
-    if redispatches != redispatched {
-        return Err(format!(
-            "{redispatches} redispatch instants for {redispatched} re-dispatched sub-queries"
-        ));
-    }
-    let total = x_count + i_count + c_count + begins.len() as u64;
-    if total != events {
-        return Err(format!(
-            "decoded {total} events, the recorder wrote {events}"
-        ));
-    }
-    Ok((total, query_spans))
+    let spans = begins.values().filter(|(tid, _)| *tid == qtid).count() as u64;
+    ensure(spans == queries, || {
+        format!("{spans} query lifetime spans for {queries} queries served")
+    })?;
+    ensure(kills == failovers, || {
+        format!("{kills} fault.kill instants for {failovers} failover(s)")
+    })?;
+    ensure(redispatches == redispatched, || {
+        format!("{redispatches} redispatch instants for {redispatched} re-dispatched sub-queries")
+    })?;
+    ensure(decoded == recorded, || {
+        format!("decoded {decoded} events, the recorder wrote {recorded}")
+    })?;
+    Ok((decoded, spans))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn four_arch_point(name: &str, gather: u64) -> String {
-        let archs: Vec<String> = ARCHS
-            .iter()
-            .map(|a| {
-                format!(
-                    "\"{a}\": {{\"cycles\": 100, \"dispatch_end\": 1, \"scan_end\": 90, \
-                     \"gather_cycles\": {gather}}}"
-                )
-            })
-            .collect();
-        format!(
-            "{{\"name\": \"{name}\", \"host_ms\": 12.500, \"archs\": {{{}}}}}",
-            archs.join(", ")
+    fn n(v: u64) -> Value {
+        v.into()
+    }
+
+    fn ms(v: f64) -> Value {
+        Value::fixed(v, 3)
+    }
+
+    /// A per-arch point: `archs` each report the integer `row`.
+    fn arch_point(name: &str, host_ms: f64, archs: &[&str], row: &[(&str, u64)]) -> Value {
+        let row = Value::object(row.iter().map(|&(k, v)| (k, n(v))));
+        Value::object([
+            ("name", name.into()),
+            ("host_ms", ms(host_ms)),
+            (
+                "archs",
+                Value::object(archs.iter().map(|&a| (a, row.clone()))),
+            ),
+        ])
+    }
+
+    fn four_arch_point(name: &str, gather: u64) -> Value {
+        let row = [("cycles", 100), ("dispatch_end", 1), ("scan_end", 90)];
+        arch_point(
+            name,
+            12.5,
+            &ARCHS,
+            &[&row[..], &[("gather_cycles", gather)]].concat(),
         )
     }
 
-    fn par_point(name: &str, cycles: u64) -> String {
-        let archs: Vec<String> = LOGIC_ARCHS
-            .iter()
-            .map(|a| {
-                format!(
-                    "\"{a}\": {{\"cycles\": {cycles}, \"dispatch_end\": 1, \
-                     \"scan_end\": {}, \"gather_cycles\": 5}}",
-                    cycles - 10
-                )
-            })
-            .collect();
-        format!(
-            "{{\"name\": \"{name}\", \"host_ms\": 8.125, \"archs\": {{{}}}}}",
-            archs.join(", ")
-        )
+    fn par_point(name: &str, cycles: u64) -> Value {
+        let row = [
+            ("cycles", cycles),
+            ("dispatch_end", 1),
+            ("scan_end", cycles - 10),
+            ("gather_cycles", 5),
+        ];
+        arch_point(name, 8.125, &LOGIC_ARCHS, &row)
     }
 
-    fn serve_point(name: &str, replicas: u64, qpgc: u64, p50: u64, p95: u64, p99: u64) -> String {
-        format!(
-            "{{\"name\": \"{name}\", \"shards\": 1, \"replicas\": {replicas}, \
-             \"queries\": 96, \"makespan_cycles\": 1000, \"queries_per_gigacycle\": {qpgc}, \
-             \"p50_cycles\": {p50}, \"p95_cycles\": {p95}, \"p99_cycles\": {p99}, \
-             \"failovers\": 0, \"redispatched\": 0, \"host_ms\": 20.000}}"
-        )
+    /// A service row; `extra` members go just before `host_ms`.
+    fn service_point(
+        name: &str,
+        shape: [u64; 3],
+        latency: [u64; 4],
+        faults: [u64; 2],
+        extra: Vec<(String, Value)>,
+        host_ms: f64,
+    ) -> Value {
+        let [shards, replicas, queries] = shape;
+        let [qpgc, p50, p95, p99] = latency;
+        let mut members: Vec<(String, Value)> = [
+            ("name", name.into()),
+            ("shards", n(shards)),
+            ("replicas", n(replicas)),
+            ("queries", n(queries)),
+            ("makespan_cycles", n(1000)),
+            ("queries_per_gigacycle", n(qpgc)),
+            ("p50_cycles", n(p50)),
+            ("p95_cycles", n(p95)),
+            ("p99_cycles", n(p99)),
+            ("failovers", n(faults[0])),
+            ("redispatched", n(faults[1])),
+        ]
+        .map(|(k, v)| (k.to_string(), v))
+        .into();
+        members.extend(extra);
+        members.push(("host_ms".into(), ms(host_ms)));
+        Value::Object(members)
     }
 
-    fn fail_point(queries: u64, failovers: u64, hipe_fault_digest: u64) -> String {
-        let digests: Vec<String> = ARCHS
-            .iter()
-            .map(|a| {
-                let fault = if *a == "HIPE" { hipe_fault_digest } else { 11 };
-                format!("\"digest_{a}_clean\": 11, \"digest_{a}_fault\": {fault}")
-            })
-            .collect();
-        format!(
-            "{{\"name\": \"serve_fail\", \"shards\": 4, \"replicas\": 2, \
-             \"queries\": {queries}, \"makespan_cycles\": 1000, \
-             \"queries_per_gigacycle\": 700, \"p50_cycles\": 100, \"p95_cycles\": 200, \
-             \"p99_cycles\": 300, \"failovers\": {failovers}, \"redispatched\": 6, \
-             \"host_ms\": 31.000, {}}}",
-            digests.join(", ")
+    fn serve_point(name: &str, replicas: u64, qpgc: u64, p50: u64, p95: u64, p99: u64) -> Value {
+        let latency = [qpgc, p50, p95, p99];
+        service_point(name, [1, replicas, 96], latency, [0, 0], Vec::new(), 20.0)
+    }
+
+    fn fail_point(queries: u64, failovers: u64, hipe_fault_digest: u64) -> Value {
+        let digests = ARCHS.iter().flat_map(|a| {
+            let fault = if *a == "HIPE" { hipe_fault_digest } else { 11 };
+            [
+                (format!("digest_{a}_clean"), n(11)),
+                (format!("digest_{a}_fault"), n(fault)),
+            ]
+        });
+        let latency = [700, 100, 200, 300];
+        let faults = [failovers, 6];
+        service_point(
+            "serve_fail",
+            [4, 2, queries],
+            latency,
+            faults,
+            digests.collect(),
+            31.0,
         )
     }
 
     /// A skip point whose pruned phases all complete at `scan` and
     /// whose unpruned baseline completes at `base`.
-    fn skip_point(name: &str, scan: u64, base: u64) -> String {
-        let archs: Vec<String> = ARCHS
-            .iter()
-            .map(|a| {
-                format!(
-                    "\"{a}\": {{\"cycles\": {scan}, \"dispatch_end\": {scan}, \
-                     \"scan_end\": {scan}, \"gather_cycles\": 0, \"regions_scanned\": 2, \
-                     \"regions_pruned\": 62, \"base_cycles\": {base}, \
-                     \"base_dispatch_end\": {base}, \"base_scan_end\": {base}}}"
-                )
-            })
-            .collect();
-        format!(
-            "{{\"name\": \"{name}\", \"host_ms\": 6.250, \"archs\": {{{}}}}}",
-            archs.join(", ")
-        )
+    fn skip_point(name: &str, scan: u64, base: u64) -> Value {
+        let row = [
+            ("cycles", scan),
+            ("dispatch_end", scan),
+            ("scan_end", scan),
+            ("gather_cycles", 0),
+            ("regions_scanned", 2),
+            ("regions_pruned", 62),
+            ("base_cycles", base),
+            ("base_dispatch_end", base),
+            ("base_scan_end", base),
+        ];
+        arch_point(name, 6.25, &ARCHS, &row)
     }
 
-    fn serve_skip_point(skipped: u64, cycles: u64, base: u64) -> String {
-        format!(
-            "{{\"name\": \"serve_skip\", \"shards\": 4, \"shards_skipped\": {skipped}, \
-             \"cycles\": {cycles}, \"base_cycles\": {base}, \"host_ms\": 4.750}}"
-        )
+    fn serve_skip_point(skipped: u64, cycles: u64, base: u64) -> Value {
+        Value::object([
+            ("name", "serve_skip".into()),
+            ("shards", n(4)),
+            ("shards_skipped", n(skipped)),
+            ("cycles", n(cycles)),
+            ("base_cycles", n(base)),
+            ("host_ms", ms(4.75)),
+        ])
     }
 
-    fn perf_point(name: &str, unit: &str, work: u64, rate: u64) -> String {
-        format!(
-            "{{\"name\": \"{name}\", \"unit\": \"{unit}\", \"work\": {work}, \
-             \"rate_per_s\": {rate}, \"host_ms\": 2.375}}"
-        )
+    fn perf_point(name: &str, unit: &str, work: u64, rate: u64) -> Value {
+        Value::object([
+            ("name", name.into()),
+            ("unit", unit.into()),
+            ("work", n(work)),
+            ("rate_per_s", n(rate)),
+            ("host_ms", ms(2.375)),
+        ])
     }
 
-    fn host_par_point(sweep: (u64, u64), scatter: (u64, u64), digests: (u64, u64)) -> String {
-        format!(
-            "{{\"name\": \"host_par\", \"workers\": 4, \"host_cpus\": 8, \
-             \"sweep_serial_ms\": {}.210, \"sweep_parallel_ms\": {}.125, \
-             \"scatter_serial_ms\": {}.300, \"scatter_parallel_ms\": {}.400, \
-             \"digest_serial\": {}, \"digest_parallel\": {}, \"host_ms\": 99.000}}",
-            sweep.0, sweep.1, scatter.0, scatter.1, digests.0, digests.1
-        )
+    fn host_par_point(sweep: (u64, u64), scatter: (u64, u64), digests: (u64, u64)) -> Value {
+        Value::object([
+            ("name", "host_par".into()),
+            ("workers", n(4)),
+            ("host_cpus", n(8)),
+            ("sweep_serial_ms", ms(sweep.0 as f64 + 0.21)),
+            ("sweep_parallel_ms", ms(sweep.1 as f64 + 0.125)),
+            ("scatter_serial_ms", ms(scatter.0 as f64 + 0.3)),
+            ("scatter_parallel_ms", ms(scatter.1 as f64 + 0.4)),
+            ("digest_serial", n(digests.0)),
+            ("digest_parallel", n(digests.1)),
+            ("host_ms", ms(99.0)),
+        ])
     }
 
     fn doc_full(gather_q6: u64, par_cycles: [u64; 4], serve_qpgc: [u64; 4]) -> String {
@@ -879,11 +569,11 @@ mod tests {
         ));
         points.push(perf_point("perf_generate", "rows", 32_768, 60_000_000));
         points.push(perf_point("perf_engine", "instr", 98_304, 20_000_000));
-        format!(
-            "{{\"bench\": \"figures\", \"archs\": [\"x86\", \"HMC-ISA\", \"HIVE\", \"HIPE\"], \
-             \"points\": [{}]}}",
-            points.join(", ")
-        )
+        json::write(&Value::object([
+            ("bench", "figures".into()),
+            ("archs", Value::Array(ARCHS.map(Value::from).to_vec())),
+            ("points", Value::Array(points)),
+        ]))
     }
 
     fn doc_with(gather_q6: u64, par_cycles: [u64; 4]) -> String {
@@ -892,6 +582,16 @@ mod tests {
 
     fn doc(gather_q6: u64) -> String {
         doc_with(gather_q6, [800, 400, 200, 100])
+    }
+
+    /// The `line:column` where a parse of `text` runs out of input.
+    fn end_position(text: &str) -> String {
+        let last_line = text.rsplit('\n').next().unwrap_or(text);
+        format!(
+            "{}:{}",
+            text.matches('\n').count() + 1,
+            last_line.chars().count() + 1
+        )
     }
 
     #[test]
@@ -1164,19 +864,57 @@ mod tests {
 
     #[test]
     fn point_field_requires_a_delimited_top_level_key() {
-        // The key's text inside a string value (escaped quotes) or as
-        // the tail of a longer field name is not the field.
-        let decoy = "{\"name\": \"serve_x\", \
-                     \"note\": \"was \\\"queries_per_gigacycle\\\": 9\", \
-                     \"old_queries_per_gigacycle\": 7}";
-        assert_eq!(point_field(decoy, "queries_per_gigacycle"), None);
-        // A real field parses whether preceded by `{`, `,` or a line
-        // start, and an arch object's fields are out of scope.
-        let real = "{\"p50_cycles\": 3,\n  \"p95_cycles\": 4, \"archs\": {\
-                    \"HIPE\": {\"p99_cycles\": 9}}}";
-        assert_eq!(point_field(real, "p50_cycles"), Some(3));
-        assert_eq!(point_field(real, "p95_cycles"), Some(4));
-        assert_eq!(point_field(real, "p99_cycles"), None);
+        // The key's text inside a string value (escaped quotes), as the
+        // tail of a longer field name, or inside a nested object is not
+        // the field.
+        let real = "\"queries_per_gigacycle\": 180, ";
+        let decoys = [
+            "\"note\": \"was \\\"queries_per_gigacycle\\\": 180\", ",
+            "\"old_queries_per_gigacycle\": 180, ",
+            "\"archs\": {\"HIPE\": {\"queries_per_gigacycle\": 180}}, ",
+        ];
+        assert_eq!(doc(10).matches(real).count(), 1, "serve_2 is the only 180");
+        for decoy in decoys {
+            let text = doc(10).replace(real, decoy);
+            assert_eq!(
+                check(&text),
+                Err("point serve_2: lacks queries_per_gigacycle".into()),
+                "{decoy}"
+            );
+        }
+        // A real field parses wherever it sits in the row.
+        let moved = doc(10).replace(real, "").replace(
+            "\"name\": \"serve_2\", ",
+            &format!("{real}\"name\": \"serve_2\", "),
+        );
+        assert_eq!(check(&moved), Ok(22));
+    }
+
+    #[test]
+    fn rejects_a_truncated_figures_document() {
+        let full = doc(10);
+        let cut = full
+            .strip_suffix("\n  ]\n}\n")
+            .expect("points close the document");
+        let err = check(cut).unwrap_err();
+        assert!(err.contains(&end_position(cut)), "{err}");
+        assert!(err.contains("unexpected end of input"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_duplicate_key_in_a_point() {
+        let text = doc(10).replacen("\"cycles\": 100, ", "\"cycles\": 100, \"cycles\": 1, ", 1);
+        let err = check(&text).unwrap_err();
+        assert!(err.contains("duplicate key \"cycles\""), "{err}");
+        let line = text
+            .lines()
+            .position(|l| l.contains("\"cycles\": 1,"))
+            .unwrap()
+            + 1;
+        assert!(
+            err.starts_with(&format!("figures document: {line}:")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1201,14 +939,13 @@ mod tests {
         t.span_on(eng, "scan", 12, 30, vec![]);
         t.instant(eng, "fault.kill", 20, vec![]);
         t.instant(fe, "redispatch", 25, vec![("shard", 0usize.into())]);
-        let other = [
-            ("queries", queries.to_string()),
-            ("makespan_cyc", "40".to_string()),
-            ("failovers", failovers.to_string()),
-            ("redispatched", redispatched.to_string()),
-            ("events", t.len().to_string()),
-        ];
-        t.to_chrome_json(&other)
+        t.to_chrome_json(Value::object([
+            ("queries", queries.into()),
+            ("makespan_cyc", 40u64.into()),
+            ("failovers", failovers.into()),
+            ("redispatched", redispatched.into()),
+            ("events", t.len().into()),
+        ]))
     }
 
     #[test]
@@ -1236,7 +973,7 @@ mod tests {
         // way so only the nesting check can fire).
         let text = sample_trace(1, 1, 1)
             .replace("\"makespan_cyc\": 40", "\"makespan_cyc\": 60")
-            .replace("\"ts\":12,\"dur\":18", "\"ts\":12,\"dur\":33");
+            .replace("\"ts\": 12, \"dur\": 18", "\"ts\": 12, \"dur\": 33");
         let err = check_trace(&text).unwrap_err();
         assert!(err.contains("straddles"), "{err}");
         // A span past the recorded makespan is rejected outright.
@@ -1250,11 +987,22 @@ mod tests {
         // Retag the async end as a second begin with a fresh id: the
         // original id never ends.
         let text = sample_trace(1, 1, 1).replace(
-            "{\"ph\":\"e\",\"pid\":0,\"tid\":2,\"ts\":40,\"id\":0",
-            "{\"ph\":\"b\",\"pid\":0,\"tid\":2,\"ts\":40,\"id\":7",
+            "{\"ph\": \"e\", \"pid\": 0, \"tid\": 2, \"ts\": 40, \"id\": 0",
+            "{\"ph\": \"b\", \"pid\": 0, \"tid\": 2, \"ts\": 40, \"id\": 7",
         );
         let err = check_trace(&text).unwrap_err();
         assert!(err.contains("async"), "{err}");
+    }
+
+    #[test]
+    fn trace_rejects_a_truncated_document() {
+        let full = sample_trace(1, 1, 1);
+        let cut = full
+            .strip_suffix("\n  ]\n}\n")
+            .expect("events close the document");
+        let err = check_trace(cut).unwrap_err();
+        assert!(err.contains(&end_position(cut)), "{err}");
+        assert!(err.contains("unexpected end of input"), "{err}");
     }
 
     #[test]

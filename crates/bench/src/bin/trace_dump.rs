@@ -22,7 +22,7 @@
 use hipe::Arch;
 use hipe_db::Query;
 use hipe_serve::{run_service, run_service_traced, Cluster, FaultPlan, ServiceConfig};
-use hipe_trace::{Metrics, TraceEvent, Tracer};
+use hipe_trace::{Metrics, TraceEvent, Tracer, Value};
 
 const SEED: u64 = 2018;
 
@@ -170,23 +170,20 @@ fn main() {
         shard_report.export_metrics(&format!("shard{s}."), &mut metrics);
     }
 
-    let other_data = [
-        ("arch", format!("\"{}\"", report.arch)),
-        (
-            "time_unit",
-            "\"simulated cycles (1 cyc = 1 viewer µs)\"".to_string(),
-        ),
-        ("shards", report.shards.to_string()),
-        ("replicas", report.replicas.to_string()),
-        ("queries", report.queries.to_string()),
-        ("makespan_cyc", report.makespan.to_string()),
-        ("failovers", report.failovers.to_string()),
-        ("redispatched", report.redispatched.to_string()),
-        ("answers_digest", report.answers_digest().to_string()),
-        ("events", tracer.len().to_string()),
-        ("metrics", metrics.to_json()),
-    ];
-    let json = tracer.to_chrome_json(&other_data);
+    let other_data = Value::object([
+        ("arch", report.arch.to_string().into()),
+        ("time_unit", "simulated cycles (1 cyc = 1 viewer µs)".into()),
+        ("shards", report.shards.into()),
+        ("replicas", report.replicas.into()),
+        ("queries", report.queries.into()),
+        ("makespan_cyc", report.makespan.into()),
+        ("failovers", report.failovers.into()),
+        ("redispatched", report.redispatched.into()),
+        ("answers_digest", report.answers_digest().into()),
+        ("events", tracer.len().into()),
+        ("metrics", Value::from(&metrics)),
+    ]);
+    let json = tracer.to_chrome_json(other_data);
     std::fs::write(&opts.out, &json).expect("write trace file");
 
     println!("{report}");

@@ -40,8 +40,8 @@ pub struct PerfRate {
     pub work: u64,
     /// What one work unit is (`bytes`, `rows`, `instr`).
     pub unit: &'static str,
-    /// Work units per host second, truncated to an integer so the
-    /// JSON row stays digit-parseable by `check_figures`.
+    /// Work units per host second, truncated to an integer
+    /// (`check_figures` requires a positive one).
     pub rate_per_s: u64,
     /// Host wall time of the final measured batch, in milliseconds.
     pub host_ms: f64,

@@ -10,8 +10,7 @@
 //!
 //! Misses are filled from the HMC over its serial links. Coherence
 //! (MOESI in the paper) is not modelled: the evaluated workload is a
-//! single-threaded scan, so no coherence traffic would be generated —
-//! see DESIGN.md for the substitution notes.
+//! single-threaded scan, so no coherence traffic would be generated.
 //!
 //! # Example
 //!

@@ -56,9 +56,6 @@
 //! the memory image (host paths). Every lowering also returns the set
 //! of regions it scans, so executors read back or evaluate exactly
 //! those regions and never consult the zone map again.
-//!
-//! Entry points not needed yet by the driver (NSM tuple-at-a-time
-//! lowering) are future work tracked in the ROADMAP.
 
 mod error;
 mod hmc;

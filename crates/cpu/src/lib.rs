@@ -20,7 +20,7 @@
 //! (ROB/MOB), dependency serialization and branch-mispredict stalls —
 //! the four effects the paper's figures hinge on. What it drops:
 //! wrong-path execution and register-renaming stalls, which are
-//! second-order for streaming scans (see DESIGN.md).
+//! second-order for streaming scans.
 //!
 //! # Example
 //!

@@ -1,13 +1,10 @@
-//! Storage layouts: NSM (row-store) and DSM (column-store), plus the
-//! vault-partitioned image map.
+//! Storage layout: DSM (column-store) and the vault-partitioned image
+//! map.
 //!
-//! Following the paper's experiment setup, every NSM tuple occupies
-//! 64 bytes — exactly one cache line — of which the four Q6 columns
-//! are the first four 8-byte fields; the remaining four fields model
-//! the irrelevant attributes that pollute caches in row stores.
-//! DSM stores each column contiguously as 8-byte values.
+//! DSM stores each of the four Q6 columns contiguously as 8-byte
+//! values.
 //!
-//! The DSM layout additionally owns the *whole image map* — column
+//! The layout additionally owns the *whole image map* — column
 //! arrays, the per-region mask output area and the per-region
 //! aggregate partial-sum area — and can be vault-partitioned: the HMC
 //! interleaves consecutive 256 B blocks across its 32 vaults, so once
@@ -19,13 +16,7 @@
 
 use crate::lineitem::{Column, LineitemTable};
 
-/// Bytes per NSM tuple (one cache line).
-pub const TUPLE_BYTES: u64 = 64;
-
-/// 8-byte fields per NSM tuple.
-pub const NSM_FIELDS: usize = 8;
-
-/// Bytes per column value in either layout.
+/// Bytes per column value.
 pub const COLUMN_BYTES: u64 = 8;
 
 /// Bytes of one scan region: a 256 B DRAM row buffer, the interleave
@@ -41,78 +32,6 @@ pub const REGION_ROWS: usize = (REGION_BYTES / COLUMN_BYTES) as usize;
 /// groups, so the value must match the cube geometry
 /// (`HmcConfig::paper().vaults`; `hipe-core` asserts the two agree).
 pub const VAULTS: usize = 32;
-
-/// Address geometry of a row-store (NSM) table.
-///
-/// # Example
-///
-/// ```
-/// use hipe_db::{Column, NsmLayout};
-/// let l = NsmLayout::new(0x1000, 100);
-/// assert_eq!(l.tuple_addr(0), 0x1000);
-/// assert_eq!(l.tuple_addr(1), 0x1040);
-/// assert_eq!(l.field_addr(1, Column::Discount), 0x1040 + 8);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NsmLayout {
-    base: u64,
-    rows: usize,
-}
-
-impl NsmLayout {
-    /// Creates a layout with tuples starting at `base`.
-    pub fn new(base: u64, rows: usize) -> Self {
-        NsmLayout { base, rows }
-    }
-
-    /// Base address of the table.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// Number of tuples.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Total bytes occupied.
-    pub fn bytes(&self) -> u64 {
-        self.rows as u64 * TUPLE_BYTES
-    }
-
-    /// Address of tuple `i`.
-    pub fn tuple_addr(&self, i: usize) -> u64 {
-        self.base + i as u64 * TUPLE_BYTES
-    }
-
-    /// Address of `column` within tuple `i`.
-    pub fn field_addr(&self, i: usize, column: Column) -> u64 {
-        self.tuple_addr(i) + column.index() as u64 * COLUMN_BYTES
-    }
-
-    /// Serializes the table into bytes laid out per this layout
-    /// (relative to `base`, i.e. the vector starts at offset 0).
-    ///
-    /// Padding fields are filled with a value derived from the row so
-    /// that they are non-zero (as real attributes would be).
-    pub fn materialize(&self, table: &LineitemTable) -> Vec<u8> {
-        assert_eq!(self.rows, table.rows(), "layout row count mismatch");
-        let mut out = vec![0u8; self.bytes() as usize];
-        for i in 0..self.rows {
-            let t = i * TUPLE_BYTES as usize;
-            for c in Column::ALL {
-                let off = t + c.index() * COLUMN_BYTES as usize;
-                out[off..off + 8].copy_from_slice(&table.value(c, i).to_le_bytes());
-            }
-            for f in Column::ALL.len()..NSM_FIELDS {
-                let off = t + f * COLUMN_BYTES as usize;
-                let filler = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-                out[off..off + 8].copy_from_slice(&filler.to_le_bytes());
-            }
-        }
-        out
-    }
-}
 
 /// Address geometry of a column-store (DSM) table, including the mask
 /// and aggregate output areas that follow it, optionally partitioned
@@ -417,39 +336,6 @@ mod tests {
     use crate::lineitem::LineitemTable;
 
     #[test]
-    fn nsm_addresses_are_line_aligned() {
-        let l = NsmLayout::new(0, 10);
-        for i in 0..10 {
-            assert_eq!(l.tuple_addr(i) % TUPLE_BYTES, 0);
-        }
-        assert_eq!(l.bytes(), 640);
-    }
-
-    #[test]
-    fn nsm_materialize_round_trips_values() {
-        let t = LineitemTable::generate(33, 5);
-        let l = NsmLayout::new(0, 33);
-        let img = l.materialize(&t);
-        for i in 0..33 {
-            for c in Column::ALL {
-                let off = l.field_addr(i, c) as usize;
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&img[off..off + 8]);
-                assert_eq!(i64::from_le_bytes(b), t.value(c, i));
-            }
-        }
-    }
-
-    #[test]
-    fn nsm_padding_fields_nonzero() {
-        let t = LineitemTable::generate(4, 5);
-        let img = NsmLayout::new(0, 4).materialize(&t);
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&img[32..40]); // field 4 of tuple 0
-        assert_ne!(u64::from_le_bytes(b), 0);
-    }
-
-    #[test]
     fn dsm_columns_are_row_aligned_and_disjoint() {
         let l = DsmLayout::new(0, 100);
         let mut bases: Vec<u64> = Column::ALL.iter().map(|&c| l.column_base(c)).collect();
@@ -479,9 +365,11 @@ mod tests {
 
     #[test]
     fn dsm_is_half_the_bytes_of_nsm() {
-        // 4 of 8 fields: DSM moves half the data of NSM for Q6.
+        // The paper's row store packs each tuple into one 64 B cache
+        // line; the column store keeps only the four 8 B Q6 columns,
+        // so a scan moves half the data.
         let rows = 4096;
-        let nsm = NsmLayout::new(0, rows).bytes();
+        let nsm = rows as u64 * 64;
         let dsm = DsmLayout::new(0, rows).bytes();
         assert_eq!(dsm, nsm / 2);
     }
@@ -490,7 +378,7 @@ mod tests {
     #[should_panic(expected = "row count mismatch")]
     fn materialize_checks_rows() {
         let t = LineitemTable::generate(3, 0);
-        let _ = NsmLayout::new(0, 4).materialize(&t);
+        let _ = DsmLayout::new(0, 4).materialize(&t);
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //! * uniform value spread, so bitmask density is uncorrelated with
 //!   address, as in dbgen output.
 //!
-//! Two storage layouts are provided, mirroring the paper's Figure 1:
-//! the N-ary storage model ([`NsmLayout`], row-store, 64 B tuples — one
-//! cache line) and the decomposition storage model ([`DsmLayout`],
-//! column-store, contiguous 8 B columns).
+//! Tables are stored in the decomposition storage model
+//! ([`DsmLayout`], column-store, contiguous 8 B columns), the layout
+//! of the paper's evaluation.
 //!
 //! The [`scan`] module is the *reference executor*: a plain Rust
 //! implementation of the tuple-at-a-time and column-at-a-time select
@@ -44,9 +43,7 @@ pub mod scan;
 mod zonemap;
 
 pub use bitmask::{Bitmask, IterOnes};
-pub use layout::{
-    DsmLayout, NsmLayout, COLUMN_BYTES, NSM_FIELDS, REGION_BYTES, REGION_ROWS, TUPLE_BYTES, VAULTS,
-};
+pub use layout::{DsmLayout, COLUMN_BYTES, REGION_BYTES, REGION_ROWS, VAULTS};
 pub use lineitem::{Column, LineitemTable, TableShape, SF1_ROWS};
 pub use query::{CmpOp, ColumnPredicate, Query};
 pub use rng::SplitMix64;

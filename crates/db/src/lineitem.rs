@@ -33,7 +33,7 @@ pub enum Column {
 }
 
 impl Column {
-    /// All columns in their canonical NSM field order.
+    /// All columns in their canonical (column-id) order.
     pub const ALL: [Column; 4] = [
         Column::Shipdate,
         Column::Discount,
@@ -41,7 +41,7 @@ impl Column {
         Column::ExtendedPrice,
     ];
 
-    /// The column's field index in the NSM tuple (and DSM column id).
+    /// The column's DSM column id (its position in [`Column::ALL`]).
     pub fn index(self) -> usize {
         match self {
             Column::Shipdate => 0,

@@ -24,9 +24,7 @@ mod micro;
 mod opsize;
 mod program;
 
-pub use logic::{
-    AluOp, FieldRange, LogicInstr, PredWhen, Predicate, RegId, REGISTER_BYTES, REGISTER_COUNT,
-};
+pub use logic::{AluOp, LogicInstr, PredWhen, Predicate, RegId, REGISTER_BYTES, REGISTER_COUNT};
 pub use micro::{MicroOp, MicroOpKind, VaultOp};
 pub use opsize::{OpSize, LANE_BYTES};
 pub use program::{LogicProgram, PartitionSpec};

@@ -44,18 +44,6 @@ impl std::fmt::Display for RegId {
     }
 }
 
-/// An inclusive range predicate over one 8-byte field of a tuple,
-/// used by the fused [`AluOp::TupleMatch`] operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FieldRange {
-    /// Field index within the tuple (lane offset modulo the stride).
-    pub field: u8,
-    /// Inclusive lower bound.
-    pub lo: i64,
-    /// Inclusive upper bound.
-    pub hi: i64,
-}
-
 /// ALU operations of the logic-layer engine.
 ///
 /// Latencies follow Table I: 2 cycles for integer ALU, 6 for multiply,
@@ -103,18 +91,6 @@ pub enum AluOp {
         /// Destination lane of the reduced sum, `0..32`.
         lane: u8,
     },
-    /// Fused conjunction over row-store tuples: the register holds
-    /// tuples of `stride` consecutive 8-byte fields; output lane `t`
-    /// is 1 when every [`FieldRange`] of tuple `t` passes. This is the
-    /// row-store analogue of the paper's extended compare instruction
-    /// (the HMC ISA is extended "to provide other instructions more
-    /// convenient" for the select scan — see DESIGN.md).
-    TupleMatch {
-        /// Up to three field predicates (Q6's conjunction).
-        fields: [Option<FieldRange>; 3],
-        /// Fields per tuple (8 for the 64 B NSM tuples).
-        stride: u8,
-    },
 }
 
 impl AluOp {
@@ -127,20 +103,6 @@ impl AluOp {
     /// (reads `dst`'s previous lanes instead of overwriting them all).
     pub fn merges_dst(self) -> bool {
         matches!(self, AluOp::AddReduce { .. })
-    }
-
-    /// Builds a [`AluOp::TupleMatch`] from up to three field ranges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than three predicates are supplied.
-    pub fn tuple_match(preds: &[FieldRange], stride: u8) -> Self {
-        assert!(preds.len() <= 3, "TupleMatch supports at most 3 predicates");
-        let mut fields = [None; 3];
-        for (slot, p) in fields.iter_mut().zip(preds) {
-            *slot = Some(*p);
-        }
-        AluOp::TupleMatch { fields, stride }
     }
 
     /// Returns `true` if the operation reads a second register operand.

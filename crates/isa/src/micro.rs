@@ -25,11 +25,6 @@ pub enum VaultOp {
     LoadAnd,
     /// Read-modify-write add of an immediate (stock HMC-style update,
     /// used by extension workloads).
-    ///
-    /// Row-store tuple conjunctions stay a logic-layer operation
-    /// ([`crate::AluOp::TupleMatch`]): carrying their fat field-range
-    /// payload here would quadruple the size of *every* [`MicroOp`] in
-    /// the multi-million-entry host plans.
     AddImm(i64),
 }
 

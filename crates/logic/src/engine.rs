@@ -308,18 +308,6 @@ fn eval_alu(
                 None => a.iter().take(n).fold(0i64, |acc, &v| acc.wrapping_add(v)),
             };
         }
-        AluOp::TupleMatch { fields, stride } => {
-            let stride = stride as usize;
-            debug_assert!(stride > 0 && n.is_multiple_of(stride));
-            let tuples = n / stride;
-            for t in 0..tuples {
-                let pass = fields.iter().flatten().all(|f| {
-                    let v = a[t * stride + f.field as usize];
-                    f.lo <= v && v <= f.hi
-                });
-                out[t] = pass as i64;
-            }
-        }
     }
     out
 }

@@ -1,144 +1,94 @@
 //! Chrome Trace Event Format rendering.
 //!
 //! The exported JSON uses the object form (`{"traceEvents": [...]}`),
-//! one event per line, with one *simulated cycle* mapped to one viewer
-//! microsecond — cycle 12_345 shows as 12.345 ms on the Perfetto
-//! timeline. All events share `pid` 0; each [`Track`](crate::Track)
-//! becomes one `tid` with a `thread_name` metadata record, so the
-//! viewer shows one named row per track in registration order.
+//! with one *simulated cycle* mapped to one viewer microsecond — cycle
+//! 12_345 shows as 12.345 ms on the Perfetto timeline. All events
+//! share `pid` 0; each [`Track`](crate::Track) becomes one `tid` with a
+//! `thread_name` metadata record, so the viewer shows one named row per
+//! track in registration order.
 //!
 //! Sync-track spans render as complete (`"X"`) events with
 //! a non-negative `dur`; async-track spans render as `"b"`/`"e"`
 //! pairs keyed by the recorder-assigned id, so overlapping in-flight
 //! lifetimes display stacked instead of corrupting a thread row.
-//! The line-oriented layout is load-bearing: `check_figures --trace`
-//! validates traces with the same line scanner the figure checks use.
+//! The document is built as a [`Value`] and rendered by
+//! [`json::write`], which puts each event on a line of its own;
+//! `check_figures --trace` reads it back with [`json::parse`].
 
-use crate::{ArgValue, Args, TraceEvent, Tracer, TrackKind};
-use std::fmt::Write as _;
+use crate::json::{self, Value};
+use crate::{Args, TraceEvent, Tracer, TrackKind};
+use hipe_sim::Cycle;
 
-/// Escapes a string for a JSON string literal.
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+fn args_value(args: &Args) -> Value {
+    Value::object(args.iter().map(|(k, v)| (*k, v.clone())))
 }
 
-fn push_args(args: &Args, out: &mut String) {
-    out.push_str(",\"args\":{");
-    for (i, (key, value)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{key}\":");
-        match value {
-            ArgValue::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            ArgValue::I64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            ArgValue::Str(v) => {
-                out.push('"');
-                escape(v, out);
-                out.push('"');
-            }
-        }
-    }
-    out.push('}');
+/// A `pid` 0 metadata record for `tid` (the process record has none).
+fn metadata(tid: Option<usize>, name: &str, args: Value) -> Value {
+    let mut members = vec![("ph", "M".into()), ("pid", 0u64.into())];
+    members.extend(tid.map(|tid| ("tid", tid.into())));
+    members.extend([("name", name.into()), ("args", args)]);
+    Value::object(members)
 }
 
-fn push_name(name: &str, out: &mut String) {
-    out.push_str(",\"name\":\"");
-    escape(name, out);
-    out.push('"');
+/// A timed event: `ph`, `pid`, `tid`, `ts`, the phase's own field (if
+/// any), `cat`, `name`, then `args` (if any).
+fn timed(
+    ph: &str,
+    tid: usize,
+    ts: Cycle,
+    own: Option<(&'static str, Value)>,
+    name: &str,
+    args: Option<Value>,
+) -> Value {
+    let mut members = vec![
+        ("ph", ph.into()),
+        ("pid", 0u64.into()),
+        ("tid", tid.into()),
+        ("ts", ts.into()),
+    ];
+    members.extend(own);
+    members.extend([("cat", "hipe".into()), ("name", name.into())]);
+    members.extend(args.map(|a| ("args", a)));
+    Value::object(members)
 }
 
 impl Tracer {
     /// Renders the recording as Chrome Trace Event Format JSON.
     ///
-    /// `other_data` lands verbatim in the file's `otherData` object:
-    /// each `(key, value)` pair is emitted as `"key": value` with the
-    /// value string inserted as-is, so callers pass pre-rendered JSON
-    /// values (`"12"`, `"\"HIPE\""`). The serve layer uses this to
-    /// embed the `ServiceReport` counters the trace must reconcile
-    /// with.
-    pub fn to_chrome_json(&self, other_data: &[(&str, String)]) -> String {
-        let mut out = String::with_capacity(256 + self.events().len() * 96);
-        out.push_str("{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {");
-        for (i, (key, value)) in other_data.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n  \"{key}\": {value}");
-        }
-        out.push_str("\n},\n\"traceEvents\": [\n");
-        out.push_str(
-            "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"hipe (simulated cycles)\"}}",
-        );
+    /// `other_data` becomes the file's `otherData` object. The serve
+    /// layer uses it to embed the `ServiceReport` counters the trace
+    /// must reconcile with.
+    pub fn to_chrome_json(&self, other_data: Value) -> String {
+        let mut events = vec![metadata(
+            None,
+            "process_name",
+            Value::object([("name", "hipe (simulated cycles)".into())]),
+        )];
         for (tid, track) in self.tracks().iter().enumerate() {
-            out.push_str(",\n");
-            let _ = write!(out, "{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},");
-            out.push_str("\"name\":\"thread_name\",\"args\":{\"name\":\"");
-            escape(&track.name, &mut out);
-            out.push_str("\"}}");
-            out.push_str(",\n");
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_sort_index\",\
-                 \"args\":{{\"sort_index\":{tid}}}}}"
-            );
+            let name = Value::object([("name", track.name.as_str().into())]);
+            events.push(metadata(Some(tid), "thread_name", name));
+            let sort = Value::object([("sort_index", tid.into())]);
+            events.push(metadata(Some(tid), "thread_sort_index", sort));
         }
         for event in self.events() {
-            out.push_str(",\n");
             match event {
                 TraceEvent::Span { span, async_id } => {
                     let tid = span.track.index();
+                    let (name, begin, end) = (&span.name, span.begin_cycle, span.end_cycle);
                     match self.tracks()[tid].kind {
                         TrackKind::Sync => {
                             debug_assert!(async_id.is_none());
-                            let _ = write!(
-                                out,
-                                "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"dur\":{},\
-                                 \"cat\":\"hipe\"",
-                                span.begin_cycle,
-                                span.end_cycle - span.begin_cycle
-                            );
-                            push_name(&span.name, &mut out);
-                            push_args(&span.args, &mut out);
-                            out.push('}');
+                            let dur = Some(("dur", (end - begin).into()));
+                            let args = Some(args_value(&span.args));
+                            events.push(timed("X", tid, begin, dur, name, args));
                         }
                         TrackKind::Async => {
-                            let id = async_id.expect("async spans carry an id");
-                            let _ = write!(
-                                out,
-                                "{{\"ph\":\"b\",\"pid\":0,\"tid\":{tid},\"ts\":{},\
-                                 \"id\":{id},\"cat\":\"hipe\"",
-                                span.begin_cycle
-                            );
-                            push_name(&span.name, &mut out);
-                            push_args(&span.args, &mut out);
-                            out.push('}');
-                            out.push_str(",\n");
-                            let _ = write!(
-                                out,
-                                "{{\"ph\":\"e\",\"pid\":0,\"tid\":{tid},\"ts\":{},\
-                                 \"id\":{id},\"cat\":\"hipe\"",
-                                span.end_cycle
-                            );
-                            push_name(&span.name, &mut out);
-                            out.push('}');
+                            let id = Value::from(async_id.expect("async spans carry an id"));
+                            let (b_id, args) =
+                                (Some(("id", id.clone())), Some(args_value(&span.args)));
+                            events.push(timed("b", tid, begin, b_id, name, args));
+                            events.push(timed("e", tid, end, Some(("id", id)), name, None));
                         }
                     }
                 }
@@ -148,15 +98,8 @@ impl Tracer {
                     at_cycle,
                     args,
                 } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"i\",\"pid\":0,\"tid\":{},\"ts\":{at_cycle},\
-                         \"s\":\"t\",\"cat\":\"hipe\"",
-                        track.index()
-                    );
-                    push_name(name, &mut out);
-                    push_args(args, &mut out);
-                    out.push('}');
+                    let (scope, args) = (Some(("s", "t".into())), Some(args_value(args)));
+                    events.push(timed("i", track.index(), *at_cycle, scope, name, args));
                 }
                 TraceEvent::Counter {
                     track,
@@ -164,24 +107,22 @@ impl Tracer {
                     at_cycle,
                     value,
                 } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"C\",\"pid\":0,\"tid\":{},\"ts\":{at_cycle},\"cat\":\"hipe\"",
-                        track.index()
-                    );
-                    push_name(name, &mut out);
-                    let _ = write!(out, ",\"args\":{{\"value\":{value}}}");
-                    out.push('}');
+                    let sample = Some(Value::object([("value", (*value).into())]));
+                    events.push(timed("C", track.index(), *at_cycle, None, name, sample));
                 }
             }
         }
-        out.push_str("\n]\n}\n");
-        out
+        json::write(&Value::object([
+            ("displayTimeUnit", "ms".into()),
+            ("otherData", other_data),
+            ("traceEvents", Value::Array(events)),
+        ]))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::json::{self, Value};
     use crate::{TraceSink, Tracer, TrackKind};
 
     fn sample() -> Tracer {
@@ -195,35 +136,45 @@ mod tests {
         t
     }
 
+    fn no_other_data() -> Value {
+        Value::object::<&str>([])
+    }
+
     #[test]
     fn renders_object_form_with_metadata_rows() {
-        let json = sample().to_chrome_json(&[("queries", "1".to_string())]);
-        assert!(json.starts_with('{'));
-        assert!(json.trim_end().ends_with('}'));
-        assert!(json.contains("\"traceEvents\": ["));
-        assert!(json.contains("\"otherData\": {"));
-        assert!(json.contains("\"queries\": 1"));
-        assert!(json.contains("\"name\":\"front-end\""));
-        assert!(json.contains("\"name\":\"queries\""));
+        let json = sample().to_chrome_json(Value::object([("queries", 1u64.into())]));
+        let doc = json::parse(&json).expect("the writer emits valid JSON");
+        assert_eq!(doc.get("displayTimeUnit"), Some(&"ms".into()));
+        let other = doc.get("otherData").expect("otherData");
+        assert_eq!(other.get("queries").and_then(Value::as_number), Some(1u64));
+        let Some(Value::Array(events)) = doc.get("traceEvents") else {
+            panic!("no traceEvents array");
+        };
+        let names: Vec<&str> = events
+            .iter()
+            .filter(|e| e.get("name").and_then(Value::as_str) == Some("thread_name"))
+            .filter_map(|e| e.get("args")?.get("name")?.as_str())
+            .collect();
+        assert_eq!(names, ["front-end", "queries"]);
         assert!(json.contains("thread_sort_index"));
     }
 
     #[test]
     fn sync_spans_are_complete_events_and_async_spans_are_pairs() {
-        let json = sample().to_chrome_json(&[]);
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"dur\":20"));
-        let begins = json.matches("\"ph\":\"b\"").count();
-        let ends = json.matches("\"ph\":\"e\"").count();
+        let json = sample().to_chrome_json(no_other_data());
+        assert!(json.contains("\"ph\": \"X\""));
+        assert!(json.contains("\"dur\": 20"));
+        let begins = json.matches("\"ph\": \"b\"").count();
+        let ends = json.matches("\"ph\": \"e\"").count();
         assert_eq!(begins, 1);
         assert_eq!(ends, 1);
-        assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("\"ph\":\"C\""));
+        assert!(json.contains("\"ph\": \"i\""));
+        assert!(json.contains("\"ph\": \"C\""));
     }
 
     #[test]
     fn one_event_per_line() {
-        let json = sample().to_chrome_json(&[]);
+        let json = sample().to_chrome_json(no_other_data());
         let event_lines = json
             .lines()
             .filter(|l| l.trim_start().starts_with("{\"ph\""))
@@ -238,9 +189,10 @@ mod tests {
         let mut t = Tracer::new();
         let s = t.track("a\"b\\c\n", TrackKind::Sync);
         t.span_on(s, "x\ty", 0, 1, vec![("label", "p\"q".into())]);
-        let json = t.to_chrome_json(&[]);
+        let json = t.to_chrome_json(no_other_data());
         assert!(json.contains("a\\\"b\\\\c\\n"));
         assert!(json.contains("x\\ty"));
         assert!(json.contains("p\\\"q"));
+        assert!(json::parse(&json).is_ok());
     }
 }

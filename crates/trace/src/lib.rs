@@ -13,7 +13,9 @@
 //! * a [`Metrics`] registry of named counters / gauges / histograms
 //!   with snapshot, diff and JSON export, so component stats
 //!   (vault activity, cache hits, engine squashes) surface through one
-//!   uniform namespace instead of ad-hoc struct plumbing.
+//!   uniform namespace instead of ad-hoc struct plumbing;
+//! * the workspace's one JSON reader and writer ([`json`]), which every
+//!   committed artifact is written and checked through.
 //!
 //! The tracing seam is an `Option<&mut dyn TraceSink>`: callers that
 //! pass `None` take one branch and otherwise run the exact code path
@@ -23,8 +25,10 @@
 //! cycle-identical to trace-off runs.
 
 mod chrome;
+pub mod json;
 mod metrics;
 
+pub use json::Value;
 pub use metrics::{Hist, Metric, Metrics};
 
 use hipe_sim::Cycle;
@@ -62,56 +66,10 @@ pub struct Track {
     pub kind: TrackKind,
 }
 
-/// One argument value attached to an event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArgValue {
-    /// Unsigned integer (cycle counts, byte counts, indices).
-    U64(u64),
-    /// Signed integer (gauge-like values).
-    I64(i64),
-    /// Free-form label.
-    Str(String),
-}
-
-impl From<u64> for ArgValue {
-    fn from(v: u64) -> Self {
-        ArgValue::U64(v)
-    }
-}
-
-impl From<usize> for ArgValue {
-    fn from(v: usize) -> Self {
-        ArgValue::U64(v as u64)
-    }
-}
-
-impl From<u32> for ArgValue {
-    fn from(v: u32) -> Self {
-        ArgValue::U64(u64::from(v))
-    }
-}
-
-impl From<i64> for ArgValue {
-    fn from(v: i64) -> Self {
-        ArgValue::I64(v)
-    }
-}
-
-impl From<&str> for ArgValue {
-    fn from(v: &str) -> Self {
-        ArgValue::Str(v.to_string())
-    }
-}
-
-impl From<String> for ArgValue {
-    fn from(v: String) -> Self {
-        ArgValue::Str(v)
-    }
-}
-
 /// Event argument list: small, ordered, rendered verbatim into the
-/// exported JSON `args` object.
-pub type Args = Vec<(&'static str, ArgValue)>;
+/// exported JSON `args` object. Values are JSON scalars, built with
+/// `.into()` from integers and strings.
+pub type Args = Vec<(&'static str, Value)>;
 
 /// A closed interval of simulated time on one track.
 #[derive(Debug, Clone)]

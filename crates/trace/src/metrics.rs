@@ -5,11 +5,12 @@
 //! histograms. Component models keep their cheap `*Stats` structs on
 //! the hot path; after a run, `export_metrics` adapters project those
 //! structs into one registry namespace, where they can be snapshotted,
-//! diffed across runs, and rendered as JSON.
+//! diffed across runs, and converted to a JSON [`Value`].
 //!
 //! Names are kept in a `BTreeMap`, so iteration order — and therefore
 //! the JSON export — is deterministic.
 
+use crate::json::Value;
 use std::collections::BTreeMap;
 
 /// A power-of-two histogram of `u64` samples: bucket `i` counts values
@@ -265,39 +266,26 @@ impl Metrics {
         }
         out
     }
+}
 
-    /// Renders the registry as a JSON object, one key per metric in
-    /// name order. Counters and gauges render as bare integers;
-    /// histograms as `{"count":..,"sum":..,"min":..,"max":..}`.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{");
-        for (i, (name, metric)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n  \"{name}\": ");
-            match metric {
-                Metric::Counter(v) => {
-                    let _ = write!(out, "{v}");
-                }
-                Metric::Gauge(v) => {
-                    let _ = write!(out, "{v}");
-                }
-                Metric::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
-                        h.count(),
-                        h.sum(),
-                        h.min(),
-                        h.max()
-                    );
-                }
-            }
-        }
-        out.push_str("\n}");
-        out
+impl From<&Metrics> for Value {
+    /// The registry as a JSON object, one key per metric in name order.
+    /// Counters and gauges become integers; histograms become
+    /// `{"count", "sum", "min", "max"}` objects.
+    fn from(metrics: &Metrics) -> Self {
+        Value::object(metrics.iter().map(|(name, metric)| {
+            let value = match metric {
+                Metric::Counter(v) => (*v).into(),
+                Metric::Gauge(v) => (*v).into(),
+                Metric::Histogram(h) => Value::object([
+                    ("count", h.count().into()),
+                    ("sum", h.sum().into()),
+                    ("min", h.min().into()),
+                    ("max", h.max().into()),
+                ]),
+            };
+            (name, value)
+        }))
     }
 }
 
@@ -382,7 +370,7 @@ mod tests {
         m.counter_add("a.first", 1);
         m.gauge_set("c.third", -3);
         m.observe("d.hist", 5);
-        let json = m.to_json();
+        let json = crate::json::write(&Value::from(&m));
         let a = json.find("a.first").unwrap();
         let b = json.find("b.second").unwrap();
         let c = json.find("c.third").unwrap();
@@ -390,6 +378,6 @@ mod tests {
         assert!(json.contains("\"a.first\": 1"));
         assert!(json.contains("\"c.third\": -3"));
         assert!(json.contains("\"count\": 1, \"sum\": 5, \"min\": 5, \"max\": 5"));
-        assert_eq!(json, m.snapshot().to_json());
+        assert_eq!(json, crate::json::write(&Value::from(&m.snapshot())));
     }
 }
