@@ -6,9 +6,7 @@
 //! on the x86 baseline, the stock HMC atomic ISA, HIVE and HIPE —
 //! all against **one** warm `hipe::Session` (a single table
 //! materialization) — and the table reports simulated cycles, HIPE's
-//! speedup and DRAM/link energy ratios, plus the simulator's own wall
-//! time per point (the quantity the `components` benchmarks bound from
-//! below).
+//! speedup and DRAM/link energy ratios.
 //!
 //! A second sweep (`par_1` / `par_2` / `par_4` / `par_8`) runs Q6 on
 //! HIVE and HIPE with that many vault-group engines, showing the
@@ -39,31 +37,24 @@
 //! exceed the unpruned baseline and the ≤ 3 % rows to cut scan and
 //! dispatch completion by at least 1.5x.
 //!
-//! A fifth row (`host_par`) measures the *simulator itself*: the same
-//! four-arch batch and the same 4-shard cluster scatter run once on a
-//! 1-worker pool and once on a 4-worker pool, recording host
-//! wall-clock for both plus an FNV digest of every result — the
-//! digests must match exactly (parallel co-simulation is bit-identical
-//! to serial), and `check_figures` fails if the 4-worker runs are
-//! slower than the serial ones.
-//!
-//! A final trio of rows (`perf_materialize` / `perf_generate` /
-//! `perf_engine`) records the data-plane rates of the zero-copy hot
-//! paths — in-place image materialization bytes/s, table generation
-//! rows/s and engine simulated-instructions/s — over a capped table
-//! (see `hipe_bench::perf`), so the host-side throughput trajectory
-//! is recorded and checked, not anecdotal.
+//! A final row (`host_par`) runs the same four-arch batch and the same
+//! 4-shard cluster scatter once on a 1-worker pool and once on a
+//! 4-worker pool and records an FNV digest of each leg's results —
+//! the digests must match exactly (parallel co-simulation is
+//! bit-identical to serial). The legs' host wall-clock is printed, not
+//! recorded: after the file is written, the run fails if a 4-worker
+//! leg was slower than its serial leg on a host with two or more CPUs
+//! (`hipe_bench::host_par_not_slower`).
 //!
 //! Besides the human-readable table, all sweeps are written to
-//! `BENCH_figures.json` (override the path with `HIPE_BENCH_JSON`) so
-//! the performance trajectory of the simulator is machine-checkable
-//! across PRs (`check_figures` validates the schema, including that
-//! `par_*` cycles fall monotonically with the engine count, `serve_*`
-//! throughput rises monotonically with the shard and replica count,
-//! and the `serve_fail` digests match their clean counterparts).
-//! Every row records its host wall-clock as `host_ms` — simulated
-//! cycles measure the modeled machines, `host_ms` measures the
-//! simulator.
+//! `BENCH_figures.json` (override the path with `HIPE_BENCH_JSON`),
+//! which `check_figures` validates (`par_*` cycles fall monotonically
+//! with the engine count, `serve_*` throughput rises monotonically with
+//! the shard and replica count, the `serve_fail` digests match their
+//! clean counterparts, and so on). The file holds simulated results
+//! only, so it is a pure function of the row count and the seed: CI
+//! regenerates it serially and at 4 workers and `cmp`s both runs
+//! against the committed copy.
 //!
 //! Run with `cargo bench -p hipe-bench --bench figures`; scale the
 //! table with `HIPE_BENCH_ROWS` or `HIPE_BENCH_SF`, and fan the
@@ -74,6 +65,7 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use hipe::{Arch, RunReport, System, SystemConfig, TableShape};
+use hipe_db::scan::ScanResult;
 use hipe_db::Query;
 use hipe_serve::{run_service, Cluster, ClusterConfig, FaultPlan, ServiceConfig, ServiceReport};
 use hipe_sim::WorkerPool;
@@ -100,7 +92,7 @@ fn main() {
     let sys = System::new(rows, SEED);
     println!("# four-machine select scan sweep, {rows} rows, one warm session per worker");
     println!(
-        "{:<12} {:>6} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>12}",
+        "{:<12} {:>6} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8}",
         "query",
         "sel%",
         "x86_cyc",
@@ -109,8 +101,7 @@ fn main() {
         "hipe_cyc",
         "speedup",
         "dramE",
-        "linkE",
-        "host_ms"
+        "linkE"
     );
 
     // Quantity is uniform in 1..=50, so achievable selectivities move
@@ -141,31 +132,29 @@ fn main() {
     // (sessions are `Send`, the `System` is `Sync`); points fan out
     // over the pool and gather in point order, so the table and JSON
     // are identical at every worker width.
-    let sweep_results: Vec<(String, Query, Vec<RunReport>, f64)> = pool.run_with(
+    let sweep_results: Vec<(String, Query, Vec<RunReport>)> = pool.run_with(
         points,
         || sys.session(),
         |session, _, (name, query)| {
-            let start = Instant::now();
             let reports: Vec<RunReport> = Arch::ALL
                 .iter()
                 .map(|&arch| session.run(arch, &query))
                 .collect();
-            let wall = start.elapsed();
             for r in &reports {
                 assert_eq!(
                     r.result.bitmask, reports[0].result.bitmask,
                     "architectures diverged on {name}"
                 );
             }
-            (name, query, reports, wall.as_secs_f64() * 1e3)
+            (name, query, reports)
         },
     );
-    for (name, query, reports, wall_ms) in &sweep_results {
+    for (name, query, reports) in &sweep_results {
         let [base, hmc, hive, hipe] = &reports[..] else {
             unreachable!("one report per architecture");
         };
         println!(
-            "{:<12} {:>6.2} {:>12} {:>12} {:>12} {:>12} {:>7.2}x {:>8.2} {:>8.2} {:>12.1}",
+            "{:<12} {:>6.2} {:>12} {:>12} {:>12} {:>12} {:>7.2}x {:>8.2} {:>8.2}",
             name,
             100.0 * hipe.selectivity(),
             base.cycles,
@@ -175,9 +164,8 @@ fn main() {
             hipe.speedup_over(base),
             hipe.energy.dram_pj() / base.energy.dram_pj(),
             hipe.energy.link_pj() / base.energy.link_pj(),
-            wall_ms,
         );
-        json_points.push(json_point(name, query, reports, *wall_ms));
+        json_points.push(json_point(name, query, reports));
     }
     // One materialization per worker that actually ran a point — and
     // exactly one on the historical serial path.
@@ -200,24 +188,22 @@ fn main() {
     // One independent system per engine count: the four points fan out
     // over the pool (each worker builds, materializes and runs its own
     // cube) and gather in engine-count order.
-    let par_results: Vec<(usize, Vec<RunReport>, f64)> = pool.run(vec![1usize, 2, 4, 8], |_, n| {
+    let par_results: Vec<(usize, Vec<RunReport>)> = pool.run(vec![1usize, 2, 4, 8], |_, n| {
         let psys = System::partitioned(rows, SEED, n);
-        let start = Instant::now();
         let mut psession = psys.session();
         let reports: Vec<RunReport> = [Arch::Hive, Arch::Hipe]
             .iter()
             .map(|&arch| psession.run(arch, &q6))
             .collect();
-        let wall = start.elapsed();
         assert_eq!(
             reports[0].result.bitmask, reports[1].result.bitmask,
             "logic machines diverged at {n} partitions"
         );
         assert_eq!(psys.materializations(), 1);
-        (n, reports, wall.as_secs_f64() * 1e3)
+        (n, reports)
     });
     let hipe_scan_1 = par_results[0].1[1].phases.scan;
-    for (n, reports, wall_ms) in &par_results {
+    for (n, reports) in &par_results {
         let [hive, hipe] = &reports[..] else {
             unreachable!("one report per logic machine");
         };
@@ -231,7 +217,7 @@ fn main() {
             hipe.cycles,
             hipe_scan_1 as f64 / hipe.phases.scan.max(1) as f64,
         );
-        json_points.push(json_point(&name, &q6, reports, *wall_ms));
+        json_points.push(json_point(&name, &q6, reports));
     }
 
     // Service sweep: the same saturating closed-loop load against 1,
@@ -242,8 +228,8 @@ fn main() {
          {SERVE_CLIENTS} clients)"
     );
     println!(
-        "{:<12} {:>8} {:>14} {:>10} {:>10} {:>10} {:>12}",
-        "point", "shards", "q_per_Gcyc", "p50", "p95", "p99", "host_ms"
+        "{:<12} {:>8} {:>14} {:>10} {:>10} {:>10}",
+        "point", "shards", "q_per_Gcyc", "p50", "p95", "p99"
     );
     let mix = vec![
         (Query::q6(), 1),
@@ -253,30 +239,22 @@ fn main() {
     for n in [1usize, 2, 4] {
         let cluster = Cluster::new(rows, SEED, n);
         let cfg = ServiceConfig::closed(Arch::Hipe, SERVE_QUERIES, mix.clone(), SERVE_CLIENTS);
-        let start = Instant::now();
         let report = run_service(&cluster, &cfg);
-        let wall = start.elapsed();
         assert_eq!(report.queries, SERVE_QUERIES as u64);
         // Throughput monotonicity is check_figures' invariant — a dip
         // must surface as its structured CI failure over the written
         // JSON, not as a mid-sweep panic that leaves stale figures.
         let name = format!("serve_{n}");
         println!(
-            "{:<12} {:>8} {:>14} {:>10} {:>10} {:>10} {:>12.1}",
+            "{:<12} {:>8} {:>14} {:>10} {:>10} {:>10}",
             name,
             n,
             report.queries_per_gigacycle(),
             report.latency.p50,
             report.latency.p95,
             report.latency.p99,
-            wall.as_secs_f64() * 1e3,
         );
-        json_points.push(serve_json_point(
-            &name,
-            &report,
-            Vec::new(),
-            wall.as_secs_f64() * 1e3,
-        ));
+        json_points.push(serve_json_point(&name, &report, Vec::new()));
     }
 
     // Replication point: the same load against 4 shards x 2 replicas.
@@ -285,26 +263,18 @@ fn main() {
     // throughput to reach at least 1.7x of serve_4's.
     let cluster = Cluster::replicated(rows, SEED, 4, 2);
     let cfg = ServiceConfig::closed(Arch::Hipe, SERVE_QUERIES, mix.clone(), SERVE_CLIENTS);
-    let start = Instant::now();
     let replicated = run_service(&cluster, &cfg);
-    let wall = start.elapsed();
     assert_eq!(replicated.queries, SERVE_QUERIES as u64);
     println!(
-        "{:<12} {:>8} {:>14} {:>10} {:>10} {:>10} {:>12.1}",
+        "{:<12} {:>8} {:>14} {:>10} {:>10} {:>10}",
         "serve_4x2",
         "4x2",
         replicated.queries_per_gigacycle(),
         replicated.latency.p50,
         replicated.latency.p95,
         replicated.latency.p99,
-        wall.as_secs_f64() * 1e3,
     );
-    json_points.push(serve_json_point(
-        "serve_4x2",
-        &replicated,
-        Vec::new(),
-        wall.as_secs_f64() * 1e3,
-    ));
+    json_points.push(serve_json_point("serve_4x2", &replicated, Vec::new()));
 
     // Failover point: the replicated cluster again, with replica 0 of
     // shard 1 killed fail-stop at half the clean makespan. Sub-queries
@@ -312,7 +282,6 @@ fn main() {
     // the service answer must come out bit-identical on every
     // architecture — the per-arch digest pairs below are what
     // check_figures compares.
-    let start = Instant::now();
     let mut digests = Vec::new();
     let mut hipe_failed = None;
     for arch in Arch::ALL {
@@ -341,25 +310,18 @@ fn main() {
         }
     }
     let failed = hipe_failed.expect("HIPE is in Arch::ALL");
-    let wall = start.elapsed();
     println!(
-        "{:<12} {:>8} {:>14} {:>10} {:>10} {:>10} {:>12.1}  ({} failover, {} redispatched)",
+        "{:<12} {:>8} {:>14} {:>10} {:>10} {:>10}  ({} failover, {} redispatched)",
         "serve_fail",
         "4x2",
         failed.queries_per_gigacycle(),
         failed.latency.p50,
         failed.latency.p95,
         failed.latency.p99,
-        wall.as_secs_f64() * 1e3,
         failed.failovers,
         failed.redispatched,
     );
-    json_points.push(serve_json_point(
-        "serve_fail",
-        &failed,
-        digests,
-        wall.as_secs_f64() * 1e3,
-    ));
+    json_points.push(serve_json_point("serve_fail", &failed, digests));
 
     // Zone-map skip sweep: the same shipdate window runs pruned and
     // unpruned against one shipdate-clustered table per mode, on all
@@ -369,8 +331,8 @@ fn main() {
     // written JSON.
     println!("# zone-map skip sweep (clustered shipdate, pruned vs unpruned)");
     println!(
-        "{:<12} {:>6} {:>12} {:>12} {:>8} {:>10} {:>10} {:>12}",
-        "point", "sel%", "hipe_cyc", "base_cyc", "scan_x", "scanned", "pruned", "host_ms"
+        "{:<12} {:>6} {:>12} {:>12} {:>8} {:>10} {:>10}",
+        "point", "sel%", "hipe_cyc", "base_cyc", "scan_x", "scanned", "pruned"
     );
     let clustered = |pruning: bool| {
         let mut cfg = SystemConfig::paper(rows, SEED);
@@ -385,7 +347,6 @@ fn main() {
     for pm in [10, 30, 100] {
         let name = format!("skip_{:.0}%", pm as f64 / 10.0);
         let query = Query::shipdate_window_permille(pm);
-        let start = Instant::now();
         let pruned_reports: Vec<RunReport> = Arch::ALL
             .iter()
             .map(|&arch| pruned_session.run(arch, &query))
@@ -394,7 +355,6 @@ fn main() {
             .iter()
             .map(|&arch| full_session.run(arch, &query))
             .collect();
-        let wall = start.elapsed();
         for (p, u) in pruned_reports.iter().zip(&full_reports) {
             assert_eq!(
                 p.result, u.result,
@@ -404,7 +364,7 @@ fn main() {
         }
         let (hipe, base) = (&pruned_reports[3], &full_reports[3]);
         println!(
-            "{:<12} {:>6.2} {:>12} {:>12} {:>7.2}x {:>10} {:>10} {:>12.1}",
+            "{:<12} {:>6.2} {:>12} {:>12} {:>7.2}x {:>10} {:>10}",
             name,
             100.0 * hipe.selectivity(),
             hipe.cycles,
@@ -412,14 +372,12 @@ fn main() {
             base.phases.scan as f64 / hipe.phases.scan.max(1) as f64,
             hipe.regions_scanned,
             hipe.regions_pruned,
-            wall.as_secs_f64() * 1e3,
         );
         json_points.push(skip_json_point(
             &name,
             &query,
             &pruned_reports,
             &full_reports,
-            wall.as_secs_f64() * 1e3,
         ));
     }
     assert_eq!(
@@ -439,22 +397,19 @@ fn main() {
         ..ClusterConfig::new(rows, SEED, 4)
     });
     let query = Query::shipdate_window_permille(30);
-    let start = Instant::now();
     let skip_report = skipping_cluster.run(Arch::Hipe, &query);
     let full_report = full_cluster.run(Arch::Hipe, &query);
-    let wall = start.elapsed();
     assert_eq!(
         skip_report.result, full_report.result,
         "shard skipping changed the cluster answer"
     );
     println!(
-        "{:<12} {:>8} {:>12} {:>12} {:>10} {:>12.1}",
+        "{:<12} {:>8} {:>12} {:>12} {:>10}",
         "serve_skip",
         4,
         skip_report.cycles,
         full_report.cycles,
         skip_report.shards_skipped(),
-        wall.as_secs_f64() * 1e3,
     );
     json_points.push(Value::object([
         ("name", "serve_skip".into()),
@@ -462,14 +417,13 @@ fn main() {
         ("shards_skipped", skip_report.shards_skipped().into()),
         ("cycles", skip_report.cycles.into()),
         ("base_cycles", full_report.cycles.into()),
-        ("host_ms", Value::fixed(wall.as_secs_f64() * 1e3, 3)),
     ]));
 
-    // Host-parallel speedup row: the same four-arch batch and the same
-    // 4-shard scatter, once on a 1-worker pool and once on a 4-worker
-    // pool. Simulated results must be bit-identical (the digests pin
-    // it, here and in check_figures); only host wall-clock may differ
-    // — and at 4 workers it must not be worse than serial.
+    // Host-parallel row: the same four-arch batch and the same 4-shard
+    // scatter, once on a 1-worker pool and once on a 4-worker pool.
+    // Simulated results must be bit-identical (the digests pin it, here
+    // and in check_figures); only host wall-clock may differ, and it is
+    // printed here but never written to the file.
     println!("# host-parallel co-simulation ({HOST_PAR_WORKERS} workers vs serial)");
     println!(
         "{:<12} {:>14} {:>16} {:>16} {:>18} {:>10}",
@@ -489,7 +443,8 @@ fn main() {
             |session, _, (arch, query)| session.run(arch, query),
         );
         let wall = start.elapsed();
-        (digest_runs(&reports), wall.as_secs_f64() * 1e3)
+        let digest = digest_runs(reports.iter().map(|r| (r.cycles, &r.result)));
+        (digest, wall.as_secs_f64() * 1e3)
     };
     let scatter_leg = |workers: usize| -> (u64, f64) {
         let cluster = Cluster::with_config(ClusterConfig {
@@ -503,15 +458,7 @@ fn main() {
             .map(|&arch| csession.run(arch, &q6))
             .collect();
         let wall = start.elapsed();
-        let mut digest = 0xcbf29ce484222325;
-        for r in &reports {
-            digest = fnv_mix(digest, r.cycles);
-            digest = fnv_mix(digest, r.result.matches as u64);
-            digest = fnv_mix(digest, r.result.aggregate.unwrap_or(0) as u64);
-            for &word in r.result.bitmask.words() {
-                digest = fnv_mix(digest, word);
-            }
-        }
+        let digest = digest_runs(reports.iter().map(|r| (r.cycles, &r.result)));
         (digest, wall.as_secs_f64() * 1e3)
     };
     let (sweep_ser_digest, sweep_ser_ms) = sweep_leg(1);
@@ -535,60 +482,18 @@ fn main() {
         scatter_par_ms,
         (sweep_ser_ms + scatter_ser_ms) / (sweep_par_ms + scatter_par_ms).max(1e-9),
     );
-    // Record the host's parallelism next to the timings: on a
-    // single-core runner the 4-worker leg cannot win wall-clock, so
-    // check_figures only enforces the speedup when host_cpus >= 2
-    // (digest equality is enforced unconditionally).
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let digest_serial = sweep_ser_digest ^ scatter_ser_digest;
-    let digest_parallel = sweep_par_digest ^ scatter_par_digest;
-    let host_ms = sweep_ser_ms + sweep_par_ms + scatter_ser_ms + scatter_par_ms;
     json_points.push(Value::object([
         ("name", "host_par".into()),
         ("workers", HOST_PAR_WORKERS.into()),
-        ("host_cpus", host_cpus.into()),
-        ("sweep_serial_ms", Value::fixed(sweep_ser_ms, 3)),
-        ("sweep_parallel_ms", Value::fixed(sweep_par_ms, 3)),
-        ("scatter_serial_ms", Value::fixed(scatter_ser_ms, 3)),
-        ("scatter_parallel_ms", Value::fixed(scatter_par_ms, 3)),
-        ("digest_serial", digest_serial.into()),
-        ("digest_parallel", digest_parallel.into()),
-        ("host_ms", Value::fixed(host_ms, 3)),
+        (
+            "digest_serial",
+            (sweep_ser_digest ^ scatter_ser_digest).into(),
+        ),
+        (
+            "digest_parallel",
+            (sweep_par_digest ^ scatter_par_digest).into(),
+        ),
     ]));
-
-    // Data-plane rate rows: the zero-copy hot paths' host throughput
-    // (materialization bytes/s, generation rows/s, engine simulated
-    // instr/s), measured over a capped table so these rows cost a
-    // fixed slice of the sweep however large HIPE_BENCH_SF makes it.
-    // check_figures requires all three rows, each with nonzero work
-    // and rate and the usual host_ms.
-    println!(
-        "# data-plane rates (rows capped at {})",
-        hipe_bench::perf::PERF_ROWS_CAP
-    );
-    println!(
-        "{:<20} {:>8} {:>14} {:>16} {:>12} {:>12}",
-        "point", "unit", "work/iter", "rate_per_s", "headline", "host_ms"
-    );
-    for r in hipe_bench::perf::measure(rows, SEED, hipe_bench::target_duration(), &pool) {
-        println!(
-            "{:<20} {:>8} {:>14} {:>16} {:>9.3} {:<3} {:>10.1}",
-            r.name,
-            r.unit,
-            r.work,
-            r.rate_per_s,
-            r.headline(),
-            r.headline_unit(),
-            r.host_ms,
-        );
-        json_points.push(Value::object([
-            ("name", r.name.into()),
-            ("unit", r.unit.into()),
-            ("work", r.work.into()),
-            ("rate_per_s", r.rate_per_s.into()),
-            ("host_ms", Value::fixed(r.host_ms, 3)),
-        ]));
-    }
 
     // Default next to the workspace root regardless of the bench CWD.
     let path = std::env::var("HIPE_BENCH_JSON").unwrap_or_else(|_| {
@@ -599,7 +504,6 @@ fn main() {
         ("bench", "figures".into()),
         ("rows", rows.into()),
         ("seed", SEED.into()),
-        ("workers", hipe_bench::bench_workers().into()),
         ("archs", Value::Array(archs)),
         ("points", Value::Array(json_points)),
     ]);
@@ -609,6 +513,19 @@ fn main() {
         panic!("could not write {path}: {e}");
     }
     println!("# wrote {path}");
+
+    // host_par's wall-clock rule runs only once the file is written, so
+    // a slow leg fails the run without blocking a regeneration. A
+    // single-CPU host cannot show a parallel win, so it is waived there.
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let legs = [
+        ("sweep", sweep_ser_ms, sweep_par_ms),
+        ("scatter", scatter_ser_ms, scatter_par_ms),
+    ];
+    if let Err(e) = hipe_bench::host_par_not_slower(HOST_PAR_WORKERS, host_cpus, &legs) {
+        eprintln!("figures: FAIL: {e} ({host_cpus} host CPUs)");
+        std::process::exit(1);
+    }
 }
 
 /// One FNV-1a step over a 64-bit word.
@@ -621,37 +538,35 @@ fn fnv_mix(hash: u64, word: u64) -> u64 {
     h
 }
 
-/// FNV-1a digest over a batch of run reports: simulated cycles plus
-/// the full functional result (mask words, match count, aggregate).
-/// Equal digests mean the batches are bit-identical in everything the
-/// figures record.
-fn digest_runs(reports: &[RunReport]) -> u64 {
+/// FNV-1a digest over a batch of `(cycles, result)` runs: simulated
+/// cycles plus the full functional result (match count, aggregate,
+/// mask words). Equal digests mean the batches are bit-identical in
+/// everything the figures record.
+fn digest_runs<'a>(runs: impl Iterator<Item = (u64, &'a ScanResult)>) -> u64 {
     let mut h = 0xcbf29ce484222325;
-    for r in reports {
-        h = fnv_mix(h, r.cycles);
-        h = fnv_mix(h, r.result.matches as u64);
-        h = fnv_mix(h, r.result.aggregate.unwrap_or(0) as u64);
-        for &word in r.result.bitmask.words() {
+    for (cycles, result) in runs {
+        h = fnv_mix(h, cycles);
+        h = fnv_mix(h, result.matches as u64);
+        h = fnv_mix(h, result.aggregate.unwrap_or(0) as u64);
+        for &word in result.bitmask.words() {
             h = fnv_mix(h, word);
         }
     }
     h
 }
 
-/// One per-arch sweep point: the query, its selectivity, the host
-/// wall-clock and one object per architecture.
+/// One per-arch sweep point: the query, its selectivity and one object
+/// per architecture.
 fn point(
     name: &str,
     query: &Query,
     selectivity: f64,
-    wall_ms: f64,
     archs: impl Iterator<Item = (String, Value)>,
 ) -> Value {
     Value::object([
         ("name", name.into()),
         ("query", query.to_string().into()),
         ("selectivity", Value::fixed(selectivity, 6)),
-        ("host_ms", Value::fixed(wall_ms, 3)),
         ("archs", Value::object(archs)),
     ])
 }
@@ -659,7 +574,7 @@ fn point(
 /// One sweep point. Phase keys are self-describing: `*_end` values are
 /// absolute completion cycles, `*_cycles` are durations, and
 /// cycles == scan_end + gather_cycles.
-fn json_point(name: &str, query: &Query, reports: &[RunReport], wall_ms: f64) -> Value {
+fn json_point(name: &str, query: &Query, reports: &[RunReport]) -> Value {
     let archs = reports.iter().map(|r| {
         let row = Value::object([
             ("cycles", r.cycles.into()),
@@ -673,20 +588,14 @@ fn json_point(name: &str, query: &Query, reports: &[RunReport], wall_ms: f64) ->
         ]);
         (r.arch.to_string(), row)
     });
-    point(name, query, reports[0].selectivity(), wall_ms, archs)
+    point(name, query, reports[0].selectivity(), archs)
 }
 
 /// One zone-map skip point: per-arch objects carrying the pruned run's
 /// cycles, phase ends and region counters alongside the unpruned
 /// baseline's as `base_*` fields, so `check_figures` can compare the
 /// two runs of the same query without a second row.
-fn skip_json_point(
-    name: &str,
-    query: &Query,
-    pruned: &[RunReport],
-    full: &[RunReport],
-    wall_ms: f64,
-) -> Value {
+fn skip_json_point(name: &str, query: &Query, pruned: &[RunReport], full: &[RunReport]) -> Value {
     let archs = pruned.iter().zip(full).map(|(p, u)| {
         let row = Value::object([
             ("cycles", p.cycles.into()),
@@ -701,19 +610,14 @@ fn skip_json_point(
         ]);
         (p.arch.to_string(), row)
     });
-    point(name, query, pruned[0].selectivity(), wall_ms, archs)
+    point(name, query, pruned[0].selectivity(), archs)
 }
 
 /// One service-sweep point. No per-arch objects here — the row
 /// describes the service (throughput + latency percentiles + the
 /// failover counters). `extra` members (the `serve_fail` answer
-/// digests) go just before `host_ms`.
-fn serve_json_point(
-    name: &str,
-    report: &ServiceReport,
-    extra: Vec<(String, Value)>,
-    wall_ms: f64,
-) -> Value {
+/// digests) go last.
+fn serve_json_point(name: &str, report: &ServiceReport, extra: Vec<(String, Value)>) -> Value {
     let mut members: Vec<(String, Value)> = [
         ("name", name.into()),
         ("shards", report.shards.into()),
@@ -733,6 +637,5 @@ fn serve_json_point(
     .map(|(k, v)| (k.to_string(), v))
     .into();
     members.extend(extra);
-    members.push(("host_ms".to_string(), Value::fixed(wall_ms, 3)));
     Value::Object(members)
 }

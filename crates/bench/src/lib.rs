@@ -1,94 +1,69 @@
-//! In-tree micro-benchmark harness.
+//! Shared configuration of the bench targets.
 //!
-//! The build environment is offline, so `criterion` is not available;
-//! this module provides the small subset the workspace needs: adaptive
-//! iteration counts, wall-clock timing around [`std::hint::black_box`],
-//! and one-line reports. The bench targets in `benches/` are wired with
-//! `harness = false` and call [`run`] directly.
+//! The figures bench and its gate agree here on the table size, the
+//! host worker width and the one host-clock rule the figures bench
+//! still enforces ([`host_par_not_slower`]).
 //!
 //! Knobs (environment variables):
 //!
-//! * `HIPE_BENCH_MS` — target measurement time per benchmark in
-//!   milliseconds (default 100);
 //! * `HIPE_BENCH_ROWS` — table size for the figure sweeps (default
-//!   16384, kept small so the targets also double as smoke tests under
-//!   `cargo test`);
+//!   16384, kept small so a regeneration takes about a second);
 //! * `HIPE_BENCH_SF` — table size as a TPC-H scale factor (may be
 //!   fractional; `1` is the paper's 6M-row setup). Takes precedence
 //!   over `HIPE_BENCH_ROWS` when both are set;
 //! * `HIPE_WORKERS` — host worker threads for the parallel sweeps and
 //!   cluster scatter phases (default 1, fully serial).
+//!
+//! A malformed `HIPE_BENCH_ROWS` or `HIPE_BENCH_SF` fails the run
+//! rather than falling back to the default size.
 
 // The bench harness is the terminal boundary of the workspace: the
 // library-wide print lints stop here.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod perf;
-
 use hipe_db::SF1_ROWS;
-use std::hint::black_box;
-use std::time::{Duration, Instant};
 
-/// Outcome of one benchmark.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Benchmark name.
-    pub name: String,
-    /// Iterations of the final measured batch.
-    pub iters: u64,
-    /// Wall time of the final measured batch.
-    pub total: Duration,
-}
+/// Figure-sweep table size when neither knob is set.
+const DEFAULT_ROWS: usize = 16_384;
 
-impl BenchResult {
-    /// Nanoseconds per iteration.
-    pub fn ns_per_iter(&self) -> f64 {
-        self.total.as_nanos() as f64 / self.iters.max(1) as f64
-    }
-}
-
-impl std::fmt::Display for BenchResult {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{:<40} {:>12.1} ns/iter ({} iters)",
-            self.name,
-            self.ns_per_iter(),
-            self.iters
-        )
-    }
-}
-
-/// Target measurement duration (`HIPE_BENCH_MS`, default 100 ms).
-pub fn target_duration() -> Duration {
-    let ms = std::env::var("HIPE_BENCH_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100);
-    Duration::from_millis(ms)
-}
-
-/// Scale factor requested via `HIPE_BENCH_SF`, if any. Fractional
-/// values are allowed (`0.25` is a quarter of SF-1's 6M rows).
-pub fn bench_sf() -> Option<f64> {
-    std::env::var("HIPE_BENCH_SF")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|sf| sf.is_finite() && *sf > 0.0)
-}
-
-/// Table size for the figure sweeps: `HIPE_BENCH_SF` (as a TPC-H scale
-/// factor over the 6 001 215-row SF-1 table) when set, else
-/// `HIPE_BENCH_ROWS` (default 16384), clamped to at least 1 tuple.
+/// Table size for the figure sweeps, from `HIPE_BENCH_SF` and
+/// `HIPE_BENCH_ROWS` (see [`rows_from`]).
+///
+/// # Panics
+///
+/// If either variable is set to a malformed value.
 pub fn bench_rows() -> usize {
-    if let Some(sf) = bench_sf() {
-        return rows_at_sf(sf);
+    let var = |name| std::env::var(name).ok();
+    rows_from(
+        var("HIPE_BENCH_SF").as_deref(),
+        var("HIPE_BENCH_ROWS").as_deref(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Table size from the raw values of `HIPE_BENCH_SF` and
+/// `HIPE_BENCH_ROWS` (`None` when unset): the scale factor over the
+/// 6 001 215-row SF-1 table when given, else the row count (default
+/// 16 384), clamped to at least 1 tuple. A value that is not
+/// a row count or a positive, finite scale factor is an error naming
+/// the variable and the value.
+pub fn rows_from(sf: Option<&str>, rows: Option<&str>) -> Result<usize, String> {
+    let rows = match rows {
+        None => DEFAULT_ROWS,
+        Some(v) => v
+            .trim()
+            .parse()
+            .map_err(|_| format!("HIPE_BENCH_ROWS={v:?} is not a row count"))?,
+    };
+    match sf {
+        None => Ok(rows.max(1)),
+        Some(v) => match v.trim().parse::<f64>() {
+            Ok(sf) if sf.is_finite() && sf > 0.0 => Ok(rows_at_sf(sf)),
+            _ => Err(format!(
+                "HIPE_BENCH_SF={v:?} is not a positive scale factor"
+            )),
+        },
     }
-    std::env::var("HIPE_BENCH_ROWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16_384)
-        .max(1)
 }
 
 /// Rows of a TPC-H lineitem table at scale factor `sf` (≥ 1 tuple).
@@ -114,36 +89,29 @@ pub fn print_header(target: &str) {
     );
 }
 
-/// Runs `f` repeatedly for at least `target`, growing the iteration
-/// count geometrically, and returns the final batch's timing.
-pub fn run_for<R>(name: &str, target: Duration, mut f: impl FnMut() -> R) -> BenchResult {
-    black_box(f()); // warm up caches and lazy state
-    let mut iters: u64 = 1;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let total = start.elapsed();
-        if total >= target || iters >= 1 << 30 {
-            return BenchResult {
-                name: name.to_string(),
-                iters,
-                total,
-            };
-        }
-        // Aim directly for the target with 20 % headroom.
-        let per_iter = (total.as_nanos() as u64 / iters).max(1);
-        let needed = target.as_nanos() as u64 * 6 / 5 / per_iter;
-        iters = needed.max(iters * 2);
+/// The `host_par` wall-clock rule: on a host with at least two CPUs,
+/// no leg may run slower on `workers` threads than serially, compared
+/// in whole milliseconds. `legs` holds `(leg, serial_ms, parallel_ms)`.
+/// A single-CPU host cannot show a parallel win, so the rule is waived
+/// there.
+pub fn host_par_not_slower(
+    workers: usize,
+    host_cpus: usize,
+    legs: &[(&str, f64, f64)],
+) -> Result<(), String> {
+    if host_cpus < 2 {
+        return Ok(());
     }
-}
-
-/// Runs `f` for the configured target duration and prints the result.
-pub fn run<R>(name: &str, f: impl FnMut() -> R) -> BenchResult {
-    let result = run_for(name, target_duration(), f);
-    println!("{result}");
-    result
+    for &(leg, serial, parallel) in legs {
+        let (serial, parallel) = (serial.floor(), parallel.floor());
+        if parallel > serial {
+            return Err(format!(
+                "point host_par: {leg} slower on {workers} workers than serial \
+                 ({serial} ms -> {parallel} ms)"
+            ));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -151,30 +119,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn run_for_reaches_target_and_reports() {
-        let mut calls = 0u64;
-        let result = run_for("spin", Duration::from_millis(2), || {
-            calls += 1;
-            std::hint::black_box(calls)
-        });
-        assert!(result.total >= Duration::from_millis(2));
-        assert!(result.iters >= 1);
-        assert!(calls > result.iters, "warmup call missing");
-        assert!(result.ns_per_iter() > 0.0);
-        assert!(result.to_string().contains("spin"));
-    }
-
-    #[test]
     fn env_defaults() {
         // Not setting the variables yields the documented defaults.
-        if std::env::var("HIPE_BENCH_MS").is_err() {
-            assert_eq!(target_duration(), Duration::from_millis(100));
-        }
+        assert_eq!(rows_from(None, None), Ok(DEFAULT_ROWS));
         if std::env::var("HIPE_BENCH_ROWS").is_err() && std::env::var("HIPE_BENCH_SF").is_err() {
-            assert_eq!(bench_rows(), 16_384);
-        }
-        if std::env::var("HIPE_BENCH_SF").is_err() {
-            assert_eq!(bench_sf(), None);
+            assert_eq!(bench_rows(), DEFAULT_ROWS);
         }
         assert!(bench_workers() >= 1);
     }
@@ -186,5 +135,59 @@ mod tests {
         assert_eq!(rows_at_sf(1e-12), 1, "tiny SF clamps to one tuple");
         // A quarter SF rounds to the nearest tuple.
         assert_eq!(rows_at_sf(0.25), (SF1_ROWS as f64 * 0.25).round() as usize);
+    }
+
+    #[test]
+    fn parses_well_formed_sizes() {
+        assert_eq!(rows_from(None, Some("2048")), Ok(2048));
+        assert_eq!(rows_from(None, Some(" 2048\n")), Ok(2048));
+        assert_eq!(rows_from(None, Some("0")), Ok(1), "clamps to one tuple");
+        assert_eq!(rows_from(Some("1"), None), Ok(SF1_ROWS));
+        assert_eq!(rows_from(Some("0.5"), None), Ok(rows_at_sf(0.5)));
+        // The scale factor takes precedence over a row count.
+        assert_eq!(rows_from(Some("1"), Some("2048")), Ok(SF1_ROWS));
+    }
+
+    #[test]
+    fn rejects_malformed_sizes() {
+        for v in ["1e6", "", "-5", "16k", "2048.0"] {
+            assert_eq!(
+                rows_from(None, Some(v)),
+                Err(format!("HIPE_BENCH_ROWS={v:?} is not a row count"))
+            );
+        }
+        for v in ["0", "-1", "NaN", "inf", "one", ""] {
+            assert_eq!(
+                rows_from(Some(v), None),
+                Err(format!(
+                    "HIPE_BENCH_SF={v:?} is not a positive scale factor"
+                ))
+            );
+        }
+        // A malformed row count fails even when the scale factor wins.
+        assert!(rows_from(Some("1"), Some("1e6")).is_err());
+    }
+
+    #[test]
+    fn rejects_a_parallel_sweep_slower_than_serial() {
+        let legs =
+            |sweep: f64, scatter: f64| [("sweep", 100.21, sweep), ("scatter", 80.3, scatter)];
+        assert_eq!(host_par_not_slower(4, 8, &legs(30.125, 25.4)), Ok(()));
+        let err = host_par_not_slower(4, 8, &legs(101.125, 25.4)).unwrap_err();
+        assert_eq!(
+            err,
+            "point host_par: sweep slower on 4 workers than serial (100 ms -> 101 ms)"
+        );
+        let err = host_par_not_slower(4, 2, &legs(30.125, 81.4)).unwrap_err();
+        assert!(err.contains("scatter slower on 4 workers"), "{err}");
+        // Legs compare in whole milliseconds: 100.21 vs 100.9 is a tie.
+        assert_eq!(host_par_not_slower(4, 8, &legs(100.9, 80.9)), Ok(()));
+    }
+
+    #[test]
+    fn accepts_a_slow_parallel_leg_on_a_single_core_host() {
+        // One CPU: the wall-clock requirement is waived.
+        let legs = [("sweep", 100.21, 101.125), ("scatter", 80.3, 81.4)];
+        assert_eq!(host_par_not_slower(4, 1, &legs), Ok(()));
     }
 }
