@@ -11,7 +11,8 @@
 
 use crate::error::CompileError;
 use crate::logic::REGION_ROWS;
-use hipe_db::{Bitmask, CmpOp, DsmLayout, Query, ZoneMap};
+use crate::template::{HostScanProgram, Pass};
+use hipe_db::{CmpOp, DsmLayout, Query, ZoneMap};
 use hipe_isa::{MicroOp, MicroOpKind, OpSize, VaultOp, LANE_BYTES};
 
 /// Operand size of the *stock* HMC 2.1 atomic instructions: 16 bytes
@@ -44,7 +45,7 @@ fn vault_cmp(cmp: CmpOp) -> VaultOp {
     VaultOp::LoadCmp { lo, hi }
 }
 
-/// Lowers `query` over a DSM `layout` into the dispatch stream of the
+/// Lowers `query` over a DSM `layout` into the dispatch program of the
 /// stock HMC-ISA machine, writing a packed 1-bit-per-row match mask at
 /// the layout's mask area base.
 ///
@@ -55,7 +56,9 @@ fn vault_cmp(cmp: CmpOp) -> VaultOp {
 /// overlaps them up to its load-queue depth); the host-side combine —
 /// lane-mask ANDs across predicates, movemask-style packing, and one
 /// packed 8 B mask-word store per 64 rows — is emitted as dependent ALU
-/// and store micro-ops behind them.
+/// and store micro-ops behind them. The program is a single
+/// [`HostScanProgram`] pass over regions: the region template and the
+/// scanned regions, expanded into the stream only as it executes.
 ///
 /// Use [`STOCK_HMC_OP`] (16 B) for the paper's stock machine; larger
 /// sizes model the paper's operand-size extension sweep.
@@ -65,8 +68,8 @@ fn vault_cmp(cmp: CmpOp) -> VaultOp {
 /// combine, no loop overhead — and a packed mask word is stored only
 /// when at least one of its two regions survives (fully pruned words
 /// keep the reset image's correct zeros). A fully pruned query lowers
-/// to a valid *empty* stream, never an error. The scanned-region set
-/// (one bit per region) is returned next to the stream, as in
+/// to a valid *empty* program, never an error. The program carries
+/// the scanned-region set (one bit per region), as in
 /// [`lower_host_scan`](crate::lower_host_scan).
 ///
 /// # Example
@@ -77,13 +80,16 @@ fn vault_cmp(cmp: CmpOp) -> VaultOp {
 /// use hipe_isa::MicroOpKind;
 ///
 /// let layout = DsmLayout::new(0, 64);
-/// let (ops, _) = lower_hmc_scan(&Query::q6(), &layout, STOCK_HMC_OP, None).expect("64 rows");
-/// let dispatches = ops
-///     .iter()
-///     .filter(|o| matches!(o.kind, MicroOpKind::HmcDispatch { .. }))
-///     .count();
+/// let program = lower_hmc_scan(&Query::q6(), &layout, STOCK_HMC_OP, None).expect("64 rows");
+/// let mut dispatches = 0;
+/// program.for_each_op(|op| {
+///     dispatches += usize::from(matches!(op.kind, MicroOpKind::HmcDispatch { .. }));
+/// });
 /// // 2 regions x 3 predicates x (256 B / 16 B) chunks.
 /// assert_eq!(dispatches, 2 * 3 * 16);
+/// // Per region 2 x 3 x 16 dispatch/combine/pack ops and 2 loop ops,
+/// // plus one mask-word store.
+/// assert_eq!(program.len(), 2 * (2 * 3 * 16 + 2) + 1);
 /// ```
 ///
 /// # Errors
@@ -96,24 +102,71 @@ pub fn lower_hmc_scan(
     layout: &DsmLayout,
     op_size: OpSize,
     prune: Option<&ZoneMap>,
-) -> Result<(Vec<MicroOp>, Bitmask), CompileError> {
+) -> Result<HostScanProgram, CompileError> {
     let scanned = crate::scan_set(query, layout, prune)?;
+    let chunks = (REGION_ROWS as u64 * LANE_BYTES / op_size.bytes()) as usize;
+    let npreds = query.predicates().len();
+    let mut body = Vec::with_capacity(2 * npreds * chunks);
+    // Dispatch phase: every predicate's chunks go out back to back;
+    // responses return out of order and are combined below.
+    for p in query.predicates() {
+        let col = layout.column_base(p.column);
+        let op = vault_cmp(p.cmp);
+        for c in 0..chunks {
+            body.push(MicroOp::new(MicroOpKind::HmcDispatch {
+                addr: col + c as u64 * op_size.bytes(),
+                size: op_size,
+                op,
+                result_bytes: RESULT_FLIT_BYTES,
+            }));
+        }
+    }
+    // Host-side combine: AND the per-predicate lane masks chunk by
+    // chunk, then pack lanes to bits. Modelled as a dependent ALU
+    // chain — each step consumes the previous combine result and one
+    // dispatch response (`chunks * npreds` back reaches the region's
+    // first response in the dynamic stream).
+    for _ in 0..(npreds - 1) * chunks {
+        body.push(MicroOp::new(MicroOpKind::IntAlu).with_deps(1, (chunks * npreds) as u32));
+    }
+    for _ in 0..chunks {
+        // movemask-style packing of one chunk's lanes.
+        body.push(MicroOp::new(MicroOpKind::IntAlu).with_deps(1, 0));
+    }
+    // One packed 8 B mask word covers 64 rows, two regions.
+    let flush = vec![MicroOp::new(MicroOpKind::Store {
+        addr: layout.mask_base(),
+        bytes: 8,
+    })
+    .with_deps(1, 0)];
+    let pass = Pass { body, flush };
+    Ok(HostScanProgram::new(
+        scanned,
+        layout.rows(),
+        REGION_ROWS,
+        vec![pass],
+    ))
+}
+
+/// The materialized stream [`lower_hmc_scan`] expands to: the lowering
+/// as it was before plans became templates, kept as the reference the
+/// template expansion is tested against.
+#[cfg(test)]
+pub(crate) fn reference(
+    query: &Query,
+    layout: &DsmLayout,
+    op_size: OpSize,
+    scanned: &hipe_db::Bitmask,
+) -> Vec<MicroOp> {
     let mask_base = layout.mask_base();
     let region_bytes = REGION_ROWS as u64 * LANE_BYTES;
     let chunks = (region_bytes / op_size.bytes()) as usize;
     let npreds = query.predicates().len();
     let survivors: Vec<usize> = scanned.iter_ones().collect();
-    // Tight upper bound — per region: `npreds * chunks` dispatches,
-    // `(npreds - 1) * chunks` combines, `chunks` packs, at most one
-    // mask store and two loop ops. Plans run to tens of millions of
-    // ops at SF 1; an undersized guess would re-allocate (and copy)
-    // the whole stream mid-lowering.
-    let mut ops = Vec::with_capacity(survivors.len() * (2 * npreds * chunks + 3));
+    let mut ops = Vec::new();
 
     for (j, &region) in survivors.iter().enumerate() {
         let chunk_base = region as u64 * region_bytes;
-        // Dispatch phase: every predicate's chunks go out back to back;
-        // responses return out of order and are combined below.
         for p in query.predicates() {
             let col = layout.column_base(p.column) + chunk_base;
             let op = vault_cmp(p.cmp);
@@ -126,21 +179,12 @@ pub fn lower_hmc_scan(
                 }));
             }
         }
-        // Host-side combine: AND the per-predicate lane masks chunk by
-        // chunk, then pack lanes to bits. Modelled as a dependent ALU
-        // chain — each step consumes the previous combine result and
-        // one dispatch response (`chunks * npreds` back reaches the
-        // region's first response in the dynamic stream).
         for _ in 0..(npreds - 1) * chunks {
             ops.push(MicroOp::new(MicroOpKind::IntAlu).with_deps(1, (chunks * npreds) as u32));
         }
         for _ in 0..chunks {
-            // movemask-style packing of one chunk's lanes.
             ops.push(MicroOp::new(MicroOpKind::IntAlu).with_deps(1, 0));
         }
-        // One packed 8 B word covers 64 rows = two regions; the last
-        // surviving region of a word flushes it (with no pruning:
-        // every odd region and the final, possibly unpaired, one).
         let word = region / 2;
         if survivors.get(j + 1).is_none_or(|&next| next / 2 != word) {
             ops.push(
@@ -151,11 +195,10 @@ pub fn lower_hmc_scan(
                 .with_deps(1, 0),
             );
         }
-        // Loop overhead: index increment + well-predicted branch.
         ops.push(MicroOp::new(MicroOpKind::IntAlu));
         ops.push(MicroOp::new(MicroOpKind::Branch { mispredict: false }).with_deps(1, 0));
     }
-    Ok((ops, scanned))
+    ops
 }
 
 #[cfg(test)]
@@ -182,8 +225,9 @@ mod tests {
     #[test]
     fn stock_ops_cover_whole_column_in_16_byte_chunks() {
         let layout = DsmLayout::new(0, 1024);
-        let (ops, _) = lower_hmc_scan(&one_pred_query(), &layout, STOCK_HMC_OP, None)
-            .expect("non-empty layout");
+        let ops = lower_hmc_scan(&one_pred_query(), &layout, STOCK_HMC_OP, None)
+            .expect("non-empty layout")
+            .ops();
         let d = dispatches(&ops);
         // 1024 rows x 8 B / 16 B chunks.
         assert_eq!(d.len(), 512);
@@ -197,7 +241,9 @@ mod tests {
     fn comparisons_become_inclusive_ranges() {
         let layout = DsmLayout::new(0, 32);
         let q = Query::q6();
-        let (ops, _) = lower_hmc_scan(&q, &layout, OpSize::MAX, None).expect("non-empty layout");
+        let ops = lower_hmc_scan(&q, &layout, OpSize::MAX, None)
+            .expect("non-empty layout")
+            .ops();
         let d = dispatches(&ops);
         assert_eq!(d.len(), 3);
         assert_eq!(d[0].2, VaultOp::LoadCmp { lo: 731, hi: 1095 });
@@ -215,8 +261,9 @@ mod tests {
     fn mask_words_are_stored_every_64_rows() {
         // 100 rows = 4 regions = 2 packed words.
         let layout = DsmLayout::new(0, 100);
-        let (ops, _) = lower_hmc_scan(&one_pred_query(), &layout, STOCK_HMC_OP, None)
-            .expect("non-empty layout");
+        let ops = lower_hmc_scan(&one_pred_query(), &layout, STOCK_HMC_OP, None)
+            .expect("non-empty layout")
+            .ops();
         let stores: Vec<u64> = ops
             .iter()
             .filter_map(|o| match o.kind {
@@ -232,8 +279,9 @@ mod tests {
         // 96 rows = 3 regions: word 0 after region 1, word 1 after the
         // unpaired region 2.
         let layout = DsmLayout::new(0, 96);
-        let (ops, _) = lower_hmc_scan(&one_pred_query(), &layout, STOCK_HMC_OP, None)
-            .expect("non-empty layout");
+        let ops = lower_hmc_scan(&one_pred_query(), &layout, STOCK_HMC_OP, None)
+            .expect("non-empty layout")
+            .ops();
         let stores = ops
             .iter()
             .filter(|o| matches!(o.kind, MicroOpKind::Store { .. }))
@@ -244,8 +292,9 @@ mod tests {
     #[test]
     fn multi_predicate_regions_emit_host_combine_alus() {
         let layout = DsmLayout::new(0, 32);
-        let (ops, _) =
-            lower_hmc_scan(&Query::q6(), &layout, STOCK_HMC_OP, None).expect("non-empty layout");
+        let ops = lower_hmc_scan(&Query::q6(), &layout, STOCK_HMC_OP, None)
+            .expect("non-empty layout")
+            .ops();
         let alus = ops
             .iter()
             .filter(|o| matches!(o.kind, MicroOpKind::IntAlu))
@@ -261,13 +310,13 @@ mod tests {
         let stock = dispatches(
             &lower_hmc_scan(&q, &layout, STOCK_HMC_OP, None)
                 .expect("non-empty")
-                .0,
+                .ops(),
         )
         .len();
         let max = dispatches(
             &lower_hmc_scan(&q, &layout, OpSize::MAX, None)
                 .expect("non-empty")
-                .0,
+                .ops(),
         )
         .len();
         assert_eq!(stock, 16 * max);
@@ -276,8 +325,9 @@ mod tests {
     #[test]
     fn branches_are_predicted() {
         let layout = DsmLayout::new(0, 256);
-        let (ops, _) = lower_hmc_scan(&one_pred_query(), &layout, STOCK_HMC_OP, None)
-            .expect("non-empty layout");
+        let ops = lower_hmc_scan(&one_pred_query(), &layout, STOCK_HMC_OP, None)
+            .expect("non-empty layout")
+            .ops();
         assert!(ops
             .iter()
             .all(|o| !matches!(o.kind, MicroOpKind::Branch { mispredict: true })));
@@ -312,11 +362,13 @@ mod tests {
         let zm = hipe_db::ZoneMap::build(&t);
         let layout = DsmLayout::new(0, rows);
         let q = Query::shipdate_window_permille(100);
-        let (full, _) = lower_hmc_scan(&q, &layout, STOCK_HMC_OP, None).expect("valid");
-        let (pruned, scanned) =
-            lower_hmc_scan(&q, &layout, STOCK_HMC_OP, Some(&zm)).expect("valid");
-        let stats = hipe_db::PruneStats::of(&scanned);
-        assert_eq!(scanned, zm.scan_set(&q));
+        let full = lower_hmc_scan(&q, &layout, STOCK_HMC_OP, None)
+            .expect("valid")
+            .ops();
+        let program = lower_hmc_scan(&q, &layout, STOCK_HMC_OP, Some(&zm)).expect("valid");
+        let pruned = program.ops();
+        let stats = hipe_db::PruneStats::of(program.scanned_regions());
+        assert_eq!(program.scanned_regions(), &zm.scan_set(&q));
         assert!(stats.pruned > 0);
         assert_eq!(stats.total(), 128);
         let full_d = dispatches(&full).len();
@@ -348,9 +400,12 @@ mod tests {
             vec![ColumnPredicate::new(Column::Shipdate, CmpOp::Range(0, 50))],
             false,
         );
-        let (ops, scanned) =
-            lower_hmc_scan(&q, &layout, STOCK_HMC_OP, Some(&zm)).expect("empty is valid");
-        assert!(ops.is_empty());
-        assert_eq!(scanned, hipe_db::Bitmask::zeros(layout.regions()));
+        let program = lower_hmc_scan(&q, &layout, STOCK_HMC_OP, Some(&zm)).expect("empty is valid");
+        assert!(program.is_empty());
+        assert!(program.ops().is_empty());
+        assert_eq!(
+            program.scanned_regions(),
+            &hipe_db::Bitmask::zeros(layout.regions())
+        );
     }
 }

@@ -17,7 +17,7 @@
 //!   regions with no surviving candidate are squashed in a sequencer
 //!   slot each instead of touching DRAM.
 //! * [`lower_host_scan`] — the x86 baseline path: a
-//!   [`hipe_isa::MicroOp`] stream modelling a vectorized
+//!   [`hipe_isa::MicroOp`] program modelling a vectorized
 //!   column-at-a-time scan through the cache
 //!   hierarchy (64 B vector compares, packed bitmask load/AND/store,
 //!   loop overhead and a well-predicted loop branch).
@@ -26,6 +26,13 @@
 //!   functional units (16 B operands on the stock machine,
 //!   [`STOCK_HMC_OP`]), with the mask combine/pack/store work kept on
 //!   the host.
+//!
+//! Both host-driven lowerings return a [`HostScanProgram`]: a per-unit
+//! op template (an 8-row line for x86, a 32-row region for HMC-ISA)
+//! plus the scanned-region set. Its micro-op stream is never stored;
+//! [`HostScanProgram::for_each_op`] expands it as the core executes,
+//! and [`HostScanProgram::len`] counts it in closed form, so a plan's
+//! size follows its template, not the table.
 //! * [`lower_logic_aggregate`] — the fused near-data aggregate path
 //!   for `SUM(l_extendedprice * l_discount)` queries on HIVE/HIPE:
 //!   each region's scan block is extended with loads of the price and
@@ -61,6 +68,7 @@ mod error;
 mod hmc;
 mod host;
 mod logic;
+mod template;
 
 pub use error::CompileError;
 pub use hmc::{lower_hmc_scan, STOCK_HMC_OP};
@@ -68,6 +76,7 @@ pub use host::lower_host_scan;
 pub use logic::{
     lower_logic_aggregate, lower_logic_scan, LogicScanProgram, AGG_SLOT_BYTES, REGION_ROWS,
 };
+pub use template::HostScanProgram;
 
 use hipe_db::{Bitmask, DsmLayout, Query, ZoneMap};
 

@@ -2,11 +2,11 @@
 
 use crate::report::{Arch, RunReport};
 use crate::session::Session;
-use crate::system::System;
+use crate::system::{System, SystemConfig};
 use crate::{host, neardata};
-use hipe_compiler::{CompileError, LogicScanProgram, STOCK_HMC_OP};
+use hipe_compiler::{CompileError, HostScanProgram, LogicScanProgram, STOCK_HMC_OP};
 use hipe_db::{Bitmask, PruneStats, Query};
-use hipe_isa::{MicroOp, OpSize};
+use hipe_isa::OpSize;
 
 /// One architecture's compile/execute implementation.
 ///
@@ -64,9 +64,10 @@ pub trait Backend {
 /// The architecture-specific payload of a plan.
 #[derive(Debug, Clone)]
 pub(crate) enum PlanCode {
-    /// A micro-op stream executed by the out-of-order core (x86
-    /// baseline and HMC-ISA machines), with the regions it scans.
-    Micro { ops: Vec<MicroOp>, scanned: Bitmask },
+    /// A micro-op program executed by the out-of-order core (x86
+    /// baseline and HMC-ISA machines): per-unit templates expanded as
+    /// they execute, with the regions they scan.
+    Micro(HostScanProgram),
     /// Per-partition logic-layer programs posted to the in-cube
     /// engine cluster (HIVE/HIPE) — one program per vault group.
     /// Aggregate queries carry the fused aggregate tail unless the
@@ -82,17 +83,26 @@ pub(crate) enum PlanCode {
 /// Produced by [`Backend::compile`]; executed — any number of times —
 /// via [`Session::run_plan`]. The plan captures everything derived
 /// from the query and the system's address layout, so executing it does
-/// not re-lower anything.
+/// not re-lower anything. It also records the configuration of the
+/// system it was lowered against, which [`Session::run_plan`] checks.
 #[derive(Debug, Clone)]
 pub struct ExecutablePlan {
     arch: Arch,
     query: Query,
-    rows: usize,
-    partitions: usize,
+    config: SystemConfig,
     code: PlanCode,
 }
 
 impl ExecutablePlan {
+    fn new(arch: Arch, sys: &System, query: &Query, code: PlanCode) -> Self {
+        ExecutablePlan {
+            arch,
+            query: query.clone(),
+            config: sys.config().clone(),
+            code,
+        }
+    }
+
     /// The architecture the plan was compiled for.
     pub fn arch(&self) -> Arch {
         self.arch
@@ -103,23 +113,30 @@ impl ExecutablePlan {
         &self.query
     }
 
-    /// Table rows the plan was compiled against (plans are layout
-    /// specific; [`Session::run_plan`] checks this).
+    /// The configuration of the system the plan was compiled against.
+    /// Plans are table specific: [`Session::run_plan`] runs a plan only
+    /// on a system with an equal configuration.
+    pub(crate) fn config(&self) -> &SystemConfig {
+        &self.config
+    }
+
+    /// Table rows the plan was compiled against.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.config.rows
     }
 
-    /// Vault-group partitions the plan was compiled for (also checked
-    /// by [`Session::run_plan`] — partition counts change the layout).
+    /// Vault-group partitions the plan was compiled for.
     pub fn partitions(&self) -> usize {
-        self.partitions
+        self.config.partitions
     }
 
-    /// Number of lowered instructions in the plan (micro-ops or
-    /// logic-layer instructions).
+    /// Number of instructions the plan executes (micro-ops or
+    /// logic-layer instructions). For the host-driven machines it is
+    /// computed from the op templates and the scanned regions
+    /// ([`HostScanProgram::len`]), not counted off a stored stream.
     pub fn instructions(&self) -> usize {
         match &self.code {
-            PlanCode::Micro { ops, .. } => ops.len(),
+            PlanCode::Micro(program) => program.len(),
             PlanCode::Logic { program, .. } => program.total_instrs(),
         }
     }
@@ -130,7 +147,7 @@ impl ExecutablePlan {
     /// output stays at the session reset's zeros.
     pub fn scanned_regions(&self) -> &Bitmask {
         match &self.code {
-            PlanCode::Micro { scanned, .. } => scanned,
+            PlanCode::Micro(program) => program.scanned_regions(),
             PlanCode::Logic { program, .. } => program.scanned_regions(),
         }
     }
@@ -148,7 +165,7 @@ impl ExecutablePlan {
     /// rather than as a host-side gather of matched tuples.
     pub fn fused_aggregate(&self) -> bool {
         match &self.code {
-            PlanCode::Micro { .. } => false,
+            PlanCode::Micro(_) => false,
             PlanCode::Logic { program, .. } => program.aggregate_base().is_some(),
         }
     }
@@ -178,14 +195,13 @@ impl Backend for HostX86Backend {
 
     fn compile(&self, sys: &System, query: &Query) -> Result<ExecutablePlan, CompileError> {
         sys.note_compilation();
-        let (ops, scanned) = hipe_compiler::lower_host_scan(query, sys.layout(), sys.prune())?;
-        Ok(ExecutablePlan {
-            arch: Arch::HostX86,
-            query: query.clone(),
-            rows: sys.config().rows,
-            partitions: sys.config().partitions,
-            code: PlanCode::Micro { ops, scanned },
-        })
+        let program = hipe_compiler::lower_host_scan(query, sys.layout(), sys.prune())?;
+        Ok(ExecutablePlan::new(
+            Arch::HostX86,
+            sys,
+            query,
+            PlanCode::Micro(program),
+        ))
     }
 
     fn execute(&self, session: &mut Session<'_>, plan: &ExecutablePlan) -> RunReport {
@@ -219,15 +235,14 @@ impl Backend for HmcIsaBackend {
 
     fn compile(&self, sys: &System, query: &Query) -> Result<ExecutablePlan, CompileError> {
         sys.note_compilation();
-        let (ops, scanned) =
+        let program =
             hipe_compiler::lower_hmc_scan(query, sys.layout(), self.op_size, sys.prune())?;
-        Ok(ExecutablePlan {
-            arch: Arch::HmcIsa,
-            query: query.clone(),
-            rows: sys.config().rows,
-            partitions: sys.config().partitions,
-            code: PlanCode::Micro { ops, scanned },
-        })
+        Ok(ExecutablePlan::new(
+            Arch::HmcIsa,
+            sys,
+            query,
+            PlanCode::Micro(program),
+        ))
     }
 
     fn execute(&self, session: &mut Session<'_>, plan: &ExecutablePlan) -> RunReport {
@@ -287,16 +302,15 @@ fn compile_logic(
     } else {
         hipe_compiler::lower_logic_scan(query, sys.layout(), predicated, sys.prune())?
     };
-    Ok(ExecutablePlan {
+    Ok(ExecutablePlan::new(
         arch,
-        query: query.clone(),
-        rows: sys.config().rows,
-        partitions: sys.config().partitions,
-        code: PlanCode::Logic {
+        sys,
+        query,
+        PlanCode::Logic {
             program,
             predicated,
         },
-    })
+    ))
 }
 
 impl Backend for HiveBackend {
@@ -352,6 +366,49 @@ mod tests {
             assert_eq!(plan.query(), &q);
             assert_eq!(plan.rows(), 128);
             assert!(plan.instructions() > 0);
+        }
+    }
+
+    #[test]
+    fn host_instruction_counts_are_exact() {
+        use crate::system::SystemConfig;
+        use hipe_db::TableShape;
+        let mut pruned = SystemConfig::paper(4096, 5);
+        pruned.shape = TableShape::ClusteredShipdate { total_rows: 4096 };
+        pruned.pruning = true;
+        let mut partitioned = SystemConfig::paper(1024, 5);
+        partitioned.partitions = 8;
+        let configs = [
+            SystemConfig::paper(1024, 5),
+            partitioned,
+            pruned,
+            SystemConfig::paper(70, 5),
+            SystemConfig::paper(4097, 5),
+        ];
+        let queries = [
+            Query::q6(),
+            Query::quantity_below_permille(100),
+            Query::shipdate_window_permille(100),
+        ];
+        for cfg in configs {
+            let sys = System::with_config(cfg);
+            for arch in [Arch::HostX86, Arch::HmcIsa] {
+                for q in &queries {
+                    let what = format!("{arch}, {} rows, [{q}]", sys.config().rows);
+                    let plan = System::backend(arch).compile(&sys, q).expect("compiles");
+                    let PlanCode::Micro(program) = plan.code() else {
+                        unreachable!("host archs lower to micro-op programs");
+                    };
+                    let mut expanded = 0;
+                    program.for_each_op(|_| expanded += 1);
+                    assert_eq!(plan.instructions(), expanded, "{what}");
+                    let report = sys.session().run_plan(&plan);
+                    assert_eq!(report.partitions[0].instructions, expanded as u64, "{what}");
+                    if !q.aggregates() {
+                        assert_eq!(report.core.ops, expanded as u64, "{what}");
+                    }
+                }
+            }
         }
     }
 

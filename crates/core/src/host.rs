@@ -1,4 +1,4 @@
-//! The host-side executor: micro-op streams through core + caches.
+//! The host-side executor: micro-op programs through core + caches.
 //!
 //! Executes the plans of both host-driven machines — the x86/AVX
 //! baseline and the stock HMC atomic ISA. Demand reads/writes go
@@ -62,10 +62,11 @@ impl MemoryPort for CachedPort<'_> {
 }
 
 /// Executes a compiled micro-op plan (x86 baseline or HMC-ISA) against
-/// the session's warm image.
+/// the session's warm image, expanding its op templates straight into
+/// the core.
 pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunReport {
     let sys = session.system();
-    let PlanCode::Micro { ops, scanned } = plan.code() else {
+    let PlanCode::Micro(program) = plan.code() else {
         unreachable!("the host executor requires a micro-op plan");
     };
     let query = plan.query();
@@ -78,12 +79,12 @@ pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunRe
             hmc: session.hmc_mut(),
             caches: &mut caches,
         };
-        for op in ops {
-            let end = core.execute(*op, &mut port);
+        program.for_each_op(|op| {
+            let end = core.execute(op, &mut port);
             if matches!(op.kind, MicroOpKind::HmcDispatch { .. }) {
                 dispatch_end = dispatch_end.max(end);
             }
-        }
+        });
     }
     let scan_end = core.finish();
     // Scan-phase DRAM traffic, snapshotted before the gather mixes
@@ -93,7 +94,12 @@ pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunRe
 
     // Functional outcome of the scan kernel: the packed mask words the
     // store stream modelled, from the column values in the cube image.
-    let bitmask = functional_mask(session.hmc_mut(), sys.layout(), query, scanned);
+    let bitmask = functional_mask(
+        session.hmc_mut(),
+        sys.layout(),
+        query,
+        program.scanned_regions(),
+    );
 
     // Host-side aggregate gather, through the caches like any other
     // demand traffic.
@@ -134,7 +140,7 @@ pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunRe
             partition: 0,
             first_vault: 0,
             vaults: sys.config().hmc.vaults,
-            instructions: ops.len() as u64,
+            instructions: program.len() as u64,
             dispatch,
             scan: scan_end,
             dram_bytes: scan_stats.bytes_read + scan_stats.bytes_written,

@@ -7,7 +7,7 @@
 //! machines of the paper's comparison:
 //!
 //! * **x86 baseline** ([`Arch::HostX86`]) — the query is lowered to a
-//!   vectorized micro-op stream ([`hipe_compiler::lower_host_scan`])
+//!   vectorized micro-op program ([`hipe_compiler::lower_host_scan`])
 //!   executed by the out-of-order core; all data crosses the HMC serial
 //!   links and the cache hierarchy;
 //! * **stock HMC ISA** ([`Arch::HmcIsa`]) — the core dispatches 16 B
@@ -31,7 +31,11 @@
 //!    [`Backend`];
 //! 2. [`Backend::compile`] lowers a query into an [`ExecutablePlan`]
 //!    (once per query, reusable); invalid inputs surface as a typed
-//!    [`CompileError`] instead of a panic. On HIVE/HIPE, aggregate
+//!    [`CompileError`] instead of a panic. The two host-driven
+//!    machines' plans are [`hipe_compiler::HostScanProgram`]s: a
+//!    per-line or per-region op template plus the scanned regions,
+//!    expanded into the core as the plan runs, so a plan's size
+//!    follows its template, not the table. On HIVE/HIPE, aggregate
 //!    queries compile to the *fused* program — the logic layer
 //!    multiplies and reduces matched values next to the banks and the
 //!    host only reads back per-region partial sums, instead of

@@ -82,7 +82,8 @@ impl PlanCache {
 ///
 /// let sys = System::new(2048, 7);
 /// let mut session = sys.session();
-/// let reports = session.run_all(Arch::Hipe, &[Query::q6(), Query::quantity_below_permille(100)]);
+/// let queries = [Query::q6(), Query::quantity_below_permille(100)];
+/// let reports: Vec<_> = queries.iter().map(|q| session.run(Arch::Hipe, q)).collect();
 /// assert_eq!(reports.len(), 2);
 /// assert_eq!(sys.materializations(), 1);
 /// ```
@@ -163,10 +164,9 @@ impl<'a> Session<'a> {
     /// untouched. Its cost follows the blocks the last run wrote, not
     /// the table's size.
     ///
-    /// [`run`](Self::run), [`run_plan`](Self::run_plan) and
-    /// [`run_all`](Self::run_all) call this before every execution;
-    /// it only needs to be invoked directly when driving a
-    /// [`Backend`](crate::Backend) by hand.
+    /// [`run`](Self::run) and [`run_plan`](Self::run_plan) call this
+    /// before every execution; it only needs to be invoked directly
+    /// when driving a [`Backend`](crate::Backend) by hand.
     pub fn reset(&mut self) {
         self.hmc.zero_dirty_from(self.sys.mask_base());
         self.hmc.reset_run_state();
@@ -243,30 +243,17 @@ impl<'a> Session<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the plan was compiled for a differently-sized or
-    /// differently-partitioned system (both change the address layout
-    /// the plan's code is baked against).
+    /// Panics if the plan was compiled for a system with a different
+    /// [`SystemConfig`](crate::SystemConfig). A plan's code is baked
+    /// against its system's address layout, and its scanned regions
+    /// against that system's table: run on another table, it would
+    /// read back the wrong regions and return a wrong answer.
     pub fn run_plan(&mut self, plan: &ExecutablePlan) -> RunReport {
-        assert_eq!(
-            plan.rows(),
-            self.sys.config().rows,
+        assert!(
+            plan.config() == self.sys.config(),
             "plan was compiled for a different system"
-        );
-        assert_eq!(
-            plan.partitions(),
-            self.sys.config().partitions,
-            "plan was compiled for a different system (partition count)"
         );
         self.reset();
         System::backend(plan.arch()).execute(self, plan)
-    }
-
-    /// Runs a batch of queries on `arch`, reusing the single warm
-    /// materialization for every one of them.
-    ///
-    /// The reset protocol makes batch results independent of execution
-    /// order and identical to cold runs.
-    pub fn run_all(&mut self, arch: Arch, queries: &[Query]) -> Vec<RunReport> {
-        queries.iter().map(|q| self.run(arch, q)).collect()
     }
 }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 /// Configuration of a full system: workload size plus the paper's
 /// component parameters (all overridable for experiments).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
     /// Tuples in the lineitem table.
     pub rows: usize,

@@ -6,8 +6,9 @@
 //! [`hipe::System::run`] — so batches are deterministic and
 //! independent of execution order.
 
-use hipe::{Arch, RunReport, System};
+use hipe::{Arch, RunReport, System, SystemConfig, TableShape};
 use hipe_db::Query;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const ROWS: usize = 8192;
 const SEED: u64 = 2024;
@@ -49,7 +50,7 @@ fn warm_batches_match_cold_runs_on_every_arch() {
     let queries = workload();
     let mut session = sys.session();
     for arch in Arch::ALL {
-        let warm = session.run_all(arch, &queries);
+        let warm: Vec<_> = queries.iter().map(|q| session.run(arch, q)).collect();
         for (q, w) in queries.iter().zip(&warm) {
             let cold = sys.run(arch, q);
             assert_same_report(w, &cold, &format!("{arch} on [{q}]"));
@@ -63,7 +64,9 @@ fn a_batch_materializes_the_table_exactly_once() {
     let mut session = sys.session();
     assert_eq!(sys.materializations(), 1);
     for arch in Arch::ALL {
-        session.run_all(arch, &workload());
+        for q in &workload() {
+            session.run(arch, q);
+        }
     }
     assert_eq!(
         sys.materializations(),
@@ -91,9 +94,13 @@ fn repeated_batches_are_deterministic() {
     let sys = System::new(ROWS, SEED);
     let queries = workload();
     let mut session = sys.session();
-    let first = session.run_all(Arch::Hipe, &queries);
-    let second = session.run_all(Arch::Hipe, &queries);
-    let fresh = sys.session().run_all(Arch::Hipe, &queries);
+    let first: Vec<_> = queries.iter().map(|q| session.run(Arch::Hipe, q)).collect();
+    let second: Vec<_> = queries.iter().map(|q| session.run(Arch::Hipe, q)).collect();
+    let mut fresh_session = sys.session();
+    let fresh: Vec<_> = queries
+        .iter()
+        .map(|q| fresh_session.run(Arch::Hipe, q))
+        .collect();
     for ((a, b), c) in first.iter().zip(&second).zip(&fresh) {
         assert_same_report(a, b, "same session, repeated batch");
         assert_same_report(a, c, "fresh session, same batch");
@@ -107,9 +114,9 @@ fn batch_reports_are_independent_of_execution_order() {
     let sys = System::new(ROWS, SEED);
     let mut forward: Vec<Query> = workload();
     let mut session = sys.session();
-    let fwd_reports = session.run_all(Arch::Hipe, &forward);
+    let fwd_reports: Vec<_> = forward.iter().map(|q| session.run(Arch::Hipe, q)).collect();
     forward.reverse();
-    let rev_reports = session.run_all(Arch::Hipe, &forward);
+    let rev_reports: Vec<_> = forward.iter().map(|q| session.run(Arch::Hipe, q)).collect();
     for (f, r) in fwd_reports.iter().zip(rev_reports.iter().rev()) {
         assert_same_report(f, r, "forward vs reversed batch");
     }
@@ -131,10 +138,10 @@ fn batch_loops_compile_once_per_distinct_query_per_arch() {
     let queries = workload();
     let mut session = sys.session();
     assert_eq!(sys.compilations(), 0);
-    let first = session.run_all(Arch::Hipe, &queries);
+    let first: Vec<_> = queries.iter().map(|q| session.run(Arch::Hipe, q)).collect();
     assert_eq!(sys.compilations(), queries.len() as u64);
     for _ in 0..3 {
-        let again = session.run_all(Arch::Hipe, &queries);
+        let again: Vec<_> = queries.iter().map(|q| session.run(Arch::Hipe, q)).collect();
         for (a, b) in first.iter().zip(&again) {
             assert_same_report(a, b, "cached-plan rerun");
         }
@@ -145,7 +152,9 @@ fn batch_loops_compile_once_per_distinct_query_per_arch() {
         "a warm batch loop re-lowered a cached query"
     );
     // A different arch is a different plan: one more compile each.
-    session.run_all(Arch::Hive, &queries);
+    for q in &queries {
+        session.run(Arch::Hive, q);
+    }
     assert_eq!(sys.compilations(), 2 * queries.len() as u64);
     // A fresh session has a cold cache.
     sys.session().run(Arch::Hipe, &Query::q6());
@@ -176,4 +185,35 @@ fn foreign_plans_are_rejected() {
         .compile(&small, &Query::q6())
         .expect("Q6 compiles");
     let _ = big.session().run_plan(&plan);
+}
+
+#[test]
+fn plans_compiled_for_another_table_are_rejected_on_every_arch() {
+    // Same rows, seed and partitioning, different table: a plan pruned
+    // against a shipdate-clustered table would read back only the
+    // regions the clustered zone map kept, and answer wrongly on a
+    // uniform table.
+    let mut cfg = SystemConfig::paper(ROWS, SEED);
+    cfg.shape = TableShape::ClusteredShipdate { total_rows: ROWS };
+    cfg.pruning = true;
+    let clustered = System::with_config(cfg);
+    let uniform = System::new(ROWS, SEED);
+    let q = Query::shipdate_window_permille(100);
+    for arch in Arch::ALL {
+        let plan = System::backend(arch)
+            .compile(&clustered, &q)
+            .expect("the window compiles");
+        assert!(plan.prune_stats().pruned > 0, "{arch}: nothing pruned");
+        let err = catch_unwind(AssertUnwindSafe(|| uniform.session().run_plan(&plan)))
+            .expect_err("a plan ran on a table it was not compiled for");
+        let msg = err
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| err.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(
+            msg.contains("compiled for a different system"),
+            "{arch}: unexpected panic {msg:?}"
+        );
+    }
 }
