@@ -46,7 +46,7 @@
 //!    a reset protocol between runs so warm results are bit- and
 //!    cycle-identical to cold ones.
 //!
-//! [`System::run`] and [`System::compare`] remain as one-shot wrappers.
+//! [`System::run`] remains as a one-shot wrapper.
 //!
 //! # Partitioned execution
 //!

@@ -85,8 +85,8 @@ impl SystemConfig {
 /// session → execute API: [`System::backend`] resolves an [`Arch`]
 /// label to its [`Backend`], and [`session`](Self::session) opens a
 /// warm [`Session`] that materializes the cube image once and can run
-/// whole batches against it. [`run`](Self::run) and
-/// [`compare`](Self::compare) are one-shot wrappers over that API.
+/// whole batches against it. [`run`](Self::run) is a one-shot
+/// wrapper over that API.
 ///
 /// # Example
 ///
@@ -306,16 +306,6 @@ impl System {
         self.session().run(arch, query)
     }
 
-    /// Convenience: runs `query` on the host baseline and on HIPE,
-    /// sharing one warm session (a single table materialization).
-    pub fn compare(&self, query: &Query) -> (RunReport, RunReport) {
-        let mut session = self.session();
-        (
-            session.run(Arch::HostX86, query),
-            session.run(Arch::Hipe, query),
-        )
-    }
-
     /// Completes a scan `bitmask` into a [`ScanResult`], computing the
     /// aggregate (if the query has one) from the values in the cube
     /// image — i.e. from what the simulated machine actually stored.
@@ -372,7 +362,9 @@ mod tests {
     #[test]
     fn compare_materializes_once() {
         let sys = System::new(512, 4);
-        let (base, hipe) = sys.compare(&Query::q6());
+        let mut session = sys.session();
+        let base = session.run(Arch::HostX86, &Query::q6());
+        let hipe = session.run(Arch::Hipe, &Query::q6());
         assert_eq!(base.result, hipe.result);
         assert_eq!(sys.materializations(), 1);
         // A cold run pays its own materialization.

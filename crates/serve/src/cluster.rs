@@ -1,11 +1,12 @@
 //! The sharding layer: one query, N cube shards, combined answers.
 
-use hipe::{Arch, PlanCache, RunReport, Session, System, SystemConfig, TableShape};
+use hipe::{Arch, PhaseBreakdown, PlanCache, RunReport, Session, System, SystemConfig, TableShape};
 use hipe_db::scan::ScanResult;
 use hipe_db::{Bitmask, Query};
 use hipe_sim::{Cycle, WorkerPool};
+use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 // Compile-time guard for host-parallel co-simulation: shard cubes and
 // their warm sessions cross worker-thread boundaries in the scatter
@@ -120,6 +121,12 @@ impl ClusterConfig {
 /// monolithic [`System`] of the same `rows` and `seed` (the
 /// integration tests assert it on all four architectures).
 ///
+/// A cluster also outlives the service runs over it: each shard's plan
+/// cache lowers a `(arch, query)` once, and the cluster memoizes the
+/// per-shard measurements [`run_service`](crate::run_service) replays,
+/// so every distinct `(arch, query)` a service runs is executed once
+/// per cluster lifetime.
+///
 /// # Example
 ///
 /// ```
@@ -142,6 +149,11 @@ pub struct Cluster {
     /// per service run) lower each `(arch, query)` pair once per
     /// shard for the cluster's lifetime.
     plans: Vec<Arc<PlanCache>>,
+    /// The service profile of every `(arch, query)` pair a service run
+    /// has measured, kept for the cluster's lifetime like the plan
+    /// caches: each shard's `System` is immutable and warm runs equal
+    /// cold runs in any order, so a measurement never goes stale.
+    profiles: Mutex<HashMap<(Arch, Query), Arc<Profile>>>,
     bounds: Vec<Range<usize>>,
     pool: WorkerPool,
 }
@@ -227,6 +239,7 @@ impl Cluster {
             cfg,
             systems,
             plans,
+            profiles: Mutex::default(),
             bounds,
             pool,
         }
@@ -387,6 +400,51 @@ impl<'a> ClusterSession<'a> {
         });
         let (shard_reports, skipped) = outcomes.into_iter().unzip();
         combine(self.cluster, arch, query, shard_reports, skipped)
+    }
+
+    /// The cluster's memoized profile of `(arch, query)`, measured on
+    /// this session on first use; the flag is `true` when this call
+    /// ran the query.
+    ///
+    /// The memo lock is released while the query runs, so a run that
+    /// panics leaves the memo usable; two callers that miss together
+    /// both run the query and keep the first insert, which equals the
+    /// second.
+    pub(crate) fn profile(&mut self, arch: Arch, query: &Query) -> (Arc<Profile>, bool) {
+        let memo = &self.cluster.profiles;
+        let key = (arch, query.clone());
+        if let Some(hit) = memo.lock().expect("profile memo poisoned").get(&key) {
+            return (Arc::clone(hit), false);
+        }
+        let measured = Arc::new(Profile::from(self.run(arch, query)));
+        let mut profiles = memo.lock().expect("profile memo poisoned");
+        (Arc::clone(profiles.entry(key).or_insert(measured)), true)
+    }
+}
+
+/// What the service scheduler replays of one `(arch, query)`
+/// scatter-gather: each shard's measured cycles, phases and skip flag,
+/// and the combined answer.
+#[derive(Debug)]
+pub(crate) struct Profile {
+    /// Measured cycles per shard, whichever replica serves it.
+    pub(crate) cycles: Vec<Cycle>,
+    /// Measured phase breakdown per shard (read only when tracing).
+    pub(crate) phases: Vec<PhaseBreakdown>,
+    /// Per shard: the zone-map rollup prunes the query entirely.
+    pub(crate) skipped: Vec<bool>,
+    /// The combined functional answer.
+    pub(crate) answer: ScanResult,
+}
+
+impl From<ClusterReport> for Profile {
+    fn from(report: ClusterReport) -> Self {
+        Profile {
+            cycles: report.shard_reports.iter().map(|r| r.cycles).collect(),
+            phases: report.shard_reports.iter().map(|r| r.phases).collect(),
+            skipped: report.skipped,
+            answer: report.result,
+        }
     }
 }
 

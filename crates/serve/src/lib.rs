@@ -46,7 +46,11 @@
 //! [`Window`](hipe_sim::Window), arrivals and the weighted query mix
 //! draw from `SplitMix64`. Batching amortizes the front-end setup
 //! cost; per-query service times are the deterministic modeled cycles
-//! of actually executing that query on that shard. The configured
+//! of actually executing that query on that shard. The cluster
+//! memoizes those measurements per `(arch, query)`, so a long-lived
+//! cluster executes each distinct mix query once per arch, and every
+//! run after that — faults, routing, load and tracing included — is a
+//! pure replay through the event loop. The configured
 //! [`RoutingPolicy`] sends each scattered sub-query to exactly one
 //! replica per shard, so R replicas serve ~R× the throughput; a
 //! [`FaultPlan`] kills a replica mid-run fail-stop, and lost

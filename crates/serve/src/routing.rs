@@ -47,7 +47,7 @@ pub struct RouteCtx<'a> {
     /// [`now`](Self::now).
     pub outstanding: &'a [u32],
     /// Measured cycles this query needs on this shard (from the
-    /// service's profile pass), whichever replica serves it.
+    /// service's memoized profile), whichever replica serves it.
     pub duration: Cycle,
 }
 

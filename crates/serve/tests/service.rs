@@ -2,7 +2,12 @@
 
 use hipe::Arch;
 use hipe_db::Query;
-use hipe_serve::{run_service, Cluster, ClusterConfig, LoadModel, ServiceConfig};
+use hipe_serve::{
+    run_service, run_service_traced, Cluster, ClusterConfig, FaultPlan, LoadModel, ServiceConfig,
+    ServiceReport,
+};
+use hipe_trace::{Tracer, Value};
+use std::sync::Barrier;
 
 const SEED: u64 = 2018;
 
@@ -16,6 +21,10 @@ fn mix() -> Vec<(Query, u32)> {
 
 fn closed(queries: usize, clients: usize) -> ServiceConfig {
     ServiceConfig::closed(Arch::Hipe, queries, mix(), clients)
+}
+
+fn closed_on(arch: Arch, mix: Vec<(Query, u32)>) -> ServiceConfig {
+    ServiceConfig::closed(arch, 24, mix, 4)
 }
 
 #[test]
@@ -212,8 +221,8 @@ fn closed_loop_keeps_inflight_at_clients() {
 
 #[test]
 fn admission_stall_counts_from_each_members_own_arrival() {
-    // Regression: `admit_batch` charged every member from the batch's
-    // *latest* arrival, so with a roomy window a staggered batch
+    // Regression: admission once charged every member from the
+    // batch's *latest* arrival, so with a roomy window a staggered batch
     // reported zero stall even though early members demonstrably
     // waited for the batch to fill. Closed-loop clients start at
     // staggered cycles 0..k, so every first batch is staggered.
@@ -388,6 +397,169 @@ fn zero_clients_fail_before_simulating() {
     .expect_err("a closed loop without clients must panic");
     let msg = panic.downcast_ref::<&str>().expect("a literal message");
     assert!(msg.contains("at least one client"), "{msg}");
-    // Rejected by the up-front checks: no session, no profile pass.
+    // Rejected by the up-front checks: no session, no profile.
     assert_eq!(cluster.materializations(), 0);
+}
+
+/// `r` without the counters that depend on what the cluster had
+/// already lowered and measured before the run.
+fn replayed(r: ServiceReport) -> ServiceReport {
+    ServiceReport {
+        compilations: 0,
+        profiled: 0,
+        ..r
+    }
+}
+
+#[test]
+fn memoized_runs_equal_fresh_cluster_runs_on_every_arch() {
+    // clean -> fault -> open -> clean again on one long-lived cluster:
+    // only the first run simulates, and every run equals the same
+    // config on a fresh cluster, field for field.
+    let fresh = || Cluster::replicated(1024, SEED, 2, 2);
+    for arch in Arch::ALL {
+        let clean = ServiceConfig::closed(arch, 48, mix(), 4);
+        let fault = ServiceConfig {
+            faults: vec![FaultPlan::new(
+                1,
+                0,
+                run_service(&fresh(), &clean).makespan / 2,
+            )],
+            ..clean.clone()
+        };
+        let open = ServiceConfig::open(arch, 48, mix(), 200_000);
+        let cluster = fresh();
+        for (leg, cfg) in [clean.clone(), fault, open, clean].iter().enumerate() {
+            let memoized = run_service(&cluster, cfg);
+            assert_eq!(
+                memoized.profiled,
+                if leg == 0 { 3 } else { 0 },
+                "{arch} leg {leg}"
+            );
+            assert_eq!(memoized.materializations, 2, "{arch} leg {leg}");
+            assert_eq!(memoized.failovers, u64::from(leg == 1), "{arch} leg {leg}");
+            assert_eq!(
+                replayed(memoized),
+                replayed(run_service(&fresh(), cfg)),
+                "{arch} leg {leg}"
+            );
+        }
+    }
+}
+
+#[test]
+fn profiled_counts_the_runs_memo_misses() {
+    // One cluster serves every arch in turn: the same queries measured
+    // on an earlier arch are misses again on the next one.
+    let cluster = Cluster::new(512, SEED, 2);
+    for arch in Arch::ALL {
+        let cold = run_service(&cluster, &closed_on(arch, mix()));
+        assert_eq!(cold.profiled, 3, "{arch}: one per distinct mix query");
+        assert_eq!(cold.compilations, 6, "{arch}: 3 queries x 2 shards");
+        let warm = run_service(&cluster, &closed_on(arch, mix()));
+        assert_eq!((warm.profiled, warm.compilations), (0, 0), "{arch}");
+        let mut grown = mix();
+        grown.push((Query::quantity_below_permille(700), 1));
+        let grown = run_service(&cluster, &closed_on(arch, grown));
+        assert_eq!(grown.profiled, 1, "{arch}: only the new query");
+    }
+    // A query repeated within one mix is measured once.
+    let cluster = Cluster::new(512, SEED, 2);
+    let repeated = vec![
+        (Query::q6(), 1),
+        (Query::quantity_below_permille(100), 2),
+        (Query::q6(), 3),
+    ];
+    let report = run_service(&cluster, &closed_on(Arch::Hipe, repeated));
+    assert_eq!(report.profiled, 2);
+    assert_eq!(report.answers[0], report.answers[2]);
+}
+
+#[test]
+fn pruned_clusters_replay_memoized_shard_skips() {
+    let window_mix = vec![(Query::shipdate_window_permille(100), 1)];
+    let skipping = || Cluster::with_config(ClusterConfig::skipping(4096, SEED, 4));
+    for arch in Arch::ALL {
+        let cfg = ServiceConfig::closed(arch, 32, window_mix.clone(), 4);
+        let cluster = skipping();
+        let cold = run_service(&cluster, &cfg);
+        let warm = run_service(&cluster, &cfg);
+        assert_eq!((cold.profiled, warm.profiled), (1, 0), "{arch}");
+        // Skipped shards stay idle on the replay too.
+        let idle = warm.shard_busy.iter().filter(|&&b| b == 0).count();
+        assert!(idle >= 2, "{arch} busy: {:?}", warm.shard_busy);
+        let expected = replayed(run_service(&skipping(), &cfg));
+        assert_eq!(replayed(cold), expected, "{arch} cold");
+        assert_eq!(replayed(warm), expected, "{arch} warm");
+    }
+}
+
+#[test]
+fn memoized_traced_runs_write_identical_chrome_json() {
+    let cluster = Cluster::replicated(1024, SEED, 2, 2);
+    for arch in Arch::ALL {
+        let cfg = ServiceConfig::closed(arch, 24, mix(), 4);
+        let chrome = || {
+            let mut tracer = Tracer::new();
+            let report = run_service_traced(&cluster, &cfg, Some(&mut tracer));
+            (report.profiled, tracer.to_chrome_json(Value::Null))
+        };
+        let (cold_profiled, cold) = chrome();
+        let (warm_profiled, warm) = chrome();
+        assert_eq!((cold_profiled, warm_profiled), (3, 0), "{arch}");
+        assert!(cold == warm, "{arch}: a memo hit changed the trace");
+    }
+}
+
+#[test]
+fn concurrent_runs_on_one_cluster_agree() {
+    let cluster = Cluster::replicated(1024, SEED, 2, 2);
+    for arch in Arch::ALL {
+        let cfg = ServiceConfig::closed(arch, 32, mix(), 4);
+        // Both threads start together, so both usually miss the memo.
+        let start = Barrier::new(2);
+        let run = || {
+            start.wait();
+            run_service(&cluster, &cfg)
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(run);
+            let b = scope.spawn(run);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        // Host counters are cluster-wide deltas, so concurrent runs may
+        // see each other's lowerings and materializations.
+        let simulated = |r: ServiceReport| ServiceReport {
+            materializations: 0,
+            ..replayed(r)
+        };
+        assert_eq!(simulated(a.clone()), simulated(b), "{arch}");
+        assert_eq!(
+            simulated(a),
+            simulated(run_service(&Cluster::replicated(1024, SEED, 2, 2), &cfg)),
+            "{arch}"
+        );
+    }
+}
+
+#[test]
+fn rejected_configs_leave_the_memo_empty() {
+    let cluster = Cluster::new(512, SEED, 2);
+    for arch in Arch::ALL {
+        let rejected = ServiceConfig {
+            batch: 8,
+            max_in_flight: 2,
+            ..ServiceConfig::closed(arch, 16, mix(), 8)
+        };
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_service(&cluster, &rejected)
+        }))
+        .expect_err("a batch wider than the window must panic");
+        assert_eq!(cluster.materializations(), 0, "{arch}");
+    }
+    // Nothing was memoized: the first accepted run measures its mix.
+    for arch in Arch::ALL {
+        let report = run_service(&cluster, &ServiceConfig::closed(arch, 16, mix(), 4));
+        assert_eq!(report.profiled, 3, "{arch}");
+    }
 }

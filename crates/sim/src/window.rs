@@ -79,32 +79,9 @@ impl Window {
     /// cycle. Must be followed by exactly one [`complete`](Self::complete)
     /// call for this operation.
     pub fn admit(&mut self, arrival: Cycle) -> Cycle {
-        self.admit_batch(arrival, 1)
-    }
-
-    /// Requests admission for `count` operations entering together at
-    /// `arrival`; returns the earliest cycle the whole group can
-    /// enter. The group needs `count` free slots — each member
-    /// consumes its own — so the window waits for (and evicts) as
-    /// many oldest completions as that takes. Must be followed by
-    /// exactly `count` [`complete`](Self::complete) calls, one per
-    /// member. Stall cycles accrue per member: all `count` operations
-    /// wait from `arrival` to the returned cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero or exceeds the capacity (a group
-    /// wider than the window could never be in flight together).
-    pub fn admit_batch(&mut self, arrival: Cycle, count: usize) -> Cycle {
-        assert!(count > 0, "an admission group needs at least one operation");
-        assert!(
-            count <= self.capacity,
-            "group ({count}) exceeds window capacity ({})",
-            self.capacity
-        );
-        self.admitted += count as u64;
-        let admitted = self.reserve(arrival, count);
-        self.stall += (admitted - arrival) * count as Cycle;
+        self.admitted += 1;
+        let admitted = self.reserve(arrival, 1);
+        self.stall += admitted - arrival;
         admitted
     }
 
@@ -115,15 +92,17 @@ impl Window {
     /// earlier than `arrivals.len()` slots are free. Must be followed
     /// by exactly `arrivals.len()` [`complete`](Self::complete) calls.
     ///
-    /// Unlike [`admit_batch`](Self::admit_batch) — whose members share
-    /// one arrival — stall cycles accrue *per member from its own
-    /// arrival*: member `i` is charged `admitted - arrivals[i]`. An
-    /// early member waiting for late group-mates is genuinely waiting
-    /// for admission, and that wait is part of the window's stall.
+    /// The group needs one free slot per member, so the window waits
+    /// for (and evicts) as many oldest completions as that takes.
+    /// Stall cycles accrue *per member from its own arrival*: member
+    /// `i` is charged `admitted - arrivals[i]`. An early member
+    /// waiting for late group-mates is genuinely waiting for
+    /// admission, and that wait is part of the window's stall.
     ///
     /// # Panics
     ///
-    /// Panics if `arrivals` is empty or longer than the capacity.
+    /// Panics if `arrivals` is empty or longer than the capacity (a
+    /// group wider than the window could never be in flight together).
     pub fn admit_group(&mut self, arrivals: &[Cycle]) -> Cycle {
         assert!(
             !arrivals.is_empty(),
@@ -269,7 +248,7 @@ mod tests {
         }
         // A group of 3 needs 3 free slots: it waits for the three
         // oldest completions (10, 20, 30) and enters at cycle 30.
-        assert_eq!(w.admit_batch(5, 3), 30);
+        assert_eq!(w.admit_group(&[5, 5, 5]), 30);
         // Every member stalls from its requested cycle to admission.
         assert_eq!(w.stall_cycles(), (30 - 5) * 3);
         for done in [50, 60, 70] {
@@ -289,8 +268,8 @@ mod tests {
         let admitted = w.admit_group(&arrivals);
         // Window idle: the group enters when its last member arrives.
         assert_eq!(admitted, 40);
-        // Members at 10 and 25 waited 30 and 15 cycles; the uniform
-        // admit_batch(40, 4) accounting would have reported zero.
+        // Members at 10 and 25 waited 30 and 15 cycles; charging every
+        // member from the latest arrival would have reported zero.
         assert_eq!(w.stall_cycles(), 30 + 15);
         assert_eq!(w.admitted(), 4);
         for done in [50, 60, 70, 80] {
@@ -305,18 +284,16 @@ mod tests {
     }
 
     #[test]
-    fn group_of_equal_arrivals_matches_admit_batch() {
-        let mut a = Window::new(3);
-        let mut b = Window::new(3);
+    fn group_of_equal_arrivals_charges_each_member_the_same_wait() {
+        let mut w = Window::new(3);
         for done in [40, 10, 90] {
-            let _ = a.admit(0);
-            a.complete(done);
-            let _ = b.admit(0);
-            b.complete(done);
+            let _ = w.admit(0);
+            w.complete(done);
         }
-        assert_eq!(a.admit_batch(5, 2), b.admit_group(&[5, 5]));
-        assert_eq!(a.stall_cycles(), b.stall_cycles());
-        assert_eq!(a.admitted(), b.admitted());
+        // Two slots free up at the two oldest completions, 10 and 40.
+        assert_eq!(w.admit_group(&[5, 5]), 40);
+        assert_eq!(w.stall_cycles(), (40 - 5) * 2);
+        assert_eq!(w.admitted(), 5);
     }
 
     #[test]
@@ -336,7 +313,7 @@ mod tests {
         let mut w = Window::new(2);
         let _ = w.admit_until(0, 100);
         let _ = w.admit_until(0, 50);
-        assert_eq!(w.admit_batch(0, 2), 100);
+        assert_eq!(w.admit_group(&[0, 0]), 100);
         w.complete(120);
         w.complete(130);
         assert_eq!(w.drain(), 130);
@@ -349,24 +326,12 @@ mod tests {
         for done in [40, 10, 90, 30] {
             let at_a = a.admit(5);
             a.complete(done);
-            let at_b = b.admit_batch(5, 1);
+            let at_b = b.admit_group(&[5]);
             b.complete(done);
             assert_eq!(at_a, at_b);
         }
         assert_eq!(a.stall_cycles(), b.stall_cycles());
         assert_eq!(a.admitted(), b.admitted());
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds window capacity")]
-    fn batch_wider_than_capacity_panics() {
-        let _ = Window::new(2).admit_batch(0, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one operation")]
-    fn empty_batch_panics() {
-        let _ = Window::new(2).admit_batch(0, 0);
     }
 
     #[test]

@@ -79,7 +79,9 @@ fn a_batch_materializes_the_table_exactly_once() {
 fn compare_shares_one_materialization_with_unchanged_reports() {
     let sys = System::new(ROWS, SEED);
     let q = Query::q6();
-    let (base, hipe) = sys.compare(&q);
+    let mut session = sys.session();
+    let base = session.run(Arch::HostX86, &q);
+    let hipe = session.run(Arch::Hipe, &q);
     assert_eq!(sys.materializations(), 1, "compare re-materialized");
     // The shared-session reports equal dedicated cold runs.
     assert_same_report(&base, &sys.run(Arch::HostX86, &q), "compare/x86");
