@@ -823,7 +823,7 @@ mod tests {
     /// Renders a miniature service trace through the real writer: one
     /// query, one failover, one redispatch, eight recorder events.
     fn sample_trace(queries: u64, failovers: u64, redispatched: u64) -> String {
-        use hipe_trace::{TraceSink, Tracer, TrackKind};
+        use hipe_trace::{Tracer, TrackKind};
         let mut t = Tracer::new();
         let adm = t.track("admission", TrackKind::Sync);
         let fe = t.track("front-end", TrackKind::Sync);

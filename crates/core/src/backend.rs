@@ -1,30 +1,26 @@
-//! The open backend abstraction: compile once, execute many times.
+//! The closed set of machines: compile once, execute many times.
 
-use crate::report::{Arch, RunReport};
-use crate::session::Session;
+use crate::report::Arch;
 use crate::system::{System, SystemConfig};
-use crate::{host, neardata};
-use hipe_compiler::{CompileError, HostScanProgram, LogicScanProgram, STOCK_HMC_OP};
+use hipe_compiler::{CompileError, HostScanProgram, LogicScanProgram};
 use hipe_db::{Bitmask, PruneStats, Query};
 use hipe_isa::OpSize;
 
-/// One architecture's compile/execute implementation.
+/// One machine of the paper's comparison, with its compile-time knobs.
 ///
-/// A backend is stateless: [`compile`](Self::compile) lowers a query
-/// against a [`System`]'s layout into an [`ExecutablePlan`], and
-/// [`execute`](Self::execute) runs a plan inside a [`Session`] (which
-/// owns the warm cube image). The split means a plan is lowered once
-/// per query and reused across a whole batch, and adding a machine to
-/// the comparison is one new `Backend` implementation — the driver,
-/// benches and tests iterate [`Arch::ALL`] unchanged.
+/// [`compile`](Self::compile) lowers a query against a [`System`]'s
+/// layout into an [`ExecutablePlan`], which a
+/// [`Session`](crate::Session) runs with
+/// [`run_plan`](crate::Session::run_plan) any number of times. The
+/// split means a plan is lowered once per query and reused across a
+/// whole batch. [`System::backend`] resolves an [`Arch`] to its stock
+/// configuration; the other field values model the paper's
+/// operand-size sweep and its fused-versus-gather comparison.
 ///
 /// Invalid inputs (e.g. a zero-row layout handed to the lowering
 /// functions directly) surface as a typed
 /// [`CompileError`](hipe_compiler::CompileError) from `compile` rather
 /// than a panic from inside the compiler.
-///
-/// `execute` expects the session in its reset state;
-/// [`Session::run_plan`] handles that and is the normal entry point.
 ///
 /// # Example
 ///
@@ -39,26 +35,83 @@ use hipe_isa::OpSize;
 /// let report = session.run_plan(&plan);
 /// assert_eq!(report.arch, Arch::Hipe);
 /// ```
-pub trait Backend {
-    /// The architecture label this backend implements.
-    fn arch(&self) -> Arch;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// The x86/AVX baseline: vectorized column-at-a-time scan through
+    /// the cache hierarchy.
+    HostX86,
+    /// The HMC atomic-ISA machine: per-vault read-operate dispatches
+    /// with host-side mask combining.
+    HmcIsa {
+        /// Operand size of one vault operation. The stock machine uses
+        /// [`STOCK_HMC_OP`](hipe_compiler::STOCK_HMC_OP) (16 B); larger
+        /// sizes model the paper's operand-size extension sweep.
+        op_size: OpSize,
+    },
+    /// HIVE: unpredicated logic-layer execution inside the cube.
+    Hive {
+        /// Run aggregates inside the logic layer (stock) instead of
+        /// gathering matched tuples over the links, the paper's
+        /// comparison point and the path the host-driven machines
+        /// always use.
+        fused_aggregate: bool,
+    },
+    /// HIPE: HIVE plus the predication match logic (which also
+    /// squashes the whole fused-aggregate tail of matchless regions).
+    Hipe {
+        /// As for [`Backend::Hive`].
+        fused_aggregate: bool,
+    },
+}
 
-    /// Lowers `query` into this architecture's executable form.
+impl Backend {
+    /// The architecture label this backend implements.
+    pub fn arch(self) -> Arch {
+        match self {
+            Backend::HostX86 => Arch::HostX86,
+            Backend::HmcIsa { .. } => Arch::HmcIsa,
+            Backend::Hive { .. } => Arch::Hive,
+            Backend::Hipe { .. } => Arch::Hipe,
+        }
+    }
+
+    /// Lowers `query` into this machine's executable form.
     ///
     /// # Errors
     ///
     /// Returns the compiler's typed [`CompileError`] when the query
     /// cannot be lowered (never for queries over a live [`System`],
     /// whose layouts are non-empty by construction).
-    fn compile(&self, sys: &System, query: &Query) -> Result<ExecutablePlan, CompileError>;
-
-    /// Executes a compiled plan against the session's warm image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan` was compiled by a different architecture's
-    /// backend.
-    fn execute(&self, session: &mut Session<'_>, plan: &ExecutablePlan) -> RunReport;
+    pub fn compile(self, sys: &System, query: &Query) -> Result<ExecutablePlan, CompileError> {
+        sys.note_compilation();
+        let (layout, prune) = (sys.layout(), sys.prune());
+        let code = match self {
+            Backend::HostX86 => {
+                PlanCode::Micro(hipe_compiler::lower_host_scan(query, layout, prune)?)
+            }
+            Backend::HmcIsa { op_size } => PlanCode::Micro(hipe_compiler::lower_hmc_scan(
+                query, layout, op_size, prune,
+            )?),
+            Backend::Hive { fused_aggregate } | Backend::Hipe { fused_aggregate } => {
+                let predicated = matches!(self, Backend::Hipe { .. });
+                let program = if query.aggregates() && fused_aggregate {
+                    hipe_compiler::lower_logic_aggregate(query, layout, predicated, prune)?
+                } else {
+                    hipe_compiler::lower_logic_scan(query, layout, predicated, prune)?
+                };
+                PlanCode::Logic {
+                    program,
+                    predicated,
+                }
+            }
+        };
+        Ok(ExecutablePlan {
+            arch: self.arch(),
+            query: query.clone(),
+            config: sys.config().clone(),
+            code,
+        })
+    }
 }
 
 /// The architecture-specific payload of a plan.
@@ -81,10 +134,10 @@ pub(crate) enum PlanCode {
 /// A query lowered for one architecture, ready to execute.
 ///
 /// Produced by [`Backend::compile`]; executed — any number of times —
-/// via [`Session::run_plan`]. The plan captures everything derived
+/// via [`Session::run_plan`](crate::Session::run_plan). The plan captures everything derived
 /// from the query and the system's address layout, so executing it does
 /// not re-lower anything. It also records the configuration of the
-/// system it was lowered against, which [`Session::run_plan`] checks.
+/// system it was lowered against, which [`Session::run_plan`](crate::Session::run_plan) checks.
 #[derive(Debug, Clone)]
 pub struct ExecutablePlan {
     arch: Arch,
@@ -94,15 +147,6 @@ pub struct ExecutablePlan {
 }
 
 impl ExecutablePlan {
-    fn new(arch: Arch, sys: &System, query: &Query, code: PlanCode) -> Self {
-        ExecutablePlan {
-            arch,
-            query: query.clone(),
-            config: sys.config().clone(),
-            code,
-        }
-    }
-
     /// The architecture the plan was compiled for.
     pub fn arch(&self) -> Arch {
         self.arch
@@ -114,7 +158,7 @@ impl ExecutablePlan {
     }
 
     /// The configuration of the system the plan was compiled against.
-    /// Plans are table specific: [`Session::run_plan`] runs a plan only
+    /// Plans are table specific: [`Session::run_plan`](crate::Session::run_plan) runs a plan only
     /// on a system with an equal configuration.
     pub(crate) fn config(&self) -> &SystemConfig {
         &self.config
@@ -172,174 +216,6 @@ impl ExecutablePlan {
 
     pub(crate) fn code(&self) -> &PlanCode {
         &self.code
-    }
-
-    fn check_arch(&self, expect: Arch) {
-        assert_eq!(
-            self.arch, expect,
-            "plan compiled for {} executed on the {} backend",
-            self.arch, expect
-        );
-    }
-}
-
-/// The x86/AVX baseline: vectorized column-at-a-time scan through the
-/// cache hierarchy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HostX86Backend;
-
-impl Backend for HostX86Backend {
-    fn arch(&self) -> Arch {
-        Arch::HostX86
-    }
-
-    fn compile(&self, sys: &System, query: &Query) -> Result<ExecutablePlan, CompileError> {
-        sys.note_compilation();
-        let program = hipe_compiler::lower_host_scan(query, sys.layout(), sys.prune())?;
-        Ok(ExecutablePlan::new(
-            Arch::HostX86,
-            sys,
-            query,
-            PlanCode::Micro(program),
-        ))
-    }
-
-    fn execute(&self, session: &mut Session<'_>, plan: &ExecutablePlan) -> RunReport {
-        plan.check_arch(Arch::HostX86);
-        host::execute(session, plan)
-    }
-}
-
-/// The stock HMC atomic-ISA machine: per-vault read-operate dispatches
-/// with host-side mask combining.
-#[derive(Debug, Clone, Copy)]
-pub struct HmcIsaBackend {
-    /// Operand size of one vault operation. The stock machine uses
-    /// [`STOCK_HMC_OP`] (16 B); larger sizes model the paper's
-    /// operand-size extension sweep.
-    pub op_size: OpSize,
-}
-
-impl Default for HmcIsaBackend {
-    fn default() -> Self {
-        HmcIsaBackend {
-            op_size: STOCK_HMC_OP,
-        }
-    }
-}
-
-impl Backend for HmcIsaBackend {
-    fn arch(&self) -> Arch {
-        Arch::HmcIsa
-    }
-
-    fn compile(&self, sys: &System, query: &Query) -> Result<ExecutablePlan, CompileError> {
-        sys.note_compilation();
-        let program =
-            hipe_compiler::lower_hmc_scan(query, sys.layout(), self.op_size, sys.prune())?;
-        Ok(ExecutablePlan::new(
-            Arch::HmcIsa,
-            sys,
-            query,
-            PlanCode::Micro(program),
-        ))
-    }
-
-    fn execute(&self, session: &mut Session<'_>, plan: &ExecutablePlan) -> RunReport {
-        plan.check_arch(Arch::HmcIsa);
-        host::execute(session, plan)
-    }
-}
-
-/// HIVE: unpredicated logic-layer execution inside the cube.
-///
-/// Aggregate queries compile to the fused `Mul`/`AddReduce` program by
-/// default; set `fused_aggregate: false` to keep the host-side gather
-/// (the paper's comparison point, and the path the x86/HMC-ISA
-/// machines always use).
-#[derive(Debug, Clone, Copy)]
-pub struct HiveBackend {
-    /// Run aggregates inside the logic layer (default) instead of
-    /// gathering matched tuples over the links.
-    pub fused_aggregate: bool,
-}
-
-impl Default for HiveBackend {
-    fn default() -> Self {
-        HiveBackend {
-            fused_aggregate: true,
-        }
-    }
-}
-
-/// HIPE: HIVE plus the predication match logic (which also squashes
-/// the whole fused-aggregate tail of matchless regions).
-#[derive(Debug, Clone, Copy)]
-pub struct HipeBackend {
-    /// Run aggregates inside the logic layer (default) instead of
-    /// gathering matched tuples over the links.
-    pub fused_aggregate: bool,
-}
-
-impl Default for HipeBackend {
-    fn default() -> Self {
-        HipeBackend {
-            fused_aggregate: true,
-        }
-    }
-}
-
-fn compile_logic(
-    sys: &System,
-    query: &Query,
-    arch: Arch,
-    predicated: bool,
-    fused_aggregate: bool,
-) -> Result<ExecutablePlan, CompileError> {
-    sys.note_compilation();
-    let program = if query.aggregates() && fused_aggregate {
-        hipe_compiler::lower_logic_aggregate(query, sys.layout(), predicated, sys.prune())?
-    } else {
-        hipe_compiler::lower_logic_scan(query, sys.layout(), predicated, sys.prune())?
-    };
-    Ok(ExecutablePlan::new(
-        arch,
-        sys,
-        query,
-        PlanCode::Logic {
-            program,
-            predicated,
-        },
-    ))
-}
-
-impl Backend for HiveBackend {
-    fn arch(&self) -> Arch {
-        Arch::Hive
-    }
-
-    fn compile(&self, sys: &System, query: &Query) -> Result<ExecutablePlan, CompileError> {
-        compile_logic(sys, query, Arch::Hive, false, self.fused_aggregate)
-    }
-
-    fn execute(&self, session: &mut Session<'_>, plan: &ExecutablePlan) -> RunReport {
-        plan.check_arch(Arch::Hive);
-        neardata::execute(session, plan)
-    }
-}
-
-impl Backend for HipeBackend {
-    fn arch(&self) -> Arch {
-        Arch::Hipe
-    }
-
-    fn compile(&self, sys: &System, query: &Query) -> Result<ExecutablePlan, CompileError> {
-        compile_logic(sys, query, Arch::Hipe, true, self.fused_aggregate)
-    }
-
-    fn execute(&self, session: &mut Session<'_>, plan: &ExecutablePlan) -> RunReport {
-        plan.check_arch(Arch::Hipe);
-        neardata::execute(session, plan)
     }
 }
 
@@ -414,7 +290,12 @@ mod tests {
 
     #[test]
     fn stock_hmc_backend_uses_16_byte_ops() {
-        assert_eq!(HmcIsaBackend::default().op_size, STOCK_HMC_OP);
+        assert_eq!(
+            System::backend(Arch::HmcIsa),
+            Backend::HmcIsa {
+                op_size: hipe_compiler::STOCK_HMC_OP
+            }
+        );
     }
 
     #[test]
@@ -436,7 +317,7 @@ mod tests {
         assert!(!plan.fused_aggregate());
         // The explicit host-gather configuration is preserved for the
         // fused-vs-gather comparison experiments.
-        let host_gather = HipeBackend {
+        let host_gather = Backend::Hipe {
             fused_aggregate: false,
         };
         let plan = host_gather.compile(&sys, &q6).expect("Q6 compiles");
@@ -449,7 +330,7 @@ mod tests {
         let fused = System::backend(Arch::Hive)
             .compile(&sys, &Query::q6())
             .expect("Q6 compiles");
-        let gather = HiveBackend {
+        let gather = Backend::Hive {
             fused_aggregate: false,
         }
         .compile(&sys, &Query::q6())
@@ -495,16 +376,5 @@ mod tests {
                 .expect("live systems always compile");
             assert_eq!(plan.prune_stats().pruned, 0, "{arch}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "executed on the")]
-    fn executing_a_foreign_plan_panics() {
-        let sys = System::new(64, 2);
-        let plan = System::backend(Arch::Hive)
-            .compile(&sys, &Query::q6())
-            .expect("Q6 compiles");
-        let mut session = sys.session();
-        let _ = System::backend(Arch::Hipe).execute(&mut session, &plan);
     }
 }

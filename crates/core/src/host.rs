@@ -5,11 +5,12 @@
 //! through the cache hierarchy; HMC-ISA dispatches cross the links and
 //! run in the vault functional units.
 
-use crate::backend::{ExecutablePlan, PlanCode};
+use crate::backend::ExecutablePlan;
 use crate::gather;
 use crate::report::{PartitionPhase, PhaseBreakdown, RunReport};
 use crate::session::Session;
 use hipe_cache::CacheHierarchy;
+use hipe_compiler::HostScanProgram;
 use hipe_cpu::{Core, MemoryPort};
 use hipe_db::{Bitmask, DsmLayout, Query, COLUMN_BYTES, REGION_ROWS};
 use hipe_hmc::{AccessKind, Hmc};
@@ -64,11 +65,12 @@ impl MemoryPort for CachedPort<'_> {
 /// Executes a compiled micro-op plan (x86 baseline or HMC-ISA) against
 /// the session's warm image, expanding its op templates straight into
 /// the core.
-pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunReport {
+pub(crate) fn execute(
+    session: &mut Session<'_>,
+    plan: &ExecutablePlan,
+    program: &HostScanProgram,
+) -> RunReport {
     let sys = session.system();
-    let PlanCode::Micro(program) = plan.code() else {
-        unreachable!("the host executor requires a micro-op plan");
-    };
     let query = plan.query();
     let mut caches = CacheHierarchy::new(sys.config().hierarchy);
     let mut core = Core::new(sys.config().core);
@@ -249,19 +251,18 @@ mod tests {
         // pay a packet-header round trip per two rows, so the links see
         // more traffic than even the streaming baseline; widening the
         // operand to a full row buffer amortizes the headers away.
-        use crate::backend::{Backend, HmcIsaBackend};
+        use crate::backend::Backend;
         use hipe_isa::OpSize;
 
         let sys = System::new(4096, 5);
         let q = Query::quantity_below_permille(100);
         let stock = run(&sys, Arch::HmcIsa, &q);
-        let wide_backend = HmcIsaBackend {
+        let plan = Backend::HmcIsa {
             op_size: OpSize::MAX,
-        };
-        let plan = wide_backend.compile(&sys, &q).expect("scan compiles");
-        let mut session = sys.session();
-        session.reset();
-        let wide = wide_backend.execute(&mut session, &plan);
+        }
+        .compile(&sys, &q)
+        .expect("scan compiles");
+        let wide = sys.session().run_plan(&plan);
         assert_eq!(stock.result, wide.result);
         assert!(wide.hmc.link_bytes < stock.hmc.link_bytes / 4);
         assert!(wide.cycles < stock.cycles);

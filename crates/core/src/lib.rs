@@ -24,11 +24,11 @@
 //!
 //! # Compile → session → execute
 //!
-//! Execution is split into three stages behind the open [`Backend`]
-//! abstraction:
+//! Execution is split into three stages:
 //!
-//! 1. [`System::backend`] resolves an [`Arch`] label to its stateless
-//!    [`Backend`];
+//! 1. [`System::backend`] resolves an [`Arch`] label to its stock
+//!    [`Backend`], one variant per machine carrying that machine's
+//!    compile-time knobs (HMC-ISA operand size, fused aggregates);
 //! 2. [`Backend::compile`] lowers a query into an [`ExecutablePlan`]
 //!    (once per query, reusable); invalid inputs surface as a typed
 //!    [`CompileError`] instead of a panic. The two host-driven
@@ -44,7 +44,9 @@
 //! 3. a [`Session`] — opened with [`System::session`] — owns one warm,
 //!    materialized cube image and executes plans against it, applying
 //!    a reset protocol between runs so warm results are bit- and
-//!    cycle-identical to cold ones.
+//!    cycle-identical to cold ones. [`Session::run_plan`] picks the
+//!    host executor for micro-op plans and the near-data executor for
+//!    logic-layer plans.
 //!
 //! [`System::run`] remains as a one-shot wrapper.
 //!
@@ -94,11 +96,9 @@ mod report;
 mod session;
 mod system;
 
-pub use backend::{
-    Backend, ExecutablePlan, HipeBackend, HiveBackend, HmcIsaBackend, HostX86Backend,
-};
+pub use backend::{Backend, ExecutablePlan};
 pub use hipe_compiler::CompileError;
 pub use hipe_db::{PruneStats, TableShape, ZoneMap};
-pub use report::{Arch, PartitionPhase, PhaseBreakdown, RunReport, TraceCtx};
+pub use report::{Arch, PartitionPhase, PhaseBreakdown, RunReport};
 pub use session::{PlanCache, Session};
 pub use system::{System, SystemConfig};

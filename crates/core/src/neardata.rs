@@ -18,7 +18,7 @@
 //! (timed as the `gather_aggregate` phase). Plans compiled with
 //! `fused_aggregate: false` keep the per-tuple host gather instead.
 
-use crate::backend::{ExecutablePlan, PlanCode};
+use crate::backend::ExecutablePlan;
 use crate::gather;
 use crate::report::{PartitionPhase, PhaseBreakdown, RunReport};
 use crate::session::Session;
@@ -139,17 +139,15 @@ fn dispatch_schedule(program: &LogicScanProgram) -> Vec<usize> {
 
 /// Executes a compiled logic-layer plan (HIVE or HIPE) against the
 /// session's warm image.
-pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunReport {
+pub(crate) fn execute(
+    session: &mut Session<'_>,
+    plan: &ExecutablePlan,
+    program: &LogicScanProgram,
+    predicated: bool,
+) -> RunReport {
     let sys = session.system();
-    let PlanCode::Logic {
-        program,
-        predicated,
-    } = plan.code()
-    else {
-        unreachable!("the near-data executor requires a logic-layer plan");
-    };
     let query = plan.query();
-    let logic_cfg = if *predicated {
+    let logic_cfg = if predicated {
         sys.config().hipe
     } else {
         sys.config().hive
@@ -293,6 +291,7 @@ fn read_mask(hmc: &Hmc, program: &LogicScanProgram, rows: usize) -> Bitmask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::PlanCode;
     use crate::report::Arch;
     use crate::system::System;
     use hipe_db::{scan, Query};

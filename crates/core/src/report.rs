@@ -7,15 +7,16 @@ use hipe_db::Bitmask;
 use hipe_hmc::{EnergyBreakdown, HmcStats};
 use hipe_logic::EngineStats;
 use hipe_sim::Cycle;
-use hipe_trace::{Metrics, TraceSink, TrackId};
+use hipe_trace::{Metrics, Tracer, TrackId};
 
 /// The simulated architectures.
 ///
-/// `Arch` is a thin label: each variant resolves to a stateless
-/// [`Backend`](crate::Backend) via
-/// [`System::backend`](crate::System::backend), which owns the actual
-/// compile and execute logic. Adding a machine means adding a variant
-/// and a backend — nothing else in the driver changes.
+/// `Arch` is a thin label: [`System::backend`](crate::System::backend)
+/// resolves each variant to its stock [`Backend`](crate::Backend),
+/// which lowers queries for that machine, and a session runs the
+/// resulting plan on the host or the near-data executor. The set is
+/// closed: every dispatch on it is an exhaustive `match`, so adding a
+/// machine is a compile error at each place that must handle it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Arch {
     /// x86/AVX baseline: everything in the core, data through the
@@ -194,7 +195,7 @@ impl RunReport {
     ///
     /// Emission only *reads* the report — tracing can never perturb
     /// the cycle accounting it describes.
-    pub fn trace_into(&self, sink: &mut dyn TraceSink, track: TrackId, at: Cycle, name: &str) {
+    pub fn trace_into(&self, sink: &mut Tracer, track: TrackId, at: Cycle, name: &str) {
         sink.span_on(
             track,
             name,
@@ -256,7 +257,7 @@ impl RunReport {
     /// # Panics
     ///
     /// Panics unless `tracks` holds exactly one track per partition.
-    pub fn trace_partitions_into(&self, sink: &mut dyn TraceSink, tracks: &[TrackId], at: Cycle) {
+    pub fn trace_partitions_into(&self, sink: &mut Tracer, tracks: &[TrackId], at: Cycle) {
         assert_eq!(
             tracks.len(),
             self.partitions.len(),
@@ -307,19 +308,6 @@ impl RunReport {
             metrics.counter_add(&format!("{prefix}partition.dram_bytes"), part.dram_bytes);
         }
     }
-}
-
-/// Where and when a traced execution should emit: the sink, the track
-/// to emit onto, and the absolute cycle the run is placed at. Bundled
-/// so the seam through the stack stays a single
-/// `Option<TraceCtx<'_>>` argument.
-pub struct TraceCtx<'a> {
-    /// Recorder to emit into.
-    pub sink: &'a mut dyn TraceSink,
-    /// Track the run's spans land on.
-    pub track: TrackId,
-    /// Absolute cycle of the run's start.
-    pub at: Cycle,
 }
 
 impl std::fmt::Display for RunReport {

@@ -1,8 +1,9 @@
 //! Warm execution sessions: one materialized cube image, many runs.
 
-use crate::backend::ExecutablePlan;
+use crate::backend::{ExecutablePlan, PlanCode};
 use crate::report::{Arch, RunReport};
 use crate::system::System;
+use crate::{host, neardata};
 use hipe_db::Query;
 use hipe_hmc::Hmc;
 use std::collections::HashMap;
@@ -72,7 +73,8 @@ impl PlanCache {
 /// This is the execution half of the compile → session → execute
 /// split: plans compiled by a [`Backend`](crate::Backend) can be
 /// executed any number of times, on any architecture, against the one
-/// materialization.
+/// materialization; [`run_plan`](Self::run_plan) picks the host or
+/// the near-data executor from the plan's own code.
 ///
 /// # Example
 ///
@@ -165,8 +167,7 @@ impl<'a> Session<'a> {
     /// the table's size.
     ///
     /// [`run`](Self::run) and [`run_plan`](Self::run_plan) call this
-    /// before every execution; it only needs to be invoked directly
-    /// when driving a [`Backend`](crate::Backend) by hand.
+    /// before every execution.
     pub fn reset(&mut self) {
         self.hmc.zero_dirty_from(self.sys.mask_base());
         self.hmc.reset_run_state();
@@ -182,30 +183,11 @@ impl<'a> Session<'a> {
     ///
     /// Compile errors cannot occur here: a live [`System`] always has
     /// at least one row, which is the only way a query over it could
-    /// fail to lower. (Driving a [`Backend`](crate::Backend) by hand
+    /// fail to lower. ([`Backend::compile`](crate::Backend::compile)
     /// exposes the typed error.)
     pub fn run(&mut self, arch: Arch, query: &Query) -> RunReport {
         let plan = self.plan(arch, query);
         self.run_plan(&plan)
-    }
-
-    /// Like [`run`](Self::run), emitting the run's phase spans into
-    /// the trace context when one is given. `None` takes a single
-    /// branch and is otherwise the exact [`run`](Self::run) path, and
-    /// emission happens strictly after execution from the finished
-    /// [`RunReport`] — so the report (cycles, masks, digests) is
-    /// bit-identical whether or not the run is traced.
-    pub fn run_traced(
-        &mut self,
-        arch: Arch,
-        query: &Query,
-        trace: Option<crate::TraceCtx<'_>>,
-    ) -> RunReport {
-        let report = self.run(arch, query);
-        if let Some(ctx) = trace {
-            report.trace_into(ctx.sink, ctx.track, ctx.at, "query");
-        }
-        report
     }
 
     /// The session's cached plan for `(arch, query)`, compiling it on
@@ -254,6 +236,12 @@ impl<'a> Session<'a> {
             "plan was compiled for a different system"
         );
         self.reset();
-        System::backend(plan.arch()).execute(self, plan)
+        match plan.code() {
+            PlanCode::Micro(program) => host::execute(self, plan, program),
+            PlanCode::Logic {
+                program,
+                predicated,
+            } => neardata::execute(self, plan, program, *predicated),
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! The assembled system: table, memory image and backend resolution.
 
-use crate::backend::{Backend, HipeBackend, HiveBackend, HmcIsaBackend, HostX86Backend};
+use crate::backend::Backend;
 use crate::report::{Arch, RunReport};
 use crate::session::{PlanCache, Session};
 use hipe_cache::HierarchyConfig;
@@ -192,21 +192,19 @@ impl System {
         }
     }
 
-    /// Resolves an architecture label to its (stateless) backend.
-    ///
-    /// This is the single point where [`Arch`] meets implementation:
-    /// everything else — sessions, benches, tests — goes through the
-    /// returned [`Backend`].
-    pub fn backend(arch: Arch) -> &'static dyn Backend {
+    /// The stock configuration of an architecture's [`Backend`]: 16 B
+    /// HMC-ISA operands and fused aggregates on HIVE/HIPE. Sessions
+    /// compile every plan through it.
+    pub fn backend(arch: Arch) -> Backend {
         match arch {
-            Arch::HostX86 => &HostX86Backend,
-            Arch::HmcIsa => &HmcIsaBackend {
+            Arch::HostX86 => Backend::HostX86,
+            Arch::HmcIsa => Backend::HmcIsa {
                 op_size: STOCK_HMC_OP,
             },
-            Arch::Hive => &HiveBackend {
+            Arch::Hive => Backend::Hive {
                 fused_aggregate: true,
             },
-            Arch::Hipe => &HipeBackend {
+            Arch::Hipe => Backend::Hipe {
                 fused_aggregate: true,
             },
         }
@@ -234,8 +232,8 @@ impl System {
     }
 
     /// The zone map, but only when [`SystemConfig::pruning`] asked the
-    /// backends to compile against it — this is the value every
-    /// `Backend::compile` hands to the lowering functions, so the flag
+    /// backends to compile against it — this is the value
+    /// [`Backend::compile`] hands to the lowering functions, so the flag
     /// is honoured in exactly one place.
     pub fn prune(&self) -> Option<&ZoneMap> {
         self.cfg.pruning.then_some(&self.zonemap)
@@ -261,7 +259,7 @@ impl System {
         self.compilations.load(Ordering::Relaxed)
     }
 
-    /// Records one query lowering (called by every [`Backend::compile`]).
+    /// Records one query lowering (called by [`Backend::compile`]).
     pub(crate) fn note_compilation(&self) {
         self.compilations.fetch_add(1, Ordering::Relaxed);
     }

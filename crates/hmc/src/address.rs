@@ -60,11 +60,6 @@ impl AddressMapping {
         }
     }
 
-    /// The interleaving granularity in bytes (row-buffer size).
-    pub fn block_bytes(&self) -> u64 {
-        self.block
-    }
-
     /// Splits a byte range `[addr, addr+len)` into per-block segments,
     /// each fully contained in one row buffer.
     ///

@@ -116,11 +116,6 @@ impl HmcConfig {
         ClockDomain::new(self.dram_freq, self.cpu_freq)
     }
 
-    /// Clock-domain converter from link to CPU cycles.
-    pub fn link_domain(&self) -> ClockDomain {
-        ClockDomain::new(self.link_freq, self.cpu_freq)
-    }
-
     /// Total number of banks in the cube.
     pub fn total_banks(&self) -> usize {
         self.vaults * self.banks_per_vault

@@ -21,7 +21,6 @@ pub struct Vault {
     banks: Vec<Server>,
     queue: Window,
     fu: Server,
-    read_lat: [Cycle; 2],
     bank_cycle: Cycle,
     cfg_burst: u64,
     cfg_row: u64,
@@ -39,10 +38,6 @@ impl Vault {
             banks: vec![Server::new(); cfg.banks_per_vault],
             queue: Window::new(cfg.vault_queue),
             fu: Server::new(),
-            read_lat: [
-                cfg.closed_page_read_latency(cfg.row_buffer_bytes),
-                cfg.closed_page_write_latency(cfg.row_buffer_bytes),
-            ],
             bank_cycle: cfg.bank_cycle_time(),
             cfg_burst: cfg.burst_bytes,
             cfg_row: cfg.row_buffer_bytes,
@@ -113,11 +108,6 @@ impl Vault {
     /// Total busy cycles across this vault's banks.
     pub fn bank_busy_cycles(&self) -> Cycle {
         self.banks.iter().map(Server::busy_cycles).sum()
-    }
-
-    /// Read latency of a full row access (diagnostic).
-    pub fn row_read_latency(&self) -> Cycle {
-        self.read_lat[0]
     }
 }
 

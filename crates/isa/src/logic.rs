@@ -144,14 +144,6 @@ impl Predicate {
             when: PredWhen::AnyNonZero,
         }
     }
-
-    /// Convenience: execute when `reg` is entirely zero.
-    pub fn all_zero(reg: RegId) -> Self {
-        Predicate {
-            reg,
-            when: PredWhen::AllZero,
-        }
-    }
 }
 
 /// One instruction of the HIVE/HIPE logic-layer engine.

@@ -354,16 +354,6 @@ pub struct ClusterSession<'a> {
 }
 
 impl<'a> ClusterSession<'a> {
-    /// The cluster this session executes against.
-    pub fn cluster(&self) -> &Cluster {
-        self.cluster
-    }
-
-    /// Mutable access to shard `s`'s warm [`Session`].
-    pub fn shard_session(&mut self, s: usize) -> &mut Session<'a> {
-        &mut self.sessions[s]
-    }
-
     /// Scatters `query` to every shard and gathers the combined
     /// [`ClusterReport`].
     ///

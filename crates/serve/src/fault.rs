@@ -5,7 +5,7 @@
 //! requests in service are cut mid-flight, queued and later requests
 //! are refused (the [`hipe_sim::Server::serve_until`] semantics). The
 //! front end learns of the failure `fault_detect` cycles later; until
-//! then the router may keep sending sub-queries into the dark replica,
+//! then routing may keep sending sub-queries into the dark replica,
 //! and every such sub-query is *re-dispatched* to a surviving replica
 //! once detection fires (paying the detection wait plus a re-dispatch
 //! cost). A fault kills a *server*, not data: every replica of a shard

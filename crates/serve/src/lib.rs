@@ -19,11 +19,12 @@
 //! servers, not copies: a copy of a shard would answer every query
 //! bit- and cycle-identically, so a replica is a scheduler
 //! [`Server`](hipe_sim::Server) over its shard's one cube. Queries
-//! *scatter-gather*, with a [`Router`] picking one replica per shard:
+//! *scatter-gather*, with the [`RoutingPolicy`] picking one replica
+//! per shard:
 //!
 //! ```text
-//!            query ──► Cluster ──scatter──► shard 0 ─Router─► replica 0 │ replica 1 │ …
-//!                         │      ├────────► shard 1 ─Router─► replica 0 │ replica 1 │ …
+//!            query ──► Cluster ──scatter──► shard 0 ─routing─► replica 0 │ replica 1 │ …
+//!                         │      ├────────► shard 1 ─routing─► replica 0 │ replica 1 │ …
 //!                         │      └────────► shard N-1 ───────► …         (rows split
 //!                         ▼                                               per shard,
 //!            gather: mask concatenation + partial-sum addition            one cube
@@ -82,7 +83,7 @@ mod service;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterReport, ClusterSession, MERGE_CYCLES_PER_SHARD};
 pub use fault::FaultPlan;
-pub use routing::{FastestReplica, LeastOutstanding, RoundRobin, RouteCtx, Router, RoutingPolicy};
+pub use routing::RoutingPolicy;
 pub use service::{
     run_service, run_service_traced, LatencySummary, LoadModel, ServiceConfig, ServiceReport,
 };

@@ -22,19 +22,19 @@
 //! construction.
 //!
 //! Each scattered sub-query goes to exactly **one** replica of each
-//! shard, chosen by the configured [`Router`] policy; a
+//! shard, chosen by the configured [`RoutingPolicy`]; a
 //! [`FaultPlan`] can kill a replica mid-run, in which case its lost
 //! sub-queries are detected and re-dispatched to a survivor (the
 //! fail-stop model of [`crate::fault`]).
 
 use crate::cluster::{Cluster, Profile, MERGE_CYCLES_PER_SHARD};
 use crate::fault::{self, FaultPlan};
-use crate::routing::{RouteCtx, Router, RoutingPolicy};
+use crate::routing::{Replica, RoutingPolicy};
 use hipe::{Arch, PhaseBreakdown};
 use hipe_db::scan::ScanResult;
 use hipe_db::{Query, SplitMix64};
 use hipe_sim::{Cycle, Freq, Samples, ServeOutcome, Server, Window};
-use hipe_trace::{TraceSink, TrackId, TrackKind};
+use hipe_trace::{Tracer, TrackId, TrackKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -94,7 +94,7 @@ pub struct ServiceConfig {
     /// Front-end cycles per query within a batch.
     pub per_query_dispatch: Cycle,
     /// Replica-selection policy placed in front of the per-shard
-    /// sessions (each run builds a fresh [`Router`] from it).
+    /// sessions.
     pub routing: RoutingPolicy,
     /// Fail-stop faults injected into the run (empty = fault-free).
     /// Validated up front: every shard must keep at least one replica
@@ -400,39 +400,12 @@ struct Served {
     completion: Cycle,
 }
 
-/// One replica in the event loop: its server, its (optional)
-/// fail-stop cycle, and the completions of sub-queries still in
-/// flight on it (for the router's outstanding counts).
-#[derive(Debug)]
-struct Replica {
-    server: Server,
-    fail_at: Option<Cycle>,
-    inflight: BinaryHeap<Reverse<Cycle>>,
-}
-
-impl Replica {
-    fn new(fail_at: Option<Cycle>) -> Self {
-        Replica {
-            server: Server::new(),
-            fail_at,
-            inflight: BinaryHeap::new(),
-        }
-    }
-
-    /// Whether the front end believes this replica alive at `now`: a
-    /// dark replica stays routable until detection fires, `detect`
-    /// cycles after the fault.
-    fn believed_alive(&self, now: Cycle, detect: Cycle) -> bool {
-        self.fail_at.is_none_or(|f| now < f + detect)
-    }
-}
-
 /// Trace plumbing of one service run: the sink plus the tracks the
 /// scheduler emits onto — admission and front-end rows, an async
 /// `queries` row for overlapping arrival-to-completion lifetimes, and
 /// one sync row per shard×replica server.
 struct SchedTrace<'a> {
-    sink: &'a mut dyn TraceSink,
+    sink: &'a mut Tracer,
     admission: TrackId,
     frontend: TrackId,
     queries: TrackId,
@@ -444,7 +417,7 @@ struct SchedTrace<'a> {
 
 impl<'a> SchedTrace<'a> {
     /// Registers the run's tracks on `sink`.
-    fn new(sink: &'a mut dyn TraceSink, shards: usize, replicas: usize) -> Self {
+    fn new(sink: &'a mut Tracer, shards: usize, replicas: usize) -> Self {
         let admission = sink.track("admission", TrackKind::Sync);
         let frontend = sink.track("front-end", TrackKind::Sync);
         let queries = sink.track("queries", TrackKind::Async);
@@ -470,7 +443,7 @@ impl<'a> SchedTrace<'a> {
 /// its replica-execute span starting at `start` (the replica's
 /// occupancy begin). Mirrors `RunReport::trace_into`: no `dispatch`
 /// child when dispatch coincides with scan (the x86 in-place path).
-fn trace_phases(sink: &mut dyn TraceSink, track: TrackId, ph: PhaseBreakdown, start: Cycle) {
+fn trace_phases(sink: &mut Tracer, track: TrackId, ph: PhaseBreakdown, start: Cycle) {
     let dispatch_end = if ph.dispatch < ph.scan {
         ph.dispatch
     } else {
@@ -509,7 +482,8 @@ struct Scheduler<'a> {
     profiles: &'a [Arc<Profile>],
     frontend: Server,
     replicas: Vec<Vec<Replica>>,
-    router: Box<dyn Router>,
+    /// Round-robin cursor of each shard.
+    cursors: Vec<usize>,
     window: Window,
     batch: Vec<Pending>,
     batch_cap: usize,
@@ -560,7 +534,7 @@ impl<'a> Scheduler<'a> {
             profiles,
             frontend: Server::new(),
             replicas,
-            router: cfg.routing.router(),
+            cursors: vec![0; cluster.shards()],
             window: Window::new(cfg.max_in_flight),
             batch: Vec::with_capacity(batch_cap),
             batch_cap,
@@ -647,7 +621,7 @@ impl<'a> Scheduler<'a> {
             t.batches += 1;
         }
         // Scatter each member to exactly one replica of every shard
-        // the query can touch (the router picks which replica); a
+        // the query can touch (the routing policy picks which one); a
         // replica serves one sub-query at a time, so members queue per
         // replica in batch order. Shards the profile proved
         // zone-map-skippable for this query are never scattered to —
@@ -704,46 +678,22 @@ impl<'a> Scheduler<'a> {
     fn route_and_serve(&mut self, tag: usize, query: usize, shard: usize, mut at: Cycle) -> Cycle {
         let dispatched = at;
         let duration = self.profiles[query].cycles[shard];
-        // Scratch per-replica state for the router's context.
-        let mut alive = Vec::with_capacity(self.replicas[shard].len());
-        let mut next_free = Vec::with_capacity(alive.capacity());
-        let mut outstanding = Vec::with_capacity(alive.capacity());
         loop {
-            alive.clear();
-            next_free.clear();
-            outstanding.clear();
-            for replica in self.replicas[shard].iter_mut() {
-                while let Some(&Reverse(done)) = replica.inflight.peek() {
-                    if done > at {
-                        break;
-                    }
-                    replica.inflight.pop();
-                }
-                alive.push(replica.believed_alive(at, self.cfg.fault_detect));
-                next_free.push(replica.server.next_free());
-                outstanding.push(replica.inflight.len() as u32);
+            let replicas = &mut self.replicas[shard];
+            for replica in replicas.iter_mut() {
+                replica.retire(at);
             }
-            let ctx = RouteCtx {
-                now: at,
-                query,
-                alive: &alive,
-                next_free: &next_free,
-                outstanding: &outstanding,
+            let r = self.cfg.routing.pick(
+                shard,
+                replicas,
+                &mut self.cursors[shard],
+                at,
+                self.cfg.fault_detect,
                 duration,
-            };
-            let r = self.router.pick(shard, &ctx);
-            assert!(
-                alive[r],
-                "router picked replica {r} of shard {shard}, known dead since \
-                 cycle {:?}",
-                self.replicas[shard][r].fail_at
             );
-            let replica = &mut self.replicas[shard][r];
+            let replica = &mut replicas[r];
             let served = match replica.fail_at {
-                None => {
-                    let (start, end) = replica.server.serve(at, duration);
-                    Some((start, end))
-                }
+                None => Some(replica.server.serve(at, duration)),
                 Some(fail) => match replica.server.serve_until(at, duration, fail) {
                     ServeOutcome::Done { start, end } => Some((start, end)),
                     // The replica died with this sub-query queued or
@@ -759,7 +709,7 @@ impl<'a> Scheduler<'a> {
             };
             match served {
                 Some((start, end)) => {
-                    self.replicas[shard][r].inflight.push(Reverse(end));
+                    replica.hold(end);
                     self.shard_latencies[shard].push(end - dispatched);
                     if let Some(t) = &mut self.trace {
                         let track = t.replica_tracks[shard][r];
@@ -775,7 +725,7 @@ impl<'a> Scheduler<'a> {
                     return end;
                 }
                 None => {
-                    let fail = self.replicas[shard][r]
+                    let fail = replica
                         .fail_at
                         .expect("only a fault plan can cut a sub-query");
                     self.redispatched += 1;
@@ -845,7 +795,7 @@ pub fn run_service(cluster: &Cluster, cfg: &ServiceConfig) -> ServiceReport {
 pub fn run_service_traced(
     cluster: &Cluster,
     cfg: &ServiceConfig,
-    trace: Option<&mut dyn TraceSink>,
+    trace: Option<&mut Tracer>,
 ) -> ServiceReport {
     assert!(cfg.queries > 0, "a service run needs at least one query");
     assert!(!cfg.mix.is_empty(), "the query mix is empty");
@@ -877,7 +827,7 @@ pub fn run_service_traced(
     // order independence) makes replaying a memoized measurement in
     // the event loop exact. Every replica of a shard executes on the
     // shard's one `System`, so the measured duration and answer hold
-    // for whichever replica the router picks — and for the survivor a
+    // for whichever replica the routing picks — and for the survivor a
     // failover re-picks. The session opens even when every profile
     // hits, so a run always materializes once per shard, and it stays
     // open through the replay: freeing its images before the event

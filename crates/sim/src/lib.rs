@@ -22,6 +22,12 @@
 //! higher-level crates are written so that requests are generated in
 //! program order, which satisfies that contract.
 //!
+//! Beside them sit the [`ClockDomain`]/[`Freq`] cycle converters,
+//! [`Samples`] (exact nearest-rank latency percentiles for the service
+//! reports; every other statistic goes through `hipe_trace::Metrics`)
+//! and the host-side [`WorkerPool`] that runs independent simulations
+//! in parallel.
+//!
 //! # Example
 //!
 //! ```
@@ -54,6 +60,6 @@ pub use fifo_window::FifoWindow;
 pub use host::{env_workers, WorkerPool};
 pub use pipe::ThroughputPipe;
 pub use server::{MultiServer, ServeOutcome, Server};
-pub use stats::{Counter, Histogram, RunningStats, Samples};
-pub use time::{time_ns, ClockDomain, Cycle, Freq};
+pub use stats::Samples;
+pub use time::{ClockDomain, Cycle, Freq};
 pub use window::Window;

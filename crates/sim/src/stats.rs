@@ -1,129 +1,14 @@
-//! Lightweight statistics collection.
+//! Exact latency samples with nearest-rank percentiles.
 
 use crate::time::Cycle;
 
-/// A named monotone event counter.
-///
-/// # Example
-///
-/// ```
-/// use hipe_sim::Counter;
-/// let mut c = Counter::new("row_activations");
-/// c.add(3);
-/// c.inc();
-/// assert_eq!(c.value(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Counter {
-    name: &'static str,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter with a diagnostic name.
-    pub fn new(name: &'static str) -> Self {
-        Counter { name, value: 0 }
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Adds one to the counter.
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Diagnostic name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-impl std::fmt::Display for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} = {}", self.name, self.value)
-    }
-}
-
-/// Streaming mean/min/max over observed samples.
-///
-/// # Example
-///
-/// ```
-/// use hipe_sim::RunningStats;
-/// let mut s = RunningStats::new();
-/// for v in [10, 20, 30] { s.push(v); }
-/// assert_eq!(s.mean(), 20.0);
-/// assert_eq!(s.min(), Some(10));
-/// assert_eq!(s.max(), Some(30));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct RunningStats {
-    n: u64,
-    sum: u128,
-    min: Option<u64>,
-    max: Option<u64>,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        RunningStats::default()
-    }
-
-    /// Observes one sample.
-    pub fn push(&mut self, v: u64) {
-        self.n += 1;
-        self.sum += v as u128;
-        self.min = Some(self.min.map_or(v, |m| m.min(v)));
-        self.max = Some(self.max.map_or(v, |m| m.max(v)));
-    }
-
-    /// Number of samples observed.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sum of samples.
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
-    /// Mean of samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.n as f64
-        }
-    }
-
-    /// Smallest sample, if any.
-    pub fn min(&self) -> Option<u64> {
-        self.min
-    }
-
-    /// Largest sample, if any.
-    pub fn max(&self) -> Option<u64> {
-        self.max
-    }
-}
-
 /// An exact sample set with nearest-rank percentiles.
 ///
-/// Unlike [`Histogram`] (bounded memory, bucketed) this keeps every
-/// observed value, which is what a service report needs for exact
-/// p50/p95/p99 tail latencies. Percentiles use the *nearest-rank*
-/// definition: for `n` sorted samples, percentile `p` is the value at
-/// rank `ceil(p/100 * n)` (1-based), so p100 is the maximum and every
-/// returned value is an actually observed sample.
+/// It keeps every observed value, which is what a service report
+/// needs for exact p50/p95/p99 tail latencies. Percentiles use the
+/// *nearest-rank* definition: for `n` sorted samples, percentile `p`
+/// is the value at rank `ceil(p/100 * n)` (1-based), so p100 is the
+/// maximum and every returned value is an actually observed sample.
 ///
 /// # Example
 ///
@@ -228,107 +113,9 @@ impl Samples {
     }
 }
 
-/// A power-of-two bucketed latency histogram.
-///
-/// Bucket `i` counts samples in `[2^i, 2^(i+1))`, with bucket 0 also
-/// holding zero-valued samples.
-///
-/// # Example
-///
-/// ```
-/// use hipe_sim::Histogram;
-/// let mut h = Histogram::new();
-/// h.observe(0);
-/// h.observe(1);
-/// h.observe(500);
-/// assert_eq!(h.count(), 3);
-/// assert!(h.bucket(8) == 1); // 500 lands in [256, 512)
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: [u64; 64],
-    stats: RunningStats,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; 64],
-            stats: RunningStats::new(),
-        }
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Observes one latency sample.
-    pub fn observe(&mut self, v: Cycle) {
-        let idx = if v == 0 {
-            0
-        } else {
-            63 - v.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.stats.push(v);
-    }
-
-    /// Count in bucket `i` (`[2^i, 2^(i+1))`).
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Total number of samples.
-    pub fn count(&self) -> u64 {
-        self.stats.count()
-    }
-
-    /// Mean of all samples.
-    pub fn mean(&self) -> f64 {
-        self.stats.mean()
-    }
-
-    /// Largest sample observed.
-    pub fn max(&self) -> Option<Cycle> {
-        self.stats.max()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new("x");
-        c.inc();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        assert_eq!(c.to_string(), "x = 10");
-    }
-
-    #[test]
-    fn running_stats_empty() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn histogram_bucket_boundaries() {
-        let mut h = Histogram::new();
-        h.observe(1); // bucket 0
-        h.observe(2); // bucket 1
-        h.observe(3); // bucket 1
-        h.observe(4); // bucket 2
-        assert_eq!(h.bucket(0), 1);
-        assert_eq!(h.bucket(1), 2);
-        assert_eq!(h.bucket(2), 1);
-    }
 
     #[test]
     fn samples_empty_has_no_percentiles() {
@@ -520,15 +307,5 @@ mod tests {
         let mut s = Samples::new();
         s.push(1);
         let _ = s.percentile(100.1);
-    }
-
-    #[test]
-    fn histogram_tracks_mean_and_max() {
-        let mut h = Histogram::new();
-        for v in [100, 200, 300] {
-            h.observe(v);
-        }
-        assert_eq!(h.mean(), 200.0);
-        assert_eq!(h.max(), Some(300));
     }
 }

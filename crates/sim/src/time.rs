@@ -105,18 +105,6 @@ fn div_ceil(a: u64, b: u64) -> u64 {
     a.div_ceil(b)
 }
 
-/// Converts a cycle count at the given CPU frequency into nanoseconds.
-///
-/// # Example
-///
-/// ```
-/// use hipe_sim::{time_ns, Freq};
-/// assert_eq!(time_ns(2000, Freq::mhz(2000)), 1000.0);
-/// ```
-pub fn time_ns(cycles: Cycle, cpu: Freq) -> f64 {
-    cycles as f64 * 1000.0 / cpu.as_mhz() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

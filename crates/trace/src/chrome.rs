@@ -123,7 +123,7 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use crate::json::{self, Value};
-    use crate::{TraceSink, Tracer, TrackKind};
+    use crate::{Tracer, TrackKind};
 
     fn sample() -> Tracer {
         let mut t = Tracer::new();

@@ -2,14 +2,14 @@
 //!
 //! Every model in this workspace advances *simulated* time — modeled
 //! cycles, not host wall-clock — so observability has to live in the
-//! same domain. This crate provides the two primitives the rest of the
+//! same domain. This crate provides the primitives the rest of the
 //! stack threads through:
 //!
-//! * a structured trace API ([`TraceSink`], [`Span`], instants,
-//!   counters) whose timestamps are [`Cycle`]s, with a concrete
-//!   recorder ([`Tracer`]) that exports Chrome Trace Event Format JSON
-//!   (loads directly in Perfetto / `chrome://tracing`, one simulated
-//!   cycle per viewer microsecond);
+//! * a structured trace recorder ([`Tracer`]: tracks, [`Span`]s,
+//!   instants, counters) whose timestamps are [`Cycle`]s and which
+//!   exports Chrome Trace Event Format JSON (loads directly in
+//!   Perfetto / `chrome://tracing`, one simulated cycle per viewer
+//!   microsecond);
 //! * a [`Metrics`] registry of named counters / gauges / histograms
 //!   with snapshot, diff and JSON export, so component stats
 //!   (vault activity, cache hits, engine squashes) surface through one
@@ -17,7 +17,7 @@
 //! * the workspace's one JSON reader and writer ([`json`]), which every
 //!   committed artifact is written and checked through.
 //!
-//! The tracing seam is an `Option<&mut dyn TraceSink>`: callers that
+//! The tracing seam is an `Option<&mut Tracer>`: callers that
 //! pass `None` take one branch and otherwise run the exact code path
 //! they always did. Emission happens strictly *after* the cycle
 //! accounting it describes (reports and replayed schedules are read,
@@ -122,35 +122,6 @@ pub enum TraceEvent {
     },
 }
 
-/// Where trace events go. The stack is generic over this (always as
-/// `Option<&mut dyn TraceSink>`), so recorders, filters or streaming
-/// writers can be swapped in without touching the emitting code.
-pub trait TraceSink {
-    /// Registers a track and returns its id. Called once per row
-    /// before any event targets it.
-    fn track(&mut self, name: &str, kind: TrackKind) -> TrackId;
-
-    /// Records one span.
-    fn span(&mut self, span: Span);
-
-    /// Records one instant marker.
-    fn instant(&mut self, track: TrackId, name: &str, at_cycle: Cycle, args: Args);
-
-    /// Records one counter sample.
-    fn counter(&mut self, track: TrackId, name: &str, at_cycle: Cycle, value: u64);
-
-    /// Convenience: records a span from its parts.
-    fn span_on(&mut self, track: TrackId, name: &str, begin: Cycle, end: Cycle, args: Args) {
-        self.span(Span {
-            track,
-            name: name.to_string(),
-            begin_cycle: begin,
-            end_cycle: end,
-            args,
-        });
-    }
-}
-
 /// The in-memory recorder: collects tracks and events, exports
 /// Chrome Trace Event Format JSON (see [`Tracer::to_chrome_json`]).
 #[derive(Debug, Default)]
@@ -210,10 +181,10 @@ impl Tracer {
             self.tracks.len()
         );
     }
-}
 
-impl TraceSink for Tracer {
-    fn track(&mut self, name: &str, kind: TrackKind) -> TrackId {
+    /// Registers a track and returns its id. Called once per row
+    /// before any event targets it.
+    pub fn track(&mut self, name: &str, kind: TrackKind) -> TrackId {
         let id = TrackId(u32::try_from(self.tracks.len()).expect("more than u32::MAX tracks"));
         self.tracks.push(Track {
             name: name.to_string(),
@@ -222,7 +193,8 @@ impl TraceSink for Tracer {
         id
     }
 
-    fn span(&mut self, span: Span) {
+    /// Records one span.
+    pub fn span(&mut self, span: Span) {
         self.check_track(span.track);
         assert!(
             span.end_cycle >= span.begin_cycle,
@@ -242,7 +214,8 @@ impl TraceSink for Tracer {
         self.events.push(TraceEvent::Span { span, async_id });
     }
 
-    fn instant(&mut self, track: TrackId, name: &str, at_cycle: Cycle, args: Args) {
+    /// Records one instant marker.
+    pub fn instant(&mut self, track: TrackId, name: &str, at_cycle: Cycle, args: Args) {
         self.check_track(track);
         self.events.push(TraceEvent::Instant {
             track,
@@ -252,13 +225,25 @@ impl TraceSink for Tracer {
         });
     }
 
-    fn counter(&mut self, track: TrackId, name: &str, at_cycle: Cycle, value: u64) {
+    /// Records one counter sample.
+    pub fn counter(&mut self, track: TrackId, name: &str, at_cycle: Cycle, value: u64) {
         self.check_track(track);
         self.events.push(TraceEvent::Counter {
             track,
             name: name.to_string(),
             at_cycle,
             value,
+        });
+    }
+
+    /// Convenience: records a span from its parts.
+    pub fn span_on(&mut self, track: TrackId, name: &str, begin: Cycle, end: Cycle, args: Args) {
+        self.span(Span {
+            track,
+            name: name.to_string(),
+            begin_cycle: begin,
+            end_cycle: end,
+            args,
         });
     }
 }
@@ -324,16 +309,5 @@ mod tests {
         let s = t.track("engine", TrackKind::Sync);
         t.span_on(s, "dispatch", 4, 4, Vec::new());
         assert_eq!(t.spans().count(), 1);
-    }
-
-    #[test]
-    fn sink_is_object_safe() {
-        fn emit(sink: &mut dyn TraceSink) {
-            let track = sink.track("t", TrackKind::Sync);
-            sink.span_on(track, "s", 1, 2, vec![("k", "v".into())]);
-        }
-        let mut t = Tracer::new();
-        emit(&mut t);
-        assert_eq!(t.len(), 1);
     }
 }

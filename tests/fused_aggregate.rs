@@ -15,7 +15,7 @@
 //! 3. at low (≤ 3 %) selectivity the fused path is strictly cheaper in
 //!    cycles than the same machine doing the host-side gather.
 
-use hipe::{Arch, Backend, HipeBackend, HiveBackend, RunReport, System};
+use hipe::{Arch, Backend, RunReport, System};
 use hipe_db::{scan, Query};
 
 const ROWS: usize = 20_000;
@@ -30,16 +30,15 @@ fn aggregate_at(permille: u32) -> Query {
 /// instead of the fused tail (the pre-fusion comparison point).
 fn run_host_gather(sys: &System, arch: Arch, query: &Query) -> RunReport {
     let plan = match arch {
-        Arch::Hive => HiveBackend {
+        Arch::Hive => Backend::Hive {
             fused_aggregate: false,
-        }
-        .compile(sys, query),
-        Arch::Hipe => HipeBackend {
+        },
+        Arch::Hipe => Backend::Hipe {
             fused_aggregate: false,
-        }
-        .compile(sys, query),
+        },
         other => panic!("{other} has no fused/host-gather split"),
     }
+    .compile(sys, query)
     .expect("aggregate queries compile");
     assert!(!plan.fused_aggregate());
     sys.session().run_plan(&plan)

@@ -1,9 +1,10 @@
 //! Tracing is observability, not simulation: recording a trace must
 //! leave every figure bit- and cycle-identical to the untraced run.
 //!
-//! The seam is `Option<&mut dyn TraceSink>` all the way down, and
-//! emission only *reads* completed reports — so turning tracing on
-//! cannot perturb a single cycle. These tests re-record one row from
+//! The service's seam is an `Option<&mut Tracer>`, and a single run
+//! is traced after the fact with `RunReport::trace_into`: emission
+//! only *reads* completed reports and replayed schedules — so turning
+//! tracing on cannot perturb a single cycle. These tests re-record one row from
 //! each figure family (a replicated+faulted service row, a zone-map
 //! skip row, a partitioned-execution row) with tracing enabled and
 //! assert the traced run identical to the untraced one, then check
@@ -12,13 +13,13 @@
 //! workers) through `ClusterConfig::workers`, so the contract holds
 //! serial and parallel alike.
 
-use hipe::{Arch, RunReport, System, SystemConfig, TableShape, TraceCtx};
+use hipe::{Arch, RunReport, System, SystemConfig, TableShape};
 use hipe_db::{CmpOp, Column, ColumnPredicate, Query};
 use hipe_serve::{
     run_service, run_service_traced, Cluster, ClusterConfig, FaultPlan, ServiceConfig,
     ServiceReport,
 };
-use hipe_trace::{TraceSink, Tracer, TrackKind};
+use hipe_trace::{Tracer, TrackKind};
 
 const SEED: u64 = 2018;
 
@@ -138,15 +139,8 @@ fn skip_row_identical_traced_on_every_machine() {
         let plain = plain_session.run(arch, &query);
         let mut tracer = Tracer::new();
         let track = tracer.track("system", TrackKind::Sync);
-        let traced = traced_session.run_traced(
-            arch,
-            &query,
-            Some(TraceCtx {
-                sink: &mut tracer,
-                track,
-                at: 0,
-            }),
-        );
+        let traced = traced_session.run(arch, &query);
+        traced.trace_into(&mut tracer, track, 0, "query");
         assert_same_run(&plain, &traced, &format!("{arch:?} pruned window"));
         assert!(traced.regions_pruned >= 1, "{arch:?}: nothing was pruned");
         // Every pruning run records its decision as a `zonemap`
@@ -155,9 +149,10 @@ fn skip_row_identical_traced_on_every_machine() {
         let span = tracer.spans().next().expect("a query span");
         assert_eq!(span.end_cycle - span.begin_cycle, traced.cycles, "{arch:?}");
 
-        // `None` is the common disabled path: also identical.
-        let disabled = traced_session.run_traced(arch, &query, None);
-        assert_same_run(&plain, &disabled, &format!("{arch:?} trace disabled"));
+        // Emission left the traced session untouched: its next,
+        // untraced run is identical too.
+        let untraced = traced_session.run(arch, &query);
+        assert_same_run(&plain, &untraced, &format!("{arch:?} after tracing"));
     }
 }
 
@@ -173,15 +168,8 @@ fn par_row_identical_traced_with_per_engine_lanes() {
             let plain = plain_session.run(arch, &query);
             let mut tracer = Tracer::new();
             let track = tracer.track("system", TrackKind::Sync);
-            let traced = traced_session.run_traced(
-                arch,
-                &query,
-                Some(TraceCtx {
-                    sink: &mut tracer,
-                    track,
-                    at: 0,
-                }),
-            );
+            let traced = traced_session.run(arch, &query);
+            traced.trace_into(&mut tracer, track, 0, "query");
             assert_same_run(&plain, &traced, &format!("{arch:?} par_{partitions}"));
 
             // Re-emitting the concurrent engines on per-partition
