@@ -8,8 +8,10 @@
 //! `cmp`s it with the committed copy, which catches any drift. With
 //! `--trace [PATH]` it instead validates a `trace_dump` Chrome trace
 //! (default `BENCH_trace.json`): sync spans nest inside the makespan,
-//! async pairs balance, and the events reconcile exactly with the
-//! `ServiceReport` counters in `otherData`.
+//! async pairs balance, the events reconcile exactly with the
+//! `ServiceReport` counters in `otherData`, and its per-shard run
+//! metrics are integers that agree with each other (see
+//! [`check_metrics`]).
 
 // The bench harness is the terminal boundary of the workspace: the
 // library-wide print lints stop here.
@@ -263,6 +265,7 @@ fn check_trace(text: &str) -> Result<(u64, u64), String> {
     let (queries, failovers) = (other.u64("queries")?, other.u64("failovers")?);
     let (redispatched, recorded) = (other.u64("redispatched")?, other.u64("events")?);
     let makespan = other.u64("makespan_cyc")?;
+    check_metrics(&other.get("metrics")?, other.u64("shards")?)?;
 
     let mut queries_tid = None;
     let mut sync_spans: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
@@ -361,6 +364,67 @@ fn check_trace(text: &str) -> Result<(u64, u64), String> {
         format!("decoded {decoded} events, the recorder wrote {recorded}")
     })?;
     Ok((decoded, spans))
+}
+
+/// Validates `otherData.metrics`, each shard's `RunReport::metrics`
+/// under a `shard{s}.` prefix. Every key names a shard below `shards`
+/// and every value is an integer or a `{count, sum, min, max}` summary
+/// of integers. Each shard ran (`cycles` > 0), its partitions'
+/// scan-completion summary covers at least one partition and lies
+/// inside the run (min ≤ max ≤ `cycles`), and its engine squashed no
+/// more instructions than it received.
+fn check_metrics(metrics: &At, shards: u64) -> Result<(), String> {
+    let Value::Object(members) = metrics.value else {
+        return Err(format!("{}: not an object", metrics.path));
+    };
+    for (key, value) in members {
+        let shard = key
+            .strip_prefix("shard")
+            .and_then(|rest| rest.split_once('.'))
+            .and_then(|(s, _)| s.parse::<u64>().ok());
+        ensure(shard.is_some_and(|s| s < shards), || {
+            format!("{}.{key}: names no shard below {shards}", metrics.path)
+        })?;
+        match value {
+            Value::Object(_) => {
+                let summary = metrics.get(key)?;
+                for field in ["count", "sum", "min", "max"] {
+                    summary.u64(field)?;
+                }
+            }
+            _ => drop(metrics.u64(key)?),
+        }
+    }
+    for s in 0..shards {
+        let name = |metric: &str| format!("shard{s}.{metric}");
+        let cycles = metrics.u64(&name("cycles"))?;
+        ensure(cycles > 0, || {
+            format!("{}.{}: is 0", metrics.path, name("cycles"))
+        })?;
+        let scan = metrics.get(&name("partition.scan_cyc"))?;
+        let (count, min, max) = (scan.u64("count")?, scan.u64("min")?, scan.u64("max")?);
+        ensure(count >= 1, || {
+            format!("{}: summarizes no partition", scan.path)
+        })?;
+        ensure(min <= max && max <= cycles, || {
+            format!(
+                "{}: needs min <= max <= the shard's {cycles} cycles, has min {min}, max {max}",
+                scan.path
+            )
+        })?;
+        if metrics.value.get(&name("engine.squashed")).is_some() {
+            let squashed = metrics.u64(&name("engine.squashed"))?;
+            let instructions = metrics.u64(&name("engine.instructions"))?;
+            ensure(squashed <= instructions, || {
+                format!(
+                    "{}.{}: {squashed} squashed of {instructions} instructions",
+                    metrics.path,
+                    name("engine.squashed")
+                )
+            })?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -837,13 +901,111 @@ mod tests {
         t.span_on(eng, "scan", 12, 30, vec![]);
         t.instant(eng, "fault.kill", 20, vec![]);
         t.instant(fe, "redispatch", 25, vec![("shard", 0usize.into())]);
+        let scan_cyc = Value::object([
+            ("count", 1u64.into()),
+            ("sum", 30u64.into()),
+            ("min", 30u64.into()),
+            ("max", 30u64.into()),
+        ]);
         t.to_chrome_json(Value::object([
+            ("shards", 1u64.into()),
             ("queries", queries.into()),
             ("makespan_cyc", 40u64.into()),
             ("failovers", failovers.into()),
             ("redispatched", redispatched.into()),
             ("events", t.len().into()),
+            (
+                "metrics",
+                Value::object([
+                    ("shard0.cycles", 40u64.into()),
+                    ("shard0.engine.instructions", 10u64.into()),
+                    ("shard0.engine.squashed", 3u64.into()),
+                    ("shard0.partition.scan_cyc", scan_cyc),
+                ]),
+            ),
         ]))
+    }
+
+    /// `check_trace`'s error on the sample trace with `from` replaced
+    /// by `to`.
+    fn metrics_error(from: &str, to: &str) -> String {
+        let text = sample_trace(1, 1, 1);
+        assert!(text.contains(from), "sample lacks {from}");
+        check_trace(&text.replace(from, to)).unwrap_err()
+    }
+
+    #[test]
+    fn metrics_reject_a_shard_that_never_ran() {
+        let err = metrics_error("\"shard0.cycles\": 40", "\"shard0.cycles\": 0");
+        assert!(
+            err.contains("otherData.metrics.shard0.cycles: is 0"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn metrics_reject_a_scan_summary_of_no_partition() {
+        let err = metrics_error("\"count\": 1", "\"count\": 0");
+        assert!(err.contains("summarizes no partition"), "{err}");
+    }
+
+    #[test]
+    fn metrics_reject_a_scan_minimum_above_its_maximum() {
+        let err = metrics_error("\"min\": 30", "\"min\": 31");
+        assert!(err.contains("has min 31, max 30"), "{err}");
+    }
+
+    #[test]
+    fn metrics_reject_a_scan_past_the_shard_cycles() {
+        let err = metrics_error("\"max\": 30", "\"max\": 41");
+        assert!(
+            err.contains("shard0.partition.scan_cyc: needs min <= max"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn metrics_reject_more_squashes_than_instructions() {
+        let err = metrics_error(
+            "\"shard0.engine.squashed\": 3",
+            "\"shard0.engine.squashed\": 11",
+        );
+        assert!(err.contains("11 squashed of 10 instructions"), "{err}");
+    }
+
+    #[test]
+    fn metrics_reject_a_key_past_the_shard_count() {
+        let err = metrics_error("\"shard0.engine.squashed\"", "\"shard1.engine.squashed\"");
+        assert!(
+            err.contains("metrics.shard1.engine.squashed: names no shard below 1"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn metrics_reject_a_missing_value() {
+        let err = metrics_error("\"shard0.partition.scan_cyc\"", "\"shard0.partition.scan\"");
+        assert!(
+            err.contains("otherData.metrics: lacks shard0.partition.scan_cyc"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn metrics_reject_a_non_integer_value() {
+        let err = metrics_error(
+            "\"shard0.engine.instructions\": 10",
+            "\"shard0.engine.instructions\": 1.5",
+        );
+        assert!(
+            err.contains("engine.instructions is not a non-negative integer"),
+            "{err}"
+        );
+        let err = metrics_error("\"sum\": 30", "\"sum\": -30");
+        assert!(
+            err.contains("scan_cyc: sum is not a non-negative integer"),
+            "{err}"
+        );
     }
 
     #[test]

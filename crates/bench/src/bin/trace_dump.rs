@@ -10,10 +10,11 @@
 //! front-end and query-lifetime tracks.
 //!
 //! The emitted file embeds the run's `ServiceReport` counters in
-//! `otherData` (plus a per-shard metrics registry export), and
-//! `check_figures --trace` re-derives them from the events — query
-//! spans, `fault.kill` instants and `redispatch` instants must
-//! reconcile exactly.
+//! `otherData`, plus each shard's Q6 `RunReport::metrics` under a
+//! `shard{s}.` prefix, and `check_figures --trace` re-derives the
+//! counters from the events — query spans, `fault.kill` instants and
+//! `redispatch` instants must reconcile exactly — and checks the
+//! per-shard metrics for consistency.
 
 // The bench harness is the terminal boundary of the workspace: the
 // library-wide print lints stop here.
@@ -22,7 +23,7 @@
 use hipe::Arch;
 use hipe_db::Query;
 use hipe_serve::{run_service, run_service_traced, Cluster, FaultPlan, ServiceConfig};
-use hipe_trace::{Metrics, TraceEvent, Tracer, Value};
+use hipe_trace::{TraceEvent, Tracer, Value};
 
 const SEED: u64 = 2018;
 
@@ -159,16 +160,20 @@ fn main() {
         "one redispatch instant per lost sub-query"
     );
 
-    // Per-shard component counters, exported through the registry.
-    let mut metrics = Metrics::new();
-    for (s, shard_report) in cluster
-        .run(Arch::Hipe, &Query::q6())
-        .shard_reports
-        .iter()
-        .enumerate()
-    {
-        shard_report.export_metrics(&format!("shard{s}."), &mut metrics);
+    // Per-shard component counters: every shard's metrics under a
+    // `shard{s}.` prefix, the whole object in name order.
+    let mut metrics = Vec::new();
+    let q6 = cluster.run(Arch::Hipe, &Query::q6());
+    for (s, shard_report) in q6.shard_reports.iter().enumerate() {
+        if let Value::Object(members) = shard_report.metrics() {
+            metrics.extend(
+                members
+                    .into_iter()
+                    .map(|(k, v)| (format!("shard{s}.{k}"), v)),
+            );
+        }
     }
+    metrics.sort_unstable_by(|a, b| a.0.cmp(&b.0));
 
     let other_data = Value::object([
         ("arch", report.arch.to_string().into()),
@@ -181,7 +186,7 @@ fn main() {
         ("redispatched", report.redispatched.into()),
         ("answers_digest", report.answers_digest().into()),
         ("events", tracer.len().into()),
-        ("metrics", Value::from(&metrics)),
+        ("metrics", Value::object(metrics)),
     ]);
     let json = tracer.to_chrome_json(other_data);
     std::fs::write(&opts.out, &json).expect("write trace file");

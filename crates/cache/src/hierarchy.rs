@@ -63,21 +63,6 @@ impl CacheStats {
     pub fn total_lookups(&self) -> u64 {
         self.accesses + self.l1_misses + self.l2_misses
     }
-
-    /// Adds the counters into a [`Metrics`](hipe_trace::Metrics)
-    /// registry under `{prefix}cache.*`.
-    pub fn export_metrics(&self, prefix: &str, metrics: &mut hipe_trace::Metrics) {
-        metrics.counter_add(&format!("{prefix}cache.l1_hits"), self.l1_hits);
-        metrics.counter_add(&format!("{prefix}cache.l1_misses"), self.l1_misses);
-        metrics.counter_add(&format!("{prefix}cache.l2_hits"), self.l2_hits);
-        metrics.counter_add(&format!("{prefix}cache.l2_misses"), self.l2_misses);
-        metrics.counter_add(&format!("{prefix}cache.l3_hits"), self.l3_hits);
-        metrics.counter_add(&format!("{prefix}cache.l3_misses"), self.l3_misses);
-        metrics.counter_add(&format!("{prefix}cache.prefetches"), self.prefetches);
-        metrics.counter_add(&format!("{prefix}cache.prefetch_hits"), self.prefetch_hits);
-        metrics.counter_add(&format!("{prefix}cache.writebacks"), self.writebacks);
-        metrics.counter_add(&format!("{prefix}cache.accesses"), self.accesses);
-    }
 }
 
 /// One level's timing state.

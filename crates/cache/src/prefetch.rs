@@ -12,9 +12,11 @@ use crate::LINE_BYTES;
 /// ```
 /// use hipe_cache::StridePrefetcher;
 /// let mut p = StridePrefetcher::new(2);
-/// assert!(p.observe(0x000).is_empty());   // first touch
-/// assert!(p.observe(0x040).is_empty());   // stride learned
-/// let pred = p.observe(0x080);            // stride confirmed
+/// let mut pred = Vec::new();
+/// p.observe_into(0x000, &mut pred); // first touch
+/// p.observe_into(0x040, &mut pred); // stride learned
+/// assert!(pred.is_empty());
+/// p.observe_into(0x080, &mut pred); // stride confirmed
 /// assert_eq!(pred, vec![0x0C0, 0x100]);
 /// ```
 #[derive(Debug, Clone)]
@@ -37,16 +39,9 @@ impl StridePrefetcher {
         }
     }
 
-    /// Observes a demand access to the line containing `addr`; returns
-    /// the line addresses to prefetch.
-    pub fn observe(&mut self, addr: u64) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.observe_into(addr, &mut out);
-        out
-    }
-
-    /// Allocation-free [`observe`](Self::observe): appends the
-    /// predicted line addresses to a caller-owned (reused) buffer.
+    /// Observes a demand access to the line containing `addr`; appends
+    /// the line addresses to prefetch to a caller-owned (reused)
+    /// buffer.
     pub fn observe_into(&mut self, addr: u64, out: &mut Vec<u64>) {
         let line = addr / LINE_BYTES * LINE_BYTES;
         if self.degree == 0 {
@@ -87,7 +82,9 @@ impl StridePrefetcher {
 /// ```
 /// use hipe_cache::StreamPrefetcher;
 /// let p = StreamPrefetcher::new(3);
-/// assert_eq!(p.on_miss(0x1000), vec![0x1040, 0x1080, 0x10C0]);
+/// let mut lines = Vec::new();
+/// p.on_miss_into(0x1000, &mut lines);
+/// assert_eq!(lines, vec![0x1040, 0x1080, 0x10C0]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamPrefetcher {
@@ -100,16 +97,8 @@ impl StreamPrefetcher {
         StreamPrefetcher { depth }
     }
 
-    /// Returns the lines to prefetch after a miss on the line
-    /// containing `addr`.
-    pub fn on_miss(&self, addr: u64) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.on_miss_into(addr, &mut out);
-        out
-    }
-
-    /// Allocation-free [`on_miss`](Self::on_miss): appends the stream
-    /// targets to a caller-owned (reused) buffer.
+    /// Appends the lines to prefetch after a miss on the line
+    /// containing `addr` to a caller-owned (reused) buffer.
     pub fn on_miss_into(&self, addr: u64, out: &mut Vec<u64>) {
         let line = addr / LINE_BYTES * LINE_BYTES;
         out.extend((1..=self.depth as u64).map(|d| line + d * LINE_BYTES));
@@ -120,49 +109,58 @@ impl StreamPrefetcher {
 mod tests {
     use super::*;
 
+    /// `observe_into` on a fresh buffer.
+    fn observe(p: &mut StridePrefetcher, addr: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        p.observe_into(addr, &mut out);
+        out
+    }
+
     #[test]
     fn stride_needs_two_confirmations() {
         let mut p = StridePrefetcher::new(1);
-        assert!(p.observe(0).is_empty());
-        assert!(p.observe(64).is_empty());
-        assert_eq!(p.observe(128), vec![192]);
+        assert!(observe(&mut p, 0).is_empty());
+        assert!(observe(&mut p, 64).is_empty());
+        assert_eq!(observe(&mut p, 128), vec![192]);
     }
 
     #[test]
     fn stride_relearns_after_change() {
         let mut p = StridePrefetcher::new(1);
-        p.observe(0);
-        p.observe(64);
-        p.observe(128); // confident at +64
-        assert!(p.observe(1024).is_empty()); // stride broken
-        assert!(p.observe(2048).is_empty()); // new stride observed once
-        assert_eq!(p.observe(3072), vec![4096]); // confident again
+        observe(&mut p, 0);
+        observe(&mut p, 64);
+        observe(&mut p, 128); // confident at +64
+        assert!(observe(&mut p, 1024).is_empty()); // stride broken
+        assert!(observe(&mut p, 2048).is_empty()); // new stride observed once
+        assert_eq!(observe(&mut p, 3072), vec![4096]); // confident again
     }
 
     #[test]
     fn negative_strides_supported() {
         let mut p = StridePrefetcher::new(1);
-        p.observe(4096);
-        p.observe(4032);
-        assert_eq!(p.observe(3968), vec![3904]);
+        observe(&mut p, 4096);
+        observe(&mut p, 4032);
+        assert_eq!(observe(&mut p, 3968), vec![3904]);
     }
 
     #[test]
     fn repeated_same_line_is_ignored() {
         let mut p = StridePrefetcher::new(2);
-        p.observe(0);
-        p.observe(64);
-        p.observe(128);
-        assert!(p.observe(130).is_empty()); // same line as 128
-        assert_eq!(p.observe(192), vec![256, 320]);
+        observe(&mut p, 0);
+        observe(&mut p, 64);
+        observe(&mut p, 128);
+        assert!(observe(&mut p, 130).is_empty()); // same line as 128
+        assert_eq!(observe(&mut p, 192), vec![256, 320]);
     }
 
     #[test]
     fn disabled_prefetchers_return_nothing() {
         let mut s = StridePrefetcher::new(0);
-        s.observe(0);
-        s.observe(64);
-        assert!(s.observe(128).is_empty());
-        assert!(StreamPrefetcher::new(0).on_miss(0).is_empty());
+        observe(&mut s, 0);
+        observe(&mut s, 64);
+        assert!(observe(&mut s, 128).is_empty());
+        let mut lines = Vec::new();
+        StreamPrefetcher::new(0).on_miss_into(0, &mut lines);
+        assert!(lines.is_empty());
     }
 }

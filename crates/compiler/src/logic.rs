@@ -2,7 +2,7 @@
 //! logic-layer programs — one per vault-group partition.
 
 use crate::error::CompileError;
-use hipe_db::{Bitmask, CmpOp, Column, DsmLayout, PruneStats, Query, ZoneMap, REGION_BYTES};
+use hipe_db::{Bitmask, CmpOp, Column, DsmLayout, PruneStats, Query, ZoneMap};
 use hipe_isa::{AluOp, LogicInstr, LogicProgram, OpSize, PartitionSpec, Predicate, RegId};
 
 /// Rows covered by one logic-layer operation: a full 256 B register
@@ -84,11 +84,6 @@ impl LogicScanProgram {
         self.programs.iter().map(LogicProgram::len).sum()
     }
 
-    /// All instructions, partition-major (inspection and tests).
-    pub fn iter_instrs(&self) -> impl Iterator<Item = &LogicInstr> {
-        self.programs.iter().flat_map(|p| p.instrs().iter())
-    }
-
     /// Number of 32-row regions the scan is tiled into.
     pub fn regions(&self) -> usize {
         self.layout.regions()
@@ -102,12 +97,6 @@ impl LogicScanProgram {
     /// Address of region `i`'s 256 B mask chunk.
     pub fn mask_addr(&self, i: usize) -> u64 {
         self.layout.mask_addr(i)
-    }
-
-    /// Bytes of mask output the program writes (one 256 B chunk per
-    /// region).
-    pub fn mask_bytes(&self) -> u64 {
-        self.regions() as u64 * REGION_BYTES
     }
 
     /// Base address of the per-region partial-sum output area, or
@@ -464,6 +453,13 @@ mod tests {
     use super::*;
     use hipe_db::ColumnPredicate;
 
+    impl LogicScanProgram {
+        /// All instructions, partition-major.
+        fn iter_instrs(&self) -> impl Iterator<Item = &LogicInstr> {
+            self.programs.iter().flat_map(|p| p.instrs().iter())
+        }
+    }
+
     fn one_pred_query() -> Query {
         Query::new(
             vec![ColumnPredicate::new(Column::Quantity, CmpOp::Lt(10))],
@@ -543,7 +539,6 @@ mod tests {
         for i in 1..prog.regions() {
             assert_eq!(prog.mask_addr(i) - prog.mask_addr(i - 1), 256);
         }
-        assert_eq!(prog.mask_bytes(), 4 * 256);
     }
 
     #[test]

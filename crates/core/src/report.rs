@@ -7,7 +7,7 @@ use hipe_db::Bitmask;
 use hipe_hmc::{EnergyBreakdown, HmcStats};
 use hipe_logic::EngineStats;
 use hipe_sim::Cycle;
-use hipe_trace::{Metrics, Tracer, TrackId};
+use hipe_trace::{Tracer, TrackId, Value};
 
 /// The simulated architectures.
 ///
@@ -279,34 +279,72 @@ impl RunReport {
         }
     }
 
-    /// Projects every component counter of this run into `metrics`
-    /// under `prefix` (e.g. `"shard0."`): core, cube, cache and
-    /// engine activity, zone-map decisions, and a per-partition
-    /// scan-completion histogram — one uniform namespace instead of
-    /// four ad-hoc stats structs.
-    pub fn export_metrics(&self, prefix: &str, metrics: &mut Metrics) {
-        metrics.gauge_set(&format!("{prefix}cycles"), self.cycles as i64);
-        metrics.gauge_set(&format!("{prefix}matches"), self.result.matches as i64);
-        metrics.counter_add(
-            &format!("{prefix}zonemap.regions_scanned"),
-            self.regions_scanned as u64,
-        );
-        metrics.counter_add(
-            &format!("{prefix}zonemap.regions_pruned"),
-            self.regions_pruned as u64,
-        );
-        self.core.export_metrics(prefix, metrics);
-        self.hmc.export_metrics(prefix, metrics);
-        if let Some(cache) = &self.cache {
-            cache.export_metrics(prefix, metrics);
+    /// The run's metrics as one JSON object, members in name order:
+    /// `cycles`, `matches`, `zonemap.*`, `core.*`, `hmc.*`, `cache.*`
+    /// (host-path machines) or `engine.*` (HIVE/HIPE), and, when the
+    /// run has partitions, their summed `partition.dram_bytes` and a
+    /// `partition.scan_cyc` `{count, sum, min, max}` summary of their
+    /// scan-completion cycles. This is the one place a metric name is
+    /// spelled; the models only count into their `*Stats` structs.
+    pub fn metrics(&self) -> Value {
+        let (core, hmc) = (&self.core, &self.hmc);
+        let mut m: Vec<(&str, Value)> = vec![
+            ("cycles", self.cycles.into()),
+            ("matches", self.result.matches.into()),
+            ("zonemap.regions_scanned", self.regions_scanned.into()),
+            ("zonemap.regions_pruned", self.regions_pruned.into()),
+            ("core.ops", core.ops.into()),
+            ("core.loads", core.loads.into()),
+            ("core.stores", core.stores.into()),
+            ("core.branches", core.branches.into()),
+            ("core.mispredicts", core.mispredicts.into()),
+            ("hmc.activations", hmc.activations.into()),
+            ("hmc.bytes_read", hmc.bytes_read.into()),
+            ("hmc.bytes_written", hmc.bytes_written.into()),
+            ("hmc.link_bytes", hmc.link_bytes.into()),
+            ("hmc.fu_ops", hmc.fu_ops.into()),
+        ];
+        if let Some(c) = &self.cache {
+            m.extend([
+                ("cache.l1_hits", c.l1_hits.into()),
+                ("cache.l1_misses", c.l1_misses.into()),
+                ("cache.l2_hits", c.l2_hits.into()),
+                ("cache.l2_misses", c.l2_misses.into()),
+                ("cache.l3_hits", c.l3_hits.into()),
+                ("cache.l3_misses", c.l3_misses.into()),
+                ("cache.prefetches", c.prefetches.into()),
+                ("cache.prefetch_hits", c.prefetch_hits.into()),
+                ("cache.writebacks", c.writebacks.into()),
+                ("cache.accesses", c.accesses.into()),
+            ]);
         }
-        if let Some(engine) = &self.engine {
-            engine.export_metrics(prefix, metrics);
+        if let Some(e) = &self.engine {
+            m.extend([
+                ("engine.instructions", e.instructions.into()),
+                ("engine.dram_loads", e.dram_loads.into()),
+                ("engine.dram_stores", e.dram_stores.into()),
+                ("engine.alu_ops", e.alu_ops.into()),
+                ("engine.squashed", e.squashed.into()),
+                ("engine.blocks", e.blocks.into()),
+            ]);
         }
-        for part in &self.partitions {
-            metrics.observe(&format!("{prefix}partition.scan_cyc"), part.scan);
-            metrics.counter_add(&format!("{prefix}partition.dram_bytes"), part.dram_bytes);
+        if !self.partitions.is_empty() {
+            let parts = &self.partitions;
+            let scans = || parts.iter().map(|p| p.scan);
+            let dram_bytes: u64 = parts.iter().map(|p| p.dram_bytes).sum();
+            m.push(("partition.dram_bytes", dram_bytes.into()));
+            m.push((
+                "partition.scan_cyc",
+                Value::object([
+                    ("count", parts.len().into()),
+                    ("sum", scans().sum::<Cycle>().into()),
+                    ("min", scans().min().unwrap_or(0).into()),
+                    ("max", scans().max().unwrap_or(0).into()),
+                ]),
+            ));
         }
+        m.sort_unstable_by_key(|&(name, _)| name);
+        Value::object(m)
     }
 }
 
@@ -453,6 +491,48 @@ mod tests {
             .collect();
         let s = r.to_string();
         assert!(s.contains("[4 engines: scan 20/21/22/23]"), "display: {s}");
+    }
+
+    /// A HIPE-shaped report with three partitions scanning to 40, 90
+    /// and 60 cycles, 256 DRAM bytes each.
+    fn three_partition_run() -> RunReport {
+        let mut r = dummy(Arch::Hipe, 100, 2);
+        r.engine = Some(EngineStats::default());
+        r.partitions = (0..3)
+            .map(|p| PartitionPhase {
+                scan: [40, 90, 60][p],
+                dram_bytes: 256,
+                ..r.partitions[0]
+            })
+            .collect();
+        r
+    }
+
+    #[test]
+    fn metrics_are_name_ordered() {
+        let r = three_partition_run();
+        let Value::Object(members) = r.metrics() else {
+            panic!("metrics are an object");
+        };
+        let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        assert!(names.contains(&"engine.squashed") && !names.contains(&"cache.accesses"));
+    }
+
+    #[test]
+    fn metrics_summarize_partition_scans() {
+        let text = hipe_trace::json::write(&three_partition_run().metrics());
+        assert!(text.contains("\"partition.dram_bytes\": 768"), "{text}");
+        assert!(
+            text.contains(
+                "\"partition.scan_cyc\": {\"count\": 3, \"sum\": 190, \"min\": 40, \"max\": 90}"
+            ),
+            "{text}"
+        );
+        // A skipped sub-query has no partitions, so no partition metrics.
+        let skipped = RunReport::skipped(Arch::Hipe, 64, 2, false).metrics();
+        assert!(skipped.get("partition.scan_cyc").is_none());
+        assert_eq!(skipped.get("zonemap.regions_pruned"), Some(&2usize.into()));
     }
 
     #[test]

@@ -21,18 +21,6 @@ pub struct CoreStats {
     pub mispredicts: u64,
 }
 
-impl CoreStats {
-    /// Adds the counters into a [`Metrics`](hipe_trace::Metrics)
-    /// registry under `{prefix}core.*`.
-    pub fn export_metrics(&self, prefix: &str, metrics: &mut hipe_trace::Metrics) {
-        metrics.counter_add(&format!("{prefix}core.ops"), self.ops);
-        metrics.counter_add(&format!("{prefix}core.loads"), self.loads);
-        metrics.counter_add(&format!("{prefix}core.stores"), self.stores);
-        metrics.counter_add(&format!("{prefix}core.branches"), self.branches);
-        metrics.counter_add(&format!("{prefix}core.mispredicts"), self.mispredicts);
-    }
-}
-
 /// The out-of-order core model.
 ///
 /// Feed it the dynamic micro-op stream in program order via

@@ -3,9 +3,10 @@
 //! Replaces SiNUCA's cycle-accurate pipeline with an interval model of
 //! the paper's Sandy-Bridge-like core (Table I): 6-wide issue at
 //! 2 GHz, a 168-entry reorder buffer, 64-read/36-write memory order
-//! buffer, the listed functional-unit mix and latencies, and a
-//! two-level GAs branch predictor whose mispredictions stall the
-//! front end.
+//! buffer, and the listed functional-unit mix and latencies. A
+//! `Branch` micro-op marked `mispredict` stalls the front end for the
+//! configured refill penalty; the scan loops the compiler emits branch
+//! predictably, so none of their branches is marked.
 //!
 //! The model consumes a dynamic [`hipe_isa::MicroOp`] stream in program
 //! order and computes, per micro-op, dispatch (bounded by issue width,
@@ -42,9 +43,7 @@
 mod config;
 mod core_model;
 mod port;
-mod predictor;
 
 pub use config::CoreConfig;
 pub use core_model::{Core, CoreStats};
 pub use port::{FlatMemory, MemoryPort};
-pub use predictor::GasPredictor;

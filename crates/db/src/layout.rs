@@ -60,7 +60,7 @@ pub const VAULTS: usize = 32;
 /// // The partitioned form assigns row ranges to vault groups.
 /// let p = DsmLayout::partitioned(0, 4096, 4);
 /// assert_eq!(p.vault_group(1), 8..16);
-/// assert_eq!(p.partition_of_row(8 * 32), 1);
+/// assert_eq!(p.partition_of_region(8), 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DsmLayout {
@@ -171,11 +171,6 @@ impl DsmLayout {
     /// interleave places the region's 256 B blocks in.
     pub fn partition_of_region(&self, r: usize) -> usize {
         (r % VAULTS) / self.vaults_per_group()
-    }
-
-    /// The partition owning row `i`.
-    pub fn partition_of_row(&self, i: usize) -> usize {
-        self.partition_of_region(i / REGION_ROWS)
     }
 
     /// Global region indices owned by partition `p`, in scan order.
@@ -473,7 +468,6 @@ mod tests {
                     seen[r] = true;
                     assert_eq!(l.partition_of_region(r), p);
                     assert_eq!(l.local_region_index(r), k);
-                    assert_eq!(l.partition_of_row(r * REGION_ROWS), p);
                 }
             }
             assert!(seen.iter().all(|&s| s), "rows={rows} n={n}: region unowned");

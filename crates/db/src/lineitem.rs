@@ -292,14 +292,6 @@ impl LineitemTable {
         LineitemTable::generate_shaped(seed, first_row, rows, TableShape::Uniform)
     }
 
-    /// Generates a table sized to a TPC-H scale factor.
-    ///
-    /// `scale` may be fractional (e.g. `1.0 / 64.0` for quick runs).
-    pub fn at_scale(scale: f64, seed: u64) -> Self {
-        let rows = ((SF1_ROWS as f64) * scale).round().max(1.0) as usize;
-        LineitemTable::generate(rows, seed)
-    }
-
     /// Number of tuples.
     pub fn rows(&self) -> usize {
         self.shipdate.len()
@@ -479,11 +471,5 @@ mod tests {
         let t =
             LineitemTable::generate_shaped_on(&WorkerPool::new(4), 1, 0, 0, TableShape::Uniform);
         assert_eq!(t.rows(), 0);
-    }
-
-    #[test]
-    fn at_scale_rounds_rows() {
-        let t = LineitemTable::at_scale(1.0 / 6_001_215.0, 0);
-        assert_eq!(t.rows(), 1);
     }
 }

@@ -185,11 +185,6 @@ impl ZoneMap {
         }
         s
     }
-
-    /// Whether partition `p` can contain a match for `query`.
-    pub fn partition_may_match(&self, query: &Query, layout: &DsmLayout, p: usize) -> bool {
-        self.partition_summary(layout, p).may_match(query)
-    }
 }
 
 /// Regions kept vs. dropped by one compile's pruning pass, carried on
@@ -343,7 +338,7 @@ mod tests {
                 assert!(s.min(c) >= zm.table().min(c));
                 assert!(s.max(c) <= zm.table().max(c));
             }
-            assert!(zm.partition_may_match(&Query::q6(), &layout, p));
+            assert!(s.may_match(&Query::q6()));
         }
         assert_eq!(rows, t.rows());
     }

@@ -116,11 +116,6 @@ impl HmcConfig {
         ClockDomain::new(self.dram_freq, self.cpu_freq)
     }
 
-    /// Total number of banks in the cube.
-    pub fn total_banks(&self) -> usize {
-        self.vaults * self.banks_per_vault
-    }
-
     /// Closed-page read latency of one row-buffer-sized access, in CPU
     /// cycles: activate (tRCD) + column read (tCL) + data burst.
     pub fn closed_page_read_latency(&self, bytes: u64) -> Cycle {
@@ -173,7 +168,7 @@ mod tests {
     #[test]
     fn paper_geometry() {
         let c = HmcConfig::paper();
-        assert_eq!(c.total_banks(), 256);
+        assert_eq!((c.vaults, c.banks_per_vault), (32, 8));
         assert_eq!(c.timings, DramTimings::paper());
     }
 

@@ -47,18 +47,6 @@ pub struct HmcStats {
     pub fu_ops: u64,
 }
 
-impl HmcStats {
-    /// Adds the counters into a [`Metrics`](hipe_trace::Metrics)
-    /// registry under `{prefix}hmc.*`.
-    pub fn export_metrics(&self, prefix: &str, metrics: &mut hipe_trace::Metrics) {
-        metrics.counter_add(&format!("{prefix}hmc.activations"), self.activations);
-        metrics.counter_add(&format!("{prefix}hmc.bytes_read"), self.bytes_read);
-        metrics.counter_add(&format!("{prefix}hmc.bytes_written"), self.bytes_written);
-        metrics.counter_add(&format!("{prefix}hmc.link_bytes"), self.link_bytes);
-        metrics.counter_add(&format!("{prefix}hmc.fu_ops"), self.fu_ops);
-    }
-}
-
 /// Per-vault activity counters: the vault-group accounting behind the
 /// partitioned execution reports (which vault groups a run actually
 /// worked, and how evenly).
@@ -70,19 +58,6 @@ pub struct VaultActivity {
     pub bytes_read: u64,
     /// Bytes written to this vault's DRAM cores.
     pub bytes_written: u64,
-}
-
-impl VaultActivity {
-    /// Adds the counters into a [`Metrics`](hipe_trace::Metrics)
-    /// registry under `{prefix}vault{v}.*`.
-    pub fn export_metrics(&self, prefix: &str, v: usize, metrics: &mut hipe_trace::Metrics) {
-        metrics.counter_add(&format!("{prefix}vault{v}.activations"), self.activations);
-        metrics.counter_add(&format!("{prefix}vault{v}.bytes_read"), self.bytes_read);
-        metrics.counter_add(
-            &format!("{prefix}vault{v}.bytes_written"),
-            self.bytes_written,
-        );
-    }
 }
 
 impl std::ops::AddAssign for VaultActivity {

@@ -104,14 +104,6 @@ impl AluOp {
     pub fn merges_dst(self) -> bool {
         matches!(self, AluOp::AddReduce { .. })
     }
-
-    /// Returns `true` if the operation reads a second register operand.
-    pub fn needs_b(self) -> bool {
-        matches!(
-            self,
-            AluOp::And | AluOp::Or | AluOp::Add | AluOp::Sub | AluOp::Mul
-        )
-    }
 }
 
 /// When a predicated instruction executes.
@@ -207,11 +199,6 @@ impl LogicInstr {
             _ => None,
         }
     }
-
-    /// Returns `true` if this instruction touches DRAM.
-    pub fn is_memory(&self) -> bool {
-        matches!(self, LogicInstr::Load { .. } | LogicInstr::Store { .. })
-    }
 }
 
 #[cfg(test)]
@@ -233,8 +220,6 @@ mod tests {
     fn alu_classification() {
         assert!(AluOp::Mul.is_mul_class());
         assert!(!AluOp::And.is_mul_class());
-        assert!(AluOp::And.needs_b());
-        assert!(!AluOp::CmpLtImm(3).needs_b());
     }
 
     #[test]
@@ -247,8 +232,6 @@ mod tests {
             pred: Some(p),
         };
         assert_eq!(ld.predicate(), Some(p));
-        assert!(ld.is_memory());
         assert_eq!(LogicInstr::Lock.predicate(), None);
-        assert!(!LogicInstr::Unlock.is_memory());
     }
 }

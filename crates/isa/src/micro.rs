@@ -63,8 +63,8 @@ pub enum MicroOpKind {
         /// Access size in bytes.
         bytes: u64,
     },
-    /// Conditional branch; `mispredict` charges the front-end refill
-    /// penalty (the two-level GAs predictor got it wrong).
+    /// Conditional branch; `mispredict` charges the core's front-end
+    /// refill penalty.
     Branch {
         /// Whether this dynamic instance mispredicts.
         mispredict: bool,
@@ -134,47 +134,11 @@ impl MicroOp {
         self.dep2 = dep2;
         self
     }
-
-    /// Returns `true` for kinds that occupy a load-queue entry.
-    pub fn is_memory_read(&self) -> bool {
-        matches!(
-            self.kind,
-            MicroOpKind::Load { .. } | MicroOpKind::HmcDispatch { .. } | MicroOpKind::LogicWait
-        )
-    }
-
-    /// Returns `true` for kinds that occupy a store-queue entry.
-    pub fn is_memory_write(&self) -> bool {
-        matches!(
-            self.kind,
-            MicroOpKind::Store { .. } | MicroOpKind::LogicDispatch
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opsize::OpSize;
-
-    #[test]
-    fn queue_classification() {
-        let ld = MicroOp::new(MicroOpKind::Load { addr: 0, bytes: 8 });
-        let st = MicroOp::new(MicroOpKind::Store { addr: 0, bytes: 8 });
-        let hmc = MicroOp::new(MicroOpKind::HmcDispatch {
-            addr: 0,
-            size: OpSize::MAX,
-            op: VaultOp::LoadCmp { lo: 0, hi: 10 },
-            result_bytes: 16,
-        });
-        let post = MicroOp::new(MicroOpKind::LogicDispatch);
-        let alu = MicroOp::new(MicroOpKind::IntAlu);
-        assert!(ld.is_memory_read() && !ld.is_memory_write());
-        assert!(st.is_memory_write() && !st.is_memory_read());
-        assert!(hmc.is_memory_read());
-        assert!(post.is_memory_write());
-        assert!(!alu.is_memory_read() && !alu.is_memory_write());
-    }
 
     #[test]
     fn deps_builder() {

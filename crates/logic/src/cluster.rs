@@ -120,11 +120,6 @@ impl EngineCluster {
     pub fn stats(&self) -> EngineStats {
         self.engines.iter().map(Engine::stats).sum()
     }
-
-    /// Activity counters of one engine.
-    pub fn partition_stats(&self, p: usize) -> EngineStats {
-        self.engines[p].stats()
-    }
 }
 
 #[cfg(test)]
@@ -132,6 +127,13 @@ mod tests {
     use super::*;
     use hipe_hmc::HmcConfig;
     use hipe_isa::{OpSize, RegId};
+
+    impl EngineCluster {
+        /// Activity counters of one engine.
+        fn partition_stats(&self, p: usize) -> EngineStats {
+            self.engines[p].stats()
+        }
+    }
 
     fn setup(n: usize) -> (Hmc, EngineCluster) {
         let g = 32 / n;
@@ -196,7 +198,9 @@ mod tests {
         assert_eq!(merged.blocks, 1);
         assert_eq!(
             merged,
-            cluster.partition_stats(0).merge(cluster.partition_stats(1))
+            (0..2)
+                .map(|p| cluster.partition_stats(p))
+                .sum::<EngineStats>()
         );
     }
 

@@ -23,27 +23,6 @@ pub struct EngineStats {
     pub blocks: u64,
 }
 
-impl EngineStats {
-    /// Returns the counter-wise sum of `self` and `other` (used by the
-    /// [`EngineCluster`](crate::EngineCluster) to report one merged
-    /// activity view across its engines).
-    pub fn merge(mut self, other: EngineStats) -> EngineStats {
-        self += other;
-        self
-    }
-
-    /// Adds the counters into a [`Metrics`](hipe_trace::Metrics) registry under
-    /// `{prefix}engine.*`.
-    pub fn export_metrics(&self, prefix: &str, metrics: &mut hipe_trace::Metrics) {
-        metrics.counter_add(&format!("{prefix}engine.instructions"), self.instructions);
-        metrics.counter_add(&format!("{prefix}engine.dram_loads"), self.dram_loads);
-        metrics.counter_add(&format!("{prefix}engine.dram_stores"), self.dram_stores);
-        metrics.counter_add(&format!("{prefix}engine.alu_ops"), self.alu_ops);
-        metrics.counter_add(&format!("{prefix}engine.squashed"), self.squashed);
-        metrics.counter_add(&format!("{prefix}engine.blocks"), self.blocks);
-    }
-}
-
 impl std::ops::AddAssign for EngineStats {
     fn add_assign(&mut self, other: EngineStats) {
         self.instructions += other.instructions;
@@ -57,7 +36,10 @@ impl std::ops::AddAssign for EngineStats {
 
 impl std::iter::Sum for EngineStats {
     fn sum<I: Iterator<Item = EngineStats>>(iter: I) -> EngineStats {
-        iter.fold(EngineStats::default(), EngineStats::merge)
+        iter.fold(EngineStats::default(), |mut acc, s| {
+            acc += s;
+            acc
+        })
     }
 }
 
@@ -366,7 +348,8 @@ mod tests {
             squashed: 0,
             blocks: 1,
         };
-        let merged = a.merge(b);
+        let mut merged = a;
+        merged += b;
         assert_eq!(
             merged,
             EngineStats {
@@ -378,11 +361,11 @@ mod tests {
                 blocks: 2,
             }
         );
-        let mut acc = a;
-        acc += b;
-        assert_eq!(acc, merged);
         assert_eq!([a, b].into_iter().sum::<EngineStats>(), merged);
-        assert_eq!(a.merge(EngineStats::default()), a);
+        assert_eq!(
+            [a, EngineStats::default()].into_iter().sum::<EngineStats>(),
+            a
+        );
     }
 
     #[test]

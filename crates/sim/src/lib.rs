@@ -24,8 +24,9 @@
 //!
 //! Beside them sit the [`ClockDomain`]/[`Freq`] cycle converters,
 //! [`Samples`] (exact nearest-rank latency percentiles for the service
-//! reports; every other statistic goes through `hipe_trace::Metrics`)
-//! and the host-side [`WorkerPool`] that runs independent simulations
+//! reports; every other statistic is a plain counter in a model's
+//! `*Stats` struct, named by `hipe::RunReport::metrics`) and the
+//! host-side [`WorkerPool`] that runs independent simulations
 //! in parallel.
 //!
 //! # Example

@@ -144,14 +144,6 @@ impl Window {
         debug_assert!(self.inflight.len() <= self.capacity);
     }
 
-    /// Convenience for `admit` + `complete` when the completion time is
-    /// a function of the admission time. Returns the admission cycle.
-    pub fn admit_until(&mut self, arrival: Cycle, completion: Cycle) -> Cycle {
-        let at = self.admit(arrival);
-        self.complete(completion.max(at));
-        at
-    }
-
     /// Total number of operations admitted.
     pub fn admitted(&self) -> u64 {
         self.admitted
@@ -210,7 +202,8 @@ mod tests {
     #[test]
     fn reset_empties_the_window() {
         let mut w = Window::new(1);
-        w.admit_until(0, 100);
+        let _ = w.admit(0);
+        w.complete(100);
         assert_eq!(w.admit(0), 100);
         w.complete(200);
         w.reset();
@@ -227,16 +220,6 @@ mod tests {
             w.complete(done);
         }
         assert_eq!(w.drain(), 30);
-    }
-
-    #[test]
-    fn admit_until_clamps_completion() {
-        let mut w = Window::new(1);
-        let _ = w.admit_until(0, 10);
-        // Window of 1: next admission waits for cycle 10 even though the
-        // caller claims completion at 5.
-        let at = w.admit_until(0, 5);
-        assert_eq!(at, 10);
     }
 
     #[test]
@@ -277,8 +260,10 @@ mod tests {
         }
         // A full window adds the slot wait on top, still per member.
         let mut full = Window::new(2);
-        let _ = full.admit_until(0, 100);
-        let _ = full.admit_until(0, 200);
+        let _ = full.admit(0);
+        full.complete(100);
+        let _ = full.admit(0);
+        full.complete(200);
         assert_eq!(full.admit_group(&[5, 30]), 200);
         assert_eq!(full.stall_cycles(), (200 - 5) + (200 - 30));
     }
@@ -311,8 +296,10 @@ mod tests {
     #[test]
     fn batch_as_wide_as_the_window_waits_for_a_full_drain() {
         let mut w = Window::new(2);
-        let _ = w.admit_until(0, 100);
-        let _ = w.admit_until(0, 50);
+        let _ = w.admit(0);
+        w.complete(100);
+        let _ = w.admit(0);
+        w.complete(50);
         assert_eq!(w.admit_group(&[0, 0]), 100);
         w.complete(120);
         w.complete(130);

@@ -1,4 +1,4 @@
-//! Cycle-domain tracing and metrics for the HIPE stack.
+//! Cycle-domain tracing and the JSON layer for the HIPE stack.
 //!
 //! Every model in this workspace advances *simulated* time — modeled
 //! cycles, not host wall-clock — so observability has to live in the
@@ -10,12 +10,12 @@
 //!   exports Chrome Trace Event Format JSON (loads directly in
 //!   Perfetto / `chrome://tracing`, one simulated cycle per viewer
 //!   microsecond);
-//! * a [`Metrics`] registry of named counters / gauges / histograms
-//!   with snapshot, diff and JSON export, so component stats
-//!   (vault activity, cache hits, engine squashes) surface through one
-//!   uniform namespace instead of ad-hoc struct plumbing;
 //! * the workspace's one JSON reader and writer ([`json`]), which every
-//!   committed artifact is written and checked through.
+//!   committed artifact is written and checked through, and in which a
+//!   run's metrics are expressed: `hipe::RunReport::metrics` projects
+//!   the component counters (core, cube, cache, engine) into one
+//!   name-ordered [`Value`] object, the only place a metric name is
+//!   spelled.
 //!
 //! The tracing seam is an `Option<&mut Tracer>`: callers that
 //! pass `None` take one branch and otherwise run the exact code path
@@ -26,10 +26,8 @@
 
 mod chrome;
 pub mod json;
-mod metrics;
 
 pub use json::Value;
-pub use metrics::{Hist, Metric, Metrics};
 
 use hipe_sim::Cycle;
 

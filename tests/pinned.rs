@@ -11,12 +11,19 @@
 //!   per-replica busy cycles and the re-dispatch count;
 //! * HMC-ISA at the widest operand size, and HIVE/HIPE with the
 //!   host-side gather instead of the fused aggregate: cycles and phase
-//!   breakdown on a fixed system.
+//!   breakdown on a fixed system;
+//! * the run-metrics projection, name for name and value for value:
+//!   Q6 on all four machines, a zone-map-pruned HIPE run and a
+//!   four-engine partitioned HIPE run. `BENCH_trace.json` embeds the
+//!   same projection, but only for the two HIPE shards it records.
 
-use hipe::{Backend, ExecutablePlan, PhaseBreakdown, System};
+use hipe::{
+    Arch, Backend, ExecutablePlan, PhaseBreakdown, RunReport, System, SystemConfig, TableShape,
+};
 use hipe_db::Query;
 use hipe_isa::OpSize;
 use hipe_serve::{run_service, Cluster, FaultPlan, LatencySummary, RoutingPolicy, ServiceConfig};
+use hipe_trace::json;
 
 const SEED: u64 = 2018;
 
@@ -154,3 +161,195 @@ fn non_default_backends_pin_cycles_and_phases() {
         }
     }
 }
+
+/// The run's metrics projection as the JSON text it is written as.
+fn metrics_json(report: &RunReport) -> String {
+    json::write(&report.metrics())
+}
+
+#[test]
+fn metrics_projection_pins_names_and_values() {
+    let sys = System::new(4096, SEED);
+    let mut session = sys.session();
+    for (arch, expect) in Arch::ALL.into_iter().zip(Q6_METRICS) {
+        let r = session.run(arch, &Query::q6());
+        assert_eq!(metrics_json(&r), expect, "{arch}");
+    }
+
+    let mut cfg = SystemConfig::paper(4096, SEED);
+    cfg.shape = TableShape::ClusteredShipdate { total_rows: 4096 };
+    cfg.pruning = true;
+    let r = System::with_config(cfg).run(Arch::Hipe, &Query::q6());
+    assert!(r.regions_pruned > 0);
+    assert_eq!(metrics_json(&r), PRUNED_METRICS);
+
+    let r = System::partitioned(4096, SEED, 4).run(Arch::Hipe, &Query::q6());
+    assert_eq!(r.partitions.len(), 4);
+    assert_eq!(metrics_json(&r), PARTITIONED_METRICS);
+}
+
+/// Q6 on `System::new(4096, SEED)`, per machine in `Arch::ALL` order.
+const Q6_METRICS: [&str; 4] = [
+    r#"{
+  "cache.accesses": 2038,
+  "cache.l1_hits": 1845,
+  "cache.l1_misses": 193,
+  "cache.l2_hits": 76,
+  "cache.l2_misses": 117,
+  "cache.l3_hits": 59,
+  "cache.l3_misses": 58,
+  "cache.prefetch_hits": 1603,
+  "cache.prefetches": 1997,
+  "cache.writebacks": 17,
+  "core.branches": 1536,
+  "core.loads": 1846,
+  "core.mispredicts": 0,
+  "core.ops": 8492,
+  "core.stores": 192,
+  "cycles": 177179,
+  "hmc.activations": 1844,
+  "hmc.bytes_read": 116928,
+  "hmc.bytes_written": 1088,
+  "hmc.fu_ops": 0,
+  "hmc.link_bytes": 177024,
+  "matches": 91,
+  "partition.dram_bytes": 100352,
+  "partition.scan_cyc": {"count": 1, "sum": 161435, "min": 161435, "max": 161435},
+  "zonemap.regions_pruned": 0,
+  "zonemap.regions_scanned": 128
+}
+"#,
+    r#"{
+  "cache.accesses": 246,
+  "cache.l1_hits": 77,
+  "cache.l1_misses": 169,
+  "cache.l2_hits": 58,
+  "cache.l2_misses": 111,
+  "cache.l3_hits": 0,
+  "cache.l3_misses": 111,
+  "cache.prefetch_hits": 63,
+  "cache.prefetches": 453,
+  "cache.writebacks": 1,
+  "core.branches": 128,
+  "core.loads": 6326,
+  "core.mispredicts": 0,
+  "core.ops": 12972,
+  "core.stores": 64,
+  "cycles": 699372,
+  "hmc.activations": 6707,
+  "hmc.bytes_read": 134272,
+  "hmc.bytes_written": 64,
+  "hmc.fu_ops": 6144,
+  "hmc.link_bytes": 348960,
+  "matches": 91,
+  "partition.dram_bytes": 99072,
+  "partition.scan_cyc": {"count": 1, "sum": 649447, "min": 649447, "max": 649447},
+  "zonemap.regions_pruned": 0,
+  "zonemap.regions_scanned": 128
+}
+"#,
+    r#"{
+  "core.branches": 0,
+  "core.loads": 5,
+  "core.mispredicts": 0,
+  "core.ops": 1935,
+  "core.stores": 1802,
+  "cycles": 80074,
+  "engine.alu_ops": 1028,
+  "engine.blocks": 1,
+  "engine.dram_loads": 640,
+  "engine.dram_stores": 132,
+  "engine.instructions": 1802,
+  "engine.squashed": 0,
+  "hmc.activations": 776,
+  "hmc.bytes_read": 164864,
+  "hmc.bytes_written": 33792,
+  "hmc.fu_ops": 1028,
+  "hmc.link_bytes": 58848,
+  "matches": 91,
+  "partition.dram_bytes": 197632,
+  "partition.scan_cyc": {"count": 1, "sum": 79605, "min": 79605, "max": 79605},
+  "zonemap.regions_pruned": 0,
+  "zonemap.regions_scanned": 128
+}
+"#,
+    r#"{
+  "core.branches": 0,
+  "core.loads": 5,
+  "core.mispredicts": 0,
+  "core.ops": 1935,
+  "core.stores": 1802,
+  "cycles": 74232,
+  "engine.alu_ops": 787,
+  "engine.blocks": 1,
+  "engine.dram_loads": 489,
+  "engine.dram_stores": 71,
+  "engine.instructions": 1802,
+  "engine.squashed": 453,
+  "hmc.activations": 564,
+  "hmc.bytes_read": 126208,
+  "hmc.bytes_written": 18176,
+  "hmc.fu_ops": 787,
+  "hmc.link_bytes": 58848,
+  "matches": 91,
+  "partition.dram_bytes": 143360,
+  "partition.scan_cyc": {"count": 1, "sum": 73763, "min": 73763, "max": 73763},
+  "zonemap.regions_pruned": 0,
+  "zonemap.regions_scanned": 128
+}
+"#,
+];
+
+/// HIPE Q6 on a shipdate-clustered 4096-row table with pruning on.
+const PRUNED_METRICS: &str = r#"{
+  "core.branches": 0,
+  "core.loads": 5,
+  "core.mispredicts": 0,
+  "core.ops": 403,
+  "core.stores": 270,
+  "cycles": 14162,
+  "engine.alu_ops": 153,
+  "engine.blocks": 1,
+  "engine.dram_loads": 95,
+  "engine.dram_stores": 20,
+  "engine.instructions": 270,
+  "engine.squashed": 0,
+  "hmc.activations": 119,
+  "hmc.bytes_read": 25344,
+  "hmc.bytes_written": 5120,
+  "hmc.fu_ops": 153,
+  "hmc.link_bytes": 9824,
+  "matches": 74,
+  "partition.dram_bytes": 29440,
+  "partition.scan_cyc": {"count": 1, "sum": 13629, "min": 13629, "max": 13629},
+  "zonemap.regions_pruned": 109,
+  "zonemap.regions_scanned": 19
+}
+"#;
+
+/// HIPE Q6 on `System::partitioned(4096, SEED, 4)`.
+const PARTITIONED_METRICS: &str = r#"{
+  "core.branches": 0,
+  "core.loads": 33,
+  "core.mispredicts": 0,
+  "core.ops": 2865,
+  "core.stores": 1808,
+  "cycles": 23639,
+  "engine.alu_ops": 787,
+  "engine.blocks": 4,
+  "engine.dram_loads": 489,
+  "engine.dram_stores": 71,
+  "engine.instructions": 1808,
+  "engine.squashed": 453,
+  "hmc.activations": 592,
+  "hmc.bytes_read": 133376,
+  "hmc.bytes_written": 18176,
+  "hmc.fu_ops": 787,
+  "hmc.link_bytes": 67200,
+  "matches": 91,
+  "partition.dram_bytes": 143360,
+  "partition.scan_cyc": {"count": 4, "sum": 82584, "min": 20643, "max": 20649},
+  "zonemap.regions_pruned": 0,
+  "zonemap.regions_scanned": 128
+}
+"#;
