@@ -12,7 +12,7 @@ use crate::session::Session;
 use hipe_cache::CacheHierarchy;
 use hipe_compiler::HostScanProgram;
 use hipe_cpu::{Core, MemoryPort};
-use hipe_db::{Bitmask, DsmLayout, Query, COLUMN_BYTES, REGION_ROWS};
+use hipe_db::{Bitmask, DsmLayout, Query, REGION_ROWS};
 use hipe_hmc::{AccessKind, Hmc};
 use hipe_isa::{MicroOpKind, OpSize, VaultOp};
 use hipe_sim::Cycle;
@@ -179,13 +179,9 @@ fn functional_mask(hmc: &mut Hmc, layout: &DsmLayout, query: &Query, scanned: &B
         let n = (rows - start).min(WORD_ROWS);
         let mut bits = !0u64 >> (WORD_ROWS - n);
         for p in query.predicates() {
-            let slice = hmc.read_bytes(
-                layout.value_addr(p.column, start),
-                n * COLUMN_BYTES as usize,
-            );
+            let values = hmc.read_words(layout.value_addr(p.column, start), n);
             let mut hits = 0u64;
-            for (i, v) in slice.chunks_exact(COLUMN_BYTES as usize).enumerate() {
-                let v = i64::from_le_bytes(v.try_into().expect("8-byte chunk"));
+            for (i, &v) in values.iter().enumerate() {
                 hits |= (p.cmp.eval(v) as u64) << i;
             }
             bits &= hits;
@@ -195,7 +191,7 @@ fn functional_mask(hmc: &mut Hmc, layout: &DsmLayout, query: &Query, scanned: &B
         }
         if bits != 0 {
             mask.set_word(w, bits);
-            hmc.write_u64(layout.mask_base() + w as u64 * 8, bits);
+            hmc.write_word(layout.mask_base() + w as u64 * 8, bits as i64);
         }
     }
     mask
@@ -282,7 +278,7 @@ mod tests {
                 }
             }
             assert_eq!(
-                session.hmc().read_u64(sys.mask_base() + w as u64 * 8),
+                session.hmc().read_word(sys.mask_base() + w as u64 * 8) as u64,
                 expect
             );
         }

@@ -41,10 +41,12 @@
 //!    host only reads back per-region partial sums, instead of
 //!    gathering every matched tuple over the links (the path the
 //!    host-driven machines keep);
-//! 3. a [`Session`] — opened with [`System::session`] — owns one warm,
-//!    materialized cube image and executes plans against it, applying
-//!    a reset protocol between runs so warm results are bit- and
-//!    cycle-identical to cold ones. [`Session::run_plan`] picks the
+//! 3. a [`Session`] — opened with [`System::session`] — owns one warm
+//!    cube and executes plans against it, applying a reset protocol
+//!    between runs so warm results are bit- and cycle-identical to
+//!    cold ones. The cube reads the table's column buffer in place,
+//!    shared with every other session of the system, and owns only the
+//!    output area above it. [`Session::run_plan`] picks the
 //!    host executor for micro-op plans and the near-data executor for
 //!    logic-layer plans.
 //!
@@ -76,7 +78,7 @@
 //!
 //! let sys = System::new(4096, 42);
 //! let q = Query::quantity_below_permille(30); // ~3 % selectivity
-//! let mut session = sys.session(); // one materialization...
+//! let mut session = sys.session(); // one cube...
 //! let reports: Vec<_> = Arch::ALL
 //!     .iter()
 //!     .map(|&arch| session.run(arch, &q))
@@ -101,4 +103,4 @@ pub use hipe_compiler::CompileError;
 pub use hipe_db::{PruneStats, TableShape, ZoneMap};
 pub use report::{Arch, PartitionPhase, PhaseBreakdown, RunReport};
 pub use session::{PlanCache, Session};
-pub use system::{System, SystemConfig};
+pub use system::{ConfigError, System, SystemConfig};

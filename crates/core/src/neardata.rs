@@ -25,7 +25,7 @@ use crate::session::Session;
 use hipe_compiler::{LogicScanProgram, REGION_ROWS};
 use hipe_cpu::{Core, MemoryPort};
 use hipe_db::scan::ScanResult;
-use hipe_db::{Bitmask, COLUMN_BYTES, REGION_BYTES};
+use hipe_db::Bitmask;
 use hipe_hmc::Hmc;
 use hipe_isa::{LogicInstr, MicroOp, MicroOpKind, OpSize, VaultOp};
 use hipe_logic::EngineCluster;
@@ -218,7 +218,7 @@ pub(crate) fn execute(
         let aggregate = program
             .scanned_regions()
             .iter_ones()
-            .map(|i| hmc.read_u64(program.agg_addr(i)) as i64 as i128)
+            .map(|i| hmc.read_word(program.agg_addr(i)) as i128)
             .sum();
         ScanResult {
             bitmask,
@@ -275,11 +275,10 @@ pub(crate) fn execute(
 fn read_mask(hmc: &Hmc, program: &LogicScanProgram, rows: usize) -> Bitmask {
     let mut mask = Bitmask::zeros(rows);
     for region in program.scanned_regions().iter_ones() {
-        let chunk = hmc.read_bytes(program.mask_addr(region), REGION_BYTES as usize);
+        let lanes = hmc.read_words(program.mask_addr(region), REGION_ROWS);
         let mut bits = 0u64;
-        for (lane, v) in chunk.chunks_exact(COLUMN_BYTES as usize).enumerate() {
-            let lane_value = u64::from_le_bytes(v.try_into().expect("8-byte lane"));
-            bits |= u64::from(lane_value != 0) << lane;
+        for (lane, &v) in lanes.iter().enumerate() {
+            bits |= u64::from(v != 0) << lane;
         }
         // Lanes past the last row are dropped by `set_word`.
         let (w, shift) = (region * REGION_ROWS / 64, region * REGION_ROWS % 64);

@@ -1,4 +1,4 @@
-//! Warm execution sessions: one materialized cube image, many runs.
+//! Warm execution sessions: one cube, many runs.
 
 use crate::backend::{ExecutablePlan, PlanCode};
 use crate::report::{Arch, RunReport};
@@ -59,21 +59,22 @@ impl PlanCache {
 
 /// A warm execution context over one [`System`].
 ///
-/// Creating a session materializes the generated table into the cube
-/// image **once**; every subsequent run reuses that image. Before each
-/// run the session applies its *reset protocol* — the output blocks
-/// the previous run wrote past the mask base are zeroed
+/// Creating a session opens one cube over the system's table: the
+/// cube reads the table's column area, shared with every other session
+/// of the system, and owns only the zeroed output area from the mask
+/// base up. Before each run the session applies its *reset protocol* —
+/// the output blocks the previous run wrote are zeroed
 /// ([`Hmc::zero_dirty_from`]) and the cube's run-scoped timing, stats
-/// and energy meters are reset in place ([`Hmc::reset_run_state`])
-/// while the table bytes stay put — so a warm run is bit- and
-/// cycle-identical to a cold [`System::run`] (the integration tests
-/// assert this). Runs then read back only the regions their plan
-/// scans: every other region's output is zero by this protocol.
+/// and energy meters are reset in place ([`Hmc::reset_run_state`]) —
+/// so a warm run is bit- and cycle-identical to a cold [`System::run`]
+/// (the integration tests assert this). Runs then read back only the
+/// regions their plan scans: every other region's output is zero by
+/// this protocol.
 ///
 /// This is the execution half of the compile → session → execute
 /// split: plans compiled by a [`Backend`](crate::Backend) can be
 /// executed any number of times, on any architecture, against the one
-/// materialization; [`run_plan`](Self::run_plan) picks the host or
+/// cube; [`run_plan`](Self::run_plan) picks the host or
 /// the near-data executor from the plan's own code.
 ///
 /// # Example
@@ -123,8 +124,7 @@ const _: () = {
 };
 
 impl<'a> Session<'a> {
-    /// Creates a session, materializing the table image (the one
-    /// expensive setup step a warm batch amortizes).
+    /// Creates a session over a new cube.
     pub(crate) fn new(sys: &'a System) -> Self {
         Session::build(sys, None)
     }
@@ -149,7 +149,7 @@ impl<'a> Session<'a> {
         self.sys
     }
 
-    /// The cube holding the warm image (read-only view).
+    /// The session's cube (read-only view).
     pub fn hmc(&self) -> &Hmc {
         &self.hmc
     }
@@ -160,11 +160,10 @@ impl<'a> Session<'a> {
     }
 
     /// Applies the reset protocol: zeroes the blocks of the mask and
-    /// aggregate output areas written since the last reset (after
-    /// materialization that is all of them) and resets the cube's
-    /// run-scoped timing/stat/energy state, leaving the table image
-    /// untouched. Its cost follows the blocks the last run wrote, not
-    /// the table's size.
+    /// aggregate output areas written since the last reset and resets
+    /// the cube's run-scoped timing/stat/energy state. The shared table
+    /// area is never written, so it needs nothing. Its cost follows the
+    /// blocks the last run wrote, not the table's size.
     ///
     /// [`run`](Self::run) and [`run_plan`](Self::run_plan) call this
     /// before every execution.
@@ -173,7 +172,7 @@ impl<'a> Session<'a> {
         self.hmc.reset_run_state();
     }
 
-    /// Compiles and executes `query` on `arch` against the warm image.
+    /// Compiles and executes `query` on `arch` against the warm cube.
     ///
     /// Plans are cached per `(arch, query)`: the first run of a query
     /// lowers it, every later run of the same query on the same arch
@@ -211,17 +210,7 @@ impl<'a> Session<'a> {
         plan
     }
 
-    /// Rewrites the table image in place over the warm cube — the
-    /// zero-copy rematerialization path. Every image byte (column
-    /// arrays, alignment padding, mask and aggregate areas) is
-    /// overwritten, so the next run is bit- and cycle-identical to a
-    /// cold one even after arbitrary scribbling on the image. Counts
-    /// one [`System::materializations`].
-    pub fn rematerialize(&mut self) {
-        self.sys.rematerialize_into(&mut self.hmc);
-    }
-
-    /// Executes an already-compiled plan against the warm image.
+    /// Executes an already-compiled plan against the warm cube.
     ///
     /// # Panics
     ///

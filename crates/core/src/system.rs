@@ -7,9 +7,10 @@ use hipe_cache::HierarchyConfig;
 use hipe_compiler::STOCK_HMC_OP;
 use hipe_cpu::CoreConfig;
 use hipe_db::scan::ScanResult;
-use hipe_db::{Bitmask, Column, DsmLayout, LineitemTable, Query, TableShape, ZoneMap};
-use hipe_hmc::{Hmc, HmcConfig};
+use hipe_db::{Bitmask, Column, DsmLayout, LineitemTable, Query, TableShape, ZoneMap, VAULTS};
+use hipe_hmc::{Hmc, HmcConfig, CUBE_BYTES};
 use hipe_logic::LogicConfig;
+use hipe_sim::WorkerPool;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -75,7 +76,100 @@ impl SystemConfig {
             hipe: LogicConfig::paper_hipe(),
         }
     }
+
+    /// Checks that the configuration describes a system that can
+    /// exist, before any table byte is allocated.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hipe::{ConfigError, SystemConfig};
+    ///
+    /// let cfg = SystemConfig { partitions: 3, ..SystemConfig::paper(4096, 7) };
+    /// assert_eq!(cfg.validate(), Err(ConfigError::PartitionsDoNotDivide { partitions: 3 }));
+    /// ```
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.rows == 0 {
+            return Err(ConfigError::ZeroRows);
+        }
+        if self.partitions == 0 || !VAULTS.is_multiple_of(self.partitions) {
+            return Err(ConfigError::PartitionsDoNotDivide {
+                partitions: self.partitions,
+            });
+        }
+        // Vault-group ownership is computed from the layout's sweep
+        // constant; it must match the cube geometry whenever the table
+        // is actually partitioned (single-partition layouts never
+        // consult it, so non-default vault counts stay usable there).
+        if self.partitions > 1 && self.hmc.vaults != VAULTS {
+            return Err(ConfigError::PartitionsNeedVaults {
+                vaults: self.hmc.vaults,
+            });
+        }
+        let bytes = self.layout().image_bytes();
+        if bytes > CUBE_BYTES {
+            return Err(ConfigError::ImageTooLarge { bytes });
+        }
+        Ok(())
+    }
+
+    /// The image map of this configuration's table. The layout owns
+    /// the whole map: column arrays, then the mask output area, then
+    /// the aggregate partial-sum area (the latter two are the session
+    /// reset protocol's zeroed region). With partitions > 1 every area
+    /// is padded to whole vault sweeps so each vault-group engine stays
+    /// inside its own banks.
+    fn layout(&self) -> DsmLayout {
+        DsmLayout::partitioned(0, self.rows, self.partitions)
+    }
 }
+
+/// Why a [`SystemConfig`] cannot describe a system, as returned by
+/// [`SystemConfig::validate`] and [`System::try_with_config`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The table has no tuples.
+    ZeroRows,
+    /// `partitions` is zero or does not divide the 32-vault sweep.
+    PartitionsDoNotDivide {
+        /// The requested partition count.
+        partitions: usize,
+    },
+    /// A partitioned layout on a cube without the sweep's 32 vaults.
+    PartitionsNeedVaults {
+        /// The cube's vault count.
+        vaults: usize,
+    },
+    /// The image does not fit the paper's 8 GB cube
+    /// ([`hipe_hmc::CUBE_BYTES`]).
+    ImageTooLarge {
+        /// Bytes the image would span.
+        bytes: u64,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ConfigError::ZeroRows => f.write_str("a system needs at least one tuple"),
+            ConfigError::PartitionsDoNotDivide { partitions } => {
+                write!(
+                    f,
+                    "{partitions} partitions do not divide the {VAULTS}-vault sweep"
+                )
+            }
+            ConfigError::PartitionsNeedVaults { vaults } => write!(
+                f,
+                "partitioned layouts require the cube's {VAULTS} vaults, not {vaults}"
+            ),
+            ConfigError::ImageTooLarge { bytes } => {
+                write!(f, "a {bytes} B image exceeds the {CUBE_BYTES} B cube")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// A runnable system: a generated table laid out column-wise (DSM) in
 /// cube memory, ready to execute select scans on any [`Arch`].
@@ -84,9 +178,13 @@ impl SystemConfig {
 /// component parameters. Execution happens through the compile →
 /// session → execute API: [`System::backend`] resolves an [`Arch`]
 /// label to its [`Backend`], and [`session`](Self::session) opens a
-/// warm [`Session`] that materializes the cube image once and can run
-/// whole batches against it. [`run`](Self::run) is a one-shot
-/// wrapper over that API.
+/// warm [`Session`] whose cube can run whole batches.
+/// [`run`](Self::run) is a one-shot wrapper over that API.
+///
+/// The table's columns are stored once, in the table's column area;
+/// every session's cube reads that buffer as the read-only image below
+/// [`mask_base`](Self::mask_base) and owns only the output area above
+/// it.
 ///
 /// # Example
 ///
@@ -101,17 +199,16 @@ impl SystemConfig {
 #[derive(Debug)]
 pub struct System {
     cfg: SystemConfig,
+    /// The table, laid out per the system's [`DsmLayout`]: its column
+    /// area is the shared part of every session's cube image.
     table: LineitemTable,
-    layout: DsmLayout,
     /// Per-region min/max/row-count summaries of `table`, built once
     /// at construction. Consulted by the backends when
     /// [`SystemConfig::pruning`] is set, and by `hipe-serve`'s scatter
     /// path (via the table-level rollup) to skip whole shards.
     zonemap: ZoneMap,
-    mask_base: u64,
-    image_len: usize,
-    /// Times the table image was materialized into a cube (sessions
-    /// amortize this; the batch tests assert it stays at one).
+    /// Cubes opened over the table (sessions amortize this; the batch
+    /// tests assert it stays at one).
     materializations: AtomicU64,
     /// Times a backend lowered a query against this system (the
     /// session plan cache amortizes this; the batch tests assert one
@@ -124,10 +221,7 @@ impl Clone for System {
         System {
             cfg: self.cfg.clone(),
             table: self.table.clone(),
-            layout: self.layout,
             zonemap: self.zonemap.clone(),
-            mask_base: self.mask_base,
-            image_len: self.image_len,
             materializations: AtomicU64::new(self.materializations.load(Ordering::Relaxed)),
             compilations: AtomicU64::new(self.compilations.load(Ordering::Relaxed)),
         }
@@ -157,39 +251,32 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.rows` is zero, or if `cfg.partitions` does not
-    /// divide the vault sweep.
+    /// Panics with the [`ConfigError`] that
+    /// [`try_with_config`](Self::try_with_config) would return.
     pub fn with_config(cfg: SystemConfig) -> Self {
-        assert!(cfg.rows > 0, "a system needs at least one tuple");
-        // Vault-group ownership is computed from the layout's sweep
-        // constant; it must match the cube geometry whenever the table
-        // is actually partitioned (single-partition layouts never
-        // consult it, so non-default vault counts stay usable there).
-        assert!(
-            cfg.partitions == 1 || cfg.hmc.vaults == hipe_db::VAULTS,
-            "partitioned layouts require the cube's {} vaults",
-            hipe_db::VAULTS
+        System::try_with_config(cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a system with explicit component parameters, or the
+    /// [`ConfigError`] that rules it out. The configuration is checked
+    /// before any table byte is allocated.
+    pub fn try_with_config(cfg: SystemConfig) -> Result<Self, ConfigError> {
+        cfg.validate()?;
+        let table = LineitemTable::generate_laid_out(
+            &WorkerPool::from_env(),
+            cfg.seed,
+            cfg.row_offset,
+            cfg.shape,
+            cfg.layout(),
         );
-        let table = LineitemTable::generate_shaped(cfg.seed, cfg.row_offset, cfg.rows, cfg.shape);
         let zonemap = ZoneMap::build(&table);
-        // The layout owns the whole image map: column arrays, then the
-        // mask output area, then the aggregate partial-sum area (the
-        // latter two are the session reset protocol's zeroed region).
-        // With partitions > 1 every area is padded to whole vault
-        // sweeps so each vault-group engine stays inside its own banks.
-        let layout = DsmLayout::partitioned(0, cfg.rows, cfg.partitions);
-        let mask_base = layout.mask_base();
-        let image_len = layout.image_bytes() as usize;
-        System {
+        Ok(System {
             cfg,
             table,
-            layout,
             zonemap,
-            mask_base,
-            image_len,
             materializations: AtomicU64::new(0),
             compilations: AtomicU64::new(0),
-        }
+        })
     }
 
     /// The stock configuration of an architecture's [`Backend`]: 16 B
@@ -222,7 +309,7 @@ impl System {
 
     /// The DSM layout of the table in cube memory.
     pub fn layout(&self) -> &DsmLayout {
-        &self.layout
+        self.table.layout()
     }
 
     /// The table's zone map: per-region min/max/row-count summaries
@@ -241,12 +328,13 @@ impl System {
 
     /// Base address of the match-mask output area.
     pub fn mask_base(&self) -> u64 {
-        self.mask_base
+        self.layout().mask_base()
     }
 
-    /// How many times the table image has been materialized into a
-    /// cube so far (each [`session`](Self::session) or cold
-    /// [`run`](Self::run) adds one; warm batch runs add none).
+    /// How many cubes have been opened over the table so far (each
+    /// [`session`](Self::session) or cold [`run`](Self::run) adds one;
+    /// warm batch runs add none). Opening one copies no table bytes:
+    /// the cube shares the table's column area.
     pub fn materializations(&self) -> u64 {
         self.materializations.load(Ordering::Relaxed)
     }
@@ -264,8 +352,7 @@ impl System {
         self.compilations.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Opens a warm execution session, materializing the cube image
-    /// once.
+    /// Opens a warm execution session over a new cube.
     pub fn session(&self) -> Session<'_> {
         Session::new(self)
     }
@@ -279,21 +366,16 @@ impl System {
         Session::with_shared_plans(self, plans)
     }
 
-    /// Builds a cold cube populated with the table image.
+    /// Builds a cold cube over the table: the table's column area,
+    /// shared, below [`mask_base`](Self::mask_base), and a zeroed,
+    /// owned output area above it. Counts one materialization.
     pub(crate) fn fresh_hmc(&self) -> Hmc {
-        let mut hmc = Hmc::new(self.cfg.hmc.clone(), self.image_len);
-        self.rematerialize_into(&mut hmc);
-        hmc
-    }
-
-    /// Writes the table image straight into `hmc`'s backing bytes —
-    /// the zero-copy materialization path (no image-sized temporary).
-    /// Overwrites every image byte, restoring the exact cold image,
-    /// and counts one materialization.
-    pub(crate) fn rematerialize_into(&self, hmc: &mut Hmc) {
         self.materializations.fetch_add(1, Ordering::Relaxed);
-        let image = hmc.bytes_mut(self.layout.base(), self.image_len);
-        self.layout.materialize_into(&self.table, image);
+        Hmc::with_shared(
+            self.cfg.hmc.clone(),
+            Arc::clone(self.table.column_area()),
+            self.layout().image_bytes() as usize,
+        )
     }
 
     /// Executes `query` on `arch` and reports results and measurements.
@@ -313,9 +395,9 @@ impl System {
             bitmask
                 .iter_ones()
                 .map(|i| {
-                    let price = hmc.read_u64(self.layout.value_addr(Column::ExtendedPrice, i));
-                    let discount = hmc.read_u64(self.layout.value_addr(Column::Discount, i));
-                    price as i64 as i128 * discount as i64 as i128
+                    let price = hmc.read_word(self.layout().value_addr(Column::ExtendedPrice, i));
+                    let discount = hmc.read_word(self.layout().value_addr(Column::Discount, i));
+                    price as i128 * discount as i128
                 })
                 .sum()
         });
@@ -350,10 +432,7 @@ mod tests {
         let hmc = sys.fresh_hmc();
         for i in [0usize, 17, 63] {
             let addr = sys.layout().value_addr(Column::Quantity, i);
-            assert_eq!(
-                hmc.read_u64(addr) as i64,
-                sys.table().value(Column::Quantity, i)
-            );
+            assert_eq!(hmc.read_word(addr), sys.table().value(Column::Quantity, i));
         }
     }
 
@@ -428,5 +507,76 @@ mod tests {
     #[should_panic(expected = "at least one tuple")]
     fn zero_rows_panics() {
         let _ = System::new(0, 0);
+    }
+
+    fn rejects(cfg: SystemConfig) -> ConfigError {
+        System::try_with_config(cfg).expect_err("the configuration is invalid")
+    }
+
+    #[test]
+    fn zero_rows_is_a_typed_error() {
+        assert_eq!(rejects(SystemConfig::paper(0, 0)), ConfigError::ZeroRows);
+    }
+
+    #[test]
+    fn partitions_off_the_vault_sweep_are_a_typed_error() {
+        for partitions in [0, 3, 5, 64] {
+            let cfg = SystemConfig {
+                partitions,
+                ..SystemConfig::paper(100, 1)
+            };
+            assert_eq!(
+                rejects(cfg),
+                ConfigError::PartitionsDoNotDivide { partitions }
+            );
+        }
+    }
+
+    #[test]
+    fn partitions_on_a_non_32_vault_cube_are_a_typed_error() {
+        let mut cfg = SystemConfig::paper(256, 1);
+        cfg.hmc.vaults = 16;
+        cfg.partitions = 4;
+        assert_eq!(
+            rejects(cfg),
+            ConfigError::PartitionsNeedVaults { vaults: 16 }
+        );
+    }
+
+    #[test]
+    fn an_image_past_the_8_gb_cube_is_a_typed_error() {
+        // 2^34 rows would need 512 GiB of columns alone: the check must
+        // run before a single table byte is allocated.
+        let rows = 1 << 34;
+        let bytes = DsmLayout::new(0, rows).image_bytes();
+        assert_eq!(
+            rejects(SystemConfig::paper(rows, 1)),
+            ConfigError::ImageTooLarge { bytes }
+        );
+        // About 40 B per row: 200 M rows fit the cube, 220 M do not.
+        assert_eq!(SystemConfig::paper(200_000_000, 1).validate(), Ok(()));
+        assert!(SystemConfig::paper(220_000_000, 1).validate().is_err());
+    }
+
+    #[test]
+    fn config_errors_name_their_cause() {
+        let cases = [
+            (ConfigError::ZeroRows, "at least one tuple"),
+            (
+                ConfigError::PartitionsDoNotDivide { partitions: 3 },
+                "3 partitions do not divide",
+            ),
+            (
+                ConfigError::PartitionsNeedVaults { vaults: 16 },
+                "require the cube's 32 vaults",
+            ),
+            (
+                ConfigError::ImageTooLarge { bytes: 1 << 40 },
+                "exceeds the 8589934592 B cube",
+            ),
+        ];
+        for (err, text) in cases {
+            assert!(err.to_string().contains(text), "{err}");
+        }
     }
 }

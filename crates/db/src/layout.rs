@@ -14,7 +14,7 @@
 //! what lets one logic-layer engine per vault group scan its share of
 //! the table without ever touching another group's banks.
 
-use crate::lineitem::{Column, LineitemTable};
+use crate::lineitem::Column;
 
 /// Bytes per column value.
 pub const COLUMN_BYTES: u64 = 8;
@@ -129,6 +129,12 @@ impl DsmLayout {
     /// Total bytes occupied (all four columns, padded).
     pub fn bytes(&self) -> u64 {
         self.stride * Column::ALL.len() as u64
+    }
+
+    /// Bytes from one column's base to the next: the column's values
+    /// plus the zero padding up to the layout's alignment.
+    pub fn column_stride(&self) -> u64 {
+        self.stride
     }
 
     /// Base address of one column's array.
@@ -272,57 +278,6 @@ impl DsmLayout {
     pub fn image_bytes(&self) -> u64 {
         self.agg_base() - self.base + self.agg_area_bytes()
     }
-
-    /// Writes the full table image — column arrays, alignment padding,
-    /// and the zeroed mask and aggregate output areas — directly into
-    /// `image`, which must span exactly
-    /// [`image_bytes`](Self::image_bytes) starting at
-    /// [`base`](Self::base).
-    ///
-    /// This is the zero-copy materialization path: callers hand over
-    /// the cube's own backing bytes and no image-sized temporary is
-    /// ever allocated. Every byte of `image` is overwritten, so
-    /// rematerializing over a dirty (post-run) image restores the
-    /// exact cold image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table's row count differs from the layout's or if
-    /// `image` is not exactly `image_bytes()` long.
-    pub fn materialize_into(&self, table: &LineitemTable, image: &mut [u8]) {
-        assert_eq!(self.rows, table.rows(), "layout row count mismatch");
-        assert_eq!(
-            image.len() as u64,
-            self.image_bytes(),
-            "image slice does not span the layout"
-        );
-        let stride = self.stride as usize;
-        let data = self.rows * COLUMN_BYTES as usize;
-        for c in Column::ALL {
-            let start = c.index() * stride;
-            let (vals, pad) = image[start..start + stride].split_at_mut(data);
-            for (dst, v) in vals
-                .chunks_exact_mut(COLUMN_BYTES as usize)
-                .zip(table.column(c))
-            {
-                dst.copy_from_slice(&v.to_le_bytes());
-            }
-            pad.fill(0);
-        }
-        // Mask and aggregate output areas start a run all-zero.
-        image[self.bytes() as usize..].fill(0);
-    }
-
-    /// Serializes the table into a fresh image vector laid out per this
-    /// layout (relative to `base`; spans the whole
-    /// [`image_bytes`](Self::image_bytes) footprint). Thin wrapper over
-    /// [`materialize_into`](Self::materialize_into) for callers without
-    /// a resident image.
-    pub fn materialize(&self, table: &LineitemTable) -> Vec<u8> {
-        let mut out = vec![0u8; self.image_bytes() as usize];
-        self.materialize_into(table, &mut out);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -344,16 +299,16 @@ mod tests {
     }
 
     #[test]
-    fn dsm_materialize_round_trips_values() {
+    fn dsm_column_area_round_trips_values() {
         let t = LineitemTable::generate(40, 6);
         let l = DsmLayout::new(0, 40);
-        let img = l.materialize(&t);
+        assert_eq!(*t.layout(), l);
+        let area = t.column_area();
+        assert_eq!(area.len() as u64 * COLUMN_BYTES, l.bytes());
         for c in Column::ALL {
             for i in 0..40 {
-                let off = l.value_addr(c, i) as usize;
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&img[off..off + 8]);
-                assert_eq!(i64::from_le_bytes(b), t.value(c, i));
+                let word = (l.value_addr(c, i) / COLUMN_BYTES) as usize;
+                assert_eq!(area[word], t.value(c, i));
             }
         }
     }
@@ -367,13 +322,6 @@ mod tests {
         let nsm = rows as u64 * 64;
         let dsm = DsmLayout::new(0, rows).bytes();
         assert_eq!(dsm, nsm / 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "row count mismatch")]
-    fn materialize_checks_rows() {
-        let t = LineitemTable::generate(3, 0);
-        let _ = DsmLayout::new(0, 4).materialize(&t);
     }
 
     #[test]

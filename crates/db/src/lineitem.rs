@@ -1,7 +1,9 @@
 //! Synthetic TPC-H lineitem generation.
 
+use crate::layout::{DsmLayout, COLUMN_BYTES};
 use crate::rng::SplitMix64;
 use hipe_sim::WorkerPool;
+use std::sync::Arc;
 
 /// Rows of lineitem at TPC-H scale factor 1 (the paper's 1 GB setup).
 pub const SF1_ROWS: usize = 6_001_215;
@@ -71,6 +73,13 @@ impl std::fmt::Display for Column {
 /// ship dates uniform over the seven-year order window, extended price
 /// derived from a uniform part cost times quantity.
 ///
+/// The four columns live in one immutable word buffer laid out like
+/// the column area of the table's [`DsmLayout`]: word `a / 8` holds the
+/// value at address `a`, and the padding after each column is zero.
+/// That buffer is the cube image below the layout's mask base, so a
+/// simulated cube shares it ([`column_area`](Self::column_area))
+/// instead of copying the table into its own memory.
+///
 /// # Example
 ///
 /// ```
@@ -82,10 +91,9 @@ impl std::fmt::Display for Column {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LineitemTable {
-    shipdate: Vec<i64>,
-    discount: Vec<i64>,
-    quantity: Vec<i64>,
-    extendedprice: Vec<i64>,
+    /// Every column, padded, at its [`DsmLayout::column_base`].
+    words: Arc<Vec<i64>>,
+    layout: DsmLayout,
     seed: u64,
 }
 
@@ -177,9 +185,9 @@ impl LineitemTable {
     }
 
     /// Generates rows `first_row .. first_row + rows` under `shape` —
-    /// the shape-aware shard generator used by the system driver.
+    /// the shape-aware shard generator.
     ///
-    /// Materialization fans out over the `HIPE_WORKERS` pool when the
+    /// Generation fans out over the `HIPE_WORKERS` pool when the
     /// range is large enough to pay for it; see
     /// [`generate_shaped_on`](Self::generate_shaped_on) for the
     /// explicit-pool variant and the bit-identity contract.
@@ -204,6 +212,34 @@ impl LineitemTable {
         rows: usize,
         shape: TableShape,
     ) -> Self {
+        LineitemTable::generate_laid_out(pool, seed, first_row, shape, DsmLayout::new(0, rows))
+    }
+
+    /// Generates rows `first_row .. first_row + layout.rows()` under
+    /// `shape` straight into a column area laid out per `layout` — the
+    /// constructor a system uses, so its cube can share the table's
+    /// buffer as the image below [`DsmLayout::mask_base`]. Values are
+    /// those of [`generate_shaped_on`](Self::generate_shaped_on) for
+    /// every layout; only the padding between columns differs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout does not start at address 0, or if `shape`
+    /// is [`TableShape::ClusteredShipdate`] and the range extends past
+    /// its `total_rows`.
+    pub fn generate_laid_out(
+        pool: &WorkerPool,
+        seed: u64,
+        first_row: usize,
+        shape: TableShape,
+        layout: DsmLayout,
+    ) -> Self {
+        assert_eq!(
+            layout.base(),
+            0,
+            "a table's column area starts at address 0"
+        );
+        let rows = layout.rows();
         if let TableShape::ClusteredShipdate { total_rows } = shape {
             assert!(
                 first_row + rows <= total_rows,
@@ -211,20 +247,23 @@ impl LineitemTable {
                 first_row + rows
             );
         }
-        let mut shipdate = vec![0i64; rows];
-        let mut discount = vec![0i64; rows];
-        let mut quantity = vec![0i64; rows];
-        let mut extendedprice = vec![0i64; rows];
+        let mut words = vec![0i64; (layout.bytes() / COLUMN_BYTES) as usize];
+        // Columns sit back to back in `Column::ALL` order, one padded
+        // stride each.
+        let stride = (layout.column_stride() / COLUMN_BYTES) as usize;
+        let (shipdate, rest) = words.split_at_mut(stride);
+        let (discount, rest) = rest.split_at_mut(stride);
+        let (quantity, extendedprice) = rest.split_at_mut(stride);
         let chunk_rows = if pool.workers() <= 1 || rows < PARALLEL_MIN_ROWS {
             rows.max(1)
         } else {
             rows.div_ceil(pool.workers())
         };
-        let chunks: Vec<Chunk<'_>> = shipdate
+        let chunks: Vec<Chunk<'_>> = shipdate[..rows]
             .chunks_mut(chunk_rows)
-            .zip(discount.chunks_mut(chunk_rows))
-            .zip(quantity.chunks_mut(chunk_rows))
-            .zip(extendedprice.chunks_mut(chunk_rows))
+            .zip(discount[..rows].chunks_mut(chunk_rows))
+            .zip(quantity[..rows].chunks_mut(chunk_rows))
+            .zip(extendedprice[..rows].chunks_mut(chunk_rows))
             .enumerate()
             .map(|(i, (((s, d), q), p))| Chunk {
                 first_row: first_row + i * chunk_rows,
@@ -235,11 +274,12 @@ impl LineitemTable {
             })
             .collect();
         pool.run(chunks, |_, chunk| fill_chunk(seed, shape, chunk));
+        // `Arc::new` moves the filled buffer as it is. An `Arc<[i64]>`
+        // would need a copy of it, or a pass zeroing a buffer that the
+        // allocator already hands out zeroed.
         LineitemTable {
-            shipdate,
-            discount,
-            quantity,
-            extendedprice,
+            words: Arc::new(words),
+            layout,
             seed,
         }
     }
@@ -294,7 +334,20 @@ impl LineitemTable {
 
     /// Number of tuples.
     pub fn rows(&self) -> usize {
-        self.shipdate.len()
+        self.layout.rows()
+    }
+
+    /// The layout whose column area [`column_area`](Self::column_area)
+    /// follows.
+    pub fn layout(&self) -> &DsmLayout {
+        &self.layout
+    }
+
+    /// The column area: word `a / 8` holds the value at address `a` of
+    /// [`layout`](Self::layout), padding included. Cubes share this
+    /// buffer as their read-only image.
+    pub fn column_area(&self) -> &Arc<Vec<i64>> {
+        &self.words
     }
 
     /// The seed used for generation.
@@ -304,12 +357,8 @@ impl LineitemTable {
 
     /// Borrow one column as a slice.
     pub fn column(&self, c: Column) -> &[i64] {
-        match c {
-            Column::Shipdate => &self.shipdate,
-            Column::Discount => &self.discount,
-            Column::Quantity => &self.quantity,
-            Column::ExtendedPrice => &self.extendedprice,
-        }
+        let start = (self.layout.column_base(c) / COLUMN_BYTES) as usize;
+        &self.words[start..start + self.rows()]
     }
 
     /// Value of `c` at row `i`.
@@ -464,6 +513,51 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn laid_out_tables_pad_with_zeros_and_keep_every_value() {
+        // A partitioned layout widens each column to whole 8 KiB vault
+        // sweeps; the values stay those of the plain generator.
+        let (rows, first) = (1000, 5);
+        let plain = LineitemTable::generate_shaped_on(
+            &WorkerPool::serial(),
+            9,
+            first,
+            rows,
+            TableShape::Uniform,
+        );
+        let layout = DsmLayout::partitioned(0, rows, 4);
+        let wide = LineitemTable::generate_laid_out(
+            &WorkerPool::new(2),
+            9,
+            first,
+            TableShape::Uniform,
+            layout,
+        );
+        assert_eq!(*wide.layout(), layout);
+        assert_eq!(
+            wide.column_area().len() as u64 * COLUMN_BYTES,
+            layout.bytes()
+        );
+        let stride = (layout.column_stride() / COLUMN_BYTES) as usize;
+        for c in Column::ALL {
+            assert_eq!(wide.column(c), plain.column(c), "{c}");
+            let padding = &wide.column_area()[c.index() * stride + rows..(c.index() + 1) * stride];
+            assert!(padding.iter().all(|&v| v == 0), "{c} padding");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "starts at address 0")]
+    fn laid_out_tables_start_at_address_zero() {
+        let _ = LineitemTable::generate_laid_out(
+            &WorkerPool::serial(),
+            1,
+            0,
+            TableShape::Uniform,
+            DsmLayout::new(256, 10),
+        );
     }
 
     #[test]

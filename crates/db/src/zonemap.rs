@@ -1,7 +1,7 @@
 //! Region zone maps: per-region min/max summaries for data skipping.
 //!
-//! A [`ZoneMap`] is a secondary index over the DSM image, built once at
-//! materialization time: for every 32-row region it records each
+//! A [`ZoneMap`] is a secondary index over the DSM image, built once
+//! when the table is generated: for every 32-row region it records each
 //! column's `[min, max]` and the region's row count, plus a table-level
 //! rollup. The compiler consults it to *prune* — drop from the emitted
 //! program — every region whose summaries prove the predicate

@@ -5,10 +5,22 @@ use crate::config::HmcConfig;
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::vault::Vault;
 use hipe_sim::{Cycle, ThroughputPipe};
+use std::sync::Arc;
 
 /// Granularity of the image's dirty tracking: one 256 B block, the
 /// logic-layer engine's store size (and one DRAM row buffer).
 const DIRTY_BLOCK_BYTES: u64 = 256;
+
+/// Bytes of one functional word: the image is read and written as
+/// aligned little-endian 8 B words.
+const WORD_BYTES: u64 = 8;
+
+/// Words per dirty-tracking block.
+const BLOCK_WORDS: usize = (DIRTY_BLOCK_BYTES / WORD_BYTES) as usize;
+
+/// Bytes of the paper's cube (8 GB): the largest image a cube can
+/// back.
+pub const CUBE_BYTES: u64 = 8 << 30;
 
 /// What kind of access the host performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,9 +91,15 @@ impl std::ops::AddAssign for VaultActivity {
 ///   [`internal_write`](Self::internal_write) — logic-layer requests
 ///   issued by the HIVE/HIPE engine, which sit *inside* the cube and
 ///   do not use the links;
-/// * [`read_bytes`](Self::read_bytes) / [`write_bytes`](Self::write_bytes)
-///   — zero-time functional accesses to the memory image (used to set
-///   up workloads and by engines to compute real values).
+/// * [`read_words`](Self::read_words) / [`words_mut`](Self::words_mut)
+///   — zero-time functional accesses to the memory image, a word at a
+///   time (used to set up workloads and by engines to compute real
+///   values).
+///
+/// The image has two parts. From address 0 sits a read-only area shared
+/// with other cubes ([`with_shared`](Self::with_shared)): the table's
+/// columns, which no run writes. Above it the cube owns its output
+/// area, and only that area is written, dirty-tracked and reset.
 ///
 /// # Example
 ///
@@ -103,11 +121,14 @@ pub struct Hmc {
     req_link: ThroughputPipe,
     /// Cube -> host direction (responses, read payloads).
     rsp_link: ThroughputPipe,
-    /// One bit per [`DIRTY_BLOCK_BYTES`] block of `mem`: set when a
-    /// functional write path touched the block since the last
+    /// One bit per [`DIRTY_BLOCK_BYTES`] block of `owned`: set when a
+    /// functional write touched the block since the last
     /// [`zero_dirty_from`](Self::zero_dirty_from).
     dirty: Vec<u64>,
-    mem: Vec<u8>,
+    /// The read-only words from address 0 up.
+    shared: Arc<Vec<i64>>,
+    /// The writable words after `shared`.
+    owned: Vec<i64>,
     stats: HmcStats,
     /// Per-vault accounting (run-scoped, reset with the timing state).
     vault_activity: Vec<VaultActivity>,
@@ -116,30 +137,48 @@ pub struct Hmc {
 }
 
 impl Hmc {
-    /// Creates a cube with `image_bytes` of functional storage.
+    /// Creates a cube with `image_bytes` of functional storage, all of
+    /// it owned (writable).
     ///
     /// The timing model covers the full 8 GB address space; only the
     /// first `image_bytes` are backed by real data (enough to hold the
     /// workload tables — the paper's Q6 working set is ~1 GB at SF 1
     /// and proportionally less at reduced scale).
     pub fn new(cfg: HmcConfig, image_bytes: usize) -> Self {
+        Hmc::with_shared(cfg, Arc::new(Vec::new()), image_bytes)
+    }
+
+    /// Creates a cube whose `image_bytes` of functional storage start
+    /// with `shared`, a read-only area other cubes may share, followed
+    /// by an owned, zeroed area up to `image_bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shared area is longer than `image_bytes`.
+    pub fn with_shared(cfg: HmcConfig, shared: Arc<Vec<i64>>, image_bytes: usize) -> Self {
+        let shared_bytes = shared.len() * WORD_BYTES as usize;
+        assert!(
+            shared_bytes <= image_bytes,
+            "the shared area ({shared_bytes} B) exceeds the image ({image_bytes} B)"
+        );
+        let owned_words = (image_bytes - shared_bytes).div_ceil(WORD_BYTES as usize);
         let (num, den) = cfg.link_rate();
         // The dirty bitmap is allocated first, before the vaults and the
-        // image. Allocated later, it lands in the space a dropped cube's
-        // image left behind, the next image no longer fits there, and
-        // every cube built after a dropped one maps (and faults in)
+        // owned area. Allocated later, it lands in the space a dropped
+        // cube's area left behind, the next area no longer fits there,
+        // and every cube built after a dropped one maps (and faults in)
         // fresh pages: set-up time doubled when it was measured.
-        let blocks = (image_bytes as u64).div_ceil(DIRTY_BLOCK_BYTES) as usize;
-        let dirty = vec![0; blocks.div_ceil(64)];
+        let dirty = vec![0; owned_words.div_ceil(BLOCK_WORDS).div_ceil(64)];
         let vaults = (0..cfg.vaults).map(|_| Vault::new(&cfg)).collect();
-        let mem = vec![0; image_bytes];
+        let owned = vec![0; owned_words];
         Hmc {
             mapping: AddressMapping::new(&cfg),
             vaults,
             req_link: ThroughputPipe::new(num, den, cfg.link_latency),
             rsp_link: ThroughputPipe::new(num, den, cfg.link_latency),
             dirty,
-            mem,
+            shared,
+            owned,
             stats: HmcStats::default(),
             vault_activity: vec![VaultActivity::default(); cfg.vaults],
             energy_model: EnergyModel::paper(),
@@ -271,11 +310,10 @@ impl Hmc {
     ///
     /// This is the cube half of a warm session's reset protocol: after
     /// the call, the cube times and meters accesses exactly like a
-    /// freshly constructed one, but the (expensive) table image does
-    /// not have to be re-materialized. Output areas written by a run
-    /// (e.g. scan mask buffers) are restored separately by
-    /// [`zero_dirty_from`](Self::zero_dirty_from), which clears only
-    /// the blocks the run actually wrote.
+    /// freshly constructed one. Output areas written by a run (e.g.
+    /// scan mask buffers) are restored separately by
+    /// [`zero_dirty_from`](Self::zero_dirty_from), which clears only the blocks
+    /// the run actually wrote.
     pub fn reset_run_state(&mut self) {
         for vault in &mut self.vaults {
             vault.reset();
@@ -308,98 +346,101 @@ impl Hmc {
         self.energy.add_background(&self.energy_model, cycles);
     }
 
-    /// Functional read of the memory image.
+    /// Functional read of `words` aligned words at `addr`, from
+    /// whichever area holds them.
     ///
     /// # Panics
     ///
-    /// Panics if the range is outside the image.
-    pub fn read_bytes(&self, addr: u64, len: usize) -> &[u8] {
-        &self.mem[addr as usize..addr as usize + len]
+    /// Panics if `addr` is not word-aligned, or if the range is outside
+    /// the image or straddles the owned base.
+    pub fn read_words(&self, addr: u64, words: usize) -> &[i64] {
+        let w = word_index(addr);
+        match w.checked_sub(self.shared.len()) {
+            None => &self.shared[w..w + words],
+            Some(o) => &self.owned[o..o + words],
+        }
     }
 
-    /// Functional write to the memory image. Marks the touched blocks
+    /// Functional read of the word at `addr`; see
+    /// [`read_words`](Self::read_words).
+    pub fn read_word(&self, addr: u64) -> i64 {
+        self.read_words(addr, 1)[0]
+    }
+
+    /// Mutable functional view of `words` owned words at `addr` — the
+    /// write path: producers (engine stores, mask words) encode
+    /// straight into the cube's memory. Marks the covered blocks
     /// dirty (see [`zero_dirty_from`](Self::zero_dirty_from)).
     ///
     /// # Panics
     ///
-    /// Panics if the range is outside the image.
-    pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
-        self.bytes_mut(addr, data.len()).copy_from_slice(data);
-    }
-
-    /// Mutable functional view of `len` image bytes at `addr` — the
-    /// zero-copy write path: producers (table materialization, engine
-    /// stores) serialize straight into the cube's backing memory
-    /// instead of staging through a scratch buffer and
-    /// [`write_bytes`](Self::write_bytes). Marks the covered blocks
-    /// dirty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is outside the image.
-    pub fn bytes_mut(&mut self, addr: u64, len: usize) -> &mut [u8] {
-        let range = addr as usize..addr as usize + len;
-        assert!(range.end <= self.mem.len(), "write past the image");
-        if len > 0 {
-            let first = (addr / DIRTY_BLOCK_BYTES) as usize;
-            let last = ((range.end as u64 - 1) / DIRTY_BLOCK_BYTES) as usize;
-            mark_bits(&mut self.dirty, first, last + 1);
+    /// Panics if `addr` is not word-aligned, lies in the shared area,
+    /// or the range is outside the image.
+    pub fn words_mut(&mut self, addr: u64, words: usize) -> &mut [i64] {
+        let o = word_index(addr)
+            .checked_sub(self.shared.len())
+            .unwrap_or_else(|| panic!("write at {addr:#x} into the shared read-only area"));
+        assert!(o + words <= self.owned.len(), "write past the image");
+        if words > 0 {
+            mark_bits(
+                &mut self.dirty,
+                o / BLOCK_WORDS,
+                (o + words - 1) / BLOCK_WORDS + 1,
+            );
         }
-        &mut self.mem[range]
+        &mut self.owned[o..o + words]
     }
 
-    /// Functional in-place zeroing of `len` image bytes at `addr`
-    /// (no scratch buffer, unlike [`write_bytes`](Self::write_bytes)).
-    /// Zeroing never marks a block dirty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is outside the image.
-    pub fn zero_bytes(&mut self, addr: u64, len: usize) {
-        self.mem[addr as usize..addr as usize + len].fill(0);
+    /// Functional write of the word `v` at `addr`; see
+    /// [`words_mut`](Self::words_mut).
+    pub fn write_word(&mut self, addr: u64, v: i64) {
+        self.words_mut(addr, 1)[0] = v;
     }
 
-    /// Zeroes every image byte at or after `from` that lies in a block
-    /// written since the last call, then forgets all dirty marks.
+    /// Zeroes every owned word at or after `from` that lies in a
+    /// block written since the last call, then forgets all dirty marks.
     ///
     /// This is the image half of a warm session's reset protocol: if
-    /// the image from `from` on was all-zero after the last call (or
-    /// after materialization, which marks every block), it is
-    /// all-zero again afterwards — at a cost proportional to the
-    /// blocks a run wrote, not to the size of the area.
+    /// the owned area from `from` on was all-zero after the last call
+    /// (as a new cube's is), it is all-zero again afterwards — at a
+    /// cost proportional to the blocks a run wrote, not to the size of
+    /// the area. The shared area is never written, so it needs no
+    /// reset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is not word-aligned.
     pub fn zero_dirty_from(&mut self, from: u64) {
-        let first_word = (from / DIRTY_BLOCK_BYTES / 64) as usize;
+        let from = word_index(from).saturating_sub(self.shared.len());
+        let first_word = (from / BLOCK_WORDS / 64).min(self.dirty.len());
         self.dirty[..first_word].fill(0);
-        let len = self.mem.len() as u64;
         for w in first_word..self.dirty.len() {
             let mut bits = std::mem::take(&mut self.dirty[w]);
             while bits != 0 {
-                let block = (w * 64) as u64 + u64::from(bits.trailing_zeros());
+                let block = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let lo = (block * DIRTY_BLOCK_BYTES).max(from);
-                let hi = ((block + 1) * DIRTY_BLOCK_BYTES).min(len);
+                let lo = (block * BLOCK_WORDS).max(from);
+                let hi = ((block + 1) * BLOCK_WORDS).min(self.owned.len());
                 if lo < hi {
-                    self.zero_bytes(lo, (hi - lo) as usize);
+                    self.owned[lo..hi].fill(0);
                 }
             }
         }
     }
 
-    /// Functional read of a little-endian `u64` at `addr`.
-    pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.read_bytes(addr, 8));
-        u64::from_le_bytes(b)
-    }
-
-    /// Functional write of a little-endian `u64` at `addr`.
-    pub fn write_u64(&mut self, addr: u64, v: u64) {
-        self.write_bytes(addr, &v.to_le_bytes());
-    }
-
-    /// Size of the functional image in bytes.
+    /// Size of the functional image in bytes (shared and owned).
     pub fn image_len(&self) -> usize {
-        self.mem.len()
+        (self.shared.len() + self.owned.len()) * WORD_BYTES as usize
+    }
+
+    /// The read-only area: word `a / 8` holds address `a`.
+    pub fn shared(&self) -> &Arc<Vec<i64>> {
+        &self.shared
+    }
+
+    /// Bytes of the owned area: the memory this cube holds by itself.
+    pub fn owned_bytes(&self) -> usize {
+        self.owned.len() * WORD_BYTES as usize
     }
 
     /// Activity counters.
@@ -452,6 +493,19 @@ impl Hmc {
     pub fn bank_busy_cycles(&self) -> Cycle {
         self.vaults.iter().map(Vault::bank_busy_cycles).sum()
     }
+}
+
+/// The word index of `addr`.
+///
+/// # Panics
+///
+/// Panics if `addr` is not word-aligned.
+fn word_index(addr: u64) -> usize {
+    assert!(
+        addr.is_multiple_of(WORD_BYTES),
+        "unaligned functional access at {addr:#x}"
+    );
+    (addr / WORD_BYTES) as usize
 }
 
 /// Sets bits `[start, end)` of a packed bitmap, a word at a time.
@@ -530,8 +584,51 @@ mod tests {
     #[test]
     fn functional_storage_round_trips() {
         let mut h = cube();
-        h.write_u64(0x100, 0xDEAD_BEEF_0BAD_F00D);
-        assert_eq!(h.read_u64(0x100), 0xDEAD_BEEF_0BAD_F00D);
+        h.write_word(0x100, 0x0EAD_BEEF_0BAD_F00D);
+        h.write_word(0x108, -7);
+        assert_eq!(h.read_word(0x100), 0x0EAD_BEEF_0BAD_F00D);
+        assert_eq!(h.read_words(0x100, 2), [0x0EAD_BEEF_0BAD_F00D, -7]);
+    }
+
+    /// A cube over a 64-word shared area (2 blocks) and 6 owned blocks.
+    fn shared_cube() -> Hmc {
+        let shared = Arc::new((0..64).collect());
+        Hmc::with_shared(HmcConfig::paper(), shared, 8 * 256)
+    }
+
+    #[test]
+    fn reads_span_both_areas_and_writes_only_the_owned_one() {
+        let mut h = shared_cube();
+        assert_eq!(h.owned_bytes(), 6 * 256);
+        assert_eq!(h.image_len(), 8 * 256);
+        assert_eq!(h.read_word(8 * 63), 63);
+        assert_eq!(h.read_words(16, 3), [2, 3, 4]);
+        assert!(h.read_words(512, 32).iter().all(|&v| v == 0));
+        h.write_word(512, 9);
+        assert_eq!(h.read_word(512), 9);
+        // Two cubes over one shared area read the same buffer.
+        let other = Hmc::with_shared(HmcConfig::paper(), Arc::clone(h.shared()), 1024);
+        assert!(Arc::ptr_eq(h.shared(), other.shared()));
+        assert_eq!(other.read_word(8), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "shared read-only area")]
+    fn writes_into_the_shared_area_panic() {
+        shared_cube().write_word(504, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the image")]
+    fn a_shared_area_longer_than_the_image_is_rejected() {
+        let shared = Arc::new((0..64).collect());
+        let _ = Hmc::with_shared(HmcConfig::paper(), shared, 504);
+    }
+
+    #[test]
+    #[should_panic(expected = "unaligned functional access")]
+    fn unaligned_functional_reads_panic() {
+        let _ = cube().read_word(4);
     }
 
     #[test]
@@ -546,37 +643,27 @@ mod tests {
     }
 
     #[test]
-    fn zero_bytes_clears_in_place() {
+    fn words_mut_writes_through_to_the_image() {
         let mut h = cube();
-        h.write_u64(0x100, 77);
-        h.write_u64(0x108, 88);
-        h.zero_bytes(0x100, 8);
-        assert_eq!(h.read_u64(0x100), 0);
-        assert_eq!(h.read_u64(0x108), 88);
-    }
-
-    #[test]
-    fn bytes_mut_writes_through_to_the_image() {
-        let mut h = cube();
-        h.bytes_mut(0x40, 8).copy_from_slice(&99u64.to_le_bytes());
-        assert_eq!(h.read_u64(0x40), 99);
-        assert_eq!(h.read_bytes(0x40, 8), 99u64.to_le_bytes());
+        h.words_mut(0x40, 2).copy_from_slice(&[99, -1]);
+        assert_eq!(h.read_word(0x40), 99);
+        assert_eq!(h.read_words(0x40, 2), [99, -1]);
     }
 
     #[test]
     fn reset_run_state_keeps_memory_and_zeroes_meters() {
         let mut h = cube();
-        h.write_u64(0x80, 42);
+        h.write_word(0x80, 42);
         h.access(0, 0, 256, AccessKind::Read);
         h.finish(1000);
         assert!(h.stats().link_bytes > 0);
         h.reset_run_state();
         // The image survives; timing, stats and energy are cold again.
-        assert_eq!(h.read_u64(0x80), 42);
+        assert_eq!(h.read_word(0x80), 42);
         assert_eq!(h.stats(), HmcStats::default());
         assert_eq!(h.energy().total_pj(), 0.0);
         let mut cold = cube();
-        cold.write_u64(0x80, 42);
+        cold.write_word(0x80, 42);
         assert_eq!(
             h.access(0, 0, 256, AccessKind::Read),
             cold.access(0, 0, 256, AccessKind::Read)
@@ -649,47 +736,57 @@ mod tests {
     fn write_paths_mark_exactly_the_blocks_they_touch() {
         let mut h = cube();
         assert!(dirty_blocks(&h).is_empty());
-        // write_u64 inside block 1; write_bytes straddling blocks 3-4;
-        // bytes_mut over blocks 64..=130 (crossing bitmap words).
-        h.write_u64(256 + 8, 1);
-        h.write_bytes(4 * 256 - 2, &[7; 4]);
-        h.bytes_mut(64 * 256, 67 * 256).fill(9);
+        // write_word inside block 1; words_mut straddling blocks 3-4;
+        // words_mut over blocks 64..=130 (crossing bitmap words).
+        h.write_word(256 + 8, 1);
+        h.words_mut(4 * 256 - 8, 2).fill(7);
+        h.words_mut(64 * 256, 67 * 32).fill(9);
         let mut expect = vec![1, 3, 4];
         expect.extend(64..131);
         assert_eq!(dirty_blocks(&h), expect);
-        // Zeroing and reads never mark anything.
-        h.zero_bytes(10 * 256, 256);
-        let _ = h.read_bytes(20 * 256, 512);
-        let _ = h.bytes_mut(30 * 256, 0);
+        // Reads and empty views never mark anything.
+        let _ = h.read_words(20 * 256, 64);
+        let _ = h.words_mut(30 * 256, 0);
         assert_eq!(dirty_blocks(&h), expect);
+        // Blocks count from the owned base, not from address 0.
+        let mut s = shared_cube();
+        s.write_word(512 + 256, 1);
+        assert_eq!(dirty_blocks(&s), [1]);
     }
 
     #[test]
     fn zero_dirty_from_clears_only_written_blocks_past_the_base() {
         let mut h = cube();
-        // Clean non-zero bytes (as if materialized, then forgotten).
-        h.bytes_mut(0, 1 << 20).fill(0xAB);
+        // Clean non-zero words (as if stored, then forgotten).
+        h.words_mut(0, 1 << 17).fill(-85);
         h.zero_dirty_from(1 << 20);
         assert!(dirty_blocks(&h).is_empty());
-        assert_eq!(h.read_bytes(0, 1), [0xAB]);
+        assert_eq!(h.read_word(0), -85);
         // A run dirties a block below the base and two past it.
-        h.write_u64(256, 1);
-        h.write_u64(100 * 256, 2);
-        h.write_u64(101 * 256 + 248, 3);
+        h.write_word(256, 1);
+        h.write_word(100 * 256, 2);
+        h.write_word(101 * 256 + 248, 3);
         h.zero_dirty_from(64 * 256);
         assert!(dirty_blocks(&h).is_empty());
         // Below the base: kept.
-        assert_eq!(h.read_u64(256), 1);
+        assert_eq!(h.read_word(256), 1);
         // Past the base: the dirty blocks are zero in full ...
-        assert!(h.read_bytes(100 * 256, 512).iter().all(|&b| b == 0));
-        // ... and clean blocks keep their bytes.
-        assert_eq!(h.read_bytes(99 * 256, 256), [0xAB; 256]);
-        assert_eq!(h.read_bytes(102 * 256, 256), [0xAB; 256]);
+        assert!(h.read_words(100 * 256, 64).iter().all(|&v| v == 0));
+        // ... and clean blocks keep their words.
+        assert_eq!(h.read_words(99 * 256, 32), [-85; 32]);
+        assert_eq!(h.read_words(102 * 256, 32), [-85; 32]);
         // A base inside a dirty block zeroes only from the base on.
-        h.write_bytes(200 * 256, &[5; 256]);
+        h.words_mut(200 * 256, 32).fill(5);
         h.zero_dirty_from(200 * 256 + 16);
-        assert_eq!(h.read_bytes(200 * 256, 16), [5; 16]);
-        assert!(h.read_bytes(200 * 256 + 16, 240).iter().all(|&b| b == 0));
+        assert_eq!(h.read_words(200 * 256, 2), [5; 2]);
+        assert!(h.read_words(200 * 256 + 16, 30).iter().all(|&v| v == 0));
+        // Over a shared area, the reset covers the owned area only and
+        // leaves the shared words as they are.
+        let mut s = shared_cube();
+        s.words_mut(512, 6 * 32).fill(4);
+        s.zero_dirty_from(512);
+        assert!(s.read_words(512, 6 * 32).iter().all(|&v| v == 0));
+        assert_eq!(s.read_word(8), 1);
     }
 
     #[test]

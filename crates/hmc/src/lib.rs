@@ -17,21 +17,27 @@
 //!   link traffic, background power) replacing the silicon numbers the
 //!   authors had; only relative energy matters for the paper's claims.
 //!
-//! The cube is *functional* as well as timed: it owns a byte image of
+//! The cube is *functional* as well as timed: it holds a word image of
 //! the simulated physical memory, so the database scans executed on top
 //! of it compute real results that the test-suite cross-checks against
-//! a reference executor.
+//! a reference executor. The image's low part can be a read-only buffer
+//! shared by many cubes (the table's columns); the cube owns only the
+//! area above it, where runs write their outputs.
 //!
 //! # Example
 //!
 //! ```
-//! use hipe_hmc::{Hmc, HmcConfig, AccessKind};
+//! use hipe_hmc::{AccessKind, Hmc, HmcConfig};
+//! use std::sync::Arc;
 //!
-//! let mut hmc = Hmc::new(HmcConfig::paper(), 1 << 20);
-//! hmc.write_bytes(0x1000, &[1, 2, 3, 4]);
-//! let resp = hmc.access(0, 0x1000, 4, AccessKind::Read);
+//! // 32 shared words (one 256 B row) below a 256 B owned area.
+//! let table = Arc::new((0..32).collect());
+//! let mut hmc = Hmc::with_shared(HmcConfig::paper(), table, 512);
+//! assert_eq!(hmc.read_words(8, 3), &[1, 2, 3]);
+//! hmc.write_word(0x100, 42);
+//! let resp = hmc.access(0, 0x100, 8, AccessKind::Read);
 //! assert!(resp.complete > 0);
-//! assert_eq!(hmc.read_bytes(0x1000, 4), &[1, 2, 3, 4]);
+//! assert_eq!(hmc.read_word(0x100), 42);
 //! ```
 
 mod address;
@@ -42,6 +48,6 @@ mod vault;
 
 pub use address::{AddressMapping, Location};
 pub use config::{DramTimings, HmcConfig};
-pub use cube::{AccessKind, Hmc, HmcStats, Response, VaultActivity};
+pub use cube::{AccessKind, Hmc, HmcStats, Response, VaultActivity, CUBE_BYTES};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use vault::Vault;

@@ -227,25 +227,19 @@ impl Engine {
 }
 
 /// Reads `size` bytes at `addr` from the cube image as i64 lanes
-/// (unused high lanes zeroed). Lanes decode straight off the borrowed
-/// image slice — no per-lane byte staging.
+/// (unused high lanes zeroed), straight off the borrowed image words.
 fn read_lanes(hmc: &Hmc, addr: u64, size: OpSize) -> [i64; LANES] {
     let mut out = [0i64; LANES];
-    let bytes = hmc.read_bytes(addr, size.bytes() as usize);
-    for (lane, chunk) in out.iter_mut().zip(bytes.chunks_exact(8)) {
-        *lane = i64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-    }
+    let n = size.lanes();
+    out[..n].copy_from_slice(hmc.read_words(addr, n));
     out
 }
 
-/// Writes the low `size` bytes of `lanes` to the cube image, encoding
-/// each lane directly into the borrowed image slice — the store path
-/// allocates nothing.
+/// Writes the low `size` bytes of `lanes` to the cube image, straight
+/// into the borrowed image words — the store path allocates nothing.
 fn write_lanes(hmc: &mut Hmc, addr: u64, size: OpSize, lanes: &[i64; LANES]) {
-    let image = hmc.bytes_mut(addr, size.bytes() as usize);
-    for (chunk, lane) in image.chunks_exact_mut(8).zip(lanes) {
-        chunk.copy_from_slice(&lane.to_le_bytes());
-    }
+    let n = size.lanes();
+    hmc.words_mut(addr, n).copy_from_slice(&lanes[..n]);
 }
 
 /// Lane-wise functional evaluation. `dst` holds the destination's
@@ -382,7 +376,7 @@ mod tests {
     #[test]
     fn true_dependency_stalls() {
         let (mut hmc, mut eng) = setup(false);
-        hmc.write_u64(0, 7);
+        hmc.write_word(0, 7);
         let ld = eng.execute(&mut hmc, load(0, 0), 0);
         let cmp = eng.execute(
             &mut hmc,
@@ -405,7 +399,7 @@ mod tests {
     fn functional_compare_and_mask() {
         let (mut hmc, mut eng) = setup(false);
         for i in 0..32u64 {
-            hmc.write_u64(i * 8, i);
+            hmc.write_word(i * 8, i as i64);
         }
         eng.execute(&mut hmc, load(0, 0), 0);
         eng.execute(
@@ -454,7 +448,7 @@ mod tests {
     fn store_round_trips_through_dram_image() {
         let (mut hmc, mut eng) = setup(false);
         for i in 0..32u64 {
-            hmc.write_u64(i * 8, 100 + i);
+            hmc.write_word(i * 8, (100 + i) as i64);
         }
         eng.execute(&mut hmc, load(0, 0), 0);
         let st = eng.execute(
@@ -469,7 +463,7 @@ mod tests {
         );
         assert!(st.performed);
         for i in 0..32u64 {
-            assert_eq!(hmc.read_u64(4096 + i * 8), 100 + i);
+            assert_eq!(hmc.read_word(4096 + i * 8), (100 + i) as i64);
         }
         assert_eq!(eng.stats().dram_stores, 1);
     }
@@ -479,7 +473,7 @@ mod tests {
         let (mut hmc, mut eng) = setup(true);
         // Region data that fails a compare -> zero mask.
         for i in 0..32u64 {
-            hmc.write_u64(i * 8, 1000 + i);
+            hmc.write_word(i * 8, (1000 + i) as i64);
         }
         eng.execute(&mut hmc, load(0, 0), 0);
         eng.execute(
@@ -513,7 +507,7 @@ mod tests {
     #[test]
     fn predication_executes_on_match() {
         let (mut hmc, mut eng) = setup(true);
-        hmc.write_u64(0, 3); // lane 0 nonzero after compare
+        hmc.write_word(0, 3); // lane 0 nonzero after compare
         eng.execute(&mut hmc, load(0, 0), 0);
         eng.execute(
             &mut hmc,
@@ -544,7 +538,7 @@ mod tests {
     #[test]
     fn predicated_instruction_waits_for_flag() {
         let (mut hmc, mut eng) = setup(true);
-        hmc.write_u64(0, 3);
+        hmc.write_word(0, 3);
         let ld = eng.execute(&mut hmc, load(0, 0), 0);
         eng.execute(
             &mut hmc,
@@ -603,7 +597,7 @@ mod tests {
     fn add_reduce_sums_lanes() {
         let (mut hmc, mut eng) = setup(false);
         for i in 0..32u64 {
-            hmc.write_u64(i * 8, 2);
+            hmc.write_word(i * 8, 2);
         }
         eng.execute(&mut hmc, load(0, 0), 0);
         eng.execute(
@@ -626,8 +620,8 @@ mod tests {
         let (mut hmc, mut eng) = setup(false);
         // Products at lanes 0..32 are 100 + i; mask selects even lanes.
         for i in 0..32u64 {
-            hmc.write_u64(i * 8, 100 + i);
-            hmc.write_u64(4096 + i * 8, (i % 2 == 0) as u64);
+            hmc.write_word(i * 8, (100 + i) as i64);
+            hmc.write_word(4096 + i * 8, i64::from(i % 2 == 0));
         }
         eng.execute(&mut hmc, load(0, 0), 0);
         eng.execute(&mut hmc, load(1, 4096), 0);
@@ -656,9 +650,9 @@ mod tests {
         // dotted against a 0/1 mask, stored as a 16 B partial slot.
         let (mut hmc, mut eng) = setup(false);
         for i in 0..32u64 {
-            hmc.write_u64(i * 8, 1000 + i); // price
-            hmc.write_u64(4096 + i * 8, 5); // discount
-            hmc.write_u64(8192 + i * 8, (i < 3) as u64); // mask
+            hmc.write_word(i * 8, (1000 + i) as i64); // price
+            hmc.write_word(4096 + i * 8, 5); // discount
+            hmc.write_word(8192 + i * 8, i64::from(i < 3)); // mask
         }
         eng.execute(&mut hmc, load(0, 0), 0);
         eng.execute(&mut hmc, load(1, 4096), 0);
@@ -699,7 +693,7 @@ mod tests {
         );
         assert!(st.performed);
         let expect: u64 = (0..3).map(|i| (1000 + i) * 5).sum();
-        assert_eq!(hmc.read_u64(12288), expect);
-        assert_eq!(hmc.read_u64(12296), 0);
+        assert_eq!(hmc.read_word(12288), expect as i64);
+        assert_eq!(hmc.read_word(12296), 0);
     }
 }

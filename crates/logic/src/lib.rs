@@ -36,7 +36,7 @@
 //! use hipe_logic::{Engine, LogicConfig};
 //!
 //! let mut hmc = Hmc::new(HmcConfig::paper(), 1 << 16);
-//! hmc.write_u64(0, 42);
+//! hmc.write_word(0, 42);
 //! let mut eng = Engine::new(LogicConfig::paper());
 //! let r0 = RegId::new(0).expect("register 0 exists");
 //! let r1 = RegId::new(1).expect("register 1 exists");

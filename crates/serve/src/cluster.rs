@@ -303,7 +303,8 @@ impl Cluster {
         (self.systems.len() as Cycle - 1) * MERGE_CYCLES_PER_SHARD
     }
 
-    /// Total table materializations across all shards.
+    /// Total cubes opened over the shards' tables
+    /// ([`System::materializations`] summed).
     pub fn materializations(&self) -> u64 {
         self.systems.iter().map(System::materializations).sum()
     }
@@ -318,12 +319,12 @@ impl Cluster {
         &self.pool
     }
 
-    /// Opens a warm cluster session: one materialized cube image per
-    /// shard, each session backed by its shard's [`PlanCache`] so a
-    /// `(arch, query)` pair already lowered by an earlier session is
-    /// not lowered again. Image materialization fans out over the
-    /// worker pool — each shard's image is built independently, so
-    /// the warm state is identical at every worker count.
+    /// Opens a warm cluster session: one cube per shard, reading the
+    /// shard's table in place, each session backed by its shard's
+    /// [`PlanCache`] so a `(arch, query)` pair already lowered by an
+    /// earlier session is not lowered again. Opening fans out over the
+    /// worker pool — each shard's cube is built independently, so the
+    /// warm state is identical at every worker count.
     pub fn session(&self) -> ClusterSession<'_> {
         let shards = self.systems.iter().zip(&self.plans).collect();
         ClusterSession {
@@ -334,7 +335,7 @@ impl Cluster {
         }
     }
 
-    /// One-shot scatter-gather run (cold: materializes every shard).
+    /// One-shot scatter-gather run (cold: opens a cube per shard).
     pub fn run(&self, arch: Arch, query: &Query) -> ClusterReport {
         self.session().run(arch, query)
     }
@@ -342,10 +343,9 @@ impl Cluster {
 
 /// A warm execution context over every shard of a [`Cluster`].
 ///
-/// Like [`Session`] but N-way: creating it materializes each shard's
-/// cube image once; every run scatter-gathers through the warm images,
-/// and each shard's plan cache compiles a given `(arch, query)`
-/// exactly once.
+/// Like [`Session`] but N-way: creating it opens one cube per shard;
+/// every run scatter-gathers through the warm cubes, and each shard's
+/// plan cache compiles a given `(arch, query)` exactly once.
 #[derive(Debug)]
 pub struct ClusterSession<'a> {
     cluster: &'a Cluster,

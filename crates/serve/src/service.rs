@@ -244,9 +244,10 @@ pub struct ServiceReport {
     /// cluster, and zero for plans an earlier run already lowered —
     /// however many replicas serve the shard or queries were served.
     pub compilations: u64,
-    /// Table materializations this run performed: one per shard, even
-    /// when every profile is memoized, because the run always opens a
-    /// single warm session over the cluster.
+    /// Cubes this run opened ([`System::materializations`](
+    /// hipe::System::materializations)): one per shard, even when every
+    /// profile is memoized, because the run always opens a single warm
+    /// session over the cluster. Opening one copies no table bytes.
     pub materializations: u64,
     /// Mix queries this run actually executed on the cluster, i.e.
     /// misses of the cluster's profile memo. Like
@@ -753,7 +754,7 @@ impl<'a> Scheduler<'a> {
 /// utilization and tail latency.
 ///
 /// The service opens one [`ClusterSession`](crate::ClusterSession)
-/// (one materialization per shard) and looks up each mix query's
+/// (one cube per shard) and looks up each mix query's
 /// profile — its functional answer and deterministic per-shard
 /// durations — in the cluster's memo. A query the cluster has not
 /// yet measured on this arch is executed once on every shard through
@@ -829,10 +830,7 @@ pub fn run_service_traced(
     // shard's one `System`, so the measured duration and answer hold
     // for whichever replica the routing picks — and for the survivor a
     // failover re-picks. The session opens even when every profile
-    // hits, so a run always materializes once per shard, and it stays
-    // open through the replay: freeing its images before the event
-    // loop allocates raised peak RSS by about 3.5 MiB on a 4x2 SF-0.1
-    // cluster.
+    // hits, so a run always counts one materialization per shard.
     let mut session = cluster.session();
     let mut profiled = 0;
     let profiles: Vec<Arc<Profile>> = cfg

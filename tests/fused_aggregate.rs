@@ -166,7 +166,7 @@ fn fused_partials_match_per_region_reference_sums() {
                     * sys.table().value(hipe_db::Column::Discount, i) as i128
             })
             .sum();
-        let stored = session.hmc().read_u64(program.agg_addr(region)) as i64 as i128;
+        let stored = session.hmc().read_word(program.agg_addr(region)) as i128;
         assert_eq!(stored, expect, "partial of region {region}");
         total += stored;
     }

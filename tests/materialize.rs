@@ -1,129 +1,128 @@
-//! Properties of the zero-copy materialization path.
+//! Properties of the shared column buffer.
 //!
-//! The contract under test: [`DsmLayout::materialize_into`] writing
-//! straight into a resident image slice is byte-for-byte identical to
-//! the allocating [`DsmLayout::materialize`] wrapper — over plain,
-//! partitioned and row-offset layouts, including the remainder region
-//! at the tail — and a session whose cube image is rematerialized in
-//! place replays its workload bit- and cycle-identically to the cold
-//! run.
+//! The contract under test: a system stores its table's columns once,
+//! and every session's cube reads that one buffer as the read-only
+//! image below the mask base, owning only the output area above it —
+//! over plain, partitioned and row-offset tables, including the
+//! remainder region at the tail. The cube reads back exactly the
+//! table's values, the padding and output area read zero, and nothing
+//! can write the shared area.
 
-use hipe::{Arch, System};
-use hipe_db::{Column, DsmLayout, LineitemTable, Query, COLUMN_BYTES, REGION_BYTES, VAULTS};
+use hipe::{System, SystemConfig};
+use hipe_db::{Column, COLUMN_BYTES};
+use hipe_hmc::Hmc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 const SEED: u64 = 77;
 
-/// One full vault sweep — the base alignment partitioned layouts
-/// require.
-const SWEEP: u64 = VAULTS as u64 * REGION_BYTES;
-
-/// (rows, partitions, base) layouts covering one-region tables, full
-/// partition fans, non-zero base addresses and ragged remainder
-/// regions (row counts straddling the 64-row mask words and the
-/// region size).
-const CASES: [(usize, usize, u64); 6] = [
+/// (rows, partitions, row_offset) systems covering one-region tables,
+/// full partition fans, shards that start past global row 0 and ragged
+/// remainder regions (row counts straddling the 64-row mask words and
+/// the region size).
+const CASES: [(usize, usize, usize); 6] = [
     (100, 1, 0),
     (4096, 4, 0),
     (1000, 8, 0),
     (257, 1, 96),
-    (33, 2, SWEEP),
+    (33, 2, 8192),
     (64, 32, 0),
 ];
 
-fn layout_for(rows: usize, partitions: usize, base: u64) -> DsmLayout {
-    if partitions == 1 {
-        DsmLayout::new(base, rows)
-    } else {
-        DsmLayout::partitioned(base, rows, partitions)
-    }
+fn systems() -> impl Iterator<Item = (String, System)> {
+    CASES.into_iter().map(|(rows, partitions, row_offset)| {
+        let sys = System::with_config(SystemConfig {
+            partitions,
+            row_offset,
+            ..SystemConfig::paper(rows, SEED)
+        });
+        (format!("{rows}x{partitions}@{row_offset}"), sys)
+    })
 }
 
-#[test]
-fn in_place_materialization_is_byte_identical_to_the_allocating_path() {
-    for (rows, partitions, base) in CASES {
-        let table = LineitemTable::generate(rows, SEED);
-        let layout = layout_for(rows, partitions, base);
-        let reference = layout.materialize(&table);
-        assert_eq!(
-            reference.len() as u64,
-            layout.image_bytes(),
-            "{rows}x{partitions}@{base}: allocating path spans the image"
-        );
-
-        // A dirty target: every stale byte must be overwritten, so the
-        // column padding, mask area and aggregate area all come back
-        // zeroed rather than inherited.
-        let mut image = vec![0xAB_u8; layout.image_bytes() as usize];
-        layout.materialize_into(&table, &mut image);
-        assert_eq!(
-            image, reference,
-            "{rows}x{partitions}@{base}: in-place image diverges"
-        );
-    }
+/// Words from `from` to `end`.
+fn words(from: u64, end: u64) -> usize {
+    ((end - from) / COLUMN_BYTES) as usize
 }
 
 #[test]
 fn materialized_columns_round_trip_every_value() {
-    for (rows, partitions, base) in CASES {
-        let table = LineitemTable::generate(rows, SEED);
-        let layout = layout_for(rows, partitions, base);
-        let mut image = vec![0xCD_u8; layout.image_bytes() as usize];
-        layout.materialize_into(&table, &mut image);
+    for (case, sys) in systems() {
+        let session = sys.session();
+        let (hmc, layout) = (session.hmc(), sys.layout());
         for c in Column::ALL {
-            for (i, &v) in table.column(c).iter().enumerate() {
-                let at = (layout.value_addr(c, i) - base) as usize;
-                let got = i64::from_le_bytes(
-                    image[at..at + COLUMN_BYTES as usize]
-                        .try_into()
-                        .expect("column value is 8 bytes"),
-                );
-                assert_eq!(got, v, "{rows}x{partitions}@{base}: {c:?}[{i}] corrupted");
+            let read = hmc.read_words(layout.value_addr(c, 0), layout.rows());
+            for (i, &v) in read.iter().enumerate() {
+                assert_eq!(v, sys.table().value(c, i), "{case}: {c}[{i}]");
             }
         }
-        // Everything past the column data — mask and aggregate areas —
-        // is zeroed, not left to the caller.
-        let tail = (layout.mask_base() - base) as usize;
-        assert!(
-            image[tail..].iter().all(|&b| b == 0),
-            "{rows}x{partitions}@{base}: mask/agg area not zeroed"
-        );
     }
 }
 
 #[test]
-#[should_panic(expected = "does not span the layout")]
-fn a_short_image_slice_is_rejected() {
-    let table = LineitemTable::generate(64, SEED);
-    let layout = DsmLayout::new(0, 64);
-    let mut image = vec![0u8; layout.image_bytes() as usize - 1];
-    layout.materialize_into(&table, &mut image);
-}
-
-#[test]
-fn warm_runs_after_in_place_rematerialization_match_cold_runs() {
-    let sys = System::new(2048, SEED);
-    let queries = [Query::q6(), Query::quantity_below_permille(250)];
-    for arch in Arch::ALL {
-        let mut session = sys.session();
-        let cold: Vec<_> = queries.iter().map(|q| session.run(arch, q)).collect();
-        session.rematerialize();
-        for (q, before) in queries.iter().zip(&cold) {
-            let after = session.run(arch, q);
-            assert_eq!(
-                before.result, after.result,
-                "{arch} on [{q}]: result drifted after rematerialization"
-            );
-            assert_eq!(
-                before.cycles, after.cycles,
-                "{arch} on [{q}]: cycles drifted after rematerialization"
-            );
+fn padding_and_the_owned_area_read_zero() {
+    for (case, sys) in systems() {
+        let session = sys.session();
+        let (hmc, layout) = (session.hmc(), sys.layout());
+        for c in Column::ALL {
+            let pad = layout.value_addr(c, layout.rows());
+            let end = layout.column_base(c) + layout.column_stride();
+            let padding = hmc.read_words(pad, words(pad, end));
+            assert!(padding.iter().all(|&v| v == 0), "{case}: {c} padding");
         }
+        let owned = hmc.read_words(
+            sys.mask_base(),
+            words(sys.mask_base(), layout.image_bytes()),
+        );
+        assert!(owned.iter().all(|&v| v == 0), "{case}: output area");
     }
-    // Each session materializes once at construction; the explicit
-    // rematerializations are the only extra image writes.
-    assert_eq!(
-        sys.materializations(),
-        2 * Arch::ALL.len() as u64,
-        "unexpected materialization count"
+}
+
+#[test]
+fn live_sessions_share_one_column_buffer() {
+    for (case, sys) in systems() {
+        let (a, b) = (sys.session(), sys.session());
+        let table = sys.table().column_area();
+        let owned = (sys.layout().image_bytes() - sys.mask_base()) as usize;
+        for s in [&a, &b] {
+            let hmc = s.hmc();
+            assert!(Arc::ptr_eq(hmc.shared(), table), "{case}: private copy");
+            assert_eq!(hmc.owned_bytes(), owned, "{case}");
+            assert_eq!(hmc.image_len() as u64, sys.layout().image_bytes());
+        }
+        // The table and the two cubes: one buffer, three owners.
+        assert_eq!(Arc::strong_count(table), 3, "{case}");
+        assert_eq!(sys.materializations(), 2, "{case}");
+    }
+}
+
+#[test]
+fn writes_below_the_mask_base_panic() {
+    for (case, sys) in systems() {
+        // The cube a session opens: the table's buffer below the mask
+        // base, an owned area above it.
+        let mut hmc = Hmc::with_shared(
+            sys.config().hmc.clone(),
+            Arc::clone(sys.table().column_area()),
+            sys.layout().image_bytes() as usize,
+        );
+        for addr in [0, sys.mask_base() - COLUMN_BYTES] {
+            let write = catch_unwind(AssertUnwindSafe(|| hmc.write_word(addr, -1)));
+            assert!(write.is_err(), "{case}: write at {addr:#x} went through");
+        }
+        hmc.write_word(sys.mask_base(), -1);
+        assert_eq!(hmc.read_word(0), sys.table().value(Column::Shipdate, 0));
+    }
+}
+
+#[test]
+#[should_panic(expected = "exceeds the image")]
+fn a_short_image_slice_is_rejected() {
+    // A cube must back at least the shared column area.
+    let sys = System::new(64, SEED);
+    let _ = Hmc::with_shared(
+        sys.config().hmc.clone(),
+        Arc::clone(sys.table().column_area()),
+        sys.mask_base() as usize - 8,
     );
 }

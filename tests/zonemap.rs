@@ -209,17 +209,63 @@ fn assert_same_report(warm: &RunReport, cold: &RunReport, what: &str) {
 
 #[test]
 fn interleaved_warm_runs_leave_no_residue() {
-    // Consecutive runs write different output blocks: wide and narrow
-    // windows scan different regions; the selective query makes HIPE
-    // squash the mask stores of regions the wide window filled with
-    // ones (each conjunct has a hit in such a region, so the zone map
-    // keeps it); the fully pruned query writes nothing; the host
-    // machines store packed words where the logic machines store 256 B
-    // chunks; and the aggregate adds partial-sum rows. The reset zeroes
-    // only what the last run wrote, so every warm run must still equal
-    // a cold one — arch by arch, then query by query after the image
-    // is rematerialized.
+    // Consecutive runs write different output blocks (see
+    // `residue_queries`). The reset zeroes only what the last run
+    // wrote, so every warm run must still equal a cold one — arch by
+    // arch, then query by query on a second session opened while the
+    // first is still live.
     let rows = 4096;
+    let queries = residue_queries();
+    for partitions in [1, 4] {
+        let sys = clustered(rows, partitions, true);
+        let check = |session: &mut hipe::Session<'_>, arch: Arch, q: &Query, round: &str| {
+            let what = format!("{arch} x{partitions} {round} [{q}]");
+            assert_same_report(&session.run(arch, q), &sys.run(arch, q), &what);
+        };
+        let mut first = sys.session();
+        for arch in Arch::ALL {
+            for q in &queries {
+                check(&mut first, arch, q, "warm");
+            }
+        }
+        let mut second = sys.session();
+        for q in &queries {
+            for arch in Arch::ALL {
+                check(&mut second, arch, q, "second session");
+            }
+        }
+        check(&mut first, Arch::Hipe, &queries[0], "first session, again");
+    }
+}
+
+#[test]
+fn runs_interleaved_across_two_live_sessions_match_cold_runs() {
+    // Two sessions over one system share its column buffer; each owns
+    // its output area. Alternating runs between them, each on a
+    // different query, must leave no trace in the other.
+    let queries = residue_queries();
+    for partitions in [1, 4] {
+        let sys = clustered(4096, partitions, true);
+        let (mut a, mut b) = (sys.session(), sys.session());
+        for arch in Arch::ALL {
+            for (qa, qb) in queries.iter().zip(queries.iter().rev()) {
+                for (name, session, q) in [("a", &mut a, qa), ("b", &mut b, qb)] {
+                    let what = format!("{arch} x{partitions} session {name} [{q}]");
+                    assert_same_report(&session.run(arch, q), &sys.run(arch, q), &what);
+                }
+            }
+        }
+    }
+}
+
+/// Queries whose consecutive runs write different output blocks: wide
+/// and narrow windows scan different regions; the selective query
+/// makes HIPE squash the mask stores of regions the wide window filled
+/// with ones (each conjunct has a hit in such a region, so the zone map
+/// keeps it); the fully pruned query writes nothing; the host machines
+/// store packed words where the logic machines store 256 B chunks; and
+/// the aggregate adds partial-sum rows.
+fn residue_queries() -> [Query; 5] {
     let wide = Query::shipdate_window_permille(300);
     let q6 = Query::q6();
     let narrow_q6 = vec![
@@ -227,7 +273,7 @@ fn interleaved_warm_runs_leave_no_residue() {
         q6.predicates()[1],
         q6.predicates()[2],
     ];
-    let queries = [
+    [
         wide.clone(),
         Query::new(
             vec![
@@ -246,26 +292,7 @@ fn interleaved_warm_runs_leave_no_residue() {
             false,
         ),
         Query::new(narrow_q6, true),
-    ];
-    for partitions in [1, 4] {
-        let sys = clustered(rows, partitions, true);
-        let mut session = sys.session();
-        let check = |session: &mut hipe::Session<'_>, arch: Arch, q: &Query, round: &str| {
-            let what = format!("{arch} x{partitions} {round} [{q}]");
-            assert_same_report(&session.run(arch, q), &sys.run(arch, q), &what);
-        };
-        for arch in Arch::ALL {
-            for q in &queries {
-                check(&mut session, arch, q, "warm");
-            }
-        }
-        session.rematerialize();
-        for q in &queries {
-            for arch in Arch::ALL {
-                check(&mut session, arch, q, "rematerialized");
-            }
-        }
-    }
+    ]
 }
 
 #[test]
