@@ -44,13 +44,17 @@
 //!   gathering matched tuples over the links. On HIPE the whole tail
 //!   is predicated, so regions without matches squash it.
 //!
-//! The logic-layer lowerings are *partition-aware*: over a
-//! vault-partitioned [`hipe_db::DsmLayout`] they emit one
-//! [`hipe_isa::LogicProgram`] per vault group — each covering exactly
-//! the regions the HMC interleave places in that group's vaults — so
-//! N logic-layer engines can scan the table concurrently without ever
-//! sharing a bank. A single-partition layout produces the historical
-//! monolithic stream, address for address.
+//! The logic-layer lowerings return a [`LogicScanProgram`]: region 0's
+//! block once per register set, plus the scanned-region set. Like a
+//! host plan, it never stores its instruction streams. They are
+//! *partition-aware*: over a vault-partitioned [`hipe_db::DsmLayout`],
+//! [`LogicScanProgram::cursor`] expands one stream per vault group —
+//! covering exactly the regions the HMC interleave places in that
+//! group's vaults — while the engines run it, so N logic-layer engines
+//! can scan the table concurrently without ever sharing a bank, and
+//! [`LogicScanProgram::total_instrs`] counts the streams in closed
+//! form. A single-partition layout produces the historical monolithic
+//! stream, address for address.
 //!
 //! Every entry point returns a typed [`CompileError`] for invalid
 //! inputs (zero-row layouts, aggregate lowering of non-aggregating
@@ -74,7 +78,8 @@ pub use error::CompileError;
 pub use hmc::{lower_hmc_scan, STOCK_HMC_OP};
 pub use host::lower_host_scan;
 pub use logic::{
-    lower_logic_aggregate, lower_logic_scan, LogicScanProgram, AGG_SLOT_BYTES, REGION_ROWS,
+    lower_logic_aggregate, lower_logic_scan, LogicCursor, LogicScanProgram, AGG_SLOT_BYTES,
+    REGION_ROWS,
 };
 pub use template::HostScanProgram;
 

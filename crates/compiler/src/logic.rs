@@ -1,9 +1,12 @@
 //! Lowering of select scans (and fused aggregates) to HIVE/HIPE
-//! logic-layer programs — one per vault-group partition.
+//! logic-layer programs: one region template, expanded per vault-group
+//! partition while the plan runs.
 
 use crate::error::CompileError;
-use hipe_db::{Bitmask, CmpOp, Column, DsmLayout, PruneStats, Query, ZoneMap};
-use hipe_isa::{AluOp, LogicInstr, LogicProgram, OpSize, PartitionSpec, Predicate, RegId};
+use hipe_db::{
+    Bitmask, CmpOp, Column, DsmLayout, IterOnes, PruneStats, Query, ZoneMap, REGION_BYTES, VAULTS,
+};
+use hipe_isa::{AluOp, LogicInstr, OpSize, PartitionSpec, Predicate, RegId};
 
 /// Rows covered by one logic-layer operation: a full 256 B register
 /// (32 x 8 B lanes), which is also one DRAM row buffer.
@@ -23,17 +26,45 @@ pub const AGG_SLOT_BYTES: u64 = 8;
 /// *own* region order, so every flush stays inside its vault group.
 const AGG_GROUP: usize = 32;
 
-/// A lowered logic-layer scan: one partition-tagged instruction stream
-/// per vault group, plus the shared output-area map.
+// Register allocation, repeated per partition (every engine has its
+// own bank). Consecutive surviving regions of one partition rotate
+// two scan sets of (data, mask, tmp) so a region's loads overlap the
+// previous region's stores (the interlocked bank resolves the WAR
+// hazards), and — for fused aggregates — four tail sets of (price,
+// discount, mask copy): the tail's wider rotation keeps its column
+// loads' DRAM latency off the next regions' scan chain (the balanced
+// bank has 36 registers; the scan alone leaves 30 of them idle). The
+// two group partial-sum registers alternate between consecutive
+// 32-region groups so a group's flush overlaps the next group's
+// reduces.
+const SCAN_SETS: [usize; 2] = [0, 3];
+const TAIL_SETS: [usize; 4] = [6, 9, 12, 15];
+const PARTIALS: [usize; 2] = [18, 19];
+
+// A packed region-set word covers two 32-region vault sweeps, so one
+// 64-bit lane mask selects a partition's regions in every word.
+const _: () = assert!(2 * VAULTS == 64);
+
+/// A lowered logic-layer scan: the region template every partition
+/// expands, the scanned-region set, and the output-area map.
 ///
-/// Each [`LogicProgram`] is a flat in-order stream for one engine: one
-/// `Lock`, then per-region blocks over the partition's own regions,
-/// then one `Unlock` whose acknowledgement tells the host that
-/// partition's scan (and its stores) is complete. Region `i` covers
-/// rows `[32 * i, 32 * i + 32)` and writes its match mask (one 0/1
-/// lane per row) to [`mask_addr`](Self::mask_addr)`(i)`; with a
-/// single-partition layout the one program is exactly the historical
+/// A partition's engine runs a flat in-order stream: one `Lock`, then
+/// one block per scanned region it owns, in ascending order, then one
+/// `Unlock` whose acknowledgement tells the host that the partition's
+/// scan (and its stores) is complete. A partition with no scanned
+/// region runs nothing at all. Region `i` covers rows
+/// `[32 * i, 32 * i + 32)` and writes its match mask (one 0/1 lane
+/// per row) to [`mask_addr`](Self::mask_addr)`(i)`; with a
+/// single-partition layout the one stream is exactly the historical
 /// monolithic stream.
+///
+/// Every region's block is the same apart from its addresses, which
+/// shift by 256 B per region, and its register set, which rotates with
+/// the region's ordinal among the partition's scanned regions. So the
+/// plan stores region 0's block once per register set, and
+/// [`cursor`](Self::cursor) expands a partition's stream while it
+/// runs; [`partition_instrs`](Self::partition_instrs) counts it in
+/// closed form. A plan's size follows its query, not the table.
 ///
 /// For aggregate queries lowered with [`lower_logic_aggregate`], each
 /// region's block additionally loads the `l_extendedprice` and
@@ -55,33 +86,101 @@ const AGG_GROUP: usize = 32;
 /// assert_eq!(prog.regions(), 1000usize.div_ceil(REGION_ROWS));
 /// assert_eq!(prog.partitions(), 1);
 /// assert_eq!(prog.mask_addr(2), layout.mask_base() + 512);
-/// // Lock + per-region block + Unlock.
-/// assert!(prog.total_instrs() > 2 * prog.regions());
+/// // Lock + 9 instructions per region + Unlock, counted without
+/// // expanding the stream.
+/// assert_eq!(prog.total_instrs(), 2 + 9 * prog.regions());
+/// assert_eq!(prog.cursor(0).count(), prog.total_instrs());
 /// assert_eq!(prog.aggregate_base(), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LogicScanProgram {
-    programs: Vec<LogicProgram>,
     layout: DsmLayout,
-    aggregate: bool,
     scanned: Bitmask,
+    /// Region 0's scan block, one per scan register set.
+    scan: [Vec<LogicInstr>; 2],
+    /// Region 0's aggregate tail, reducing into lane 0 of the first
+    /// partial register, one per tail register set; empty for a plain
+    /// scan.
+    tail: [Vec<LogicInstr>; 4],
 }
 
 impl LogicScanProgram {
-    /// The per-partition programs, one per vault group (empty streams
-    /// for partitions the table never reaches).
-    pub fn programs(&self) -> &[LogicProgram] {
-        &self.programs
-    }
-
     /// Number of vault-group partitions (== engines that will run).
     pub fn partitions(&self) -> usize {
-        self.programs.len()
+        self.layout.partitions()
     }
 
-    /// Total lowered instructions across all partitions.
+    /// Partition `p`'s identity and owned vaults.
+    pub fn spec(&self, p: usize) -> PartitionSpec {
+        let vaults = self.layout.vault_group(p);
+        PartitionSpec::new(p, vaults.start, vaults.len())
+    }
+
+    /// Partition `p`'s instruction stream, expanded region by region
+    /// as it is consumed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not a partition index.
+    pub fn cursor(&self, p: usize) -> LogicCursor<'_> {
+        let block_len = 2 + self.scan[0].len() + self.tail[0].len() + 2;
+        let mut cursor = LogicCursor {
+            program: self,
+            partition: p,
+            lanes: self.lanes(p),
+            regions: self.scanned.iter_ones(),
+            next: None,
+            ordinal: 0,
+            group: None,
+            block: Vec::with_capacity(block_len),
+            at: 0,
+        };
+        cursor.next = cursor.next_region();
+        cursor
+    }
+
+    /// Instructions in partition `p`'s stream, in closed form: none
+    /// for a partition with no scanned region, else `Lock` and
+    /// `Unlock`, one block per scanned region, and for a fused
+    /// aggregate a zero and a flush per flush group it touches.
+    pub fn partition_instrs(&self, p: usize) -> usize {
+        let lanes = self.lanes(p);
+        let words = self.scanned.words();
+        let regions: usize = words
+            .iter()
+            .map(|&w| (w & lanes).count_ones() as usize)
+            .sum();
+        if regions == 0 {
+            return 0;
+        }
+        let block = self.scan[0].len() + self.tail[0].len();
+        let groups = if self.aggregate() {
+            // A group is 32 of the partition's regions, which span
+            // `32 * VAULTS / g` consecutive regions of the table.
+            let span = AGG_GROUP * VAULTS / self.layout.vaults_per_group();
+            if span < 64 {
+                // One partition: a group is half a word.
+                words
+                    .iter()
+                    .map(|&w| usize::from(w as u32 != 0) + usize::from(w >> 32 != 0))
+                    .sum()
+            } else {
+                words
+                    .chunks(span / 64)
+                    .filter(|c| c.iter().any(|&w| w & lanes != 0))
+                    .count()
+            }
+        } else {
+            0
+        };
+        2 + regions * block + 2 * groups
+    }
+
+    /// Total instructions across all partitions, in closed form.
     pub fn total_instrs(&self) -> usize {
-        self.programs.iter().map(LogicProgram::len).sum()
+        (0..self.partitions())
+            .map(|p| self.partition_instrs(p))
+            .sum()
     }
 
     /// Number of 32-row regions the scan is tiled into.
@@ -102,7 +201,7 @@ impl LogicScanProgram {
     /// Base address of the per-region partial-sum output area, or
     /// `None` for a plain (non-aggregating) scan program.
     pub fn aggregate_base(&self) -> Option<u64> {
-        self.aggregate.then(|| self.layout.agg_base())
+        self.aggregate().then(|| self.layout.agg_base())
     }
 
     /// Address of region `i`'s 8 B partial-sum slot.
@@ -111,7 +210,7 @@ impl LogicScanProgram {
     ///
     /// Panics if the program carries no fused aggregate.
     pub fn agg_addr(&self, i: usize) -> u64 {
-        assert!(self.aggregate, "not an aggregate program");
+        assert!(self.aggregate(), "not an aggregate program");
         self.layout.agg_slot_addr(i)
     }
 
@@ -119,27 +218,185 @@ impl LogicScanProgram {
     /// pad slots stay zero and contribute nothing to the combined sum;
     /// zero for plain scans).
     pub fn agg_bytes(&self) -> u64 {
-        if self.aggregate {
+        if self.aggregate() {
             self.layout.agg_area_bytes()
         } else {
             0
         }
     }
 
-    /// Regions the emitted streams scan vs. regions the zone map let
-    /// the compiler drop ([`PruneStats::unpruned`] when lowered
-    /// without one).
+    /// Regions the streams scan vs. regions the zone map let the
+    /// compiler drop ([`PruneStats::unpruned`] when lowered without
+    /// one).
     pub fn prune_stats(&self) -> PruneStats {
         PruneStats::of(&self.scanned)
     }
 
-    /// The regions the emitted streams scan, one bit per region. Only
-    /// these regions' mask chunks and partial-sum slots can be
-    /// non-zero after a run; every other region's stay at the reset
-    /// image's zeros.
+    /// The regions the streams scan, one bit per region. Only these
+    /// regions' mask chunks and partial-sum slots can be non-zero
+    /// after a run; every other region's stay at the reset image's
+    /// zeros.
     pub fn scanned_regions(&self) -> &Bitmask {
         &self.scanned
     }
+
+    fn aggregate(&self) -> bool {
+        !self.tail[0].is_empty()
+    }
+
+    /// The bits of a region-set word that partition `p` owns: regions
+    /// whose vault residue falls in its group.
+    fn lanes(&self, p: usize) -> u64 {
+        assert!(
+            p < self.partitions(),
+            "partition {p} of {}",
+            self.partitions()
+        );
+        let g = self.layout.vaults_per_group();
+        let lanes = (!0u64 >> (64 - g)) << (p * g);
+        lanes | lanes << VAULTS
+    }
+}
+
+/// One partition's instruction stream, expanded from the region
+/// template one region block at a time (see
+/// [`LogicScanProgram::cursor`]).
+///
+/// Each block is built into one buffer the cursor reuses, so
+/// consuming a stream allocates nothing per region. A region's block
+/// takes its scan register set from its ordinal among the partition's
+/// scanned regions mod 2 and its tail set from that ordinal mod 4; its
+/// `AddReduce` lane, and whether it zeroes or flushes its group's
+/// partial register, follow from its *unpruned* local index, so a
+/// pruned neighbour never moves a surviving region's output slot.
+#[derive(Debug, Clone)]
+pub struct LogicCursor<'a> {
+    program: &'a LogicScanProgram,
+    partition: usize,
+    /// The partition's bits of a region-set word.
+    lanes: u64,
+    /// The scanned regions, the partition's among them.
+    regions: IterOnes<'a>,
+    /// The next region to expand. Looking one region ahead tells a
+    /// region whether it is the last of its flush group or stream.
+    next: Option<usize>,
+    /// Regions expanded so far.
+    ordinal: usize,
+    /// The flush group of the last expanded region.
+    group: Option<usize>,
+    /// The current region's block, handed out up to `at`.
+    block: Vec<LogicInstr>,
+    at: usize,
+}
+
+impl LogicCursor<'_> {
+    /// The partition's next scanned region.
+    fn next_region(&mut self) -> Option<usize> {
+        let lanes = self.lanes;
+        self.regions.find(|&r| lanes >> (r % 64) & 1 == 1)
+    }
+
+    /// Builds the next region's block; `false` at the end of the
+    /// stream.
+    fn expand(&mut self) -> bool {
+        let Some(region) = self.next else {
+            return false;
+        };
+        self.next = self.next_region();
+        let program = self.program;
+        let layout = &program.layout;
+        self.block.clear();
+        self.at = 0;
+        if self.ordinal == 0 {
+            self.block.push(LogicInstr::Lock);
+        }
+        let offset = region as u64 * REGION_BYTES;
+        let scan = &program.scan[self.ordinal % 2];
+        self.block
+            .extend(scan.iter().map(|&op| shifted(op, offset)));
+        let tail = &program.tail[self.ordinal % 4];
+        if !tail.is_empty() {
+            let k = layout.local_region_index(region);
+            let group = k / AGG_GROUP;
+            let part = reg(PARTIALS[group % 2]);
+            if self.group != Some(group) {
+                // Fresh group: zero its partial register (never
+                // predicated — on HIPE a squashed region must leave its
+                // lane at exactly zero, not at the previous group's
+                // value).
+                self.block.push(LogicInstr::Alu {
+                    op: AluOp::Sub,
+                    dst: part,
+                    a: part,
+                    b: Some(part),
+                    size: OpSize::MAX,
+                    pred: None,
+                });
+            }
+            let lane = (k % AGG_GROUP) as u8;
+            self.block.extend(tail.iter().map(|&op| {
+                let mut op = shifted(op, offset);
+                if let LogicInstr::Alu {
+                    op: AluOp::AddReduce { lane: l },
+                    dst,
+                    ..
+                } = &mut op
+                {
+                    (*l, *dst) = (lane, part);
+                }
+                op
+            }));
+            let next_group = self.next.map(|r| layout.local_region_index(r) / AGG_GROUP);
+            if next_group != Some(group) {
+                // Flush the group's 32 partials as one row-buffer store
+                // into the partition's own vault group (never
+                // predicated: earlier regions of the group may have
+                // matched even if this one did not). Pruned lanes were
+                // zeroed with the register, so the store writes their
+                // slots' correct zeros.
+                self.block.push(LogicInstr::Store {
+                    src: part,
+                    addr: layout.agg_flush_addr(self.partition, group),
+                    size: OpSize::MAX,
+                    pred: None,
+                });
+            }
+            self.group = Some(group);
+        }
+        if self.next.is_none() {
+            self.block.push(LogicInstr::Unlock);
+        }
+        self.ordinal += 1;
+        true
+    }
+}
+
+impl Iterator for LogicCursor<'_> {
+    type Item = LogicInstr;
+
+    #[inline]
+    fn next(&mut self) -> Option<LogicInstr> {
+        if self.at == self.block.len() && !self.expand() {
+            return None;
+        }
+        let instr = self.block[self.at];
+        self.at += 1;
+        Some(instr)
+    }
+}
+
+/// A template instruction moved from region 0 to the region `offset`
+/// bytes up.
+#[inline(always)]
+fn shifted(mut op: LogicInstr, offset: u64) -> LogicInstr {
+    if let LogicInstr::Load { addr, .. } | LogicInstr::Store { addr, .. } = &mut op {
+        *addr += offset;
+    }
+    op
+}
+
+fn reg(i: usize) -> RegId {
+    RegId::new(i).expect("register in bank")
 }
 
 /// Maps a database comparison onto the logic-layer ALU.
@@ -168,15 +425,14 @@ fn alu_op(cmp: CmpOp) -> AluOp {
 /// per partition.
 ///
 /// With `prune` set, regions whose zone-map summaries prove the
-/// predicate conjunction can't match are dropped from the emitted
-/// streams ([`LogicScanProgram::scanned_regions`] keeps the rest,
+/// predicate conjunction can't match are dropped from the streams
+/// ([`LogicScanProgram::scanned_regions`] keeps the rest,
 /// [`LogicScanProgram::prune_stats`] counts them). A dropped
 /// region's mask chunk is simply never written — the mask area starts
 /// zeroed, so it reads back as the correct all-zero mask. **Empty
-/// programs are a valid result**: a partition (or the whole query)
-/// with every region pruned lowers to an instruction-free
-/// [`LogicProgram`], which the dispatcher skips — never an error, and
-/// never a panic downstream.
+/// streams are a valid result**: a partition (or the whole query)
+/// with every region pruned has an instruction-free stream, which the
+/// dispatcher skips — never an error, and never a panic downstream.
 ///
 /// # Errors
 ///
@@ -222,8 +478,8 @@ pub fn lower_logic_scan(
 /// surviving region and flushed after its last, and groups with every
 /// region pruned emit nothing — their slots keep the reset image's
 /// zeros, so the combined sum is bit-identical to the unpruned run.
-/// As with the plain scan, a fully-pruned partition (or query) lowers
-/// to valid empty programs, never an error.
+/// As with the plain scan, a fully-pruned partition (or query) has a
+/// valid empty stream, never an error.
 ///
 /// # Errors
 ///
@@ -243,7 +499,8 @@ pub fn lower_logic_aggregate(
     lower(query, layout, predicated, true, prune)
 }
 
-/// Shared emitter of scan and fused-aggregate programs.
+/// Shared lowering of scan and fused-aggregate programs: region 0's
+/// block for every register set.
 fn lower(
     query: &Query,
     layout: &DsmLayout,
@@ -253,211 +510,334 @@ fn lower(
 ) -> Result<LogicScanProgram, CompileError> {
     let scanned = crate::scan_set(query, layout, prune)?;
     let size = OpSize::MAX;
-    let npreds = query.predicates().len();
-    let tail_len = if fused_aggregate { 6 } else { 0 };
-
-    let reg = |i: usize| RegId::new(i).expect("register in bank");
-    // Register sets rotated between consecutive regions of one
-    // partition: two scan sets of (data, mask, tmp), and — for fused
-    // aggregates — four tail sets of (price, discount, mask copy). The
-    // tail gets its own, wider rotation so its column loads' DRAM
-    // latency stays off the next regions' scan chain (the balanced
-    // bank has 36 registers; the scan alone leaves 30 of them idle).
-    // Each partition runs on its own engine with its own bank, so the
-    // same allocation repeats per partition.
-    let set = |base: usize| (reg(base), reg(base + 1), reg(base + 2));
-    let scan_sets = [set(0), set(3)];
-    let agg_sets = [set(6), set(9), set(12), set(15)];
-    // Group partial-sum registers, alternated between consecutive
-    // 32-region groups so a group's flush overlaps the next group's
-    // reduces.
-    let parts = [reg(18), reg(19)];
-
-    let mut programs = Vec::with_capacity(layout.partitions());
-    for p in 0..layout.partitions() {
-        let spec = {
-            let vaults = layout.vault_group(p);
-            PartitionSpec::new(p, vaults.start, vaults.len())
-        };
-        // Only regions the zone map can't prove empty survive. They keep
-        // their *unpruned* local index (computed below) so output slots
-        // never move.
-        let survivors: Vec<usize> = layout
-            .partition_regions(p)
-            .filter(|&r| scanned.get(r))
-            .collect();
-        if survivors.is_empty() {
-            programs.push(LogicProgram::new(spec, Vec::new()));
-            continue;
-        }
-        let mut instrs = Vec::with_capacity(2 + survivors.len() * (3 * npreds + 1 + tail_len));
-        instrs.push(LogicInstr::Lock);
-        let mut prev_group = None;
-        for (pos, &region) in survivors.iter().enumerate() {
-            // `pos` rotates register sets (pure allocation); `k` is
-            // the region's local index in the *unpruned* partition
-            // order, which keys every lane and flush address so a
-            // pruned neighbour never shifts this region's slot. With
-            // no zone map the two are equal and the stream is
-            // byte-identical to the historical lowering.
-            let k = layout.local_region_index(region);
-            let (r_data, r_mask, r_tmp) = scan_sets[pos % 2];
-            let chunk = region as u64 * size.bytes();
-            let guard = predicated.then(|| Predicate::any_nonzero(r_mask));
-            for (pi, pred_col) in query.predicates().iter().enumerate() {
-                let addr = layout.column_base(pred_col.column) + chunk;
-                // The first predicate of a region establishes the mask
-                // and cannot be guarded by it.
-                let pred = if pi == 0 { None } else { guard };
-                instrs.push(LogicInstr::Load {
-                    dst: r_data,
-                    addr,
+    let guard = |mask| predicated.then(|| Predicate::any_nonzero(mask));
+    let scan = SCAN_SETS.map(|set| {
+        let (data, mask, tmp) = (reg(set), reg(set + 1), reg(set + 2));
+        let mut ops = Vec::with_capacity(3 * query.predicates().len());
+        for (i, p) in query.predicates().iter().enumerate() {
+            // The first predicate of a region establishes the mask and
+            // cannot be guarded by it.
+            let (pred, dst) = if i == 0 {
+                (None, mask)
+            } else {
+                (guard(mask), tmp)
+            };
+            let addr = layout.column_base(p.column);
+            ops.push(LogicInstr::Load {
+                dst: data,
+                addr,
+                size,
+                pred,
+            });
+            ops.push(LogicInstr::Alu {
+                op: alu_op(p.cmp),
+                dst,
+                a: data,
+                b: None,
+                size,
+                pred,
+            });
+            if i > 0 {
+                ops.push(LogicInstr::Alu {
+                    op: AluOp::And,
+                    dst: mask,
+                    a: mask,
+                    b: Some(tmp),
                     size,
                     pred,
                 });
-                if pi == 0 {
-                    instrs.push(LogicInstr::Alu {
-                        op: alu_op(pred_col.cmp),
-                        dst: r_mask,
-                        a: r_data,
-                        b: None,
-                        size,
-                        pred: None,
-                    });
-                } else {
-                    instrs.push(LogicInstr::Alu {
-                        op: alu_op(pred_col.cmp),
-                        dst: r_tmp,
-                        a: r_data,
-                        b: None,
-                        size,
-                        pred,
-                    });
-                    instrs.push(LogicInstr::Alu {
-                        op: AluOp::And,
-                        dst: r_mask,
-                        a: r_mask,
-                        b: Some(r_tmp),
-                        size,
-                        pred,
-                    });
-                }
-            }
-            // The mask area starts zeroed, so a squashed store leaves
-            // the correct all-zero mask behind.
-            instrs.push(LogicInstr::Store {
-                src: r_mask,
-                addr: layout.mask_addr(region),
-                size,
-                pred: guard,
-            });
-            if fused_aggregate {
-                let (r_price, r_disc, r_mcopy) = agg_sets[pos % 4];
-                let group = k / AGG_GROUP;
-                let r_part = parts[group % 2];
-                if prev_group != Some(group) {
-                    // Fresh group: zero its partial register (never
-                    // predicated — on HIPE a squashed region must
-                    // leave its lane at exactly zero, not at the
-                    // previous group's value).
-                    instrs.push(LogicInstr::Alu {
-                        op: AluOp::Sub,
-                        dst: r_part,
-                        a: r_part,
-                        b: Some(r_part),
-                        size,
-                        pred: None,
-                    });
-                }
-                // Snapshot the final mask into a tail register
-                // immediately: the copy consumes `r_mask` as soon as
-                // it is ready, so the reduce (which waits ~a DRAM
-                // latency for the price chunk) does not stretch the
-                // scan's cross-region WAR chain on the mask register.
-                instrs.push(LogicInstr::Alu {
-                    op: AluOp::Or,
-                    dst: r_mcopy,
-                    a: r_mask,
-                    b: Some(r_mask),
-                    size,
-                    pred: guard,
-                });
-                instrs.push(LogicInstr::Load {
-                    dst: r_price,
-                    addr: layout.column_base(Column::ExtendedPrice) + chunk,
-                    size,
-                    pred: guard,
-                });
-                instrs.push(LogicInstr::Load {
-                    dst: r_disc,
-                    addr: layout.column_base(Column::Discount) + chunk,
-                    size,
-                    pred: guard,
-                });
-                instrs.push(LogicInstr::Alu {
-                    op: AluOp::Mul,
-                    dst: r_price,
-                    a: r_price,
-                    b: Some(r_disc),
-                    size,
-                    pred: guard,
-                });
-                // Dot product against the 0/1 match mask into this
-                // region's lane of the group partial register:
-                // non-matching lanes (and the zero-padded tail of the
-                // last region) contribute nothing.
-                instrs.push(LogicInstr::Alu {
-                    op: AluOp::AddReduce {
-                        lane: (k % AGG_GROUP) as u8,
-                    },
-                    dst: r_part,
-                    a: r_price,
-                    b: Some(r_mcopy),
-                    size,
-                    pred: guard,
-                });
-                let next_group = survivors
-                    .get(pos + 1)
-                    .map(|&r| layout.local_region_index(r) / AGG_GROUP);
-                if next_group != Some(group) {
-                    // Flush the group's 32 partials as one row-buffer
-                    // store into the partition's own vault group
-                    // (never predicated: earlier regions of the group
-                    // may have matched even if this one did not).
-                    // Pruned lanes were zeroed with the register, so
-                    // the store writes their slots' correct zeros.
-                    instrs.push(LogicInstr::Store {
-                        src: r_part,
-                        addr: layout.agg_flush_addr(p, group),
-                        size,
-                        pred: None,
-                    });
-                }
-                prev_group = Some(group);
             }
         }
-        instrs.push(LogicInstr::Unlock);
-        programs.push(LogicProgram::new(spec, instrs));
-    }
-
+        // The mask area starts zeroed, so a squashed store leaves the
+        // correct all-zero mask behind.
+        ops.push(LogicInstr::Store {
+            src: mask,
+            addr: layout.mask_addr(0),
+            size,
+            pred: guard(mask),
+        });
+        ops
+    });
+    let tail = std::array::from_fn(|t| {
+        if !fused_aggregate {
+            return Vec::new();
+        }
+        // Tail set `t` follows scan set `t % 2`: a region's ordinal
+        // picks both.
+        let (set, mask) = (TAIL_SETS[t], reg(SCAN_SETS[t % 2] + 1));
+        let (price, disc, mcopy) = (reg(set), reg(set + 1), reg(set + 2));
+        let pred = guard(mask);
+        vec![
+            // Snapshot the final mask into a tail register immediately:
+            // the copy consumes the mask as soon as it is ready, so the
+            // reduce (which waits ~a DRAM latency for the price chunk)
+            // does not stretch the scan's cross-region WAR chain on the
+            // mask register.
+            LogicInstr::Alu {
+                op: AluOp::Or,
+                dst: mcopy,
+                a: mask,
+                b: Some(mask),
+                size,
+                pred,
+            },
+            LogicInstr::Load {
+                dst: price,
+                addr: layout.column_base(Column::ExtendedPrice),
+                size,
+                pred,
+            },
+            LogicInstr::Load {
+                dst: disc,
+                addr: layout.column_base(Column::Discount),
+                size,
+                pred,
+            },
+            LogicInstr::Alu {
+                op: AluOp::Mul,
+                dst: price,
+                a: price,
+                b: Some(disc),
+                size,
+                pred,
+            },
+            // Dot product against the 0/1 match mask into the region's
+            // lane of the group partial register: non-matching lanes
+            // (and the zero-padded tail of the last region) contribute
+            // nothing.
+            LogicInstr::Alu {
+                op: AluOp::AddReduce { lane: 0 },
+                dst: reg(PARTIALS[0]),
+                a: price,
+                b: Some(mcopy),
+                size,
+                pred,
+            },
+        ]
+    });
     Ok(LogicScanProgram {
-        programs,
         layout: *layout,
-        aggregate: fused_aggregate,
         scanned,
+        scan,
+        tail,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::template::tests::{queries, scan_sets};
     use hipe_db::ColumnPredicate;
 
     impl LogicScanProgram {
-        /// All instructions, partition-major.
-        fn iter_instrs(&self) -> impl Iterator<Item = &LogicInstr> {
-            self.programs.iter().flat_map(|p| p.instrs().iter())
+        /// Every partition's expanded stream.
+        fn streams(&self) -> Vec<Vec<LogicInstr>> {
+            (0..self.partitions())
+                .map(|p| self.cursor(p).collect())
+                .collect()
         }
+
+        /// All instructions, partition-major.
+        fn iter_instrs(&self) -> impl Iterator<Item = LogicInstr> {
+            self.streams().concat().into_iter()
+        }
+    }
+
+    /// The stored-stream emitter the region template replaced, kept as
+    /// the reference the expansion is checked against: every partition's
+    /// stream over the regions of `scanned`, emitted in full.
+    fn reference(
+        query: &Query,
+        layout: &DsmLayout,
+        predicated: bool,
+        fused_aggregate: bool,
+        scanned: &Bitmask,
+    ) -> Vec<Vec<LogicInstr>> {
+        let size = OpSize::MAX;
+        let npreds = query.predicates().len();
+        let tail_len = if fused_aggregate { 6 } else { 0 };
+
+        let reg = |i: usize| RegId::new(i).expect("register in bank");
+        // Register sets rotated between consecutive regions of one
+        // partition: two scan sets of (data, mask, tmp), and — for fused
+        // aggregates — four tail sets of (price, discount, mask copy). The
+        // tail gets its own, wider rotation so its column loads' DRAM
+        // latency stays off the next regions' scan chain (the balanced
+        // bank has 36 registers; the scan alone leaves 30 of them idle).
+        // Each partition runs on its own engine with its own bank, so the
+        // same allocation repeats per partition.
+        let set = |base: usize| (reg(base), reg(base + 1), reg(base + 2));
+        let scan_sets = [set(0), set(3)];
+        let agg_sets = [set(6), set(9), set(12), set(15)];
+        // Group partial-sum registers, alternated between consecutive
+        // 32-region groups so a group's flush overlaps the next group's
+        // reduces.
+        let parts = [reg(18), reg(19)];
+
+        let mut programs = Vec::with_capacity(layout.partitions());
+        for p in 0..layout.partitions() {
+            // Only regions the zone map can't prove empty survive. They keep
+            // their *unpruned* local index (computed below) so output slots
+            // never move.
+            let survivors: Vec<usize> = layout
+                .partition_regions(p)
+                .filter(|&r| scanned.get(r))
+                .collect();
+            if survivors.is_empty() {
+                programs.push(Vec::new());
+                continue;
+            }
+            let mut instrs = Vec::with_capacity(2 + survivors.len() * (3 * npreds + 1 + tail_len));
+            instrs.push(LogicInstr::Lock);
+            let mut prev_group = None;
+            for (pos, &region) in survivors.iter().enumerate() {
+                // `pos` rotates register sets (pure allocation); `k` is
+                // the region's local index in the *unpruned* partition
+                // order, which keys every lane and flush address so a
+                // pruned neighbour never shifts this region's slot. With
+                // no zone map the two are equal and the stream is
+                // byte-identical to the historical lowering.
+                let k = layout.local_region_index(region);
+                let (r_data, r_mask, r_tmp) = scan_sets[pos % 2];
+                let chunk = region as u64 * size.bytes();
+                let guard = predicated.then(|| Predicate::any_nonzero(r_mask));
+                for (pi, pred_col) in query.predicates().iter().enumerate() {
+                    let addr = layout.column_base(pred_col.column) + chunk;
+                    // The first predicate of a region establishes the mask
+                    // and cannot be guarded by it.
+                    let pred = if pi == 0 { None } else { guard };
+                    instrs.push(LogicInstr::Load {
+                        dst: r_data,
+                        addr,
+                        size,
+                        pred,
+                    });
+                    if pi == 0 {
+                        instrs.push(LogicInstr::Alu {
+                            op: alu_op(pred_col.cmp),
+                            dst: r_mask,
+                            a: r_data,
+                            b: None,
+                            size,
+                            pred: None,
+                        });
+                    } else {
+                        instrs.push(LogicInstr::Alu {
+                            op: alu_op(pred_col.cmp),
+                            dst: r_tmp,
+                            a: r_data,
+                            b: None,
+                            size,
+                            pred,
+                        });
+                        instrs.push(LogicInstr::Alu {
+                            op: AluOp::And,
+                            dst: r_mask,
+                            a: r_mask,
+                            b: Some(r_tmp),
+                            size,
+                            pred,
+                        });
+                    }
+                }
+                // The mask area starts zeroed, so a squashed store leaves
+                // the correct all-zero mask behind.
+                instrs.push(LogicInstr::Store {
+                    src: r_mask,
+                    addr: layout.mask_addr(region),
+                    size,
+                    pred: guard,
+                });
+                if fused_aggregate {
+                    let (r_price, r_disc, r_mcopy) = agg_sets[pos % 4];
+                    let group = k / AGG_GROUP;
+                    let r_part = parts[group % 2];
+                    if prev_group != Some(group) {
+                        // Fresh group: zero its partial register (never
+                        // predicated — on HIPE a squashed region must
+                        // leave its lane at exactly zero, not at the
+                        // previous group's value).
+                        instrs.push(LogicInstr::Alu {
+                            op: AluOp::Sub,
+                            dst: r_part,
+                            a: r_part,
+                            b: Some(r_part),
+                            size,
+                            pred: None,
+                        });
+                    }
+                    // Snapshot the final mask into a tail register
+                    // immediately: the copy consumes `r_mask` as soon as
+                    // it is ready, so the reduce (which waits ~a DRAM
+                    // latency for the price chunk) does not stretch the
+                    // scan's cross-region WAR chain on the mask register.
+                    instrs.push(LogicInstr::Alu {
+                        op: AluOp::Or,
+                        dst: r_mcopy,
+                        a: r_mask,
+                        b: Some(r_mask),
+                        size,
+                        pred: guard,
+                    });
+                    instrs.push(LogicInstr::Load {
+                        dst: r_price,
+                        addr: layout.column_base(Column::ExtendedPrice) + chunk,
+                        size,
+                        pred: guard,
+                    });
+                    instrs.push(LogicInstr::Load {
+                        dst: r_disc,
+                        addr: layout.column_base(Column::Discount) + chunk,
+                        size,
+                        pred: guard,
+                    });
+                    instrs.push(LogicInstr::Alu {
+                        op: AluOp::Mul,
+                        dst: r_price,
+                        a: r_price,
+                        b: Some(r_disc),
+                        size,
+                        pred: guard,
+                    });
+                    // Dot product against the 0/1 match mask into this
+                    // region's lane of the group partial register:
+                    // non-matching lanes (and the zero-padded tail of the
+                    // last region) contribute nothing.
+                    instrs.push(LogicInstr::Alu {
+                        op: AluOp::AddReduce {
+                            lane: (k % AGG_GROUP) as u8,
+                        },
+                        dst: r_part,
+                        a: r_price,
+                        b: Some(r_mcopy),
+                        size,
+                        pred: guard,
+                    });
+                    let next_group = survivors
+                        .get(pos + 1)
+                        .map(|&r| layout.local_region_index(r) / AGG_GROUP);
+                    if next_group != Some(group) {
+                        // Flush the group's 32 partials as one row-buffer
+                        // store into the partition's own vault group
+                        // (never predicated: earlier regions of the group
+                        // may have matched even if this one did not).
+                        // Pruned lanes were zeroed with the register, so
+                        // the store writes their slots' correct zeros.
+                        instrs.push(LogicInstr::Store {
+                            src: r_part,
+                            addr: layout.agg_flush_addr(p, group),
+                            size,
+                            pred: None,
+                        });
+                    }
+                    prev_group = Some(group);
+                }
+            }
+            instrs.push(LogicInstr::Unlock);
+            programs.push(instrs);
+        }
+
+        programs
     }
 
     fn one_pred_query() -> Query {
@@ -478,7 +858,7 @@ mod tests {
     }
 
     fn flat(prog: &LogicScanProgram) -> Vec<LogicInstr> {
-        prog.iter_instrs().copied().collect()
+        prog.iter_instrs().collect()
     }
 
     #[test]
@@ -599,7 +979,7 @@ mod tests {
                     op: AluOp::AddReduce { lane },
                     b: Some(_),
                     ..
-                } => Some(*lane),
+                } => Some(lane),
                 _ => None,
             })
             .collect();
@@ -624,7 +1004,7 @@ mod tests {
         let stores: Vec<u64> = prog
             .iter_instrs()
             .filter_map(|i| match i {
-                LogicInstr::Store { addr, .. } if *addr >= base => Some(*addr),
+                LogicInstr::Store { addr, .. } if addr >= base => Some(addr),
                 _ => None,
             })
             .collect();
@@ -657,7 +1037,7 @@ mod tests {
             .filter_map(|i| match i {
                 LogicInstr::Store {
                     addr, pred: None, ..
-                } if *addr >= base => Some(*addr),
+                } if addr >= base => Some(addr),
                 _ => None,
             })
             .collect();
@@ -684,7 +1064,7 @@ mod tests {
             .count();
         assert_eq!(preds, 7 + 5);
         assert!(prog.iter_instrs().any(
-            |i| matches!(i, LogicInstr::Store { addr, pred: None, .. } if *addr >= prog.aggregate_base().expect("fused"))
+            |i| matches!(i, LogicInstr::Store { addr, pred: None, .. } if addr >= prog.aggregate_base().expect("fused"))
         ));
     }
 
@@ -702,7 +1082,7 @@ mod tests {
         let loads: Vec<u64> = prog
             .iter_instrs()
             .filter_map(|i| match i {
-                LogicInstr::Load { addr, .. } => Some(*addr),
+                LogicInstr::Load { addr, .. } => Some(addr),
                 _ => None,
             })
             .collect();
@@ -726,25 +1106,25 @@ mod tests {
         let layout = DsmLayout::partitioned(0, 4096, 4);
         let prog = lower_logic_scan(&Query::q6(), &layout, true, None).expect("non-empty layout");
         assert_eq!(prog.partitions(), 4);
-        for (p, lp) in prog.programs().iter().enumerate() {
-            assert_eq!(lp.spec().index, p);
-            assert_eq!(lp.spec().vaults(), layout.vault_group(p));
+        for (p, lp) in prog.streams().iter().enumerate() {
+            assert_eq!(prog.spec(p).index, p);
+            assert_eq!(prog.spec(p).vaults(), layout.vault_group(p));
             // Lock + 32 x (Load,Cmp, Load,Cmp,And, Load,Cmp,And, Store)
             // + Unlock.
             assert_eq!(lp.len(), 2 + 32 * 9);
-            assert!(matches!(lp.instrs()[0], LogicInstr::Lock));
-            assert!(matches!(lp.instrs()[lp.len() - 1], LogicInstr::Unlock));
+            assert_eq!(prog.partition_instrs(p), lp.len());
+            assert!(matches!(lp[0], LogicInstr::Lock));
+            assert!(matches!(lp[lp.len() - 1], LogicInstr::Unlock));
         }
         // Every region's mask store appears exactly once, in its
         // owner's program.
         for r in 0..prog.regions() {
             let owner = layout.partition_of_region(r);
-            for (p, lp) in prog.programs().iter().enumerate() {
+            for (p, lp) in prog.streams().iter().enumerate() {
                 let stores = lp
-                    .instrs()
                     .iter()
-                    .filter(|i| {
-                        matches!(i, LogicInstr::Store { addr, .. } if *addr == prog.mask_addr(r))
+                    .filter(|&&i| {
+                        matches!(i, LogicInstr::Store { addr, .. } if addr == prog.mask_addr(r))
                     })
                     .count();
                 assert_eq!(stores, usize::from(p == owner), "region {r} partition {p}");
@@ -761,17 +1141,16 @@ mod tests {
             } else {
                 lower_logic_scan(&Query::q6(), &layout, true, None).expect("non-empty layout")
             };
-            for lp in prog.programs() {
-                for i in lp.instrs() {
+            for (p, lp) in prog.streams().iter().enumerate() {
+                for &i in lp {
                     let addr = match i {
-                        LogicInstr::Load { addr, .. } | LogicInstr::Store { addr, .. } => *addr,
+                        LogicInstr::Load { addr, .. } | LogicInstr::Store { addr, .. } => addr,
                         _ => continue,
                     };
                     let vault = (addr / 256) as usize % hipe_db::VAULTS;
                     assert!(
-                        lp.spec().owns_vault(vault),
-                        "partition {} touched vault {vault} (fused={fused})",
-                        lp.spec().index
+                        prog.spec(p).owns_vault(vault),
+                        "partition {p} touched vault {vault} (fused={fused})",
                     );
                 }
             }
@@ -789,9 +1168,11 @@ mod tests {
         let prog =
             lower_logic_scan(&one_pred_query(), &layout, true, None).expect("non-empty layout");
         assert_eq!(prog.partitions(), 8);
-        assert!(!prog.programs()[0].is_empty());
-        for lp in &prog.programs()[1..] {
-            assert!(lp.is_empty(), "partition {} not idle", lp.spec().index);
+        let streams = prog.streams();
+        assert!(!streams[0].is_empty());
+        for (p, lp) in streams.iter().enumerate().skip(1) {
+            assert!(lp.is_empty(), "partition {p} not idle");
+            assert_eq!(prog.partition_instrs(p), 0);
         }
     }
 
@@ -836,7 +1217,7 @@ mod tests {
         let stores = |p: &LogicScanProgram| -> Vec<u64> {
             p.iter_instrs()
                 .filter_map(|i| match i {
-                    LogicInstr::Store { addr, .. } => Some(*addr),
+                    LogicInstr::Store { addr, .. } => Some(addr),
                     _ => None,
                 })
                 .collect()
@@ -858,31 +1239,30 @@ mod tests {
         let q = Query::shipdate_window_permille(300).with_aggregate();
         let pruned = lower_logic_aggregate(&q, &layout, true, Some(&zm)).expect("valid");
         assert!(pruned.prune_stats().pruned > 0);
-        for (p, lp) in pruned.programs().iter().enumerate() {
+        for (p, lp) in pruned.streams().iter().enumerate() {
             let expected: Vec<u8> = layout
                 .partition_regions(p)
                 .filter(|&r| zm.region_may_match(&q, r))
                 .map(|r| (layout.local_region_index(r) % AGG_GROUP) as u8)
                 .collect();
             let lanes: Vec<u8> = lp
-                .instrs()
                 .iter()
-                .filter_map(|i| match i {
+                .filter_map(|&i| match i {
                     LogicInstr::Alu {
                         op: AluOp::AddReduce { lane },
                         ..
-                    } => Some(*lane),
+                    } => Some(lane),
                     _ => None,
                 })
                 .collect();
             assert_eq!(lanes, expected, "partition {p}");
             // Flush addresses are a subset of the unpruned group rows.
-            for i in lp.instrs() {
+            for &i in lp {
                 if let LogicInstr::Store {
                     addr, pred: None, ..
                 } = i
                 {
-                    if *addr >= layout.agg_base() {
+                    if addr >= layout.agg_base() {
                         let off = addr - layout.agg_flush_addr(p, 0);
                         assert_eq!(off % 256, 0, "partition {p} flush at {addr}");
                     }
@@ -907,7 +1287,7 @@ mod tests {
         let prog = lower_logic_scan(&q, &layout, true, Some(&zm)).expect("empty is valid");
         assert_eq!(prog.prune_stats().scanned, 0);
         assert_eq!(prog.prune_stats().pruned, 64);
-        assert!(prog.programs().iter().all(|p| p.is_empty()));
+        assert!(prog.streams().iter().all(|p| p.is_empty()));
         assert_eq!(prog.total_instrs(), 0);
     }
 
@@ -918,14 +1298,13 @@ mod tests {
         // own vault group.
         let layout = DsmLayout::partitioned(0, 8192, 2);
         let prog = aggregate_over(&layout);
-        for (p, lp) in prog.programs().iter().enumerate() {
+        for (p, lp) in prog.streams().iter().enumerate() {
             let flushes: Vec<u64> = lp
-                .instrs()
                 .iter()
-                .filter_map(|i| match i {
+                .filter_map(|&i| match i {
                     LogicInstr::Store {
                         addr, pred: None, ..
-                    } if *addr >= layout.agg_base() => Some(*addr),
+                    } if addr >= layout.agg_base() => Some(addr),
                     _ => None,
                 })
                 .collect();
@@ -935,18 +1314,100 @@ mod tests {
             }
             // Reduce lanes restart per partition: 32 regions per group.
             let lanes: Vec<u8> = lp
-                .instrs()
                 .iter()
-                .filter_map(|i| match i {
+                .filter_map(|&i| match i {
                     LogicInstr::Alu {
                         op: AluOp::AddReduce { lane },
                         ..
-                    } => Some(*lane),
+                    } => Some(lane),
                     _ => None,
                 })
                 .collect();
             let expect: Vec<u8> = (0..128).map(|k| (k % 32) as u8).collect();
             assert_eq!(lanes, expect, "partition {p}");
+        }
+    }
+
+    /// Checks the expansion of `q` over `layout` against the reference
+    /// emitter op for op — scan and fused aggregate, HIVE and HIPE —
+    /// for the lowered region set and each of `sets`, with the closed-
+    /// form counts and the cursors' reused block buffers.
+    fn check(q: &Query, layout: &DsmLayout, prune: Option<&ZoneMap>, sets: &[Bitmask]) {
+        let what = format!("{} rows, {} partitions", layout.rows(), layout.partitions());
+        for predicated in [false, true] {
+            for fused in [false, true] {
+                let program = if fused {
+                    lower_logic_aggregate(&q.clone().with_aggregate(), layout, predicated, prune)
+                } else {
+                    lower_logic_scan(q, layout, predicated, prune)
+                }
+                .expect("valid");
+                let scanned = program.scanned_regions().clone();
+                for set in std::iter::once(&scanned).chain(sets) {
+                    let p = LogicScanProgram {
+                        scanned: set.clone(),
+                        ..program.clone()
+                    };
+                    let expect = reference(q, layout, predicated, fused, set);
+                    let case = format!("{what}, [{q}], predicated {predicated}, fused {fused}");
+                    for (part, stream) in expect.iter().enumerate() {
+                        let mut cursor = p.cursor(part);
+                        let capacity = cursor.block.capacity();
+                        let ops: Vec<LogicInstr> = cursor.by_ref().collect();
+                        assert!(ops == *stream, "partition {part} differs: {case}");
+                        assert_eq!(cursor.block.capacity(), capacity, "regrown: {case}");
+                        assert_eq!(p.partition_instrs(part), stream.len(), "{case}");
+                    }
+                    let total: usize = expect.iter().map(Vec::len).sum();
+                    assert_eq!(p.total_instrs(), total, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn expansion_equals_the_reference_on_plain_and_ragged_layouts() {
+        for rows in [1, 31, 32, 33, 63, 64, 65, 70, 96, 100, 1024, 4097] {
+            let layout = DsmLayout::new(0, rows);
+            for q in queries() {
+                check(&q, &layout, None, &scan_sets(layout.regions(), rows as u64));
+            }
+        }
+    }
+
+    #[test]
+    fn expansion_equals_the_reference_on_partitioned_layouts() {
+        // 33 000 rows = 1032 regions: on 32 partitions the first eight
+        // own a second flush group of one region each.
+        for partitions in [2, 8, 32] {
+            for rows in [33, 70, 4097, 33_000] {
+                let layout = DsmLayout::partitioned(0, rows, partitions);
+                for q in queries() {
+                    let sets = scan_sets(layout.regions(), (rows * partitions) as u64);
+                    check(&q, &layout, None, &sets);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn expansion_equals_the_reference_on_zone_map_pruned_tables() {
+        // A shipdate-clustered table: narrow windows keep a short run
+        // of regions (whole flush groups pruned around it), and a
+        // window before the table's dates prunes everything.
+        for (rows, partitions) in [(4096, 1), (4097, 8), (70, 1), (2048, 2), (8192, 32)] {
+            let t = hipe_db::LineitemTable::generate_clustered_range(7, 0, rows, rows);
+            let zm = ZoneMap::build(&t);
+            let layout = DsmLayout::partitioned(0, rows, partitions);
+            let mut qs = queries().to_vec();
+            qs.extend([1, 30, 100, 600].map(Query::shipdate_window_permille));
+            qs.push(Query::new(
+                vec![ColumnPredicate::new(Column::Shipdate, CmpOp::Range(0, 50))],
+                false,
+            ));
+            for q in &qs {
+                check(q, &layout, Some(&zm), &[]);
+            }
         }
     }
 }

@@ -178,7 +178,7 @@ impl HostScanProgram {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use crate::{hmc, host, lower_hmc_scan, lower_host_scan, STOCK_HMC_OP};
     use hipe_db::{
         Bitmask, CmpOp, Column, ColumnPredicate, DsmLayout, LineitemTable, Query, SplitMix64,
@@ -187,7 +187,7 @@ mod tests {
     use hipe_isa::OpSize;
 
     /// 1-, 2- and 3-predicate conjunctions (the last is Q6's scan).
-    fn queries() -> [Query; 3] {
+    pub(crate) fn queries() -> [Query; 3] {
         let quantity = ColumnPredicate::new(Column::Quantity, CmpOp::Lt(24));
         let discount = ColumnPredicate::new(Column::Discount, CmpOp::Range(5, 7));
         [
@@ -201,7 +201,7 @@ mod tests {
     /// densities (isolated survivors, fully pruned words, the last
     /// region dropped or kept), every odd or every even region, only
     /// the last region, and none at all.
-    fn scan_sets(regions: usize, seed: u64) -> Vec<Bitmask> {
+    pub(crate) fn scan_sets(regions: usize, seed: u64) -> Vec<Bitmask> {
         let mut rng = SplitMix64::new(seed);
         let mut sets: Vec<Bitmask> = [2, 8, 50, 92]
             .iter()

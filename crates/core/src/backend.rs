@@ -121,10 +121,11 @@ pub(crate) enum PlanCode {
     /// baseline and HMC-ISA machines): per-unit templates expanded as
     /// they execute, with the regions they scan.
     Micro(HostScanProgram),
-    /// Per-partition logic-layer programs posted to the in-cube
-    /// engine cluster (HIVE/HIPE) — one program per vault group.
-    /// Aggregate queries carry the fused aggregate tail unless the
-    /// backend was configured for the host-gather comparison path.
+    /// A logic-layer region template posted to the in-cube engine
+    /// cluster (HIVE/HIPE), expanded into one stream per vault group
+    /// as it executes. Aggregate queries carry the fused aggregate
+    /// tail unless the backend was configured for the host-gather
+    /// comparison path.
     Logic {
         program: LogicScanProgram,
         predicated: bool,
@@ -175,9 +176,10 @@ impl ExecutablePlan {
     }
 
     /// Number of instructions the plan executes (micro-ops or
-    /// logic-layer instructions). For the host-driven machines it is
-    /// computed from the op templates and the scanned regions
-    /// ([`HostScanProgram::len`]), not counted off a stored stream.
+    /// logic-layer instructions), computed in closed form from the
+    /// plan's templates and scanned regions
+    /// ([`HostScanProgram::len`], [`LogicScanProgram::total_instrs`]),
+    /// not counted off a stored stream.
     pub fn instructions(&self) -> usize {
         match &self.code {
             PlanCode::Micro(program) => program.len(),
@@ -286,6 +288,81 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn logic_instruction_counts_are_exact() {
+        use crate::system::SystemConfig;
+        use hipe_db::{CmpOp, Column, ColumnPredicate, TableShape};
+        let partitioned = |rows, partitions| SystemConfig {
+            partitions,
+            ..SystemConfig::paper(rows, 5)
+        };
+        let pruned = |rows, partitions| SystemConfig {
+            shape: TableShape::ClusteredShipdate { total_rows: rows },
+            pruning: true,
+            ..partitioned(rows, partitions)
+        };
+        // Plain, ragged, 2/8/32 partitions (33 000 rows give the first
+        // eight of 32 engines a second flush group), zone-map pruned,
+        // and fully pruned.
+        let configs = [
+            SystemConfig::paper(1024, 5),
+            SystemConfig::paper(70, 5),
+            SystemConfig::paper(4097, 5),
+            partitioned(4097, 2),
+            partitioned(4097, 8),
+            partitioned(33_000, 32),
+            pruned(4096, 1),
+            pruned(4097, 8),
+            // The late half of a clustered table: every region's
+            // shipdates lie after the window below.
+            SystemConfig {
+                row_offset: 2048,
+                shape: TableShape::ClusteredShipdate { total_rows: 4096 },
+                pruning: true,
+                ..SystemConfig::paper(2048, 5)
+            },
+        ];
+        // A shipdate window before the late half's first date.
+        let before = Query::new(
+            vec![ColumnPredicate::new(Column::Shipdate, CmpOp::Range(0, 100))],
+            false,
+        );
+        let queries = [
+            Query::q6(),
+            Query::quantity_below_permille(100),
+            Query::shipdate_window_permille(100),
+            Query::shipdate_window_permille(100).with_aggregate(),
+            before.clone(),
+            before.with_aggregate(),
+        ];
+        let mut fully_pruned = 0;
+        for cfg in configs {
+            let sys = System::with_config(cfg);
+            let mut session = sys.session();
+            for arch in [Arch::Hive, Arch::Hipe] {
+                for q in &queries {
+                    let what = format!(
+                        "{arch}, {} rows, {} partitions, [{q}]",
+                        sys.config().rows,
+                        sys.config().partitions
+                    );
+                    let plan = System::backend(arch).compile(&sys, q).expect("compiles");
+                    assert_eq!(plan.fused_aggregate(), q.aggregates(), "{what}");
+                    let report = session.run_plan(&plan);
+                    let engine = report.engine.expect("logic machines report an engine");
+                    let partitions: u64 = report.partitions.iter().map(|p| p.instructions).sum();
+                    assert_eq!(plan.instructions() as u64, engine.instructions, "{what}");
+                    assert_eq!(plan.instructions() as u64, partitions, "{what}");
+                    if plan.prune_stats().scanned == 0 {
+                        assert_eq!(plan.instructions(), 0, "{what}");
+                        fully_pruned += 1;
+                    }
+                }
+            }
+        }
+        assert!(fully_pruned > 0, "no fully pruned plan was checked");
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! The near-data executor: HIVE and HIPE logic-layer execution on a
 //! cluster of per-vault-group engines.
 //!
-//! A compiled plan carries one [`hipe_isa::LogicProgram`] per vault
-//! group. The host posts the programs' instructions round-robin across
-//! partitions — so every engine starts draining its stream almost
-//! immediately — and then blocks until the *last* engine's unlock
+//! A compiled plan carries one region template that every vault group
+//! expands over the regions it owns
+//! ([`LogicScanProgram::cursor`](hipe_compiler::LogicScanProgram::cursor)).
+//! The host posts the partitions' instructions round-robin, pulling
+//! each from its partition's cursor as it goes — so every engine starts
+//! draining its stream almost immediately, and no stream is ever
+//! stored — and then blocks until the *last* engine's unlock
 //! acknowledgement. Each engine runs only against its own vault
 //! group's banks (the [`EngineCluster`] enforces this), so N engines
 //! overlap their DRAM latencies and the scan phase shrinks
@@ -22,7 +25,7 @@ use crate::backend::ExecutablePlan;
 use crate::gather;
 use crate::report::{PartitionPhase, PhaseBreakdown, RunReport};
 use crate::session::Session;
-use hipe_compiler::{LogicScanProgram, REGION_ROWS};
+use hipe_compiler::{LogicCursor, LogicScanProgram, REGION_ROWS};
 use hipe_cpu::{Core, MemoryPort};
 use hipe_db::scan::ScanResult;
 use hipe_db::Bitmask;
@@ -37,19 +40,17 @@ use hipe_sim::Cycle;
 const INSTR_FLIT_BYTES: u64 = 16;
 
 /// Memory port of the HIVE/HIPE architectures: `logic_dispatch`
-/// forwards the next scheduled instruction over the request link into
-/// its partition's co-simulated engine; `logic_wait` blocks on the
-/// last outstanding unlock acknowledgement. Demand reads/writes bypass
-/// the caches (the scan kernel itself never issues them; they exist so
-/// diagnostics and future mixed kernels have an uncached path).
+/// forwards the instruction the dispatch loop pulled over the request
+/// link into its partition's co-simulated engine; `logic_wait` blocks
+/// on the last outstanding unlock acknowledgement. Demand reads/writes
+/// bypass the caches (the scan kernel itself never issues them; they
+/// exist so diagnostics and future mixed kernels have an uncached
+/// path).
 struct ClusterPort<'a> {
     hmc: &'a mut Hmc,
     cluster: &'a mut EngineCluster,
-    /// Per-partition instruction cursors.
-    next: Vec<std::slice::Iter<'a, LogicInstr>>,
-    /// Round-robin dispatch schedule: the partition of each
-    /// `logic_dispatch` call, in order.
-    schedule: std::slice::Iter<'a, usize>,
+    /// The next instruction to dispatch and its partition.
+    pending: Option<(usize, LogicInstr)>,
     /// Link bytes of one instruction packet.
     instr_bytes: u64,
     /// One-way link latency (to convert arrival back to handoff time).
@@ -90,13 +91,10 @@ impl MemoryPort for ClusterPort<'_> {
     }
 
     fn logic_dispatch(&mut self, cycle: Cycle) -> Cycle {
-        let p = *self
-            .schedule
-            .next()
-            .expect("more dispatch micro-ops than scheduled instructions");
-        let instr = *self.next[p]
-            .next()
-            .expect("schedule outran partition program");
+        let (p, instr) = self
+            .pending
+            .take()
+            .expect("a dispatch micro-op without a pulled instruction");
         let at_cube = self.hmc.link_request(cycle, self.instr_bytes);
         let outcome = self.cluster.execute(self.hmc, p, instr, at_cube);
         if matches!(instr, LogicInstr::Unlock) {
@@ -115,26 +113,22 @@ impl MemoryPort for ClusterPort<'_> {
     }
 }
 
-/// Builds the dispatch schedule: instruction `i` of every non-empty
-/// partition, partitions interleaved round-robin so all engines fill
-/// concurrently (with one partition this is exactly the historical
-/// in-order stream).
-fn dispatch_schedule(program: &LogicScanProgram) -> Vec<usize> {
-    let mut schedule = Vec::with_capacity(program.total_instrs());
-    let longest = program
-        .programs()
-        .iter()
-        .map(|p| p.len())
-        .max()
-        .unwrap_or(0);
-    for i in 0..longest {
-        for (p, lp) in program.programs().iter().enumerate() {
-            if i < lp.len() {
-                schedule.push(p);
+/// The dispatch order: round `i` posts instruction `i` of every
+/// partition whose stream is that long, partitions in index order, so
+/// all engines fill concurrently (with one partition this is exactly
+/// the historical in-order stream). `f` gets each partition and
+/// instruction as the cursors expand them.
+fn round_robin(cursors: &mut [LogicCursor<'_>], mut f: impl FnMut(usize, LogicInstr)) {
+    let mut live = true;
+    while live {
+        live = false;
+        for (p, cursor) in cursors.iter_mut().enumerate() {
+            if let Some(instr) = cursor.next() {
+                live = true;
+                f(p, instr);
             }
         }
     }
-    schedule
 }
 
 /// Executes a compiled logic-layer plan (HIVE or HIPE) against the
@@ -153,34 +147,29 @@ pub(crate) fn execute(
         sys.config().hive
     };
     let nparts = program.partitions();
-    let specs: Vec<hipe_isa::PartitionSpec> = program.programs().iter().map(|p| p.spec()).collect();
+    let specs: Vec<hipe_isa::PartitionSpec> = (0..nparts).map(|p| program.spec(p)).collect();
     let mut cluster = EngineCluster::new(logic_cfg, &specs);
     let mut core = Core::new(sys.config().core);
 
-    let schedule = dispatch_schedule(program);
     let mut dispatch_ends = vec![0 as Cycle; nparts];
     let mut acks = vec![0 as Cycle; nparts];
     {
         let mut port = ClusterPort {
             hmc: session.hmc_mut(),
             cluster: &mut cluster,
-            next: program
-                .programs()
-                .iter()
-                .map(|p| p.instrs().iter())
-                .collect(),
-            schedule: schedule.iter(),
+            pending: None,
             instr_bytes: sys.config().hmc.packet_header_bytes + INSTR_FLIT_BYTES,
             link_latency: sys.config().hmc.link_latency,
             acks: vec![0; nparts],
         };
-        // The host posts one dispatch micro-op per scheduled
-        // instruction, then blocks on the last engine's unlock
-        // acknowledgement.
-        for &p in &schedule {
+        // The host posts one dispatch micro-op per instruction, then
+        // blocks on the last engine's unlock acknowledgement.
+        let mut cursors: Vec<LogicCursor<'_>> = (0..nparts).map(|p| program.cursor(p)).collect();
+        round_robin(&mut cursors, |p, instr| {
+            port.pending = Some((p, instr));
             let end = core.execute(MicroOp::new(MicroOpKind::LogicDispatch), &mut port);
             dispatch_ends[p] = dispatch_ends[p].max(end);
-        }
+        });
         core.execute(MicroOp::new(MicroOpKind::LogicWait), &mut port);
         acks.copy_from_slice(&port.acks);
     }
@@ -230,17 +219,15 @@ pub(crate) fn execute(
     };
     hmc.finish(cycles);
 
-    let partitions = program
-        .programs()
-        .iter()
-        .enumerate()
-        .map(|(p, lp)| {
+    let partitions = (0..nparts)
+        .map(|p| {
             let activity = scan_group_activity[p];
+            let spec = program.spec(p);
             PartitionPhase {
                 partition: p,
-                first_vault: lp.spec().first_vault,
-                vaults: lp.spec().vault_count,
-                instructions: lp.len() as u64,
+                first_vault: spec.first_vault,
+                vaults: spec.vault_count,
+                instructions: program.partition_instrs(p) as u64,
                 dispatch: dispatch_ends[p],
                 scan: acks[p],
                 dram_bytes: activity.bytes_read + activity.bytes_written,
@@ -449,7 +436,9 @@ mod tests {
         let PlanCode::Logic { program, .. } = plan.code() else {
             unreachable!("logic plan");
         };
-        let schedule = dispatch_schedule(program);
+        let mut cursors: Vec<_> = (0..4).map(|p| program.cursor(p)).collect();
+        let mut schedule = Vec::new();
+        round_robin(&mut cursors, |p, _| schedule.push(p));
         assert_eq!(schedule.len(), program.total_instrs());
         // The first four dispatches hit four different engines.
         assert_eq!(&schedule[..4], &[0, 1, 2, 3]);

@@ -27,4 +27,4 @@ mod program;
 pub use logic::{AluOp, LogicInstr, PredWhen, Predicate, RegId, REGISTER_BYTES, REGISTER_COUNT};
 pub use micro::{MicroOp, MicroOpKind, VaultOp};
 pub use opsize::{OpSize, LANE_BYTES};
-pub use program::{LogicProgram, PartitionSpec};
+pub use program::PartitionSpec;

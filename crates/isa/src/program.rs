@@ -1,13 +1,10 @@
-//! Partition-tagged logic-layer programs.
+//! Logic-layer partitions.
 //!
 //! The compiler lowers a scan into one instruction stream *per vault
-//! group*; each stream is wrapped in a [`LogicProgram`] carrying the
-//! [`PartitionSpec`] that says which engine runs it and which vaults
-//! that engine owns. The spec travels with the code so the execution
-//! layer (the `hipe-logic` engine cluster) can enforce vault ownership
-//! without knowing anything about the compiler.
-
-use crate::logic::LogicInstr;
+//! group*. A [`PartitionSpec`] says which engine runs a stream and
+//! which vaults that engine owns; the execution layer (the
+//! `hipe-logic` engine cluster) enforces vault ownership from the
+//! spec without knowing anything about the compiler.
 
 /// Identity and vault ownership of one logic-layer partition.
 ///
@@ -51,44 +48,6 @@ impl PartitionSpec {
     }
 }
 
-/// One partition's lowered instruction stream.
-///
-/// An empty program (a partition whose vault group holds no region of
-/// the table) carries no instructions at all — not even `Lock`/
-/// `Unlock` — and its engine stays idle for the whole run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogicProgram {
-    spec: PartitionSpec,
-    instrs: Vec<LogicInstr>,
-}
-
-impl LogicProgram {
-    /// Wraps an instruction stream with its partition identity.
-    pub fn new(spec: PartitionSpec, instrs: Vec<LogicInstr>) -> Self {
-        LogicProgram { spec, instrs }
-    }
-
-    /// The partition this program belongs to.
-    pub fn spec(&self) -> PartitionSpec {
-        self.spec
-    }
-
-    /// The instruction stream, in program order.
-    pub fn instrs(&self) -> &[LogicInstr] {
-        &self.instrs
-    }
-
-    /// Number of instructions.
-    pub fn len(&self) -> usize {
-        self.instrs.len()
-    }
-
-    /// Returns `true` for an idle partition's empty program.
-    pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,15 +58,5 @@ mod tests {
         assert_eq!(s.vaults(), 24..32);
         assert!(s.owns_vault(24) && s.owns_vault(31));
         assert!(!s.owns_vault(23) && !s.owns_vault(32));
-    }
-
-    #[test]
-    fn program_wraps_stream_and_spec() {
-        let spec = PartitionSpec::new(0, 0, 32);
-        let p = LogicProgram::new(spec, vec![LogicInstr::Lock, LogicInstr::Unlock]);
-        assert_eq!(p.spec(), spec);
-        assert_eq!(p.len(), 2);
-        assert!(!p.is_empty());
-        assert!(LogicProgram::new(spec, vec![]).is_empty());
     }
 }

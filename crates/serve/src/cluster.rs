@@ -1,6 +1,9 @@
 //! The sharding layer: one query, N cube shards, combined answers.
 
-use hipe::{Arch, PhaseBreakdown, PlanCache, RunReport, Session, System, SystemConfig, TableShape};
+use hipe::{
+    Arch, ConfigError, PhaseBreakdown, PlanCache, RunReport, Session, System, SystemConfig,
+    TableShape,
+};
 use hipe_db::scan::ScanResult;
 use hipe_db::{Bitmask, Query};
 use hipe_sim::{Cycle, WorkerPool};
@@ -101,7 +104,124 @@ impl ClusterConfig {
             ..ClusterConfig::new(rows, seed, shards)
         }
     }
+
+    /// Checks that the configuration describes a cluster that can
+    /// exist — including every shard's [`SystemConfig`] — before any
+    /// table byte is allocated.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hipe_serve::{ClusterConfig, ClusterError};
+    ///
+    /// let cfg = ClusterConfig::new(3, 7, 4);
+    /// assert_eq!(cfg.validate(), Err(ClusterError::MoreShardsThanRows { shards: 4, rows: 3 }));
+    /// ```
+    pub fn validate(&self) -> Result<(), ClusterError> {
+        if self.shards == 0 {
+            return Err(ClusterError::ZeroShards);
+        }
+        if self.shards > self.rows {
+            return Err(ClusterError::MoreShardsThanRows {
+                shards: self.shards,
+                rows: self.rows,
+            });
+        }
+        if self.replicas == 0 {
+            return Err(ClusterError::ZeroReplicas);
+        }
+        if self.workers == 0 {
+            return Err(ClusterError::ZeroWorkers);
+        }
+        for (s, range) in self.shard_bounds().into_iter().enumerate() {
+            self.shard_config(range)
+                .validate()
+                .map_err(|error| ClusterError::Shard { shard: s, error })?;
+        }
+        Ok(())
+    }
+
+    /// The shards' global row ranges: a balanced contiguous split, the
+    /// first `rows % shards` shards taking one extra tuple, so ranges
+    /// differ in size by at most 1.
+    fn shard_bounds(&self) -> Vec<Range<usize>> {
+        let base = self.rows / self.shards;
+        let extra = self.rows % self.shards;
+        let mut start = 0;
+        (0..self.shards)
+            .map(|s| {
+                let len = base + usize::from(s < extra);
+                start += len;
+                start - len..start
+            })
+            .collect()
+    }
+
+    /// The configuration of the shard owning `range`. Shard shapes
+    /// reference the *cluster's* row count, so every shard table is an
+    /// exact slice of the monolithic table of the same shape (the db
+    /// crate's slicing tests pin this).
+    fn shard_config(&self, range: Range<usize>) -> SystemConfig {
+        let shape = if self.clustered {
+            TableShape::ClusteredShipdate {
+                total_rows: self.rows,
+            }
+        } else {
+            TableShape::Uniform
+        };
+        SystemConfig {
+            rows: range.len(),
+            row_offset: range.start,
+            partitions: self.partitions,
+            shape,
+            pruning: self.pruning,
+            ..SystemConfig::paper(range.len(), self.seed)
+        }
+    }
 }
+
+/// Why a [`ClusterConfig`] cannot describe a cluster, as returned by
+/// [`ClusterConfig::validate`] and [`Cluster::try_with_config`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClusterError {
+    /// The cluster has no shard.
+    ZeroShards,
+    /// More shards than rows would leave a shard without a tuple.
+    MoreShardsThanRows {
+        /// The requested shard count.
+        shards: usize,
+        /// The cluster's total rows.
+        rows: usize,
+    },
+    /// A shard has no server.
+    ZeroReplicas,
+    /// No host worker thread would drive construction or scatter.
+    ZeroWorkers,
+    /// A shard's [`SystemConfig`] is invalid (e.g. `partitions` off the
+    /// vault sweep).
+    Shard {
+        /// The first invalid shard.
+        shard: usize,
+        /// Why its system cannot exist.
+        error: ConfigError,
+    },
+}
+
+impl std::fmt::Display for ClusterError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ClusterError::ZeroShards => f.write_str("a cluster needs at least one shard"),
+            ClusterError::MoreShardsThanRows { shards, rows } => {
+                write!(f, "{shards} shards over {rows} rows leaves empty shards")
+            }
+            ClusterError::ZeroReplicas => f.write_str("a shard needs at least one replica"),
+            ClusterError::ZeroWorkers => f.write_str("a worker pool needs at least one worker"),
+            ClusterError::Shard { shard, error } => write!(f, "shard {shard}: {error}"),
+        }
+    }
+}
+
+impl std::error::Error for ClusterError {}
 
 /// N [`System`] shards over one logical lineitem table.
 ///
@@ -184,65 +304,36 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.shards` is zero or exceeds `cfg.rows`, if
-    /// `cfg.replicas` or `cfg.workers` is zero, or if `cfg.partitions`
-    /// does not divide the vault sweep.
+    /// Panics with the [`ClusterError`] that
+    /// [`try_with_config`](Self::try_with_config) would return.
     pub fn with_config(cfg: ClusterConfig) -> Self {
-        assert!(cfg.shards > 0, "a cluster needs at least one shard");
-        assert!(
-            cfg.shards <= cfg.rows,
-            "{} shards over {} rows leaves empty shards",
-            cfg.shards,
-            cfg.rows
-        );
-        assert!(cfg.replicas > 0, "a shard needs at least one replica");
-        // Balanced contiguous split: the first `rows % shards` shards
-        // take one extra tuple, so ranges differ in size by at most 1.
-        let base = cfg.rows / cfg.shards;
-        let extra = cfg.rows % cfg.shards;
-        let mut bounds = Vec::with_capacity(cfg.shards);
-        let mut start = 0;
-        for s in 0..cfg.shards {
-            let len = base + usize::from(s < extra);
-            bounds.push(start..start + len);
-            start += len;
-        }
-        debug_assert_eq!(start, cfg.rows);
-        // Shard shapes reference the *cluster's* row count, so every
-        // shard table is an exact slice of the monolithic table of the
-        // same shape (the db crate's slicing tests pin this).
-        let shape = if cfg.clustered {
-            TableShape::ClusteredShipdate {
-                total_rows: cfg.rows,
-            }
-        } else {
-            TableShape::Uniform
-        };
+        Cluster::try_with_config(cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a cluster with explicit parameters, or the
+    /// [`ClusterError`] that rules it out. The configuration is checked
+    /// before any table byte is allocated.
+    pub fn try_with_config(cfg: ClusterConfig) -> Result<Self, ClusterError> {
+        cfg.validate()?;
+        let bounds = cfg.shard_bounds();
         // Shard cubes are independent, so construction fans out over
         // the pool; the gather is in shard order, so the cluster is
         // identical at every worker count.
         let pool = WorkerPool::new(cfg.workers);
         let systems = pool.run(bounds.clone(), |_, range| {
-            System::with_config(SystemConfig {
-                rows: range.len(),
-                row_offset: range.start,
-                partitions: cfg.partitions,
-                shape,
-                pruning: cfg.pruning,
-                ..SystemConfig::paper(range.len(), cfg.seed)
-            })
+            System::with_config(cfg.shard_config(range))
         });
         let plans = (0..cfg.shards)
             .map(|_| Arc::new(PlanCache::new()))
             .collect();
-        Cluster {
+        Ok(Cluster {
             cfg,
             systems,
             plans,
             profiles: Mutex::default(),
             bounds,
             pool,
-        }
+        })
     }
 
     /// The configuration in use.
@@ -753,5 +844,80 @@ mod tests {
     #[should_panic(expected = "empty shards")]
     fn more_shards_than_rows_panics() {
         let _ = Cluster::new(3, 0, 4);
+    }
+
+    fn rejects(cfg: ClusterConfig) -> ClusterError {
+        Cluster::try_with_config(cfg).expect_err("the configuration is invalid")
+    }
+
+    #[test]
+    fn zero_shards_is_a_typed_error() {
+        assert_eq!(
+            rejects(ClusterConfig::new(10, 0, 0)),
+            ClusterError::ZeroShards
+        );
+    }
+
+    #[test]
+    fn zero_replicas_is_a_typed_error() {
+        let cfg = ClusterConfig::replicated(64, 0, 2, 0);
+        assert_eq!(rejects(cfg), ClusterError::ZeroReplicas);
+    }
+
+    #[test]
+    fn more_shards_than_rows_is_a_typed_error() {
+        assert_eq!(
+            rejects(ClusterConfig::new(3, 0, 4)),
+            ClusterError::MoreShardsThanRows { shards: 4, rows: 3 }
+        );
+        // One row per shard is the smallest valid split.
+        assert_eq!(ClusterConfig::new(4, 0, 4).validate(), Ok(()));
+    }
+
+    #[test]
+    fn zero_workers_is_a_typed_error() {
+        let cfg = ClusterConfig {
+            workers: 0,
+            ..ClusterConfig::new(64, 0, 2)
+        };
+        assert_eq!(rejects(cfg), ClusterError::ZeroWorkers);
+    }
+
+    #[test]
+    fn an_invalid_shard_system_is_a_typed_error() {
+        let cfg = ClusterConfig {
+            partitions: 3,
+            ..ClusterConfig::new(64, 0, 2)
+        };
+        assert_eq!(
+            rejects(cfg),
+            ClusterError::Shard {
+                shard: 0,
+                error: ConfigError::PartitionsDoNotDivide { partitions: 3 }
+            }
+        );
+    }
+
+    #[test]
+    fn cluster_errors_name_their_cause() {
+        let cases = [
+            (ClusterError::ZeroShards, "at least one shard"),
+            (
+                ClusterError::MoreShardsThanRows { shards: 4, rows: 3 },
+                "4 shards over 3 rows leaves empty shards",
+            ),
+            (ClusterError::ZeroReplicas, "at least one replica"),
+            (ClusterError::ZeroWorkers, "at least one worker"),
+            (
+                ClusterError::Shard {
+                    shard: 1,
+                    error: ConfigError::ZeroRows,
+                },
+                "shard 1: a system needs at least one tuple",
+            ),
+        ];
+        for (err, text) in cases {
+            assert!(err.to_string().contains(text), "{err}");
+        }
     }
 }

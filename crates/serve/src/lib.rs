@@ -81,7 +81,9 @@ mod fault;
 mod routing;
 mod service;
 
-pub use cluster::{Cluster, ClusterConfig, ClusterReport, ClusterSession, MERGE_CYCLES_PER_SHARD};
+pub use cluster::{
+    Cluster, ClusterConfig, ClusterError, ClusterReport, ClusterSession, MERGE_CYCLES_PER_SHARD,
+};
 pub use fault::FaultPlan;
 pub use routing::RoutingPolicy;
 pub use service::{
