@@ -83,7 +83,6 @@ impl Backend {
     /// cannot be lowered (never for queries over a live [`System`],
     /// whose layouts are non-empty by construction).
     pub fn compile(self, sys: &System, query: &Query) -> Result<ExecutablePlan, CompileError> {
-        sys.note_compilation();
         let (layout, prune) = (sys.layout(), sys.prune());
         let code = match self {
             Backend::HostX86 => {

@@ -48,7 +48,9 @@
 //!    shared with every other session of the system, and owns only the
 //!    output area above it. [`Session::run_plan`] picks the
 //!    host executor for micro-op plans and the near-data executor for
-//!    logic-layer plans.
+//!    logic-layer plans; [`Session::run`] takes its plan from
+//!    [`System::plan`], the system's plan cache, which lowers each
+//!    `(arch, query)` once for every session of the system.
 //!
 //! [`System::run`] remains as a one-shot wrapper.
 //!
@@ -102,5 +104,5 @@ pub use backend::{Backend, ExecutablePlan};
 pub use hipe_compiler::CompileError;
 pub use hipe_db::{PruneStats, TableShape, ZoneMap};
 pub use report::{Arch, PartitionPhase, PhaseBreakdown, RunReport};
-pub use session::{PlanCache, Session};
+pub use session::Session;
 pub use system::{ConfigError, System, SystemConfig};

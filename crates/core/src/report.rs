@@ -7,7 +7,7 @@ use hipe_db::Bitmask;
 use hipe_hmc::{EnergyBreakdown, HmcStats};
 use hipe_logic::EngineStats;
 use hipe_sim::Cycle;
-use hipe_trace::{Tracer, TrackId, Value};
+use hipe_trace::{Args, Tracer, TrackId, Value};
 
 /// The simulated architectures.
 ///
@@ -72,6 +72,33 @@ pub struct PhaseBreakdown {
     pub scan: Cycle,
     /// Extra cycles of the host-side aggregate gather.
     pub gather_aggregate: Cycle,
+}
+
+impl PhaseBreakdown {
+    /// Emits the phases onto `track` of `sink` as spans from absolute
+    /// cycle `at`: `dispatch` (omitted unless it ends before the scan:
+    /// the x86 baseline's in-place scan has no separate dispatch
+    /// phase), `scan` carrying `scan_args`, and `gather` when the
+    /// query aggregates. A phase of zero length emits nothing.
+    /// [`RunReport::trace_into`] and the service's per-replica trace
+    /// both nest their phases through this.
+    pub fn trace_into(self, sink: &mut Tracer, track: TrackId, at: Cycle, scan_args: Args) {
+        let (scan_end, gather) = (at + self.scan, self.gather_aggregate);
+        let dispatch_end = if self.dispatch < self.scan {
+            at + self.dispatch
+        } else {
+            at
+        };
+        if dispatch_end > at {
+            sink.span_on(track, "dispatch", at, dispatch_end, Vec::new());
+        }
+        if scan_end > at {
+            sink.span_on(track, "scan", dispatch_end, scan_end, scan_args);
+        }
+        if gather > 0 {
+            sink.span_on(track, "gather", scan_end, scan_end + gather, Vec::new());
+        }
+    }
 }
 
 /// One execution partition's share of a run.
@@ -223,27 +250,12 @@ impl RunReport {
             // A zone-map-skipped sub-query: no phases to show.
             return;
         }
-        let p = self.phases;
-        let dispatch_end = if p.dispatch < p.scan { p.dispatch } else { 0 };
-        if dispatch_end > 0 {
-            sink.span_on(track, "dispatch", at, at + dispatch_end, Vec::new());
-        }
-        sink.span_on(
+        self.phases.trace_into(
+            sink,
             track,
-            "scan",
-            at + dispatch_end,
-            at + p.scan,
+            at,
             vec![("partitions", self.partitions.len().into())],
         );
-        if p.gather_aggregate > 0 {
-            sink.span_on(
-                track,
-                "gather",
-                at + p.scan,
-                at + p.scan + p.gather_aggregate,
-                Vec::new(),
-            );
-        }
         for part in &self.partitions {
             sink.counter(track, "dram_bytes", at + part.scan, part.dram_bytes);
         }

@@ -6,56 +6,7 @@ use crate::system::System;
 use crate::{host, neardata};
 use hipe_db::Query;
 use hipe_hmc::Hmc;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-/// A compiled-plan cache that outlives the sessions opened over one
-/// [`System`] — a `hipe-serve` shard keeps one for the cluster's
-/// lifetime. Each service run opens a fresh session, and compilation
-/// is deterministic, so a plan lowered by an earlier session is *the*
-/// plan for every later one: the first session to need an
-/// `(arch, query)` pair compiles it, and later sessions find it here
-/// instead of lowering it again ([`System::compilations`] counts).
-///
-/// Sessions keep their private per-arch map for lock-free hot-path
-/// hits; the shared map is consulted only on a local miss. The lock is
-/// held across the compile so racing sessions lower each key exactly
-/// once.
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    plans: Mutex<HashMap<(Arch, Query), Arc<ExecutablePlan>>>,
-}
-
-impl PlanCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        PlanCache::default()
-    }
-
-    /// Number of distinct `(arch, query)` plans cached so far.
-    pub fn len(&self) -> usize {
-        self.plans.lock().expect("plan cache poisoned").len()
-    }
-
-    /// Returns `true` if no plan has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The cached plan for `(arch, query)`, lowering it against `sys`
-    /// on first use.
-    fn get_or_compile(&self, sys: &System, arch: Arch, query: &Query) -> Arc<ExecutablePlan> {
-        let mut plans = self.plans.lock().expect("plan cache poisoned");
-        let plan = plans.entry((arch, query.clone())).or_insert_with(|| {
-            Arc::new(
-                System::backend(arch)
-                    .compile(sys, query)
-                    .expect("queries over a live system always compile"),
-            )
-        });
-        Arc::clone(plan)
-    }
-}
+use std::sync::Arc;
 
 /// A warm execution context over one [`System`].
 ///
@@ -75,7 +26,10 @@ impl PlanCache {
 /// split: plans compiled by a [`Backend`](crate::Backend) can be
 /// executed any number of times, on any architecture, against the one
 /// cube; [`run_plan`](Self::run_plan) picks the host or
-/// the near-data executor from the plan's own code.
+/// the near-data executor from the plan's own code. A session holds no
+/// plans of its own: [`run`](Self::run) takes them from the system's
+/// cache ([`System::plan`]), so every session of one system shares
+/// each lowering.
 ///
 /// # Example
 ///
@@ -89,20 +43,14 @@ impl PlanCache {
 /// let reports: Vec<_> = queries.iter().map(|q| session.run(Arch::Hipe, q)).collect();
 /// assert_eq!(reports.len(), 2);
 /// assert_eq!(sys.materializations(), 1);
+/// // A second session reuses the plans the first one lowered.
+/// sys.session().run(Arch::Hipe, &queries[0]);
+/// assert_eq!(sys.compilations(), 2);
 /// ```
 #[derive(Debug)]
 pub struct Session<'a> {
     sys: &'a System,
     hmc: Hmc,
-    /// Compiled-plan cache: one entry per distinct `(arch, query)`
-    /// the session has run. Batch loops re-running the same queries
-    /// compile once, not per run ([`System::compilations`] counts).
-    /// Keyed arch-first so the hot hit path looks up by `&Query`
-    /// without cloning it.
-    plans: HashMap<Arch, HashMap<Query, Arc<ExecutablePlan>>>,
-    /// Cross-session fallback consulted on a local miss; see
-    /// [`PlanCache`]. `None` for standalone sessions.
-    shared: Option<Arc<PlanCache>>,
 }
 
 // Compile-time guard for host-parallel co-simulation: a `System` must
@@ -118,29 +66,15 @@ const _: () = {
         _assert_send::<Session<'_>>();
         _assert_send::<Arc<ExecutablePlan>>();
         _assert_sync::<ExecutablePlan>();
-        _assert_send::<PlanCache>();
-        _assert_sync::<PlanCache>();
     }
 };
 
 impl<'a> Session<'a> {
     /// Creates a session over a new cube.
     pub(crate) fn new(sys: &'a System) -> Self {
-        Session::build(sys, None)
-    }
-
-    /// Creates a session whose plan lookups fall back to a shared
-    /// [`PlanCache`] (see [`System::session_with_plans`]).
-    pub(crate) fn with_shared_plans(sys: &'a System, plans: Arc<PlanCache>) -> Self {
-        Session::build(sys, Some(plans))
-    }
-
-    fn build(sys: &'a System, shared: Option<Arc<PlanCache>>) -> Self {
         Session {
             sys,
             hmc: sys.fresh_hmc(),
-            plans: HashMap::new(),
-            shared,
         }
     }
 
@@ -172,42 +106,13 @@ impl<'a> Session<'a> {
         self.hmc.reset_run_state();
     }
 
-    /// Compiles and executes `query` on `arch` against the warm cube.
-    ///
-    /// Plans are cached per `(arch, query)`: the first run of a query
-    /// lowers it, every later run of the same query on the same arch
-    /// reuses the compiled [`ExecutablePlan`] (compilation is
-    /// deterministic, so the cached plan is the plan a fresh compile
-    /// would produce; [`System::compilations`] observes the saving).
-    ///
-    /// Compile errors cannot occur here: a live [`System`] always has
-    /// at least one row, which is the only way a query over it could
-    /// fail to lower. ([`Backend::compile`](crate::Backend::compile)
-    /// exposes the typed error.)
+    /// Executes `query` on `arch` against the warm cube, with the
+    /// system's cached plan for the pair ([`System::plan`]): the first
+    /// run of a query on an arch, in any session of the system, lowers
+    /// it; every later run reuses the compiled [`ExecutablePlan`].
     pub fn run(&mut self, arch: Arch, query: &Query) -> RunReport {
-        let plan = self.plan(arch, query);
+        let plan = self.sys.plan(arch, query);
         self.run_plan(&plan)
-    }
-
-    /// The session's cached plan for `(arch, query)`, compiling it on
-    /// first use.
-    pub fn plan(&mut self, arch: Arch, query: &Query) -> Arc<ExecutablePlan> {
-        if let Some(plan) = self.plans.get(&arch).and_then(|m| m.get(query)) {
-            return Arc::clone(plan);
-        }
-        let plan = match &self.shared {
-            Some(cache) => cache.get_or_compile(self.sys, arch, query),
-            None => Arc::new(
-                System::backend(arch)
-                    .compile(self.sys, query)
-                    .expect("queries over a live system always compile"),
-            ),
-        };
-        self.plans
-            .entry(arch)
-            .or_default()
-            .insert(query.clone(), Arc::clone(&plan));
-        plan
     }
 
     /// Executes an already-compiled plan against the warm cube.

@@ -1,8 +1,8 @@
 //! The assembled system: table, memory image and backend resolution.
 
-use crate::backend::Backend;
+use crate::backend::{Backend, ExecutablePlan};
 use crate::report::{Arch, RunReport};
-use crate::session::{PlanCache, Session};
+use crate::session::Session;
 use hipe_cache::HierarchyConfig;
 use hipe_compiler::STOCK_HMC_OP;
 use hipe_cpu::CoreConfig;
@@ -11,8 +11,9 @@ use hipe_db::{Bitmask, Column, DsmLayout, LineitemTable, Query, TableShape, Zone
 use hipe_hmc::{Hmc, HmcConfig, CUBE_BYTES};
 use hipe_logic::LogicConfig;
 use hipe_sim::WorkerPool;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Configuration of a full system: workload size plus the paper's
 /// component parameters (all overridable for experiments).
@@ -26,7 +27,7 @@ pub struct SystemConfig {
     /// default — generates the monolithic table; a `hipe-serve`
     /// cluster shard sets it to its range start so its rows match the
     /// monolithic table's rows value for value
-    /// (`LineitemTable::generate_range`).
+    /// (`LineitemTable::generate_laid_out` jumps the RNG stream there).
     pub row_offset: usize,
     /// Vault-group partitions (logic-layer engines). `1` — the paper's
     /// single-engine configuration — reproduces the original layout
@@ -174,12 +175,15 @@ impl std::error::Error for ConfigError {}
 /// A runnable system: a generated table laid out column-wise (DSM) in
 /// cube memory, ready to execute select scans on any [`Arch`].
 ///
-/// The system itself is immutable workload state — table, layout,
-/// component parameters. Execution happens through the compile →
-/// session → execute API: [`System::backend`] resolves an [`Arch`]
-/// label to its [`Backend`], and [`session`](Self::session) opens a
-/// warm [`Session`] whose cube can run whole batches.
-/// [`run`](Self::run) is a one-shot wrapper over that API.
+/// The system's workload state — table, layout, component parameters
+/// — is immutable. Execution happens through the compile → session →
+/// execute API: [`System::backend`] resolves an [`Arch`] label to its
+/// [`Backend`], and [`session`](Self::session) opens a warm
+/// [`Session`] whose cube can run whole batches.
+/// [`run`](Self::run) is a one-shot wrapper over that API. Since
+/// lowering is deterministic, the system also owns the plans its
+/// sessions run: [`plan`](Self::plan) lowers each `(arch, query)`
+/// once for the system's lifetime.
 ///
 /// The table's columns are stored once, in the table's column area;
 /// every session's cube reads that buffer as the read-only image below
@@ -210,22 +214,11 @@ pub struct System {
     /// Cubes opened over the table (sessions amortize this; the batch
     /// tests assert it stays at one).
     materializations: AtomicU64,
-    /// Times a backend lowered a query against this system (the
-    /// session plan cache amortizes this; the batch tests assert one
-    /// compile per distinct query per arch).
-    compilations: AtomicU64,
-}
-
-impl Clone for System {
-    fn clone(&self) -> Self {
-        System {
-            cfg: self.cfg.clone(),
-            table: self.table.clone(),
-            zonemap: self.zonemap.clone(),
-            materializations: AtomicU64::new(self.materializations.load(Ordering::Relaxed)),
-            compilations: AtomicU64::new(self.compilations.load(Ordering::Relaxed)),
-        }
-    }
+    /// Stock plans lowered against this system, one per distinct
+    /// `(arch, query)` any session has run (see [`plan`](Self::plan)).
+    /// Keyed arch-first so a hit looks up by `&Query` without cloning
+    /// it.
+    plans: Mutex<HashMap<Arch, HashMap<Query, Arc<ExecutablePlan>>>>,
 }
 
 impl System {
@@ -275,13 +268,13 @@ impl System {
             table,
             zonemap,
             materializations: AtomicU64::new(0),
-            compilations: AtomicU64::new(0),
+            plans: Mutex::default(),
         })
     }
 
     /// The stock configuration of an architecture's [`Backend`]: 16 B
-    /// HMC-ISA operands and fused aggregates on HIVE/HIPE. Sessions
-    /// compile every plan through it.
+    /// HMC-ISA operands and fused aggregates on HIVE/HIPE.
+    /// [`plan`](Self::plan) compiles every cached plan through it.
     pub fn backend(arch: Arch) -> Backend {
         match arch {
             Arch::HostX86 => Backend::HostX86,
@@ -339,31 +332,45 @@ impl System {
         self.materializations.load(Ordering::Relaxed)
     }
 
-    /// How many times a [`Backend`] has lowered a query against this
-    /// system so far. [`Session`]s cache compiled plans, so a batch
-    /// loop re-running the same queries adds nothing here after the
-    /// first pass — the batch tests assert exactly that.
-    pub fn compilations(&self) -> u64 {
-        self.compilations.load(Ordering::Relaxed)
+    /// The stock plan of `query` on `arch`, lowered through
+    /// [`backend`](Self::backend) the first time any session of this
+    /// system asks for it and shared from then on. The system is
+    /// immutable and lowering is deterministic, so the cached plan is
+    /// the plan a fresh compile would produce. The lock is held across
+    /// the compile, so racing sessions lower each pair once.
+    ///
+    /// Compile errors cannot occur here: a live system always has at
+    /// least one row, which is the only way a query over it could fail
+    /// to lower. ([`Backend::compile`] exposes the typed error, and
+    /// plans compiled through it directly are not cached.)
+    pub fn plan(&self, arch: Arch, query: &Query) -> Arc<ExecutablePlan> {
+        let mut plans = self.plans.lock().expect("plan cache poisoned");
+        let by_query = plans.entry(arch).or_default();
+        if let Some(plan) = by_query.get(query) {
+            return Arc::clone(plan);
+        }
+        let plan = Arc::new(
+            System::backend(arch)
+                .compile(self, query)
+                .expect("queries over a live system always compile"),
+        );
+        by_query.insert(query.clone(), Arc::clone(&plan));
+        plan
     }
 
-    /// Records one query lowering (called by [`Backend::compile`]).
-    pub(crate) fn note_compilation(&self) {
-        self.compilations.fetch_add(1, Ordering::Relaxed);
+    /// How many stock plans [`plan`](Self::plan) has lowered against
+    /// this system so far: one per distinct `(arch, query)` pair, in
+    /// whichever session first ran it. A batch loop re-running the
+    /// same queries, or a fresh session running them again, adds
+    /// nothing here — the batch tests assert exactly that.
+    pub fn compilations(&self) -> u64 {
+        let plans = self.plans.lock().expect("plan cache poisoned");
+        plans.values().map(|by_query| by_query.len() as u64).sum()
     }
 
     /// Opens a warm execution session over a new cube.
     pub fn session(&self) -> Session<'_> {
         Session::new(self)
-    }
-
-    /// Opens a warm session whose plan lookups fall back to `plans`, a
-    /// [`PlanCache`] shared with other sessions over this system (a
-    /// `hipe-serve` shard keeps one across its service runs): each
-    /// `(arch, query)` pair is lowered once per cache, not once per
-    /// session.
-    pub fn session_with_plans(&self, plans: Arc<PlanCache>) -> Session<'_> {
-        Session::with_shared_plans(self, plans)
     }
 
     /// Builds a cold cube over the table: the table's column area,

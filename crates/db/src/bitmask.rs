@@ -125,16 +125,6 @@ impl Bitmask {
         self.words[i / 64] &= !(1 << (i % 64));
     }
 
-    /// Assigns bit `i`.
-    #[inline]
-    pub fn assign(&mut self, i: usize, v: bool) {
-        if v {
-            self.set(i)
-        } else {
-            self.clear(i)
-        }
-    }
-
     /// The mask as packed little-endian `u64` words (bit `i` of word
     /// `i / 64` is tuple `64 * (i / 64) + i % 64`; trailing bits of the
     /// last word are zero).
@@ -161,30 +151,6 @@ impl Bitmask {
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Returns `true` if any bit in tuple range `[start, end)` is set.
-    ///
-    /// Scans whole 64-bit words (with the boundary words masked) so a
-    /// sparse or empty range costs `O(words)`, not one call per bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or inverted.
-    pub fn any_in(&self, start: usize, end: usize) -> bool {
-        assert!(start <= end && end <= self.len, "range out of bounds");
-        if start == end {
-            return false;
-        }
-        let (first, last) = (start / 64, (end - 1) / 64);
-        let head = !0u64 << (start % 64);
-        let tail = !0u64 >> (63 - (end - 1) % 64);
-        if first == last {
-            return self.words[first] & head & tail != 0;
-        }
-        self.words[first] & head != 0
-            || self.words[first + 1..last].iter().any(|&w| w != 0)
-            || self.words[last] & tail != 0
     }
 
     /// Iterates over the indices of set bits, in ascending order.
@@ -340,32 +306,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn set_word_out_of_range_panics() {
         Bitmask::zeros(64).set_word(1, 0);
-    }
-
-    #[test]
-    fn any_in_ranges() {
-        let mut m = Bitmask::zeros(128);
-        m.set(100);
-        assert!(m.any_in(96, 128));
-        assert!(!m.any_in(0, 96));
-        assert!(!m.any_in(50, 50));
-    }
-
-    #[test]
-    fn any_in_matches_per_bit_scan_on_all_boundaries() {
-        // Word-level scanning must agree with the naive per-bit loop
-        // for every (start, end) pair, including word-straddling and
-        // word-interior ranges.
-        let mut m = Bitmask::zeros(200);
-        for i in [0, 63, 64, 65, 127, 128, 190, 199] {
-            m.set(i);
-        }
-        for start in 0..=200 {
-            for end in start..=200 {
-                let naive = (start..end).any(|i| m.get(i));
-                assert_eq!(m.any_in(start, end), naive, "range [{start}, {end})");
-            }
-        }
     }
 
     #[test]

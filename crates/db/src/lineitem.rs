@@ -99,8 +99,8 @@ pub struct LineitemTable {
 
 /// RNG draws one generated row consumes (shipdate, discount, quantity,
 /// part price — each exactly one `range_i64`). [`LineitemTable::
-/// generate_range`] jumps the stream by this much per skipped row, so
-/// the constant must track the body of the generation loop.
+/// generate_shaped_on`] jumps the stream by this much per skipped row,
+/// so the constant must track the body of the generation loop.
 const DRAWS_PER_ROW: u64 = 4;
 
 /// Below this many rows, generation stays on the calling thread even
@@ -181,30 +181,41 @@ pub enum TableShape {
 impl LineitemTable {
     /// Generates `rows` tuples deterministically from `seed`.
     pub fn generate(rows: usize, seed: u64) -> Self {
-        LineitemTable::generate_range(seed, 0, rows)
+        LineitemTable::generate_shaped_on(
+            &WorkerPool::from_env(),
+            seed,
+            0,
+            rows,
+            TableShape::Uniform,
+        )
     }
 
     /// Generates rows `first_row .. first_row + rows` under `shape` —
-    /// the shape-aware shard generator.
+    /// the shard-aware generator: a range of the table reproduces
+    /// the monolithic table's rows (of the same seed and shape) value
+    /// for value, without generating the rows before it (the RNG
+    /// stream is jumped in O(1)).
     ///
-    /// Generation fans out over the `HIPE_WORKERS` pool when the
-    /// range is large enough to pay for it; see
-    /// [`generate_shaped_on`](Self::generate_shaped_on) for the
-    /// explicit-pool variant and the bit-identity contract.
-    pub fn generate_shaped(seed: u64, first_row: usize, rows: usize, shape: TableShape) -> Self {
-        LineitemTable::generate_shaped_on(&WorkerPool::from_env(), seed, first_row, rows, shape)
-    }
-
-    /// [`generate_shaped`](Self::generate_shaped) on an explicit
-    /// [`WorkerPool`]: the row range is cut into one contiguous chunk
-    /// per worker and each chunk's RNG is jumped (O(1)) to its first
-    /// draw, so the result is bit-identical to the serial fill for
-    /// every pool width — the tests compare them value for value.
+    /// The range is cut into one contiguous chunk per `pool` worker,
+    /// and each chunk's RNG is jumped the same way to its first draw,
+    /// so the result is bit-identical to the serial fill for every
+    /// pool width — the tests compare them value for value.
     ///
     /// # Panics
     ///
     /// Panics if `shape` is [`TableShape::ClusteredShipdate`] and the
     /// range extends past its `total_rows`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hipe_db::{Column, LineitemTable, TableShape};
+    /// use hipe_sim::WorkerPool;
+    /// let whole = LineitemTable::generate(100, 7);
+    /// let shard =
+    ///     LineitemTable::generate_shaped_on(&WorkerPool::serial(), 7, 60, 40, TableShape::Uniform);
+    /// assert_eq!(shard.column(Column::Quantity), &whole.column(Column::Quantity)[60..]);
+    /// ```
     pub fn generate_shaped_on(
         pool: &WorkerPool,
         seed: u64,
@@ -305,31 +316,13 @@ impl LineitemTable {
         rows: usize,
         total_rows: usize,
     ) -> Self {
-        LineitemTable::generate_shaped(
+        LineitemTable::generate_shaped_on(
+            &WorkerPool::from_env(),
             seed,
             first_row,
             rows,
             TableShape::ClusteredShipdate { total_rows },
         )
-    }
-
-    /// Generates rows `first_row .. first_row + rows` of the table
-    /// that [`generate`](Self::generate) would produce from `seed` —
-    /// the shard-aware generator: a shard covering a contiguous row
-    /// range materializes exactly the monolithic table's rows for that
-    /// range, value for value, without generating the rows before it
-    /// (the RNG stream is jumped in O(1)).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use hipe_db::{Column, LineitemTable};
-    /// let whole = LineitemTable::generate(100, 7);
-    /// let shard = LineitemTable::generate_range(7, 60, 40);
-    /// assert_eq!(shard.column(Column::Quantity), &whole.column(Column::Quantity)[60..]);
-    /// ```
-    pub fn generate_range(seed: u64, first_row: usize, rows: usize) -> Self {
-        LineitemTable::generate_shaped(seed, first_row, rows, TableShape::Uniform)
     }
 
     /// Number of tuples.
@@ -428,7 +421,13 @@ mod tests {
         // ranges that start mid-region and a full-table range.
         let whole = LineitemTable::generate(257, 21);
         for (first, rows) in [(0, 257), (0, 1), (1, 17), (96, 64), (200, 57), (256, 1)] {
-            let shard = LineitemTable::generate_range(21, first, rows);
+            let shard = LineitemTable::generate_shaped_on(
+                &WorkerPool::serial(),
+                21,
+                first,
+                rows,
+                TableShape::Uniform,
+            );
             assert_eq!(shard.rows(), rows);
             for c in Column::ALL {
                 assert_eq!(
@@ -475,17 +474,24 @@ mod tests {
 
     #[test]
     fn generate_shaped_dispatches_both_shapes() {
-        let a = LineitemTable::generate_shaped(5, 10, 40, TableShape::Uniform);
-        let b = LineitemTable::generate_range(5, 10, 40);
-        assert_eq!(a.column(Column::Shipdate), b.column(Column::Shipdate));
-        let c = LineitemTable::generate_shaped(
-            5,
-            10,
-            40,
-            TableShape::ClusteredShipdate { total_rows: 100 },
-        );
-        let d = LineitemTable::generate_clustered_range(5, 10, 40, 100);
-        assert_eq!(c.column(Column::Shipdate), d.column(Column::Shipdate));
+        // An offset range of either shape slices its own monolithic
+        // table: the shape is honoured past the stream jump.
+        let uniform = LineitemTable::generate(50, 5);
+        let clustered = LineitemTable::generate_clustered_range(5, 0, 100, 100);
+        for (shape, whole) in [
+            (TableShape::Uniform, &uniform),
+            (
+                TableShape::ClusteredShipdate { total_rows: 100 },
+                &clustered,
+            ),
+        ] {
+            let range = LineitemTable::generate_shaped_on(&WorkerPool::serial(), 5, 10, 40, shape);
+            assert_eq!(
+                range.column(Column::Shipdate),
+                &whole.column(Column::Shipdate)[10..50],
+                "{shape:?}"
+            );
+        }
     }
 
     #[test]

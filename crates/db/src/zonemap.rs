@@ -18,7 +18,7 @@
 //! bit-identical.
 
 use crate::bitmask::Bitmask;
-use crate::layout::{DsmLayout, REGION_ROWS};
+use crate::layout::REGION_ROWS;
 use crate::lineitem::{Column, LineitemTable};
 use crate::query::Query;
 
@@ -89,7 +89,7 @@ impl RegionSummary {
 
 /// The zone-map index of one materialized table: one [`RegionSummary`]
 /// per 32-row region (in global region order, matching
-/// [`DsmLayout`] region indices), plus a table-level rollup.
+/// [`DsmLayout`](crate::DsmLayout) region indices), plus a table-level rollup.
 ///
 /// # Example
 ///
@@ -175,15 +175,6 @@ impl ZoneMap {
     /// layer uses to skip scattering a sub-query to this shard.
     pub fn table_may_match(&self, query: &Query) -> bool {
         self.table.may_match(query)
-    }
-
-    /// Rollup over the regions `layout` places in partition `p`.
-    pub fn partition_summary(&self, layout: &DsmLayout, p: usize) -> RegionSummary {
-        let mut s = RegionSummary::EMPTY;
-        for r in layout.partition_regions(p) {
-            s.absorb(&self.regions[r]);
-        }
-        s
     }
 }
 
@@ -323,24 +314,6 @@ mod tests {
         );
         assert!(!zm.table_may_match(&early_window));
         assert!(zm.table_may_match(&Query::shipdate_window_permille(1000)));
-    }
-
-    #[test]
-    fn partition_rollup_merges_owned_regions() {
-        let t = LineitemTable::generate(2048, 13);
-        let zm = ZoneMap::build(&t);
-        let layout = DsmLayout::partitioned(0, t.rows(), 4);
-        let mut rows = 0;
-        for p in 0..4 {
-            let s = zm.partition_summary(&layout, p);
-            rows += s.rows();
-            for c in Column::ALL {
-                assert!(s.min(c) >= zm.table().min(c));
-                assert!(s.max(c) <= zm.table().max(c));
-            }
-            assert!(s.may_match(&Query::q6()));
-        }
-        assert_eq!(rows, t.rows());
     }
 
     #[test]

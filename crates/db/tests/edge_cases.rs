@@ -44,7 +44,6 @@ fn empty_bitmask_is_consistent() {
     assert_eq!(m.len(), 0);
     assert_eq!(m.count_ones(), 0);
     assert_eq!(m.iter_ones().count(), 0);
-    assert!(!m.any_in(0, 0));
     let ones = Bitmask::ones(0);
     assert_eq!(ones.count_ones(), 0);
     assert_eq!(m, ones);
@@ -68,9 +67,10 @@ fn assign_round_trips_every_position_near_boundaries() {
     let len = 130;
     let mut m = Bitmask::zeros(len);
     for i in [0, 62, 63, 64, 65, 127, 128, 129] {
-        m.assign(i, true);
+        m.set(i);
         assert!(m.get(i));
-        m.assign(i, false);
+        assert_eq!(m.count_ones(), 1, "bit {i} leaked into a neighbour");
+        m.clear(i);
         assert!(!m.get(i));
     }
     assert_eq!(m.count_ones(), 0);
@@ -83,16 +83,6 @@ fn iter_ones_matches_get_exactly() {
     let from_get: Vec<usize> = (0..200).filter(|&i| m.get(i)).collect();
     assert_eq!(from_iter, from_get);
     assert_eq!(m.count_ones(), from_get.len());
-}
-
-#[test]
-fn any_in_boundaries() {
-    let mut m = Bitmask::zeros(128);
-    m.set(64);
-    assert!(m.any_in(64, 65), "closed-open range must see its start");
-    assert!(!m.any_in(65, 128));
-    assert!(!m.any_in(0, 64), "end is exclusive");
-    assert!(!m.any_in(64, 64), "empty range never matches");
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! The sharding layer: one query, N cube shards, combined answers.
 
 use hipe::{
-    Arch, ConfigError, PhaseBreakdown, PlanCache, RunReport, Session, System, SystemConfig,
-    TableShape,
+    Arch, ConfigError, PhaseBreakdown, RunReport, Session, System, SystemConfig, TableShape,
 };
 use hipe_db::scan::ScanResult;
 use hipe_db::{Bitmask, Query};
@@ -228,8 +227,8 @@ impl std::error::Error for ClusterError {}
 /// The table's row space `0..rows` is split into `shards` contiguous,
 /// near-equal ranges; shard `s` owns its range as a fully independent
 /// [`System`] — its own generated sub-table (bit-identical to the
-/// monolithic table's rows for that range, via
-/// `LineitemTable::generate_range`), its own `DsmLayout`, its own cube
+/// monolithic table's rows for that range, generated from
+/// [`SystemConfig::row_offset`]), its own `DsmLayout`, its own cube
 /// image, optionally partitioned internally across vault-group
 /// engines. A shard's [replicas](ClusterConfig::replicas) are servers
 /// in the service scheduler, all backed by that one `System`.
@@ -264,14 +263,9 @@ pub struct Cluster {
     cfg: ClusterConfig,
     /// One cube per shard, in shard order.
     systems: Vec<System>,
-    /// One compiled-plan cache per shard. It outlives the sessions
-    /// [`session`](Self::session) opens, so successive sessions (one
-    /// per service run) lower each `(arch, query)` pair once per
-    /// shard for the cluster's lifetime.
-    plans: Vec<Arc<PlanCache>>,
     /// The service profile of every `(arch, query)` pair a service run
-    /// has measured, kept for the cluster's lifetime like the plan
-    /// caches: each shard's `System` is immutable and warm runs equal
+    /// has measured, kept for the cluster's lifetime like the shards'
+    /// plans: each shard's `System` is immutable and warm runs equal
     /// cold runs in any order, so a measurement never goes stale.
     profiles: Mutex<HashMap<(Arch, Query), Arc<Profile>>>,
     bounds: Vec<Range<usize>>,
@@ -323,13 +317,9 @@ impl Cluster {
         let systems = pool.run(bounds.clone(), |_, range| {
             System::with_config(cfg.shard_config(range))
         });
-        let plans = (0..cfg.shards)
-            .map(|_| Arc::new(PlanCache::new()))
-            .collect();
         Ok(Cluster {
             cfg,
             systems,
-            plans,
             profiles: Mutex::default(),
             bounds,
             pool,
@@ -411,18 +401,17 @@ impl Cluster {
     }
 
     /// Opens a warm cluster session: one cube per shard, reading the
-    /// shard's table in place, each session backed by its shard's
-    /// [`PlanCache`] so a `(arch, query)` pair already lowered by an
-    /// earlier session is not lowered again. Opening fans out over the
-    /// worker pool — each shard's cube is built independently, so the
-    /// warm state is identical at every worker count.
+    /// shard's table in place. Plans live on each shard's [`System`]
+    /// ([`System::plan`]), so a `(arch, query)` pair already lowered by
+    /// an earlier session is not lowered again. Opening fans out over
+    /// the worker pool — each shard's cube is built independently, so
+    /// the warm state is identical at every worker count.
     pub fn session(&self) -> ClusterSession<'_> {
-        let shards = self.systems.iter().zip(&self.plans).collect();
         ClusterSession {
             cluster: self,
-            sessions: self.pool.run(shards, |_, (sys, plans)| {
-                sys.session_with_plans(Arc::clone(plans))
-            }),
+            sessions: self
+                .pool
+                .run(self.systems.iter().collect(), |_, sys| sys.session()),
         }
     }
 
@@ -436,7 +425,7 @@ impl Cluster {
 ///
 /// Like [`Session`] but N-way: creating it opens one cube per shard;
 /// every run scatter-gathers through the warm cubes, and each shard's
-/// plan cache compiles a given `(arch, query)` exactly once.
+/// [`System::plan`] lowers a given `(arch, query)` exactly once.
 #[derive(Debug)]
 pub struct ClusterSession<'a> {
     cluster: &'a Cluster,
@@ -758,8 +747,8 @@ mod tests {
             assert_eq!(c.compilations(), 16);
         }
         assert_eq!(c.materializations(), 8); // one per shard per session
-        for plans in &c.plans {
-            assert_eq!(plans.len(), 4);
+        for s in 0..c.shards() {
+            assert_eq!(c.shard(s).compilations(), 4);
         }
     }
 

@@ -12,8 +12,9 @@
 //! [`System`](hipe::System) and served by R replicas. The logical
 //! lineitem table's row space is split into contiguous, near-equal
 //! ranges; every shard generates exactly the monolithic table's rows
-//! for its range (`LineitemTable::generate_range` jumps the RNG stream
-//! to the shard's offset), lays them out in its own cube image with
+//! for its range (its [`SystemConfig::row_offset`](hipe::SystemConfig)
+//! is the range start, and `LineitemTable::generate_laid_out` jumps
+//! the RNG stream to it), lays them out in its own cube image with
 //! its own `DsmLayout`, and can itself be partitioned across
 //! vault-group engines (`ClusterConfig::partitions`). Replicas are
 //! servers, not copies: a copy of a shard would answer every query
@@ -31,9 +32,9 @@
 //!                                                                         per shard)
 //! ```
 //!
-//! Each shard keeps one plan cache across the sessions opened over
-//! it, so the cluster compiles each distinct `(arch, query)` once per
-//! shard. A single-shard cluster is the plain `System`, bit for bit
+//! Each shard's [`System`](hipe::System) caches the plans its
+//! sessions lower ([`System::plan`](hipe::System::plan)), so the
+//! cluster compiles each distinct `(arch, query)` once per shard. A single-shard cluster is the plain `System`, bit for bit
 //! *and* cycle for cycle; a sharded, replicated cluster returns
 //! bit-identical functional results on all four architectures
 //! whatever the routing (the integration tests assert both).

@@ -30,7 +30,7 @@
 use crate::cluster::{Cluster, Profile, MERGE_CYCLES_PER_SHARD};
 use crate::fault::{self, FaultPlan};
 use crate::routing::{Replica, RoutingPolicy};
-use hipe::{Arch, PhaseBreakdown};
+use hipe::Arch;
 use hipe_db::scan::ScanResult;
 use hipe_db::{Query, SplitMix64};
 use hipe_sim::{Cycle, Freq, Samples, ServeOutcome, Server, Window};
@@ -238,8 +238,8 @@ pub struct ServiceReport {
     /// failover can change it.
     pub answers: Vec<ScanResult>,
     /// Query compilations this run performed across all shards —
-    /// real lowerings only. Each shard keeps one
-    /// [`PlanCache`](hipe::PlanCache) for the cluster's lifetime, so
+    /// real lowerings only. Each shard's `System` caches its plans for
+    /// the cluster's lifetime ([`System::plan`](hipe::System::plan)), so
     /// the count is one per distinct mix query per *shard* on a fresh
     /// cluster, and zero for plans an earlier run already lowered —
     /// however many replicas serve the shard or queries were served.
@@ -437,39 +437,6 @@ impl<'a> SchedTrace<'a> {
             replica_tracks,
             batches: 0,
         }
-    }
-}
-
-/// Emits the measured phase breakdown of one sub-query nested inside
-/// its replica-execute span starting at `start` (the replica's
-/// occupancy begin). Mirrors `RunReport::trace_into`: no `dispatch`
-/// child when dispatch coincides with scan (the x86 in-place path).
-fn trace_phases(sink: &mut Tracer, track: TrackId, ph: PhaseBreakdown, start: Cycle) {
-    let dispatch_end = if ph.dispatch < ph.scan {
-        ph.dispatch
-    } else {
-        0
-    };
-    if dispatch_end > 0 {
-        sink.span_on(track, "dispatch", start, start + dispatch_end, Vec::new());
-    }
-    if ph.scan > 0 {
-        sink.span_on(
-            track,
-            "scan",
-            start + dispatch_end,
-            start + ph.scan,
-            Vec::new(),
-        );
-    }
-    if ph.gather_aggregate > 0 {
-        sink.span_on(
-            track,
-            "gather",
-            start + ph.scan,
-            start + ph.scan + ph.gather_aggregate,
-            Vec::new(),
-        );
     }
 }
 
@@ -721,7 +688,14 @@ impl<'a> Scheduler<'a> {
                             end,
                             vec![("tag", tag.into()), ("queued_cyc", (start - at).into())],
                         );
-                        trace_phases(t.sink, track, self.profiles[query].phases[shard], start);
+                        // The measured phases nest inside the replica's
+                        // occupancy, which begins at `start`.
+                        self.profiles[query].phases[shard].trace_into(
+                            t.sink,
+                            track,
+                            start,
+                            Vec::new(),
+                        );
                     }
                     return end;
                 }
@@ -823,10 +797,10 @@ pub fn run_service_traced(
     let materializations_before = cluster.materializations();
 
     // Profiles: one warm execution of each distinct mix query on
-    // every shard per cluster lifetime, memoized by the cluster. The
-    // plan caches make a miss compile-once; determinism (warm == cold,
-    // order independence) makes replaying a memoized measurement in
-    // the event loop exact. Every replica of a shard executes on the
+    // every shard per cluster lifetime, memoized by the cluster. Each
+    // shard `System`'s plan cache makes a miss compile-once;
+    // determinism (warm == cold, order independence) makes replaying a
+    // memoized measurement in the event loop exact. Every replica of a shard executes on the
     // shard's one `System`, so the measured duration and answer hold
     // for whichever replica the routing picks — and for the survivor a
     // failover re-picks. The session opens even when every profile

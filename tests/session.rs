@@ -134,7 +134,7 @@ fn batch_reports_are_independent_of_execution_order() {
 
 #[test]
 fn batch_loops_compile_once_per_distinct_query_per_arch() {
-    // The session plan cache: repeated executions of the same query
+    // The system's plan cache: repeated executions of the same query
     // on the same arch compile once, not per run.
     let sys = System::new(ROWS, SEED);
     let queries = workload();
@@ -158,9 +158,56 @@ fn batch_loops_compile_once_per_distinct_query_per_arch() {
         session.run(Arch::Hive, q);
     }
     assert_eq!(sys.compilations(), 2 * queries.len() as u64);
-    // A fresh session has a cold cache.
+    // Plans live on the system: a fresh session reuses them.
     sys.session().run(Arch::Hipe, &Query::q6());
-    assert_eq!(sys.compilations(), 2 * queries.len() as u64 + 1);
+    assert_eq!(sys.compilations(), 2 * queries.len() as u64);
+}
+
+#[test]
+fn racing_sessions_lower_each_plan_once() {
+    // Plans live on the system, and its lock is held across the
+    // compile: sessions on four threads share one lowering of Q6.
+    let sys = System::new(ROWS, SEED);
+    let q = Query::q6();
+    let reports: Vec<_> = std::thread::scope(|scope| {
+        let runs: Vec<_> = (0..4)
+            .map(|_| scope.spawn(|| sys.session().run(Arch::Hipe, &q)))
+            .collect();
+        runs.into_iter()
+            .map(|run| run.join().expect("session thread panicked"))
+            .collect()
+    });
+    assert_eq!(sys.compilations(), 1);
+    assert_eq!(sys.materializations(), 4);
+    for r in &reports[1..] {
+        assert_same_report(&reports[0], r, "racing sessions");
+    }
+}
+
+#[test]
+fn a_second_session_reuses_pruned_plans_on_every_arch() {
+    // A pruned compile tests every region's zone-map summary; with
+    // plans on the system, only the first session pays it.
+    let mut cfg = SystemConfig::paper(ROWS, SEED);
+    cfg.shape = TableShape::ClusteredShipdate { total_rows: ROWS };
+    cfg.pruning = true;
+    let sys = System::with_config(cfg);
+    let q = Query::shipdate_window_permille(100);
+    let first: Vec<_> = Arch::ALL
+        .iter()
+        .map(|&arch| sys.session().run(arch, &q))
+        .collect();
+    assert!(first.iter().all(|r| r.regions_pruned > 0), "nothing pruned");
+    assert_eq!(sys.compilations(), Arch::ALL.len() as u64);
+    let mut second = sys.session();
+    for (&arch, cold) in Arch::ALL.iter().zip(&first) {
+        assert_same_report(cold, &second.run(arch, &q), &format!("{arch}"));
+    }
+    assert_eq!(
+        sys.compilations(),
+        Arch::ALL.len() as u64,
+        "a second session re-lowered a pruned plan"
+    );
 }
 
 #[test]
