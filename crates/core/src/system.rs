@@ -93,6 +93,21 @@ impl SystemConfig {
         if self.rows == 0 {
             return Err(ConfigError::ZeroRows);
         }
+        let hmc = &self.hmc;
+        let dims = [
+            ("vaults", hmc.vaults as u64),
+            ("banks_per_vault", hmc.banks_per_vault as u64),
+            ("row_buffer_bytes", hmc.row_buffer_bytes),
+        ];
+        if let Some((field, value)) = dims.into_iter().find(|(_, v)| !v.is_power_of_two()) {
+            return Err(ConfigError::NotPowerOfTwo { field, value });
+        }
+        if !(2 * hmc.burst_bytes).is_multiple_of((hmc.row_buffer_bytes / 32).max(1)) {
+            return Err(ConfigError::BurstOffGranule {
+                burst_bytes: hmc.burst_bytes,
+                row_buffer_bytes: hmc.row_buffer_bytes,
+            });
+        }
         if self.partitions == 0 || !VAULTS.is_multiple_of(self.partitions) {
             return Err(ConfigError::PartitionsDoNotDivide {
                 partitions: self.partitions,
@@ -147,6 +162,25 @@ pub enum ConfigError {
         /// Bytes the image would span.
         bytes: u64,
     },
+    /// A cube dimension the address mapping cannot take apart with
+    /// shifts and masks ([`hipe_hmc::AddressMapping::new`]): vaults,
+    /// banks per vault and row-buffer bytes must be powers of two.
+    NotPowerOfTwo {
+        /// The [`HmcConfig`](hipe_hmc::HmcConfig) field.
+        field: &'static str,
+        /// Its value.
+        value: u64,
+    },
+    /// Bursts too narrow for the vault's latency table
+    /// ([`hipe_hmc::Vault::new`]), which has one entry per 1/32 of a
+    /// row buffer: `2 × burst_bytes` must be a multiple of
+    /// `row_buffer_bytes / 32`.
+    BurstOffGranule {
+        /// The burst width.
+        burst_bytes: u64,
+        /// The row-buffer size.
+        row_buffer_bytes: u64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -166,6 +200,16 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ImageTooLarge { bytes } => {
                 write!(f, "a {bytes} B image exceeds the {CUBE_BYTES} B cube")
             }
+            ConfigError::NotPowerOfTwo { field, value } => {
+                write!(f, "the cube's {field} ({value}) must be a power of two")
+            }
+            ConfigError::BurstOffGranule {
+                burst_bytes,
+                row_buffer_bytes,
+            } => write!(
+                f,
+                "two {burst_bytes} B bursts do not fill whole 32nds of a {row_buffer_bytes} B row"
+            ),
         }
     }
 }
@@ -566,6 +610,71 @@ mod tests {
     }
 
     #[test]
+    fn cube_geometry_off_the_shift_mapping_is_a_typed_error() {
+        let paper = HmcConfig::paper();
+        let cases = [
+            (
+                HmcConfig {
+                    vaults: 24,
+                    ..paper.clone()
+                },
+                ConfigError::NotPowerOfTwo {
+                    field: "vaults",
+                    value: 24,
+                },
+            ),
+            (
+                HmcConfig {
+                    banks_per_vault: 6,
+                    ..paper.clone()
+                },
+                ConfigError::NotPowerOfTwo {
+                    field: "banks_per_vault",
+                    value: 6,
+                },
+            ),
+            (
+                HmcConfig {
+                    row_buffer_bytes: 384,
+                    ..paper.clone()
+                },
+                ConfigError::NotPowerOfTwo {
+                    field: "row_buffer_bytes",
+                    value: 384,
+                },
+            ),
+            (
+                HmcConfig {
+                    burst_bytes: 2,
+                    ..paper
+                },
+                ConfigError::BurstOffGranule {
+                    burst_bytes: 2,
+                    row_buffer_bytes: 256,
+                },
+            ),
+        ];
+        for (hmc, error) in cases {
+            let cfg = SystemConfig {
+                hmc,
+                ..SystemConfig::paper(256, 1)
+            };
+            assert_eq!(rejects(cfg), error);
+        }
+        // Other powers of two, and bursts that fill the granule, work.
+        let mut cfg = SystemConfig::paper(256, 1);
+        cfg.hmc.banks_per_vault = 16;
+        cfg.hmc.row_buffer_bytes = 512;
+        cfg.hmc.burst_bytes = 16;
+        assert_eq!(cfg.validate(), Ok(()));
+        let sys = System::with_config(cfg);
+        let reference = hipe_db::scan::reference(sys.table(), &Query::q6());
+        for arch in [Arch::HostX86, Arch::Hipe] {
+            assert_eq!(sys.run(arch, &Query::q6()).result, reference, "{arch:?}");
+        }
+    }
+
+    #[test]
     fn config_errors_name_their_cause() {
         let cases = [
             (ConfigError::ZeroRows, "at least one tuple"),
@@ -580,6 +689,20 @@ mod tests {
             (
                 ConfigError::ImageTooLarge { bytes: 1 << 40 },
                 "exceeds the 8589934592 B cube",
+            ),
+            (
+                ConfigError::NotPowerOfTwo {
+                    field: "vaults",
+                    value: 24,
+                },
+                "vaults (24) must be a power of two",
+            ),
+            (
+                ConfigError::BurstOffGranule {
+                    burst_bytes: 2,
+                    row_buffer_bytes: 256,
+                },
+                "two 2 B bursts do not fill whole 32nds of a 256 B row",
             ),
         ];
         for (err, text) in cases {

@@ -4,7 +4,6 @@ use crate::config::CoreConfig;
 use crate::port::MemoryPort;
 use hipe_isa::{MicroOp, MicroOpKind};
 use hipe_sim::{Cycle, FifoWindow, MultiServer, Window};
-use std::collections::VecDeque;
 
 /// Execution counters of one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,8 +50,14 @@ pub struct Core {
     issue_cycle: Cycle,
     /// Slots already used in `issue_cycle`.
     issued_this_cycle: usize,
-    /// Completion cycles of the most recent ops (dependency window).
-    ring: VecDeque<Cycle>,
+    /// Completion cycles of the most recent ops (dependency window): a
+    /// power-of-two ring indexed by `tail & mask`, of which the last
+    /// `live` entries (at most `rob_entries`) are visible.
+    ring: Box<[Cycle]>,
+    /// The slot the next op's completion goes to.
+    tail: usize,
+    /// Recent completions a dependency distance may reach.
+    live: usize,
     /// Maximum completion cycle observed.
     horizon: Cycle,
     stats: CoreStats,
@@ -76,7 +81,9 @@ impl Core {
             front_end: 0,
             issue_cycle: 0,
             issued_this_cycle: 0,
-            ring: VecDeque::with_capacity(cfg.rob_entries + 1),
+            ring: vec![0; cfg.rob_entries.next_power_of_two()].into_boxed_slice(),
+            tail: 0,
+            live: 0,
             horizon: 0,
             stats: CoreStats::default(),
             cfg,
@@ -103,16 +110,15 @@ impl Core {
     }
 
     /// Resolves a dependency distance to a ready cycle.
+    #[inline]
     fn dep_ready(&self, dist: u32) -> Cycle {
-        if dist == 0 {
-            return 0;
-        }
         let d = dist as usize;
-        if d > self.ring.len() {
-            // Producer retired long ago: value is in the register file.
+        if d == 0 || d > self.live {
+            // No producer, or it retired long ago: the value is in the
+            // register file.
             return 0;
         }
-        self.ring[self.ring.len() - d]
+        self.ring[self.tail.wrapping_sub(d) & (self.ring.len() - 1)]
     }
 
     /// Executes one micro-op; returns its completion cycle.
@@ -199,10 +205,9 @@ impl Core {
         };
 
         self.rob.complete(end);
-        self.ring.push_back(end);
-        if self.ring.len() > self.cfg.rob_entries {
-            self.ring.pop_front();
-        }
+        self.ring[self.tail] = end;
+        self.tail = (self.tail + 1) & (self.ring.len() - 1);
+        self.live = (self.live + 1).min(self.cfg.rob_entries);
         self.horizon = self.horizon.max(end);
         end
     }

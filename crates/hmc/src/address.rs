@@ -35,28 +35,45 @@ pub struct Location {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct AddressMapping {
-    block: u64,
-    vaults: u64,
-    banks: u64,
+    /// log2 of the row-buffer (block) size.
+    block_bits: u32,
+    /// log2 of the vault count.
+    vault_bits: u32,
+    /// log2 of the banks per vault.
+    bank_bits: u32,
 }
 
 impl AddressMapping {
     /// Creates the mapping for a cube configuration.
+    ///
+    /// Every coordinate is a bit field of the block index, taken with
+    /// shifts and masks.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `vaults`, `banks_per_vault` and `row_buffer_bytes`
+    /// are all powers of two (`hipe::SystemConfig::validate` rejects
+    /// any other geometry with a typed error).
     pub fn new(cfg: &HmcConfig) -> Self {
+        let bits = |what: &str, n: u64| {
+            assert!(n.is_power_of_two(), "{what} ({n}) must be a power of two");
+            n.trailing_zeros()
+        };
         AddressMapping {
-            block: cfg.row_buffer_bytes,
-            vaults: cfg.vaults as u64,
-            banks: cfg.banks_per_vault as u64,
+            block_bits: bits("row_buffer_bytes", cfg.row_buffer_bytes),
+            vault_bits: bits("vaults", cfg.vaults as u64),
+            bank_bits: bits("banks_per_vault", cfg.banks_per_vault as u64),
         }
     }
 
     /// Decomposes an address into its cube coordinates.
+    #[inline]
     pub fn locate(&self, addr: u64) -> Location {
-        let blk = addr / self.block;
+        let blk = addr >> self.block_bits;
         Location {
-            vault: (blk % self.vaults) as usize,
-            bank: ((blk / self.vaults) % self.banks) as usize,
-            row: blk / (self.vaults * self.banks),
+            vault: (blk & ((1 << self.vault_bits) - 1)) as usize,
+            bank: ((blk >> self.vault_bits) & ((1 << self.bank_bits) - 1)) as usize,
+            row: blk >> (self.vault_bits + self.bank_bits),
         }
     }
 
@@ -67,7 +84,7 @@ impl AddressMapping {
     /// boundary become multiple bank requests.
     pub fn split(&self, addr: u64, len: u64) -> SplitBlocks {
         SplitBlocks {
-            block: self.block,
+            block_bits: self.block_bits,
             cur: addr,
             end: addr + len,
         }
@@ -78,7 +95,7 @@ impl AddressMapping {
 /// Produced by [`AddressMapping::split`].
 #[derive(Debug, Clone)]
 pub struct SplitBlocks {
-    block: u64,
+    block_bits: u32,
     cur: u64,
     end: u64,
 }
@@ -90,7 +107,7 @@ impl Iterator for SplitBlocks {
         if self.cur >= self.end {
             return None;
         }
-        let block_end = (self.cur / self.block + 1) * self.block;
+        let block_end = ((self.cur >> self.block_bits) + 1) << self.block_bits;
         let seg_end = block_end.min(self.end);
         let item = (self.cur, seg_end - self.cur);
         self.cur = seg_end;
@@ -149,6 +166,16 @@ mod tests {
         let m = mapping();
         let segs: Vec<_> = m.split(512, 256).collect();
         assert_eq!(segs, vec![(512, 256)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "vaults (24) must be a power of two")]
+    fn non_power_of_two_geometry_panics() {
+        let cfg = HmcConfig {
+            vaults: 24,
+            ..HmcConfig::paper()
+        };
+        let _ = AddressMapping::new(&cfg);
     }
 
     #[test]

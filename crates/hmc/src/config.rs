@@ -119,18 +119,22 @@ impl HmcConfig {
     /// Closed-page read latency of one row-buffer-sized access, in CPU
     /// cycles: activate (tRCD) + column read (tCL) + data burst.
     pub fn closed_page_read_latency(&self, bytes: u64) -> Cycle {
-        let d = self.dram_domain();
-        let bursts = div_ceil(bytes.min(self.row_buffer_bytes), self.burst_bytes);
-        // Data is transferred at a 2:1 core-to-bus frequency ratio, i.e.
-        // two bursts per DRAM core cycle.
-        d.to_cpu(self.timings.rcd + self.timings.cas + div_ceil(bursts, 2))
+        self.closed_page_latency(self.timings.cas, bytes)
     }
 
     /// Closed-page write latency (tRCD + tCWD + burst), CPU cycles.
     pub fn closed_page_write_latency(&self, bytes: u64) -> Cycle {
-        let d = self.dram_domain();
-        let bursts = div_ceil(bytes.min(self.row_buffer_bytes), self.burst_bytes);
-        d.to_cpu(self.timings.rcd + self.timings.cwd + div_ceil(bursts, 2))
+        self.closed_page_latency(self.timings.cwd, bytes)
+    }
+
+    /// tRCD + `column` + the data burst of `bytes` (capped at the row
+    /// buffer), CPU cycles.
+    fn closed_page_latency(&self, column: Cycle, bytes: u64) -> Cycle {
+        let bursts = bytes.min(self.row_buffer_bytes).div_ceil(self.burst_bytes);
+        // Data is transferred at a 2:1 core-to-bus frequency ratio, i.e.
+        // two bursts per DRAM core cycle.
+        self.dram_domain()
+            .to_cpu(self.timings.rcd + column + bursts.div_ceil(2))
     }
 
     /// Minimum bank cycle time between two activates of the same bank
@@ -155,10 +159,6 @@ impl Default for HmcConfig {
     fn default() -> Self {
         HmcConfig::paper()
     }
-}
-
-fn div_ceil(a: u64, b: u64) -> u64 {
-    a.div_ceil(b)
 }
 
 #[cfg(test)]

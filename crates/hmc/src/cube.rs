@@ -169,7 +169,9 @@ impl Hmc {
         // and every cube built after a dropped one maps (and faults in)
         // fresh pages: set-up time doubled when it was measured.
         let dirty = vec![0; owned_words.div_ceil(BLOCK_WORDS).div_ceil(64)];
-        let vaults = (0..cfg.vaults).map(|_| Vault::new(&cfg)).collect();
+        // Every vault starts as a copy of one, which builds the latency
+        // table once per cube.
+        let vaults = vec![Vault::new(&cfg); cfg.vaults];
         let owned = vec![0; owned_words];
         Hmc {
             mapping: AddressMapping::new(&cfg),
@@ -215,13 +217,7 @@ impl Hmc {
         self.energy.add_link(&self.energy_model, req_bytes);
 
         // Bank phase.
-        let mut done = at_cube;
-        let write = matches!(kind, AccessKind::Write);
-        let mapping = self.mapping;
-        for (a, l) in mapping.split(addr, bytes) {
-            let d = self.bank_access(at_cube, a, l, write);
-            done = done.max(d);
-        }
+        let mut done = self.bank_phase(at_cube, addr, bytes, matches!(kind, AccessKind::Write));
 
         // PIM operation executes in the vault functional unit after the
         // data is out of the bank.
@@ -268,22 +264,21 @@ impl Hmc {
     /// Performs a logic-layer access (HIVE/HIPE engine): touches the
     /// banks directly, bypassing the links.
     pub fn internal_read(&mut self, cycle: Cycle, addr: u64, bytes: u64) -> Cycle {
-        let mapping = self.mapping;
-        let mut done = cycle;
-        for (a, l) in mapping.split(addr, bytes) {
-            done = done.max(self.bank_access(cycle, a, l, false));
-        }
-        done
+        self.bank_phase(cycle, addr, bytes, false)
     }
 
     /// Logic-layer write path; see [`internal_read`](Self::internal_read).
     pub fn internal_write(&mut self, cycle: Cycle, addr: u64, bytes: u64) -> Cycle {
+        self.bank_phase(cycle, addr, bytes, true)
+    }
+
+    /// Issues one bank access per row-buffer segment of the range at
+    /// `cycle`; returns when the last one completes (`cycle` if none).
+    fn bank_phase(&mut self, cycle: Cycle, addr: u64, bytes: u64, write: bool) -> Cycle {
         let mapping = self.mapping;
-        let mut done = cycle;
-        for (a, l) in mapping.split(addr, bytes) {
-            done = done.max(self.bank_access(cycle, a, l, true));
-        }
-        done
+        mapping.split(addr, bytes).fold(cycle, |done, (a, l)| {
+            done.max(self.bank_access(cycle, a, l, write))
+        })
     }
 
     fn bank_access(&mut self, cycle: Cycle, addr: u64, bytes: u64, write: bool) -> Cycle {

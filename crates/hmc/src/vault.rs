@@ -10,42 +10,64 @@ use hipe_sim::{Cycle, Server, Window};
 /// Timing model (closed-page policy, as in the paper):
 ///
 /// * every access activates its row, bursts data and precharges;
-/// * the *requester-visible* latency is `tRCD + tCL + burst` (reads) or
-///   `tRCD + tCWD + burst` (writes);
+/// * the *requester-visible* latency is
+///   [`HmcConfig::closed_page_read_latency`] (`tRCD + tCL + burst`) or
+///   [`HmcConfig::closed_page_write_latency`] (`tRCD + tCWD + burst`),
+///   looked up per access in a table built from them at construction;
 /// * the *bank* stays occupied for `max(visible, tRAS + tRP)` — the
 ///   bank cycle time — which is what bounds per-bank throughput;
 /// * the vault's command queue admits a bounded number of outstanding
 ///   requests, modelling the controller's queue depth.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Vault {
     banks: Vec<Server>,
     queue: Window,
     fu: Server,
     bank_cycle: Cycle,
-    cfg_burst: u64,
-    cfg_row: u64,
-    dram_cpu_num: u64,
-    dram_cpu_den: u64,
-    cas: Cycle,
-    cwd: Cycle,
-    rcd: Cycle,
+    /// Visible latency by `[write][ceil(bytes / granule)]`, for
+    /// accesses of up to one row buffer.
+    latency: [[Cycle; LATENCY_SLOTS]; 2],
+    /// log2 of the table's byte granule, `row_buffer_bytes / 32`.
+    granule_bits: u32,
+    row_bytes: u64,
 }
+
+/// Latency table entries per access kind: sizes 0 and 1..=32 granules.
+const LATENCY_SLOTS: usize = 33;
 
 impl Vault {
     /// Creates an idle vault from the cube configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `row_buffer_bytes` is a power of two and
+    /// `2 × burst_bytes` is a multiple of `row_buffer_bytes / 32`: the
+    /// latency table then has one exact entry per 1/32 of a row.
     pub fn new(cfg: &HmcConfig) -> Self {
+        let row = cfg.row_buffer_bytes;
+        let granule_bits = row.trailing_zeros().saturating_sub(5);
+        assert!(
+            row.is_power_of_two() && (2 * cfg.burst_bytes).is_multiple_of(1 << granule_bits),
+            "no exact latency table for {row} B rows of {} B bursts",
+            cfg.burst_bytes
+        );
+        let latency = [false, true].map(|write| {
+            std::array::from_fn(|i| {
+                let bytes = ((i as u64) << granule_bits).min(row);
+                match write {
+                    false => cfg.closed_page_read_latency(bytes),
+                    true => cfg.closed_page_write_latency(bytes),
+                }
+            })
+        });
         Vault {
             banks: vec![Server::new(); cfg.banks_per_vault],
             queue: Window::new(cfg.vault_queue),
             fu: Server::new(),
             bank_cycle: cfg.bank_cycle_time(),
-            cfg_burst: cfg.burst_bytes,
-            cfg_row: cfg.row_buffer_bytes,
-            dram_cpu_num: cfg.cpu_freq.as_mhz(),
-            dram_cpu_den: cfg.dram_freq.as_mhz(),
-            cas: cfg.timings.cas,
-            cwd: cfg.timings.cwd,
-            rcd: cfg.timings.rcd,
+            latency,
+            granule_bits,
+            row_bytes: row,
         }
     }
 
@@ -55,19 +77,6 @@ impl Vault {
         self.banks.fill(Server::new());
         self.queue.reset();
         self.fu = Server::new();
-    }
-
-    fn to_cpu(&self, dram_cycles: Cycle) -> Cycle {
-        (dram_cycles * self.dram_cpu_num).div_ceil(self.dram_cpu_den)
-    }
-
-    /// Visible latency of a closed-page access of `bytes` (capped at
-    /// the row buffer), in CPU cycles.
-    fn visible_latency(&self, bytes: u64, write: bool) -> Cycle {
-        let bursts = bytes.min(self.cfg_row).div_ceil(self.cfg_burst);
-        let col = if write { self.cwd } else { self.cas };
-        // 2:1 core-to-bus ratio: two bursts per DRAM core cycle.
-        self.to_cpu(self.rcd + col + bursts.div_ceil(2))
     }
 
     /// Performs one bank access arriving at `cycle`; returns the cycle
@@ -81,7 +90,9 @@ impl Vault {
     /// Panics if `bank` is out of range.
     pub fn access(&mut self, cycle: Cycle, bank: usize, bytes: u64, write: bool) -> Cycle {
         let admitted = self.queue.admit(cycle);
-        let visible = self.visible_latency(bytes, write);
+        let granules =
+            (bytes.min(self.row_bytes) + (1 << self.granule_bits) - 1) >> self.granule_bits;
+        let visible = self.latency[write as usize][granules as usize];
         let occupancy = visible.max(self.bank_cycle);
         let (start, _) = self.banks[bank].serve_pipelined(admitted, occupancy, occupancy);
         let done = start + visible;
@@ -125,6 +136,42 @@ mod tests {
         let mut v = vault();
         let done = v.access(0, 0, 256, false);
         assert_eq!(done, cfg.closed_page_read_latency(256));
+    }
+
+    #[test]
+    fn latency_table_matches_the_config_formula_at_every_size() {
+        for (row, burst) in [(256, 8), (256, 4), (512, 16), (16, 1), (32, 3)] {
+            let cfg = HmcConfig {
+                row_buffer_bytes: row,
+                burst_bytes: burst,
+                ..HmcConfig::paper()
+            };
+            // Sizes past the row buffer are clamped to it.
+            for bytes in 1..=row + 8 {
+                for write in [false, true] {
+                    let expected = match write {
+                        false => cfg.closed_page_read_latency(bytes),
+                        true => cfg.closed_page_write_latency(bytes),
+                    };
+                    let mut v = Vault::new(&cfg);
+                    assert_eq!(
+                        v.access(0, 0, bytes, write),
+                        expected,
+                        "{row}/{burst}: {bytes} B"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no exact latency table for 256 B rows of 2 B bursts")]
+    fn bursts_finer_than_the_table_granule_panic() {
+        let cfg = HmcConfig {
+            burst_bytes: 2,
+            ..HmcConfig::paper()
+        };
+        let _ = Vault::new(&cfg);
     }
 
     #[test]

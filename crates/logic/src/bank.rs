@@ -101,9 +101,21 @@ impl RegisterBank {
     /// Writes `value` into `r`, becoming ready at `ready`; updates the
     /// zero flag.
     pub fn write(&mut self, r: RegId, value: [i64; LANES], ready: Cycle) {
+        self.rewrite(r, ready, |regs, i| regs[i] = value);
+    }
+
+    /// Rewrites `r` in place, becoming ready at `ready`; updates the
+    /// zero flag. `fill` receives every register's lanes and the index
+    /// of `r`, and leaves `r` holding its new value.
+    pub(crate) fn rewrite(
+        &mut self,
+        r: RegId,
+        ready: Cycle,
+        fill: impl FnOnce(&mut [[i64; LANES]], usize),
+    ) {
         let i = self.check(r);
-        self.zero[i] = value.iter().all(|&v| v == 0);
-        self.lanes[i] = value;
+        fill(&mut self.lanes, i);
+        self.zero[i] = self.lanes[i].iter().all(|&v| v == 0);
         self.ready[i] = ready;
     }
 

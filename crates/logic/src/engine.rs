@@ -3,8 +3,9 @@
 use crate::bank::{RegisterBank, LANES};
 use crate::config::LogicConfig;
 use hipe_hmc::Hmc;
-use hipe_isa::{AluOp, LogicInstr, OpSize, PredWhen, Predicate};
+use hipe_isa::{AluOp, LogicInstr, OpSize, PredWhen, Predicate, RegId};
 use hipe_sim::Cycle;
+use std::cell::Cell;
 
 /// Activity counters of the engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -65,6 +66,8 @@ pub struct Outcome {
 pub struct Engine {
     cfg: LogicConfig,
     bank: RegisterBank,
+    /// CPU cycles per sequencer slot ([`LogicConfig::issue_interval`]).
+    issue_interval: Cycle,
     /// Next free sequencer slot (CPU cycles).
     seq: Cycle,
     /// Completion horizon of the current lock/unlock block.
@@ -77,6 +80,7 @@ impl Engine {
     pub fn new(cfg: LogicConfig) -> Self {
         Engine {
             bank: RegisterBank::new(cfg.registers),
+            issue_interval: cfg.issue_interval(),
             seq: 0,
             block_horizon: 0,
             stats: EngineStats::default(),
@@ -119,7 +123,7 @@ impl Engine {
         self.stats.instructions += 1;
         // One sequencer slot per instruction, in order.
         let issue = self.seq.max(arrival);
-        self.seq = issue + self.cfg.issue_interval();
+        self.seq = issue + self.issue_interval;
 
         // Predication match logic.
         if let Some(p) = instr.predicate() {
@@ -163,8 +167,13 @@ impl Engine {
                 // consumed by all earlier readers before it is refilled.
                 let start = issue.max(self.bank.last_consumed(dst));
                 let data_ready = hmc.internal_read(start, addr, size.bytes());
-                let value = read_lanes(hmc, addr, size);
-                self.bank.write(dst, value, data_ready);
+                let words = hmc.read_words(addr, size.lanes());
+                self.bank.rewrite(dst, data_ready, |regs, d| {
+                    // Unused high lanes are zeroed.
+                    let (low, high) = regs[d].split_at_mut(words.len());
+                    low.copy_from_slice(words);
+                    high.fill(0);
+                });
                 data_ready
             }
             LogicInstr::Store {
@@ -207,14 +216,10 @@ impl Engine {
                     self.cfg.int_alu_latency
                 };
                 let end = start + latency;
-                let value = eval_alu(
-                    op,
-                    self.bank.lanes(a),
-                    b.map(|rb| *self.bank.lanes(rb)),
-                    *self.bank.lanes(dst),
-                    size,
-                );
-                self.bank.write(dst, value, end);
+                let (a, b) = (a.index(), b.map(RegId::index));
+                self.bank.rewrite(dst, end, |regs, d| {
+                    eval_alu(op, regs, a, b, d, size.lanes())
+                });
                 end
             }
         };
@@ -226,15 +231,6 @@ impl Engine {
     }
 }
 
-/// Reads `size` bytes at `addr` from the cube image as i64 lanes
-/// (unused high lanes zeroed), straight off the borrowed image words.
-fn read_lanes(hmc: &Hmc, addr: u64, size: OpSize) -> [i64; LANES] {
-    let mut out = [0i64; LANES];
-    let n = size.lanes();
-    out[..n].copy_from_slice(hmc.read_words(addr, n));
-    out
-}
-
 /// Writes the low `size` bytes of `lanes` to the cube image, straight
 /// into the borrowed image words — the store path allocates nothing.
 fn write_lanes(hmc: &mut Hmc, addr: u64, size: OpSize, lanes: &[i64; LANES]) {
@@ -242,56 +238,69 @@ fn write_lanes(hmc: &mut Hmc, addr: u64, size: OpSize, lanes: &[i64; LANES]) {
     hmc.words_mut(addr, n).copy_from_slice(&lanes[..n]);
 }
 
-/// Lane-wise functional evaluation. `dst` holds the destination's
-/// previous lanes, consumed by the merging operations.
+/// Lane-wise functional evaluation over the low `n` lanes, in place:
+/// `regs[dst]` receives the result of `op` on registers `a` and `b`.
+/// Every operand is read before its lane is written, so any of them
+/// may be `dst` itself.
 fn eval_alu(
     op: AluOp,
-    a: &[i64; LANES],
-    b: Option<[i64; LANES]>,
-    dst: [i64; LANES],
-    size: OpSize,
-) -> [i64; LANES] {
-    let mut out = [0i64; LANES];
-    let n = size.lanes();
+    regs: &mut [[i64; LANES]],
+    a: usize,
+    b: Option<usize>,
+    dst: usize,
+    n: usize,
+) {
+    let b2 = || b.expect("two-operand ALU op requires a second register");
     match op {
-        AluOp::CmpGeImm(x) => lanewise(&mut out, a, n, |v| (v >= x) as i64),
-        AluOp::CmpGtImm(x) => lanewise(&mut out, a, n, |v| (v > x) as i64),
-        AluOp::CmpLeImm(x) => lanewise(&mut out, a, n, |v| (v <= x) as i64),
-        AluOp::CmpLtImm(x) => lanewise(&mut out, a, n, |v| (v < x) as i64),
-        AluOp::CmpEqImm(x) => lanewise(&mut out, a, n, |v| (v == x) as i64),
-        AluOp::CmpRangeImm(lo, hi) => lanewise(&mut out, a, n, |v| (lo <= v && v <= hi) as i64),
-        AluOp::And | AluOp::Or | AluOp::Add | AluOp::Sub | AluOp::Mul => {
-            let b = b.expect("two-operand ALU op requires a second register");
-            for i in 0..n {
-                out[i] = match op {
-                    AluOp::And => a[i] & b[i],
-                    AluOp::Or => a[i] | b[i],
-                    AluOp::Add => a[i].wrapping_add(b[i]),
-                    AluOp::Sub => a[i].wrapping_sub(b[i]),
-                    AluOp::Mul => a[i].wrapping_mul(b[i]),
-                    _ => unreachable!(),
-                };
-            }
+        AluOp::CmpGeImm(x) => lanewise(regs, dst, n, a, a, |v, _| (v >= x) as i64),
+        AluOp::CmpGtImm(x) => lanewise(regs, dst, n, a, a, |v, _| (v > x) as i64),
+        AluOp::CmpLeImm(x) => lanewise(regs, dst, n, a, a, |v, _| (v <= x) as i64),
+        AluOp::CmpLtImm(x) => lanewise(regs, dst, n, a, a, |v, _| (v < x) as i64),
+        AluOp::CmpEqImm(x) => lanewise(regs, dst, n, a, a, |v, _| (v == x) as i64),
+        AluOp::CmpRangeImm(lo, hi) => {
+            lanewise(regs, dst, n, a, a, |v, _| (lo <= v && v <= hi) as i64)
         }
+        AluOp::And => lanewise(regs, dst, n, a, b2(), |x, y| x & y),
+        AluOp::Or => lanewise(regs, dst, n, a, b2(), |x, y| x | y),
+        AluOp::Add => lanewise(regs, dst, n, a, b2(), i64::wrapping_add),
+        AluOp::Sub => lanewise(regs, dst, n, a, b2(), i64::wrapping_sub),
+        AluOp::Mul => lanewise(regs, dst, n, a, b2(), i64::wrapping_mul),
         AluOp::AddReduce { lane } => {
             assert!((lane as usize) < LANES, "reduce lane out of range");
-            // Merge: untouched lanes keep the destination's value.
-            out = dst;
-            out[lane as usize] = match b {
+            let sum = match b {
                 // Dot-product form: reduce the lane-wise products
                 // (the aggregate tail passes the 0/1 match mask here).
-                Some(b) => (0..n).fold(0i64, |acc, i| acc.wrapping_add(a[i].wrapping_mul(b[i]))),
-                None => a.iter().take(n).fold(0i64, |acc, &v| acc.wrapping_add(v)),
+                Some(b) => (0..n).fold(0i64, |acc, i| {
+                    acc.wrapping_add(regs[a][i].wrapping_mul(regs[b][i]))
+                }),
+                None => regs[a][..n]
+                    .iter()
+                    .fold(0i64, |acc, &v| acc.wrapping_add(v)),
             };
+            // Merge: untouched lanes keep the destination's value.
+            regs[dst][lane as usize] = sum;
         }
     }
-    out
 }
 
-fn lanewise(out: &mut [i64; LANES], a: &[i64; LANES], n: usize, f: impl Fn(i64) -> i64) {
-    for i in 0..n {
-        out[i] = f(a[i]);
+/// `regs[dst][i] = f(regs[a][i], regs[b][i])` for the low `n` lanes;
+/// the lanes above them are zeroed. The registers may alias, so the
+/// lanes are read and written through cells.
+fn lanewise(
+    regs: &mut [[i64; LANES]],
+    dst: usize,
+    n: usize,
+    a: usize,
+    b: usize,
+    f: impl Fn(i64, i64) -> i64,
+) {
+    let regs = Cell::from_mut(regs).as_slice_of_cells();
+    let lanes = |r: usize| Cell::as_array_of_cells(&regs[r]);
+    let (out, x, y) = (lanes(dst), lanes(a), lanes(b));
+    for ((o, x), y) in out[..n].iter().zip(&x[..n]).zip(&y[..n]) {
+        o.set(f(x.get(), y.get()));
     }
+    out[n..].iter().for_each(|o| o.set(0));
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
 //! In-order retirement windows.
 
 use crate::time::Cycle;
-use std::collections::VecDeque;
 
 /// A capacity-limited window whose entries retire **in order** — the
 /// semantics of a reorder buffer.
@@ -25,11 +24,17 @@ use std::collections::VecDeque;
 /// assert_eq!(rob.admit(0), 1000);
 /// rob.complete(1001);
 /// ```
+///
+/// Retire times are non-decreasing in allocation order, so they sit in
+/// a fixed ring of exactly `capacity` slots: admission pops the head,
+/// completion pushes at the tail, both O(1) and allocation-free.
 #[derive(Debug, Clone)]
 pub struct FifoWindow {
-    capacity: usize,
-    /// Retire times in allocation order (monotone non-decreasing).
-    retire: VecDeque<Cycle>,
+    /// Retire times in allocation order (monotone non-decreasing):
+    /// `len` entries from `head`, wrapping at the end of the slice.
+    retire: Box<[Cycle]>,
+    head: usize,
+    len: usize,
     /// Largest retire time pushed so far (enforces in-order retire).
     last_retire: Cycle,
     admitted: u64,
@@ -45,8 +50,9 @@ impl FifoWindow {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "window capacity must be non-zero");
         FifoWindow {
-            capacity,
-            retire: VecDeque::with_capacity(capacity + 1),
+            retire: vec![0; capacity].into_boxed_slice(),
+            head: 0,
+            len: 0,
             last_retire: 0,
             admitted: 0,
             stall: 0,
@@ -55,17 +61,17 @@ impl FifoWindow {
 
     /// Capacity of the window.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.retire.len()
     }
 
     /// Number of entries currently allocated.
     pub fn len(&self) -> usize {
-        self.retire.len()
+        self.len
     }
 
     /// Returns `true` when no entries are allocated.
     pub fn is_empty(&self) -> bool {
-        self.retire.is_empty()
+        self.len == 0
     }
 
     /// Requests admission at `arrival`; returns the earliest admission
@@ -74,10 +80,12 @@ impl FifoWindow {
     #[inline]
     pub fn admit(&mut self, arrival: Cycle) -> Cycle {
         self.admitted += 1;
-        if self.retire.len() < self.capacity {
+        if self.len < self.retire.len() {
             return arrival;
         }
-        let oldest = self.retire.pop_front().expect("full window is non-empty");
+        let oldest = self.retire[self.head];
+        self.head = self.wrap(self.head + 1);
+        self.len -= 1;
         let admitted = arrival.max(oldest);
         self.stall += admitted - arrival;
         admitted
@@ -86,11 +94,31 @@ impl FifoWindow {
     /// Registers the completion cycle of the entry admitted most
     /// recently; its retire time is clamped to preserve in-order
     /// retirement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every slot is already taken, i.e. on a completion with
+    /// no admission left to pair it with.
     #[inline]
     pub fn complete(&mut self, completion: Cycle) {
+        assert!(
+            self.len < self.retire.len(),
+            "a completion without a matching admission"
+        );
         self.last_retire = self.last_retire.max(completion);
-        self.retire.push_back(self.last_retire);
-        debug_assert!(self.retire.len() <= self.capacity);
+        let tail = self.wrap(self.head + self.len);
+        self.retire[tail] = self.last_retire;
+        self.len += 1;
+    }
+
+    /// Wraps an index below twice the capacity into the ring.
+    #[inline]
+    fn wrap(&self, at: usize) -> usize {
+        if at >= self.retire.len() {
+            at - self.retire.len()
+        } else {
+            at
+        }
     }
 
     /// Total entries admitted.
@@ -101,11 +129,6 @@ impl FifoWindow {
     /// Total admission delay caused by a full window.
     pub fn stall_cycles(&self) -> Cycle {
         self.stall
-    }
-
-    /// Cycle at which everything currently in the window has retired.
-    pub fn drain(&self) -> Cycle {
-        self.retire.back().copied().unwrap_or(self.last_retire)
     }
 }
 
@@ -150,14 +173,6 @@ mod tests {
         assert_eq!(w.admit(0), 100);
         w.complete(101);
         assert_eq!(w.admit(0), 100);
-    }
-
-    #[test]
-    fn drain_is_last_retire() {
-        let mut w = FifoWindow::new(4);
-        let _ = w.admit(0);
-        w.complete(42);
-        assert_eq!(w.drain(), 42);
     }
 
     #[test]

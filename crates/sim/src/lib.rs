@@ -22,7 +22,18 @@
 //! higher-level crates are written so that requests are generated in
 //! program order, which satisfies that contract.
 //!
-//! Beside them sit the [`ClockDomain`]/[`Freq`] cycle converters,
+//! The models call these primitives once or more per simulated event,
+//! so none of them uses a heap, a per-event allocation or a hardware
+//! division on that path: a [`Window`] is a sorted ring whose head is
+//! the earliest completion (admission reads and pops heads; a
+//! completion shifts only the entries later than itself, usually
+//! none), a [`FifoWindow`] a fixed ring, and a [`ThroughputPipe`]
+//! divides through a precomputed [`Divisor`]. Both rings have exactly
+//! `capacity` slots and allocate only when built.
+//!
+//! Beside them sit the [`ClockDomain`]/[`Freq`] cycle converters, the
+//! [`Divisor`] that divides by a fixed value without a hardware
+//! division,
 //! [`Samples`] (exact nearest-rank latency percentiles for the service
 //! reports; every other statistic is a plain counter in a model's
 //! `*Stats` struct, named by `hipe::RunReport::metrics`) and the
@@ -62,5 +73,5 @@ pub use host::{env_workers, WorkerPool};
 pub use pipe::ThroughputPipe;
 pub use server::{MultiServer, ServeOutcome, Server};
 pub use stats::Samples;
-pub use time::{ClockDomain, Cycle, Freq};
+pub use time::{ClockDomain, Cycle, Divisor, Freq};
 pub use window::Window;

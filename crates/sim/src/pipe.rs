@@ -1,6 +1,6 @@
 //! Bandwidth-limited conduits.
 
-use crate::time::Cycle;
+use crate::time::{Cycle, Divisor};
 
 /// A bandwidth-limited conduit such as an HMC serial link.
 ///
@@ -23,7 +23,7 @@ use crate::time::Cycle;
 #[derive(Debug, Clone)]
 pub struct ThroughputPipe {
     /// Serialization rate numerator (bytes).
-    num: u64,
+    num: Divisor,
     /// Serialization rate denominator (cycles).
     den: u64,
     latency: Cycle,
@@ -38,11 +38,11 @@ impl ThroughputPipe {
     ///
     /// # Panics
     ///
-    /// Panics if `num` or `den` is zero.
+    /// Panics if `num` or `den` is zero, or if `num` is 2³² or more.
     pub fn new(num: u64, den: u64, latency: Cycle) -> Self {
         assert!(num > 0 && den > 0, "pipe rate must be positive");
         ThroughputPipe {
-            num,
+            num: Divisor::new(num),
             den,
             latency,
             next_free: 0,
@@ -56,7 +56,7 @@ impl ThroughputPipe {
     #[inline]
     pub fn transfer(&mut self, arrival: Cycle, bytes: u64) -> Cycle {
         let start = arrival.max(self.next_free);
-        let ser = div_ceil(bytes * self.den, self.num);
+        let ser = self.num.div_ceil(bytes * self.den);
         self.next_free = start + ser;
         self.bytes += bytes;
         self.transfers += 1;
@@ -90,10 +90,6 @@ impl ThroughputPipe {
     pub fn latency(&self) -> Cycle {
         self.latency
     }
-}
-
-fn div_ceil(a: u64, b: u64) -> u64 {
-    a.div_ceil(b)
 }
 
 #[cfg(test)]

@@ -100,6 +100,77 @@ fn div_ceil(a: u64, b: u64) -> u64 {
     a.div_ceil(b)
 }
 
+/// A divisor fixed at construction, for quotients and remainders on a
+/// hot path without a hardware division.
+///
+/// Below 2³² a dividend is divided by multiplying with a precomputed
+/// 64-bit reciprocal and keeping the high word (Lemire, Kaser and
+/// Kurz, "Faster remainder by direct computation", 2019), which is
+/// exact for every such dividend and every divisor below 2³². Larger
+/// dividends take the hardware division, so every result equals `/`
+/// and `%`.
+///
+/// # Example
+///
+/// ```
+/// use hipe_sim::Divisor;
+/// let sets = Divisor::new(2560);
+/// assert_eq!(sets.remainder(1_000_003), 1_000_003 % 2560);
+/// assert_eq!(sets.div_ceil(5121), 3);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Divisor {
+    d: u64,
+    /// `ceil(2⁶⁴ / d)` modulo 2⁶⁴ (0 for `d == 1`).
+    m: u64,
+}
+
+impl Divisor {
+    /// Prepares division by `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < d < 2³²`.
+    pub fn new(d: u64) -> Self {
+        assert!(
+            d > 0 && d <= u64::from(u32::MAX),
+            "divisor {d} outside 1..2^32"
+        );
+        Divisor {
+            d,
+            m: (u64::MAX / d).wrapping_add(1),
+        }
+    }
+
+    /// `n / d`.
+    #[inline]
+    pub fn quotient(self, n: u64) -> u64 {
+        match u32::try_from(n) {
+            Ok(_) if self.d == 1 => n,
+            Ok(_) => ((u128::from(self.m) * u128::from(n)) >> 64) as u64,
+            Err(_) => n / self.d,
+        }
+    }
+
+    /// `n % d`.
+    #[inline]
+    pub fn remainder(self, n: u64) -> u64 {
+        match u32::try_from(n) {
+            // The low word of `m * n` is the fraction `n / d` scaled by
+            // 2⁶⁴; times `d`, its high word is the remainder.
+            Ok(_) => ((u128::from(self.m.wrapping_mul(n)) * u128::from(self.d)) >> 64) as u64,
+            Err(_) => n % self.d,
+        }
+    }
+
+    /// `n.div_ceil(d)`.
+    #[inline]
+    pub fn div_ceil(self, n: u64) -> u64 {
+        let q = self.quotient(n);
+        q + u64::from(q * self.d != n)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,6 +205,55 @@ mod tests {
         let d = ClockDomain::new(Freq::ghz(1), Freq::ghz(2));
         assert_eq!(d.to_cpu(1), 2);
         assert_eq!(d.to_cpu(10), 20);
+    }
+
+    /// SplitMix64, for dividends and divisors.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn divisor_matches_hardware_division() {
+        let mut state = 2018;
+        let edges = [
+            0,
+            1,
+            2,
+            3,
+            63,
+            64,
+            65,
+            2559,
+            2560,
+            2561,
+            u64::from(u32::MAX),
+        ];
+        let mut divisors = edges[1..].to_vec();
+        for _ in 0..200 {
+            divisors.push(1 + mix(&mut state) % u64::from(u32::MAX));
+            divisors.push(1 + mix(&mut state) % 5000);
+        }
+        for d in divisors {
+            let div = Divisor::new(d);
+            let near = [d - 1, d, d + 1, d * 2, u64::from(u32::MAX) / d * d];
+            let wide = [1 << 32, (1 << 32) + 1, u64::MAX, mix(&mut state)];
+            let small: Vec<u64> = (0..50).map(|_| mix(&mut state) >> 32).collect();
+            for n in edges.into_iter().chain(near).chain(wide).chain(small) {
+                assert_eq!(div.quotient(n), n / d, "{n} / {d}");
+                assert_eq!(div.remainder(n), n % d, "{n} % {d}");
+                assert_eq!(div.div_ceil(n), n.div_ceil(d), "ceil({n} / {d})");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..2^32")]
+    fn divisor_rejects_zero() {
+        let _ = Divisor::new(0);
     }
 
     #[test]

@@ -95,18 +95,30 @@ fn window_admissions_are_monotone_and_never_early() {
 fn fifo_window_retires_in_order_under_random_completions() {
     for seed in 1..=10 {
         let mut rng = XorShift(seed * 31 + 1);
-        let mut rob = FifoWindow::new(4 + (seed as usize % 8));
+        let capacity = 4 + (seed as usize % 8);
+        let mut rob = FifoWindow::new(capacity);
         let mut prev_admit = 0;
-        let mut prev_drain = 0;
-        for arrival in arrivals(seed, 500) {
+        // Retire time of every op so far: the latest completion up to
+        // and including it (an op cannot retire before an older one).
+        let mut retire: Vec<u64> = Vec::new();
+        for (k, arrival) in arrivals(seed, 500).into_iter().enumerate() {
             let admit = rob.admit(arrival);
             assert!(admit >= arrival && admit >= prev_admit);
+            // A full window frees the slot of the op `capacity` places
+            // older, at that op's in-order retire time.
+            let expected = match k.checked_sub(capacity) {
+                Some(oldest) => arrival.max(retire[oldest]),
+                None => arrival,
+            };
+            assert_eq!(
+                admit, expected,
+                "op {k} did not wait for in-order retirement"
+            );
             // Completions jump around; retirement must still be ordered.
-            rob.complete(admit + rng.below(200));
-            let drain = rob.drain();
-            assert!(drain >= prev_drain, "retire horizon went backwards");
+            let completion = admit + rng.below(200);
+            rob.complete(completion);
+            retire.push(completion.max(retire.last().copied().unwrap_or(0)));
             prev_admit = admit;
-            prev_drain = drain;
         }
     }
 }
