@@ -11,9 +11,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// Fibonacci-multiply hasher for line-address keys.
 ///
-/// The `pending` fill maps are probed up to three times per demand
-/// miss on the hot path; they are only ever accessed by key (never
-/// iterated), so a fast non-sip hash changes no observable behavior.
+/// The `pending` fill maps are probed up to twice per demand miss on
+/// the hot path; they are only ever accessed by key (never iterated),
+/// so a fast non-sip hash changes no observable behavior.
 #[derive(Default)]
 struct LineHasher(u64);
 
@@ -71,9 +71,6 @@ struct Level {
     tags: SetArray,
     mshr: Window,
     latency: Cycle,
-    /// Lines with an in-flight fill (prefetch), keyed by line address,
-    /// valued with the cycle the data arrives.
-    pending: LineMap,
 }
 
 impl Level {
@@ -82,7 +79,6 @@ impl Level {
             tags: SetArray::new(cfg.sets(), cfg.ways),
             mshr: Window::new(cfg.mshrs),
             latency: cfg.latency,
-            pending: LineMap::default(),
         }
     }
 }
@@ -110,6 +106,13 @@ pub struct CacheHierarchy {
     l1: Level,
     l2: Level,
     l3: Level,
+    /// Lines with an in-flight stride prefetch into L1, keyed by line
+    /// address, valued with the cycle the data arrives. Only a demand
+    /// for the line removes it.
+    l1_pending: LineMap,
+    /// Lines with an in-flight stream prefetch into L2, likewise. (No
+    /// prefetcher fills L3 ahead of a demand, so it has no such map.)
+    l2_pending: LineMap,
     stride: StridePrefetcher,
     stream: StreamPrefetcher,
     stats: CacheStats,
@@ -120,6 +123,10 @@ pub struct CacheHierarchy {
     /// demand access of a streaming scan; allocating per access is
     /// measurable).
     predictions: Vec<u64>,
+    /// The previous access's stride predictions, those it left in
+    /// `l1_pending`. They stay there until a demand takes them, so the
+    /// next access skips them without a probe.
+    issued: Vec<u64>,
 }
 
 impl CacheHierarchy {
@@ -129,11 +136,14 @@ impl CacheHierarchy {
             l1: Level::new(&cfg.l1),
             l2: Level::new(&cfg.l2),
             l3: Level::new(&cfg.l3),
+            l1_pending: LineMap::default(),
+            l2_pending: LineMap::default(),
             stride: StridePrefetcher::new(cfg.stride_degree),
             stream: StreamPrefetcher::new(cfg.stream_depth),
             stats: CacheStats::default(),
             pending_stream_trigger: None,
             predictions: Vec::new(),
+            issued: Vec::new(),
             cfg,
         }
     }
@@ -181,9 +191,16 @@ impl CacheHierarchy {
         let mut predictions = std::mem::take(&mut self.predictions);
         predictions.clear();
         self.stride.observe_into(line, &mut predictions);
-        for &p in &predictions {
-            self.prefetch_into_l1(mem, cycle, p);
-        }
+        // A line the previous access left pending is pending still,
+        // unless this demand took it, so `prefetch_into_l1` would return
+        // at once. Lines it found in the L1 tags are probed again: a fill
+        // may have evicted them since. `retain` visits the predictions
+        // in order, so prefetches issue in order, and keeps the pending
+        // ones for the next access.
+        predictions.retain(|&p| {
+            (p != line && self.issued.contains(&p)) || self.prefetch_into_l1(mem, cycle, p)
+        });
+        std::mem::swap(&mut predictions, &mut self.issued);
         if let Some(miss_line) = self.pending_stream_trigger.take() {
             predictions.clear();
             self.stream.on_miss_into(miss_line, &mut predictions);
@@ -202,7 +219,7 @@ impl CacheHierarchy {
             return t1;
         }
         // In-flight prefetch into L1?
-        if let Some(ready) = self.l1.pending.remove(&line) {
+        if let Some(ready) = self.l1_pending.remove(&line) {
             self.stats.l1_hits += 1;
             self.stats.prefetch_hits += 1;
             self.fill(mem, 1, line, write, ready);
@@ -218,7 +235,7 @@ impl CacheHierarchy {
             self.l1.mshr.complete(t2);
             return t2;
         }
-        if let Some(ready) = self.l2.pending.remove(&line) {
+        if let Some(ready) = self.l2_pending.remove(&line) {
             self.stats.l2_hits += 1;
             self.stats.prefetch_hits += 1;
             let done = t2.max(ready);
@@ -240,15 +257,6 @@ impl CacheHierarchy {
             self.l1.mshr.complete(t3);
             return t3;
         }
-        if let Some(ready) = self.l3.pending.remove(&line) {
-            self.stats.l3_hits += 1;
-            self.stats.prefetch_hits += 1;
-            let done = t3.max(ready);
-            self.fill(mem, 2, line, write, done);
-            self.l2.mshr.complete(done);
-            self.l1.mshr.complete(done);
-            return done;
-        }
         self.stats.l3_misses += 1;
         let adm3 = self.l3.mshr.admit(t3);
         let done = mem
@@ -262,16 +270,10 @@ impl CacheHierarchy {
     }
 
     /// Installs `line` into the top `depth` levels, writing back dirty
-    /// victims.
+    /// victims. Every caller has just missed `line` in each of them.
     fn fill(&mut self, mem: &mut Hmc, depth: usize, line: u64, write: bool, cycle: Cycle) {
         let levels: [&mut Level; 3] = [&mut self.l1, &mut self.l2, &mut self.l3];
-        for (i, level) in levels.into_iter().enumerate() {
-            if i >= depth {
-                break;
-            }
-            if level.tags.contains(line) {
-                continue;
-            }
+        for level in levels.into_iter().take(depth) {
             if let Some((victim, dirty)) = level.tags.fill(line) {
                 if dirty {
                     // Fire-and-forget write-back.
@@ -285,16 +287,22 @@ impl CacheHierarchy {
         }
     }
 
-    fn prefetch_into_l1(&mut self, mem: &mut Hmc, cycle: Cycle, line: u64) {
-        if self.l1.tags.contains(line) || self.l1.pending.contains_key(&line) {
-            return;
+    /// Prefetches `line` into L1 unless it is there or on its way;
+    /// returns whether it is on its way (in `l1_pending`) afterwards.
+    fn prefetch_into_l1(&mut self, mem: &mut Hmc, cycle: Cycle, line: u64) -> bool {
+        if self.l1.tags.contains(line) {
+            return false;
+        }
+        if self.l1_pending.contains_key(&line) {
+            return true;
         }
         // A prefetch consumes an L1 MSHR and walks the lower levels.
         let adm1 = self.l1.mshr.admit(cycle + self.l1.latency);
         let ready = self.fetch_below_l1(mem, adm1, line);
         self.l1.mshr.complete(ready);
-        self.l1.pending.insert(line, ready);
+        self.l1_pending.insert(line, ready);
         self.stats.prefetches += 1;
+        true
     }
 
     fn fetch_below_l1(&mut self, mem: &mut Hmc, cycle: Cycle, line: u64) -> Cycle {
@@ -302,15 +310,13 @@ impl CacheHierarchy {
         if self.l2.tags.probe(line, false) {
             return t2;
         }
-        if let Some(&ready) = self.l2.pending.get(&line) {
+        if let Some(&ready) = self.l2_pending.get(&line) {
             return t2.max(ready);
         }
         let adm2 = self.l2.mshr.admit(t2);
         let t3 = adm2 + self.l3.latency;
         let ready = if self.l3.tags.probe(line, false) {
             t3
-        } else if let Some(&r) = self.l3.pending.get(&line) {
-            t3.max(r)
         } else {
             let adm3 = self.l3.mshr.admit(t3);
             let done = mem
@@ -330,15 +336,13 @@ impl CacheHierarchy {
     }
 
     fn prefetch_into_l2(&mut self, mem: &mut Hmc, cycle: Cycle, line: u64) {
-        if self.l2.tags.contains(line) || self.l2.pending.contains_key(&line) {
+        if self.l2.tags.contains(line) || self.l2_pending.contains_key(&line) {
             return;
         }
         let adm2 = self.l2.mshr.admit(cycle + self.l2.latency);
         let t3 = adm2 + self.l3.latency;
         let ready = if self.l3.tags.probe(line, false) {
             t3
-        } else if let Some(&r) = self.l3.pending.get(&line) {
-            t3.max(r)
         } else {
             let adm3 = self.l3.mshr.admit(t3);
             let done = mem
@@ -354,7 +358,7 @@ impl CacheHierarchy {
             done
         };
         self.l2.mshr.complete(ready);
-        self.l2.pending.insert(line, ready);
+        self.l2_pending.insert(line, ready);
         self.stats.prefetches += 1;
     }
 }

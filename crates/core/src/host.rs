@@ -181,7 +181,7 @@ fn functional_mask(hmc: &mut Hmc, layout: &DsmLayout, query: &Query, scanned: &B
         for p in query.predicates() {
             let values = hmc.read_words(layout.value_addr(p.column, start), n);
             let mut hits = 0u64;
-            for (i, &v) in values.iter().enumerate() {
+            for (i, v) in values.iter().enumerate() {
                 hits |= (p.cmp.eval(v) as u64) << i;
             }
             bits &= hits;

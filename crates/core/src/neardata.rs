@@ -264,7 +264,7 @@ fn read_mask(hmc: &Hmc, program: &LogicScanProgram, rows: usize) -> Bitmask {
     for region in program.scanned_regions().iter_ones() {
         let lanes = hmc.read_words(program.mask_addr(region), REGION_ROWS);
         let mut bits = 0u64;
-        for (lane, &v) in lanes.iter().enumerate() {
+        for (lane, v) in lanes.iter().enumerate() {
             bits |= u64::from(v != 0) << lane;
         }
         // Lanes past the last row are dropped by `set_word`.

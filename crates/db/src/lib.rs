@@ -13,7 +13,10 @@
 //!
 //! Tables are stored in the decomposition storage model
 //! ([`DsmLayout`], column-store, contiguous 8 B columns), the layout
-//! of the paper's evaluation.
+//! of the paper's evaluation. Addresses, layouts and every timing
+//! model count 8 B per value; the host keeps each value in a 4 B word
+//! ([`LineitemTable::column`] is `&[i32]`, [`LineitemTable::value`]
+//! widens to `i64`), since every generated value fits in 31 bits.
 //!
 //! The [`scan`] module is the *reference executor*: a plain Rust
 //! implementation of the tuple-at-a-time and column-at-a-time select

@@ -19,9 +19,10 @@ pub(crate) const DAY_1995_01_01: i64 = 1096;
 
 /// The four lineitem columns touched by Query 06.
 ///
-/// Values are stored as signed 64-bit integers (fixed-point where the
-/// original schema uses decimals), matching the 8-byte lanes of the
-/// simulated vector and logic-layer units.
+/// Values are signed integers (fixed-point where the original schema
+/// uses decimals). The simulated machines see each one as an 8 B value,
+/// matching the 8-byte lanes of their vector and logic-layer units; the
+/// host stores each in a 4 B word (see [`LineitemTable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Column {
     /// `l_shipdate` as days since 1992-01-01.
@@ -80,6 +81,13 @@ impl std::fmt::Display for Column {
 /// simulated cube shares it ([`column_area`](Self::column_area))
 /// instead of copying the table into its own memory.
 ///
+/// The layout, and every address and timing model built on it, keeps
+/// the paper's 8 B values ([`COLUMN_BYTES`]). The host stores each
+/// value in a 4 B `i32` word, since every value the generator draws
+/// fits in 31 bits (the largest, an extended price, is at most
+/// 50 × 111 000 cents); readers widen it back to `i64`. So a table
+/// holds 16 B per row on the host, not 32.
+///
 /// # Example
 ///
 /// ```
@@ -88,11 +96,13 @@ impl std::fmt::Display for Column {
 /// assert_eq!(t.rows(), 100);
 /// let q = t.column(Column::Quantity);
 /// assert!(q.iter().all(|&v| (1..=50).contains(&v)));
+/// assert_eq!(t.value(Column::Quantity, 3), i64::from(q[3]));
 /// ```
 #[derive(Debug, Clone)]
 pub struct LineitemTable {
-    /// Every column, padded, at its [`DsmLayout::column_base`].
-    words: Arc<Vec<i64>>,
+    /// Every column, padded, at its [`DsmLayout::column_base`], one
+    /// 4 B word per 8 B modelled value.
+    words: Arc<Vec<i32>>,
     layout: DsmLayout,
     seed: u64,
 }
@@ -117,10 +127,20 @@ const PARALLEL_MIN_ROWS: usize = 65_536;
 struct Chunk<'a> {
     /// Global row index of the chunk's first row.
     first_row: usize,
-    shipdate: &'a mut [i64],
-    discount: &'a mut [i64],
-    quantity: &'a mut [i64],
-    extendedprice: &'a mut [i64],
+    shipdate: &'a mut [i32],
+    discount: &'a mut [i32],
+    quantity: &'a mut [i32],
+    extendedprice: &'a mut [i32],
+}
+
+/// Narrows a generated value to its 4 B host word.
+///
+/// # Panics
+///
+/// Panics if the value does not fit, so a generator drawing wider
+/// values fails loudly instead of wrapping.
+fn narrow(v: i64) -> i32 {
+    i32::try_from(v).unwrap_or_else(|_| panic!("generated value {v} exceeds a 4 B host word"))
 }
 
 /// Fills one chunk by replaying the monolithic draw stream from
@@ -131,23 +151,24 @@ fn fill_chunk(seed: u64, shape: TableShape, chunk: Chunk<'_>) {
     let mut rng = SplitMix64::new(seed);
     rng.skip(chunk.first_row as u64 * DRAWS_PER_ROW);
     for i in 0..chunk.shipdate.len() {
-        match shape {
-            TableShape::Uniform => chunk.shipdate[i] = rng.range_i64(0, SHIPDATE_DAYS - 1),
+        let shipdate = match shape {
+            TableShape::Uniform => rng.range_i64(0, SHIPDATE_DAYS - 1),
             TableShape::ClusteredShipdate { total_rows } => {
                 // Draw-and-discard keeps the stream aligned with the
                 // uniform shape: every later column sees the same values.
                 let _ = rng.range_i64(0, SHIPDATE_DAYS - 1);
                 let global = (chunk.first_row + i) as u128;
-                chunk.shipdate[i] = (global * SHIPDATE_DAYS as u128 / total_rows as u128) as i64;
+                (global * SHIPDATE_DAYS as u128 / total_rows as u128) as i64
             }
-        }
-        chunk.discount[i] = rng.range_i64(0, 10);
+        };
+        chunk.shipdate[i] = narrow(shipdate);
+        chunk.discount[i] = narrow(rng.range_i64(0, 10));
         let q = rng.range_i64(1, 50);
-        chunk.quantity[i] = q;
+        chunk.quantity[i] = narrow(q);
         // dbgen: extendedprice = quantity * part retail price;
         // retail prices are ~90k..111k cents.
         let part_price = rng.range_i64(90_000, 111_000);
-        chunk.extendedprice[i] = q * part_price;
+        chunk.extendedprice[i] = narrow(q * part_price);
     }
 }
 
@@ -258,7 +279,7 @@ impl LineitemTable {
                 first_row + rows
             );
         }
-        let mut words = vec![0i64; (layout.bytes() / COLUMN_BYTES) as usize];
+        let mut words = vec![0i32; (layout.bytes() / COLUMN_BYTES) as usize];
         // Columns sit back to back in `Column::ALL` order, one padded
         // stride each.
         let stride = (layout.column_stride() / COLUMN_BYTES) as usize;
@@ -285,7 +306,7 @@ impl LineitemTable {
             })
             .collect();
         pool.run(chunks, |_, chunk| fill_chunk(seed, shape, chunk));
-        // `Arc::new` moves the filled buffer as it is. An `Arc<[i64]>`
+        // `Arc::new` moves the filled buffer as it is. An `Arc<[i32]>`
         // would need a copy of it, or a pass zeroing a buffer that the
         // allocator already hands out zeroed.
         LineitemTable {
@@ -338,8 +359,8 @@ impl LineitemTable {
 
     /// The column area: word `a / 8` holds the value at address `a` of
     /// [`layout`](Self::layout), padding included. Cubes share this
-    /// buffer as their read-only image.
-    pub fn column_area(&self) -> &Arc<Vec<i64>> {
+    /// buffer as their read-only image, widening each word on read.
+    pub fn column_area(&self) -> &Arc<Vec<i32>> {
         &self.words
     }
 
@@ -348,8 +369,8 @@ impl LineitemTable {
         self.seed
     }
 
-    /// Borrow one column as a slice.
-    pub fn column(&self, c: Column) -> &[i64] {
+    /// Borrow one column as a slice of its 4 B host words.
+    pub fn column(&self, c: Column) -> &[i32] {
         let start = (self.layout.column_base(c) / COLUMN_BYTES) as usize;
         &self.words[start..start + self.rows()]
     }
@@ -360,7 +381,7 @@ impl LineitemTable {
     ///
     /// Panics if `i` is out of range.
     pub fn value(&self, c: Column, i: usize) -> i64 {
-        self.column(c)[i]
+        i64::from(self.column(c)[i])
     }
 }
 
@@ -390,7 +411,7 @@ mod tests {
         assert!(t
             .column(Column::Shipdate)
             .iter()
-            .all(|&v| (0..SHIPDATE_DAYS).contains(&v)));
+            .all(|&v| (0..SHIPDATE_DAYS).contains(&i64::from(v))));
         assert!(t
             .column(Column::Discount)
             .iter()
@@ -408,7 +429,7 @@ mod tests {
         let hits = t
             .column(Column::Shipdate)
             .iter()
-            .filter(|&&d| (DAY_1994_01_01..DAY_1995_01_01).contains(&d))
+            .filter(|&&d| (DAY_1994_01_01..DAY_1995_01_01).contains(&i64::from(d)))
             .count();
         let frac = hits as f64 / 100_000.0;
         assert!((0.12..0.17).contains(&frac), "fraction {frac}");
@@ -468,7 +489,7 @@ mod tests {
         let d = clustered.column(Column::Shipdate);
         assert!(d.windows(2).all(|w| w[0] <= w[1]), "shipdate not sorted");
         assert_eq!(d[0], 0);
-        assert!(*d.last().unwrap() < SHIPDATE_DAYS);
+        assert!(i64::from(*d.last().unwrap()) < SHIPDATE_DAYS);
         assert_ne!(uniform.column(Column::Shipdate), d);
     }
 

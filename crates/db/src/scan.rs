@@ -72,7 +72,7 @@ pub fn column_at_a_time(table: &LineitemTable, query: &Query) -> ScanResult {
         for (w, chunk) in col.chunks(64).enumerate() {
             let mut bits = 0u64;
             for (b, &v) in chunk.iter().enumerate() {
-                bits |= (p.cmp.eval(v) as u64) << b;
+                bits |= (p.cmp.eval(i64::from(v)) as u64) << b;
             }
             scratch.set_word(w, bits);
         }

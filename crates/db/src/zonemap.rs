@@ -123,7 +123,7 @@ impl ZoneMap {
             s.rows = hi - lo;
             for c in Column::ALL {
                 let k = c.index();
-                for &v in &table.column(c)[lo..hi] {
+                for v in table.column(c)[lo..hi].iter().map(|&v| i64::from(v)) {
                     s.min[k] = s.min[k].min(v);
                     s.max[k] = s.max[k].max(v);
                 }
@@ -237,8 +237,8 @@ mod tests {
             assert_eq!(s.rows(), hi - lo);
             for c in Column::ALL {
                 let col = &t.column(c)[lo..hi];
-                assert_eq!(s.min(c), *col.iter().min().unwrap());
-                assert_eq!(s.max(c), *col.iter().max().unwrap());
+                assert_eq!(s.min(c), i64::from(*col.iter().min().unwrap()));
+                assert_eq!(s.max(c), i64::from(*col.iter().max().unwrap()));
             }
         }
     }

@@ -11,8 +11,8 @@ use std::sync::Arc;
 /// logic-layer engine's store size (and one DRAM row buffer).
 const DIRTY_BLOCK_BYTES: u64 = 256;
 
-/// Bytes of one functional word: the image is read and written as
-/// aligned little-endian 8 B words.
+/// Bytes of one functional word: the image is addressed, read and
+/// written as aligned 8 B words (the shared area stores each in 4 B).
 const WORD_BYTES: u64 = 8;
 
 /// Words per dirty-tracking block.
@@ -101,6 +101,12 @@ impl std::ops::AddAssign for VaultActivity {
 /// columns, which no run writes. Above it the cube owns its output
 /// area, and only that area is written, dirty-tracked and reset.
 ///
+/// Every word of the image is an 8 B value at an 8 B-aligned address,
+/// and the timing model moves 8 B per word. On the host, the shared
+/// area stores each word as a 4 B `i32` (a table's values all fit), and
+/// reads widen it ([`Words`]); the owned area holds full `i64` words,
+/// since runs store masks and partial sums there.
+///
 /// # Example
 ///
 /// ```
@@ -125,8 +131,8 @@ pub struct Hmc {
     /// functional write touched the block since the last
     /// [`zero_dirty_from`](Self::zero_dirty_from).
     dirty: Vec<u64>,
-    /// The read-only words from address 0 up.
-    shared: Arc<Vec<i64>>,
+    /// The read-only words from address 0 up, 4 B each on the host.
+    shared: Arc<Vec<i32>>,
     /// The writable words after `shared`.
     owned: Vec<i64>,
     stats: HmcStats,
@@ -150,12 +156,14 @@ impl Hmc {
 
     /// Creates a cube whose `image_bytes` of functional storage start
     /// with `shared`, a read-only area other cubes may share, followed
-    /// by an owned, zeroed area up to `image_bytes`.
+    /// by an owned, zeroed area up to `image_bytes`. Word `a / 8` of
+    /// `shared` holds the 8 B word at address `a`; each is stored in
+    /// 4 B and widened on read.
     ///
     /// # Panics
     ///
     /// Panics if the shared area is longer than `image_bytes`.
-    pub fn with_shared(cfg: HmcConfig, shared: Arc<Vec<i64>>, image_bytes: usize) -> Self {
+    pub fn with_shared(cfg: HmcConfig, shared: Arc<Vec<i32>>, image_bytes: usize) -> Self {
         let shared_bytes = shared.len() * WORD_BYTES as usize;
         assert!(
             shared_bytes <= image_bytes,
@@ -214,7 +222,6 @@ impl Hmc {
         };
         let at_cube = self.req_link.transfer(cycle, req_bytes);
         self.stats.link_bytes += req_bytes;
-        self.energy.add_link(&self.energy_model, req_bytes);
 
         // Bank phase.
         let mut done = self.bank_phase(at_cube, addr, bytes, matches!(kind, AccessKind::Write));
@@ -225,7 +232,6 @@ impl Hmc {
             let loc = self.mapping.locate(addr);
             done = self.vaults[loc.vault].execute_fu(done, self.cfg.vault_fu_latency);
             self.stats.fu_ops += 1;
-            self.energy.add_logic_ops(&self.energy_model, 1);
         }
 
         // Response packet.
@@ -236,7 +242,6 @@ impl Hmc {
         };
         let at_host = self.rsp_link.transfer(done, rsp_bytes);
         self.stats.link_bytes += rsp_bytes;
-        self.energy.add_link(&self.energy_model, rsp_bytes);
         Response { complete: at_host }
     }
 
@@ -247,7 +252,6 @@ impl Hmc {
     /// at the logic-layer engine, so no bank is involved.
     pub fn link_request(&mut self, cycle: Cycle, bytes: u64) -> Cycle {
         self.stats.link_bytes += bytes;
-        self.energy.add_link(&self.energy_model, bytes);
         self.req_link.transfer(cycle, bytes)
     }
 
@@ -257,7 +261,6 @@ impl Hmc {
     /// Used for the logic-layer engine's unlock acknowledgement.
     pub fn link_response(&mut self, cycle: Cycle, bytes: u64) -> Cycle {
         self.stats.link_bytes += bytes;
-        self.energy.add_link(&self.energy_model, bytes);
         self.rsp_link.transfer(cycle, bytes)
     }
 
@@ -286,7 +289,6 @@ impl Hmc {
         let done = self.vaults[loc.vault].access(cycle, loc.bank, bytes, write);
         self.stats.activations += 1;
         self.vault_activity[loc.vault].activations += 1;
-        self.energy.add_activate(&self.energy_model, 1);
         if write {
             self.stats.bytes_written += bytes;
             self.vault_activity[loc.vault].bytes_written += bytes;
@@ -294,7 +296,6 @@ impl Hmc {
         } else {
             self.stats.bytes_read += bytes;
             self.vault_activity[loc.vault].bytes_read += bytes;
-            self.energy.add_dram_read(&self.energy_model, bytes);
         }
         done
     }
@@ -328,7 +329,6 @@ impl Hmc {
     /// (used by the HIVE/HIPE engine models).
     pub fn charge_logic_op(&mut self) {
         self.stats.fu_ops += 1;
-        self.energy.add_logic_ops(&self.energy_model, 1);
     }
 
     /// Charges `n` processor-side cache accesses to the energy account.
@@ -348,18 +348,24 @@ impl Hmc {
     ///
     /// Panics if `addr` is not word-aligned, or if the range is outside
     /// the image or straddles the owned base.
-    pub fn read_words(&self, addr: u64, words: usize) -> &[i64] {
+    pub fn read_words(&self, addr: u64, words: usize) -> Words<'_> {
         let w = word_index(addr);
         match w.checked_sub(self.shared.len()) {
-            None => &self.shared[w..w + words],
-            Some(o) => &self.owned[o..o + words],
+            None => {
+                assert!(
+                    w + words <= self.shared.len(),
+                    "read of {words} words at {addr:#x} straddles the owned base"
+                );
+                Words::Shared(&self.shared[w..w + words])
+            }
+            Some(o) => Words::Owned(&self.owned[o..o + words]),
         }
     }
 
     /// Functional read of the word at `addr`; see
     /// [`read_words`](Self::read_words).
     pub fn read_word(&self, addr: u64) -> i64 {
-        self.read_words(addr, 1)[0]
+        self.read_words(addr, 1).get(0)
     }
 
     /// Mutable functional view of `words` owned words at `addr` — the
@@ -429,7 +435,7 @@ impl Hmc {
     }
 
     /// The read-only area: word `a / 8` holds address `a`.
-    pub fn shared(&self) -> &Arc<Vec<i64>> {
+    pub fn shared(&self) -> &Arc<Vec<i32>> {
         &self.shared
     }
 
@@ -475,8 +481,21 @@ impl Hmc {
     }
 
     /// Energy accumulated so far.
+    ///
+    /// The activation, read, link and logic terms are each a whole
+    /// number of pJ per event (a compile-time check holds them to it),
+    /// so they are derived from the [`HmcStats`] counters here: the product
+    /// equals the running sum of per-event charges bit for bit while
+    /// a term stays below 2⁵³ pJ. Writes (4.4 pJ/B), cache accesses
+    /// and background energy keep running sums.
     pub fn energy(&self) -> EnergyBreakdown {
-        self.energy
+        let (m, s) = (&self.energy_model, &self.stats);
+        let mut e = self.energy;
+        e.add_activate(m, s.activations);
+        e.add_dram_read(m, s.bytes_read);
+        e.add_link(m, s.link_bytes);
+        e.add_logic_ops(m, s.fu_ops);
+        e
     }
 
     /// The energy constants in use.
@@ -487,6 +506,73 @@ impl Hmc {
     /// Total bank busy cycles across the cube (utilization diagnostics).
     pub fn bank_busy_cycles(&self) -> Cycle {
         self.vaults.iter().map(Vault::bank_busy_cycles).sum()
+    }
+}
+
+// The per-event costs `Hmc::energy` derives from counters must be whole
+// picojoules: only then is `cost × count` the running sum of `count`
+// charges, bit for bit. A fractional cost fails the build here.
+const _: () = {
+    const fn integral(pj: f64) -> bool {
+        pj >= 0.0 && pj == (pj as u64) as f64
+    }
+    let m = EnergyModel::paper();
+    assert!(
+        integral(m.activate_pj)
+            && integral(m.read_pj_per_byte)
+            && integral(m.link_pj_per_byte)
+            && integral(m.logic_op_pj),
+        "a counter-derived energy cost is not a whole number of pJ"
+    );
+};
+
+/// A functional read of consecutive image words from one area (see
+/// [`Hmc::read_words`]): the shared area's 4 B host words, widened on
+/// read, or the owned area's 8 B words.
+#[derive(Debug, Clone, Copy)]
+pub enum Words<'a> {
+    /// Words of the shared, read-only area.
+    Shared(&'a [i32]),
+    /// Words of the owned area.
+    Owned(&'a [i64]),
+}
+
+impl<'a> Words<'a> {
+    /// Number of words.
+    pub fn len(&self) -> usize {
+        match self {
+            Words::Shared(w) => w.len(),
+            Words::Owned(w) => w.len(),
+        }
+    }
+
+    /// Whether the view holds no word.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Word `i` of the view, widened to `i64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn get(&self, i: usize) -> i64 {
+        match self {
+            Words::Shared(w) => i64::from(w[i]),
+            Words::Owned(w) => w[i],
+        }
+    }
+
+    /// The words in address order, widened to `i64`.
+    pub fn iter(&self) -> impl Iterator<Item = i64> + 'a {
+        let (shared, owned): (&[i32], &[i64]) = match *self {
+            Words::Shared(w) => (w, &[]),
+            Words::Owned(w) => (&[], w),
+        };
+        shared
+            .iter()
+            .map(|&v| i64::from(v))
+            .chain(owned.iter().copied())
     }
 }
 
@@ -582,7 +668,10 @@ mod tests {
         h.write_word(0x100, 0x0EAD_BEEF_0BAD_F00D);
         h.write_word(0x108, -7);
         assert_eq!(h.read_word(0x100), 0x0EAD_BEEF_0BAD_F00D);
-        assert_eq!(h.read_words(0x100, 2), [0x0EAD_BEEF_0BAD_F00D, -7]);
+        assert!(h
+            .read_words(0x100, 2)
+            .iter()
+            .eq([0x0EAD_BEEF_0BAD_F00D, -7]));
     }
 
     /// A cube over a 64-word shared area (2 blocks) and 6 owned blocks.
@@ -597,14 +686,38 @@ mod tests {
         assert_eq!(h.owned_bytes(), 6 * 256);
         assert_eq!(h.image_len(), 8 * 256);
         assert_eq!(h.read_word(8 * 63), 63);
-        assert_eq!(h.read_words(16, 3), [2, 3, 4]);
-        assert!(h.read_words(512, 32).iter().all(|&v| v == 0));
+        assert!(h.read_words(16, 3).iter().eq([2, 3, 4]));
+        assert!(h.read_words(512, 32).iter().all(|v| v == 0));
         h.write_word(512, 9);
         assert_eq!(h.read_word(512), 9);
         // Two cubes over one shared area read the same buffer.
         let other = Hmc::with_shared(HmcConfig::paper(), Arc::clone(h.shared()), 1024);
         assert!(Arc::ptr_eq(h.shared(), other.shared()));
         assert_eq!(other.read_word(8), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "straddles the owned base")]
+    fn reads_straddling_the_owned_base_panic() {
+        let _ = shared_cube().read_words(8 * 62, 3);
+    }
+
+    #[test]
+    fn words_widen_either_area() {
+        let mut h = Hmc::with_shared(
+            HmcConfig::paper(),
+            Arc::new(vec![i32::MIN, -1, i32::MAX]),
+            64,
+        );
+        h.write_word(24, i64::MIN);
+        let shared = h.read_words(0, 3);
+        assert_eq!((shared.len(), shared.is_empty()), (3, false));
+        assert_eq!(shared.get(0), i64::from(i32::MIN));
+        assert!(shared.iter().eq([i32::MIN.into(), -1, i32::MAX.into()]));
+        let owned = h.read_words(24, 2);
+        assert!(owned.iter().eq([i64::MIN, 0]));
+        assert_eq!(owned.get(0), h.read_word(24));
+        assert!(h.read_words(8, 0).is_empty());
     }
 
     #[test]
@@ -642,7 +755,7 @@ mod tests {
         let mut h = cube();
         h.words_mut(0x40, 2).copy_from_slice(&[99, -1]);
         assert_eq!(h.read_word(0x40), 99);
-        assert_eq!(h.read_words(0x40, 2), [99, -1]);
+        assert!(h.read_words(0x40, 2).iter().eq([99, -1]));
     }
 
     #[test]
@@ -766,22 +879,123 @@ mod tests {
         // Below the base: kept.
         assert_eq!(h.read_word(256), 1);
         // Past the base: the dirty blocks are zero in full ...
-        assert!(h.read_words(100 * 256, 64).iter().all(|&v| v == 0));
+        assert!(h.read_words(100 * 256, 64).iter().all(|v| v == 0));
         // ... and clean blocks keep their words.
-        assert_eq!(h.read_words(99 * 256, 32), [-85; 32]);
-        assert_eq!(h.read_words(102 * 256, 32), [-85; 32]);
+        assert!(h.read_words(99 * 256, 32).iter().eq([-85; 32]));
+        assert!(h.read_words(102 * 256, 32).iter().eq([-85; 32]));
         // A base inside a dirty block zeroes only from the base on.
         h.words_mut(200 * 256, 32).fill(5);
         h.zero_dirty_from(200 * 256 + 16);
-        assert_eq!(h.read_words(200 * 256, 2), [5; 2]);
-        assert!(h.read_words(200 * 256 + 16, 30).iter().all(|&v| v == 0));
+        assert!(h.read_words(200 * 256, 2).iter().eq([5; 2]));
+        assert!(h.read_words(200 * 256 + 16, 30).iter().all(|v| v == 0));
         // Over a shared area, the reset covers the owned area only and
         // leaves the shared words as they are.
         let mut s = shared_cube();
         s.words_mut(512, 6 * 32).fill(4);
         s.zero_dirty_from(512);
-        assert!(s.read_words(512, 6 * 32).iter().all(|&v| v == 0));
+        assert!(s.read_words(512, 6 * 32).iter().all(|v| v == 0));
         assert_eq!(s.read_word(8), 1);
+    }
+
+    #[test]
+    fn counted_energy_matches_running_sums_bit_for_bit() {
+        // The reference charges every event as it happens, the way the
+        // cube did before it derived the counted terms from its stats.
+        let mut h = cube();
+        let m = *h.energy_model();
+        let header = h.config().packet_header_bytes;
+        let mut reference = EnergyBreakdown::new();
+        let banks = |e: &mut EnergyBreakdown, h: &Hmc, addr: u64, bytes: u64, write: bool| {
+            for (_, l) in h.mapping().split(addr, bytes) {
+                e.add_activate(&m, 1);
+                if write {
+                    e.add_dram_write(&m, l);
+                } else {
+                    e.add_dram_read(&m, l);
+                }
+            }
+        };
+        let mut state = 0x2018u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut cycle = 0;
+        for _ in 0..20_000 {
+            let r = next();
+            // Up to 64 KiB anywhere in the 8 GB space, unaligned: most
+            // accesses split into several bank requests.
+            let addr = next() % (CUBE_BYTES - (1 << 16));
+            let bytes = 1 + next() % (1 << 16);
+            match r % 8 {
+                0 => {
+                    h.access(cycle, addr, bytes, AccessKind::Read);
+                    reference.add_link(&m, header);
+                    banks(&mut reference, &h, addr, bytes, false);
+                    reference.add_link(&m, header + bytes);
+                }
+                1 => {
+                    h.access(cycle, addr, bytes, AccessKind::Write);
+                    reference.add_link(&m, header + bytes);
+                    banks(&mut reference, &h, addr, bytes, true);
+                    reference.add_link(&m, header);
+                }
+                2 => {
+                    let result_bytes = 1 + r % 32;
+                    h.access(cycle, addr, bytes, AccessKind::PimOp { result_bytes });
+                    reference.add_link(&m, header);
+                    banks(&mut reference, &h, addr, bytes, false);
+                    reference.add_logic_ops(&m, 1);
+                    reference.add_link(&m, header + result_bytes);
+                }
+                3 => {
+                    h.internal_read(cycle, addr, bytes);
+                    banks(&mut reference, &h, addr, bytes, false);
+                }
+                4 => {
+                    h.internal_write(cycle, addr, bytes);
+                    banks(&mut reference, &h, addr, bytes, true);
+                }
+                5 => {
+                    h.link_request(cycle, bytes);
+                    h.link_response(cycle, header);
+                    reference.add_link(&m, bytes);
+                    reference.add_link(&m, header);
+                }
+                6 => {
+                    h.charge_logic_op();
+                    reference.add_logic_ops(&m, 1);
+                }
+                _ => {
+                    h.charge_cache_accesses(r % 5);
+                    reference.add_cache_accesses(&m, r % 5);
+                }
+            }
+            cycle += r % 97;
+        }
+        h.finish(cycle);
+        reference.add_background(&m, cycle);
+        let e = h.energy();
+        assert_eq!(e, reference);
+        for (name, got, want) in [
+            ("dram", e.dram_pj(), reference.dram_pj()),
+            ("link", e.link_pj(), reference.link_pj()),
+            ("logic", e.logic_pj(), reference.logic_pj()),
+            ("cache", e.cache_pj(), reference.cache_pj()),
+            ("total", e.total_pj(), reference.total_pj()),
+        ] {
+            assert_eq!(got.to_bits(), want.to_bits(), "{name}: {got} vs {want}");
+        }
+        // The counted terms are well past one event's cost, and the
+        // write term (4.4 pJ/B) really is a running sum of fractions.
+        assert!(e.link_pj() > 1e9, "{e}");
+        assert!(h.stats().bytes_written > 0);
+        // A reset cube derives zero again.
+        h.reset_run_state();
+        assert_eq!(h.energy(), EnergyBreakdown::default());
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub struct EnergyModel {
 
 impl EnergyModel {
     /// Literature-derived default constants.
-    pub fn paper() -> Self {
+    pub const fn paper() -> Self {
         EnergyModel {
             activate_pj: 900.0,           // one ACT+PRE pair, 256 B row
             read_pj_per_byte: 4.0,        // DRAM core column read

@@ -22,7 +22,9 @@
 //! of it compute real results that the test-suite cross-checks against
 //! a reference executor. The image's low part can be a read-only buffer
 //! shared by many cubes (the table's columns); the cube owns only the
-//! area above it, where runs write their outputs.
+//! area above it, where runs write their outputs. The model addresses
+//! and times 8 B words throughout; on the host the shared buffer keeps
+//! each word in 4 B (`i32`, widened on read), the owned area in 8 B.
 //!
 //! # Example
 //!
@@ -30,10 +32,11 @@
 //! use hipe_hmc::{AccessKind, Hmc, HmcConfig};
 //! use std::sync::Arc;
 //!
-//! // 32 shared words (one 256 B row) below a 256 B owned area.
+//! // 32 shared 8 B words (one 256 B row; 4 B each on the host)
+//! // below a 256 B owned area.
 //! let table = Arc::new((0..32).collect());
 //! let mut hmc = Hmc::with_shared(HmcConfig::paper(), table, 512);
-//! assert_eq!(hmc.read_words(8, 3), &[1, 2, 3]);
+//! assert!(hmc.read_words(8, 3).iter().eq([1, 2, 3]));
 //! hmc.write_word(0x100, 42);
 //! let resp = hmc.access(0, 0x100, 8, AccessKind::Read);
 //! assert!(resp.complete > 0);
@@ -48,6 +51,6 @@ mod vault;
 
 pub use address::{AddressMapping, Location};
 pub use config::{DramTimings, HmcConfig};
-pub use cube::{AccessKind, Hmc, HmcStats, Response, VaultActivity, CUBE_BYTES};
+pub use cube::{AccessKind, Hmc, HmcStats, Response, VaultActivity, Words, CUBE_BYTES};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use vault::Vault;

@@ -88,5 +88,6 @@ pub use cluster::{
 pub use fault::FaultPlan;
 pub use routing::RoutingPolicy;
 pub use service::{
-    run_service, run_service_traced, LatencySummary, LoadModel, ServiceConfig, ServiceReport,
+    run_service, run_service_traced, try_run_service, LatencySummary, LoadModel, ServiceConfig,
+    ServiceError, ServiceReport,
 };

@@ -145,7 +145,153 @@ impl ServiceConfig {
             ..ServiceConfig::open(arch, queries, mix, 0)
         }
     }
+
+    /// Checks that the run can be served on `cluster`: at least one
+    /// query, a non-empty mix of non-zero total weight, a non-zero
+    /// batch no wider than [`max_in_flight`](Self::max_in_flight), a
+    /// client for a closed loop, and faults in range that leave every
+    /// shard a survivor. The first violation is returned.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hipe::Arch;
+    /// use hipe_db::Query;
+    /// use hipe_serve::{Cluster, ServiceConfig, ServiceError};
+    ///
+    /// let cluster = Cluster::new(64, 7, 1);
+    /// let cfg = ServiceConfig::closed(Arch::Hipe, 8, vec![(Query::q6(), 1)], 0);
+    /// assert_eq!(cfg.validate(&cluster), Err(ServiceError::ZeroClients));
+    /// ```
+    pub fn validate(&self, cluster: &Cluster) -> Result<(), ServiceError> {
+        if self.queries == 0 {
+            return Err(ServiceError::ZeroQueries);
+        }
+        if self.mix.is_empty() {
+            return Err(ServiceError::EmptyMix);
+        }
+        if self.batch == 0 {
+            return Err(ServiceError::ZeroBatch);
+        }
+        // A batch is scattered as one unit, so its members are in flight
+        // together — a window smaller than the batch could never admit it.
+        if self.batch > self.max_in_flight {
+            return Err(ServiceError::BatchExceedsInFlight {
+                batch: self.batch,
+                max_in_flight: self.max_in_flight,
+            });
+        }
+        if self.mix.iter().all(|&(_, w)| w == 0) {
+            return Err(ServiceError::ZeroMixWeight);
+        }
+        if let LoadModel::Closed { clients: 0, .. } = self.load {
+            return Err(ServiceError::ZeroClients);
+        }
+        fault::validate(&self.faults, cluster.shards(), cluster.replicas())
+    }
 }
+
+/// Why a [`ServiceConfig`] cannot run on a cluster, as returned by
+/// [`ServiceConfig::validate`] and [`try_run_service`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServiceError {
+    /// The run serves no query.
+    ZeroQueries,
+    /// The mix has no query to draw.
+    EmptyMix,
+    /// A batch of zero queries would never dispatch.
+    ZeroBatch,
+    /// A batch enters flight as one unit, so it must fit the window.
+    BatchExceedsInFlight {
+        /// Queries per batch.
+        batch: usize,
+        /// The admission cap.
+        max_in_flight: usize,
+    },
+    /// Every mix weight is zero, so no query can be drawn.
+    ZeroMixWeight,
+    /// A closed loop without clients issues nothing.
+    ZeroClients,
+    /// A fault names a shard the cluster does not have.
+    FaultShardOutOfRange {
+        /// Index of the fault in [`ServiceConfig::faults`].
+        fault: usize,
+        /// The shard it names.
+        shard: usize,
+        /// The cluster's shards.
+        shards: usize,
+    },
+    /// A fault names a replica the cluster does not have.
+    FaultReplicaOutOfRange {
+        /// Index of the fault in [`ServiceConfig::faults`].
+        fault: usize,
+        /// The replica it names.
+        replica: usize,
+        /// The cluster's replicas per shard.
+        replicas: usize,
+    },
+    /// Two faults kill the same replica.
+    ReplicaKilledTwice {
+        /// Index of the second fault in [`ServiceConfig::faults`].
+        fault: usize,
+        /// The shard.
+        shard: usize,
+        /// The replica.
+        replica: usize,
+    },
+    /// The faults kill every replica of a shard, so its rows could not
+    /// be answered.
+    NoSurvivor {
+        /// The shard left without a replica.
+        shard: usize,
+    },
+}
+
+impl std::fmt::Display for ServiceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ServiceError::ZeroQueries => f.write_str("a service run needs at least one query"),
+            ServiceError::EmptyMix => f.write_str("the query mix is empty"),
+            ServiceError::ZeroBatch => f.write_str("batch size must be non-zero"),
+            ServiceError::BatchExceedsInFlight {
+                batch,
+                max_in_flight,
+            } => write!(f, "batch ({batch}) exceeds max_in_flight ({max_in_flight})"),
+            ServiceError::ZeroMixWeight => f.write_str("the query mix has zero total weight"),
+            ServiceError::ZeroClients => f.write_str("a closed loop needs at least one client"),
+            ServiceError::FaultShardOutOfRange {
+                fault,
+                shard,
+                shards,
+            } => write!(
+                f,
+                "fault {fault}: shard {shard} out of range ({shards} shards)"
+            ),
+            ServiceError::FaultReplicaOutOfRange {
+                fault,
+                replica,
+                replicas,
+            } => write!(
+                f,
+                "fault {fault}: replica {replica} out of range ({replicas} replicas)"
+            ),
+            ServiceError::ReplicaKilledTwice {
+                fault,
+                shard,
+                replica,
+            } => write!(
+                f,
+                "fault {fault}: replica {replica} of shard {shard} killed twice"
+            ),
+            ServiceError::NoSurvivor { shard } => write!(
+                f,
+                "fault plan kills every replica of shard {shard} — no survivor to fail over to"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ServiceError {}
 
 /// Latency summary of a service run, in modeled cycles.
 ///
@@ -741,12 +887,10 @@ impl<'a> Scheduler<'a> {
 ///
 /// # Panics
 ///
-/// Panics if the config asks for zero queries, an empty or zero-weight
-/// mix, a zero batch, a batch wider than
-/// [`max_in_flight`](ServiceConfig::max_in_flight), a closed loop with
-/// zero clients, or a fault plan that is out of range or leaves some
-/// shard with no survivor. Every check runs before the cluster
-/// session opens, so a rejected config simulates nothing.
+/// Panics, with the error's message, if [`ServiceConfig::validate`]
+/// rejects the config; [`try_run_service`] returns the error instead.
+/// Every check runs before the cluster session opens, so a rejected
+/// config simulates nothing.
 pub fn run_service(cluster: &Cluster, cfg: &ServiceConfig) -> ServiceReport {
     run_service_traced(cluster, cfg, None)
 }
@@ -767,28 +911,44 @@ pub fn run_service(cluster: &Cluster, cfg: &ServiceConfig) -> ServiceReport {
 /// so every reported number — makespan, latencies, digests — is
 /// bit-identical to the untraced run (asserted by the workspace's
 /// trace determinism tests).
+///
+/// # Panics
+///
+/// Panics as [`run_service`] does.
 pub fn run_service_traced(
     cluster: &Cluster,
     cfg: &ServiceConfig,
     trace: Option<&mut Tracer>,
 ) -> ServiceReport {
-    assert!(cfg.queries > 0, "a service run needs at least one query");
-    assert!(!cfg.mix.is_empty(), "the query mix is empty");
-    assert!(cfg.batch > 0, "batch size must be non-zero");
-    // A batch is scattered as one unit, so its members are in flight
-    // together — a window smaller than the batch could never admit it.
-    assert!(
-        cfg.batch <= cfg.max_in_flight,
-        "batch ({}) exceeds max_in_flight ({})",
-        cfg.batch,
-        cfg.max_in_flight
-    );
+    try_run_service(cluster, cfg, trace).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`run_service_traced`], returning a config that
+/// [`ServiceConfig::validate`] rejects as its error instead of
+/// panicking. Nothing is simulated for a rejected config.
+///
+/// # Example
+///
+/// ```
+/// use hipe::Arch;
+/// use hipe_db::Query;
+/// use hipe_serve::{try_run_service, Cluster, FaultPlan, ServiceConfig, ServiceError};
+///
+/// let cluster = Cluster::new(64, 7, 2);
+/// let cfg = ServiceConfig {
+///     faults: vec![FaultPlan::new(0, 0, 100)],
+///     ..ServiceConfig::closed(Arch::Hipe, 8, vec![(Query::q6(), 1)], 2)
+/// };
+/// let err = try_run_service(&cluster, &cfg, None).unwrap_err();
+/// assert_eq!(err, ServiceError::NoSurvivor { shard: 0 });
+/// ```
+pub fn try_run_service(
+    cluster: &Cluster,
+    cfg: &ServiceConfig,
+    trace: Option<&mut Tracer>,
+) -> Result<ServiceReport, ServiceError> {
+    cfg.validate(cluster)?;
     let total_weight: u64 = cfg.mix.iter().map(|&(_, w)| w as u64).sum();
-    assert!(total_weight > 0, "the query mix has zero total weight");
-    if let LoadModel::Closed { clients, .. } = cfg.load {
-        assert!(clients > 0, "a closed loop needs at least one client");
-    }
-    fault::validate(&cfg.faults, cluster.shards(), cluster.replicas());
 
     // Counter snapshots, so the report covers this run alone — a
     // long-lived cluster hosts many runs, and its lifetime totals
@@ -894,7 +1054,7 @@ pub fn run_service_traced(
         .iter()
         .map(|shard| shard.iter().map(|r| r.server.busy_cycles()).collect())
         .collect();
-    ServiceReport {
+    Ok(ServiceReport {
         arch: cfg.arch,
         shards: cluster.shards(),
         replicas: cluster.replicas(),
@@ -917,7 +1077,7 @@ pub fn run_service_traced(
         compilations: cluster.compilations() - compilations_before,
         materializations: cluster.materializations() - materializations_before,
         profiled,
-    }
+    })
 }
 
 /// A rounded exponential draw with the given mean (zero mean pins the

@@ -3,7 +3,9 @@
 
 use hipe::Arch;
 use hipe_db::Query;
-use hipe_serve::{run_service, Cluster, FaultPlan, RoutingPolicy, ServiceConfig};
+use hipe_serve::{
+    run_service, try_run_service, Cluster, FaultPlan, RoutingPolicy, ServiceConfig, ServiceError,
+};
 
 const SEED: u64 = 2018;
 
@@ -166,6 +168,52 @@ fn killing_a_whole_shard_is_rejected() {
         ..closed(8, 2)
     };
     let _ = run_service(&cluster, &cfg);
+}
+
+#[test]
+fn each_invalid_fault_plan_is_its_typed_error() {
+    let cluster = Cluster::replicated(256, SEED, 2, 2);
+    let kill = FaultPlan::new;
+    let cases = [
+        (
+            vec![kill(7, 0, 100)],
+            ServiceError::FaultShardOutOfRange {
+                fault: 0,
+                shard: 7,
+                shards: 2,
+            },
+        ),
+        (
+            vec![kill(1, 0, 100), kill(0, 3, 100)],
+            ServiceError::FaultReplicaOutOfRange {
+                fault: 1,
+                replica: 3,
+                replicas: 2,
+            },
+        ),
+        (
+            vec![kill(1, 1, 100), kill(1, 1, 900)],
+            ServiceError::ReplicaKilledTwice {
+                fault: 1,
+                shard: 1,
+                replica: 1,
+            },
+        ),
+        (
+            vec![kill(0, 1, 100), kill(1, 0, 100), kill(0, 0, 200)],
+            ServiceError::NoSurvivor { shard: 0 },
+        ),
+    ];
+    for (faults, want) in cases {
+        let cfg = ServiceConfig {
+            faults,
+            ..closed(8, 2)
+        };
+        assert_eq!(cfg.validate(&cluster), Err(want));
+        assert_eq!(try_run_service(&cluster, &cfg, None).err(), Some(want));
+    }
+    // Rejected up front: the cluster never opened a session.
+    assert_eq!(cluster.materializations(), 0);
 }
 
 #[test]

@@ -3,8 +3,8 @@
 use hipe::Arch;
 use hipe_db::Query;
 use hipe_serve::{
-    run_service, run_service_traced, Cluster, ClusterConfig, FaultPlan, LoadModel, ServiceConfig,
-    ServiceReport,
+    run_service, run_service_traced, try_run_service, Cluster, ClusterConfig, FaultPlan, LoadModel,
+    ServiceConfig, ServiceError, ServiceReport,
 };
 use hipe_trace::{Tracer, Value};
 use std::sync::Barrier;
@@ -395,10 +395,67 @@ fn zero_clients_fail_before_simulating() {
         run_service(&cluster, &closed(4, 0))
     }))
     .expect_err("a closed loop without clients must panic");
-    let msg = panic.downcast_ref::<&str>().expect("a literal message");
+    let msg = panic.downcast_ref::<String>().expect("the error's message");
     assert!(msg.contains("at least one client"), "{msg}");
     // Rejected by the up-front checks: no session, no profile.
     assert_eq!(cluster.materializations(), 0);
+}
+
+#[test]
+fn each_rejected_config_is_its_typed_error() {
+    let cluster = Cluster::new(64, SEED, 1);
+    let cases = [
+        ("zero queries", closed(0, 1), ServiceError::ZeroQueries),
+        (
+            "empty mix",
+            ServiceConfig::closed(Arch::Hipe, 4, vec![], 1),
+            ServiceError::EmptyMix,
+        ),
+        (
+            "zero batch",
+            ServiceConfig {
+                batch: 0,
+                ..closed(4, 1)
+            },
+            ServiceError::ZeroBatch,
+        ),
+        (
+            "batch wider than the window",
+            ServiceConfig {
+                batch: 8,
+                max_in_flight: 2,
+                ..closed(16, 8)
+            },
+            ServiceError::BatchExceedsInFlight {
+                batch: 8,
+                max_in_flight: 2,
+            },
+        ),
+        (
+            "zero-weight mix",
+            ServiceConfig::closed(Arch::Hipe, 4, vec![(Query::q6(), 0), (Query::q6(), 0)], 1),
+            ServiceError::ZeroMixWeight,
+        ),
+        ("zero clients", closed(4, 0), ServiceError::ZeroClients),
+    ];
+    for (case, cfg, want) in cases {
+        assert_eq!(cfg.validate(&cluster), Err(want), "{case}");
+        let mut tracer = Tracer::new();
+        let got = try_run_service(&cluster, &cfg, Some(&mut tracer));
+        assert_eq!(got.err(), Some(want), "{case}");
+        // The run stopped before its session opened: nothing simulated.
+        assert_eq!(cluster.materializations(), 0, "{case}");
+        // `run_service` panics with the error's message.
+        let panic =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_service(&cluster, &cfg)))
+                .expect_err(case);
+        assert_eq!(panic.downcast_ref::<String>(), Some(&want.to_string()));
+    }
+    // An open loop has no clients to miss, and a valid config runs.
+    let open = ServiceConfig::open(Arch::Hipe, 4, mix(), 100);
+    assert_eq!(open.validate(&cluster), Ok(()));
+    let report = try_run_service(&cluster, &open, None).expect("a valid config runs");
+    assert_eq!(replayed(report), replayed(run_service(&cluster, &open)));
 }
 
 /// `r` without the counters that depend on what the cluster had

@@ -6,10 +6,12 @@
 //! over plain, partitioned and row-offset tables, including the
 //! remainder region at the tail. The cube reads back exactly the
 //! table's values, the padding and output area read zero, and nothing
-//! can write the shared area.
+//! can write the shared area. The buffer keeps each modelled 8 B value
+//! in a 4 B host word: every value still equals what a generator of
+//! 8 B values draws, at every address the cube reads.
 
 use hipe::{System, SystemConfig};
-use hipe_db::{Column, COLUMN_BYTES};
+use hipe_db::{Column, SplitMix64, TableShape, COLUMN_BYTES};
 use hipe_hmc::Hmc;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -52,7 +54,7 @@ fn materialized_columns_round_trip_every_value() {
         let (hmc, layout) = (session.hmc(), sys.layout());
         for c in Column::ALL {
             let read = hmc.read_words(layout.value_addr(c, 0), layout.rows());
-            for (i, &v) in read.iter().enumerate() {
+            for (i, v) in read.iter().enumerate() {
                 assert_eq!(v, sys.table().value(c, i), "{case}: {c}[{i}]");
             }
         }
@@ -68,13 +70,13 @@ fn padding_and_the_owned_area_read_zero() {
             let pad = layout.value_addr(c, layout.rows());
             let end = layout.column_base(c) + layout.column_stride();
             let padding = hmc.read_words(pad, words(pad, end));
-            assert!(padding.iter().all(|&v| v == 0), "{case}: {c} padding");
+            assert!(padding.iter().all(|v| v == 0), "{case}: {c} padding");
         }
         let owned = hmc.read_words(
             sys.mask_base(),
             words(sys.mask_base(), layout.image_bytes()),
         );
-        assert!(owned.iter().all(|&v| v == 0), "{case}: output area");
+        assert!(owned.iter().all(|v| v == 0), "{case}: output area");
     }
 }
 
@@ -125,4 +127,77 @@ fn a_short_image_slice_is_rejected() {
         Arc::clone(sys.table().column_area()),
         sys.mask_base() as usize - 8,
     );
+}
+
+/// Row `row`'s four values, in [`Column::ALL`] order, drawn as 8 B
+/// values: the generator's draw stream and arithmetic, kept here
+/// independently of the table's 4 B storage.
+fn wide_row(seed: u64, shape: TableShape, row: usize) -> [i64; 4] {
+    let mut rng = SplitMix64::new(seed);
+    rng.skip(row as u64 * 4);
+    let uniform = rng.range_i64(0, 2556);
+    let shipdate = match shape {
+        TableShape::Uniform => uniform,
+        TableShape::ClusteredShipdate { total_rows } => {
+            (row as u128 * 2557 / total_rows as u128) as i64
+        }
+    };
+    let discount = rng.range_i64(0, 10);
+    let quantity = rng.range_i64(1, 50);
+    let price = quantity * rng.range_i64(90_000, 111_000);
+    [shipdate, discount, quantity, price]
+}
+
+#[test]
+fn narrowed_tables_round_trip_the_wide_generator() {
+    let total = 20_000;
+    for shape in [
+        TableShape::Uniform,
+        TableShape::ClusteredShipdate { total_rows: total },
+    ] {
+        for (rows, partitions, row_offset) in [(1000, 1, 0), (777, 4, 96), (321, 2, 19_679)] {
+            let sys = System::with_config(SystemConfig {
+                partitions,
+                row_offset,
+                shape,
+                ..SystemConfig::paper(rows, SEED)
+            });
+            let (table, layout) = (sys.table(), sys.layout());
+            let session = sys.session();
+            let hmc = session.hmc();
+            let columns: Vec<_> = Column::ALL
+                .map(|c| hmc.read_words(layout.value_addr(c, 0), rows))
+                .into();
+            for i in 0..rows {
+                let want = wide_row(SEED, shape, row_offset + i);
+                for c in Column::ALL {
+                    let case = format!("{shape:?} {rows}x{partitions}@{row_offset}: {c}[{i}]");
+                    let v = want[c.index()];
+                    assert_eq!(table.value(c, i), v, "{case}");
+                    assert_eq!(hmc.read_word(layout.value_addr(c, i)), v, "{case}");
+                    assert_eq!(columns[c.index()].get(i), v, "{case}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "unaligned functional access")]
+fn unaligned_reads_of_the_column_area_panic() {
+    let sys = System::new(64, SEED);
+    let _ = sys
+        .session()
+        .hmc()
+        .read_words(sys.layout().value_addr(Column::Discount, 3) + 4, 1);
+}
+
+#[test]
+#[should_panic(expected = "straddles the owned base")]
+fn reads_straddling_the_owned_base_panic() {
+    let sys = System::new(64, SEED);
+    let _ = sys
+        .session()
+        .hmc()
+        .read_words(sys.mask_base() - COLUMN_BYTES, 2);
 }
