@@ -5,7 +5,7 @@ use crate::config::HmcConfig;
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::vault::Vault;
 use hipe_sim::{Cycle, ThroughputPipe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Granularity of the image's dirty tracking: one 256 B block, the
 /// logic-layer engine's store size (and one DRAM row buffer).
@@ -99,7 +99,12 @@ impl std::ops::AddAssign for VaultActivity {
 /// The image has two parts. From address 0 sits a read-only area shared
 /// with other cubes ([`with_shared`](Self::with_shared)): the table's
 /// columns, which no run writes. Above it the cube owns its output
-/// area, and only that area is written, dirty-tracked and reset.
+/// area, and only that area is written, dirty-tracked and reset. The
+/// owned area keeps its size from construction but is allocated, all
+/// zero, on its first access: a cube that is opened and dropped
+/// without a run touching its output (a service run whose profiles
+/// are all memoized) costs the vaults' state, not the area's size.
+/// An owned word nothing wrote reads 0.
 ///
 /// Every word of the image is an 8 B value at an 8 B-aligned address,
 /// and the timing model moves 8 B per word. On the host, the shared
@@ -133,8 +138,12 @@ pub struct Hmc {
     dirty: Vec<u64>,
     /// The read-only words from address 0 up, 4 B each on the host.
     shared: Arc<Vec<i32>>,
-    /// The writable words after `shared`.
-    owned: Vec<i64>,
+    /// The writable words after `shared`, allocated on the first
+    /// access ([`owned`](Self::owned)). A `OnceLock` rather than a
+    /// `OnceCell`, so a cube (and a session holding one) stays `Sync`.
+    owned: OnceLock<Vec<i64>>,
+    /// Length of the owned area in words, allocated or not.
+    owned_words: usize,
     stats: HmcStats,
     /// Per-vault accounting (run-scoped, reset with the timing state).
     vault_activity: Vec<VaultActivity>,
@@ -171,16 +180,14 @@ impl Hmc {
         );
         let owned_words = (image_bytes - shared_bytes).div_ceil(WORD_BYTES as usize);
         let (num, den) = cfg.link_rate();
-        // The dirty bitmap is allocated first, before the vaults and the
-        // owned area. Allocated later, it lands in the space a dropped
-        // cube's area left behind, the next area no longer fits there,
-        // and every cube built after a dropped one maps (and faults in)
-        // fresh pages: set-up time doubled when it was measured.
+        // The owned area is allocated on its first access (`owned`),
+        // not here: until a run touches its output, a cube holds its
+        // vaults and this bitmap (one bit per 256 B of the area), whatever
+        // the image's size.
         let dirty = vec![0; owned_words.div_ceil(BLOCK_WORDS).div_ceil(64)];
         // Every vault starts as a copy of one, which builds the latency
         // table once per cube.
         let vaults = vec![Vault::new(&cfg); cfg.vaults];
-        let owned = vec![0; owned_words];
         Hmc {
             mapping: AddressMapping::new(&cfg),
             vaults,
@@ -188,7 +195,8 @@ impl Hmc {
             rsp_link: ThroughputPipe::new(num, den, cfg.link_latency),
             dirty,
             shared,
-            owned,
+            owned: OnceLock::new(),
+            owned_words,
             stats: HmcStats::default(),
             vault_activity: vec![VaultActivity::default(); cfg.vaults],
             energy_model: EnergyModel::paper(),
@@ -342,7 +350,8 @@ impl Hmc {
     }
 
     /// Functional read of `words` aligned words at `addr`, from
-    /// whichever area holds them.
+    /// whichever area holds them. A read of the owned area allocates
+    /// it, all zero, if nothing has accessed it yet.
     ///
     /// # Panics
     ///
@@ -358,7 +367,7 @@ impl Hmc {
                 );
                 Words::Shared(&self.shared[w..w + words])
             }
-            Some(o) => Words::Owned(&self.owned[o..o + words]),
+            Some(o) => Words::Owned(&self.owned()[o..o + words]),
         }
     }
 
@@ -371,7 +380,8 @@ impl Hmc {
     /// Mutable functional view of `words` owned words at `addr` — the
     /// write path: producers (engine stores, mask words) encode
     /// straight into the cube's memory. Marks the covered blocks
-    /// dirty (see [`zero_dirty_from`](Self::zero_dirty_from)).
+    /// dirty (see [`zero_dirty_from`](Self::zero_dirty_from)), and
+    /// allocates the owned area if nothing has accessed it yet.
     ///
     /// # Panics
     ///
@@ -381,7 +391,7 @@ impl Hmc {
         let o = word_index(addr)
             .checked_sub(self.shared.len())
             .unwrap_or_else(|| panic!("write at {addr:#x} into the shared read-only area"));
-        assert!(o + words <= self.owned.len(), "write past the image");
+        assert!(o + words <= self.owned_words, "write past the image");
         if words > 0 {
             mark_bits(
                 &mut self.dirty,
@@ -389,7 +399,9 @@ impl Hmc {
                 (o + words - 1) / BLOCK_WORDS + 1,
             );
         }
-        &mut self.owned[o..o + words]
+        self.owned();
+        let owned = self.owned.get_mut().expect("allocated just above");
+        &mut owned[o..o + words]
     }
 
     /// Functional write of the word `v` at `addr`; see
@@ -406,13 +418,17 @@ impl Hmc {
     /// (as a new cube's is), it is all-zero again afterwards — at a
     /// cost proportional to the blocks a run wrote, not to the size of
     /// the area. The shared area is never written, so it needs no
-    /// reset.
+    /// reset, and an owned area not yet allocated is all zero and
+    /// clean, so the call does nothing.
     ///
     /// # Panics
     ///
     /// Panics if `from` is not word-aligned.
     pub fn zero_dirty_from(&mut self, from: u64) {
         let from = word_index(from).saturating_sub(self.shared.len());
+        let Some(owned) = self.owned.get_mut() else {
+            return;
+        };
         let first_word = (from / BLOCK_WORDS / 64).min(self.dirty.len());
         self.dirty[..first_word].fill(0);
         for w in first_word..self.dirty.len() {
@@ -421,9 +437,9 @@ impl Hmc {
                 let block = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let lo = (block * BLOCK_WORDS).max(from);
-                let hi = ((block + 1) * BLOCK_WORDS).min(self.owned.len());
+                let hi = ((block + 1) * BLOCK_WORDS).min(owned.len());
                 if lo < hi {
-                    self.owned[lo..hi].fill(0);
+                    owned[lo..hi].fill(0);
                 }
             }
         }
@@ -431,7 +447,7 @@ impl Hmc {
 
     /// Size of the functional image in bytes (shared and owned).
     pub fn image_len(&self) -> usize {
-        (self.shared.len() + self.owned.len()) * WORD_BYTES as usize
+        (self.shared.len() + self.owned_words) * WORD_BYTES as usize
     }
 
     /// The read-only area: word `a / 8` holds address `a`.
@@ -439,9 +455,15 @@ impl Hmc {
         &self.shared
     }
 
-    /// Bytes of the owned area: the memory this cube holds by itself.
+    /// Bytes of the owned area: the memory this cube holds by itself
+    /// once the area is allocated.
     pub fn owned_bytes(&self) -> usize {
-        self.owned.len() * WORD_BYTES as usize
+        self.owned_words * WORD_BYTES as usize
+    }
+
+    /// The owned area, allocated all zero on the first call.
+    fn owned(&self) -> &[i64] {
+        self.owned.get_or_init(|| vec![0; self.owned_words])
     }
 
     /// Activity counters.
@@ -694,6 +716,38 @@ mod tests {
         let other = Hmc::with_shared(HmcConfig::paper(), Arc::clone(h.shared()), 1024);
         assert!(Arc::ptr_eq(h.shared(), other.shared()));
         assert_eq!(other.read_word(8), 1);
+    }
+
+    #[test]
+    fn the_owned_area_is_allocated_on_first_access() {
+        let mut h = shared_cube();
+        // Built and reset without an access: nothing allocated, and
+        // the logical sizes are the full image's.
+        h.zero_dirty_from(512);
+        assert!(h.owned.get().is_none());
+        assert_eq!(h.owned_bytes(), 6 * 256);
+        assert_eq!(h.image_len(), 8 * 256);
+        // An unwritten owned word reads 0, from a zeroed area of the
+        // full size.
+        assert_eq!(h.read_word(512 + 8 * 37), 0);
+        assert_eq!(h.owned.get().map(Vec::len), Some(6 * 32));
+        // A write allocates the area of a cube nothing read yet.
+        let mut w = shared_cube();
+        w.write_word(8 * 255, -3);
+        assert_eq!(w.owned.get().map(Vec::len), Some(6 * 32));
+        assert_eq!(w.read_word(8 * 255), -3);
+        assert_eq!((w.owned_bytes(), w.image_len()), (6 * 256, 8 * 256));
+    }
+
+    #[test]
+    fn a_written_word_reads_zero_after_the_reset() {
+        let mut h = shared_cube();
+        h.write_word(512 + 8 * 100, 11);
+        h.words_mut(8 * 250, 4).fill(12);
+        h.zero_dirty_from(512);
+        assert_eq!(h.read_word(512 + 8 * 100), 0);
+        assert!(h.read_words(8 * 250, 4).iter().all(|v| v == 0));
+        assert!(dirty_blocks(&h).is_empty());
     }
 
     #[test]

@@ -58,10 +58,11 @@
 //! [`FaultPlan`] kills a replica mid-run fail-stop, and lost
 //! sub-queries are detected and re-dispatched to a survivor with the
 //! service answer provably unchanged. The [`ServiceReport`] carries
-//! throughput (queries per gigacycle / queries per second), per-shard
-//! and per-replica utilization, failover counts, the service-level
-//! answers (plus a digest for CI), and nearest-rank p50/p95/p99
-//! latency ([`hipe_sim::Samples`]) in modeled cycles.
+//! throughput (queries per gigacycle), per-shard and per-replica
+//! utilization, failover counts, the service-level answers (plus a
+//! digest for CI), and nearest-rank p50/p95/p99/p99.9 latency
+//! ([`hipe_sim::Samples`], selected rather than sorted) in modeled
+//! cycles.
 //!
 //! # Example
 //!

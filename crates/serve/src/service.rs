@@ -12,7 +12,12 @@
 //! cluster *lifetime* — by the first run that needs it, through that
 //! run's warm session — and the cluster memoizes the measured
 //! durations, phases, skip flags and answer. Every run then replays
-//! those deterministic measurements through the event loop. Warm ≡
+//! those deterministic measurements through the event loop. The
+//! session opens even when every profile hits, so each run counts one
+//! materialization per shard. A cube allocates its output area only
+//! when a run first touches it (`hipe_hmc::Hmc`), so a run that only
+//! replays opens and drops its session at the cost of the cubes'
+//! vault state, not of the shards' sizes. Warm ≡
 //! cold and run-order independence are proven by the `hipe-core`
 //! session tests, which is what makes both the memo and the replay
 //! honest. Every replica of a shard executes on the shard's one
@@ -33,7 +38,7 @@ use crate::routing::{Replica, RoutingPolicy};
 use hipe::Arch;
 use hipe_db::scan::ScanResult;
 use hipe_db::{Query, SplitMix64};
-use hipe_sim::{Cycle, Freq, Samples, ServeOutcome, Server, Window};
+use hipe_sim::{Cycle, Samples, ServeOutcome, Server, Window};
 use hipe_trace::{Tracer, TrackId, TrackKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -314,15 +319,19 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarizes a sample set (zeros when empty).
+    /// Summarizes a sample set (zeros when empty), selecting every
+    /// rank in one [`Samples::percentiles`] pass.
     fn of(samples: &mut Samples) -> LatencySummary {
+        let [p50, p95, p99, p999, max] = samples
+            .percentiles([50.0, 95.0, 99.0, 99.9, 100.0])
+            .unwrap_or_default();
         LatencySummary {
-            p50: samples.p50().unwrap_or(0),
-            p95: samples.p95().unwrap_or(0),
-            p99: samples.p99().unwrap_or(0),
-            p999: samples.p999().unwrap_or(0),
+            p50,
+            p95,
+            p99,
+            p999,
             mean: samples.mean(),
-            max: samples.max().unwrap_or(0),
+            max,
         }
     }
 }
@@ -393,7 +402,10 @@ pub struct ServiceReport {
     /// Cubes this run opened ([`System::materializations`](
     /// hipe::System::materializations)): one per shard, even when every
     /// profile is memoized, because the run always opens a single warm
-    /// session over the cluster. Opening one copies no table bytes.
+    /// session over the cluster. Opening one copies no table bytes,
+    /// and a cube allocates its output area only when a profiling run
+    /// first touches it, so a run whose profiles all hit allocates no
+    /// output area at all.
     pub materializations: u64,
     /// Mix queries this run actually executed on the cluster, i.e.
     /// misses of the cluster's profile memo. Like
@@ -408,11 +420,6 @@ impl ServiceReport {
     /// JSON and its CI check stay float-free).
     pub fn queries_per_gigacycle(&self) -> u64 {
         self.queries * 1_000_000_000 / self.makespan.max(1)
-    }
-
-    /// Throughput in queries per second at the given host clock.
-    pub fn queries_per_sec(&self, cpu: Freq) -> f64 {
-        self.queries as f64 * cpu.as_mhz() as f64 * 1e6 / self.makespan.max(1) as f64
     }
 
     /// Fraction of the makespan shard `s` spent executing queries,
@@ -742,14 +749,14 @@ impl<'a> Scheduler<'a> {
         // they add no occupancy and no merge share. A query every
         // shard skips completes at the front end with zero merge.
         let mut served = Vec::with_capacity(self.batch.len());
+        let profiles = self.profiles;
         for p in std::mem::take(&mut self.batch) {
-            let answering: Vec<usize> = (0..self.replicas.len())
-                .filter(|&s| !self.profiles[p.query].skipped[s])
-                .collect();
-            let merge = (answering.len().max(1) as Cycle - 1) * MERGE_CYCLES_PER_SHARD;
-            let slowest = answering
-                .iter()
-                .map(|&s| self.route_and_serve(p.tag, p.query, s, scattered))
+            let skipped = &profiles[p.query].skipped;
+            let answering = skipped.iter().filter(|&&s| !s).count();
+            let merge = (answering.max(1) as Cycle - 1) * MERGE_CYCLES_PER_SHARD;
+            let slowest = (0..skipped.len())
+                .filter(|&s| !skipped[s])
+                .map(|s| self.route_and_serve(p.tag, p.query, s, scattered))
                 .max()
                 .unwrap_or(scattered);
             let completion = slowest + merge;
@@ -773,7 +780,7 @@ impl<'a> Scheduler<'a> {
                     vec![
                         ("tag", p.tag.into()),
                         ("mix", p.query.into()),
-                        ("shards", answering.len().into()),
+                        ("shards", answering.into()),
                     ],
                 );
             }
@@ -964,7 +971,8 @@ pub fn try_run_service(
     // shard's one `System`, so the measured duration and answer hold
     // for whichever replica the routing picks — and for the survivor a
     // failover re-picks. The session opens even when every profile
-    // hits, so a run always counts one materialization per shard.
+    // hits, so a run always counts one materialization per shard; the
+    // cubes allocate their output areas only if a miss runs on them.
     let mut session = cluster.session();
     let mut profiled = 0;
     let profiles: Vec<Arc<Profile>> = cfg

@@ -39,7 +39,6 @@ fn serves_every_query_and_orders_percentiles() {
     assert!(report.latency.p99 <= report.latency.max);
     assert!(report.latency.mean > 0.0);
     assert!(report.queries_per_gigacycle() > 0);
-    assert!(report.queries_per_sec(hipe_sim::Freq::ghz(2)) > 0.0);
 }
 
 #[test]

@@ -10,6 +10,11 @@ use crate::time::Cycle;
 /// is the value at rank `ceil(p/100 * n)` (1-based), so p100 is the
 /// maximum and every returned value is an actually observed sample.
 ///
+/// Percentiles are found by selection, not by sorting: each query
+/// partially reorders the samples in O(n) (Hoare's FIND), and
+/// [`percentiles`](Self::percentiles) reads several ranks in one pass
+/// over successively shrinking suffixes.
+///
 /// # Example
 ///
 /// ```
@@ -22,7 +27,6 @@ use crate::time::Cycle;
 #[derive(Debug, Clone, Default)]
 pub struct Samples {
     values: Vec<Cycle>,
-    sorted: bool,
 }
 
 impl Samples {
@@ -34,7 +38,6 @@ impl Samples {
     /// Observes one sample.
     pub fn push(&mut self, v: Cycle) {
         self.values.push(v);
-        self.sorted = false;
     }
 
     /// Number of samples observed.
@@ -62,22 +65,41 @@ impl Samples {
     ///
     /// Panics unless `0.0 <= p <= 100.0`.
     pub fn percentile(&mut self, p: f64) -> Option<Cycle> {
-        assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
+        self.percentiles([p]).map(|[v]| v)
+    }
+
+    /// The nearest-rank percentiles `ps`, in order (`None` when empty).
+    ///
+    /// One selection per entry, each over the suffix that starts at
+    /// the previous entry's rank: every sample before that rank is no
+    /// larger than every sample from it on, so a later, higher rank
+    /// lies in the suffix. Reading p50, p95, p99, p99.9 and p100 thus
+    /// costs a few linear passes, not a sort.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every `p` lies in `0.0..=100.0` and `ps` ascends.
+    pub fn percentiles<const N: usize>(&mut self, ps: [f64; N]) -> Option<[Cycle; N]> {
+        for p in ps {
+            assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
+        }
+        assert!(ps.is_sorted(), "percentiles {ps:?} do not ascend");
         if self.values.is_empty() {
             return None;
         }
-        if !self.sorted {
-            self.values.sort_unstable();
-            self.sorted = true;
-        }
-        // Nearest rank: ceil(p/100 * n), clamped to [1, n] so p = 0
-        // yields the minimum rather than an invalid rank of zero.
-        // Multiply before dividing: rounding p/100.0 first can push an
-        // exact boundary (p = 7, n = 100) just above its integer rank,
-        // and ceil would then overshoot by one.
         let n = self.values.len();
-        let rank = ((p * n as f64 / 100.0).ceil() as usize).clamp(1, n);
-        Some(self.values[rank - 1])
+        let mut from = 0;
+        Some(ps.map(|p| {
+            // Nearest rank: ceil(p/100 * n), clamped to [1, n] so p = 0
+            // yields the minimum rather than an invalid rank of zero.
+            // Multiply before dividing: rounding p/100.0 first can push
+            // an exact boundary (p = 7, n = 100) just above its integer
+            // rank, and ceil would then overshoot by one.
+            let at = ((p * n as f64 / 100.0).ceil() as usize).clamp(1, n) - 1;
+            let (_, &mut v, _) = self.values[from..].select_nth_unstable(at - from);
+            from = at;
+            v
+        }))
     }
 
     /// Median (50th percentile).
@@ -105,11 +127,7 @@ impl Samples {
     /// `Samples`, and the service folds them into one distribution
     /// before taking percentiles.
     pub fn merge(&mut self, other: &Samples) {
-        if other.values.is_empty() {
-            return;
-        }
         self.values.extend_from_slice(&other.values);
-        self.sorted = false;
     }
 }
 
@@ -240,13 +258,13 @@ mod tests {
         let mut a = Samples::new();
         a.push(3);
         a.push(1);
-        assert_eq!(a.p50(), Some(1)); // forces the lazy sort
+        assert_eq!(a.p50(), Some(1)); // reorders the samples
         let empty = Samples::new();
         a.merge(&empty);
         assert_eq!(a.count(), 2);
         let mut b = Samples::new();
         b.push(2);
-        a.merge(&b); // must invalidate the sorted flag
+        a.merge(&b); // appends after the reordered samples
         assert_eq!(a.p50(), Some(2));
         let mut c = Samples::new();
         c.merge(&a);
@@ -260,7 +278,7 @@ mod tests {
             s.push(v);
         }
         assert_eq!(s.p50(), Some(100));
-        // Pushing after a percentile query re-sorts lazily.
+        // Pushing after a percentile query selects anew.
         s.push(200);
         assert_eq!(s.p50(), Some(200));
         assert_eq!(s.mean(), 200.0);

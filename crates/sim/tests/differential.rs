@@ -1,5 +1,5 @@
-//! Differential tests of the in-flight windows against reference
-//! models.
+//! Differential tests of the in-flight windows and the percentile
+//! selection against reference models.
 //!
 //! [`Window`] keeps its completions in a sorted ring and [`FifoWindow`]
 //! its retire times in a fixed ring. The references below are the
@@ -9,8 +9,11 @@
 //! and occupancy must agree. The sequences mix out-of-order completions
 //! (including completions before their own admission), groups up to the
 //! full width, capacity 1 and resets in mid-stream.
+//!
+//! [`Samples`] selects its percentiles; the reference sorts a copy and
+//! reads the nearest rank.
 
-use hipe_sim::{FifoWindow, Window};
+use hipe_sim::{FifoWindow, Samples, Window};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -224,4 +227,84 @@ fn fifo_window_rejects_a_completion_past_its_capacity() {
     let mut window = FifoWindow::new(1);
     window.complete(10);
     window.complete(20);
+}
+
+/// The ranks a service's latency summary reads: p50, p95, p99, p99.9
+/// and the maximum.
+const SUMMARY: [f64; 5] = [50.0, 95.0, 99.0, 99.9, 100.0];
+
+/// The nearest-rank reference: sort, then read rank ceil(p n / 100),
+/// clamped to [1, n].
+fn sorted_percentiles(values: &[u64]) -> [u64; 5] {
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable();
+    let n = sorted.len();
+    SUMMARY.map(|p| sorted[((p * n as f64 / 100.0).ceil() as usize).clamp(1, n) - 1])
+}
+
+fn samples_of(values: &[u64]) -> Samples {
+    let mut s = Samples::new();
+    for &v in values {
+        s.push(v);
+    }
+    s
+}
+
+#[test]
+fn selected_percentiles_match_the_sorted_reference() {
+    let mut rng = Rng(2018);
+    for n in [1, 2, 3, 100, 1_000, 80_000] {
+        // Few distinct values (long runs of duplicates), and nearly
+        // all distinct; plus presorted and reversed orders.
+        for spread in [3, 1 << 40] {
+            let random: Vec<u64> = (0..n).map(|_| rng.below(spread)).collect();
+            let mut ascending = random.clone();
+            ascending.sort_unstable();
+            let descending: Vec<u64> = ascending.iter().rev().copied().collect();
+            for values in [random, ascending, descending] {
+                let case = format!("n {n}, spread {spread}");
+                let expect = sorted_percentiles(&values);
+                let mut whole = samples_of(&values);
+                assert_eq!(whole.percentiles(SUMMARY), Some(expect), "{case}");
+                // Reordered by that pass, each rank alone still reads
+                // the same, and a second pass agrees.
+                for (p, want) in SUMMARY.into_iter().zip(expect) {
+                    assert_eq!(whole.percentile(p), Some(want), "{case}: p{p}");
+                }
+                assert_eq!(whole.percentiles(SUMMARY), Some(expect), "{case}");
+                assert_eq!(whole.max(), Some(expect[4]), "{case}");
+
+                // Split at a random point: merging the parts, one of
+                // them already reordered by a selection, gives the
+                // whole set's ranks.
+                let cut = rng.below(n as u64 + 1) as usize;
+                let (head, tail) = values.split_at(cut);
+                let mut merged = samples_of(head);
+                let _ = merged.percentiles(SUMMARY);
+                merged.merge(&samples_of(tail));
+                assert_eq!(merged.count(), n as u64, "{case}");
+                assert_eq!(merged.percentiles(SUMMARY), Some(expect), "{case}");
+                let mut folded = Samples::new();
+                for part in [head, tail] {
+                    folded.merge(&samples_of(part));
+                }
+                assert_eq!(folded.percentiles(SUMMARY), Some(expect), "{case}");
+
+                // Pushing after a selection: the set of n + 1 samples.
+                let extra = rng.below(spread);
+                whole.push(extra);
+                let mut grown = values.clone();
+                grown.push(extra);
+                let expect = sorted_percentiles(&grown);
+                assert_eq!(whole.percentiles(SUMMARY), Some(expect), "{case} + 1");
+            }
+        }
+    }
+    assert_eq!(Samples::new().percentiles(SUMMARY), None);
+}
+
+#[test]
+#[should_panic(expected = "do not ascend")]
+fn percentiles_must_ascend() {
+    let _ = samples_of(&[1, 2, 3]).percentiles([99.0, 50.0]);
 }
