@@ -178,10 +178,12 @@ fn functional_mask(hmc: &mut Hmc, layout: &DsmLayout, query: &Query, scanned: &B
         let start = w * WORD_ROWS;
         let n = (rows - start).min(WORD_ROWS);
         let mut bits = !0u64 >> (WORD_ROWS - n);
+        let values = &mut [0; WORD_ROWS][..n];
         for p in query.predicates() {
-            let values = hmc.read_words(layout.value_addr(p.column, start), n);
+            hmc.read_words(layout.value_addr(p.column, start), n)
+                .widen_into(values);
             let mut hits = 0u64;
-            for (i, v) in values.iter().enumerate() {
+            for (i, &v) in values.iter().enumerate() {
                 hits |= (p.cmp.eval(v) as u64) << i;
             }
             bits &= hits;

@@ -44,7 +44,7 @@
 //! 3. a [`Session`] — opened with [`System::session`] — owns one warm
 //!    cube and executes plans against it, applying a reset protocol
 //!    between runs so warm results are bit- and cycle-identical to
-//!    cold ones. The cube reads the table's column buffer in place,
+//!    cold ones. The cube reads the table's column area in place,
 //!    shared with every other session of the system, and owns only the
 //!    output area above it. [`Session::run_plan`] picks the
 //!    host executor for micro-op plans and the near-data executor for

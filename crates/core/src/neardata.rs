@@ -261,10 +261,12 @@ pub(crate) fn execute(
 /// are zero by the session reset protocol, so they are never read.
 fn read_mask(hmc: &Hmc, program: &LogicScanProgram, rows: usize) -> Bitmask {
     let mut mask = Bitmask::zeros(rows);
+    let mut lanes = [0; REGION_ROWS];
     for region in program.scanned_regions().iter_ones() {
-        let lanes = hmc.read_words(program.mask_addr(region), REGION_ROWS);
+        hmc.read_words(program.mask_addr(region), REGION_ROWS)
+            .widen_into(&mut lanes);
         let mut bits = 0u64;
-        for (lane, v) in lanes.iter().enumerate() {
+        for (lane, &v) in lanes.iter().enumerate() {
             bits |= u64::from(v != 0) << lane;
         }
         // Lanes past the last row are dropped by `set_word`.

@@ -443,13 +443,11 @@ impl System {
     pub(crate) fn finish_result(&self, hmc: &Hmc, query: &Query, bitmask: Bitmask) -> ScanResult {
         let matches = bitmask.count_ones();
         let aggregate = query.aggregates().then(|| {
+            let column = |c| hmc.read_words(self.layout().value_addr(c, 0), bitmask.len());
+            let (price, discount) = (column(Column::ExtendedPrice), column(Column::Discount));
             bitmask
                 .iter_ones()
-                .map(|i| {
-                    let price = hmc.read_word(self.layout().value_addr(Column::ExtendedPrice, i));
-                    let discount = hmc.read_word(self.layout().value_addr(Column::Discount, i));
-                    price as i128 * discount as i128
-                })
+                .map(|i| price.get(i) as i128 * discount.get(i) as i128)
                 .sum()
         });
         ScanResult {

@@ -308,7 +308,7 @@ mod tests {
         for c in Column::ALL {
             for i in 0..40 {
                 let word = (l.value_addr(c, i) / COLUMN_BYTES) as usize;
-                assert_eq!(i64::from(area[word]), t.value(c, i));
+                assert_eq!(area.words_from(word).unwrap().get(0), t.value(c, i));
             }
         }
     }

@@ -14,14 +14,17 @@
 //! Tables are stored in the decomposition storage model
 //! ([`DsmLayout`], column-store, contiguous 8 B columns), the layout
 //! of the paper's evaluation. Addresses, layouts and every timing
-//! model count 8 B per value; the host keeps each value in a 4 B word
-//! ([`LineitemTable::column`] is `&[i32]`, [`LineitemTable::value`]
-//! widens to `i64`), since every generated value fits in 31 bits.
+//! model count 8 B per value. The host keeps each column in the
+//! narrowest integer type its generated values fit: `l_shipdate` as
+//! `u16`, `l_discount` and `l_quantity` as `u8`, `l_extendedprice` as
+//! `i32`, so a table takes 8 B per row ([`LineitemTable::column`] is a
+//! [`Words`] view at the column's width, and [`LineitemTable::value`]
+//! widens to `i64`).
 //!
 //! The [`scan`] module is the *reference executor*: a plain Rust
-//! implementation of the tuple-at-a-time and column-at-a-time select
-//! scans whose results every simulated architecture must reproduce
-//! exactly (the integration tests enforce this).
+//! tuple-at-a-time select scan whose results every simulated
+//! architecture must reproduce exactly (the integration tests enforce
+//! this).
 //!
 //! # Example
 //!
@@ -46,6 +49,7 @@ pub mod scan;
 mod zonemap;
 
 pub use bitmask::{Bitmask, IterOnes};
+pub use hipe_sim::Words;
 pub use layout::{DsmLayout, COLUMN_BYTES, REGION_BYTES, REGION_ROWS, VAULTS};
 pub use lineitem::{Column, LineitemTable, TableShape, SF1_ROWS};
 pub use query::{CmpOp, ColumnPredicate, Query};

@@ -2,7 +2,7 @@
 
 use crate::layout::{DsmLayout, COLUMN_BYTES};
 use crate::rng::SplitMix64;
-use hipe_sim::WorkerPool;
+use hipe_sim::{WordArea, WordVec, Words, WorkerPool};
 use std::sync::Arc;
 
 /// Rows of lineitem at TPC-H scale factor 1 (the paper's 1 GB setup).
@@ -19,19 +19,23 @@ pub(crate) const DAY_1995_01_01: i64 = 1096;
 
 /// The four lineitem columns touched by Query 06.
 ///
-/// Values are signed integers (fixed-point where the original schema
-/// uses decimals). The simulated machines see each one as an 8 B value,
+/// Values are integers (fixed-point where the original schema uses
+/// decimals). The simulated machines see each one as an 8 B value,
 /// matching the 8-byte lanes of their vector and logic-layer units; the
-/// host stores each in a 4 B word (see [`LineitemTable`]).
+/// host stores each column at the width its values need (see
+/// [`LineitemTable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Column {
-    /// `l_shipdate` as days since 1992-01-01.
+    /// `l_shipdate` as days since 1992-01-01 (0 ..= 2556; a `u16` on
+    /// the host).
     Shipdate,
-    /// `l_discount` in hundredths (0 ..= 10 for 0.00 ..= 0.10).
+    /// `l_discount` in hundredths (0 ..= 10 for 0.00 ..= 0.10; a `u8`
+    /// on the host).
     Discount,
-    /// `l_quantity` (1 ..= 50).
+    /// `l_quantity` (1 ..= 50; a `u8` on the host).
     Quantity,
-    /// `l_extendedprice` in cents.
+    /// `l_extendedprice` in cents (at most 50 × 111 000; an `i32` on
+    /// the host).
     ExtendedPrice,
 }
 
@@ -74,19 +78,21 @@ impl std::fmt::Display for Column {
 /// ship dates uniform over the seven-year order window, extended price
 /// derived from a uniform part cost times quantity.
 ///
-/// The four columns live in one immutable word buffer laid out like
+/// The four columns live in one immutable [`WordArea`] laid out like
 /// the column area of the table's [`DsmLayout`]: word `a / 8` holds the
-/// value at address `a`, and the padding after each column is zero.
-/// That buffer is the cube image below the layout's mask base, so a
-/// simulated cube shares it ([`column_area`](Self::column_area))
-/// instead of copying the table into its own memory.
+/// value at address `a`, each column is its own buffer of one layout
+/// stride, and the padding after each column's rows is zero. That area
+/// is the cube image below the layout's mask base, so a simulated cube
+/// shares it ([`column_area`](Self::column_area)) instead of copying
+/// the table into its own memory.
 ///
 /// The layout, and every address and timing model built on it, keeps
 /// the paper's 8 B values ([`COLUMN_BYTES`]). The host stores each
-/// value in a 4 B `i32` word, since every value the generator draws
-/// fits in 31 bits (the largest, an extended price, is at most
-/// 50 × 111 000 cents); readers widen it back to `i64`. So a table
-/// holds 16 B per row on the host, not 32.
+/// column in the narrowest integer type that holds its generated
+/// values: `l_shipdate` as `u16`, `l_discount` and `l_quantity` as
+/// `u8`, and `l_extendedprice` (at most 50 × 111 000 cents) as `i32`.
+/// Readers widen them back to `i64` ([`Words`]). So a table holds 8 B
+/// per padded row on the host, not 32.
 ///
 /// # Example
 ///
@@ -95,14 +101,16 @@ impl std::fmt::Display for Column {
 /// let t = LineitemTable::generate(100, 7);
 /// assert_eq!(t.rows(), 100);
 /// let q = t.column(Column::Quantity);
-/// assert!(q.iter().all(|&v| (1..=50).contains(&v)));
-/// assert_eq!(t.value(Column::Quantity, 3), i64::from(q[3]));
+/// assert!(q.iter().all(|v| (1..=50).contains(&v)));
+/// assert_eq!(t.value(Column::Quantity, 3), q.get(3));
+/// // 1 + 1 + 2 + 4 B per row, padded to whole 256 B regions.
+/// assert_eq!(t.column_area().host_bytes(), 128 * 8);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LineitemTable {
     /// Every column, padded, at its [`DsmLayout::column_base`], one
-    /// 4 B word per 8 B modelled value.
-    words: Arc<Vec<i32>>,
+    /// host word of the column's width per 8 B modelled value.
+    area: Arc<WordArea>,
     layout: DsmLayout,
     seed: u64,
 }
@@ -127,20 +135,72 @@ const PARALLEL_MIN_ROWS: usize = 65_536;
 struct Chunk<'a> {
     /// Global row index of the chunk's first row.
     first_row: usize,
-    shipdate: &'a mut [i32],
-    discount: &'a mut [i32],
-    quantity: &'a mut [i32],
+    shipdate: &'a mut [u16],
+    discount: &'a mut [u8],
+    quantity: &'a mut [u8],
     extendedprice: &'a mut [i32],
 }
 
-/// Narrows a generated value to its 4 B host word.
+/// Narrows a generated value of `column` to its host width.
 ///
 /// # Panics
 ///
-/// Panics if the value does not fit, so a generator drawing wider
-/// values fails loudly instead of wrapping.
-fn narrow(v: i64) -> i32 {
-    i32::try_from(v).unwrap_or_else(|_| panic!("generated value {v} exceeds a 4 B host word"))
+/// Panics, naming the column, if the value does not fit, so a
+/// generator drawing wider values fails loudly instead of wrapping.
+fn narrow<T: TryFrom<i64>>(column: Column, v: i64) -> T {
+    T::try_from(v).unwrap_or_else(|_| {
+        panic!(
+            "generated {column} value {v} does not fit its {} B host word",
+            std::mem::size_of::<T>()
+        )
+    })
+}
+
+/// The clustered shape's ship days `floor(g * SHIPDATE_DAYS /
+/// total_rows)` for global rows `g = first_row, first_row + 1, …`,
+/// stepped without a division per row: the quotient and remainder of
+/// the first row are computed once, and each next row adds
+/// `SHIPDATE_DAYS`'s own quotient and remainder by `total_rows`,
+/// carrying one when the remainder wraps. The days are exact.
+struct ClusteredDays {
+    day: i64,
+    rem: u64,
+    step_day: i64,
+    step_rem: u64,
+    total_rows: u64,
+}
+
+impl ClusteredDays {
+    /// The days from global row `first_row` of a `total_rows`-row
+    /// table on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total_rows` is zero.
+    fn new(first_row: usize, total_rows: usize) -> Self {
+        assert!(total_rows > 0, "a clustered table of zero rows");
+        let total = total_rows as u128;
+        let first = first_row as u128 * SHIPDATE_DAYS as u128;
+        ClusteredDays {
+            day: (first / total) as i64,
+            rem: (first % total) as u64,
+            step_day: SHIPDATE_DAYS / total_rows as i64,
+            step_rem: (SHIPDATE_DAYS as u128 % total) as u64,
+            total_rows: total_rows as u64,
+        }
+    }
+
+    /// The current row's day; steps to the next row.
+    fn next_day(&mut self) -> i64 {
+        let day = self.day;
+        self.day += self.step_day;
+        self.rem += self.step_rem;
+        if self.rem >= self.total_rows {
+            self.rem -= self.total_rows;
+            self.day += 1;
+        }
+        day
+    }
 }
 
 /// Fills one chunk by replaying the monolithic draw stream from
@@ -150,25 +210,25 @@ fn narrow(v: i64) -> i32 {
 fn fill_chunk(seed: u64, shape: TableShape, chunk: Chunk<'_>) {
     let mut rng = SplitMix64::new(seed);
     rng.skip(chunk.first_row as u64 * DRAWS_PER_ROW);
+    let mut clustered = match shape {
+        TableShape::Uniform => None,
+        TableShape::ClusteredShipdate { total_rows } => {
+            Some(ClusteredDays::new(chunk.first_row, total_rows))
+        }
+    };
     for i in 0..chunk.shipdate.len() {
-        let shipdate = match shape {
-            TableShape::Uniform => rng.range_i64(0, SHIPDATE_DAYS - 1),
-            TableShape::ClusteredShipdate { total_rows } => {
-                // Draw-and-discard keeps the stream aligned with the
-                // uniform shape: every later column sees the same values.
-                let _ = rng.range_i64(0, SHIPDATE_DAYS - 1);
-                let global = (chunk.first_row + i) as u128;
-                (global * SHIPDATE_DAYS as u128 / total_rows as u128) as i64
-            }
-        };
-        chunk.shipdate[i] = narrow(shipdate);
-        chunk.discount[i] = narrow(rng.range_i64(0, 10));
+        // Both shapes draw the uniform ship day, so every later column
+        // sees the same values; the clustered shape discards it.
+        let drawn = rng.range_i64(0, SHIPDATE_DAYS - 1);
+        let shipdate = clustered.as_mut().map_or(drawn, ClusteredDays::next_day);
+        chunk.shipdate[i] = narrow(Column::Shipdate, shipdate);
+        chunk.discount[i] = narrow(Column::Discount, rng.range_i64(0, 10));
         let q = rng.range_i64(1, 50);
-        chunk.quantity[i] = narrow(q);
+        chunk.quantity[i] = narrow(Column::Quantity, q);
         // dbgen: extendedprice = quantity * part retail price;
         // retail prices are ~90k..111k cents.
         let part_price = rng.range_i64(90_000, 111_000);
-        chunk.extendedprice[i] = narrow(q * part_price);
+        chunk.extendedprice[i] = narrow(Column::ExtendedPrice, q * part_price);
     }
 }
 
@@ -235,7 +295,7 @@ impl LineitemTable {
     /// let whole = LineitemTable::generate(100, 7);
     /// let shard =
     ///     LineitemTable::generate_shaped_on(&WorkerPool::serial(), 7, 60, 40, TableShape::Uniform);
-    /// assert_eq!(shard.column(Column::Quantity), &whole.column(Column::Quantity)[60..]);
+    /// assert_eq!(shard.column(Column::Quantity), whole.column(Column::Quantity).slice(60..));
     /// ```
     pub fn generate_shaped_on(
         pool: &WorkerPool,
@@ -279,13 +339,13 @@ impl LineitemTable {
                 first_row + rows
             );
         }
-        let mut words = vec![0i32; (layout.bytes() / COLUMN_BYTES) as usize];
         // Columns sit back to back in `Column::ALL` order, one padded
-        // stride each.
+        // stride each, every one at its own width.
         let stride = (layout.column_stride() / COLUMN_BYTES) as usize;
-        let (shipdate, rest) = words.split_at_mut(stride);
-        let (discount, rest) = rest.split_at_mut(stride);
-        let (quantity, extendedprice) = rest.split_at_mut(stride);
+        let mut shipdate = vec![0u16; stride];
+        let mut discount = vec![0u8; stride];
+        let mut quantity = vec![0u8; stride];
+        let mut extendedprice = vec![0i32; stride];
         let chunk_rows = if pool.workers() <= 1 || rows < PARALLEL_MIN_ROWS {
             rows.max(1)
         } else {
@@ -306,11 +366,16 @@ impl LineitemTable {
             })
             .collect();
         pool.run(chunks, |_, chunk| fill_chunk(seed, shape, chunk));
-        // `Arc::new` moves the filled buffer as it is. An `Arc<[i32]>`
-        // would need a copy of it, or a pass zeroing a buffer that the
-        // allocator already hands out zeroed.
+        // The area takes the filled buffers as they are: moving a `Vec`
+        // copies no element, where an `Arc<[T]>` would copy them all.
+        let area = WordArea::new(vec![
+            WordVec::U16(shipdate),
+            WordVec::U8(discount),
+            WordVec::U8(quantity),
+            WordVec::I32(extendedprice),
+        ]);
         LineitemTable {
-            words: Arc::new(words),
+            area: Arc::new(area),
             layout,
             seed,
         }
@@ -328,7 +393,7 @@ impl LineitemTable {
     /// ```
     /// use hipe_db::{Column, LineitemTable};
     /// let t = LineitemTable::generate_clustered_range(7, 0, 1000, 1000);
-    /// let d = t.column(Column::Shipdate);
+    /// let d: Vec<i64> = t.column(Column::Shipdate).iter().collect();
     /// assert!(d.windows(2).all(|w| w[0] <= w[1])); // sorted by row
     /// ```
     pub fn generate_clustered_range(
@@ -358,10 +423,11 @@ impl LineitemTable {
     }
 
     /// The column area: word `a / 8` holds the value at address `a` of
-    /// [`layout`](Self::layout), padding included. Cubes share this
-    /// buffer as their read-only image, widening each word on read.
-    pub fn column_area(&self) -> &Arc<Vec<i32>> {
-        &self.words
+    /// [`layout`](Self::layout), padding included, one buffer per
+    /// column in [`Column::ALL`] order. Cubes share this area as their
+    /// read-only image, widening each word on read.
+    pub fn column_area(&self) -> &Arc<WordArea> {
+        &self.area
     }
 
     /// The seed used for generation.
@@ -369,10 +435,10 @@ impl LineitemTable {
         self.seed
     }
 
-    /// Borrow one column as a slice of its 4 B host words.
-    pub fn column(&self, c: Column) -> &[i32] {
-        let start = (self.layout.column_base(c) / COLUMN_BYTES) as usize;
-        &self.words[start..start + self.rows()]
+    /// Borrow one column's rows (without its padding), at the
+    /// column's host width.
+    pub fn column(&self, c: Column) -> Words<'_> {
+        self.area.buffers()[c.index()].words().slice(..self.rows())
     }
 
     /// Value of `c` at row `i`.
@@ -381,7 +447,7 @@ impl LineitemTable {
     ///
     /// Panics if `i` is out of range.
     pub fn value(&self, c: Column, i: usize) -> i64 {
-        i64::from(self.column(c)[i])
+        self.column(c).get(i)
     }
 }
 
@@ -411,16 +477,16 @@ mod tests {
         assert!(t
             .column(Column::Shipdate)
             .iter()
-            .all(|&v| (0..SHIPDATE_DAYS).contains(&i64::from(v))));
+            .all(|v| (0..SHIPDATE_DAYS).contains(&v)));
         assert!(t
             .column(Column::Discount)
             .iter()
-            .all(|&v| (0..=10).contains(&v)));
+            .all(|v| (0..=10).contains(&v)));
         assert!(t
             .column(Column::Quantity)
             .iter()
-            .all(|&v| (1..=50).contains(&v)));
-        assert!(t.column(Column::ExtendedPrice).iter().all(|&v| v > 0));
+            .all(|v| (1..=50).contains(&v)));
+        assert!(t.column(Column::ExtendedPrice).iter().all(|v| v > 0));
     }
 
     #[test]
@@ -429,7 +495,7 @@ mod tests {
         let hits = t
             .column(Column::Shipdate)
             .iter()
-            .filter(|&&d| (DAY_1994_01_01..DAY_1995_01_01).contains(&i64::from(d)))
+            .filter(|d| (DAY_1994_01_01..DAY_1995_01_01).contains(d))
             .count();
         let frac = hits as f64 / 100_000.0;
         assert!((0.12..0.17).contains(&frac), "fraction {frac}");
@@ -453,7 +519,7 @@ mod tests {
             for c in Column::ALL {
                 assert_eq!(
                     shard.column(c),
-                    &whole.column(c)[first..first + rows],
+                    whole.column(c).slice(first..first + rows),
                     "{c} rows {first}..{}",
                     first + rows
                 );
@@ -470,7 +536,7 @@ mod tests {
             for c in Column::ALL {
                 assert_eq!(
                     shard.column(c),
-                    &whole.column(c)[first..first + rows],
+                    whole.column(c).slice(first..first + rows),
                     "{c} rows {first}..{}",
                     first + rows
                 );
@@ -486,11 +552,14 @@ mod tests {
         for c in [Column::Discount, Column::Quantity, Column::ExtendedPrice] {
             assert_eq!(uniform.column(c), clustered.column(c), "{c}");
         }
-        let d = clustered.column(Column::Shipdate);
+        let d: Vec<i64> = clustered.column(Column::Shipdate).iter().collect();
         assert!(d.windows(2).all(|w| w[0] <= w[1]), "shipdate not sorted");
         assert_eq!(d[0], 0);
-        assert!(i64::from(*d.last().unwrap()) < SHIPDATE_DAYS);
-        assert_ne!(uniform.column(Column::Shipdate), d);
+        assert!(*d.last().unwrap() < SHIPDATE_DAYS);
+        assert_ne!(
+            uniform.column(Column::Shipdate),
+            clustered.column(Column::Shipdate)
+        );
     }
 
     #[test]
@@ -509,7 +578,7 @@ mod tests {
             let range = LineitemTable::generate_shaped_on(&WorkerPool::serial(), 5, 10, 40, shape);
             assert_eq!(
                 range.column(Column::Shipdate),
-                &whole.column(Column::Shipdate)[10..50],
+                whole.column(Column::Shipdate).slice(10..50),
                 "{shape:?}"
             );
         }
@@ -570,8 +639,9 @@ mod tests {
         let stride = (layout.column_stride() / COLUMN_BYTES) as usize;
         for c in Column::ALL {
             assert_eq!(wide.column(c), plain.column(c), "{c}");
-            let padding = &wide.column_area()[c.index() * stride + rows..(c.index() + 1) * stride];
-            assert!(padding.iter().all(|&v| v == 0), "{c} padding");
+            let column = wide.column_area().buffers()[c.index()].words();
+            assert_eq!(column.len(), stride, "{c}");
+            assert!(column.slice(rows..).iter().all(|v| v == 0), "{c} padding");
         }
     }
 
@@ -585,6 +655,48 @@ mod tests {
             TableShape::Uniform,
             DsmLayout::new(256, 10),
         );
+    }
+
+    #[test]
+    fn clustered_days_step_to_the_128_bit_formula() {
+        // Row counts below, at and above the day count, and offsets
+        // that start mid-step (ragged against both).
+        for total in [1, 2, 7, 100, 2556, 2557, 2558, 5_000, 20_000, SF1_ROWS] {
+            for first in [0, 1, 3, 96, 999, 19_679, total / 2, total - 1] {
+                if first >= total {
+                    continue;
+                }
+                let mut days = ClusteredDays::new(first, total);
+                for g in first..total.min(first + 6_000) {
+                    let want = (g as u128 * SHIPDATE_DAYS as u128 / total as u128) as i64;
+                    assert_eq!(days.next_day(), want, "row {g} of {total} from {first}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "generated l_shipdate value 65536 does not fit its 2 B host word")]
+    fn a_shipdate_past_u16_panics_by_name() {
+        let _: u16 = narrow(Column::Shipdate, 65_536);
+    }
+
+    #[test]
+    #[should_panic(expected = "generated l_discount value 256 does not fit its 1 B host word")]
+    fn a_discount_past_u8_panics_by_name() {
+        let _: u8 = narrow(Column::Discount, 256);
+    }
+
+    #[test]
+    #[should_panic(expected = "generated l_quantity value -1 does not fit its 1 B host word")]
+    fn a_negative_quantity_panics_by_name() {
+        let _: u8 = narrow(Column::Quantity, -1);
+    }
+
+    #[test]
+    #[should_panic(expected = "generated l_extendedprice value 2147483648 does not fit")]
+    fn an_extendedprice_past_i32_panics_by_name() {
+        let _: i32 = narrow(Column::ExtendedPrice, 1 << 31);
     }
 
     #[test]

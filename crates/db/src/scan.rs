@@ -1,6 +1,6 @@
-//! Reference select-scan executors.
+//! The reference select-scan executor.
 //!
-//! These plain-Rust executors define the *correct answer* for every
+//! This plain-Rust executor defines the *correct answer* for every
 //! simulated architecture. The integration tests require that the
 //! functional results computed on the simulated x86, HMC, HIVE and
 //! HIPE targets equal the output of [`reference()`] bit for bit.
@@ -26,6 +26,8 @@ pub struct ScanResult {
 /// processing model of the paper's Figure 1a).
 pub fn tuple_at_a_time(table: &LineitemTable, query: &Query) -> ScanResult {
     let rows = table.rows();
+    let columns = Column::ALL.map(|c| table.column(c));
+    let value = |c: Column, i: usize| columns[c.index()].get(i);
     let mut matches = 0;
     let mut agg: i128 = 0;
     // Evaluate 64 tuples per packed word: matches accumulate into a
@@ -37,13 +39,13 @@ pub fn tuple_at_a_time(table: &LineitemTable, query: &Query) -> ScanResult {
         let end = (start + 64).min(rows);
         let mut bits = 0u64;
         for i in start..end {
-            let hit = query.matches_with(|c| table.value(c, i));
+            let hit = query.matches_with(|c| value(c, i));
             if hit {
                 bits |= 1 << (i - start);
                 matches += 1;
                 if query.aggregates() {
-                    agg += table.value(Column::ExtendedPrice, i) as i128
-                        * table.value(Column::Discount, i) as i128;
+                    agg += value(Column::ExtendedPrice, i) as i128
+                        * value(Column::Discount, i) as i128;
                 }
             }
         }
@@ -56,47 +58,7 @@ pub fn tuple_at_a_time(table: &LineitemTable, query: &Query) -> ScanResult {
     }
 }
 
-/// Evaluates `query` over `table` one column at a time (the
-/// column-store processing model of Figure 1b): the first predicate
-/// produces a bitmask which subsequent predicates refine.
-pub fn column_at_a_time(table: &LineitemTable, query: &Query) -> ScanResult {
-    let rows = table.rows();
-    let mut bitmask = Bitmask::ones(rows);
-    // One reusable scratch mask for every predicate pass: each column
-    // is evaluated 64 rows per word into a register, the finished word
-    // overwrites the scratch slot, and the running mask intersects it.
-    // No per-predicate allocation.
-    let mut scratch = Bitmask::zeros(rows);
-    for p in query.predicates() {
-        let col = table.column(p.column);
-        for (w, chunk) in col.chunks(64).enumerate() {
-            let mut bits = 0u64;
-            for (b, &v) in chunk.iter().enumerate() {
-                bits |= (p.cmp.eval(i64::from(v)) as u64) << b;
-            }
-            scratch.set_word(w, bits);
-        }
-        bitmask.and_with(&scratch);
-    }
-    let matches = bitmask.count_ones();
-    let aggregate = query.aggregates().then(|| {
-        bitmask
-            .iter_ones()
-            .map(|i| {
-                table.value(Column::ExtendedPrice, i) as i128
-                    * table.value(Column::Discount, i) as i128
-            })
-            .sum()
-    });
-    ScanResult {
-        bitmask,
-        matches,
-        aggregate,
-    }
-}
-
-/// The canonical reference result (tuple-at-a-time evaluation; both
-/// strategies must agree, which the tests assert).
+/// The canonical reference result (tuple-at-a-time evaluation).
 pub fn reference(table: &LineitemTable, query: &Query) -> ScanResult {
     tuple_at_a_time(table, query)
 }
@@ -105,15 +67,6 @@ pub fn reference(table: &LineitemTable, query: &Query) -> ScanResult {
 mod tests {
     use super::*;
     use crate::query::{CmpOp, ColumnPredicate};
-
-    #[test]
-    fn strategies_agree_on_q6() {
-        let t = LineitemTable::generate(10_000, 11);
-        let q = Query::q6();
-        let a = tuple_at_a_time(&t, &q);
-        let b = column_at_a_time(&t, &q);
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn q6_selectivity_near_two_percent() {

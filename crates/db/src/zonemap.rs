@@ -110,26 +110,27 @@ pub struct ZoneMap {
 }
 
 impl ZoneMap {
-    /// Scans `table` once and summarizes every 32-row region.
+    /// Scans `table` once and summarizes every 32-row region, a column
+    /// at a time: each region's extremes are taken in the column's host
+    /// type, then widened.
     pub fn build(table: &LineitemTable) -> Self {
         let rows = table.rows();
-        let n = rows.div_ceil(REGION_ROWS);
-        let mut regions = Vec::with_capacity(n);
+        let mut regions: Vec<RegionSummary> = (0..rows.div_ceil(REGION_ROWS))
+            .map(|r| RegionSummary {
+                rows: (rows - r * REGION_ROWS).min(REGION_ROWS),
+                ..RegionSummary::EMPTY
+            })
+            .collect();
+        for c in Column::ALL {
+            let k = c.index();
+            table.column(c).chunk_extremes(REGION_ROWS, |r, min, max| {
+                regions[r].min[k] = min;
+                regions[r].max[k] = max;
+            });
+        }
         let mut rollup = RegionSummary::EMPTY;
-        for r in 0..n {
-            let lo = r * REGION_ROWS;
-            let hi = (lo + REGION_ROWS).min(rows);
-            let mut s = RegionSummary::EMPTY;
-            s.rows = hi - lo;
-            for c in Column::ALL {
-                let k = c.index();
-                for v in table.column(c)[lo..hi].iter().map(|&v| i64::from(v)) {
-                    s.min[k] = s.min[k].min(v);
-                    s.max[k] = s.max[k].max(v);
-                }
-            }
-            rollup.absorb(&s);
-            regions.push(s);
+        for s in &regions {
+            rollup.absorb(s);
         }
         ZoneMap {
             regions,
@@ -236,9 +237,9 @@ mod tests {
             let hi = (lo + REGION_ROWS).min(t.rows());
             assert_eq!(s.rows(), hi - lo);
             for c in Column::ALL {
-                let col = &t.column(c)[lo..hi];
-                assert_eq!(s.min(c), i64::from(*col.iter().min().unwrap()));
-                assert_eq!(s.max(c), i64::from(*col.iter().max().unwrap()));
+                let col = t.column(c).slice(lo..hi);
+                assert_eq!(s.min(c), col.iter().min().unwrap());
+                assert_eq!(s.max(c), col.iter().max().unwrap());
             }
         }
     }

@@ -4,7 +4,7 @@ use crate::address::AddressMapping;
 use crate::config::HmcConfig;
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::vault::Vault;
-use hipe_sim::{Cycle, ThroughputPipe};
+use hipe_sim::{Cycle, ThroughputPipe, WordArea, Words};
 use std::sync::{Arc, OnceLock};
 
 /// Granularity of the image's dirty tracking: one 256 B block, the
@@ -12,7 +12,8 @@ use std::sync::{Arc, OnceLock};
 const DIRTY_BLOCK_BYTES: u64 = 256;
 
 /// Bytes of one functional word: the image is addressed, read and
-/// written as aligned 8 B words (the shared area stores each in 4 B).
+/// written as aligned 8 B words (the shared area stores each at the
+/// width its values need).
 const WORD_BYTES: u64 = 8;
 
 /// Words per dirty-tracking block.
@@ -108,9 +109,12 @@ impl std::ops::AddAssign for VaultActivity {
 ///
 /// Every word of the image is an 8 B value at an 8 B-aligned address,
 /// and the timing model moves 8 B per word. On the host, the shared
-/// area stores each word as a 4 B `i32` (a table's values all fit), and
-/// reads widen it ([`Words`]); the owned area holds full `i64` words,
-/// since runs store masks and partial sums there.
+/// area is a [`WordArea`]: buffers placed back to back, each storing
+/// its words at the width their values need (a table's columns as
+/// `u16`, `u8`, `u8` and `i32`), and a read returns them as a
+/// [`Words`] view that widens on read. A read stays inside one buffer.
+/// The owned area holds full `i64` words, since runs store masks and
+/// partial sums there.
 ///
 /// # Example
 ///
@@ -136,8 +140,8 @@ pub struct Hmc {
     /// functional write touched the block since the last
     /// [`zero_dirty_from`](Self::zero_dirty_from).
     dirty: Vec<u64>,
-    /// The read-only words from address 0 up, 4 B each on the host.
-    shared: Arc<Vec<i32>>,
+    /// The read-only words from address 0 up, at their host widths.
+    shared: Arc<WordArea>,
     /// The writable words after `shared`, allocated on the first
     /// access ([`owned`](Self::owned)). A `OnceLock` rather than a
     /// `OnceCell`, so a cube (and a session holding one) stays `Sync`.
@@ -160,19 +164,19 @@ impl Hmc {
     /// workload tables — the paper's Q6 working set is ~1 GB at SF 1
     /// and proportionally less at reduced scale).
     pub fn new(cfg: HmcConfig, image_bytes: usize) -> Self {
-        Hmc::with_shared(cfg, Arc::new(Vec::new()), image_bytes)
+        Hmc::with_shared(cfg, Arc::default(), image_bytes)
     }
 
     /// Creates a cube whose `image_bytes` of functional storage start
     /// with `shared`, a read-only area other cubes may share, followed
     /// by an owned, zeroed area up to `image_bytes`. Word `a / 8` of
-    /// `shared` holds the 8 B word at address `a`; each is stored in
-    /// 4 B and widened on read.
+    /// `shared` holds the 8 B word at address `a`; each is stored at
+    /// its buffer's width and widened on read.
     ///
     /// # Panics
     ///
     /// Panics if the shared area is longer than `image_bytes`.
-    pub fn with_shared(cfg: HmcConfig, shared: Arc<Vec<i32>>, image_bytes: usize) -> Self {
+    pub fn with_shared(cfg: HmcConfig, shared: Arc<WordArea>, image_bytes: usize) -> Self {
         let shared_bytes = shared.len() * WORD_BYTES as usize;
         assert!(
             shared_bytes <= image_bytes,
@@ -350,25 +354,37 @@ impl Hmc {
     }
 
     /// Functional read of `words` aligned words at `addr`, from
-    /// whichever area holds them. A read of the owned area allocates
-    /// it, all zero, if nothing has accessed it yet.
+    /// whichever buffer of the shared area, or the owned area, holds
+    /// them: a view at that buffer's width. A read of the owned area
+    /// allocates it, all zero, if nothing has accessed it yet.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is not word-aligned, or if the range is outside
-    /// the image or straddles the owned base.
+    /// the image, straddles two shared buffers or straddles the owned
+    /// base.
     pub fn read_words(&self, addr: u64, words: usize) -> Words<'_> {
         let w = word_index(addr);
-        match w.checked_sub(self.shared.len()) {
-            None => {
-                assert!(
-                    w + words <= self.shared.len(),
-                    "read of {words} words at {addr:#x} straddles the owned base"
-                );
-                Words::Shared(&self.shared[w..w + words])
-            }
-            Some(o) => Words::Owned(&self.owned()[o..o + words]),
+        if let Some(o) = w.checked_sub(self.shared.len()) {
+            return Words::I64(&self.owned()[o..o + words]);
         }
+        let rest = self
+            .shared
+            .words_from(w)
+            .expect("a word below the owned base");
+        if words > rest.len() {
+            let end = w + rest.len();
+            let boundary = if end == self.shared.len() {
+                "the owned base"
+            } else {
+                "a shared buffer boundary"
+            };
+            panic!(
+                "read of {words} words at {addr:#x} straddles {boundary} at {:#x}",
+                end as u64 * WORD_BYTES
+            );
+        }
+        rest.slice(..words)
     }
 
     /// Functional read of the word at `addr`; see
@@ -451,7 +467,7 @@ impl Hmc {
     }
 
     /// The read-only area: word `a / 8` holds address `a`.
-    pub fn shared(&self) -> &Arc<Vec<i32>> {
+    pub fn shared(&self) -> &Arc<WordArea> {
         &self.shared
     }
 
@@ -548,56 +564,6 @@ const _: () = {
     );
 };
 
-/// A functional read of consecutive image words from one area (see
-/// [`Hmc::read_words`]): the shared area's 4 B host words, widened on
-/// read, or the owned area's 8 B words.
-#[derive(Debug, Clone, Copy)]
-pub enum Words<'a> {
-    /// Words of the shared, read-only area.
-    Shared(&'a [i32]),
-    /// Words of the owned area.
-    Owned(&'a [i64]),
-}
-
-impl<'a> Words<'a> {
-    /// Number of words.
-    pub fn len(&self) -> usize {
-        match self {
-            Words::Shared(w) => w.len(),
-            Words::Owned(w) => w.len(),
-        }
-    }
-
-    /// Whether the view holds no word.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Word `i` of the view, widened to `i64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn get(&self, i: usize) -> i64 {
-        match self {
-            Words::Shared(w) => i64::from(w[i]),
-            Words::Owned(w) => w[i],
-        }
-    }
-
-    /// The words in address order, widened to `i64`.
-    pub fn iter(&self) -> impl Iterator<Item = i64> + 'a {
-        let (shared, owned): (&[i32], &[i64]) = match *self {
-            Words::Shared(w) => (w, &[]),
-            Words::Owned(w) => (&[], w),
-        };
-        shared
-            .iter()
-            .map(|&v| i64::from(v))
-            .chain(owned.iter().copied())
-    }
-}
-
 /// The word index of `addr`.
 ///
 /// # Panics
@@ -628,6 +594,7 @@ fn mark_bits(words: &mut [u64], start: usize, end: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hipe_sim::WordVec;
 
     fn cube() -> Hmc {
         Hmc::new(HmcConfig::paper(), 1 << 20)
@@ -696,10 +663,18 @@ mod tests {
             .eq([0x0EAD_BEEF_0BAD_F00D, -7]));
     }
 
-    /// A cube over a 64-word shared area (2 blocks) and 6 owned blocks.
+    /// A 64-word shared area (2 blocks) whose word `i` holds `i`: one
+    /// block of `u8` words, then one of `u16` words.
+    fn shared_area() -> Arc<WordArea> {
+        Arc::new(WordArea::new(vec![
+            WordVec::U8((0..32).collect()),
+            WordVec::U16((32..64).collect()),
+        ]))
+    }
+
+    /// A cube over [`shared_area`] and 6 owned blocks.
     fn shared_cube() -> Hmc {
-        let shared = Arc::new((0..64).collect());
-        Hmc::with_shared(HmcConfig::paper(), shared, 8 * 256)
+        Hmc::with_shared(HmcConfig::paper(), shared_area(), 8 * 256)
     }
 
     #[test]
@@ -751,26 +726,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "straddles the owned base")]
+    #[should_panic(expected = "straddles the owned base at 0x200")]
     fn reads_straddling_the_owned_base_panic() {
         let _ = shared_cube().read_words(8 * 62, 3);
     }
 
     #[test]
+    #[should_panic(expected = "straddles a shared buffer boundary at 0x100")]
+    fn reads_straddling_two_shared_buffers_panic() {
+        let _ = shared_cube().read_words(8 * 31, 2);
+    }
+
+    #[test]
     fn words_widen_either_area() {
-        let mut h = Hmc::with_shared(
-            HmcConfig::paper(),
-            Arc::new(vec![i32::MIN, -1, i32::MAX]),
-            64,
-        );
-        h.write_word(24, i64::MIN);
-        let shared = h.read_words(0, 3);
-        assert_eq!((shared.len(), shared.is_empty()), (3, false));
-        assert_eq!(shared.get(0), i64::from(i32::MIN));
+        let area = WordArea::new(vec![
+            WordVec::U8(vec![0, u8::MAX]),
+            WordVec::U16(vec![u16::MAX]),
+            WordVec::I32(vec![i32::MIN, -1, i32::MAX]),
+        ]);
+        let mut h = Hmc::with_shared(HmcConfig::paper(), Arc::new(area), 64);
+        h.write_word(48, i64::MIN);
+        assert_eq!(h.read_words(0, 2), Words::U8(&[0, u8::MAX]));
+        assert_eq!(h.read_words(16, 1), Words::U16(&[u16::MAX]));
+        let shared = h.read_words(24, 3);
+        assert!(matches!(shared, Words::I32(_)));
         assert!(shared.iter().eq([i32::MIN.into(), -1, i32::MAX.into()]));
-        let owned = h.read_words(24, 2);
+        assert_eq!(h.read_word(8), 255);
+        assert_eq!(h.read_word(16), 65_535);
+        let owned = h.read_words(48, 2);
+        assert!(matches!(owned, Words::I64(_)));
         assert!(owned.iter().eq([i64::MIN, 0]));
-        assert_eq!(owned.get(0), h.read_word(24));
         assert!(h.read_words(8, 0).is_empty());
     }
 
@@ -783,8 +768,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the image")]
     fn a_shared_area_longer_than_the_image_is_rejected() {
-        let shared = Arc::new((0..64).collect());
-        let _ = Hmc::with_shared(HmcConfig::paper(), shared, 504);
+        let _ = Hmc::with_shared(HmcConfig::paper(), shared_area(), 504);
     }
 
     #[test]

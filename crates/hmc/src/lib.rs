@@ -20,22 +20,25 @@
 //! The cube is *functional* as well as timed: it holds a word image of
 //! the simulated physical memory, so the database scans executed on top
 //! of it compute real results that the test-suite cross-checks against
-//! a reference executor. The image's low part can be a read-only buffer
+//! a reference executor. The image's low part can be a read-only area
 //! shared by many cubes (the table's columns); the cube owns only the
 //! area above it, where runs write their outputs. The model addresses
-//! and times 8 B words throughout; on the host the shared buffer keeps
-//! each word in 4 B (`i32`, widened on read), the owned area in 8 B.
+//! and times 8 B words throughout. On the host the shared area
+//! ([`WordArea`]) keeps each buffer's words at the width their values
+//! need, and reads widen them ([`Words`]); the owned area holds 8 B
+//! words.
 //!
 //! # Example
 //!
 //! ```
-//! use hipe_hmc::{AccessKind, Hmc, HmcConfig};
+//! use hipe_hmc::{AccessKind, Hmc, HmcConfig, WordArea};
+//! use hipe_sim::WordVec;
 //! use std::sync::Arc;
 //!
-//! // 32 shared 8 B words (one 256 B row; 4 B each on the host)
+//! // 32 shared 8 B words (one 256 B row; 1 B each on the host)
 //! // below a 256 B owned area.
-//! let table = Arc::new((0..32).collect());
-//! let mut hmc = Hmc::with_shared(HmcConfig::paper(), table, 512);
+//! let table = WordArea::new(vec![WordVec::U8((0..32).collect())]);
+//! let mut hmc = Hmc::with_shared(HmcConfig::paper(), Arc::new(table), 512);
 //! assert!(hmc.read_words(8, 3).iter().eq([1, 2, 3]));
 //! hmc.write_word(0x100, 42);
 //! let resp = hmc.access(0, 0x100, 8, AccessKind::Read);
@@ -51,6 +54,7 @@ mod vault;
 
 pub use address::{AddressMapping, Location};
 pub use config::{DramTimings, HmcConfig};
-pub use cube::{AccessKind, Hmc, HmcStats, Response, VaultActivity, Words, CUBE_BYTES};
+pub use cube::{AccessKind, Hmc, HmcStats, Response, VaultActivity, CUBE_BYTES};
 pub use energy::{EnergyBreakdown, EnergyModel};
+pub use hipe_sim::{WordArea, Words};
 pub use vault::Vault;

@@ -2,7 +2,7 @@
 
 use crate::bank::{RegisterBank, LANES};
 use crate::config::LogicConfig;
-use hipe_hmc::{Hmc, Words};
+use hipe_hmc::Hmc;
 use hipe_isa::{AluOp, LogicInstr, OpSize, PredWhen, Predicate, RegId};
 use hipe_sim::Cycle;
 use std::cell::Cell;
@@ -171,14 +171,7 @@ impl Engine {
                 self.bank.rewrite(dst, data_ready, |regs, d| {
                     // Unused high lanes are zeroed.
                     let (low, high) = regs[d].split_at_mut(words.len());
-                    match words {
-                        Words::Shared(w) => {
-                            for (lane, &v) in low.iter_mut().zip(w) {
-                                *lane = i64::from(v);
-                            }
-                        }
-                        Words::Owned(w) => low.copy_from_slice(w),
-                    }
+                    words.widen_into(low);
                     high.fill(0);
                 });
                 data_ready

@@ -649,7 +649,7 @@ mod tests {
             for col in Column::ALL {
                 assert_eq!(
                     c.shard(s).table().column(col),
-                    &mono.column(col)[range.clone()],
+                    mono.column(col).slice(range.clone()),
                     "shard {s} {col}"
                 );
             }

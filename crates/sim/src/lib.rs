@@ -38,7 +38,9 @@
 //! reports; every other statistic is a plain counter in a model's
 //! `*Stats` struct, named by `hipe::RunReport::metrics`) and the
 //! host-side [`WorkerPool`] that runs independent simulations
-//! in parallel.
+//! in parallel. [`Words`], [`WordVec`] and [`WordArea`] keep 8 B model
+//! words on the host at the width their values need (a table's
+//! columns, which a cube reads but never writes), widening on read.
 //!
 //! # Example
 //!
@@ -67,6 +69,7 @@ mod server;
 mod stats;
 mod time;
 mod window;
+mod words;
 
 pub use fifo_window::FifoWindow;
 pub use host::{env_workers, WorkerPool};
@@ -75,3 +78,4 @@ pub use server::{MultiServer, ServeOutcome, Server};
 pub use stats::Samples;
 pub use time::{ClockDomain, Cycle, Divisor, Freq};
 pub use window::Window;
+pub use words::{WordArea, WordVec, Words};

@@ -22,7 +22,7 @@ use crate::time::Cycle;
 /// let mut s = Samples::new();
 /// for v in [30, 10, 20, 40] { s.push(v); }
 /// assert_eq!(s.percentile(50.0), Some(20));
-/// assert_eq!(s.p99(), Some(40));
+/// assert_eq!(s.percentiles([95.0, 99.0]), Some([40, 40]));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Samples {
@@ -102,26 +102,6 @@ impl Samples {
         }))
     }
 
-    /// Median (50th percentile).
-    pub fn p50(&mut self) -> Option<Cycle> {
-        self.percentile(50.0)
-    }
-
-    /// 95th percentile.
-    pub fn p95(&mut self) -> Option<Cycle> {
-        self.percentile(95.0)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&mut self) -> Option<Cycle> {
-        self.percentile(99.0)
-    }
-
-    /// 99.9th percentile.
-    pub fn p999(&mut self) -> Option<Cycle> {
-        self.percentile(99.9)
-    }
-
     /// Absorbs every sample of `other`, leaving it untouched — the
     /// cross-shard latency merge: each shard accumulates its own
     /// `Samples`, and the service folds them into one distribution
@@ -142,7 +122,7 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.max(), None);
         assert_eq!(s.percentile(50.0), None);
-        assert_eq!(s.p99(), None);
+        assert_eq!(s.percentile(99.0), None);
     }
 
     #[test]
@@ -163,7 +143,7 @@ mod tests {
         for v in [20, 10] {
             s.push(v);
         }
-        assert_eq!(s.p50(), Some(10));
+        assert_eq!(s.percentile(50.0), Some(10));
         assert_eq!(s.percentile(50.1), Some(20));
         assert_eq!(s.percentile(100.0), Some(20));
         // n = 3: thirds at 33.33… and 66.67…
@@ -173,7 +153,7 @@ mod tests {
         }
         assert_eq!(s.percentile(33.3), Some(10));
         assert_eq!(s.percentile(33.4), Some(20));
-        assert_eq!(s.p50(), Some(20));
+        assert_eq!(s.percentile(50.0), Some(20));
         assert_eq!(s.percentile(66.6), Some(20));
         assert_eq!(s.percentile(66.7), Some(30));
         // n = 4: quarter boundaries are exact.
@@ -183,7 +163,7 @@ mod tests {
         }
         assert_eq!(s.percentile(25.0), Some(10));
         assert_eq!(s.percentile(25.1), Some(20));
-        assert_eq!(s.p50(), Some(20));
+        assert_eq!(s.percentile(50.0), Some(20));
         assert_eq!(s.percentile(75.0), Some(30));
         assert_eq!(s.percentile(75.1), Some(40));
         // n = 5: p50 is the true median; p95/p99 are the maximum.
@@ -194,11 +174,11 @@ mod tests {
         assert_eq!(s.percentile(0.0), Some(10));
         assert_eq!(s.percentile(20.0), Some(10));
         assert_eq!(s.percentile(20.1), Some(20));
-        assert_eq!(s.p50(), Some(30));
+        assert_eq!(s.percentile(50.0), Some(30));
         assert_eq!(s.percentile(80.0), Some(40));
         assert_eq!(s.percentile(80.1), Some(50));
-        assert_eq!(s.p95(), Some(50));
-        assert_eq!(s.p99(), Some(50));
+        assert_eq!(s.percentile(95.0), Some(50));
+        assert_eq!(s.percentile(99.0), Some(50));
     }
 
     #[test]
@@ -208,23 +188,22 @@ mod tests {
         for v in (1..=1000).rev() {
             s.push(v);
         }
-        assert_eq!(s.p999(), Some(999));
-        assert_eq!(s.p99(), Some(990));
+        assert_eq!(s.percentiles([99.0, 99.9]), Some([990, 999]));
         // n = 1001: rank ceil(99.9 * 1001 / 100) = ceil(999.999) = 1000.
         s.push(1001);
-        assert_eq!(s.p999(), Some(1000));
+        assert_eq!(s.percentile(99.9), Some(1000));
         // n = 2000: rank ceil(1998.0) = 1998 — exact boundary, no
         // overshoot from the multiply-before-divide order.
         let mut s = Samples::new();
         for v in 1..=2000 {
             s.push(v);
         }
-        assert_eq!(s.p999(), Some(1998));
+        assert_eq!(s.percentile(99.9), Some(1998));
         // Tiny sample sets clamp to the maximum.
         let mut s = Samples::new();
         s.push(5);
         s.push(9);
-        assert_eq!(s.p999(), Some(9));
+        assert_eq!(s.percentile(99.9), Some(9));
     }
 
     #[test]
@@ -258,14 +237,14 @@ mod tests {
         let mut a = Samples::new();
         a.push(3);
         a.push(1);
-        assert_eq!(a.p50(), Some(1)); // reorders the samples
+        assert_eq!(a.percentile(50.0), Some(1)); // reorders the samples
         let empty = Samples::new();
         a.merge(&empty);
         assert_eq!(a.count(), 2);
         let mut b = Samples::new();
         b.push(2);
         a.merge(&b); // appends after the reordered samples
-        assert_eq!(a.p50(), Some(2));
+        assert_eq!(a.percentile(50.0), Some(2));
         let mut c = Samples::new();
         c.merge(&a);
         assert_eq!(c.count(), 3);
@@ -277,10 +256,10 @@ mod tests {
         for v in [100, 300] {
             s.push(v);
         }
-        assert_eq!(s.p50(), Some(100));
+        assert_eq!(s.percentile(50.0), Some(100));
         // Pushing after a percentile query selects anew.
         s.push(200);
-        assert_eq!(s.p50(), Some(200));
+        assert_eq!(s.percentile(50.0), Some(200));
         assert_eq!(s.mean(), 200.0);
         assert_eq!(s.max(), Some(300));
         assert_eq!(s.count(), 3);

@@ -1,18 +1,20 @@
-//! Properties of the shared column buffer.
+//! Properties of the shared column area.
 //!
 //! The contract under test: a system stores its table's columns once,
-//! and every session's cube reads that one buffer as the read-only
+//! and every session's cube reads that one area as the read-only
 //! image below the mask base, owning only the output area above it —
 //! over plain, partitioned and row-offset tables, including the
 //! remainder region at the tail. The cube reads back exactly the
 //! table's values, the padding and output area read zero, and nothing
-//! can write the shared area. The buffer keeps each modelled 8 B value
-//! in a 4 B host word: every value still equals what a generator of
-//! 8 B values draws, at every address the cube reads.
+//! can write the shared area. The area keeps each column in its own
+//! buffer at the width its values need (`u16`, `u8`, `u8`, `i32`: 8 B
+//! per row, against the model's 32 B): every value still equals what a
+//! generator of 8 B values draws, at every address the cube reads, and
+//! a read across two columns panics.
 
-use hipe::{System, SystemConfig};
-use hipe_db::{Column, SplitMix64, TableShape, COLUMN_BYTES};
-use hipe_hmc::Hmc;
+use hipe::{Arch, System, SystemConfig};
+use hipe_db::{scan, Column, Query, SplitMix64, TableShape, COLUMN_BYTES};
+use hipe_hmc::{Hmc, Words};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -131,7 +133,7 @@ fn a_short_image_slice_is_rejected() {
 
 /// Row `row`'s four values, in [`Column::ALL`] order, drawn as 8 B
 /// values: the generator's draw stream and arithmetic, kept here
-/// independently of the table's 4 B storage.
+/// independently of the table's narrowed storage.
 fn wide_row(seed: u64, shape: TableShape, row: usize) -> [i64; 4] {
     let mut rng = SplitMix64::new(seed);
     rng.skip(row as u64 * 4);
@@ -148,14 +150,26 @@ fn wide_row(seed: u64, shape: TableShape, row: usize) -> [i64; 4] {
     [shipdate, discount, quantity, price]
 }
 
+/// The name of a view's host width.
+fn width(words: Words<'_>) -> &'static str {
+    match words {
+        Words::U8(_) => "u8",
+        Words::U16(_) => "u16",
+        Words::I32(_) => "i32",
+        Words::I64(_) => "i64",
+    }
+}
+
 #[test]
 fn narrowed_tables_round_trip_the_wide_generator() {
     let total = 20_000;
+    let q6 = Query::q6();
     for shape in [
         TableShape::Uniform,
         TableShape::ClusteredShipdate { total_rows: total },
     ] {
         for (rows, partitions, row_offset) in [(1000, 1, 0), (777, 4, 96), (321, 2, 19_679)] {
+            let case = format!("{shape:?} {rows}x{partitions}@{row_offset}");
             let sys = System::with_config(SystemConfig {
                 partitions,
                 row_offset,
@@ -163,22 +177,54 @@ fn narrowed_tables_round_trip_the_wide_generator() {
                 ..SystemConfig::paper(rows, SEED)
             });
             let (table, layout) = (sys.table(), sys.layout());
-            let session = sys.session();
+            let mut session = sys.session();
             let hmc = session.hmc();
             let columns: Vec<_> = Column::ALL
                 .map(|c| hmc.read_words(layout.value_addr(c, 0), rows))
                 .into();
+            // Every column at its own width, in the table and the cube.
+            for (c, want) in Column::ALL.into_iter().zip(["u16", "u8", "u8", "i32"]) {
+                assert_eq!(width(table.column(c)), want, "{case}: {c}");
+                assert_eq!(width(columns[c.index()]), want, "{case}: {c}");
+            }
+            let (mut matches, mut aggregate) = (0, 0i128);
             for i in 0..rows {
                 let want = wide_row(SEED, shape, row_offset + i);
                 for c in Column::ALL {
-                    let case = format!("{shape:?} {rows}x{partitions}@{row_offset}: {c}[{i}]");
                     let v = want[c.index()];
-                    assert_eq!(table.value(c, i), v, "{case}");
-                    assert_eq!(hmc.read_word(layout.value_addr(c, i)), v, "{case}");
-                    assert_eq!(columns[c.index()].get(i), v, "{case}");
+                    assert_eq!(table.value(c, i), v, "{case}: {c}[{i}]");
+                    let read = hmc.read_word(layout.value_addr(c, i));
+                    assert_eq!(read, v, "{case}: {c}[{i}]");
+                    assert_eq!(columns[c.index()].get(i), v, "{case}: {c}[{i}]");
+                }
+                if q6.matches_with(|c| want[c.index()]) {
+                    matches += 1;
+                    aggregate += i128::from(want[Column::ExtendedPrice.index()])
+                        * i128::from(want[Column::Discount.index()]);
                 }
             }
+            // A logic-layer run over the narrowed area answers as the
+            // wide rows do.
+            let reference = scan::reference(table, &q6);
+            assert_eq!(
+                (reference.matches, reference.aggregate),
+                (matches, Some(aggregate))
+            );
+            assert_eq!(session.run(Arch::Hive, &q6).result, reference, "{case}");
         }
+    }
+}
+
+#[test]
+fn a_table_holds_eight_host_bytes_per_padded_row() {
+    for (case, sys) in systems() {
+        let layout = sys.layout();
+        let padded_rows = (layout.column_stride() / COLUMN_BYTES) as usize;
+        let area = sys.table().column_area();
+        assert_eq!(area.len(), 4 * padded_rows, "{case}");
+        assert_eq!(area.host_bytes(), 8 * padded_rows, "{case}");
+        // A quarter of the 32 B the model charges per row.
+        assert_eq!(4 * area.host_bytes() as u64, layout.bytes(), "{case}");
     }
 }
 
@@ -190,6 +236,14 @@ fn unaligned_reads_of_the_column_area_panic() {
         .session()
         .hmc()
         .read_words(sys.layout().value_addr(Column::Discount, 3) + 4, 1);
+}
+
+#[test]
+#[should_panic(expected = "straddles a shared buffer boundary")]
+fn reads_straddling_two_columns_panic() {
+    let sys = System::new(64, SEED);
+    let base = sys.layout().column_base(Column::Quantity);
+    let _ = sys.session().hmc().read_words(base - COLUMN_BYTES, 2);
 }
 
 #[test]

@@ -2,10 +2,11 @@
 //! 60 M-row [`System`], each answer checked against the reference
 //! executor.
 //!
-//! What the process holds is the table's one column buffer (16 B per
-//! row: four 4 B host words, each an 8 B value to the model), one
-//! session's output area (about 8 B per row) and plans whose size
-//! follows the query, not the table — about 1.5 GiB in all. The
+//! What the process holds is the table's one column area (8 B per
+//! row: each column at its own width, 1 to 4 B, where the model sees
+//! an 8 B value), one session's output area (about 8 B per row) and
+//! plans whose size follows the query, not the table — about 1.1 GiB
+//! in all. The
 //! test is ignored by default because of that footprint and its
 //! host time; run it with
 //!
@@ -20,7 +21,7 @@ use hipe::{Arch, System};
 use hipe_db::{scan, Query, SF1_ROWS};
 
 #[test]
-#[ignore = "SF-10: about 1.5 GiB and a minute of release-build host time"]
+#[ignore = "SF-10: about 1.1 GiB and a minute of release-build host time"]
 fn q6_at_sf10_matches_the_reference_on_every_machine() {
     let sys = System::new(10 * SF1_ROWS, 2018);
     let q6 = Query::q6();
