@@ -29,8 +29,8 @@
 //! A fourth sweep (`skip_1%` / `skip_3%` / `skip_10%`) runs a
 //! shipdate window at that selectivity against a shipdate-clustered
 //! table twice — with zone-map pruning on and off — on all four
-//! machines, recording both runs' cycle and phase counts in one row
-//! (`base_*` fields are the unpruned run). A `serve_skip` row drives
+//! machines, recording both runs in one row (the unpruned run under
+//! the `base.` prefix). A `serve_skip` row drives
 //! the same window through a 4-shard cluster whose scatter path
 //! consults the shard rollups, reporting how many shards were never
 //! scattered to. `check_figures` requires pruned cycles to never
@@ -47,14 +47,23 @@
 //! (`hipe_bench::host_par_not_slower`).
 //!
 //! Besides the human-readable table, all sweeps are written to
-//! `BENCH_figures.json` (override the path with `HIPE_BENCH_JSON`),
-//! which `check_figures` validates (`par_*` cycles fall monotonically
-//! with the engine count, `serve_*` throughput rises monotonically with
-//! the shard and replica count, the `serve_fail` digests match their
-//! clean counterparts, and so on). The file holds simulated results
-//! only, so it is a pure function of the row count and the seed: CI
-//! regenerates it serially and at 4 workers and `cmp`s both runs
-//! against the committed copy.
+//! `BENCH_figures.json` (override the path with `HIPE_BENCH_JSON`).
+//! Every row is `{name, config, metrics}`: `config` holds what the row
+//! asked for (`query`, `shards`, `replicas`, `workers`) and `metrics`
+//! the reports' own projections (`RunReport::metrics`,
+//! `ServiceReport::metrics`, `ClusterReport::metrics`), each under its
+//! row prefix: `arch.HIPE.` for a machine's run or service,
+//! `base.arch.HIPE.` for the unpruned skip baseline, and
+//! `clean.arch.HIPE.` / `fault.arch.HIPE.` for the failover pair. This
+//! file spells no metric name except `host_par`'s digests.
+//! `check_figures` validates the file (`par_*` cycles fall
+//! monotonically with the engine count, `serve_*` throughput rises
+//! monotonically with the shard and replica count, the `serve_fail`
+//! digests match their clean counterparts, every run keeps the report
+//! invariants, and so on). The file holds simulated results only, so
+//! it is a pure function of the row count and the seed: CI regenerates
+//! it serially and at 4 workers and `cmp`s both runs against the
+//! committed copy.
 //!
 //! Run with `cargo bench -p hipe-bench --bench figures`; scale the
 //! table with `HIPE_BENCH_ROWS` or `HIPE_BENCH_SF`, and fan the
@@ -64,11 +73,11 @@
 // library-wide print lints stop here.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use hipe::{Arch, RunReport, System, SystemConfig, TableShape};
+use hipe::{Arch, RunReport, Session, System, SystemConfig, TableShape};
 use hipe_db::scan::ScanResult;
 use hipe_db::Query;
 use hipe_serve::{run_service, Cluster, ClusterConfig, FaultPlan, ServiceConfig, ServiceReport};
-use hipe_sim::WorkerPool;
+use hipe_sim::{fnv1a, WorkerPool};
 use hipe_trace::{json, Value};
 use std::time::Instant;
 
@@ -136,10 +145,7 @@ fn main() {
         points,
         || sys.session(),
         |session, _, (name, query)| {
-            let reports: Vec<RunReport> = Arch::ALL
-                .iter()
-                .map(|&arch| session.run(arch, &query))
-                .collect();
+            let reports = run_all(session, &query);
             for r in &reports {
                 assert_eq!(
                     r.result.bitmask, reports[0].result.bitmask,
@@ -165,7 +171,7 @@ fn main() {
             hipe.energy.dram_pj() / base.energy.dram_pj(),
             hipe.energy.link_pj() / base.energy.link_pj(),
         );
-        json_points.push(json_point(name, query, reports));
+        json_points.push(row(name, [query_config(query)], arch_runs("", reports)));
     }
     // One materialization per worker that actually ran a point — and
     // exactly one on the historical serial path.
@@ -217,12 +223,17 @@ fn main() {
             hipe.cycles,
             hipe_scan_1 as f64 / hipe.phases.scan.max(1) as f64,
         );
-        json_points.push(json_point(&name, &q6, reports));
+        json_points.push(row(&name, [query_config(&q6)], arch_runs("", reports)));
     }
 
     // Service sweep: the same saturating closed-loop load against 1,
-    // 2 and 4 cube shards on HIPE. Throughput (queries per gigacycle)
-    // must not fall as shards are added — check_figures enforces it.
+    // 2 and 4 cube shards on HIPE, then against 4 shards x 2 replicas.
+    // Throughput (queries per gigacycle) must not fall as shards are
+    // added, and each scattered sub-query goes to one replica per
+    // shard, so the replicas serve concurrently and owe at least 1.7x
+    // of serve_4's throughput. Both are check_figures' invariants — a
+    // dip must surface as its structured CI failure over the written
+    // JSON, not as a mid-sweep panic that leaves stale figures.
     println!(
         "# sharded service sweep (HIPE closed loop, {SERVE_QUERIES} queries, \
          {SERVE_CLIENTS} clients)"
@@ -236,92 +247,57 @@ fn main() {
         (Query::quantity_below_permille(100), 2),
         (Query::quantity_below_permille(500).with_aggregate(), 1),
     ];
-    for n in [1usize, 2, 4] {
-        let cluster = Cluster::new(rows, SEED, n);
-        let cfg = ServiceConfig::closed(Arch::Hipe, SERVE_QUERIES, mix.clone(), SERVE_CLIENTS);
-        let report = run_service(&cluster, &cfg);
+    let closed = |arch| ServiceConfig::closed(arch, SERVE_QUERIES, mix.clone(), SERVE_CLIENTS);
+    let mut last = None;
+    for (n, replicas) in [(1, 1), (2, 1), (4, 1), (4, 2)] {
+        let cluster = Cluster::replicated(rows, SEED, n, replicas);
+        let report = run_service(&cluster, &closed(Arch::Hipe));
         assert_eq!(report.queries, SERVE_QUERIES as u64);
-        // Throughput monotonicity is check_figures' invariant — a dip
-        // must surface as its structured CI failure over the written
-        // JSON, not as a mid-sweep panic that leaves stale figures.
-        let name = format!("serve_{n}");
-        println!(
-            "{:<12} {:>8} {:>14} {:>10} {:>10} {:>10}",
-            name,
-            n,
-            report.queries_per_gigacycle(),
-            report.latency.p50,
-            report.latency.p95,
-            report.latency.p99,
-        );
-        json_points.push(serve_json_point(&name, &report, Vec::new()));
+        let name = match replicas {
+            1 => format!("serve_{n}"),
+            _ => format!("serve_{n}x{replicas}"),
+        };
+        let runs = [run("", report.arch, report.metrics())];
+        json_points.push(serve_row(&name, &report, runs, String::new()));
+        last = Some((cluster, report));
     }
-
-    // Replication point: the same load against 4 shards x 2 replicas.
-    // Each scattered sub-query goes to one replica per shard, so the
-    // replicas serve concurrently — check_figures requires the
-    // throughput to reach at least 1.7x of serve_4's.
-    let cluster = Cluster::replicated(rows, SEED, 4, 2);
-    let cfg = ServiceConfig::closed(Arch::Hipe, SERVE_QUERIES, mix.clone(), SERVE_CLIENTS);
-    let replicated = run_service(&cluster, &cfg);
-    assert_eq!(replicated.queries, SERVE_QUERIES as u64);
-    println!(
-        "{:<12} {:>8} {:>14} {:>10} {:>10} {:>10}",
-        "serve_4x2",
-        "4x2",
-        replicated.queries_per_gigacycle(),
-        replicated.latency.p50,
-        replicated.latency.p95,
-        replicated.latency.p99,
-    );
-    json_points.push(serve_json_point("serve_4x2", &replicated, Vec::new()));
+    let (cluster, replicated) = last.expect("the service sweep ran");
 
     // Failover point: the replicated cluster again, with replica 0 of
     // shard 1 killed fail-stop at half the clean makespan. Sub-queries
     // lost on the dark replica are re-dispatched to its survivor, and
     // the service answer must come out bit-identical on every
-    // architecture — the per-arch digest pairs below are what
-    // check_figures compares.
-    let mut digests = Vec::new();
+    // architecture — the per-arch clean and fault answer digests are
+    // what check_figures compares.
+    let mut runs = Vec::new();
     let mut hipe_failed = None;
     for arch in Arch::ALL {
-        let cfg = ServiceConfig::closed(arch, SERVE_QUERIES, mix.clone(), SERVE_CLIENTS);
         let clean = if matches!(arch, Arch::Hipe) {
             replicated.clone()
         } else {
-            run_service(&cluster, &cfg)
+            run_service(&cluster, &closed(arch))
         };
         let failed = run_service(
             &cluster,
             &ServiceConfig {
                 faults: vec![FaultPlan::new(1, 0, clean.makespan / 2)],
-                ..cfg
+                ..closed(arch)
             },
         );
         assert_eq!(
             failed.answers, clean.answers,
             "{arch}: failover changed the service answer"
         );
-        let key = |run: &str| format!("digest_{arch}_{run}");
-        digests.push((key("clean"), clean.answers_digest().into()));
-        digests.push((key("fault"), failed.answers_digest().into()));
+        runs.push(run("clean.", arch, clean.metrics()));
+        runs.push(run("fault.", arch, failed.metrics()));
         if matches!(arch, Arch::Hipe) {
             hipe_failed = Some(failed);
         }
     }
     let failed = hipe_failed.expect("HIPE is in Arch::ALL");
-    println!(
-        "{:<12} {:>8} {:>14} {:>10} {:>10} {:>10}  ({} failover, {} redispatched)",
-        "serve_fail",
-        "4x2",
-        failed.queries_per_gigacycle(),
-        failed.latency.p50,
-        failed.latency.p95,
-        failed.latency.p99,
-        failed.failovers,
-        failed.redispatched,
-    );
-    json_points.push(serve_json_point("serve_fail", &failed, digests));
+    let (failovers, redispatched) = (failed.failovers, failed.redispatched);
+    let note = format!("  ({failovers} failover, {redispatched} redispatched)");
+    json_points.push(serve_row("serve_fail", &failed, runs, note));
 
     // Zone-map skip sweep: the same shipdate window runs pruned and
     // unpruned against one shipdate-clustered table per mode, on all
@@ -347,14 +323,8 @@ fn main() {
     for pm in [10, 30, 100] {
         let name = format!("skip_{:.0}%", pm as f64 / 10.0);
         let query = Query::shipdate_window_permille(pm);
-        let pruned_reports: Vec<RunReport> = Arch::ALL
-            .iter()
-            .map(|&arch| pruned_session.run(arch, &query))
-            .collect();
-        let full_reports: Vec<RunReport> = Arch::ALL
-            .iter()
-            .map(|&arch| full_session.run(arch, &query))
-            .collect();
+        let pruned_reports = run_all(&mut pruned_session, &query);
+        let full_reports = run_all(&mut full_session, &query);
         for (p, u) in pruned_reports.iter().zip(&full_reports) {
             assert_eq!(
                 p.result, u.result,
@@ -373,12 +343,8 @@ fn main() {
             hipe.regions_scanned,
             hipe.regions_pruned,
         );
-        json_points.push(skip_json_point(
-            &name,
-            &query,
-            &pruned_reports,
-            &full_reports,
-        ));
+        let runs = arch_runs("", &pruned_reports).chain(arch_runs("base.", &full_reports));
+        json_points.push(row(&name, [query_config(&query)], runs));
     }
     assert_eq!(
         pruned_sys.materializations(),
@@ -411,13 +377,12 @@ fn main() {
         full_report.cycles,
         skip_report.shards_skipped(),
     );
-    json_points.push(Value::object([
-        ("name", "serve_skip".into()),
-        ("shards", 4u64.into()),
-        ("shards_skipped", skip_report.shards_skipped().into()),
-        ("cycles", skip_report.cycles.into()),
-        ("base_cycles", full_report.cycles.into()),
-    ]));
+    let runs = [
+        run("", skip_report.arch, skip_report.metrics()),
+        run("base.", full_report.arch, full_report.metrics()),
+    ];
+    let config = [query_config(&query), ("shards", 4usize.into())];
+    json_points.push(row("serve_skip", config, runs));
 
     // Host-parallel row: the same four-arch batch and the same 4-shard
     // scatter, once on a 1-worker pool and once on a 4-worker pool.
@@ -482,18 +447,18 @@ fn main() {
         scatter_par_ms,
         (sweep_ser_ms + scatter_ser_ms) / (sweep_par_ms + scatter_par_ms).max(1e-9),
     );
-    json_points.push(Value::object([
-        ("name", "host_par".into()),
-        ("workers", HOST_PAR_WORKERS.into()),
-        (
-            "digest_serial",
-            (sweep_ser_digest ^ scatter_ser_digest).into(),
-        ),
-        (
-            "digest_parallel",
-            (sweep_par_digest ^ scatter_par_digest).into(),
-        ),
-    ]));
+    // The two legs' digests are the one figure this file names itself:
+    // they fingerprint a batch of runs, not one run or service.
+    let legs = [
+        ("serial.", sweep_ser_digest ^ scatter_ser_digest),
+        ("parallel.", sweep_par_digest ^ scatter_par_digest),
+    ];
+    let runs = legs.map(|(leg, d)| (leg.to_string(), Value::object([("digest", d.into())])));
+    json_points.push(row(
+        "host_par",
+        [("workers", HOST_PAR_WORKERS.into())],
+        runs,
+    ));
 
     // Default next to the workspace root regardless of the bench CWD.
     let path = std::env::var("HIPE_BENCH_JSON").unwrap_or_else(|_| {
@@ -528,14 +493,9 @@ fn main() {
     }
 }
 
-/// One FNV-1a step over a 64-bit word.
-fn fnv_mix(hash: u64, word: u64) -> u64 {
-    let mut h = hash;
-    for byte in word.to_le_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+/// `query` on every machine, in `Arch::ALL` order.
+fn run_all(session: &mut Session, query: &Query) -> Vec<RunReport> {
+    Arch::ALL.map(|arch| session.run(arch, query)).to_vec()
 }
 
 /// FNV-1a digest over a batch of `(cycles, result)` runs: simulated
@@ -543,99 +503,72 @@ fn fnv_mix(hash: u64, word: u64) -> u64 {
 /// mask words). Equal digests mean the batches are bit-identical in
 /// everything the figures record.
 fn digest_runs<'a>(runs: impl Iterator<Item = (u64, &'a ScanResult)>) -> u64 {
-    let mut h = 0xcbf29ce484222325;
-    for (cycles, result) in runs {
-        h = fnv_mix(h, cycles);
-        h = fnv_mix(h, result.matches as u64);
-        h = fnv_mix(h, result.aggregate.unwrap_or(0) as u64);
-        for &word in result.bitmask.words() {
-            h = fnv_mix(h, word);
-        }
-    }
-    h
+    fnv1a(runs.flat_map(|(cycles, result)| {
+        let aggregate = result.aggregate.unwrap_or(0) as u64;
+        let words = result.bitmask.words().iter().copied();
+        [cycles, result.matches as u64, aggregate]
+            .into_iter()
+            .chain(words)
+    }))
 }
 
-/// One per-arch sweep point: the query, its selectivity and one object
-/// per architecture.
-fn point(
+/// One figures row: its `name`, what was asked (`config`) and what
+/// its runs measured, each `(prefix, metrics)` projection's members
+/// under its prefix, in the given order.
+fn row<'a>(
     name: &str,
-    query: &Query,
-    selectivity: f64,
-    archs: impl Iterator<Item = (String, Value)>,
+    config: impl IntoIterator<Item = (&'a str, Value)>,
+    runs: impl IntoIterator<Item = (String, Value)>,
 ) -> Value {
+    let metrics = runs
+        .into_iter()
+        .flat_map(|(prefix, m)| hipe_bench::prefixed(prefix, m));
     Value::object([
         ("name", name.into()),
-        ("query", query.to_string().into()),
-        ("selectivity", Value::fixed(selectivity, 6)),
-        ("archs", Value::object(archs)),
+        ("config", Value::object(config)),
+        ("metrics", Value::object(metrics)),
     ])
 }
 
-/// One sweep point. Phase keys are self-describing: `*_end` values are
-/// absolute completion cycles, `*_cycles` are durations, and
-/// cycles == scan_end + gather_cycles.
-fn json_point(name: &str, query: &Query, reports: &[RunReport]) -> Value {
-    let archs = reports.iter().map(|r| {
-        let row = Value::object([
-            ("cycles", r.cycles.into()),
-            ("dispatch_end", r.phases.dispatch.into()),
-            ("scan_end", r.phases.scan.into()),
-            ("gather_cycles", r.phases.gather_aggregate.into()),
-            ("dram_pj", Value::fixed(r.energy.dram_pj(), 1)),
-            ("link_pj", Value::fixed(r.energy.link_pj(), 1)),
-            ("logic_pj", Value::fixed(r.energy.logic_pj(), 1)),
-            ("total_pj", Value::fixed(r.energy.total_pj(), 1)),
-        ]);
-        (r.arch.to_string(), row)
-    });
-    point(name, query, reports[0].selectivity(), archs)
+/// A run's metrics under `{variant}arch.{arch}.`: `variant` is empty,
+/// or names which of a row's two runs per machine it is (`base.` for
+/// the unpruned skip baseline, `clean.`/`fault.` for failover).
+fn run(variant: &str, arch: Arch, metrics: Value) -> (String, Value) {
+    (format!("{variant}arch.{arch}."), metrics)
 }
 
-/// One zone-map skip point: per-arch objects carrying the pruned run's
-/// cycles, phase ends and region counters alongside the unpruned
-/// baseline's as `base_*` fields, so `check_figures` can compare the
-/// two runs of the same query without a second row.
-fn skip_json_point(name: &str, query: &Query, pruned: &[RunReport], full: &[RunReport]) -> Value {
-    let archs = pruned.iter().zip(full).map(|(p, u)| {
-        let row = Value::object([
-            ("cycles", p.cycles.into()),
-            ("dispatch_end", p.phases.dispatch.into()),
-            ("scan_end", p.phases.scan.into()),
-            ("gather_cycles", p.phases.gather_aggregate.into()),
-            ("regions_scanned", p.regions_scanned.into()),
-            ("regions_pruned", p.regions_pruned.into()),
-            ("base_cycles", u.cycles.into()),
-            ("base_dispatch_end", u.phases.dispatch.into()),
-            ("base_scan_end", u.phases.scan.into()),
-        ]);
-        (p.arch.to_string(), row)
-    });
-    point(name, query, pruned[0].selectivity(), archs)
+/// Every report's run metrics, in sweep order.
+fn arch_runs<'a>(
+    variant: &'a str,
+    reports: &'a [RunReport],
+) -> impl Iterator<Item = (String, Value)> + 'a {
+    reports
+        .iter()
+        .map(move |r| run(variant, r.arch, r.metrics()))
 }
 
-/// One service-sweep point. No per-arch objects here — the row
-/// describes the service (throughput + latency percentiles + the
-/// failover counters). `extra` members (the `serve_fail` answer
-/// digests) go last.
-fn serve_json_point(name: &str, report: &ServiceReport, extra: Vec<(String, Value)>) -> Value {
-    let mut members: Vec<(String, Value)> = [
-        ("name", name.into()),
+fn query_config(query: &Query) -> (&'static str, Value) {
+    ("query", query.to_string().into())
+}
+
+/// Prints one service row of the table, `note` appended, and returns
+/// its figures row: the cluster shape asked for, and `runs`.
+fn serve_row(
+    name: &str,
+    report: &ServiceReport,
+    runs: impl IntoIterator<Item = (String, Value)>,
+    note: String,
+) -> Value {
+    let shards = match report.replicas {
+        1 => report.shards.to_string(),
+        r => format!("{}x{r}", report.shards),
+    };
+    let (qpgc, l) = (report.queries_per_gigacycle(), &report.latency);
+    let (p50, p95, p99) = (l.p50, l.p95, l.p99);
+    println!("{name:<12} {shards:>8} {qpgc:>14} {p50:>10} {p95:>10} {p99:>10}{note}");
+    let config = [
         ("shards", report.shards.into()),
         ("replicas", report.replicas.into()),
-        ("queries", report.queries.into()),
-        ("makespan_cycles", report.makespan.into()),
-        (
-            "queries_per_gigacycle",
-            report.queries_per_gigacycle().into(),
-        ),
-        ("p50_cycles", report.latency.p50.into()),
-        ("p95_cycles", report.latency.p95.into()),
-        ("p99_cycles", report.latency.p99.into()),
-        ("failovers", report.failovers.into()),
-        ("redispatched", report.redispatched.into()),
-    ]
-    .map(|(k, v)| (k.to_string(), v))
-    .into();
-    members.extend(extra);
-    Value::Object(members)
+    ];
+    row(name, config, runs)
 }

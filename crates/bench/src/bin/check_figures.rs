@@ -9,9 +9,17 @@
 //! `--trace [PATH]` it instead validates a `trace_dump` Chrome trace
 //! (default `BENCH_trace.json`): sync spans nest inside the makespan,
 //! async pairs balance, the events reconcile exactly with the
-//! `ServiceReport` counters in `otherData`, and its per-shard run
-//! metrics are integers that agree with each other (see
-//! [`check_metrics`]).
+//! `serve.*` counters in `otherData.metrics`, and its metrics name
+//! every shard and agree with each other (see [`check_metrics`] and
+//! [`check_invariants`]).
+//!
+//! Every figures row is `{name, config, metrics}`, and both files'
+//! `metrics` objects hold the report projections (`RunReport::metrics`,
+//! `ServiceReport::metrics`, `ClusterReport::metrics`) under prefixes
+//! such as `arch.HIPE.`, `base.arch.HIPE.` or `shard0.`. Rules read
+//! them through one dotted-name lookup, [`Metrics`], narrowed by
+//! prefix; [`check_invariants`] holds every run and service in either
+//! file to the report invariants.
 
 // The bench harness is the terminal boundary of the workspace: the
 // library-wide print lints stop here.
@@ -84,9 +92,167 @@ fn ensure(ok: bool, msg: impl FnOnce() -> String) -> Result<(), String> {
     }
 }
 
-/// `arch`'s row of a per-arch point.
-fn arch<'a>(point: &At<'a>, arch: &str) -> Result<At<'a>, String> {
-    point.get("archs")?.get(arch)
+/// A `metrics` object read by dotted name through a prefix
+/// (`arch.HIPE.`), the way a storage index is queried by prefix.
+#[derive(Clone)]
+struct Metrics<'a> {
+    at: At<'a>,
+    members: &'a [(String, Value)],
+    prefix: String,
+}
+
+impl<'a> Metrics<'a> {
+    /// The object at `at`, once every member's type checks: a number
+    /// under `energy.`, else an integer or an integer
+    /// `{count, sum, min, max}` summary.
+    fn new(at: At<'a>) -> Result<Self, String> {
+        let Value::Object(members) = at.value else {
+            return Err(format!("{}: not an object", at.path));
+        };
+        for (name, value) in members {
+            let energy = name.starts_with("energy.") || name.contains(".energy.");
+            match value {
+                Value::Object(_) => {
+                    for field in ["count", "sum", "min", "max"] {
+                        at.get(name)?.u64(field)?;
+                    }
+                }
+                _ if energy => drop(at.f64(name)?),
+                _ => drop(at.u64(name)?),
+            }
+        }
+        let prefix = String::new();
+        Ok(Metrics {
+            at,
+            members,
+            prefix,
+        })
+    }
+
+    /// The members under `prefix`, named without it.
+    fn under(&self, prefix: &str) -> Metrics<'a> {
+        let prefix = format!("{}{prefix}", self.prefix);
+        Metrics {
+            prefix,
+            ..self.clone()
+        }
+    }
+
+    /// The run of `arch` under `{variant}arch.{arch}.`.
+    fn run(&self, variant: &str, arch: &str) -> Metrics<'a> {
+        self.under(&format!("{variant}arch.{arch}."))
+    }
+
+    fn get(&self, name: &str) -> Result<At<'a>, String> {
+        self.at.get(&format!("{}{name}", self.prefix))
+    }
+
+    fn u64(&self, name: &str) -> Result<u64, String> {
+        self.at.u64(&format!("{}{name}", self.prefix))
+    }
+
+    /// Members `names` as integers, in order.
+    fn u64s<const N: usize>(&self, names: [&str; N]) -> Result<[u64; N], String> {
+        let mut values = [0; N];
+        for (value, name) in values.iter_mut().zip(names) {
+            *value = self.u64(name)?;
+        }
+        Ok(values)
+    }
+
+    /// Every full member name.
+    fn names(&self) -> impl Iterator<Item = &'a str> {
+        self.members.iter().map(|(name, _)| name.as_str())
+    }
+
+    /// The prefixes that own a member `name`: `arch.HIPE.` for
+    /// `arch.HIPE.{name}`, the empty prefix for `name` itself.
+    fn owners(&self, name: &str) -> Vec<&'a str> {
+        let owners = self.names().filter_map(|full| full.strip_suffix(name));
+        owners
+            .filter(|p| p.is_empty() || p.ends_with('.'))
+            .collect()
+    }
+}
+
+/// The report invariants, checked wherever a projection put the names
+/// they read:
+///
+/// * every run (a prefix owning `phase.scan_cyc`) has dispatch ≤ scan
+///   ≤ cycles and cycles == scan + gather;
+/// * every run's four energy parts sum to its `energy.total_pj` within
+///   0.2 pJ: each of the five values is rounded to 0.1 pJ, so the sum
+///   of the rounded parts is off the rounded total by at most 0.25;
+/// * every run's partition scan summary covers at least one partition
+///   and lies inside the run (min ≤ max ≤ `cycles`), and its engine
+///   squashed no more instructions than it received;
+/// * every service (a prefix owning `serve.makespan_cyc`) kept each
+///   replica and its front end busy for at most its makespan.
+fn check_invariants(m: &Metrics) -> Result<(), String> {
+    let path = &m.at.path;
+    for prefix in m.owners("phase.scan_cyc") {
+        let phases = [
+            "phase.dispatch_cyc",
+            "phase.scan_cyc",
+            "phase.gather_cyc",
+            "cycles",
+        ];
+        let [dispatch, scan, gather, cycles] = m.under(prefix).u64s(phases)?;
+        ensure(dispatch <= scan && scan <= cycles, || {
+            format!("{path}: {prefix}phases disordered (dispatch {dispatch}, scan {scan}, cycles {cycles})")
+        })?;
+        ensure(cycles == scan + gather, || {
+            format!("{path}: {prefix}cycles {cycles} are not scan {scan} + gather {gather}")
+        })?;
+    }
+    for prefix in m.owners("energy.total_pj") {
+        // In tenths of a pJ, the resolution of the fixed text.
+        let tenths = |part| {
+            let pj = m.at.f64(&format!("{prefix}energy.{part}_pj"));
+            pj.map(|pj| (pj * 10.0).round() as i64)
+        };
+        let parts = ["dram", "link", "logic", "cache"].map(tenths);
+        let (parts, total) = (parts.into_iter().sum::<Result<i64, _>>()?, tenths("total")?);
+        ensure((parts - total).abs() <= 2, || {
+            format!(
+                "{path}: {prefix}energy parts sum to {:.1} pJ, not the {:.1} pJ total (tolerance 0.2 pJ)",
+                parts as f64 / 10.0,
+                total as f64 / 10.0
+            )
+        })?;
+    }
+    for prefix in m.owners("partition.scan_cyc") {
+        let (run, scan) = (m.under(prefix), m.under(prefix).get("partition.scan_cyc")?);
+        let (count, min, max) = (scan.u64("count")?, scan.u64("min")?, scan.u64("max")?);
+        let cycles = run.u64("cycles")?;
+        ensure(count >= 1, || {
+            format!("{}: summarizes no partition", scan.path)
+        })?;
+        ensure(min <= max && max <= cycles, || {
+            format!(
+                "{}: needs min <= max <= the run's {cycles} cycles, has min {min}, max {max}",
+                scan.path
+            )
+        })?;
+    }
+    for prefix in m.owners("engine.squashed") {
+        let [squashed, instructions] = m
+            .under(prefix)
+            .u64s(["engine.squashed", "engine.instructions"])?;
+        ensure(squashed <= instructions, || {
+            format!("{path}.{prefix}engine.squashed: {squashed} squashed of {instructions} instructions")
+        })?;
+    }
+    for prefix in m.owners("serve.makespan_cyc") {
+        let service = m.under(prefix);
+        let [makespan, frontend] =
+            service.u64s(["serve.makespan_cyc", "serve.frontend_busy_cyc"])?;
+        let busiest = service.get("serve.replica_busy_cyc")?.u64("max")?;
+        ensure(busiest <= makespan && frontend <= makespan, || {
+            format!("{path}: {prefix}busy past the {makespan} cyc makespan (busiest replica {busiest}, front end {frontend})")
+        })?;
+    }
+    Ok(())
 }
 
 /// Validates the figures document; returns the number of points.
@@ -100,27 +266,29 @@ fn check(text: &str) -> Result<usize, String> {
     ensure(root.get("archs") == Some(&archs), || {
         format!("arch list drifted (expected {ARCHS:?})")
     })?;
-    let mut points: Vec<(&str, At)> = Vec::new();
+    let mut points: Vec<(&str, At, Metrics)> = Vec::new();
     for p in doc.items("points")? {
         let name = p.str("name")?;
         // Rules look points up by name, so a repeat would go unchecked.
-        ensure(points.iter().all(|(seen, _)| *seen != name), || {
+        ensure(points.iter().all(|(seen, ..)| *seen != name), || {
             format!("point {name} appears twice")
         })?;
-        points.push((name, At::new(format!("point {name}"), p.value)));
+        let p = At::new(format!("point {name}"), p.value);
+        let metrics = Metrics::new(p.get("metrics")?)?;
+        check_invariants(&metrics)?;
+        points.push((name, p.get("config")?, metrics));
     }
     ensure(!points.is_empty(), || "no sweep points found".into())?;
     let point = |wanted: &str, sweep: &str| {
-        let found = points.iter().find(|(name, _)| *name == wanted);
-        found
-            .map(|(_, p)| p)
-            .ok_or_else(|| format!("{sweep} point {wanted} missing"))
+        let found = points.iter().find(|(name, ..)| *name == wanted);
+        let missing = || format!("{sweep} point {wanted} missing");
+        found.map(|(_, config, m)| (config, m)).ok_or_else(missing)
     };
 
     // Per-arch points: every machine ran, with nonempty phases. Service
     // and host_par rows describe the scheduler and the simulator, and
     // the partition sweep carries only the logic machines.
-    for (name, p) in &points {
+    for (name, _, p) in &points {
         if name.starts_with("serve_") || *name == "host_par" {
             continue;
         }
@@ -130,18 +298,19 @@ fn check(text: &str) -> Result<usize, String> {
             &ARCHS
         };
         for a in archs {
-            let row = arch(p, a)?;
-            ensure(row.u64("cycles")? > 0 && row.u64("scan_end")? > 0, || {
-                format!("point {name}: arch {a} has empty phases")
-            })?;
+            let run = p.run("", a);
+            ensure(
+                run.u64("cycles")? > 0 && run.u64("phase.scan_cyc")? > 0,
+                || format!("point {name}: arch {a} has empty phases"),
+            )?;
         }
     }
     // Aggregate sweep: a regression that drops the fused-aggregate rows
     // or zeroes their gather phase fails here.
     for wanted in AGGREGATE_POINTS {
-        let p = point(wanted, "aggregate sweep")?;
+        let (_, p) = point(wanted, "aggregate sweep")?;
         for a in ARCHS {
-            ensure(arch(p, a)?.u64("gather_cycles")? > 0, || {
+            ensure(p.run("", a).u64("phase.gather_cyc")? > 0, || {
                 format!("point {wanted}: arch {a} reports a zero-cycle aggregate phase")
             })?;
         }
@@ -150,8 +319,8 @@ fn check(text: &str) -> Result<usize, String> {
     for a in LOGIC_ARCHS {
         let mut prev = (u64::MAX, u64::MAX);
         for wanted in PARTITION_POINTS {
-            let row = arch(point(wanted, "partition sweep")?, a)?;
-            let (scan, cycles) = (row.u64("scan_end")?, row.u64("cycles")?);
+            let run = point(wanted, "partition sweep")?.1.run("", a);
+            let (scan, cycles) = (run.u64("phase.scan_cyc")?, run.u64("cycles")?);
             ensure(scan <= prev.0 && cycles <= prev.1, || {
                 format!("point {wanted}: {a} got slower with more engines (scan {} -> {scan}, cycles {} -> {cycles})", prev.0, prev.1)
             })?;
@@ -161,16 +330,16 @@ fn check(text: &str) -> Result<usize, String> {
     // Service sweep: adding cubes never lowers throughput.
     let mut qpgc = Vec::new();
     for wanted in SERVE_POINTS {
-        let p = point(wanted, "service sweep")?;
-        let q = p.u64("queries_per_gigacycle")?;
+        let service = point(wanted, "service sweep")?.1.run("", "HIPE");
+        let q = service.u64("serve.queries_per_gcyc")?;
         let prev = qpgc.last().copied().unwrap_or(0);
         ensure(q > 0, || format!("point {wanted}: zero service throughput"))?;
         ensure(q >= prev, || {
             format!("point {wanted}: throughput fell with more cubes ({prev} -> {q} q/Gcyc)")
         })?;
         qpgc.push(q);
-        let [p50, p95, p99] = [50, 95, 99].map(|pct| p.u64(&format!("p{pct}_cycles")));
-        let (p50, p95, p99) = (p50?, p95?, p99?);
+        let percentiles = ["p50", "p95", "p99"].map(|p| format!("serve.latency.{p}_cyc"));
+        let [p50, p95, p99] = service.u64s(percentiles.each_ref().map(String::as_str))?;
         ensure(p50 > 0 && p50 <= p95 && p95 <= p99, || {
             format!(
                 "point {wanted}: latency percentiles disordered (p50 {p50}, p95 {p95}, p99 {p99})"
@@ -180,8 +349,8 @@ fn check(text: &str) -> Result<usize, String> {
     // Replication: one sub-query per replica, so two replicas per shard
     // owe 1.7x the single-replica throughput (integer-only).
     let (q4, q4x2) = (qpgc[2], qpgc[3]);
-    let replicated = point("serve_4x2", "service sweep")?;
-    ensure(replicated.u64("replicas") == Ok(2), || {
+    let (config, replicated) = point("serve_4x2", "service sweep")?;
+    ensure(config.u64("replicas") == Ok(2), || {
         "point serve_4x2 does not report 2 replicas".into()
     })?;
     ensure(q4x2 * 10 >= q4 * 17, || {
@@ -189,18 +358,20 @@ fn check(text: &str) -> Result<usize, String> {
     })?;
     // Failover: the kill fired, every query was still served, and every
     // machine's answer is bit-identical to the fault-free run's.
-    let fail = point("serve_fail", "failover")?;
-    ensure(fail.u64("failovers")? > 0, || {
+    let (_, fail) = point("serve_fail", "failover")?;
+    let faulted = fail.run("fault.", "HIPE");
+    ensure(faulted.u64("serve.failovers")? > 0, || {
         "point serve_fail: no failover fired (the fault was a no-op)".into()
     })?;
-    fail.u64("redispatched")?;
-    let (clean, faulted) = (replicated.u64("queries")?, fail.u64("queries")?);
+    faulted.u64("serve.redispatched")?;
+    let clean = replicated.run("", "HIPE").u64("serve.queries")?;
+    let faulted = faulted.u64("serve.queries")?;
     ensure(clean == faulted, || {
         format!("point serve_fail: lost queries under failover ({clean} clean vs {faulted} with the fault)")
     })?;
     for a in ARCHS {
-        let clean = fail.u64(&format!("digest_{a}_clean"))?;
-        let fault = fail.u64(&format!("digest_{a}_fault"))?;
+        let clean = fail.run("clean.", a).u64("serve.answers_digest")?;
+        let fault = fail.run("fault.", a).u64("serve.answers_digest")?;
         ensure(clean == fault, || {
             format!("point serve_fail: {a} answer digest changed under failover ({clean} clean vs {fault} with the fault)")
         })?;
@@ -209,20 +380,20 @@ fn check(text: &str) -> Result<usize, String> {
     // cycles; at ≤ 3 % selectivity it cut scan and dispatch completion
     // by 1.5x (integer-only: base * 10 >= pruned * 15).
     for wanted in SKIP_POINTS {
-        let p = point(wanted, "zone-map skip")?;
+        let (_, p) = point(wanted, "zone-map skip")?;
         for a in ARCHS {
-            let row = arch(p, a)?;
-            let (cycles, base) = (row.u64("cycles")?, row.u64("base_cycles")?);
+            let (run, full) = (p.run("", a), p.run("base.", a));
+            let (cycles, base) = (run.u64("cycles")?, full.u64("cycles")?);
             ensure(cycles <= base, || {
                 format!("point {wanted}: {a} pruned run slower than unpruned ({base} -> {cycles} cycles)")
             })?;
-            ensure(row.u64("regions_pruned")? > 0, || {
+            ensure(run.u64("zonemap.regions_pruned")? > 0, || {
                 format!("point {wanted}: {a} pruned no regions")
             })?;
             if SKIP_TIGHT_POINTS.contains(&wanted) {
-                let (scan, base_scan) = (row.u64("scan_end")?, row.u64("base_scan_end")?);
-                let (dispatch, base_dispatch) =
-                    (row.u64("dispatch_end")?, row.u64("base_dispatch_end")?);
+                let phases = ["phase.scan_cyc", "phase.dispatch_cyc"];
+                let [scan, dispatch] = run.u64s(phases)?;
+                let [base_scan, base_dispatch] = full.u64s(phases)?;
                 let win = base_scan * 10 >= scan * 15 && base_dispatch * 10 >= dispatch * 15;
                 ensure(win, || {
                     format!("point {wanted}: {a} skip win below 1.5x (scan {base_scan} -> {scan}, dispatch {base_dispatch} -> {dispatch})")
@@ -231,23 +402,24 @@ fn check(text: &str) -> Result<usize, String> {
         }
     }
     // Shard skipping: the scatter path skipped a shard, at no cycle cost.
-    let skip = point("serve_skip", "shard-skipping")?;
-    ensure(skip.u64("shards_skipped")? > 0, || {
+    let (_, skip) = point("serve_skip", "shard-skipping")?;
+    let (run, full) = (skip.run("", "HIPE"), skip.run("base.", "HIPE"));
+    ensure(run.u64("serve.shards_skipped")? > 0, || {
         "point serve_skip: the scatter path skipped no shards".into()
     })?;
-    let (cycles, base) = (skip.u64("cycles")?, skip.u64("base_cycles")?);
+    let (cycles, base) = (run.u64("cycles")?, full.u64("cycles")?);
     ensure(cycles <= base, || {
         format!("point serve_skip: shard skipping slower than the full scatter ({base} -> {cycles} cycles)")
     })?;
     // Host-parallel co-simulation is bit-identical to serial. (Its
     // wall-clock rule is host-clock, so the figures bench enforces it
     // when it runs: `hipe_bench::host_par_not_slower`.)
-    let par = point("host_par", "host-parallel")?;
-    let workers = par.u64("workers")?;
+    let (config, par) = point("host_par", "host-parallel")?;
+    let workers = config.u64("workers")?;
     ensure(workers >= 2, || {
         format!("point host_par: parallel leg ran on {workers} worker(s)")
     })?;
-    let (serial, parallel) = (par.u64("digest_serial")?, par.u64("digest_parallel")?);
+    let (serial, parallel) = (par.u64("serial.digest")?, par.u64("parallel.digest")?);
     ensure(serial == parallel, || {
         format!(
             "point host_par: parallel results diverged from serial (digest {serial} vs {parallel})"
@@ -262,10 +434,14 @@ fn check_trace(text: &str) -> Result<(u64, u64), String> {
     let doc = At::new("trace", &root);
     let events = doc.items("traceEvents")?;
     let other = doc.get("otherData")?;
-    let (queries, failovers) = (other.u64("queries")?, other.u64("failovers")?);
-    let (redispatched, recorded) = (other.u64("redispatched")?, other.u64("events")?);
-    let makespan = other.u64("makespan_cyc")?;
-    check_metrics(&other.get("metrics")?, other.u64("shards")?)?;
+    let metrics = Metrics::new(other.get("metrics")?)?;
+    check_metrics(&metrics, other.u64("shards")?)?;
+    check_invariants(&metrics)?;
+    let counters = ["queries", "failovers", "redispatched", "makespan_cyc"];
+    let counters = counters.map(|c| format!("serve.{c}"));
+    let [queries, failovers, redispatched, makespan] =
+        metrics.u64s(counters.each_ref().map(String::as_str))?;
+    let recorded = other.u64("events")?;
 
     let mut queries_tid = None;
     let mut sync_spans: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
@@ -366,63 +542,29 @@ fn check_trace(text: &str) -> Result<(u64, u64), String> {
     Ok((decoded, spans))
 }
 
-/// Validates `otherData.metrics`, each shard's `RunReport::metrics`
-/// under a `shard{s}.` prefix. Every key names a shard below `shards`
-/// and every value is an integer or a `{count, sum, min, max}` summary
-/// of integers. Each shard ran (`cycles` > 0), its partitions'
-/// scan-completion summary covers at least one partition and lies
-/// inside the run (min ≤ max ≤ `cycles`), and its engine squashed no
-/// more instructions than it received.
-fn check_metrics(metrics: &At, shards: u64) -> Result<(), String> {
-    let Value::Object(members) = metrics.value else {
-        return Err(format!("{}: not an object", metrics.path));
-    };
-    for (key, value) in members {
+/// Validates the shape of `otherData.metrics`: the service's `serve.*`
+/// counters, and each shard's `RunReport::metrics` under a `shard{s}.`
+/// prefix. Every other key names a shard below `shards`, and each
+/// shard ran (`cycles` > 0) and summarizes its partitions' scans
+/// ([`check_invariants`] checks the summary).
+fn check_metrics(metrics: &Metrics, shards: u64) -> Result<(), String> {
+    let path = &metrics.at.path;
+    for key in metrics.names() {
         let shard = key
             .strip_prefix("shard")
             .and_then(|rest| rest.split_once('.'))
             .and_then(|(s, _)| s.parse::<u64>().ok());
-        ensure(shard.is_some_and(|s| s < shards), || {
-            format!("{}.{key}: names no shard below {shards}", metrics.path)
-        })?;
-        match value {
-            Value::Object(_) => {
-                let summary = metrics.get(key)?;
-                for field in ["count", "sum", "min", "max"] {
-                    summary.u64(field)?;
-                }
-            }
-            _ => drop(metrics.u64(key)?),
-        }
+        ensure(
+            key.starts_with("serve.") || shard.is_some_and(|s| s < shards),
+            || format!("{path}.{key}: names no shard below {shards}"),
+        )?;
     }
     for s in 0..shards {
-        let name = |metric: &str| format!("shard{s}.{metric}");
-        let cycles = metrics.u64(&name("cycles"))?;
-        ensure(cycles > 0, || {
-            format!("{}.{}: is 0", metrics.path, name("cycles"))
+        let shard = metrics.under(&format!("shard{s}."));
+        ensure(shard.u64("cycles")? > 0, || {
+            format!("{path}.shard{s}.cycles: is 0")
         })?;
-        let scan = metrics.get(&name("partition.scan_cyc"))?;
-        let (count, min, max) = (scan.u64("count")?, scan.u64("min")?, scan.u64("max")?);
-        ensure(count >= 1, || {
-            format!("{}: summarizes no partition", scan.path)
-        })?;
-        ensure(min <= max && max <= cycles, || {
-            format!(
-                "{}: needs min <= max <= the shard's {cycles} cycles, has min {min}, max {max}",
-                scan.path
-            )
-        })?;
-        if metrics.value.get(&name("engine.squashed")).is_some() {
-            let squashed = metrics.u64(&name("engine.squashed"))?;
-            let instructions = metrics.u64(&name("engine.instructions"))?;
-            ensure(squashed <= instructions, || {
-                format!(
-                    "{}.{}: {squashed} squashed of {instructions} instructions",
-                    metrics.path,
-                    name("engine.squashed")
-                )
-            })?;
-        }
+        shard.get("partition.scan_cyc")?;
     }
     Ok(())
 }
@@ -435,124 +577,125 @@ mod tests {
         v.into()
     }
 
-    /// A per-arch point: `archs` each report the integer `row`.
-    fn arch_point(name: &str, archs: &[&str], row: &[(&str, u64)]) -> Value {
-        let row = Value::object(row.iter().map(|&(k, v)| (k, n(v))));
+    /// Members `(name, value)` renamed under `prefix`.
+    fn under(prefix: &str, members: Vec<(&str, Value)>) -> Vec<(String, Value)> {
+        let rename = |(k, v)| (format!("{prefix}{k}"), v);
+        members.into_iter().map(rename).collect()
+    }
+
+    fn point(name: &str, config: Vec<(&str, Value)>, metrics: Vec<(String, Value)>) -> Value {
         Value::object([
             ("name", name.into()),
-            (
-                "archs",
-                Value::object(archs.iter().map(|&a| (a, row.clone()))),
-            ),
+            ("config", Value::object(config)),
+            ("metrics", Value::object(metrics)),
         ])
     }
 
+    /// One run under `prefix`: dispatch and scan complete at
+    /// `dispatch` and `scan`, the gather takes `gather` more cycles,
+    /// and the energy parts sum to the total exactly.
+    fn run(prefix: &str, dispatch: u64, scan: u64, gather: u64) -> Vec<(String, Value)> {
+        let pj = |x| Value::fixed(x, 1);
+        let members = vec![
+            ("cycles", n(scan + gather)),
+            ("phase.dispatch_cyc", n(dispatch)),
+            ("phase.scan_cyc", n(scan)),
+            ("phase.gather_cyc", n(gather)),
+            ("zonemap.regions_pruned", n(62)),
+            ("energy.dram_pj", pj(10.2)),
+            ("energy.link_pj", pj(4.1)),
+            ("energy.logic_pj", pj(0.0)),
+            ("energy.cache_pj", pj(1.0)),
+            ("energy.total_pj", pj(15.3)),
+        ];
+        under(prefix, members)
+    }
+
+    /// A per-arch point: every arch of `archs` reports the same run.
+    fn arch_point(name: &str, archs: &[&str], phases: [u64; 3]) -> Value {
+        let [dispatch, scan, gather] = phases;
+        let runs = archs
+            .iter()
+            .flat_map(|a| run(&format!("arch.{a}."), dispatch, scan, gather));
+        point(name, vec![("query", "Q".into())], runs.collect())
+    }
+
     fn four_arch_point(name: &str, gather: u64) -> Value {
-        let row = [("cycles", 100), ("dispatch_end", 1), ("scan_end", 90)];
-        arch_point(
-            name,
-            &ARCHS,
-            &[&row[..], &[("gather_cycles", gather)]].concat(),
-        )
+        arch_point(name, &ARCHS, [1, 90, gather])
     }
 
     fn par_point(name: &str, cycles: u64) -> Value {
-        let row = [
-            ("cycles", cycles),
-            ("dispatch_end", 1),
-            ("scan_end", cycles - 10),
-            ("gather_cycles", 5),
-        ];
-        arch_point(name, &LOGIC_ARCHS, &row)
+        arch_point(name, &LOGIC_ARCHS, [1, cycles - 10, 10])
     }
 
-    /// A service row; `extra` members go last.
-    fn service_point(
-        name: &str,
-        shape: [u64; 3],
-        latency: [u64; 4],
+    /// One service run under `prefix`.
+    fn service(
+        prefix: &str,
+        queries: u64,
+        qpgc: u64,
         faults: [u64; 2],
-        extra: Vec<(String, Value)>,
-    ) -> Value {
-        let [shards, replicas, queries] = shape;
-        let [qpgc, p50, p95, p99] = latency;
-        let mut members: Vec<(String, Value)> = [
-            ("name", name.into()),
-            ("shards", n(shards)),
-            ("replicas", n(replicas)),
-            ("queries", n(queries)),
-            ("makespan_cycles", n(1000)),
-            ("queries_per_gigacycle", n(qpgc)),
-            ("p50_cycles", n(p50)),
-            ("p95_cycles", n(p95)),
-            ("p99_cycles", n(p99)),
-            ("failovers", n(faults[0])),
-            ("redispatched", n(faults[1])),
-        ]
-        .map(|(k, v)| (k.to_string(), v))
-        .into();
-        members.extend(extra);
-        Value::Object(members)
+        digest: u64,
+    ) -> Vec<(String, Value)> {
+        let busy = [
+            ("count", n(2)),
+            ("sum", n(60)),
+            ("min", n(25)),
+            ("max", n(35)),
+        ];
+        let members = vec![
+            ("serve.queries", n(queries)),
+            ("serve.makespan_cyc", n(1000)),
+            ("serve.queries_per_gcyc", n(qpgc)),
+            ("serve.latency.p50_cyc", n(100)),
+            ("serve.latency.p95_cyc", n(200)),
+            ("serve.latency.p99_cyc", n(300)),
+            ("serve.frontend_busy_cyc", n(50)),
+            ("serve.replica_busy_cyc", Value::object(busy)),
+            ("serve.failovers", n(faults[0])),
+            ("serve.redispatched", n(faults[1])),
+            ("serve.answers_digest", n(digest)),
+        ];
+        under(prefix, members)
     }
 
-    fn serve_point(name: &str, replicas: u64, qpgc: u64, p50: u64, p95: u64, p99: u64) -> Value {
-        let latency = [qpgc, p50, p95, p99];
-        service_point(name, [1, replicas, 96], latency, [0, 0], Vec::new())
+    fn serve_point(name: &str, replicas: u64, qpgc: u64) -> Value {
+        let config = vec![("shards", n(1)), ("replicas", n(replicas))];
+        point(name, config, service("arch.HIPE.", 96, qpgc, [0, 0], 11))
     }
 
-    fn fail_point(queries: u64, failovers: u64, hipe_fault_digest: u64) -> Value {
-        let digests = ARCHS.iter().flat_map(|a| {
-            let fault = if *a == "HIPE" { hipe_fault_digest } else { 11 };
-            [
-                (format!("digest_{a}_clean"), n(11)),
-                (format!("digest_{a}_fault"), n(fault)),
-            ]
+    fn fail_point() -> Value {
+        let runs = ARCHS.iter().flat_map(|a| {
+            let clean = service(&format!("clean.arch.{a}."), 96, 500, [0, 0], 11);
+            let fault = service(&format!("fault.arch.{a}."), 96, 400, [1, 6], 11);
+            [clean, fault].concat()
         });
-        let latency = [700, 100, 200, 300];
-        let faults = [failovers, 6];
-        service_point(
-            "serve_fail",
-            [4, 2, queries],
-            latency,
-            faults,
-            digests.collect(),
-        )
+        let config = vec![("shards", n(4)), ("replicas", n(2))];
+        point("serve_fail", config, runs.collect())
     }
 
     /// A skip point whose pruned phases all complete at `scan` and
     /// whose unpruned baseline completes at `base`.
     fn skip_point(name: &str, scan: u64, base: u64) -> Value {
-        let row = [
-            ("cycles", scan),
-            ("dispatch_end", scan),
-            ("scan_end", scan),
-            ("gather_cycles", 0),
-            ("regions_scanned", 2),
-            ("regions_pruned", 62),
-            ("base_cycles", base),
-            ("base_dispatch_end", base),
-            ("base_scan_end", base),
+        let runs = ARCHS.iter().flat_map(|a| {
+            let pruned = run(&format!("arch.{a}."), scan, scan, 0);
+            [pruned, run(&format!("base.arch.{a}."), base, base, 0)].concat()
+        });
+        point(name, vec![("query", "Q".into())], runs.collect())
+    }
+
+    fn serve_skip_point() -> Value {
+        let metrics = vec![
+            ("arch.HIPE.cycles", n(40)),
+            ("arch.HIPE.serve.shards_skipped", n(3)),
+            ("base.arch.HIPE.cycles", n(90)),
+            ("base.arch.HIPE.serve.shards_skipped", n(0)),
         ];
-        arch_point(name, &ARCHS, &row)
+        point("serve_skip", vec![("shards", n(4))], under("", metrics))
     }
 
-    fn serve_skip_point(skipped: u64, cycles: u64, base: u64) -> Value {
-        Value::object([
-            ("name", "serve_skip".into()),
-            ("shards", n(4)),
-            ("shards_skipped", n(skipped)),
-            ("cycles", n(cycles)),
-            ("base_cycles", n(base)),
-        ])
-    }
-
-    fn host_par_point(digests: (u64, u64)) -> Value {
-        Value::object([
-            ("name", "host_par".into()),
-            ("workers", n(4)),
-            ("digest_serial", n(digests.0)),
-            ("digest_parallel", n(digests.1)),
-        ])
+    fn host_par_point() -> Value {
+        let metrics = vec![("serial.digest", n(42)), ("parallel.digest", n(42))];
+        point("host_par", vec![("workers", n(4))], under("", metrics))
     }
 
     fn points_full(gather_q6: u64, par_cycles: [u64; 4], serve_qpgc: [u64; 4]) -> Vec<Value> {
@@ -568,16 +711,14 @@ mod tests {
         }
         for (name, qpgc) in SERVE_POINTS.iter().zip(serve_qpgc) {
             let replicas = if *name == "serve_4x2" { 2 } else { 1 };
-            points.push(serve_point(name, replicas, qpgc, 100, 200, 300));
+            points.push(serve_point(name, replicas, qpgc));
         }
-        points.push(fail_point(96, 1, 11));
-        // Distinct bases keep the skip rows individually addressable
-        // by the failure-injection tests' string replacements.
+        points.push(fail_point());
         points.push(skip_point("skip_1%", 10, 300));
         points.push(skip_point("skip_3%", 20, 200));
         points.push(skip_point("skip_10%", 60, 100));
-        points.push(serve_skip_point(3, 40, 90));
-        points.push(host_par_point((42, 42)));
+        points.push(serve_skip_point());
+        points.push(host_par_point());
         points
     }
 
@@ -599,6 +740,55 @@ mod tests {
 
     fn doc(gather_q6: u64) -> String {
         doc_with(gather_q6, [800, 400, 200, 100])
+    }
+
+    /// The default points with `edit` applied to the config and the
+    /// metrics of point `row`.
+    fn edit_points(row: &str, edit: impl FnOnce(&mut Members, &mut Members)) -> Vec<Value> {
+        let mut points = points_full(10, [800, 400, 200, 100], [100, 180, 300, 600]);
+        let p = points
+            .iter_mut()
+            .find(|p| p.get("name") == Some(&row.into()));
+        let Some(Value::Object(members)) = p else {
+            panic!("no point {row}");
+        };
+        let [_, (_, Value::Object(config)), (_, Value::Object(metrics))] = &mut members[..] else {
+            panic!("a point is {{name, config, metrics}}");
+        };
+        edit(config, metrics);
+        points
+    }
+
+    type Members = Vec<(String, Value)>;
+
+    /// The default document with `edit` applied to member `key` of
+    /// `section` (`config` or `metrics`) of point `row`.
+    fn edited(
+        row: &str,
+        section: &str,
+        key: &str,
+        edit: impl FnOnce(&mut (String, Value)),
+    ) -> String {
+        render(edit_points(row, |config, metrics| {
+            let members = if section == "config" { config } else { metrics };
+            let member = members.iter_mut().find(|(k, _)| k == key);
+            edit(member.unwrap_or_else(|| panic!("point {row} lacks {key}")));
+        }))
+    }
+
+    /// The default document with point `name` replaced by `p`.
+    fn doc_replacing(name: &str, p: Value) -> String {
+        let mut points = points_full(10, [800, 400, 200, 100], [100, 180, 300, 600]);
+        let at = points
+            .iter()
+            .position(|q| q.get("name") == Some(&name.into()));
+        points[at.expect("a default point")] = p;
+        render(points)
+    }
+
+    /// `check`'s error with metric `key` of point `row` set to `value`.
+    fn metric_error(row: &str, key: &str, value: Value) -> String {
+        check(&edited(row, "metrics", key, |m| m.1 = value)).unwrap_err()
     }
 
     /// The `line:column` where a parse of `text` runs out of input.
@@ -627,7 +817,7 @@ mod tests {
         };
         let err = with_repeat(par_point("par_4", 2000)).unwrap_err();
         assert_eq!(err, "point par_4 appears twice");
-        let err = with_repeat(serve_point("serve_4x2", 2, 1, 100, 200, 300)).unwrap_err();
+        let err = with_repeat(serve_point("serve_4x2", 2, 1)).unwrap_err();
         assert_eq!(err, "point serve_4x2 appears twice");
     }
 
@@ -641,17 +831,13 @@ mod tests {
 
     #[test]
     fn rejects_parallel_results_diverging_from_serial() {
-        let text = doc(10).replace("\"digest_parallel\": 42", "\"digest_parallel\": 43");
-        let err = check(&text).unwrap_err();
+        let err = metric_error("host_par", "parallel.digest", n(43));
         assert!(err.contains("diverged from serial"), "{err}");
     }
 
     #[test]
     fn rejects_a_serial_host_par_leg() {
-        let text = doc(10).replace(
-            "\"name\": \"host_par\", \"workers\": 4",
-            "\"name\": \"host_par\", \"workers\": 1",
-        );
+        let text = edited("host_par", "config", "workers", |m| m.1 = n(1));
         let err = check(&text).unwrap_err();
         assert!(err.contains("1 worker"), "{err}");
     }
@@ -669,7 +855,7 @@ mod tests {
 
     #[test]
     fn rejects_missing_arch() {
-        let text = doc(10).replace("\"HIVE\": {\"cycles\": 100", "\"hive\": {\"cycles\": 100");
+        let text = doc(10).replace("\"arch.HIVE.", "\"arch.hive.");
         assert!(check(&text).unwrap_err().contains("HIVE"));
     }
 
@@ -721,11 +907,8 @@ mod tests {
         assert!(check(&text)
             .unwrap_err()
             .contains("zero service throughput"));
-        let text = doc(10).replace(
-            "\"p95_cycles\": 200, \"p99_cycles\": 300",
-            "\"p95_cycles\": 400, \"p99_cycles\": 300",
-        );
-        assert!(check(&text).unwrap_err().contains("disordered"));
+        let err = metric_error("serve_2", "arch.HIPE.serve.latency.p95_cyc", n(400));
+        assert!(err.contains("disordered"), "{err}");
     }
 
     #[test]
@@ -739,44 +922,39 @@ mod tests {
 
     #[test]
     fn rejects_a_replication_point_without_two_replicas() {
-        let text = doc(10).replace(
-            "\"name\": \"serve_4x2\", \"shards\": 1, \"replicas\": 2",
-            "\"name\": \"serve_4x2\", \"shards\": 1, \"replicas\": 1",
-        );
+        let text = edited("serve_4x2", "config", "replicas", |m| m.1 = n(1));
         let err = check(&text).unwrap_err();
         assert!(err.contains("does not report 2 replicas"), "{err}");
     }
 
     #[test]
     fn rejects_a_failover_run_whose_fault_never_fired() {
-        // "failovers": 1 appears only in the serve_fail point.
-        let text = doc(10).replace("\"failovers\": 1", "\"failovers\": 0");
-        let err = check(&text).unwrap_err();
+        let err = metric_error("serve_fail", "fault.arch.HIPE.serve.failovers", n(0));
         assert!(err.contains("no failover fired"), "{err}");
     }
 
     #[test]
     fn rejects_query_loss_under_failover() {
-        let text = doc(10).replace(
-            "\"queries\": 96, \"makespan_cycles\": 1000, \"queries_per_gigacycle\": 700",
-            "\"queries\": 95, \"makespan_cycles\": 1000, \"queries_per_gigacycle\": 700",
-        );
-        let err = check(&text).unwrap_err();
+        let err = metric_error("serve_fail", "fault.arch.HIPE.serve.queries", n(95));
         assert!(err.contains("lost queries"), "{err}");
     }
 
     #[test]
     fn rejects_an_answer_digest_changed_by_failover() {
-        assert!(check(&doc(10)).is_ok());
-        let err = check(
-            &doc_full(10, [800, 400, 200, 100], [100, 180, 300, 600])
-                .replace("\"digest_HIPE_fault\": 11", "\"digest_HIPE_fault\": 12"),
-        )
-        .unwrap_err();
+        let err = metric_error("serve_fail", "fault.arch.HIPE.serve.answers_digest", n(12));
         assert!(err.contains("HIPE answer digest changed"), "{err}");
-        // A missing digest pair is as fatal as a mismatched one.
-        let err = check(&doc(10).replace("digest_x86_clean", "digest_x86_gone")).unwrap_err();
-        assert!(err.contains("digest_x86_clean"), "{err}");
+        // A missing digest is as fatal as a mismatched one.
+        let text = edited(
+            "serve_fail",
+            "metrics",
+            "clean.arch.x86.serve.answers_digest",
+            |m| m.0 = "clean.arch.x86.serve.answers_gone".into(),
+        );
+        let err = check(&text).unwrap_err();
+        assert!(
+            err.contains("lacks clean.arch.x86.serve.answers_digest"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -787,69 +965,130 @@ mod tests {
 
     #[test]
     fn rejects_pruning_costing_cycles() {
-        // skip_10% carries base 100; dropping the baseline below the
-        // pruned run's 60 cycles means pruning made the machine slower.
-        let text = doc(10).replace("\"base_cycles\": 100", "\"base_cycles\": 40");
-        let err = check(&text).unwrap_err();
+        // A baseline below the pruned run's 60 cycles means pruning
+        // made the machine slower.
+        let err = check(&doc_replacing("skip_10%", skip_point("skip_10%", 60, 40))).unwrap_err();
         assert!(err.contains("skip_10%") && err.contains("slower"), "{err}");
     }
 
     #[test]
     fn rejects_a_skip_row_that_pruned_nothing() {
-        let text = doc(10).replace("\"regions_pruned\": 62", "\"regions_pruned\": 0");
-        let err = check(&text).unwrap_err();
+        let err = metric_error("skip_3%", "arch.HIPE.zonemap.regions_pruned", n(0));
         assert!(err.contains("pruned no regions"), "{err}");
     }
 
     #[test]
     fn rejects_a_skip_win_below_15x_at_low_selectivity() {
-        // skip_3% prunes to 20 cycles against base 200; a baseline of
-        // 25 leaves only a 1.25x scan win — short of the 1.5x owed at
-        // <= 3 % selectivity. skip_10% owes no such margin.
-        let text = doc(10).replace("\"base_scan_end\": 200", "\"base_scan_end\": 25");
-        let err = check(&text).unwrap_err();
+        // skip_3% prunes to 20 cycles; a baseline of 25 leaves only a
+        // 1.25x scan win — short of the 1.5x owed at <= 3 %
+        // selectivity. skip_10% owes no such margin.
+        let err = check(&doc_replacing("skip_3%", skip_point("skip_3%", 20, 25))).unwrap_err();
         assert!(
             err.contains("skip_3%") && err.contains("below 1.5x"),
             "{err}"
         );
-        assert!(check(&doc(10).replace("\"base_scan_end\": 100", "\"base_scan_end\": 70")).is_ok());
+        assert!(check(&doc_replacing("skip_10%", skip_point("skip_10%", 60, 70))).is_ok());
     }
 
     #[test]
     fn rejects_a_scatter_path_that_never_skipped() {
-        let text = doc(10).replace("\"shards_skipped\": 3", "\"shards_skipped\": 0");
-        let err = check(&text).unwrap_err();
+        let err = metric_error("serve_skip", "arch.HIPE.serve.shards_skipped", n(0));
         assert!(err.contains("skipped no shards"), "{err}");
+        let err = metric_error("serve_skip", "base.arch.HIPE.cycles", n(39));
+        assert!(err.contains("slower than the full scatter"), "{err}");
         let text = doc(10).replace("serve_skip", "serve_skap");
         assert!(check(&text).unwrap_err().contains("serve_skip"));
     }
 
     #[test]
     fn point_field_requires_a_delimited_top_level_key() {
-        // The key's text inside a string value (escaped quotes), as the
-        // tail of a longer field name, or inside a nested object is not
-        // the field.
-        let real = "\"queries_per_gigacycle\": 180, ";
-        let decoys = [
-            "\"note\": \"was \\\"queries_per_gigacycle\\\": 180\", ",
-            "\"old_queries_per_gigacycle\": 180, ",
-            "\"archs\": {\"HIPE\": {\"queries_per_gigacycle\": 180}}, ",
-        ];
-        assert_eq!(doc(10).matches(real).count(), 1, "serve_2 is the only 180");
-        for decoy in decoys {
-            let text = doc(10).replace(real, decoy);
-            assert_eq!(
-                check(&text),
-                Err("point serve_2: lacks queries_per_gigacycle".into()),
-                "{decoy}"
-            );
-        }
-        // A real field parses wherever it sits in the row.
-        let moved = doc(10).replace(real, "").replace(
-            "\"name\": \"serve_2\", ",
-            &format!("{real}\"name\": \"serve_2\", "),
+        // The name as the tail of a longer name, inside a string, or
+        // in the point's config instead of its metrics is not the
+        // metric.
+        let key = "arch.HIPE.serve.queries_per_gcyc";
+        let lacks = Err(format!("point serve_2.metrics: lacks {key}"));
+        let renamed = edited("serve_2", "metrics", key, |m| m.0 = format!("old_{key}"));
+        assert_eq!(check(&renamed), lacks);
+        let take = |metrics: &mut Members| {
+            let at = metrics.iter().position(|(k, _)| k == key);
+            metrics.remove(at.expect("serve_2 reports its throughput"))
+        };
+        let decoys = edit_points("serve_2", |config, metrics| {
+            config.push(take(metrics));
+            config.push(("note".into(), format!("was \"{key}\": 180").into()));
+        });
+        assert_eq!(check(&render(decoys)), lacks);
+        // A real metric parses wherever it sits in the row.
+        let moved = edit_points("serve_2", |_, metrics| {
+            let m = take(metrics);
+            metrics.insert(0, m);
+        });
+        assert_eq!(check(&render(moved)), Ok(19));
+    }
+
+    #[test]
+    fn rejects_disordered_phases() {
+        let err = metric_error("agg_2%", "arch.HIVE.phase.dispatch_cyc", n(91));
+        assert!(
+            err.contains("point agg_2%.metrics: arch.HIVE.phases disordered (dispatch 91, scan 90, cycles 97)"),
+            "{err}"
         );
-        assert_eq!(check(&moved), Ok(19));
+        let err = metric_error("par_2", "arch.HIPE.phase.scan_cyc", n(401));
+        assert!(err.contains("arch.HIPE.phases disordered"), "{err}");
+        let err = metric_error("q6", "arch.x86.phase.gather_cyc", n(11));
+        assert!(
+            err.contains("arch.x86.cycles 100 are not scan 90 + gather 11"),
+            "{err}"
+        );
+        let err = metric_error("skip_1%", "base.arch.HMC-ISA.cycles", n(301));
+        assert!(
+            err.contains("base.arch.HMC-ISA.cycles 301 are not"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_energy_parts_that_miss_the_total() {
+        // The parts sum to 15.3 pJ; five roundings to 0.1 pJ allow 0.2.
+        let total = |pj| metric_error("q6", "arch.HIPE.energy.total_pj", Value::fixed(pj, 1));
+        let err = total(15.6);
+        assert!(
+            err.contains("arch.HIPE.energy parts sum to 15.3 pJ, not the 15.6 pJ total"),
+            "{err}"
+        );
+        assert!(total(15.0).contains("not the 15.0 pJ total"));
+        for within in [15.1, 15.5] {
+            let text = edited("q6", "metrics", "arch.HIPE.energy.total_pj", |m| {
+                m.1 = Value::fixed(within, 1)
+            });
+            assert_eq!(check(&text), Ok(19), "{within}");
+        }
+    }
+
+    #[test]
+    fn rejects_busy_past_the_makespan() {
+        let busy = Value::object([
+            ("count", n(2)),
+            ("sum", n(1060)),
+            ("min", n(59)),
+            ("max", n(1001)),
+        ]);
+        let err = metric_error("serve_4", "arch.HIPE.serve.replica_busy_cyc", busy);
+        assert!(
+            err.contains(
+                "arch.HIPE.busy past the 1000 cyc makespan (busiest replica 1001, front end 50)"
+            ),
+            "{err}"
+        );
+        let err = metric_error(
+            "serve_fail",
+            "clean.arch.HIVE.serve.frontend_busy_cyc",
+            n(1001),
+        );
+        assert!(
+            err.contains("clean.arch.HIVE.busy past the 1000 cyc makespan"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -865,12 +1104,13 @@ mod tests {
 
     #[test]
     fn rejects_a_duplicate_key_in_a_point() {
-        let text = doc(10).replacen("\"cycles\": 100, ", "\"cycles\": 100, \"cycles\": 1, ", 1);
+        let first = "\"arch.x86.cycles\": 90, ";
+        let text = doc(10).replacen(first, &format!("{first}\"arch.x86.cycles\": 1, "), 1);
         let err = check(&text).unwrap_err();
-        assert!(err.contains("duplicate key \"cycles\""), "{err}");
+        assert!(err.contains("duplicate key \"arch.x86.cycles\""), "{err}");
         let line = text
             .lines()
-            .position(|l| l.contains("\"cycles\": 1,"))
+            .position(|l| l.contains("\"arch.x86.cycles\": 1,"))
             .unwrap()
             + 1;
         assert!(
@@ -907,17 +1147,26 @@ mod tests {
             ("min", 30u64.into()),
             ("max", 30u64.into()),
         ]);
+        let busy = [
+            ("count", n(2)),
+            ("sum", n(60)),
+            ("min", n(25)),
+            ("max", n(35)),
+        ];
         t.to_chrome_json(Value::object([
             ("shards", 1u64.into()),
-            ("queries", queries.into()),
-            ("makespan_cyc", 40u64.into()),
-            ("failovers", failovers.into()),
-            ("redispatched", redispatched.into()),
             ("events", t.len().into()),
             (
                 "metrics",
                 Value::object([
+                    ("serve.failovers", failovers.into()),
+                    ("serve.frontend_busy_cyc", 5u64.into()),
+                    ("serve.makespan_cyc", 40u64.into()),
+                    ("serve.queries", queries.into()),
+                    ("serve.redispatched", redispatched.into()),
+                    ("serve.replica_busy_cyc", Value::object(busy)),
                     ("shard0.cycles", 40u64.into()),
+                    ("shard0.energy.dram_pj", Value::fixed(1.5, 1)),
                     ("shard0.engine.instructions", 10u64.into()),
                     ("shard0.engine.squashed", 3u64.into()),
                     ("shard0.partition.scan_cyc", scan_cyc),
@@ -1009,6 +1258,38 @@ mod tests {
     }
 
     #[test]
+    fn metrics_accept_a_fraction_only_under_energy() {
+        assert!(check_trace(&sample_trace(1, 1, 1)).is_ok());
+        let err = metrics_error("\"shard0.energy.dram_pj\"", "\"shard0.hmc.dram_pj\"");
+        assert!(
+            err.contains("shard0.hmc.dram_pj is not a non-negative integer"),
+            "{err}"
+        );
+        let err = metrics_error(
+            "\"shard0.energy.dram_pj\": 1.5",
+            "\"shard0.energy.dram_pj\": \"1.5\"",
+        );
+        assert!(
+            err.contains("shard0.energy.dram_pj is not a number"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn metrics_reject_busy_past_the_makespan() {
+        let err = metrics_error("\"max\": 35", "\"max\": 41");
+        assert!(
+            err.contains("otherData.metrics: busy past the 40 cyc makespan (busiest replica 41, front end 5)"),
+            "{err}"
+        );
+        let err = metrics_error(
+            "\"serve.frontend_busy_cyc\": 5",
+            "\"serve.frontend_busy_cyc\": 41",
+        );
+        assert!(err.contains("front end 41"), "{err}");
+    }
+
+    #[test]
     fn trace_roundtrip_validates() {
         assert_eq!(check_trace(&sample_trace(1, 1, 1)), Ok((8, 1)));
     }
@@ -1032,12 +1313,13 @@ mod tests {
         // parent engine span's end at 40 (makespan raised out of the
         // way so only the nesting check can fire).
         let text = sample_trace(1, 1, 1)
-            .replace("\"makespan_cyc\": 40", "\"makespan_cyc\": 60")
+            .replace("\"serve.makespan_cyc\": 40", "\"serve.makespan_cyc\": 60")
             .replace("\"ts\": 12, \"dur\": 18", "\"ts\": 12, \"dur\": 33");
         let err = check_trace(&text).unwrap_err();
         assert!(err.contains("straddles"), "{err}");
         // A span past the recorded makespan is rejected outright.
-        let text = sample_trace(1, 1, 1).replace("\"makespan_cyc\": 40", "\"makespan_cyc\": 39");
+        let text = sample_trace(1, 1, 1)
+            .replace("\"serve.makespan_cyc\": 40", "\"serve.makespan_cyc\": 39");
         let err = check_trace(&text).unwrap_err();
         assert!(err.contains("past the 39 cyc makespan"), "{err}");
     }

@@ -9,12 +9,13 @@
 //! viewer), one track per shard×replica engine plus admission,
 //! front-end and query-lifetime tracks.
 //!
-//! The emitted file embeds the run's `ServiceReport` counters in
-//! `otherData`, plus each shard's Q6 `RunReport::metrics` under a
-//! `shard{s}.` prefix, and `check_figures --trace` re-derives the
-//! counters from the events — query spans, `fault.kill` instants and
+//! The emitted file's `otherData` holds the cluster shape and one
+//! `metrics` object: the run's `ServiceReport::metrics` (`serve.*`)
+//! plus each shard's Q6 `RunReport::metrics` under a `shard{s}.`
+//! prefix. `check_figures --trace` re-derives the service counters
+//! from the events — query spans, `fault.kill` instants and
 //! `redispatch` instants must reconcile exactly — and checks the
-//! per-shard metrics for consistency.
+//! metrics for consistency.
 
 // The bench harness is the terminal boundary of the workspace: the
 // library-wide print lints stop here.
@@ -50,8 +51,8 @@ batch_fill counter), front-end (batch spans, redispatch instants),
 queries (one async span per query, arrival to completion), and one
 row per shard.replica engine (execute spans with nested
 dispatch/scan/gather phases, fault.kill/fault.detect instants).
-`otherData` embeds the ServiceReport counters the events must
-reconcile with, verified by `check_figures --trace`.";
+`otherData.metrics` embeds the ServiceReport counters the events
+must reconcile with, verified by `check_figures --trace`.";
 
 struct Opts {
     rows: usize,
@@ -160,19 +161,13 @@ fn main() {
         "one redispatch instant per lost sub-query"
     );
 
-    // Per-shard component counters: every shard's metrics under a
+    // The service's counters and each shard's Q6 run metrics under a
     // `shard{s}.` prefix, the whole object in name order.
-    let mut metrics = Vec::new();
     let q6 = cluster.run(Arch::Hipe, &Query::q6());
-    for (s, shard_report) in q6.shard_reports.iter().enumerate() {
-        if let Value::Object(members) = shard_report.metrics() {
-            metrics.extend(
-                members
-                    .into_iter()
-                    .map(|(k, v)| (format!("shard{s}.{k}"), v)),
-            );
-        }
-    }
+    let shards = q6.shard_reports.iter().enumerate();
+    let mut metrics: Vec<(String, Value)> = hipe_bench::prefixed(String::new(), report.metrics())
+        .chain(shards.flat_map(|(s, r)| hipe_bench::prefixed(format!("shard{s}."), r.metrics())))
+        .collect();
     metrics.sort_unstable_by(|a, b| a.0.cmp(&b.0));
 
     let other_data = Value::object([
@@ -180,11 +175,6 @@ fn main() {
         ("time_unit", "simulated cycles (1 cyc = 1 viewer µs)".into()),
         ("shards", report.shards.into()),
         ("replicas", report.replicas.into()),
-        ("queries", report.queries.into()),
-        ("makespan_cyc", report.makespan.into()),
-        ("failovers", report.failovers.into()),
-        ("redispatched", report.redispatched.into()),
-        ("answers_digest", report.answers_digest().into()),
         ("events", tracer.len().into()),
         ("metrics", Value::object(metrics)),
     ]);

@@ -2,7 +2,8 @@
 //!
 //! The figures bench and its gate agree here on the table size, the
 //! host worker width and the one host-clock rule the figures bench
-//! still enforces ([`host_par_not_slower`]).
+//! still enforces ([`host_par_not_slower`]); both artifact writers
+//! place report metrics under their prefixes with [`prefixed`].
 //!
 //! Knobs (environment variables):
 //!
@@ -22,6 +23,7 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use hipe_db::SF1_ROWS;
+use hipe_trace::Value;
 
 /// Figure-sweep table size when neither knob is set.
 const DEFAULT_ROWS: usize = 16_384;
@@ -87,6 +89,22 @@ pub fn print_header(target: &str) {
         rows as f64 / SF1_ROWS as f64,
         bench_workers()
     );
+}
+
+/// The members of a metrics object (`RunReport::metrics`,
+/// `ServiceReport::metrics`) renamed under `prefix` (`arch.HIPE.`,
+/// `shard0.`), in their order.
+///
+/// # Panics
+///
+/// If `metrics` is not a JSON object.
+pub fn prefixed(prefix: String, metrics: Value) -> impl Iterator<Item = (String, Value)> {
+    let Value::Object(members) = metrics else {
+        panic!("metrics are a JSON object");
+    };
+    members
+        .into_iter()
+        .map(move |(name, v)| (format!("{prefix}{name}"), v))
 }
 
 /// The `host_par` wall-clock rule: on a host with at least two CPUs,

@@ -199,17 +199,10 @@ impl RunReport {
         other.cycles as f64 / self.cycles.max(1) as f64
     }
 
-    /// Fraction of tuples selected by the scan.
-    ///
-    /// Defined as 0.0 over an empty table (no division by the zero
-    /// row count), so [`Display`](std::fmt::Display)'s percentage is
-    /// never NaN.
+    /// Fraction of tuples selected by the scan
+    /// ([`ScanResult::selectivity`]: 0.0 over an empty table).
     pub fn selectivity(&self) -> f64 {
-        if self.result.bitmask.is_empty() {
-            0.0
-        } else {
-            self.result.matches as f64 / self.result.bitmask.len() as f64
-        }
+        self.result.selectivity()
     }
 
     /// Emits this run onto `track` of `sink` as a `name`d span at
@@ -261,48 +254,32 @@ impl RunReport {
         }
     }
 
-    /// Emits each partition's scan as a span on its own track (one
-    /// viewer row per vault-group engine), placed at absolute cycle
-    /// `at` — partitions run concurrently, so they cannot share a
-    /// sync track.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `tracks` holds exactly one track per partition.
-    pub fn trace_partitions_into(&self, sink: &mut Tracer, tracks: &[TrackId], at: Cycle) {
-        assert_eq!(
-            tracks.len(),
-            self.partitions.len(),
-            "one track per partition"
-        );
-        for (part, &track) in self.partitions.iter().zip(tracks) {
-            sink.span_on(
-                track,
-                &format!("p{} scan", part.partition),
-                at + part.dispatch,
-                at + part.scan,
-                vec![
-                    ("first_vault", part.first_vault.into()),
-                    ("vaults", part.vaults.into()),
-                    ("instructions", part.instructions.into()),
-                    ("dram_bytes", part.dram_bytes.into()),
-                ],
-            );
-        }
-    }
-
     /// The run's metrics as one JSON object, members in name order:
-    /// `cycles`, `matches`, `zonemap.*`, `core.*`, `hmc.*`, `cache.*`
-    /// (host-path machines) or `engine.*` (HIVE/HIPE), and, when the
-    /// run has partitions, their summed `partition.dram_bytes` and a
-    /// `partition.scan_cyc` `{count, sum, min, max}` summary of their
-    /// scan-completion cycles. This is the one place a metric name is
-    /// spelled; the models only count into their `*Stats` structs.
+    /// `cycles`, `matches`, `phase.{dispatch,scan,gather}_cyc` (the
+    /// [`PhaseBreakdown`]), `energy.{dram,link,logic,cache,total}_pj`
+    /// (fixed to one decimal), `zonemap.*`, `core.*`, `hmc.*`,
+    /// `cache.*` (host-path machines) or `engine.*` (HIVE/HIPE), and,
+    /// when the run has partitions, their summed
+    /// `partition.dram_bytes` and a `partition.scan_cyc`
+    /// `{count, sum, min, max}` summary of their scan-completion
+    /// cycles. Every other member is an integer. This is the one place
+    /// a run metric's name is spelled: the models only count into
+    /// their `*Stats` structs, and the figures file and the trace
+    /// carry this object under a prefix.
     pub fn metrics(&self) -> Value {
-        let (core, hmc) = (&self.core, &self.hmc);
+        let (core, hmc, e) = (&self.core, &self.hmc, &self.energy);
+        let pj = |x: f64| Value::fixed(x, 1);
         let mut m: Vec<(&str, Value)> = vec![
             ("cycles", self.cycles.into()),
             ("matches", self.result.matches.into()),
+            ("phase.dispatch_cyc", self.phases.dispatch.into()),
+            ("phase.scan_cyc", self.phases.scan.into()),
+            ("phase.gather_cyc", self.phases.gather_aggregate.into()),
+            ("energy.dram_pj", pj(e.dram_pj())),
+            ("energy.link_pj", pj(e.link_pj())),
+            ("energy.logic_pj", pj(e.logic_pj())),
+            ("energy.cache_pj", pj(e.cache_pj())),
+            ("energy.total_pj", pj(e.total_pj())),
             ("zonemap.regions_scanned", self.regions_scanned.into()),
             ("zonemap.regions_pruned", self.regions_pruned.into()),
             ("core.ops", core.ops.into()),
@@ -342,17 +319,11 @@ impl RunReport {
         }
         if !self.partitions.is_empty() {
             let parts = &self.partitions;
-            let scans = || parts.iter().map(|p| p.scan);
             let dram_bytes: u64 = parts.iter().map(|p| p.dram_bytes).sum();
             m.push(("partition.dram_bytes", dram_bytes.into()));
             m.push((
                 "partition.scan_cyc",
-                Value::object([
-                    ("count", parts.len().into()),
-                    ("sum", scans().sum::<Cycle>().into()),
-                    ("min", scans().min().unwrap_or(0).into()),
-                    ("max", scans().max().unwrap_or(0).into()),
-                ]),
+                Value::summary(parts.iter().map(|p| p.scan)),
             ));
         }
         m.sort_unstable_by_key(|&(name, _)| name);

@@ -22,6 +22,15 @@ pub struct ScanResult {
     pub aggregate: Option<i128>,
 }
 
+impl ScanResult {
+    /// Fraction of tuples selected: 0.0 over an empty table, which
+    /// has no matches (its row count is read as 1, so a printed
+    /// percentage is never NaN).
+    pub fn selectivity(&self) -> f64 {
+        self.matches as f64 / self.bitmask.len().max(1) as f64
+    }
+}
+
 /// Evaluates `query` over `table` one tuple at a time (the row-store
 /// processing model of the paper's Figure 1a).
 pub fn tuple_at_a_time(table: &LineitemTable, query: &Query) -> ScanResult {

@@ -6,6 +6,7 @@ use hipe::{
 use hipe_db::scan::ScanResult;
 use hipe_db::{Bitmask, Query};
 use hipe_sim::{Cycle, WorkerPool};
+use hipe_trace::Value;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -26,6 +27,16 @@ const _: () = {
 /// the host's cache after the per-shard runs). A single-shard cluster
 /// merges nothing, so its cycle count equals the plain [`System`]'s.
 pub const MERGE_CYCLES_PER_SHARD: Cycle = 64;
+
+/// Host cycles the gather step spends merging the answers of
+/// `answering` shards: every answer after the first costs
+/// [`MERGE_CYCLES_PER_SHARD`], so one answering shard (or none, when
+/// every shard was skipped) merges for free. Replication does not
+/// change the merge: however many replicas serve a shard, exactly one
+/// answers per query.
+pub(crate) fn merge_cycles(answering: usize) -> Cycle {
+    (answering.max(1) as Cycle - 1) * MERGE_CYCLES_PER_SHARD
+}
 
 /// Configuration of a sharded cluster.
 #[derive(Debug, Clone)]
@@ -376,14 +387,6 @@ impl Cluster {
         self.bounds[s].clone()
     }
 
-    /// Host cycles the gather step spends merging shard answers
-    /// (zero for a single shard). Replication does not change the
-    /// merge: however many replicas serve a shard, exactly one answers
-    /// per query.
-    pub fn merge_cycles(&self) -> Cycle {
-        (self.systems.len() as Cycle - 1) * MERGE_CYCLES_PER_SHARD
-    }
-
     /// Total cubes opened over the shards' tables
     /// ([`System::materializations`] summed).
     pub fn materializations(&self) -> u64 {
@@ -546,13 +549,12 @@ fn combine(
     // results serially (a skipped shard's answer is known to be zero
     // without a merge step — its mask range stays the reset zeros).
     let answering = skipped.iter().filter(|&&s| !s).count();
-    let merge = (answering.max(1) as Cycle - 1) * MERGE_CYCLES_PER_SHARD;
     let cycles = shard_reports
         .iter()
         .map(|r| r.cycles)
         .max()
         .expect("clusters have at least one shard")
-        + merge;
+        + merge_cycles(answering);
     ClusterReport {
         arch,
         result: ScanResult {
@@ -595,13 +597,21 @@ impl ClusterReport {
         self.skipped.iter().filter(|&&s| s).count()
     }
 
-    /// Fraction of tuples selected across the whole cluster.
+    /// The cluster run's own counts as one JSON object, in name order:
+    /// `cycles` (the slowest shard plus the merge) and
+    /// `serve.shards_skipped`. They are the only cluster-level
+    /// numbers; each shard's run is named by [`RunReport::metrics`].
+    pub fn metrics(&self) -> Value {
+        Value::object([
+            ("cycles", self.cycles.into()),
+            ("serve.shards_skipped", self.shards_skipped().into()),
+        ])
+    }
+
+    /// Fraction of tuples selected across the whole cluster
+    /// ([`ScanResult::selectivity`]).
     pub fn selectivity(&self) -> f64 {
-        if self.result.bitmask.is_empty() {
-            0.0
-        } else {
-            self.result.matches as f64 / self.result.bitmask.len() as f64
-        }
+        self.result.selectivity()
     }
 }
 
@@ -658,11 +668,9 @@ mod tests {
 
     #[test]
     fn merge_cycles_zero_for_single_shard() {
-        assert_eq!(Cluster::new(100, 1, 1).merge_cycles(), 0);
-        assert_eq!(
-            Cluster::new(100, 1, 4).merge_cycles(),
-            3 * MERGE_CYCLES_PER_SHARD
-        );
+        assert_eq!(merge_cycles(0), 0, "every shard skipped");
+        assert_eq!(merge_cycles(1), 0);
+        assert_eq!(merge_cycles(4), 3 * MERGE_CYCLES_PER_SHARD);
     }
 
     #[test]

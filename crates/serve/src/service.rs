@@ -32,14 +32,14 @@
 //! sub-queries are detected and re-dispatched to a survivor (the
 //! fail-stop model of [`crate::fault`]).
 
-use crate::cluster::{Cluster, Profile, MERGE_CYCLES_PER_SHARD};
+use crate::cluster::{merge_cycles, Cluster, Profile};
 use crate::fault::{self, FaultPlan};
 use crate::routing::{Replica, RoutingPolicy};
 use hipe::Arch;
 use hipe_db::scan::ScanResult;
 use hipe_db::{Query, SplitMix64};
-use hipe_sim::{Cycle, Samples, ServeOutcome, Server, Window};
-use hipe_trace::{Tracer, TrackId, TrackKind};
+use hipe_sim::{fnv1a, Cycle, Samples, ServeOutcome, Server, Window};
+use hipe_trace::{Tracer, TrackId, TrackKind, Value};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -459,35 +459,68 @@ impl ServiceReport {
         self.replica_busy[s][r] as f64 / self.makespan.max(1) as f64
     }
 
-    /// FNV-1a digest of the service-level answers (mask words, match
-    /// counts, aggregates, in mix order) — a compact fingerprint for
-    /// the bit-identical-failover CI check.
+    /// FNV-1a digest ([`fnv1a`]) of the service-level answers (mask
+    /// words, match counts, aggregates, in mix order) — a compact
+    /// fingerprint for the bit-identical-failover CI check.
     pub fn answers_digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(PRIME);
-            }
-        };
-        for answer in &self.answers {
-            eat(answer.matches as u64);
-            match answer.aggregate {
-                Some(sum) => {
-                    eat(1);
-                    eat(sum as u64);
-                    eat((sum >> 64) as u64);
-                }
-                None => eat(0),
-            }
-            eat(answer.bitmask.len() as u64);
-            for &word in answer.bitmask.words() {
-                eat(word);
-            }
-        }
-        hash
+        fnv1a(self.answers.iter().flat_map(|answer| {
+            // A present aggregate is tagged 1 and fed as two words.
+            let aggregate = answer.aggregate.map(|sum| [sum as u64, (sum >> 64) as u64]);
+            let head = [answer.matches as u64, u64::from(aggregate.is_some())];
+            let len = answer.bitmask.len() as u64;
+            let words = answer.bitmask.words().iter().copied();
+            head.into_iter()
+                .chain(aggregate.into_iter().flatten())
+                .chain([len])
+                .chain(words)
+        }))
+    }
+
+    /// The run's simulated counters as one JSON object, members in
+    /// name order: `serve.queries`, `serve.makespan_cyc`,
+    /// `serve.queries_per_gcyc`, the `serve.latency.*` and
+    /// `serve.subquery_latency.*` percentiles and maximum,
+    /// `serve.frontend_busy_cyc`, a `serve.replica_busy_cyc`
+    /// `{count, sum, min, max}` summary over every replica,
+    /// `serve.admission_stall_cyc`, `serve.batching_delay_cyc`,
+    /// `serve.failovers`, `serve.redispatched` and
+    /// `serve.answers_digest`; every other member is an integer. This
+    /// is the one place a service metric's name is spelled. It leaves
+    /// out the host-side counts (`compilations`, `materializations`,
+    /// `profiled`), which depend on what earlier runs cached, and the
+    /// mean latencies, which are not integers.
+    pub fn metrics(&self) -> Value {
+        let (lat, sub) = (&self.latency, &self.subquery_latency);
+        let mut m: Vec<(&str, Value)> = vec![
+            ("serve.queries", self.queries.into()),
+            ("serve.makespan_cyc", self.makespan.into()),
+            (
+                "serve.queries_per_gcyc",
+                self.queries_per_gigacycle().into(),
+            ),
+            ("serve.latency.p50_cyc", lat.p50.into()),
+            ("serve.latency.p95_cyc", lat.p95.into()),
+            ("serve.latency.p99_cyc", lat.p99.into()),
+            ("serve.latency.p999_cyc", lat.p999.into()),
+            ("serve.latency.max_cyc", lat.max.into()),
+            ("serve.subquery_latency.p50_cyc", sub.p50.into()),
+            ("serve.subquery_latency.p95_cyc", sub.p95.into()),
+            ("serve.subquery_latency.p99_cyc", sub.p99.into()),
+            ("serve.subquery_latency.p999_cyc", sub.p999.into()),
+            ("serve.subquery_latency.max_cyc", sub.max.into()),
+            ("serve.frontend_busy_cyc", self.frontend_busy.into()),
+            (
+                "serve.replica_busy_cyc",
+                Value::summary(self.replica_busy.iter().flatten().copied()),
+            ),
+            ("serve.admission_stall_cyc", self.admission_stall.into()),
+            ("serve.batching_delay_cyc", self.batching_delay.into()),
+            ("serve.failovers", self.failovers.into()),
+            ("serve.redispatched", self.redispatched.into()),
+            ("serve.answers_digest", self.answers_digest().into()),
+        ];
+        m.sort_unstable_by_key(|&(name, _)| name);
+        Value::object(m)
     }
 }
 
@@ -753,7 +786,7 @@ impl<'a> Scheduler<'a> {
         for p in std::mem::take(&mut self.batch) {
             let skipped = &profiles[p.query].skipped;
             let answering = skipped.iter().filter(|&&s| !s).count();
-            let merge = (answering.max(1) as Cycle - 1) * MERGE_CYCLES_PER_SHARD;
+            let merge = merge_cycles(answering);
             let slowest = (0..skipped.len())
                 .filter(|&s| !skipped[s])
                 .map(|s| self.route_and_serve(p.tag, p.query, s, scattered))

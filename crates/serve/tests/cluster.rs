@@ -3,7 +3,7 @@
 use hipe::{Arch, System};
 use hipe_db::scan::reference;
 use hipe_db::{LineitemTable, Query};
-use hipe_serve::{Cluster, ClusterConfig};
+use hipe_serve::{Cluster, ClusterConfig, MERGE_CYCLES_PER_SHARD};
 
 const SEED: u64 = 2018;
 
@@ -191,6 +191,24 @@ fn cluster_cycles_are_slowest_shard_plus_merge() {
     let cluster = Cluster::new(1024, SEED, 4);
     let report = cluster.run(Arch::Hipe, &Query::q6());
     let slowest = report.shard_reports.iter().map(|r| r.cycles).max().unwrap();
-    assert_eq!(report.cycles, slowest + cluster.merge_cycles());
-    assert!(cluster.merge_cycles() > 0);
+    // Q6 prunes nothing here, so all four shards answer.
+    assert_eq!(report.cycles, slowest + 3 * MERGE_CYCLES_PER_SHARD);
+}
+
+/// A cluster run's own counts: its merged cycles and the shards its
+/// scatter path skipped.
+#[test]
+fn cluster_metrics_count_cycles_and_skipped_shards() {
+    let rows = 4096;
+    let query = Query::shipdate_window_permille(30);
+    let skipping = Cluster::with_config(ClusterConfig::skipping(rows, SEED, 4));
+    let report = skipping.run(Arch::Hipe, &query);
+    assert!(report.shards_skipped() > 0);
+    let text = hipe_trace::json::write(&report.metrics());
+    let expect = format!(
+        "{{\"cycles\": {}, \"serve.shards_skipped\": {}}}\n",
+        report.cycles,
+        report.shards_skipped()
+    );
+    assert_eq!(text, expect);
 }

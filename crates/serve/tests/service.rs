@@ -619,3 +619,51 @@ fn rejected_configs_leave_the_memo_empty() {
         assert_eq!(report.profiled, 3, "{arch}");
     }
 }
+
+#[test]
+fn metrics_project_the_simulated_counters() {
+    let cluster = Cluster::replicated(1024, SEED, 2, 2);
+    let report = run_service(
+        &cluster,
+        &ServiceConfig {
+            faults: vec![FaultPlan::new(1, 0, 20_000)],
+            ..closed(32, 4)
+        },
+    );
+    assert_eq!(report.failovers, 1);
+    let Value::Object(members) = report.metrics() else {
+        panic!("metrics are an object");
+    };
+    let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+    assert!(names.iter().all(|n| n.starts_with("serve.")), "{names:?}");
+    // Host-side counts depend on what earlier runs cached; they stay
+    // out of the simulated namespace.
+    for host_side in ["compilations", "materializations", "profiled"] {
+        assert!(!names.iter().any(|n| n.contains(host_side)), "{host_side}");
+    }
+    let metric = |name: &str| members.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+    let int = |name: &str| metric(name).and_then(Value::as_number::<u64>);
+    assert_eq!(int("serve.queries"), Some(report.queries));
+    assert_eq!(int("serve.makespan_cyc"), Some(report.makespan));
+    assert_eq!(
+        int("serve.queries_per_gcyc"),
+        Some(report.queries_per_gigacycle())
+    );
+    assert_eq!(int("serve.latency.p99_cyc"), Some(report.latency.p99));
+    assert_eq!(
+        int("serve.subquery_latency.max_cyc"),
+        Some(report.subquery_latency.max)
+    );
+    assert_eq!(int("serve.failovers"), Some(1));
+    assert_eq!(int("serve.redispatched"), Some(report.redispatched));
+    assert_eq!(int("serve.answers_digest"), Some(report.answers_digest()));
+    let busy: Vec<u64> = report.replica_busy.iter().flatten().copied().collect();
+    assert_eq!(
+        metric("serve.replica_busy_cyc"),
+        Some(&Value::summary(busy.iter().copied()))
+    );
+    let busy_sum: u64 = busy.iter().sum();
+    assert_eq!(busy.len(), 4);
+    assert_eq!(busy_sum, report.shard_busy.iter().sum::<u64>());
+}

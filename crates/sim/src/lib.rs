@@ -41,6 +41,8 @@
 //! in parallel. [`Words`], [`WordVec`] and [`WordArea`] keep 8 B model
 //! words on the host at the width their values need (a table's
 //! columns, which a cube reads but never writes), widening on read.
+//! [`fnv1a`] fingerprints results word by word (the service's answer
+//! digest and the figures' serial-vs-parallel digests).
 //!
 //! # Example
 //!
@@ -63,6 +65,7 @@
 //! ```
 
 mod fifo_window;
+mod fnv;
 mod host;
 mod pipe;
 mod server;
@@ -72,6 +75,7 @@ mod window;
 mod words;
 
 pub use fifo_window::FifoWindow;
+pub use fnv::fnv1a;
 pub use host::{env_workers, WorkerPool};
 pub use pipe::ThroughputPipe;
 pub use server::{MultiServer, ServeOutcome, Server};

@@ -9,7 +9,7 @@
 //!
 //! [`write()`] is deterministic: a container of scalars goes on one line,
 //! and so does an array item whose members are scalars or containers of
-//! scalars (one trace event, one figures row); any other container puts
+//! scalars (one trace event, one flat figures row); any other container puts
 //! each member on its own line, indented two spaces. [`parse`] is
 //! strict: truncated input, trailing content, duplicate keys, bad
 //! escapes and malformed numbers fail with a `line:column:` message.
@@ -79,6 +79,16 @@ impl Value {
     /// An object with `members` in the given order.
     pub fn object<K: Into<String>>(members: impl IntoIterator<Item = (K, Value)>) -> Value {
         Value::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// A `{count, sum, min, max}` summary of `values` (min and max 0
+    /// when there are none).
+    pub fn summary(values: impl Iterator<Item = u64> + Clone) -> Value {
+        let v = || values.clone();
+        let (min, max) = (v().min().unwrap_or(0), v().max().unwrap_or(0));
+        let (count, sum) = (v().count() as u64, v().sum::<u64>());
+        let fields = [("count", count), ("sum", sum), ("min", min), ("max", max)];
+        Value::object(fields.map(|(k, n)| (k, n.into())))
     }
 
     /// Object member `key`, if this is an object that has it.
@@ -363,7 +373,7 @@ impl Parser<'_> {
 }
 
 /// A value together with the path that reached it, so that a failed
-/// typed read names where (`point serve_fail: lacks digest_HIPE_fault`).
+/// typed read names where (`point q6: lacks config`).
 #[derive(Debug, Clone)]
 pub struct At<'a> {
     /// How the value was reached (`point q6.archs`).
@@ -461,6 +471,20 @@ mod tests {
         let parsed = parse(&text).unwrap();
         assert_eq!(parsed, sample());
         assert_eq!(write(&parsed), text);
+    }
+
+    #[test]
+    fn summaries_count_sum_and_bound_their_values() {
+        let text = write(&Value::summary([40, 90, 60].into_iter()));
+        assert_eq!(
+            text,
+            "{\"count\": 3, \"sum\": 190, \"min\": 40, \"max\": 90}\n"
+        );
+        let empty = write(&Value::summary(std::iter::empty()));
+        assert_eq!(
+            empty,
+            "{\"count\": 0, \"sum\": 0, \"min\": 0, \"max\": 0}\n"
+        );
     }
 
     #[test]

@@ -207,6 +207,11 @@ const Q6_METRICS: [&str; 4] = [
   "core.ops": 8492,
   "core.stores": 192,
   "cycles": 177179,
+  "energy.cache_pj": 117400.0,
+  "energy.dram_pj": 2397867.7,
+  "energy.link_pj": 2124288.0,
+  "energy.logic_pj": 0.0,
+  "energy.total_pj": 4639555.7,
   "hmc.activations": 1844,
   "hmc.bytes_read": 116928,
   "hmc.bytes_written": 1088,
@@ -215,6 +220,9 @@ const Q6_METRICS: [&str; 4] = [
   "matches": 91,
   "partition.dram_bytes": 100352,
   "partition.scan_cyc": {"count": 1, "sum": 161435, "min": 161435, "max": 161435},
+  "phase.dispatch_cyc": 161435,
+  "phase.gather_cyc": 15744,
+  "phase.scan_cyc": 161435,
   "zonemap.regions_pruned": 0,
   "zonemap.regions_scanned": 128
 }
@@ -236,6 +244,11 @@ const Q6_METRICS: [&str; 4] = [
   "core.ops": 12972,
   "core.stores": 64,
   "cycles": 699372,
+  "energy.cache_pj": 26300.0,
+  "energy.dram_pj": 7622727.6,
+  "energy.link_pj": 4187520.0,
+  "energy.logic_pj": 368640.0,
+  "energy.total_pj": 12205187.6,
   "hmc.activations": 6707,
   "hmc.bytes_read": 134272,
   "hmc.bytes_written": 64,
@@ -244,6 +257,9 @@ const Q6_METRICS: [&str; 4] = [
   "matches": 91,
   "partition.dram_bytes": 99072,
   "partition.scan_cyc": {"count": 1, "sum": 649447, "min": 649447, "max": 649447},
+  "phase.dispatch_cyc": 649396,
+  "phase.gather_cyc": 49925,
+  "phase.scan_cyc": 649447,
   "zonemap.regions_pruned": 0,
   "zonemap.regions_scanned": 128
 }
@@ -255,6 +271,11 @@ const Q6_METRICS: [&str; 4] = [
   "core.ops": 1935,
   "core.stores": 1802,
   "cycles": 80074,
+  "energy.cache_pj": 0.0,
+  "energy.dram_pj": 1626651.8,
+  "energy.link_pj": 706176.0,
+  "energy.logic_pj": 61680.0,
+  "energy.total_pj": 2394507.8,
   "engine.alu_ops": 1028,
   "engine.blocks": 1,
   "engine.dram_loads": 640,
@@ -269,6 +290,9 @@ const Q6_METRICS: [&str; 4] = [
   "matches": 91,
   "partition.dram_bytes": 197632,
   "partition.scan_cyc": {"count": 1, "sum": 79605, "min": 79605, "max": 79605},
+  "phase.dispatch_cyc": 3605,
+  "phase.gather_cyc": 469,
+  "phase.scan_cyc": 79605,
   "zonemap.regions_pruned": 0,
   "zonemap.regions_scanned": 128
 }
@@ -280,6 +304,11 @@ const Q6_METRICS: [&str; 4] = [
   "core.ops": 1935,
   "core.stores": 1802,
   "cycles": 74232,
+  "energy.cache_pj": 0.0,
+  "energy.dram_pj": 1203754.4,
+  "energy.link_pj": 706176.0,
+  "energy.logic_pj": 47220.0,
+  "energy.total_pj": 1957150.4,
   "engine.alu_ops": 787,
   "engine.blocks": 1,
   "engine.dram_loads": 489,
@@ -294,6 +323,9 @@ const Q6_METRICS: [&str; 4] = [
   "matches": 91,
   "partition.dram_bytes": 143360,
   "partition.scan_cyc": {"count": 1, "sum": 73763, "min": 73763, "max": 73763},
+  "phase.dispatch_cyc": 3605,
+  "phase.gather_cyc": 469,
+  "phase.scan_cyc": 73763,
   "zonemap.regions_pruned": 0,
   "zonemap.regions_scanned": 128
 }
@@ -308,6 +340,11 @@ const PRUNED_METRICS: &str = r#"{
   "core.ops": 403,
   "core.stores": 270,
   "cycles": 14162,
+  "energy.cache_pj": 0.0,
+  "energy.dram_pj": 252247.0,
+  "energy.link_pj": 117888.0,
+  "energy.logic_pj": 9180.0,
+  "energy.total_pj": 379315.0,
   "engine.alu_ops": 153,
   "engine.blocks": 1,
   "engine.dram_loads": 95,
@@ -322,6 +359,9 @@ const PRUNED_METRICS: &str = r#"{
   "matches": 74,
   "partition.dram_bytes": 29440,
   "partition.scan_cyc": {"count": 1, "sum": 13629, "min": 13629, "max": 13629},
+  "phase.dispatch_cyc": 541,
+  "phase.gather_cyc": 533,
+  "phase.scan_cyc": 13629,
   "zonemap.regions_pruned": 109,
   "zonemap.regions_scanned": 19
 }
@@ -335,6 +375,11 @@ const PARTITIONED_METRICS: &str = r#"{
   "core.ops": 2865,
   "core.stores": 1808,
   "cycles": 23639,
+  "energy.cache_pj": 0.0,
+  "energy.dram_pj": 1181736.9,
+  "energy.link_pj": 806400.0,
+  "energy.logic_pj": 47220.0,
+  "energy.total_pj": 2035356.9,
   "engine.alu_ops": 787,
   "engine.blocks": 4,
   "engine.dram_loads": 489,
@@ -349,6 +394,9 @@ const PARTITIONED_METRICS: &str = r#"{
   "matches": 91,
   "partition.dram_bytes": 143360,
   "partition.scan_cyc": {"count": 4, "sum": 82584, "min": 20643, "max": 20649},
+  "phase.dispatch_cyc": 3617,
+  "phase.gather_cyc": 2990,
+  "phase.scan_cyc": 20649,
   "zonemap.regions_pruned": 0,
   "zonemap.regions_scanned": 128
 }
