@@ -48,9 +48,11 @@
 //!
 //! Besides the human-readable table, all sweeps are written to
 //! `BENCH_figures.json` (override the path with `HIPE_BENCH_JSON`).
-//! Every row is `{name, config, metrics}`: `config` holds what the row
-//! asked for (`query`, `shards`, `replicas`, `workers`) and `metrics`
-//! the reports' own projections (`RunReport::metrics`,
+//! Its header's `machine` object holds the energy constants
+//! (`EnergyModel::metrics`, in tenths of a pJ) every run's energy is
+//! priced with. Every row is `{name, config, metrics}`: `config` holds
+//! what the row asked for (`query`, `shards`, `replicas`, `workers`)
+//! and `metrics` the reports' own projections (`RunReport::metrics`,
 //! `ServiceReport::metrics`, `ClusterReport::metrics`), each under its
 //! row prefix: `arch.HIPE.` for a machine's run or service,
 //! `base.arch.HIPE.` for the unpruned skip baseline, and
@@ -60,10 +62,10 @@
 //! monotonically with the engine count, `serve_*` throughput rises
 //! monotonically with the shard and replica count, the `serve_fail`
 //! digests match their clean counterparts, every run keeps the report
-//! invariants, and so on). The file holds simulated results only, so
-//! it is a pure function of the row count and the seed: CI regenerates
-//! it serially and at 4 workers and `cmp`s both runs against the
-//! committed copy.
+//! invariants and re-prices to its energy, and so on). The file holds
+//! simulated results only, so it is a pure function of the row count
+//! and the seed: CI regenerates it serially and at 4 workers and
+//! `cmp`s both runs against the committed copy.
 //!
 //! Run with `cargo bench -p hipe-bench --bench figures`; scale the
 //! table with `HIPE_BENCH_ROWS` or `HIPE_BENCH_SF`, and fan the
@@ -76,6 +78,7 @@
 use hipe::{Arch, RunReport, Session, System, SystemConfig, TableShape};
 use hipe_db::scan::ScanResult;
 use hipe_db::Query;
+use hipe_hmc::EnergyModel;
 use hipe_serve::{run_service, Cluster, ClusterConfig, FaultPlan, ServiceConfig, ServiceReport};
 use hipe_sim::{fnv1a, WorkerPool};
 use hipe_trace::{json, Value};
@@ -470,6 +473,7 @@ fn main() {
         ("rows", rows.into()),
         ("seed", SEED.into()),
         ("archs", Value::Array(archs)),
+        ("machine", EnergyModel::paper().metrics()),
         ("points", Value::Array(json_points)),
     ]);
     // A failed write must fail the run: `check_figures` would otherwise

@@ -13,6 +13,10 @@
 //! every shard and agree with each other (see [`check_metrics`] and
 //! [`check_invariants`]).
 //!
+//! Both files carry the machine's energy constants in their header
+//! (`machine` in the figures file, `otherData.machine` in the trace),
+//! and every run's energy must re-price from its own counters exactly.
+//!
 //! Every figures row is `{name, config, metrics}`, and both files'
 //! `metrics` objects hold the report projections (`RunReport::metrics`,
 //! `ServiceReport::metrics`, `ClusterReport::metrics`) under prefixes
@@ -175,20 +179,39 @@ impl<'a> Metrics<'a> {
     }
 }
 
+/// The energy constants of a document's `machine` header, in tenths
+/// of a pJ: per activation, byte read, byte written, cycle, link byte,
+/// functional-unit op and cache lookup.
+fn energy_constants(machine: At) -> Result<[u64; 7], String> {
+    Metrics::new(machine)?.under("energy.").u64s([
+        "activate_dpj",
+        "read_dpj_per_byte",
+        "write_dpj_per_byte",
+        "background_dpj_per_cyc",
+        "link_dpj_per_byte",
+        "fu_op_dpj",
+        "cache_lookup_dpj",
+    ])
+}
+
 /// The report invariants, checked wherever a projection put the names
 /// they read:
 ///
 /// * every run (a prefix owning `phase.scan_cyc`) has dispatch ≤ scan
 ///   ≤ cycles and cycles == scan + gather;
-/// * every run's four energy parts sum to its `energy.total_pj` within
-///   0.2 pJ: each of the five values is rounded to 0.1 pJ, so the sum
-///   of the rounded parts is off the rounded total by at most 0.25;
+/// * every run (a prefix owning `energy.total_pj`) re-prices from its
+///   counters and the header's constants `k` ([`energy_constants`]),
+///   in exact tenths of a pJ: dram is activations, bytes read, bytes
+///   written and cycles at their prices, link is link bytes, logic is
+///   FU ops and cache is cache lookups (one per level probed:
+///   accesses + L1 misses + L2 misses; none on a run without caches)
+///   at theirs, and the total is the four parts' sum;
 /// * every run's partition scan summary covers at least one partition
 ///   and lies inside the run (min ≤ max ≤ `cycles`), and its engine
 ///   squashed no more instructions than it received;
 /// * every service (a prefix owning `serve.makespan_cyc`) kept each
 ///   replica and its front end busy for at most its makespan.
-fn check_invariants(m: &Metrics) -> Result<(), String> {
+fn check_invariants(m: &Metrics, k: &[u64; 7]) -> Result<(), String> {
     let path = &m.at.path;
     for prefix in m.owners("phase.scan_cyc") {
         let phases = [
@@ -206,20 +229,46 @@ fn check_invariants(m: &Metrics) -> Result<(), String> {
         })?;
     }
     for prefix in m.owners("energy.total_pj") {
-        // In tenths of a pJ, the resolution of the fixed text.
-        let tenths = |part| {
-            let pj = m.at.f64(&format!("{prefix}energy.{part}_pj"));
-            pj.map(|pj| (pj * 10.0).round() as i64)
+        let run = m.under(prefix);
+        let counters = [
+            "hmc.activations",
+            "hmc.bytes_read",
+            "hmc.bytes_written",
+            "cycles",
+            "hmc.link_bytes",
+            "hmc.fu_ops",
+        ];
+        let [acts, read, written, cycles, link, ops] = run.u64s(counters)?;
+        // One lookup per cache level probed (`CacheStats::total_lookups`);
+        // a run without caches probed none.
+        let lookups = match run.get("cache.accesses") {
+            Ok(_) => run
+                .u64s(["cache.accesses", "cache.l1_misses", "cache.l2_misses"])?
+                .iter()
+                .sum(),
+            Err(_) => 0,
         };
-        let parts = ["dram", "link", "logic", "cache"].map(tenths);
-        let (parts, total) = (parts.into_iter().sum::<Result<i64, _>>()?, tenths("total")?);
-        ensure((parts - total).abs() <= 2, || {
-            format!(
-                "{path}: {prefix}energy parts sum to {:.1} pJ, not the {:.1} pJ total (tolerance 0.2 pJ)",
-                parts as f64 / 10.0,
-                total as f64 / 10.0
-            )
-        })?;
+        // Each count at its constant, wide enough that no product wraps.
+        let counts = [acts, read, written, cycles, link, ops, lookups];
+        let [act, rd, wr, bg, link, logic, cache] =
+            std::array::from_fn(|i| u128::from(counts[i]) * u128::from(k[i]));
+        let parts = [
+            ("dram", act + rd + wr + bg),
+            ("link", link),
+            ("logic", logic),
+            ("cache", cache),
+        ];
+        let total = parts.iter().map(|(_, dpj)| dpj).sum();
+        for (part, dpj) in parts.into_iter().chain([("total", total)]) {
+            let pj = m.at.f64(&format!("{prefix}energy.{part}_pj"))?;
+            ensure(pj >= 0.0 && (pj * 10.0).round() as u128 == dpj, || {
+                format!(
+                    "{path}: {prefix}energy.{part}_pj is {pj} pJ, its counters price {}.{} pJ",
+                    dpj / 10,
+                    dpj % 10
+                )
+            })?;
+        }
     }
     for prefix in m.owners("partition.scan_cyc") {
         let (run, scan) = (m.under(prefix), m.under(prefix).get("partition.scan_cyc")?);
@@ -262,6 +311,7 @@ fn check(text: &str) -> Result<usize, String> {
     ensure(doc.str("bench") == Ok("figures"), || {
         "not a figures document (missing \"bench\": \"figures\")".into()
     })?;
+    let k = energy_constants(doc.get("machine")?)?;
     let archs = Value::Array(ARCHS.map(Value::from).to_vec());
     ensure(root.get("archs") == Some(&archs), || {
         format!("arch list drifted (expected {ARCHS:?})")
@@ -275,7 +325,7 @@ fn check(text: &str) -> Result<usize, String> {
         })?;
         let p = At::new(format!("point {name}"), p.value);
         let metrics = Metrics::new(p.get("metrics")?)?;
-        check_invariants(&metrics)?;
+        check_invariants(&metrics, &k)?;
         points.push((name, p.get("config")?, metrics));
     }
     ensure(!points.is_empty(), || "no sweep points found".into())?;
@@ -434,9 +484,10 @@ fn check_trace(text: &str) -> Result<(u64, u64), String> {
     let doc = At::new("trace", &root);
     let events = doc.items("traceEvents")?;
     let other = doc.get("otherData")?;
+    let k = energy_constants(other.get("machine")?)?;
     let metrics = Metrics::new(other.get("metrics")?)?;
     check_metrics(&metrics, other.u64("shards")?)?;
-    check_invariants(&metrics)?;
+    check_invariants(&metrics, &k)?;
     let counters = ["queries", "failovers", "redispatched", "makespan_cyc"];
     let counters = counters.map(|c| format!("serve.{c}"));
     let [queries, failovers, redispatched, makespan] =
@@ -572,6 +623,7 @@ fn check_metrics(metrics: &Metrics, shards: u64) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hipe_hmc::EnergyModel;
 
     fn n(v: u64) -> Value {
         v.into()
@@ -591,22 +643,40 @@ mod tests {
         ])
     }
 
+    /// `dpj` tenths of a pJ as the reports write pJ.
+    fn pj(dpj: u64) -> Value {
+        Value::fixed(dpj as f64 / 10.0, 1)
+    }
+
     /// One run under `prefix`: dispatch and scan complete at
     /// `dispatch` and `scan`, the gather takes `gather` more cycles,
-    /// and the energy parts sum to the total exactly.
+    /// and its energy is the paper constants' price of its counters.
     fn run(prefix: &str, dispatch: u64, scan: u64, gather: u64) -> Vec<(String, Value)> {
-        let pj = |x| Value::fixed(x, 1);
+        let cycles = scan + gather;
+        // 900 pJ per activation, 4 pJ per byte read, 4.4 per byte
+        // written, 1.5 per cycle; 12 per link byte; 60 per FU op; 50
+        // per cache lookup (accesses + L1 misses + L2 misses).
+        let dram = 9000 + 256 * 40 + 3 * 44 + 15 * cycles;
+        let (link, logic, cache) = (300 * 120, 2 * 600, (10 + 3 + 1) * 500);
         let members = vec![
-            ("cycles", n(scan + gather)),
+            ("cycles", n(cycles)),
             ("phase.dispatch_cyc", n(dispatch)),
             ("phase.scan_cyc", n(scan)),
             ("phase.gather_cyc", n(gather)),
             ("zonemap.regions_pruned", n(62)),
-            ("energy.dram_pj", pj(10.2)),
-            ("energy.link_pj", pj(4.1)),
-            ("energy.logic_pj", pj(0.0)),
-            ("energy.cache_pj", pj(1.0)),
-            ("energy.total_pj", pj(15.3)),
+            ("hmc.activations", n(1)),
+            ("hmc.bytes_read", n(256)),
+            ("hmc.bytes_written", n(3)),
+            ("hmc.link_bytes", n(300)),
+            ("hmc.fu_ops", n(2)),
+            ("cache.accesses", n(10)),
+            ("cache.l1_misses", n(3)),
+            ("cache.l2_misses", n(1)),
+            ("energy.dram_pj", pj(dram)),
+            ("energy.link_pj", pj(link)),
+            ("energy.logic_pj", pj(logic)),
+            ("energy.cache_pj", pj(cache)),
+            ("energy.total_pj", pj(dram + link + logic + cache)),
         ];
         under(prefix, members)
     }
@@ -726,6 +796,7 @@ mod tests {
         json::write(&Value::object([
             ("bench", "figures".into()),
             ("archs", Value::Array(ARCHS.map(Value::from).to_vec())),
+            ("machine", EnergyModel::paper().metrics()),
             ("points", Value::Array(points)),
         ]))
     }
@@ -1049,20 +1120,78 @@ mod tests {
 
     #[test]
     fn rejects_energy_parts_that_miss_the_total() {
-        // The parts sum to 15.3 pJ; five roundings to 0.1 pJ allow 0.2.
-        let total = |pj| metric_error("q6", "arch.HIPE.energy.total_pj", Value::fixed(pj, 1));
-        let err = total(15.6);
+        // q6's HIPE run: 100 cycles price the parts at 2087.2, 3600,
+        // 120 and 700 pJ, 6507.2 pJ in all. One tenth off is off.
+        let total = |dpj| metric_error("q6", "arch.HIPE.energy.total_pj", pj(dpj));
+        let err = total(65073);
         assert!(
-            err.contains("arch.HIPE.energy parts sum to 15.3 pJ, not the 15.6 pJ total"),
+            err.contains("point q6.metrics: arch.HIPE.energy.total_pj is 6507.3 pJ, its counters price 6507.2 pJ"),
             "{err}"
         );
-        assert!(total(15.0).contains("not the 15.0 pJ total"));
-        for within in [15.1, 15.5] {
-            let text = edited("q6", "metrics", "arch.HIPE.energy.total_pj", |m| {
-                m.1 = Value::fixed(within, 1)
-            });
-            assert_eq!(check(&text), Ok(19), "{within}");
-        }
+        assert!(total(65071).contains("price 6507.2 pJ"));
+        let err = metric_error("q6", "arch.HIPE.energy.link_pj", pj(36001));
+        assert!(
+            err.contains("arch.HIPE.energy.link_pj is 3600.1 pJ, its counters price 3600.0 pJ"),
+            "{err}"
+        );
+        let err = metric_error("sel_2%", "arch.x86.energy.cache_pj", pj(0));
+        assert!(
+            err.contains("arch.x86.energy.cache_pj is 0 pJ, its counters price 700.0 pJ"),
+            "{err}"
+        );
+        let err = metric_error(
+            "par_1",
+            "arch.HIVE.energy.dram_pj",
+            Value::fixed(-3137.2, 1),
+        );
+        assert!(
+            err.contains("arch.HIVE.energy.dram_pj is -3137.2 pJ, its counters price 3137.2 pJ"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_a_mutated_counter() {
+        // One more byte written is 4.4 pJ more DRAM energy than the run
+        // reports; a run without its counters cannot be priced at all.
+        let err = metric_error("q6", "arch.HIPE.hmc.bytes_written", n(4));
+        assert!(
+            err.contains("arch.HIPE.energy.dram_pj is 2087.2 pJ, its counters price 2091.6 pJ"),
+            "{err}"
+        );
+        let err = metric_error("skip_1%", "base.arch.HIVE.cache.l2_misses", n(2));
+        assert!(
+            err.contains("base.arch.HIVE.energy.cache_pj is 700 pJ, its counters price 750.0 pJ"),
+            "{err}"
+        );
+        let gone = edited("q6", "metrics", "arch.HIPE.hmc.fu_ops", |m| {
+            m.0 = "arch.HIPE.hmc.ops".into()
+        });
+        assert!(check(&gone)
+            .unwrap_err()
+            .contains("lacks arch.HIPE.hmc.fu_ops"));
+    }
+
+    #[test]
+    fn rejects_a_mutated_energy_constant() {
+        let header = "\"energy.write_dpj_per_byte\": 44";
+        let text = doc(10).replacen(header, "\"energy.write_dpj_per_byte\": 45", 1);
+        let err = check(&text).unwrap_err();
+        assert!(err.contains("energy.dram_pj is"), "{err}");
+        assert!(err.contains("its counters price"), "{err}");
+        // A header that lacks a constant, or the whole machine, fails
+        // by its path: no run goes unpriced.
+        let text = doc(10).replacen(header, "\"energy.write_dpj\": 44", 1);
+        let err = check(&text).unwrap_err();
+        assert_eq!(err, "figures.machine: lacks energy.write_dpj_per_byte");
+        let text = doc(10).replacen("\"machine\"", "\"machines\"", 1);
+        assert_eq!(check(&text).unwrap_err(), "figures: lacks machine");
+        let text = doc(10).replacen(header, "\"energy.write_dpj_per_byte\": 4.4", 1);
+        let err = check(&text).unwrap_err();
+        assert!(
+            err.contains("write_dpj_per_byte is not a non-negative integer"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1156,6 +1285,7 @@ mod tests {
         t.to_chrome_json(Value::object([
             ("shards", 1u64.into()),
             ("events", t.len().into()),
+            ("machine", EnergyModel::paper().metrics()),
             (
                 "metrics",
                 Value::object([
@@ -1166,9 +1296,19 @@ mod tests {
                     ("serve.redispatched", redispatched.into()),
                     ("serve.replica_busy_cyc", Value::object(busy)),
                     ("shard0.cycles", 40u64.into()),
-                    ("shard0.energy.dram_pj", Value::fixed(1.5, 1)),
+                    // 4.4 pJ for the byte written, 1.5 per cycle.
+                    ("shard0.energy.cache_pj", pj(0)),
+                    ("shard0.energy.dram_pj", pj(44 + 15 * 40)),
+                    ("shard0.energy.link_pj", pj(0)),
+                    ("shard0.energy.logic_pj", pj(0)),
+                    ("shard0.energy.total_pj", pj(44 + 15 * 40)),
                     ("shard0.engine.instructions", 10u64.into()),
                     ("shard0.engine.squashed", 3u64.into()),
+                    ("shard0.hmc.activations", 0u64.into()),
+                    ("shard0.hmc.bytes_read", 0u64.into()),
+                    ("shard0.hmc.bytes_written", 1u64.into()),
+                    ("shard0.hmc.fu_ops", 0u64.into()),
+                    ("shard0.hmc.link_bytes", 0u64.into()),
                     ("shard0.partition.scan_cyc", scan_cyc),
                 ]),
             ),
@@ -1266,13 +1406,35 @@ mod tests {
             "{err}"
         );
         let err = metrics_error(
-            "\"shard0.energy.dram_pj\": 1.5",
-            "\"shard0.energy.dram_pj\": \"1.5\"",
+            "\"shard0.energy.dram_pj\": 64.4",
+            "\"shard0.energy.dram_pj\": \"64.4\"",
         );
         assert!(
             err.contains("shard0.energy.dram_pj is not a number"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn metrics_reprice_every_shard_from_the_trace_header() {
+        // A shard without caches prices no lookup.
+        let err = metrics_error(
+            "\"shard0.hmc.bytes_written\": 1",
+            "\"shard0.hmc.bytes_written\": 2",
+        );
+        assert!(
+            err.contains(
+                "otherData.metrics: shard0.energy.dram_pj is 64.4 pJ, its counters price 68.8 pJ"
+            ),
+            "{err}"
+        );
+        let err = metrics_error(
+            "\"energy.background_dpj_per_cyc\": 15",
+            "\"energy.background_dpj_per_cyc\": 14",
+        );
+        assert!(err.contains("its counters price 60.4 pJ"), "{err}");
+        let err = metrics_error("\"machine\"", "\"machines\"");
+        assert_eq!(err, "trace.otherData: lacks machine");
     }
 
     #[test]

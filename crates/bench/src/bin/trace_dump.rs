@@ -9,13 +9,14 @@
 //! viewer), one track per shard×replica engine plus admission,
 //! front-end and query-lifetime tracks.
 //!
-//! The emitted file's `otherData` holds the cluster shape and one
-//! `metrics` object: the run's `ServiceReport::metrics` (`serve.*`)
-//! plus each shard's Q6 `RunReport::metrics` under a `shard{s}.`
-//! prefix. `check_figures --trace` re-derives the service counters
-//! from the events — query spans, `fault.kill` instants and
-//! `redispatch` instants must reconcile exactly — and checks the
-//! metrics for consistency.
+//! The emitted file's `otherData` holds the cluster shape, the energy
+//! constants (`machine`: `EnergyModel::metrics`) and one `metrics`
+//! object: the run's `ServiceReport::metrics` (`serve.*`) plus each
+//! shard's Q6 `RunReport::metrics` under a `shard{s}.` prefix.
+//! `check_figures --trace` re-derives the service counters from the
+//! events — query spans, `fault.kill` instants and `redispatch`
+//! instants must reconcile exactly — re-prices each shard's energy
+//! from its counters and checks the metrics for consistency.
 
 // The bench harness is the terminal boundary of the workspace: the
 // library-wide print lints stop here.
@@ -23,6 +24,7 @@
 
 use hipe::Arch;
 use hipe_db::Query;
+use hipe_hmc::EnergyModel;
 use hipe_serve::{run_service, run_service_traced, Cluster, FaultPlan, ServiceConfig};
 use hipe_trace::{TraceEvent, Tracer, Value};
 
@@ -176,6 +178,7 @@ fn main() {
         ("shards", report.shards.into()),
         ("replicas", report.replicas.into()),
         ("events", tracer.len().into()),
+        ("machine", EnergyModel::paper().metrics()),
         ("metrics", Value::object(metrics)),
     ]);
     let json = tracer.to_chrome_json(other_data);

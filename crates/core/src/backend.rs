@@ -438,7 +438,7 @@ mod tests {
             assert!(s.pruned > 0, "{arch} pruned nothing on a clustered table");
             assert_eq!(
                 plan.scanned_regions(),
-                &sys.zonemap().scan_set(&q),
+                &sys.prune().expect("a pruned system").scan_set(&q),
                 "{arch}"
             );
         }

@@ -13,7 +13,7 @@ use hipe_cache::CacheHierarchy;
 use hipe_compiler::HostScanProgram;
 use hipe_cpu::{Core, MemoryPort};
 use hipe_db::{Bitmask, DsmLayout, Query, REGION_ROWS};
-use hipe_hmc::{AccessKind, Hmc};
+use hipe_hmc::{AccessKind, EnergyBreakdown, Hmc};
 use hipe_isa::{MicroOpKind, OpSize, VaultOp};
 use hipe_sim::Cycle;
 
@@ -116,8 +116,6 @@ pub(crate) fn execute(
 
     let hmc = session.hmc_mut();
     let result = sys.finish_result(hmc, query, bitmask);
-    hmc.charge_cache_accesses(caches.stats().total_lookups());
-    hmc.finish(cycles);
 
     let dispatch = if dispatch_end > 0 {
         dispatch_end
@@ -149,7 +147,8 @@ pub(crate) fn execute(
         }],
         regions_scanned: plan.prune_stats().scanned,
         regions_pruned: plan.prune_stats().pruned,
-        energy: hmc.energy(),
+        // Priced from the counters below by `Session::run_plan`.
+        energy: EnergyBreakdown::default(),
         core: core.stats(),
         cache: Some(caches.stats()),
         engine: None,

@@ -29,7 +29,7 @@ use hipe_compiler::{LogicCursor, LogicScanProgram, REGION_ROWS};
 use hipe_cpu::{Core, MemoryPort};
 use hipe_db::scan::ScanResult;
 use hipe_db::Bitmask;
-use hipe_hmc::Hmc;
+use hipe_hmc::{EnergyBreakdown, Hmc};
 use hipe_isa::{LogicInstr, MicroOp, MicroOpKind, OpSize, VaultOp};
 use hipe_logic::EngineCluster;
 use hipe_sim::Cycle;
@@ -217,7 +217,6 @@ pub(crate) fn execute(
     } else {
         sys.finish_result(hmc, query, bitmask)
     };
-    hmc.finish(cycles);
 
     let partitions = (0..nparts)
         .map(|p| {
@@ -247,7 +246,8 @@ pub(crate) fn execute(
         partitions,
         regions_scanned: plan.prune_stats().scanned,
         regions_pruned: plan.prune_stats().pruned,
-        energy: hmc.energy(),
+        // Priced from the counters below by `Session::run_plan`.
+        energy: EnergyBreakdown::default(),
         core: core.stats(),
         cache: None,
         engine: Some(cluster.stats()),

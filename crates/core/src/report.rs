@@ -154,7 +154,10 @@ pub struct RunReport {
     /// contribute exact-zero mask words and aggregate lanes, so
     /// `result` is bit-identical to the unpruned run's.
     pub regions_pruned: usize,
-    /// Energy accumulated across cube, links, logic and caches.
+    /// Energy across cube, links, logic and caches: the
+    /// [`EnergyModel::paper`](hipe_hmc::EnergyModel::paper) price of
+    /// this report's `hmc` counters, its `cache` lookups
+    /// ([`CacheStats::total_lookups`]) and its `cycles`.
     pub energy: EnergyBreakdown,
     /// Out-of-order core activity.
     pub core: CoreStats,
@@ -186,7 +189,7 @@ impl RunReport {
             partitions: Vec::new(),
             regions_scanned: 0,
             regions_pruned: regions,
-            energy: EnergyBreakdown::new(),
+            energy: EnergyBreakdown::default(),
             core: CoreStats::default(),
             cache: None,
             engine: None,
@@ -396,7 +399,7 @@ mod tests {
             }],
             regions_scanned: 4,
             regions_pruned: 0,
-            energy: EnergyBreakdown::new(),
+            energy: EnergyBreakdown::default(),
             core: CoreStats::default(),
             cache: None,
             engine: None,

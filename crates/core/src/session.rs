@@ -5,7 +5,7 @@ use crate::report::{Arch, RunReport};
 use crate::system::System;
 use crate::{host, neardata};
 use hipe_db::Query;
-use hipe_hmc::Hmc;
+use hipe_hmc::{EnergyModel, Hmc};
 use std::sync::Arc;
 
 /// A warm execution context over one [`System`].
@@ -15,8 +15,8 @@ use std::sync::Arc;
 /// of the system, and owns only the zeroed output area from the mask
 /// base up. Before each run the session applies its *reset protocol* —
 /// the output blocks the previous run wrote are zeroed
-/// ([`Hmc::zero_dirty_from`]) and the cube's run-scoped timing, stats
-/// and energy meters are reset in place ([`Hmc::reset_run_state`]) —
+/// ([`Hmc::zero_dirty_from`]) and the cube's run-scoped timing state
+/// and activity counters are reset in place ([`Hmc::reset_run_state`]) —
 /// so a warm run is bit- and cycle-identical to a cold [`System::run`]
 /// (the integration tests assert this). Runs then read back only the
 /// regions their plan scans: every other region's output is zero by
@@ -95,7 +95,7 @@ impl<'a> Session<'a> {
 
     /// Applies the reset protocol: zeroes the blocks of the mask and
     /// aggregate output areas written since the last reset and resets
-    /// the cube's run-scoped timing/stat/energy state. The shared table
+    /// the cube's run-scoped timing state and counters. The shared table
     /// area is never written, so it needs nothing. Its cost follows the
     /// blocks the last run wrote, not the table's size.
     ///
@@ -130,12 +130,17 @@ impl<'a> Session<'a> {
             "plan was compiled for a different system"
         );
         self.reset();
-        match plan.code() {
+        let mut report = match plan.code() {
             PlanCode::Micro(program) => host::execute(self, plan, program),
             PlanCode::Logic {
                 program,
                 predicated,
             } => neardata::execute(self, plan, program, *predicated),
-        }
+        };
+        // Energy is a price of the run's own counters, set here for
+        // both executors.
+        let lookups = report.cache.map_or(0, |c| c.total_lookups());
+        report.energy = EnergyModel::paper().price(&report.hmc, lookups, report.cycles);
+        report
     }
 }

@@ -43,9 +43,8 @@ pub struct SystemConfig {
     /// regions whose min/max summaries prove the predicate
     /// conjunction can't match. Off by default: the paper's figures
     /// measure the full scan, and on a uniform table every region
-    /// spans the whole value domain anyway. The zone map itself is
-    /// always built (it's one cheap pass at construction); this flag
-    /// only controls whether the backends consult it.
+    /// spans the whole value domain anyway. Only a system with this
+    /// flag set builds the zone map (one pass at construction).
     pub pruning: bool,
     /// Out-of-order core parameters.
     pub core: CoreConfig,
@@ -250,11 +249,11 @@ pub struct System {
     /// The table, laid out per the system's [`DsmLayout`]: its column
     /// area is the shared part of every session's cube image.
     table: LineitemTable,
-    /// Per-region min/max/row-count summaries of `table`, built once
-    /// at construction. Consulted by the backends when
-    /// [`SystemConfig::pruning`] is set, and by `hipe-serve`'s scatter
-    /// path (via the table-level rollup) to skip whole shards.
-    zonemap: ZoneMap,
+    /// Per-region min/max/row-count summaries of `table`, built at
+    /// construction when [`SystemConfig::pruning`] is set. Consulted
+    /// by the backends, and by `hipe-serve`'s scatter path (via the
+    /// table-level rollup) to skip whole shards.
+    zonemap: Option<ZoneMap>,
     /// Cubes opened over the table (sessions amortize this; the batch
     /// tests assert it stays at one).
     materializations: AtomicU64,
@@ -306,7 +305,7 @@ impl System {
             cfg.shape,
             cfg.layout(),
         );
-        let zonemap = ZoneMap::build(&table);
+        let zonemap = cfg.pruning.then(|| ZoneMap::build(&table));
         Ok(System {
             cfg,
             table,
@@ -349,18 +348,13 @@ impl System {
         self.table.layout()
     }
 
-    /// The table's zone map: per-region min/max/row-count summaries
-    /// plus the table-level rollup, built once at construction.
-    pub fn zonemap(&self) -> &ZoneMap {
-        &self.zonemap
-    }
-
-    /// The zone map, but only when [`SystemConfig::pruning`] asked the
-    /// backends to compile against it — this is the value
-    /// [`Backend::compile`] hands to the lowering functions, so the flag
-    /// is honoured in exactly one place.
+    /// The table's zone map (per-region min/max/row-count summaries
+    /// plus the table-level rollup), built only when
+    /// [`SystemConfig::pruning`] asked the backends to compile against
+    /// it — this is the value [`Backend::compile`] hands to the
+    /// lowering functions, so the flag is honoured in exactly one place.
     pub fn prune(&self) -> Option<&ZoneMap> {
-        self.cfg.pruning.then_some(&self.zonemap)
+        self.zonemap.as_ref()
     }
 
     /// Base address of the match-mask output area.

@@ -1,8 +1,7 @@
-//! The assembled cube: links + vaults + functional storage + energy.
+//! The assembled cube: links + vaults + functional storage.
 
 use crate::address::AddressMapping;
 use crate::config::HmcConfig;
-use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::vault::Vault;
 use hipe_sim::{Cycle, ThroughputPipe, WordArea, Words};
 use std::sync::{Arc, OnceLock};
@@ -81,7 +80,9 @@ impl std::ops::AddAssign for VaultActivity {
     }
 }
 
-/// The Hybrid Memory Cube: timing, functional storage and energy.
+/// The Hybrid Memory Cube: timing, functional storage and the activity
+/// counters a run's energy is priced from
+/// ([`EnergyModel::price`](crate::EnergyModel::price)).
 ///
 /// The cube exposes three request paths:
 ///
@@ -151,8 +152,6 @@ pub struct Hmc {
     stats: HmcStats,
     /// Per-vault accounting (run-scoped, reset with the timing state).
     vault_activity: Vec<VaultActivity>,
-    energy_model: EnergyModel,
-    energy: EnergyBreakdown,
 }
 
 impl Hmc {
@@ -203,8 +202,6 @@ impl Hmc {
             owned_words,
             stats: HmcStats::default(),
             vault_activity: vec![VaultActivity::default(); cfg.vaults],
-            energy_model: EnergyModel::paper(),
-            energy: EnergyBreakdown::default(),
             cfg,
         }
     }
@@ -304,7 +301,6 @@ impl Hmc {
         if write {
             self.stats.bytes_written += bytes;
             self.vault_activity[loc.vault].bytes_written += bytes;
-            self.energy.add_dram_write(&self.energy_model, bytes);
         } else {
             self.stats.bytes_read += bytes;
             self.vault_activity[loc.vault].bytes_read += bytes;
@@ -313,7 +309,7 @@ impl Hmc {
     }
 
     /// Resets every run-scoped timing and accounting structure —
-    /// vaults, link pipes, stats, energy — in place, while keeping the
+    /// vaults, link pipes, stats — in place, while keeping the
     /// memory image intact.
     ///
     /// This is the cube half of a warm session's reset protocol: after
@@ -334,23 +330,12 @@ impl Hmc {
         // from the same zeroed meters a cold cube has, or warm != cold
         // under partitioned execution.
         self.vault_activity.fill(VaultActivity::default());
-        self.energy = EnergyBreakdown::default();
     }
 
-    /// Charges one logic-layer ALU operation to the energy account
+    /// Counts one logic-layer ALU operation in [`HmcStats::fu_ops`]
     /// (used by the HIVE/HIPE engine models).
     pub fn charge_logic_op(&mut self) {
         self.stats.fu_ops += 1;
-    }
-
-    /// Charges `n` processor-side cache accesses to the energy account.
-    pub fn charge_cache_accesses(&mut self, n: u64) {
-        self.energy.add_cache_accesses(&self.energy_model, n);
-    }
-
-    /// Finalizes background energy for a run that lasted `cycles`.
-    pub fn finish(&mut self, cycles: Cycle) {
-        self.energy.add_background(&self.energy_model, cycles);
     }
 
     /// Functional read of `words` aligned words at `addr`, from
@@ -518,51 +503,11 @@ impl Hmc {
             .collect()
     }
 
-    /// Energy accumulated so far.
-    ///
-    /// The activation, read, link and logic terms are each a whole
-    /// number of pJ per event (a compile-time check holds them to it),
-    /// so they are derived from the [`HmcStats`] counters here: the product
-    /// equals the running sum of per-event charges bit for bit while
-    /// a term stays below 2⁵³ pJ. Writes (4.4 pJ/B), cache accesses
-    /// and background energy keep running sums.
-    pub fn energy(&self) -> EnergyBreakdown {
-        let (m, s) = (&self.energy_model, &self.stats);
-        let mut e = self.energy;
-        e.add_activate(m, s.activations);
-        e.add_dram_read(m, s.bytes_read);
-        e.add_link(m, s.link_bytes);
-        e.add_logic_ops(m, s.fu_ops);
-        e
-    }
-
-    /// The energy constants in use.
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy_model
-    }
-
     /// Total bank busy cycles across the cube (utilization diagnostics).
     pub fn bank_busy_cycles(&self) -> Cycle {
         self.vaults.iter().map(Vault::bank_busy_cycles).sum()
     }
 }
-
-// The per-event costs `Hmc::energy` derives from counters must be whole
-// picojoules: only then is `cost × count` the running sum of `count`
-// charges, bit for bit. A fractional cost fails the build here.
-const _: () = {
-    const fn integral(pj: f64) -> bool {
-        pj >= 0.0 && pj == (pj as u64) as f64
-    }
-    let m = EnergyModel::paper();
-    assert!(
-        integral(m.activate_pj)
-            && integral(m.read_pj_per_byte)
-            && integral(m.link_pj_per_byte)
-            && integral(m.logic_op_pj),
-        "a counter-derived energy cost is not a whole number of pJ"
-    );
-};
 
 /// The word index of `addr`.
 ///
@@ -594,6 +539,7 @@ fn mark_bits(words: &mut [u64], start: usize, end: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EnergyBreakdown, EnergyModel};
     use hipe_sim::WordVec;
 
     fn cube() -> Hmc {
@@ -780,11 +726,12 @@ mod tests {
     #[test]
     fn write_energy_differs_from_read() {
         let mut h = cube();
+        let m = EnergyModel::paper();
         h.internal_write(0, 0, 256);
-        let wr = h.energy();
+        let wr = m.price(&h.stats(), 0, 0);
         let mut h2 = cube();
         h2.internal_read(0, 0, 256);
-        let rd = h2.energy();
+        let rd = m.price(&h2.stats(), 0, 0);
         assert!(wr.dram_pj() > rd.dram_pj());
     }
 
@@ -801,13 +748,11 @@ mod tests {
         let mut h = cube();
         h.write_word(0x80, 42);
         h.access(0, 0, 256, AccessKind::Read);
-        h.finish(1000);
         assert!(h.stats().link_bytes > 0);
         h.reset_run_state();
-        // The image survives; timing, stats and energy are cold again.
+        // The image survives; timing and stats are cold again.
         assert_eq!(h.read_word(0x80), 42);
         assert_eq!(h.stats(), HmcStats::default());
-        assert_eq!(h.energy().total_pj(), 0.0);
         let mut cold = cube();
         cold.write_word(0x80, 42);
         assert_eq!(
@@ -937,19 +882,20 @@ mod tests {
 
     #[test]
     fn counted_energy_matches_running_sums_bit_for_bit() {
-        // The reference charges every event as it happens, the way the
-        // cube did before it derived the counted terms from its stats.
+        // The reference charges every event as it happens, in whole
+        // tenths of a pJ, the way a running account would; the cube
+        // only counts, and its counters are priced once at the end.
         let mut h = cube();
-        let m = *h.energy_model();
+        let m = EnergyModel::paper();
         let header = h.config().packet_header_bytes;
-        let mut reference = EnergyBreakdown::new();
+        let mut reference = EnergyBreakdown::default();
         let banks = |e: &mut EnergyBreakdown, h: &Hmc, addr: u64, bytes: u64, write: bool| {
             for (_, l) in h.mapping().split(addr, bytes) {
-                e.add_activate(&m, 1);
+                e.activate += m.activate_dpj;
                 if write {
-                    e.add_dram_write(&m, l);
+                    e.write += m.write_dpj_per_byte * l;
                 } else {
-                    e.add_dram_read(&m, l);
+                    e.read += m.read_dpj_per_byte * l;
                 }
             }
         };
@@ -961,7 +907,7 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
-        let mut cycle = 0;
+        let (mut cycle, mut lookups) = (0, 0);
         for _ in 0..20_000 {
             let r = next();
             // Up to 64 KiB anywhere in the 8 GB space, unaligned: most
@@ -971,23 +917,23 @@ mod tests {
             match r % 8 {
                 0 => {
                     h.access(cycle, addr, bytes, AccessKind::Read);
-                    reference.add_link(&m, header);
+                    reference.link += m.link_dpj_per_byte * header;
                     banks(&mut reference, &h, addr, bytes, false);
-                    reference.add_link(&m, header + bytes);
+                    reference.link += m.link_dpj_per_byte * (header + bytes);
                 }
                 1 => {
                     h.access(cycle, addr, bytes, AccessKind::Write);
-                    reference.add_link(&m, header + bytes);
+                    reference.link += m.link_dpj_per_byte * (header + bytes);
                     banks(&mut reference, &h, addr, bytes, true);
-                    reference.add_link(&m, header);
+                    reference.link += m.link_dpj_per_byte * header;
                 }
                 2 => {
                     let result_bytes = 1 + r % 32;
                     h.access(cycle, addr, bytes, AccessKind::PimOp { result_bytes });
-                    reference.add_link(&m, header);
+                    reference.link += m.link_dpj_per_byte * header;
                     banks(&mut reference, &h, addr, bytes, false);
-                    reference.add_logic_ops(&m, 1);
-                    reference.add_link(&m, header + result_bytes);
+                    reference.logic += m.fu_op_dpj;
+                    reference.link += m.link_dpj_per_byte * (header + result_bytes);
                 }
                 3 => {
                     h.internal_read(cycle, addr, bytes);
@@ -1000,23 +946,24 @@ mod tests {
                 5 => {
                     h.link_request(cycle, bytes);
                     h.link_response(cycle, header);
-                    reference.add_link(&m, bytes);
-                    reference.add_link(&m, header);
+                    reference.link += m.link_dpj_per_byte * bytes;
+                    reference.link += m.link_dpj_per_byte * header;
                 }
                 6 => {
                     h.charge_logic_op();
-                    reference.add_logic_ops(&m, 1);
+                    reference.logic += m.fu_op_dpj;
                 }
                 _ => {
-                    h.charge_cache_accesses(r % 5);
-                    reference.add_cache_accesses(&m, r % 5);
+                    // Processor-side cache lookups: counted outside the
+                    // cube, priced beside its counters.
+                    lookups += r % 5;
+                    reference.cache += m.cache_lookup_dpj * (r % 5);
                 }
             }
+            reference.background += m.background_dpj_per_cyc * (r % 97);
             cycle += r % 97;
         }
-        h.finish(cycle);
-        reference.add_background(&m, cycle);
-        let e = h.energy();
+        let e = m.price(&h.stats(), lookups, cycle);
         assert_eq!(e, reference);
         for (name, got, want) in [
             ("dram", e.dram_pj(), reference.dram_pj()),
@@ -1027,20 +974,13 @@ mod tests {
         ] {
             assert_eq!(got.to_bits(), want.to_bits(), "{name}: {got} vs {want}");
         }
-        // The counted terms are well past one event's cost, and the
-        // write term (4.4 pJ/B) really is a running sum of fractions.
+        // Every term is well past one event's cost, and writes (4.4
+        // pJ/B) happened.
         assert!(e.link_pj() > 1e9, "{e}");
+        assert!(e.cache_pj() > 0.0 && e.logic_pj() > 0.0, "{e}");
         assert!(h.stats().bytes_written > 0);
-        // A reset cube derives zero again.
+        // A reset cube prices to zero again.
         h.reset_run_state();
-        assert_eq!(h.energy(), EnergyBreakdown::default());
-    }
-
-    #[test]
-    fn finish_adds_background_energy() {
-        let mut h = cube();
-        let before = h.energy().dram_pj();
-        h.finish(1_000_000);
-        assert!(h.energy().dram_pj() > before);
+        assert_eq!(m.price(&h.stats(), 0, 0), EnergyBreakdown::default());
     }
 }

@@ -16,6 +16,8 @@
 //! * **Energy** — an event-count energy model (activate/read/write/IO,
 //!   link traffic, background power) replacing the silicon numbers the
 //!   authors had; only relative energy matters for the paper's claims.
+//!   The cube only counts ([`HmcStats`]); [`EnergyModel::price`] turns
+//!   a run's counters into its energy, exactly, in tenths of a pJ.
 //!
 //! The cube is *functional* as well as timed: it holds a word image of
 //! the simulated physical memory, so the database scans executed on top

@@ -112,7 +112,7 @@ fn boundary_predicates_at_region_summaries_survive_pruning() {
     // Predicates sitting exactly on a mid-table region's min and max:
     // the region must survive (and the answer stay exact) in every
     // boundary case, and the open sides must prune it.
-    let zm = pruned_sys.zonemap();
+    let zm = pruned_sys.prune().expect("a pruned system");
     let r = zm.regions() / 2;
     let (min, max) = (
         zm.region(r).min(Column::Shipdate),
