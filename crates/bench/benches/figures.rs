@@ -39,7 +39,8 @@
 //!
 //! A final row (`host_par`) runs the same four-arch batch and the same
 //! 4-shard cluster scatter once on a 1-worker pool and once on a
-//! 4-worker pool and records an FNV digest of each leg's results —
+//! 4-worker pool, each leg on a system or cluster of its own built
+//! untimed, and records an FNV digest of each leg's results —
 //! the digests must match exactly (parallel co-simulation is
 //! bit-identical to serial). The legs' host wall-clock is printed, not
 //! recorded: after the file is written, the run fails if a 4-worker
@@ -398,8 +399,13 @@ fn main() {
         "point", "sweep_ser_ms", "sweep_par_ms", "scatter_ser_ms", "scatter_par_ms", "speedup"
     );
     let hp_queries = [Query::q6(), Query::quantity_below_permille(100)];
+    // Each leg builds its own system, untimed, as each scatter leg
+    // builds its own cluster: on the sweep's system every x86 and
+    // HMC-ISA run would replay a timing the point sweep recorded, and
+    // on one shared system the second leg would replay the first's.
     let sweep_leg = |workers: usize| -> (u64, f64) {
         let leg_pool = WorkerPool::new(workers);
+        let sys = System::new(rows, SEED);
         let jobs: Vec<(Arch, &Query)> = Arch::ALL
             .iter()
             .flat_map(|&arch| hp_queries.iter().map(move |q| (arch, q)))

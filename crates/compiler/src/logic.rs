@@ -643,6 +643,35 @@ mod tests {
         }
     }
 
+    /// Global region indices owned by partition `p` of `layout`, in
+    /// scan order: the reference emitter's region walk.
+    fn partition_regions(layout: &DsmLayout, p: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..layout.regions()).filter(move |&r| layout.partition_of_region(r) == p)
+    }
+
+    #[test]
+    fn partition_regions_cover_all_regions_disjointly() {
+        for (rows, n) in [(4096, 4), (1000, 8), (33, 2), (64, 32), (64, 8)] {
+            let l = DsmLayout::partitioned(0, rows, n);
+            let mut seen = vec![false; l.regions()];
+            for p in 0..n {
+                let owned: Vec<usize> = partition_regions(&l, p).collect();
+                assert_eq!(
+                    owned.len(),
+                    l.partition_region_count(p),
+                    "rows={rows} n={n}"
+                );
+                for (k, r) in owned.into_iter().enumerate() {
+                    assert!(!seen[r], "region {r} owned twice");
+                    seen[r] = true;
+                    assert_eq!(l.partition_of_region(r), p);
+                    assert_eq!(l.local_region_index(r), k);
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "rows={rows} n={n}: region unowned");
+        }
+    }
+
     /// The stored-stream emitter the region template replaced, kept as
     /// the reference the expansion is checked against: every partition's
     /// stream over the regions of `scanned`, emitted in full.
@@ -679,8 +708,7 @@ mod tests {
             // Only regions the zone map can't prove empty survive. They keep
             // their *unpruned* local index (computed below) so output slots
             // never move.
-            let survivors: Vec<usize> = layout
-                .partition_regions(p)
+            let survivors: Vec<usize> = partition_regions(layout, p)
                 .filter(|&r| scanned.get(r))
                 .collect();
             if survivors.is_empty() {
@@ -1240,8 +1268,7 @@ mod tests {
         let pruned = lower_logic_aggregate(&q, &layout, true, Some(&zm)).expect("valid");
         assert!(pruned.prune_stats().pruned > 0);
         for (p, lp) in pruned.streams().iter().enumerate() {
-            let expected: Vec<u8> = layout
-                .partition_regions(p)
+            let expected: Vec<u8> = partition_regions(&layout, p)
                 .filter(|&r| zm.region_may_match(&q, r))
                 .map(|r| (layout.local_region_index(r) % AGG_GROUP) as u8)
                 .collect();

@@ -11,14 +11,14 @@
 //! both lowerings.
 
 use hipe_db::{Bitmask, COLUMN_BYTES, REGION_ROWS};
-use hipe_isa::{MicroOp, MicroOpKind};
+use hipe_isa::{MicroOp, MicroOpKind, VaultOp};
 
 // A packed mask word, one `u64` of match bits, covers two regions:
 // region `r` is in word `r / 2`.
 const _: () = assert!(2 * REGION_ROWS == 64);
 
 /// One pass of a host scan over every scanned unit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct Pass {
     /// The ops of one unit, at the addresses of unit 0.
     pub(crate) body: Vec<MicroOp>,
@@ -58,7 +58,7 @@ pub(crate) struct Pass {
 /// assert_eq!(ops, 16 * 5 + 2);
 /// assert_eq!(program.len(), ops);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HostScanProgram {
     scanned: Bitmask,
     /// Units in the whole table (the last one may be ragged).
@@ -129,6 +129,27 @@ impl HostScanProgram {
             .iter()
             .map(|p| units * (p.body.len() + 2) + words * p.flush.len())
             .sum()
+    }
+
+    /// The program with every vault operation's operands zeroed: a
+    /// `LoadCmp`'s bounds and an `AddImm`'s immediate. No timing model
+    /// reads them (the core passes a dispatch's address, size and
+    /// result bytes to its memory port, nothing else), so two programs
+    /// equal here run in the same cycles: the host executor keys its
+    /// replayed timing on this projection.
+    pub fn without_operands(&self) -> HostScanProgram {
+        let mut program = self.clone();
+        let ops = program.passes.iter_mut();
+        for op in ops.flat_map(|p| p.body.iter_mut().chain(&mut p.flush)) {
+            if let MicroOpKind::HmcDispatch { op: vault_op, .. } = &mut op.kind {
+                *vault_op = match *vault_op {
+                    VaultOp::LoadCmp { .. } => VaultOp::LoadCmp { lo: 0, hi: 0 },
+                    VaultOp::LoadAnd => VaultOp::LoadAnd,
+                    VaultOp::AddImm(_) => VaultOp::AddImm(0),
+                };
+            }
+        }
+        program
     }
 
     /// Returns `true` for a fully pruned scan, which emits no op.
@@ -299,5 +320,43 @@ pub(crate) mod tests {
         let empty = lower_hmc_scan(&q, &layout, STOCK_HMC_OP, Some(&zm)).expect("valid");
         assert!(empty.is_empty());
         check(&q, &layout, Some(&zm), &[]);
+    }
+
+    #[test]
+    fn programs_differing_only_in_constants_erase_to_one_shape() {
+        let layout = DsmLayout::new(0, 4097);
+        let below = |t| {
+            let p = ColumnPredicate::new(Column::Quantity, CmpOp::Lt(t));
+            Query::new(vec![p], false)
+        };
+        let (a, b) = (below(2), below(40));
+        let x86 = |q: &Query| lower_host_scan(q, &layout, None).expect("valid");
+        let hmc = |q: &Query, size| lower_hmc_scan(q, &layout, size, None).expect("valid");
+        // x86 templates carry no constant; HMC-ISA's carry the bounds
+        // until they are erased.
+        assert_eq!(x86(&a), x86(&b));
+        assert_ne!(hmc(&a, STOCK_HMC_OP), hmc(&b, STOCK_HMC_OP));
+        for size in OpSize::ALL {
+            let (wa, wb) = (
+                hmc(&a, size).without_operands(),
+                hmc(&b, size).without_operands(),
+            );
+            assert_eq!(wa, wb, "{size:?}");
+            assert_eq!(wa.ops().len(), hmc(&a, size).len());
+        }
+        // The projection keeps everything else: op size, predicate
+        // shape and scanned regions.
+        let wide = hmc(&a, OpSize::MAX).without_operands();
+        assert_ne!(hmc(&a, STOCK_HMC_OP).without_operands(), wide);
+        let q6 = hmc(&Query::q6(), STOCK_HMC_OP).without_operands();
+        assert_ne!(hmc(&a, STOCK_HMC_OP).without_operands(), q6);
+        let pruned = super::HostScanProgram {
+            scanned: Bitmask::zeros(layout.regions()),
+            ..hmc(&a, STOCK_HMC_OP)
+        };
+        assert_ne!(
+            pruned.without_operands(),
+            hmc(&b, STOCK_HMC_OP).without_operands()
+        );
     }
 }

@@ -12,7 +12,7 @@ use crate::system::System;
 use hipe_cpu::{Core, MemoryPort};
 use hipe_db::{Bitmask, Column};
 use hipe_hmc::{AccessKind, Hmc};
-use hipe_isa::{MicroOp, MicroOpKind, OpSize, VaultOp};
+use hipe_isa::{MicroOp, MicroOpKind, OpSize};
 use hipe_sim::Cycle;
 
 /// Link payload bytes of one partial-readback packet: up to one row
@@ -96,14 +96,7 @@ impl MemoryPort for UncachedPort<'_> {
             .complete
     }
 
-    fn hmc_dispatch(
-        &mut self,
-        cycle: Cycle,
-        addr: u64,
-        size: OpSize,
-        _op: VaultOp,
-        result_bytes: u64,
-    ) -> Cycle {
+    fn hmc_dispatch(&mut self, cycle: Cycle, addr: u64, size: OpSize, result_bytes: u64) -> Cycle {
         self.hmc
             .access(
                 cycle,

@@ -4,17 +4,28 @@
 //! baseline and the stock HMC atomic ISA. Demand reads/writes go
 //! through the cache hierarchy; HMC-ISA dispatches cross the links and
 //! run in the vault functional units.
+//!
+//! Their timing never reads the data (`tests/seed_invariance.rs`): it
+//! follows from the plan's templates, its scanned regions and, for an
+//! aggregate, the mask the gather walks. So the [`System`] keeps each
+//! timing it simulates under that [`TimingKey`], and a later run with
+//! the same key replays it instead of re-running the core, cache and
+//! cube models, the way FastSim memoizes micro-architectural state
+//! (Schnarr and Larus, ASPLOS 1998). The functional answer is computed
+//! on every run either way.
+//!
+//! [`System`]: crate::System
 
 use crate::backend::ExecutablePlan;
 use crate::gather;
 use crate::report::{PartitionPhase, PhaseBreakdown, RunReport};
 use crate::session::Session;
-use hipe_cache::CacheHierarchy;
+use hipe_cache::{CacheHierarchy, CacheStats};
 use hipe_compiler::HostScanProgram;
-use hipe_cpu::{Core, MemoryPort};
+use hipe_cpu::{Core, CoreStats, MemoryPort};
 use hipe_db::{Bitmask, DsmLayout, Query, REGION_ROWS};
-use hipe_hmc::{AccessKind, EnergyBreakdown, Hmc};
-use hipe_isa::{MicroOpKind, OpSize, VaultOp};
+use hipe_hmc::{AccessKind, EnergyBreakdown, Hmc, HmcStats};
+use hipe_isa::{MicroOpKind, OpSize};
 use hipe_sim::Cycle;
 
 /// Memory port of the host-driven architectures: demand reads/writes go
@@ -35,14 +46,7 @@ impl MemoryPort for CachedPort<'_> {
         self.caches.write(self.hmc, cycle, addr, bytes)
     }
 
-    fn hmc_dispatch(
-        &mut self,
-        cycle: Cycle,
-        addr: u64,
-        size: OpSize,
-        _op: VaultOp,
-        result_bytes: u64,
-    ) -> Cycle {
+    fn hmc_dispatch(&mut self, cycle: Cycle, addr: u64, size: OpSize, result_bytes: u64) -> Cycle {
         self.hmc
             .access(
                 cycle,
@@ -62,9 +66,42 @@ impl MemoryPort for CachedPort<'_> {
     }
 }
 
+/// The key of a host run's replayable timing: everything the core,
+/// cache and cube models read, and no more. The memory image is not
+/// in it: no host timing model reads a stored value.
+#[derive(Debug, PartialEq, Eq, Hash)]
+pub(crate) struct TimingKey {
+    /// The plan's program with its vault-op operands erased
+    /// ([`HostScanProgram::without_operands`]): templates, scanned
+    /// regions and units.
+    program: HostScanProgram,
+    /// The match-mask words the aggregate gather walks: those holding
+    /// a scanned region, in order (every other word is zero). Empty
+    /// for a count-only query, which has no gather. A boxed slice, so
+    /// the memo holds no spare capacity.
+    pub(crate) gathered: Box<[u64]>,
+}
+
+/// A host run's report minus its answer and energy: what a replay
+/// restores.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HostTiming {
+    cycles: Cycle,
+    phases: PhaseBreakdown,
+    partition: PartitionPhase,
+    core: CoreStats,
+    cache: CacheStats,
+    hmc: HmcStats,
+}
+
 /// Executes a compiled micro-op plan (x86 baseline or HMC-ISA) against
-/// the session's warm image, expanding its op templates straight into
-/// the core.
+/// the session's warm image.
+///
+/// The functional answer is computed on every run. Its timing is
+/// simulated only the first time the system sees the run's
+/// [`TimingKey`], by expanding the plan's op templates straight into
+/// fresh core and cache models over the session's reset cube; every
+/// later run with that key replays the recorded [`HostTiming`].
 pub(crate) fn execute(
     session: &mut Session<'_>,
     plan: &ExecutablePlan,
@@ -72,59 +109,86 @@ pub(crate) fn execute(
 ) -> RunReport {
     let sys = session.system();
     let query = plan.query();
+    let scanned = program.scanned_regions();
+    // Functional outcome of the scan kernel: the packed mask words the
+    // store stream models, from the column values in the cube image.
+    // Its image writes touch no timing state and no counter, so it may
+    // run before the timed scan.
+    let bitmask = functional_mask(session.hmc_mut(), sys.layout(), query, scanned);
+    let gathered = if query.aggregates() {
+        scanned_words(scanned).map(|w| bitmask.words()[w]).collect()
+    } else {
+        Box::default()
+    };
+    let key = TimingKey {
+        program: program.without_operands(),
+        gathered,
+    };
+    let timing = sys.replay_timing(plan.arch(), &key).unwrap_or_else(|| {
+        let gather = query.aggregates().then_some(&bitmask);
+        let timing = simulate(session, program, gather);
+        sys.memoize_timing(plan.arch(), key, timing);
+        timing
+    });
+    RunReport {
+        arch: plan.arch(),
+        result: sys.finish_result(session.hmc(), query, bitmask),
+        cycles: timing.cycles,
+        phases: timing.phases,
+        // Host-driven machines run undivided: one partition spanning
+        // the whole vault sweep.
+        partitions: vec![timing.partition],
+        regions_scanned: plan.prune_stats().scanned,
+        regions_pruned: plan.prune_stats().pruned,
+        // Priced from the counters below by `Session::run_plan`.
+        energy: EnergyBreakdown::default(),
+        core: timing.core,
+        cache: Some(timing.cache),
+        engine: None,
+        hmc: timing.hmc,
+    }
+}
+
+/// Times `program` on fresh core and cache models over the session's
+/// reset cube, then the aggregate gather of `gather`'s matches through
+/// the same caches.
+fn simulate(
+    session: &mut Session<'_>,
+    program: &HostScanProgram,
+    gather: Option<&Bitmask>,
+) -> HostTiming {
+    let sys = session.system();
     let mut caches = CacheHierarchy::new(sys.config().hierarchy);
     let mut core = Core::new(sys.config().core);
-
+    let mut port = CachedPort {
+        hmc: session.hmc_mut(),
+        caches: &mut caches,
+    };
     let mut dispatch_end = 0;
-    {
-        let mut port = CachedPort {
-            hmc: session.hmc_mut(),
-            caches: &mut caches,
-        };
-        program.for_each_op(|op| {
-            let end = core.execute(op, &mut port);
-            if matches!(op.kind, MicroOpKind::HmcDispatch { .. }) {
-                dispatch_end = dispatch_end.max(end);
-            }
-        });
-    }
+    program.for_each_op(|op| {
+        let end = core.execute(op, &mut port);
+        if matches!(op.kind, MicroOpKind::HmcDispatch { .. }) {
+            dispatch_end = dispatch_end.max(end);
+        }
+    });
     let scan_end = core.finish();
     // Scan-phase DRAM traffic, snapshotted before the gather mixes
     // aggregate readback into the meters (mirrors the logic path's
     // per-partition accounting).
-    let scan_stats = session.hmc().stats();
-
-    // Functional outcome of the scan kernel: the packed mask words the
-    // store stream modelled, from the column values in the cube image.
-    let bitmask = functional_mask(
-        session.hmc_mut(),
-        sys.layout(),
-        query,
-        program.scanned_regions(),
-    );
-
+    let scan_stats = port.hmc.stats();
     // Host-side aggregate gather, through the caches like any other
     // demand traffic.
-    if query.aggregates() {
-        let mut port = CachedPort {
-            hmc: session.hmc_mut(),
-            caches: &mut caches,
-        };
-        gather::emit(&mut core, &mut port, sys, &bitmask);
+    if let Some(mask) = gather {
+        gather::emit(&mut core, &mut port, sys, mask);
     }
     let cycles = core.finish();
-
-    let hmc = session.hmc_mut();
-    let result = sys.finish_result(hmc, query, bitmask);
 
     let dispatch = if dispatch_end > 0 {
         dispatch_end
     } else {
         scan_end
     };
-    RunReport {
-        arch: plan.arch(),
-        result,
+    HostTiming {
         cycles,
         phases: PhaseBreakdown {
             // The x86 baseline executes the scan in place (no separate
@@ -134,9 +198,7 @@ pub(crate) fn execute(
             scan: scan_end,
             gather_aggregate: cycles - scan_end,
         },
-        // Host-driven machines run undivided: one partition spanning
-        // the whole vault sweep.
-        partitions: vec![PartitionPhase {
+        partition: PartitionPhase {
             partition: 0,
             first_vault: 0,
             vaults: sys.config().hmc.vaults,
@@ -144,20 +206,24 @@ pub(crate) fn execute(
             dispatch,
             scan: scan_end,
             dram_bytes: scan_stats.bytes_read + scan_stats.bytes_written,
-        }],
-        regions_scanned: plan.prune_stats().scanned,
-        regions_pruned: plan.prune_stats().pruned,
-        // Priced from the counters below by `Session::run_plan`.
-        energy: EnergyBreakdown::default(),
+        },
         core: core.stats(),
-        cache: Some(caches.stats()),
-        engine: None,
-        hmc: hmc.stats(),
+        cache: caches.stats(),
+        hmc: session.hmc().stats(),
     }
 }
 
 /// Rows per packed mask word.
 const WORD_ROWS: usize = 64;
+
+/// The 64-row mask words that hold a scanned region, ascending.
+fn scanned_words(scanned: &Bitmask) -> impl Iterator<Item = usize> + '_ {
+    let mut last = None;
+    scanned
+        .iter_ones()
+        .map(|region| region * REGION_ROWS / WORD_ROWS)
+        .filter(move |&w| last.replace(w) != Some(w))
+}
 
 /// Evaluates `query` over the 64-row mask words that touch a scanned
 /// region, a column slice at a time, and stores the non-zero words at
@@ -167,13 +233,7 @@ const WORD_ROWS: usize = 64;
 fn functional_mask(hmc: &mut Hmc, layout: &DsmLayout, query: &Query, scanned: &Bitmask) -> Bitmask {
     let rows = layout.rows();
     let mut mask = Bitmask::zeros(rows);
-    let mut last = None;
-    for region in scanned.iter_ones() {
-        let w = region * REGION_ROWS / WORD_ROWS;
-        if last == Some(w) {
-            continue;
-        }
-        last = Some(w);
+    for w in scanned_words(scanned) {
         let start = w * WORD_ROWS;
         let n = (rows - start).min(WORD_ROWS);
         let mut bits = !0u64 >> (WORD_ROWS - n);

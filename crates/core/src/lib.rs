@@ -54,6 +54,12 @@
 //!
 //! [`System::run`] remains as a one-shot wrapper.
 //!
+//! The x86 and HMC-ISA timing never reads the data, so a [`System`]
+//! also memoizes it: a host-machine run whose plan templates (without
+//! vault-op operands), scanned regions and gathered mask match an
+//! earlier run's replays that run's cycles, phases and counters, and
+//! computes only its answer. HIVE and HIPE always simulate.
+//!
 //! # Partitioned execution
 //!
 //! The logic machines scale out with [`SystemConfig::partitions`] (or

@@ -30,7 +30,7 @@ use hipe_cpu::{Core, MemoryPort};
 use hipe_db::scan::ScanResult;
 use hipe_db::Bitmask;
 use hipe_hmc::{EnergyBreakdown, Hmc};
-use hipe_isa::{LogicInstr, MicroOp, MicroOpKind, OpSize, VaultOp};
+use hipe_isa::{LogicInstr, MicroOp, MicroOpKind, OpSize};
 use hipe_logic::EngineCluster;
 use hipe_sim::Cycle;
 
@@ -72,14 +72,7 @@ impl MemoryPort for ClusterPort<'_> {
             .complete
     }
 
-    fn hmc_dispatch(
-        &mut self,
-        cycle: Cycle,
-        addr: u64,
-        size: OpSize,
-        _op: VaultOp,
-        result_bytes: u64,
-    ) -> Cycle {
+    fn hmc_dispatch(&mut self, cycle: Cycle, addr: u64, size: OpSize, result_bytes: u64) -> Cycle {
         self.hmc
             .access(
                 cycle,

@@ -20,7 +20,10 @@ use std::sync::Arc;
 /// so a warm run is bit- and cycle-identical to a cold [`System::run`]
 /// (the integration tests assert this). Runs then read back only the
 /// regions their plan scans: every other region's output is zero by
-/// this protocol.
+/// this protocol. An x86 or HMC-ISA run whose timing the system has
+/// already recorded computes its answer on the cube and replays that
+/// timing (see [`System`]); the reset protocol matters to the runs
+/// that simulate.
 ///
 /// This is the execution half of the compile → session → execute
 /// split: plans compiled by a [`Backend`](crate::Backend) can be
@@ -83,7 +86,10 @@ impl<'a> Session<'a> {
         self.sys
     }
 
-    /// The session's cube (read-only view).
+    /// The session's cube (read-only view). Its image holds the last
+    /// run's output. Read a run's counters from its [`RunReport`]: after
+    /// an x86 or HMC-ISA run that replayed its timing, the cube's
+    /// counters are those the reset left.
     pub fn hmc(&self) -> &Hmc {
         &self.hmc
     }

@@ -1,6 +1,7 @@
 //! The assembled system: table, memory image and backend resolution.
 
 use crate::backend::{Backend, ExecutablePlan};
+use crate::host::{HostTiming, TimingKey};
 use crate::report::{Arch, RunReport};
 use crate::session::Session;
 use hipe_cache::HierarchyConfig;
@@ -228,6 +229,17 @@ impl std::error::Error for ConfigError {}
 /// sessions run: [`plan`](Self::plan) lowers each `(arch, query)`
 /// once for the system's lifetime.
 ///
+/// Since the x86 and HMC-ISA timing of a run never reads the data, the
+/// system also keeps the timing of every such run its sessions
+/// simulate, keyed by what that timing reads: the plan's templates
+/// without vault-op operands, its scanned regions and, for an
+/// aggregate, the mask its gather walks. A later run with the same key,
+/// in any session, replays that timing instead of re-running the core,
+/// cache and cube models; its answer is still computed from the cube
+/// image. HIVE and HIPE always simulate, since their engines produce
+/// the answer. The memo holds at most one entry per distinct query run,
+/// as the plan cache does.
+///
 /// The table's columns are stored once, in the table's column area;
 /// every session's cube reads that buffer as the read-only image below
 /// [`mask_base`](Self::mask_base) and owns only the output area above
@@ -257,11 +269,21 @@ pub struct System {
     /// Cubes opened over the table (sessions amortize this; the batch
     /// tests assert it stays at one).
     materializations: AtomicU64,
-    /// Stock plans lowered against this system, one per distinct
-    /// `(arch, query)` any session has run (see [`plan`](Self::plan)).
-    /// Keyed arch-first so a hit looks up by `&Query` without cloning
-    /// it.
-    plans: Mutex<HashMap<Arch, HashMap<Query, Arc<ExecutablePlan>>>>,
+    /// What the system has derived per arch: its stock plans and its
+    /// host-machine timings. Keyed arch-first so a plan hit looks up
+    /// by `&Query` without cloning it.
+    cache: Mutex<HashMap<Arch, ArchCache>>,
+}
+
+/// A [`System`]'s derived state for one arch.
+#[derive(Debug, Default)]
+struct ArchCache {
+    /// Stock plans lowered against the system, one per distinct query
+    /// any session has run on the arch (see [`System::plan`]).
+    plans: HashMap<Query, Arc<ExecutablePlan>>,
+    /// The timing of every x86 or HMC-ISA run simulated on the system,
+    /// one per distinct [`TimingKey`]; HIVE and HIPE record none.
+    timings: HashMap<TimingKey, HostTiming>,
 }
 
 impl System {
@@ -311,7 +333,7 @@ impl System {
             table,
             zonemap,
             materializations: AtomicU64::new(0),
-            plans: Mutex::default(),
+            cache: Mutex::default(),
         })
     }
 
@@ -382,8 +404,8 @@ impl System {
     /// to lower. ([`Backend::compile`] exposes the typed error, and
     /// plans compiled through it directly are not cached.)
     pub fn plan(&self, arch: Arch, query: &Query) -> Arc<ExecutablePlan> {
-        let mut plans = self.plans.lock().expect("plan cache poisoned");
-        let by_query = plans.entry(arch).or_default();
+        let mut cache = self.cache.lock().expect("plan cache poisoned");
+        let by_query = &mut cache.entry(arch).or_default().plans;
         if let Some(plan) = by_query.get(query) {
             return Arc::clone(plan);
         }
@@ -402,8 +424,23 @@ impl System {
     /// same queries, or a fresh session running them again, adds
     /// nothing here — the batch tests assert exactly that.
     pub fn compilations(&self) -> u64 {
-        let plans = self.plans.lock().expect("plan cache poisoned");
-        plans.values().map(|by_query| by_query.len() as u64).sum()
+        let cache = self.cache.lock().expect("plan cache poisoned");
+        cache.values().map(|c| c.plans.len() as u64).sum()
+    }
+
+    /// The timing a run of `arch` on this system recorded under `key`,
+    /// if one did.
+    pub(crate) fn replay_timing(&self, arch: Arch, key: &TimingKey) -> Option<HostTiming> {
+        let cache = self.cache.lock().expect("plan cache poisoned");
+        cache.get(&arch)?.timings.get(key).copied()
+    }
+
+    /// Records the timing a run of `arch` simulated for `key`. The lock
+    /// is taken only to insert, never while simulating, so two racing
+    /// misses both simulate and insert the same value.
+    pub(crate) fn memoize_timing(&self, arch: Arch, key: TimingKey, timing: HostTiming) {
+        let mut cache = self.cache.lock().expect("plan cache poisoned");
+        cache.entry(arch).or_default().timings.insert(key, timing);
     }
 
     /// Opens a warm execution session over a new cube.
@@ -426,7 +463,12 @@ impl System {
     /// Executes `query` on `arch` and reports results and measurements.
     ///
     /// One-shot wrapper over the session API: equivalent to opening a
-    /// fresh [`Session`] and running the query once (cold).
+    /// fresh [`Session`] and running the query once. The run is cold in
+    /// that its cube is new; its x86 or HMC-ISA timing may still replay
+    /// one that an earlier run on this system recorded (see
+    /// [`System`]), which reports exactly what re-simulating would. A
+    /// run with nothing to replay needs a second system with the same
+    /// configuration.
     pub fn run(&self, arch: Arch, query: &Query) -> RunReport {
         self.session().run(arch, query)
     }
@@ -490,6 +532,44 @@ mod tests {
         // A cold run pays its own materialization.
         let _ = sys.run(Arch::Hipe, &Query::q6());
         assert_eq!(sys.materializations(), 2);
+    }
+
+    /// The figure sweep's eleven point queries: seven `sel_*`, three
+    /// `agg_*` and Q6.
+    fn figure_points() -> Vec<Query> {
+        let mut points: Vec<Query> = [0, 20, 60, 100, 300, 500, 1000]
+            .map(Query::quantity_below_permille)
+            .to_vec();
+        points.extend([20, 100, 500].map(|pm| Query::quantity_below_permille(pm).with_aggregate()));
+        points.push(Query::q6());
+        points
+    }
+
+    #[test]
+    fn the_point_sweep_keeps_one_count_only_timing_per_host_arch() {
+        // The seven `sel_*` scans differ only in their constant, which
+        // no host timing reads: x86 templates carry none and HMC-ISA's
+        // are erased from the key, so each host arch simulates one of
+        // them and replays it six times. Each aggregate gathers its own
+        // mask, so each keeps an entry; the logic machines keep none.
+        let sys = System::new(4096, 2018);
+        let mut session = sys.session();
+        for q in &figure_points() {
+            for arch in Arch::ALL {
+                session.run(arch, q);
+            }
+        }
+        let cache = sys.cache.lock().expect("plan cache poisoned");
+        for arch in Arch::ALL {
+            let entry = &cache[&arch];
+            assert_eq!(entry.plans.len(), 11, "{arch}");
+            let counting = entry.timings.keys().filter(|k| k.gathered.is_empty());
+            let expect = match arch {
+                Arch::HostX86 | Arch::HmcIsa => (1, 5),
+                Arch::Hive | Arch::Hipe => (0, 0),
+            };
+            assert_eq!((counting.count(), entry.timings.len()), expect, "{arch}");
+        }
     }
 
     #[test]

@@ -176,13 +176,13 @@ impl Core {
             MicroOpKind::HmcDispatch {
                 addr,
                 size,
-                op: vop,
                 result_bytes,
+                ..
             } => {
                 self.stats.loads += 1;
                 let agu = self.load_agu.serve(ready, 1).1;
                 let adm = self.mob_r.admit(agu);
-                let done = port.hmc_dispatch(adm, addr, size, vop, result_bytes);
+                let done = port.hmc_dispatch(adm, addr, size, result_bytes);
                 self.mob_r.complete(done);
                 done
             }

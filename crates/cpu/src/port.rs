@@ -1,7 +1,7 @@
 //! The memory-port abstraction between the core and the rest of the
 //! system.
 
-use hipe_isa::{OpSize, VaultOp};
+use hipe_isa::OpSize;
 use hipe_sim::Cycle;
 
 /// Where the core's memory micro-ops go.
@@ -25,16 +25,11 @@ pub trait MemoryPort {
     /// memory system's business).
     fn write(&mut self, cycle: Cycle, addr: u64, bytes: u64) -> Cycle;
 
-    /// Dispatch of an HMC-ISA read-operate instruction; returns the
-    /// cycle the response (result mask) reaches the core.
-    fn hmc_dispatch(
-        &mut self,
-        cycle: Cycle,
-        addr: u64,
-        size: OpSize,
-        op: VaultOp,
-        result_bytes: u64,
-    ) -> Cycle;
+    /// Dispatch of an HMC-ISA read-operate instruction of `size` at
+    /// `addr`; returns the cycle the `result_bytes` response (result
+    /// mask) reaches the core. The operation and its operands time
+    /// alike, so they are not passed.
+    fn hmc_dispatch(&mut self, cycle: Cycle, addr: u64, size: OpSize, result_bytes: u64) -> Cycle;
 
     /// Posted dispatch of one logic-layer instruction; returns the
     /// cycle the packet has been handed to the link.
@@ -77,14 +72,7 @@ impl MemoryPort for FlatMemory {
         cycle + 1
     }
 
-    fn hmc_dispatch(
-        &mut self,
-        cycle: Cycle,
-        _addr: u64,
-        _size: OpSize,
-        _op: VaultOp,
-        _result_bytes: u64,
-    ) -> Cycle {
+    fn hmc_dispatch(&mut self, cycle: Cycle, _addr: u64, _size: OpSize, _result: u64) -> Cycle {
         cycle + self.latency
     }
 

@@ -13,7 +13,7 @@
 /// assert!(!m.get(3));
 /// assert_eq!(m.count_ones(), 9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Bitmask {
     words: Vec<u64>,
     len: usize,

@@ -179,12 +179,6 @@ impl DsmLayout {
         (r % VAULTS) / self.vaults_per_group()
     }
 
-    /// Global region indices owned by partition `p`, in scan order.
-    pub fn partition_regions(&self, p: usize) -> impl Iterator<Item = usize> {
-        let me = *self;
-        (0..me.regions()).filter(move |&r| me.partition_of_region(r) == p)
-    }
-
     /// Number of regions owned by partition `p` (zero for partitions
     /// whose vault residues the table never reaches).
     pub fn partition_region_count(&self, p: usize) -> usize {
@@ -400,29 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_regions_cover_all_regions_disjointly() {
-        for (rows, n) in [(4096, 4), (1000, 8), (33, 2), (64, 32)] {
-            let l = DsmLayout::partitioned(0, rows, n);
-            let mut seen = vec![false; l.regions()];
-            for p in 0..n {
-                let owned: Vec<usize> = l.partition_regions(p).collect();
-                assert_eq!(
-                    owned.len(),
-                    l.partition_region_count(p),
-                    "rows={rows} n={n}"
-                );
-                for (k, r) in owned.into_iter().enumerate() {
-                    assert!(!seen[r], "region {r} owned twice");
-                    seen[r] = true;
-                    assert_eq!(l.partition_of_region(r), p);
-                    assert_eq!(l.local_region_index(r), k);
-                }
-            }
-            assert!(seen.iter().all(|&s| s), "rows={rows} n={n}: region unowned");
-        }
-    }
-
-    #[test]
     fn small_tables_leave_high_partitions_empty() {
         // 64 rows = 2 regions, both in vaults 0 and 1 = partition 0 of
         // 8: every other partition is empty.
@@ -430,7 +401,6 @@ mod tests {
         assert_eq!(l.partition_region_count(0), 2);
         for p in 1..8 {
             assert_eq!(l.partition_region_count(p), 0, "partition {p}");
-            assert_eq!(l.partition_regions(p).count(), 0);
         }
     }
 

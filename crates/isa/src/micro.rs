@@ -10,7 +10,7 @@ use crate::opsize::OpSize;
 /// `LoadCmp` reads `size` bytes next to the bank, compares each 8-byte
 /// lane against an immediate range and returns a result mask without
 /// overwriting memory (unlike the original compare-and-swap).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VaultOp {
     /// Lane-wise comparison `lo <= lane <= hi` returning a bitmask.
     LoadCmp {
@@ -29,7 +29,7 @@ pub enum VaultOp {
 }
 
 /// The kind of a micro-operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MicroOpKind {
     /// Scalar integer ALU operation (1 cycle in Table I).
     IntAlu,
@@ -108,7 +108,7 @@ pub enum MicroOpKind {
 /// assert_eq!(cmp.dep1, 1);
 /// assert!(load.dep1 == 0 && load.dep2 == 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MicroOp {
     /// Operation kind.
     pub kind: MicroOpKind,

@@ -10,7 +10,9 @@
 //! boundary predicates sitting exactly on region summaries,
 //! partitioned and sharded/replicated layouts, fully-pruned queries,
 //! and interleaved warm runs whose output blocks differ run to run,
-//! asserting the equivalence everywhere — warm and cold.
+//! asserting the equivalence everywhere — warm and cold. A cold run is
+//! a run on a second system with the same configuration: a system
+//! replays the x86 and HMC-ISA timing of runs it has simulated.
 
 use hipe::{Arch, RunReport, System, SystemConfig, TableShape};
 use hipe_db::{scan, CmpOp, Column, ColumnPredicate, Query, SplitMix64};
@@ -50,12 +52,20 @@ fn random_query(rng: &mut SplitMix64) -> Query {
     Query::new(preds, rng.below(2) == 0)
 }
 
-/// Runs `query` pruned and unpruned on `arch`, warm and cold, and
-/// asserts all four results bit-identical to the reference executor.
-/// Returns the warm pruned run's pruned-region count.
+/// A second system configured like `sys`: its runs are cold, with no
+/// timing `sys` recorded to replay.
+fn twin(sys: &System) -> System {
+    System::with_config(sys.config().clone())
+}
+
+/// Runs `query` pruned and unpruned on `arch`, warm and cold (on
+/// `cold`, a [`twin`] of the pruned system), and asserts the results
+/// bit-identical to the reference executor. Returns the warm pruned
+/// run's pruned-region count.
 fn assert_equivalent(
     pruned: &mut hipe::Session<'_>,
     full: &mut hipe::Session<'_>,
+    cold: &System,
     arch: Arch,
     query: &Query,
 ) -> usize {
@@ -66,7 +76,7 @@ fn assert_equivalent(
     assert_eq!(warm_full.result, reference, "{arch} unpruned vs reference");
     assert_eq!(warm_full.regions_pruned, 0, "{arch} unpruned run pruned");
     // Cold runs repeat the equivalence from a fresh materialization.
-    let cold_pruned = pruned.system().run(arch, query);
+    let cold_pruned = cold.run(arch, query);
     assert_eq!(cold_pruned.result, reference, "{arch} cold pruned");
     assert_eq!(
         cold_pruned.regions_pruned, warm_pruned.regions_pruned,
@@ -87,6 +97,7 @@ fn randomized_predicates_prune_bit_identically_on_all_archs() {
     let rows = 2048;
     let pruned_sys = clustered(rows, 1, true);
     let full_sys = clustered(rows, 1, false);
+    let cold = twin(&pruned_sys);
     let mut pruned_sessions: Vec<_> = Arch::ALL.iter().map(|_| pruned_sys.session()).collect();
     let mut full_sessions: Vec<_> = Arch::ALL.iter().map(|_| full_sys.session()).collect();
     let mut rng = SplitMix64::new(0x5EED_207E);
@@ -94,8 +105,13 @@ fn randomized_predicates_prune_bit_identically_on_all_archs() {
     for _ in 0..10 {
         let query = random_query(&mut rng);
         for (i, &arch) in Arch::ALL.iter().enumerate() {
-            regions_pruned +=
-                assert_equivalent(&mut pruned_sessions[i], &mut full_sessions[i], arch, &query);
+            regions_pruned += assert_equivalent(
+                &mut pruned_sessions[i],
+                &mut full_sessions[i],
+                &cold,
+                arch,
+                &query,
+            );
         }
     }
     assert!(
@@ -109,6 +125,7 @@ fn boundary_predicates_at_region_summaries_survive_pruning() {
     let rows = 1024;
     let pruned_sys = clustered(rows, 1, true);
     let full_sys = clustered(rows, 1, false);
+    let cold = twin(&pruned_sys);
     // Predicates sitting exactly on a mid-table region's min and max:
     // the region must survive (and the answer stay exact) in every
     // boundary case, and the open sides must prune it.
@@ -134,7 +151,7 @@ fn boundary_predicates_at_region_summaries_survive_pruning() {
         let mut pruned = pruned_sys.session();
         let mut full = full_sys.session();
         for arch in Arch::ALL {
-            let _ = assert_equivalent(&mut pruned, &mut full, arch, &query);
+            let _ = assert_equivalent(&mut pruned, &mut full, &cold, arch, &query);
         }
     }
 }
@@ -147,12 +164,13 @@ fn partitioned_layouts_prune_bit_identically() {
     for partitions in [2, 4] {
         let pruned_sys = clustered(rows, partitions, true);
         let full_sys = clustered(rows, partitions, false);
+        let cold = twin(&pruned_sys);
         for permille in [10, 30, 100] {
             let query = Query::shipdate_window_permille(permille).with_aggregate();
             let mut pruned = pruned_sys.session();
             let mut full = full_sys.session();
             for arch in Arch::ALL {
-                let n = assert_equivalent(&mut pruned, &mut full, arch, &query);
+                let n = assert_equivalent(&mut pruned, &mut full, &cold, arch, &query);
                 assert!(n > 0, "{arch} pruned nothing at {permille} permille");
             }
         }
@@ -168,6 +186,7 @@ fn fully_pruned_queries_run_to_exact_zero_answers() {
     let rows = 1024;
     let pruned_sys = clustered(rows, 1, true);
     let full_sys = clustered(rows, 1, false);
+    let cold = twin(&pruned_sys);
     for aggregate in [false, true] {
         let query = Query::new(
             vec![
@@ -179,7 +198,7 @@ fn fully_pruned_queries_run_to_exact_zero_answers() {
         let mut pruned = pruned_sys.session();
         let mut full = full_sys.session();
         for arch in Arch::ALL {
-            let _ = assert_equivalent(&mut pruned, &mut full, arch, &query);
+            let _ = assert_equivalent(&mut pruned, &mut full, &cold, arch, &query);
             let report = pruned.run(arch, &query);
             assert_eq!(report.result.matches, 0, "{arch}");
             assert_eq!(report.regions_scanned, 0, "{arch}");
@@ -218,9 +237,10 @@ fn interleaved_warm_runs_leave_no_residue() {
     let queries = residue_queries();
     for partitions in [1, 4] {
         let sys = clustered(rows, partitions, true);
+        let cold = twin(&sys);
         let check = |session: &mut hipe::Session<'_>, arch: Arch, q: &Query, round: &str| {
             let what = format!("{arch} x{partitions} {round} [{q}]");
-            assert_same_report(&session.run(arch, q), &sys.run(arch, q), &what);
+            assert_same_report(&session.run(arch, q), &cold.run(arch, q), &what);
         };
         let mut first = sys.session();
         for arch in Arch::ALL {
@@ -246,12 +266,13 @@ fn runs_interleaved_across_two_live_sessions_match_cold_runs() {
     let queries = residue_queries();
     for partitions in [1, 4] {
         let sys = clustered(4096, partitions, true);
+        let cold = twin(&sys);
         let (mut a, mut b) = (sys.session(), sys.session());
         for arch in Arch::ALL {
             for (qa, qb) in queries.iter().zip(queries.iter().rev()) {
                 for (name, session, q) in [("a", &mut a, qa), ("b", &mut b, qb)] {
                     let what = format!("{arch} x{partitions} session {name} [{q}]");
-                    assert_same_report(&session.run(arch, q), &sys.run(arch, q), &what);
+                    assert_same_report(&session.run(arch, q), &cold.run(arch, q), &what);
                 }
             }
         }
