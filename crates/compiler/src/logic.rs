@@ -92,7 +92,7 @@ const _: () = assert!(2 * VAULTS == 64);
 /// assert_eq!(prog.cursor(0).count(), prog.total_instrs());
 /// assert_eq!(prog.aggregate_base(), None);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LogicScanProgram {
     layout: DsmLayout,
     scanned: Bitmask,
@@ -114,6 +114,32 @@ impl LogicScanProgram {
     pub fn spec(&self, p: usize) -> PartitionSpec {
         let vaults = self.layout.vault_group(p);
         PartitionSpec::new(p, vaults.start, vaults.len())
+    }
+
+    /// The program with every compare's immediates zeroed. No timing
+    /// model reads them (the engine's ALU latency follows the op's
+    /// class, and HIPE's squash decisions follow the running masks,
+    /// not the constants that made them), so two programs equal here
+    /// run in the same cycles over the same masks: the near-data
+    /// executor keys its replayed timing on this projection. The op
+    /// variants stay, as do the layout and the scanned regions.
+    pub fn without_operands(&self) -> LogicScanProgram {
+        let mut program = self.clone();
+        let ops = program.scan.iter_mut().chain(&mut program.tail).flatten();
+        for op in ops {
+            if let LogicInstr::Alu { op, .. } = op {
+                *op = match *op {
+                    AluOp::CmpGeImm(_) => AluOp::CmpGeImm(0),
+                    AluOp::CmpGtImm(_) => AluOp::CmpGtImm(0),
+                    AluOp::CmpLeImm(_) => AluOp::CmpLeImm(0),
+                    AluOp::CmpLtImm(_) => AluOp::CmpLtImm(0),
+                    AluOp::CmpEqImm(_) => AluOp::CmpEqImm(0),
+                    AluOp::CmpRangeImm(..) => AluOp::CmpRangeImm(0, 0),
+                    other => other,
+                };
+            }
+        }
+        program
     }
 
     /// Partition `p`'s instruction stream, expanded region by region
@@ -1435,6 +1461,41 @@ mod tests {
             for q in &qs {
                 check(q, &layout, Some(&zm), &[]);
             }
+        }
+    }
+
+    #[test]
+    fn programs_differing_only_in_constants_erase_to_one_shape() {
+        let layout = DsmLayout::new(0, 4097);
+        let below = |t| {
+            let p = ColumnPredicate::new(Column::Quantity, CmpOp::Lt(t));
+            Query::new(vec![p], false)
+        };
+        let (a, b) = (below(2), below(40));
+        for predicated in [false, true] {
+            let lower = |q: &Query| scan(q, 4097, predicated);
+            assert_ne!(lower(&a), lower(&b));
+            assert_eq!(lower(&a).without_operands(), lower(&b).without_operands());
+            // Erasing changes nothing but the immediates.
+            let erased = lower(&a).without_operands();
+            assert_eq!(flat(&erased).len(), flat(&lower(&a)).len());
+            let agg = |q: &Query| aggregate(&q.clone().with_aggregate(), 4097, predicated);
+            assert_eq!(agg(&a).without_operands(), agg(&b).without_operands());
+            // The op, the predicates, the tail and the scanned regions
+            // stay in the projection.
+            let at_least = Query::new(
+                vec![ColumnPredicate::new(Column::Quantity, CmpOp::Ge(2))],
+                false,
+            );
+            assert_ne!(erased, lower(&at_least).without_operands());
+            assert_ne!(erased, lower(&Query::q6()).without_operands());
+            assert_ne!(erased, agg(&a).without_operands());
+            assert_ne!(erased, scan(&a, 4097, !predicated).without_operands());
+            let pruned = LogicScanProgram {
+                scanned: Bitmask::zeros(layout.regions()),
+                ..lower(&a)
+            };
+            assert_ne!(pruned.without_operands(), erased);
         }
     }
 }

@@ -7,24 +7,21 @@
 //!
 //! Their timing never reads the data (`tests/seed_invariance.rs`): it
 //! follows from the plan's templates, its scanned regions and, for an
-//! aggregate, the mask the gather walks. So the [`System`] keeps each
-//! timing it simulates under that [`TimingKey`], and a later run with
-//! the same key replays it instead of re-running the core, cache and
-//! cube models, the way FastSim memoizes micro-architectural state
-//! (Schnarr and Larus, ASPLOS 1998). The functional answer is computed
-//! on every run either way.
-//!
-//! [`System`]: crate::System
+//! aggregate, the mask the gather walks. A run takes the three steps of
+//! [`replay`](crate::replay): the answer, the key, then replay or
+//! simulate. This module supplies the simulation and stores the
+//! answer's mask words in the image on every run.
 
 use crate::backend::ExecutablePlan;
 use crate::gather;
+use crate::replay::{self, TimedProgram, Timing};
 use crate::report::{PartitionPhase, PhaseBreakdown, RunReport};
 use crate::session::Session;
-use hipe_cache::{CacheHierarchy, CacheStats};
+use hipe_cache::CacheHierarchy;
 use hipe_compiler::HostScanProgram;
-use hipe_cpu::{Core, CoreStats, MemoryPort};
-use hipe_db::{Bitmask, DsmLayout, Query, REGION_ROWS};
-use hipe_hmc::{AccessKind, EnergyBreakdown, Hmc, HmcStats};
+use hipe_cpu::{Core, MemoryPort};
+use hipe_db::Bitmask;
+use hipe_hmc::{AccessKind, Hmc};
 use hipe_isa::{MicroOpKind, OpSize};
 use hipe_sim::Cycle;
 
@@ -66,87 +63,35 @@ impl MemoryPort for CachedPort<'_> {
     }
 }
 
-/// The key of a host run's replayable timing: everything the core,
-/// cache and cube models read, and no more. The memory image is not
-/// in it: no host timing model reads a stored value.
-#[derive(Debug, PartialEq, Eq, Hash)]
-pub(crate) struct TimingKey {
-    /// The plan's program with its vault-op operands erased
-    /// ([`HostScanProgram::without_operands`]): templates, scanned
-    /// regions and units.
-    program: HostScanProgram,
-    /// The match-mask words the aggregate gather walks: those holding
-    /// a scanned region, in order (every other word is zero). Empty
-    /// for a count-only query, which has no gather. A boxed slice, so
-    /// the memo holds no spare capacity.
-    pub(crate) gathered: Box<[u64]>,
-}
-
-/// A host run's report minus its answer and energy: what a replay
-/// restores.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HostTiming {
-    cycles: Cycle,
-    phases: PhaseBreakdown,
-    partition: PartitionPhase,
-    core: CoreStats,
-    cache: CacheStats,
-    hmc: HmcStats,
-}
-
 /// Executes a compiled micro-op plan (x86 baseline or HMC-ISA) against
 /// the session's warm image.
 ///
-/// The functional answer is computed on every run. Its timing is
-/// simulated only the first time the system sees the run's
-/// [`TimingKey`], by expanding the plan's op templates straight into
-/// fresh core and cache models over the session's reset cube; every
-/// later run with that key replays the recorded [`HostTiming`].
+/// The run's answer is computed on every run, and its timing is
+/// simulated only on a miss in the system's timing memo
+/// ([`replay::run`]); the plan's packed mask words are then stored at
+/// the layout's mask area, where the scan's store stream puts them.
 pub(crate) fn execute(
     session: &mut Session<'_>,
     plan: &ExecutablePlan,
     program: &HostScanProgram,
 ) -> RunReport {
-    let sys = session.system();
-    let query = plan.query();
-    let scanned = program.scanned_regions();
-    // Functional outcome of the scan kernel: the packed mask words the
-    // store stream models, from the column values in the cube image.
-    // Its image writes touch no timing state and no counter, so it may
-    // run before the timed scan.
-    let bitmask = functional_mask(session.hmc_mut(), sys.layout(), query, scanned);
-    let gathered = if query.aggregates() {
-        scanned_words(scanned).map(|w| bitmask.words()[w]).collect()
-    } else {
-        Box::default()
-    };
-    let key = TimingKey {
-        program: program.without_operands(),
-        gathered,
-    };
-    let timing = sys.replay_timing(plan.arch(), &key).unwrap_or_else(|| {
-        let gather = query.aggregates().then_some(&bitmask);
-        let timing = simulate(session, program, gather);
-        sys.memoize_timing(plan.arch(), key, timing);
-        timing
-    });
-    RunReport {
-        arch: plan.arch(),
-        result: sys.finish_result(session.hmc(), query, bitmask),
-        cycles: timing.cycles,
-        phases: timing.phases,
-        // Host-driven machines run undivided: one partition spanning
-        // the whole vault sweep.
-        partitions: vec![timing.partition],
-        regions_scanned: plan.prune_stats().scanned,
-        regions_pruned: plan.prune_stats().pruned,
-        // Priced from the counters below by `Session::run_plan`.
-        energy: EnergyBreakdown::default(),
-        core: timing.core,
-        cache: Some(timing.cache),
-        engine: None,
-        hmc: timing.hmc,
+    let aggregates = plan.query().aggregates();
+    let report = replay::run(
+        session,
+        plan,
+        TimedProgram::Host(program.without_operands()),
+        false,
+        aggregates,
+        |session, answer| simulate(session, program, aggregates.then_some(&answer.bitmask)),
+    );
+    let mask_base = session.system().mask_base();
+    let hmc = session.hmc_mut();
+    for (w, &bits) in report.result.bitmask.words().iter().enumerate() {
+        if bits != 0 {
+            hmc.write_word(mask_base + w as u64 * 8, bits as i64);
+        }
     }
+    report
 }
 
 /// Times `program` on fresh core and cache models over the session's
@@ -156,7 +101,7 @@ fn simulate(
     session: &mut Session<'_>,
     program: &HostScanProgram,
     gather: Option<&Bitmask>,
-) -> HostTiming {
+) -> Timing {
     let sys = session.system();
     let mut caches = CacheHierarchy::new(sys.config().hierarchy);
     let mut core = Core::new(sys.config().core);
@@ -188,7 +133,7 @@ fn simulate(
     } else {
         scan_end
     };
-    HostTiming {
+    Timing {
         cycles,
         phases: PhaseBreakdown {
             // The x86 baseline executes the scan in place (no separate
@@ -198,7 +143,9 @@ fn simulate(
             scan: scan_end,
             gather_aggregate: cycles - scan_end,
         },
-        partition: PartitionPhase {
+        // Host-driven machines run undivided: one partition spanning
+        // the whole vault sweep.
+        partitions: vec![PartitionPhase {
             partition: 0,
             first_vault: 0,
             vaults: sys.config().hmc.vaults,
@@ -206,56 +153,12 @@ fn simulate(
             dispatch,
             scan: scan_end,
             dram_bytes: scan_stats.bytes_read + scan_stats.bytes_written,
-        },
+        }],
         core: core.stats(),
-        cache: caches.stats(),
+        cache: Some(caches.stats()),
+        engine: None,
         hmc: session.hmc().stats(),
     }
-}
-
-/// Rows per packed mask word.
-const WORD_ROWS: usize = 64;
-
-/// The 64-row mask words that hold a scanned region, ascending.
-fn scanned_words(scanned: &Bitmask) -> impl Iterator<Item = usize> + '_ {
-    let mut last = None;
-    scanned
-        .iter_ones()
-        .map(|region| region * REGION_ROWS / WORD_ROWS)
-        .filter(move |&w| last.replace(w) != Some(w))
-}
-
-/// Evaluates `query` over the 64-row mask words that touch a scanned
-/// region, a column slice at a time, and stores the non-zero words at
-/// the layout's mask area. Every other word is zero: its rows lie in
-/// regions the zone map proved matchless, and the session reset left
-/// its image word at zero.
-fn functional_mask(hmc: &mut Hmc, layout: &DsmLayout, query: &Query, scanned: &Bitmask) -> Bitmask {
-    let rows = layout.rows();
-    let mut mask = Bitmask::zeros(rows);
-    for w in scanned_words(scanned) {
-        let start = w * WORD_ROWS;
-        let n = (rows - start).min(WORD_ROWS);
-        let mut bits = !0u64 >> (WORD_ROWS - n);
-        let values = &mut [0; WORD_ROWS][..n];
-        for p in query.predicates() {
-            hmc.read_words(layout.value_addr(p.column, start), n)
-                .widen_into(values);
-            let mut hits = 0u64;
-            for (i, &v) in values.iter().enumerate() {
-                hits |= (p.cmp.eval(v) as u64) << i;
-            }
-            bits &= hits;
-            if bits == 0 {
-                break;
-            }
-        }
-        if bits != 0 {
-            mask.set_word(w, bits);
-            hmc.write_word(layout.mask_base() + w as u64 * 8, bits as i64);
-        }
-    }
-    mask
 }
 
 #[cfg(test)]
@@ -263,7 +166,7 @@ mod tests {
     use super::*;
     use crate::report::Arch;
     use crate::system::System;
-    use hipe_db::scan;
+    use hipe_db::{scan, Query};
 
     fn run(sys: &System, arch: Arch, q: &Query) -> RunReport {
         sys.session().run(arch, q)

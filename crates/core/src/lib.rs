@@ -54,11 +54,14 @@
 //!
 //! [`System::run`] remains as a one-shot wrapper.
 //!
-//! The x86 and HMC-ISA timing never reads the data, so a [`System`]
-//! also memoizes it: a host-machine run whose plan templates (without
-//! vault-op operands), scanned regions and gathered mask match an
-//! earlier run's replays that run's cycles, phases and counters, and
-//! computes only its answer. HIVE and HIPE always simulate.
+//! No machine's timing reads the data beyond what the functional scan
+//! computes anyway, so a [`System`] also memoizes it, for all four
+//! machines: a run whose program (without the operands no timing
+//! reads), scanned regions, gathered mask and, on HIPE, per-region
+//! guard depths match an earlier run's replays that run's cycles,
+//! phases and counters, and computes only its answer. A HIVE or HIPE
+//! run that simulates also checks its engines' answer against the
+//! functional one.
 //!
 //! # Partitioned execution
 //!
@@ -102,6 +105,7 @@ mod backend;
 mod gather;
 mod host;
 mod neardata;
+mod replay;
 mod report;
 mod session;
 mod system;

@@ -20,16 +20,23 @@
 //! logic layer, and the host only reads back the compact partial sums
 //! (timed as the `gather_aggregate` phase). Plans compiled with
 //! `fused_aggregate: false` keep the per-tuple host gather instead.
+//!
+//! A run takes the three steps of [`replay`](crate::replay): the
+//! answer, the key, then replay or simulate. The engines run only on a
+//! miss, and their answer must then equal the functional one, so every
+//! miss is also a differential check of the logic lowering. After a
+//! replayed run the mask and partial-sum areas keep the reset's zeros.
 
 use crate::backend::ExecutablePlan;
 use crate::gather;
+use crate::replay::{self, TimedProgram, Timing};
 use crate::report::{PartitionPhase, PhaseBreakdown, RunReport};
 use crate::session::Session;
 use hipe_compiler::{LogicCursor, LogicScanProgram, REGION_ROWS};
 use hipe_cpu::{Core, MemoryPort};
 use hipe_db::scan::ScanResult;
 use hipe_db::Bitmask;
-use hipe_hmc::{EnergyBreakdown, Hmc};
+use hipe_hmc::Hmc;
 use hipe_isa::{LogicInstr, MicroOp, MicroOpKind, OpSize};
 use hipe_logic::EngineCluster;
 use hipe_sim::Cycle;
@@ -126,14 +133,45 @@ fn round_robin(cursors: &mut [LogicCursor<'_>], mut f: impl FnMut(usize, LogicIn
 
 /// Executes a compiled logic-layer plan (HIVE or HIPE) against the
 /// session's warm image.
+///
+/// The answer comes from the functional scan on every run, and the
+/// engines run only on a miss in the system's timing memo
+/// ([`replay::run`]). HIPE's key adds each scanned region's guard
+/// depth; a plan that gathers matched tuples on the host adds the
+/// gathered mask words.
 pub(crate) fn execute(
     session: &mut Session<'_>,
     plan: &ExecutablePlan,
     program: &LogicScanProgram,
     predicated: bool,
 ) -> RunReport {
+    let gathers = plan.query().aggregates() && program.aggregate_base().is_none();
+    replay::run(
+        session,
+        plan,
+        TimedProgram::Logic(program.without_operands()),
+        predicated,
+        gathers,
+        |session, answer| simulate(session, plan, program, predicated, answer),
+    )
+}
+
+/// Times `program` on a fresh engine cluster and core over the
+/// session's reset cube, then checks the engines' answer — the masks
+/// and fused partials they stored — against the functional `answer`.
+///
+/// # Panics
+///
+/// Panics if the engines' answer differs from `answer`: the logic
+/// lowering or the engine model is wrong.
+fn simulate(
+    session: &mut Session<'_>,
+    plan: &ExecutablePlan,
+    program: &LogicScanProgram,
+    predicated: bool,
+    answer: &ScanResult,
+) -> Timing {
     let sys = session.system();
-    let query = plan.query();
     let logic_cfg = if predicated {
         sys.config().hipe
     } else {
@@ -171,45 +209,50 @@ pub(crate) fn execute(
     // host readback into the meters.
     let scan_group_activity = session.hmc().group_activity(nparts);
 
-    let bitmask = read_mask(session.hmc(), program, sys.layout().rows());
+    // The engines' answer. The fused aggregate is the sum of the
+    // partials they stored (pruned regions' slots are zero by the reset
+    // protocol); a host-gathered one is the host's, as is the answer's.
+    let hmc = session.hmc();
+    let bitmask = read_mask(hmc, program, sys.layout().rows());
+    let aggregate = match program.aggregate_base() {
+        Some(_) => Some(
+            program
+                .scanned_regions()
+                .iter_ones()
+                .map(|i| hmc.read_word(program.agg_addr(i)) as i128)
+                .sum(),
+        ),
+        None => answer.aggregate,
+    };
+    let engines = ScanResult {
+        matches: bitmask.count_ones(),
+        bitmask,
+        aggregate,
+    };
+    assert_eq!(
+        engines,
+        *answer,
+        "{} answered [{}] unlike the functional scan",
+        plan.arch(),
+        plan.query()
+    );
 
     // Aggregate phase. The fused path reads back and combines the
     // engine-stored per-region partials — a few link packets; the
     // host-gather path (x86/HMC-ISA style, kept on the logic machines
     // for the paper's comparison) fetches every matched tuple's values
     // over the serial links uncached.
-    if query.aggregates() {
+    if plan.query().aggregates() {
         let mut port = gather::UncachedPort {
             hmc: session.hmc_mut(),
         };
         if let Some(agg_base) = program.aggregate_base() {
             gather::emit_partial_readback(&mut core, &mut port, agg_base, program.agg_bytes());
         } else {
-            gather::emit(&mut core, &mut port, sys, &bitmask);
+            gather::emit(&mut core, &mut port, sys, &answer.bitmask);
         }
     }
     let cycles = core.finish();
-
-    let hmc = session.hmc_mut();
-    let result = if program.aggregate_base().is_some() {
-        // The functional aggregate comes from the partials the engines
-        // actually stored, so the fused path is checked bit for bit
-        // against the reference executor like everything else. Pruned
-        // regions' slots are zero by the reset protocol.
-        let matches = bitmask.count_ones();
-        let aggregate = program
-            .scanned_regions()
-            .iter_ones()
-            .map(|i| hmc.read_word(program.agg_addr(i)) as i128)
-            .sum();
-        ScanResult {
-            bitmask,
-            matches,
-            aggregate: Some(aggregate),
-        }
-    } else {
-        sys.finish_result(hmc, query, bitmask)
-    };
 
     let partitions = (0..nparts)
         .map(|p| {
@@ -227,9 +270,7 @@ pub(crate) fn execute(
         })
         .collect();
 
-    RunReport {
-        arch: plan.arch(),
-        result,
+    Timing {
         cycles,
         phases: PhaseBreakdown {
             dispatch: dispatch_ends.iter().copied().max().unwrap_or(0),
@@ -237,14 +278,10 @@ pub(crate) fn execute(
             gather_aggregate: cycles - scan_end,
         },
         partitions,
-        regions_scanned: plan.prune_stats().scanned,
-        regions_pruned: plan.prune_stats().pruned,
-        // Priced from the counters below by `Session::run_plan`.
-        energy: EnergyBreakdown::default(),
         core: core.stats(),
         cache: None,
         engine: Some(cluster.stats()),
-        hmc: hmc.stats(),
+        hmc: session.hmc().stats(),
     }
 }
 

@@ -20,10 +20,10 @@ use std::sync::Arc;
 /// so a warm run is bit- and cycle-identical to a cold [`System::run`]
 /// (the integration tests assert this). Runs then read back only the
 /// regions their plan scans: every other region's output is zero by
-/// this protocol. An x86 or HMC-ISA run whose timing the system has
-/// already recorded computes its answer on the cube and replays that
-/// timing (see [`System`]); the reset protocol matters to the runs
-/// that simulate.
+/// this protocol. A run whose timing the system has already recorded,
+/// on any of the four machines, computes its answer from the cube's
+/// column values and replays that timing (see [`System`]); the reset
+/// protocol matters to the runs that simulate.
 ///
 /// This is the execution half of the compile → session → execute
 /// split: plans compiled by a [`Backend`](crate::Backend) can be
@@ -86,10 +86,19 @@ impl<'a> Session<'a> {
         self.sys
     }
 
-    /// The session's cube (read-only view). Its image holds the last
-    /// run's output. Read a run's counters from its [`RunReport`]: after
-    /// an x86 or HMC-ISA run that replayed its timing, the cube's
-    /// counters are those the reset left.
+    /// The session's cube (read-only view). Read a run's answer and
+    /// counters from its [`RunReport`], not from here: after a run that
+    /// replayed its timing, the cube's counters are those the reset
+    /// left. The image's output area holds the last run's output as
+    /// follows:
+    ///
+    /// - after an x86 or HMC-ISA run, the answer's packed mask words,
+    ///   64 rows per 8 B word from the mask base, replayed or not;
+    /// - after a HIVE or HIPE run that simulated, what its engines
+    ///   stored: a 256 B lane chunk per scanned region and, for a fused
+    ///   aggregate, the per-region partial sums;
+    /// - after a HIVE or HIPE run that replayed, nothing: the mask and
+    ///   partial-sum areas keep the reset's zeros.
     pub fn hmc(&self) -> &Hmc {
         &self.hmc
     }

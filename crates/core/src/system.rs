@@ -1,7 +1,7 @@
 //! The assembled system: table, memory image and backend resolution.
 
 use crate::backend::{Backend, ExecutablePlan};
-use crate::host::{HostTiming, TimingKey};
+use crate::replay::{Timing, TimingKey};
 use crate::report::{Arch, RunReport};
 use crate::session::Session;
 use hipe_cache::HierarchyConfig;
@@ -229,16 +229,19 @@ impl std::error::Error for ConfigError {}
 /// sessions run: [`plan`](Self::plan) lowers each `(arch, query)`
 /// once for the system's lifetime.
 ///
-/// Since the x86 and HMC-ISA timing of a run never reads the data, the
-/// system also keeps the timing of every such run its sessions
-/// simulate, keyed by what that timing reads: the plan's templates
-/// without vault-op operands, its scanned regions and, for an
-/// aggregate, the mask its gather walks. A later run with the same key,
-/// in any session, replays that timing instead of re-running the core,
-/// cache and cube models; its answer is still computed from the cube
-/// image. HIVE and HIPE always simulate, since their engines produce
-/// the answer. The memo holds at most one entry per distinct query run,
-/// as the plan cache does.
+/// Since no machine's timing reads the data beyond what the functional
+/// scan computes anyway, the system also keeps the timing of every run
+/// its sessions simulate, on all four machines, keyed by what that
+/// timing reads: the plan's program without the operands no timing
+/// reads (HMC-ISA's vault-op operands, HIVE's and HIPE's compare
+/// immediates), its scanned regions, the mask a per-tuple gather walks
+/// and, on HIPE, how many leading predicates keep each scanned
+/// region's running mask non-zero. A later run with the same key, in
+/// any session, replays that timing instead of re-running the core,
+/// cache, cube and engine models; its answer is still computed from
+/// the cube image. A HIVE or HIPE run that simulates also checks its
+/// engines' answer against that one. The memo holds at most one entry
+/// per distinct query run, as the plan cache does.
 ///
 /// The table's columns are stored once, in the table's column area;
 /// every session's cube reads that buffer as the read-only image below
@@ -270,7 +273,7 @@ pub struct System {
     /// tests assert it stays at one).
     materializations: AtomicU64,
     /// What the system has derived per arch: its stock plans and its
-    /// host-machine timings. Keyed arch-first so a plan hit looks up
+    /// timings. Keyed arch-first so a plan hit looks up
     /// by `&Query` without cloning it.
     cache: Mutex<HashMap<Arch, ArchCache>>,
 }
@@ -281,9 +284,9 @@ struct ArchCache {
     /// Stock plans lowered against the system, one per distinct query
     /// any session has run on the arch (see [`System::plan`]).
     plans: HashMap<Query, Arc<ExecutablePlan>>,
-    /// The timing of every x86 or HMC-ISA run simulated on the system,
-    /// one per distinct [`TimingKey`]; HIVE and HIPE record none.
-    timings: HashMap<TimingKey, HostTiming>,
+    /// The timing of every run simulated on the system, one per
+    /// distinct [`TimingKey`].
+    timings: HashMap<TimingKey, Timing>,
 }
 
 impl System {
@@ -430,15 +433,15 @@ impl System {
 
     /// The timing a run of `arch` on this system recorded under `key`,
     /// if one did.
-    pub(crate) fn replay_timing(&self, arch: Arch, key: &TimingKey) -> Option<HostTiming> {
+    pub(crate) fn replay_timing(&self, arch: Arch, key: &TimingKey) -> Option<Timing> {
         let cache = self.cache.lock().expect("plan cache poisoned");
-        cache.get(&arch)?.timings.get(key).copied()
+        cache.get(&arch)?.timings.get(key).cloned()
     }
 
     /// Records the timing a run of `arch` simulated for `key`. The lock
     /// is taken only to insert, never while simulating, so two racing
     /// misses both simulate and insert the same value.
-    pub(crate) fn memoize_timing(&self, arch: Arch, key: TimingKey, timing: HostTiming) {
+    pub(crate) fn memoize_timing(&self, arch: Arch, key: TimingKey, timing: Timing) {
         let mut cache = self.cache.lock().expect("plan cache poisoned");
         cache.entry(arch).or_default().timings.insert(key, timing);
     }
@@ -464,11 +467,10 @@ impl System {
     ///
     /// One-shot wrapper over the session API: equivalent to opening a
     /// fresh [`Session`] and running the query once. The run is cold in
-    /// that its cube is new; its x86 or HMC-ISA timing may still replay
-    /// one that an earlier run on this system recorded (see
-    /// [`System`]), which reports exactly what re-simulating would. A
-    /// run with nothing to replay needs a second system with the same
-    /// configuration.
+    /// that its cube is new; its timing may still replay one that an
+    /// earlier run on this system recorded (see [`System`]), which
+    /// reports exactly what re-simulating would. A run with nothing to
+    /// replay needs a second system with the same configuration.
     pub fn run(&self, arch: Arch, query: &Query) -> RunReport {
         self.session().run(arch, query)
     }
@@ -546,12 +548,28 @@ mod tests {
     }
 
     #[test]
-    fn the_point_sweep_keeps_one_count_only_timing_per_host_arch() {
-        // The seven `sel_*` scans differ only in their constant, which
-        // no host timing reads: x86 templates carry none and HMC-ISA's
-        // are erased from the key, so each host arch simulates one of
-        // them and replays it six times. Each aggregate gathers its own
-        // mask, so each keeps an entry; the logic machines keep none.
+    fn the_point_sweep_keeps_one_timing_per_key_on_every_arch() {
+        // Each arch keeps one entry per distinct key, counted here as
+        // (entries without a gathered mask, all entries):
+        //
+        // - x86 and HMC-ISA: the seven `sel_*` scans differ only in
+        //   their constant, which no host timing reads (x86 templates
+        //   carry none and HMC-ISA's are erased), so they share one
+        //   entry. Each of the three `agg_*` and Q6 gathers its own
+        //   mask: (1, 5).
+        // - HIVE: its compare immediates are erased and its timing
+        //   reads no data. The seven `sel_*` rows share one entry, the
+        //   three fused `agg_*` rows another and Q6 a third; a fused
+        //   aggregate gathers nothing: (3, 3).
+        // - HIPE: as HIVE, but its key keeps each region's guard depth.
+        //   On 4096 rows (128 regions of 32), `quantity < t` leaves a
+        //   region matchless with odds (1 - s)^32 at selectivity s:
+        //   `sel_0%` leaves every region at depth 0, `sel_2%`, `sel_6%`
+        //   and `sel_10%` each leave a different set of regions at 0,
+        //   and `sel_30%` to `sel_100%` leave none (0.7^32 < 1e-4), so
+        //   those three share one entry: 5. The `agg_2%`, `agg_10%` and
+        //   `agg_50%` depths differ as their `sel_*` twins' do: 3. And
+        //   Q6: (9, 9).
         let sys = System::new(4096, 2018);
         let mut session = sys.session();
         for q in &figure_points() {
@@ -566,7 +584,8 @@ mod tests {
             let counting = entry.timings.keys().filter(|k| k.gathered.is_empty());
             let expect = match arch {
                 Arch::HostX86 | Arch::HmcIsa => (1, 5),
-                Arch::Hive | Arch::Hipe => (0, 0),
+                Arch::Hive => (3, 3),
+                Arch::Hipe => (9, 9),
             };
             assert_eq!((counting.count(), entry.timings.len()), expect, "{arch}");
         }

@@ -62,7 +62,7 @@ pub const VAULTS: usize = 32;
 /// assert_eq!(p.vault_group(1), 8..16);
 /// assert_eq!(p.partition_of_region(8), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DsmLayout {
     base: u64,
     rows: usize,

@@ -49,7 +49,7 @@ impl std::fmt::Display for RegId {
 /// Latencies follow Table I: 2 cycles for integer ALU, 6 for multiply,
 /// 40 for divide (logic-layer cycles at 1 GHz). All operations are
 /// lane-wise over 8-byte lanes; comparisons produce 0/1 per lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluOp {
     /// `lane >= imm`.
     CmpGeImm(i64),
@@ -107,7 +107,7 @@ impl AluOp {
 }
 
 /// When a predicated instruction executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredWhen {
     /// Execute if any lane of the predicate register is non-zero —
     /// i.e. the region still has at least one candidate tuple.
@@ -120,7 +120,7 @@ pub enum PredWhen {
 ///
 /// The register bank stores a zero flag alongside each register; the
 /// predication match logic tests it without occupying the ALU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Predicate {
     /// Register whose zero flag is consulted.
     pub reg: RegId,
@@ -144,7 +144,7 @@ impl Predicate {
 /// interlocked register bank (execution only stalls on a true data
 /// dependency). `pred` is `None` on HIVE — only HIPE's predication
 /// match logic honours it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LogicInstr {
     /// Acquire the engine (guards the register bank between requesters).
     Lock,

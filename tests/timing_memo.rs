@@ -1,24 +1,28 @@
-//! Replayed host timing equals simulated host timing.
+//! Replayed timing equals simulated timing, on all four machines.
 //!
-//! A `System` keeps the timing of every x86 and HMC-ISA run it
-//! simulates, keyed by the plan's templates without vault-op operands,
-//! its scanned regions and, for an aggregate, the mask its gather
-//! walks; a later run with the same key replays that timing. Each case
-//! runs a query list twice over on one system, so runs replay both
-//! across constants and across repeats, and compares every report
-//! field by field with the same run on a new system, which has nothing
-//! to replay and simulates it.
+//! A `System` keeps the timing of every run it simulates, keyed by the
+//! plan's program without the operands no timing reads (HMC-ISA's
+//! vault-op operands, HIVE's and HIPE's compare immediates), its
+//! scanned regions, the mask a per-tuple gather walks and, on HIPE,
+//! each scanned region's guard depth; a later run with the same key
+//! replays that timing. Each case runs a query list twice over on one
+//! system, so runs replay both across constants and across repeats,
+//! and compares every report field by field with the same run on a new
+//! system, which has nothing to replay and simulates it. The logic
+//! machines run fused and host-gathered aggregates, on one engine and
+//! on eight; 4099 rows leave a 3-row last region, whose pad lanes HIPE
+//! compares too.
 
 use hipe::{Backend, RunReport, Session, System, SystemConfig, TableShape};
 use hipe_compiler::STOCK_HMC_OP;
-use hipe_db::Query;
+use hipe_db::{CmpOp, Column, ColumnPredicate, Query};
 use hipe_isa::OpSize;
 
 const SEED: u64 = 2018;
 
-/// The host machines: x86, and HMC-ISA at the stock and the widest
-/// operand size.
-const BACKENDS: [Backend; 3] = [
+/// x86, HMC-ISA at the stock and the widest operand size, and HIVE
+/// and HIPE with fused and with host-gathered aggregates.
+const BACKENDS: [Backend; 7] = [
     Backend::HostX86,
     Backend::HmcIsa {
         op_size: STOCK_HMC_OP,
@@ -26,29 +30,48 @@ const BACKENDS: [Backend; 3] = [
     Backend::HmcIsa {
         op_size: OpSize::MAX,
     },
+    Backend::Hive {
+        fused_aggregate: true,
+    },
+    Backend::Hive {
+        fused_aggregate: false,
+    },
+    Backend::Hipe {
+        fused_aggregate: true,
+    },
+    Backend::Hipe {
+        fused_aggregate: false,
+    },
 ];
 
 /// The figure sweep's eleven point queries (seven `sel_*`, three
 /// `agg_*`, Q6), plus its `skip_*` shipdate windows: on a pruned table
 /// those share one template and differ only in the regions they scan.
+/// And `quantity < 0`: like `sel_0%`'s `quantity < 1` it matches no
+/// row, but unlike it the zero padding of a ragged last region fails
+/// it too, so HIPE squashes that region's mask store.
 fn queries() -> Vec<Query> {
-    let mut queries: Vec<Query> = [0, 20, 60, 100, 300, 500, 1000]
-        .map(Query::quantity_below_permille)
-        .to_vec();
+    let none = ColumnPredicate::new(Column::Quantity, CmpOp::Lt(0));
+    let mut queries = vec![Query::new(vec![none], false)];
+    queries.extend([0, 20, 60, 100, 300, 500, 1000].map(Query::quantity_below_permille));
     queries.extend([20, 100, 500].map(|pm| Query::quantity_below_permille(pm).with_aggregate()));
     queries.push(Query::q6());
     queries.extend([10, 30, 100].map(Query::shipdate_window_permille));
     queries
 }
 
-/// A uniform table, and a shipdate-clustered one compiled against its
-/// zone map.
-fn configs(rows: usize) -> [SystemConfig; 2] {
+/// A uniform table, a shipdate-clustered one compiled against its
+/// zone map, and a uniform one scanned by eight vault-group engines.
+fn configs(rows: usize) -> [SystemConfig; 3] {
     [
         SystemConfig::paper(rows, SEED),
         SystemConfig {
             shape: TableShape::ClusteredShipdate { total_rows: rows },
             pruning: true,
+            ..SystemConfig::paper(rows, SEED)
+        },
+        SystemConfig {
+            partitions: 8,
             ..SystemConfig::paper(rows, SEED)
         },
     ]
@@ -100,11 +123,15 @@ fn assert_same_report(replayed: &RunReport, fresh: &RunReport, what: &str) {
 }
 
 #[test]
-fn replayed_host_runs_equal_fresh_simulations() {
+fn replayed_runs_equal_fresh_simulations() {
     let queries = queries();
     for rows in [4096, 4099] {
         for cfg in configs(rows) {
-            let shape = if cfg.pruning { "pruned" } else { "uniform" };
+            let shape = match (cfg.pruning, cfg.partitions) {
+                (true, _) => "pruned",
+                (false, 1) => "uniform",
+                (false, _) => "8 partitions",
+            };
             // One new system per query: nothing it runs can replay.
             let fresh: Vec<Vec<RunReport>> = queries
                 .iter()
