@@ -4,8 +4,8 @@
 //! Reproduces the shape of the paper's evaluation on the select-scan
 //! workload: for each selectivity point the same query runs end to end
 //! on the x86 baseline, the stock HMC atomic ISA, HIVE and HIPE —
-//! all against **one** warm `hipe::Session` (a single table
-//! materialization) — and the table reports simulated cycles, HIPE's
+//! all through **one** `hipe::Session` (a single materialization) —
+//! and the table reports simulated cycles, HIPE's
 //! speedup and DRAM/link energy ratios.
 //!
 //! A second sweep (`par_1` / `par_2` / `par_4` / `par_8`) runs Q6 on
@@ -425,7 +425,7 @@ fn main() {
             workers,
             ..ClusterConfig::new(rows, SEED, 4)
         });
-        let mut csession = cluster.session(); // warm: images built untimed
+        let mut csession = cluster.session();
         let start = Instant::now();
         let reports: Vec<_> = Arch::ALL
             .iter()

@@ -41,9 +41,11 @@ pub struct HierarchyConfig {
     pub l2: LevelConfig,
     /// The core's slice of the shared L3.
     pub l3: LevelConfig,
-    /// Lines ahead fetched by the L1 stride prefetcher per trigger.
+    /// Lines ahead fetched by the L1 stride prefetcher per trigger (0
+    /// disables it).
     pub stride_degree: usize,
-    /// Lines ahead fetched by the L2 stream prefetcher per miss.
+    /// Lines ahead fetched by the L2 stream prefetcher per miss (0
+    /// disables it).
     pub stream_depth: usize,
 }
 
@@ -71,15 +73,6 @@ impl HierarchyConfig {
             },
             stride_degree: 4,
             stream_depth: 4,
-        }
-    }
-
-    /// A variant with both prefetchers disabled (ablation experiments).
-    pub fn without_prefetchers() -> Self {
-        HierarchyConfig {
-            stride_degree: 0,
-            stream_depth: 0,
-            ..HierarchyConfig::paper()
         }
     }
 }
@@ -110,9 +103,24 @@ mod tests {
 
     #[test]
     fn ablation_disables_prefetch() {
-        let c = HierarchyConfig::without_prefetchers();
-        assert_eq!(c.stride_degree, 0);
-        assert_eq!(c.stream_depth, 0);
-        assert_eq!(c.l1, HierarchyConfig::paper().l1);
+        // Zero degree and depth switch both prefetchers off: a stream
+        // the paper's hierarchy prefetches issues no prefetch at all.
+        use hipe_hmc::{Hmc, HmcConfig};
+        let off = HierarchyConfig {
+            stride_degree: 0,
+            stream_depth: 0,
+            ..HierarchyConfig::paper()
+        };
+        let prefetches = |cfg| {
+            let mut mem = Hmc::new(HmcConfig::paper(), 1 << 20);
+            let mut caches = crate::CacheHierarchy::new(cfg);
+            let mut t = 0;
+            for i in 0..256 {
+                t = caches.read(&mut mem, t, i * LINE_BYTES, 64);
+            }
+            caches.stats().prefetches
+        };
+        assert!(prefetches(HierarchyConfig::paper()) > 0);
+        assert_eq!(prefetches(off), 0);
     }
 }

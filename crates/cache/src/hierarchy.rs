@@ -368,6 +368,15 @@ mod tests {
     use super::*;
     use hipe_hmc::HmcConfig;
 
+    /// The paper's hierarchy with both prefetchers off.
+    fn without_prefetchers() -> CacheHierarchy {
+        CacheHierarchy::new(HierarchyConfig {
+            stride_degree: 0,
+            stream_depth: 0,
+            ..HierarchyConfig::paper()
+        })
+    }
+
     fn setup() -> (Hmc, CacheHierarchy) {
         (
             Hmc::new(HmcConfig::paper(), 1 << 22),
@@ -421,7 +430,7 @@ mod tests {
     fn prefetching_beats_no_prefetching_on_streams() {
         let (mut mem_a, mut with) = setup();
         let mut mem_b = Hmc::new(HmcConfig::paper(), 1 << 22);
-        let mut without = CacheHierarchy::new(HierarchyConfig::without_prefetchers());
+        let mut without = without_prefetchers();
         let mut ta = 0;
         let mut tb = 0;
         for i in 0..1024u64 {
@@ -454,7 +463,7 @@ mod tests {
         let (mut mem, _c) = setup();
         // Issue many independent misses at cycle 0 with prefetchers off
         // (random-ish stride so the stride detector stays cold).
-        let mut without = CacheHierarchy::new(HierarchyConfig::without_prefetchers());
+        let mut without = without_prefetchers();
         let mut last = 0;
         for i in 0..200u64 {
             last = without.read(&mut mem, 0, i * 4096 + (i % 3) * 128, 8);

@@ -484,7 +484,14 @@ fn hierarchy_matches_the_reference() {
     let configs = [
         ("paper", HierarchyConfig::paper()),
         ("tiny", tiny()),
-        ("no_prefetch", HierarchyConfig::without_prefetchers()),
+        (
+            "no_prefetch",
+            HierarchyConfig {
+                stride_degree: 0,
+                stream_depth: 0,
+                ..HierarchyConfig::paper()
+            },
+        ),
     ];
     for (name, cfg) in configs {
         for (k, shape) in shapes.iter().enumerate() {

@@ -67,7 +67,7 @@ fn vault_cmp(cmp: CmpOp) -> VaultOp {
 /// conjunction can't match emits nothing at all — no dispatches, no
 /// combine, no loop overhead — and a packed mask word is stored only
 /// when at least one of its two regions survives (fully pruned words
-/// keep the reset image's correct zeros). A fully pruned query lowers
+/// keep a fresh cube's correct zeros). A fully pruned query lowers
 /// to a valid *empty* program, never an error. The program carries
 /// the scanned-region set (one bit per region), as in
 /// [`lower_host_scan`](crate::lower_host_scan).

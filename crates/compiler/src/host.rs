@@ -34,7 +34,7 @@ const LINES_PER_MASK_WORD: usize = 8;
 /// zone-map summaries prove the conjunction can't match (the modelled
 /// kernel walks a region skip-list instead of the raw row range), and
 /// a packed mask word is only written if at least one of its 64 rows
-/// survives — fully pruned words keep the reset image's zeros, which
+/// survives — fully pruned words keep a fresh cube's zeros, which
 /// is already the correct all-zero mask. A fully pruned query lowers
 /// to a valid *empty* program, never an error.
 ///

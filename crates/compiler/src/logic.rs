@@ -260,7 +260,7 @@ impl LogicScanProgram {
 
     /// The regions the streams scan, one bit per region. Only these
     /// regions' mask chunks and partial-sum slots can be non-zero
-    /// after a run; every other region's stay at the reset image's
+    /// after a run; every other region's stay at a fresh cube's
     /// zeros.
     pub fn scanned_regions(&self) -> &Bitmask {
         &self.scanned
@@ -502,7 +502,7 @@ pub fn lower_logic_scan(
 /// partial-sum slot: lanes and flush rows are keyed by the region's
 /// *unpruned* local index, a group's register is zeroed at its first
 /// surviving region and flushed after its last, and groups with every
-/// region pruned emit nothing — their slots keep the reset image's
+/// region pruned emit nothing — their slots keep a fresh cube's
 /// zeros, so the combined sum is bit-identical to the unpruned run.
 /// As with the plain scan, a fully-pruned partition (or query) has a
 /// valid empty stream, never an error.

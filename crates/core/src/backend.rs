@@ -189,7 +189,7 @@ impl ExecutablePlan {
     /// The 32-row regions the plan scans, one bit per region. Without
     /// [`SystemConfig::pruning`](crate::SystemConfig) every bit is set.
     /// Executors evaluate or read back only these regions: the others'
-    /// output stays at the session reset's zeros.
+    /// output stays at a fresh cube's zeros.
     pub fn scanned_regions(&self) -> &Bitmask {
         match &self.code {
             PlanCode::Micro(program) => program.scanned_regions(),

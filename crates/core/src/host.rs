@@ -9,14 +9,13 @@
 //! follows from the plan's templates, its scanned regions and, for an
 //! aggregate, the mask the gather walks. A run takes the three steps of
 //! [`replay`](crate::replay): the answer, the key, then replay or
-//! simulate. This module supplies the simulation and stores the
-//! answer's mask words in the image on every run.
+//! simulate. This module supplies the simulation.
 
 use crate::backend::ExecutablePlan;
 use crate::gather;
 use crate::replay::{self, TimedProgram, Timing};
 use crate::report::{PartitionPhase, PhaseBreakdown, RunReport};
-use crate::session::Session;
+use crate::system::System;
 use hipe_cache::CacheHierarchy;
 use hipe_compiler::HostScanProgram;
 use hipe_cpu::{Core, MemoryPort};
@@ -63,50 +62,37 @@ impl MemoryPort for CachedPort<'_> {
     }
 }
 
-/// Executes a compiled micro-op plan (x86 baseline or HMC-ISA) against
-/// the session's warm image.
+/// Executes a compiled micro-op plan (x86 baseline or HMC-ISA) on
+/// `sys`.
 ///
 /// The run's answer is computed on every run, and its timing is
 /// simulated only on a miss in the system's timing memo
-/// ([`replay::run`]); the plan's packed mask words are then stored at
-/// the layout's mask area, where the scan's store stream puts them.
-pub(crate) fn execute(
-    session: &mut Session<'_>,
-    plan: &ExecutablePlan,
-    program: &HostScanProgram,
-) -> RunReport {
+/// ([`replay::run`]).
+pub(crate) fn execute(sys: &System, plan: &ExecutablePlan, program: &HostScanProgram) -> RunReport {
     let aggregates = plan.query().aggregates();
-    let report = replay::run(
-        session,
+    replay::run(
+        sys,
         plan,
         TimedProgram::Host(program.without_operands()),
         false,
         aggregates,
-        |session, answer| simulate(session, program, aggregates.then_some(&answer.bitmask)),
-    );
-    let mask_base = session.system().mask_base();
-    let hmc = session.hmc_mut();
-    for (w, &bits) in report.result.bitmask.words().iter().enumerate() {
-        if bits != 0 {
-            hmc.write_word(mask_base + w as u64 * 8, bits as i64);
-        }
-    }
-    report
+        |hmc, answer| simulate(sys, hmc, program, aggregates.then_some(&answer.bitmask)),
+    )
 }
 
-/// Times `program` on fresh core and cache models over the session's
-/// reset cube, then the aggregate gather of `gather`'s matches through
-/// the same caches.
+/// Times `program` on fresh core and cache models over `hmc`, a new
+/// cube, then the aggregate gather of `gather`'s matches through the
+/// same caches.
 fn simulate(
-    session: &mut Session<'_>,
+    sys: &System,
+    hmc: &mut Hmc,
     program: &HostScanProgram,
     gather: Option<&Bitmask>,
 ) -> Timing {
-    let sys = session.system();
     let mut caches = CacheHierarchy::new(sys.config().hierarchy);
     let mut core = Core::new(sys.config().core);
     let mut port = CachedPort {
-        hmc: session.hmc_mut(),
+        hmc,
         caches: &mut caches,
     };
     let mut dispatch_end = 0;
@@ -127,6 +113,7 @@ fn simulate(
         gather::emit(&mut core, &mut port, sys, mask);
     }
     let cycles = core.finish();
+    let hmc = port.hmc.stats();
 
     let dispatch = if dispatch_end > 0 {
         dispatch_end
@@ -157,7 +144,7 @@ fn simulate(
         core: core.stats(),
         cache: Some(caches.stats()),
         engine: None,
-        hmc: session.hmc().stats(),
+        hmc,
     }
 }
 
@@ -226,26 +213,6 @@ mod tests {
         assert_eq!(stock.result, wide.result);
         assert!(wide.hmc.link_bytes < stock.hmc.link_bytes / 4);
         assert!(wide.cycles < stock.cycles);
-    }
-
-    #[test]
-    fn packed_mask_lands_in_image() {
-        let sys = System::new(128, 9);
-        let q = Query::quantity_below_permille(500);
-        let mut session = sys.session();
-        let report = session.run(Arch::HostX86, &q);
-        for w in 0..2 {
-            let mut expect = 0u64;
-            for b in 0..64 {
-                if report.result.bitmask.get(w * 64 + b) {
-                    expect |= 1 << b;
-                }
-            }
-            assert_eq!(
-                session.hmc().read_word(sys.mask_base() + w as u64 * 8) as u64,
-                expect
-            );
-        }
     }
 
     #[test]

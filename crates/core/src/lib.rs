@@ -41,16 +41,13 @@
 //!    host only reads back per-region partial sums, instead of
 //!    gathering every matched tuple over the links (the path the
 //!    host-driven machines keep);
-//! 3. a [`Session`] — opened with [`System::session`] — owns one warm
-//!    cube and executes plans against it, applying a reset protocol
-//!    between runs so warm results are bit- and cycle-identical to
-//!    cold ones. The cube reads the table's column area in place,
-//!    shared with every other session of the system, and owns only the
-//!    output area above it. [`Session::run_plan`] picks the
-//!    host executor for micro-op plans and the near-data executor for
-//!    logic-layer plans; [`Session::run`] takes its plan from
-//!    [`System::plan`], the system's plan cache, which lowers each
-//!    `(arch, query)` once for every session of the system.
+//! 3. a [`Session`] — opened with [`System::session`] — executes
+//!    plans against its system and holds nothing else.
+//!    [`Session::run_plan`] picks the host executor for micro-op plans
+//!    and the near-data executor for logic-layer plans;
+//!    [`Session::run`] takes its plan from [`System::plan`], the
+//!    system's plan cache, which lowers each `(arch, query)` once for
+//!    every session of the system.
 //!
 //! [`System::run`] remains as a one-shot wrapper.
 //!
@@ -59,9 +56,12 @@
 //! machines: a run whose program (without the operands no timing
 //! reads), scanned regions, gathered mask and, on HIPE, per-region
 //! guard depths match an earlier run's replays that run's cycles,
-//! phases and counters, and computes only its answer. A HIVE or HIPE
-//! run that simulates also checks its engines' answer against the
-//! functional one.
+//! phases and counters, and computes only its answer. A run that
+//! simulates builds a cube for itself alone — the table's column area
+//! in place, shared, below an output area of its own — and drops it
+//! afterwards, so no run leaves state behind and every run is bit- and
+//! cycle-identical to a cold one. A HIVE or HIPE run that simulates
+//! also checks its engines' answer against the functional one.
 //!
 //! # Partitioned execution
 //!
@@ -74,9 +74,10 @@
 //! default) reproduces the paper's single-engine figures cycle for
 //! cycle; [`RunReport::partitions`] carries the per-engine breakdown.
 //!
-//! Every run is *co-simulated*: timing comes from the cycle models,
-//! while the functional result is computed from the bytes actually
-//! stored in the cube's memory image, so the returned
+//! Every run's answer is a functional scan of the table, and every
+//! simulated HIVE or HIPE run is *co-simulated*: its engines compute
+//! the answer again from the values they load and store in the cube's
+//! memory image, and it must equal the functional one, so the returned
 //! [`hipe_db::scan::ScanResult`]s can be compared bit for bit across
 //! architectures (the cross-crate integration tests in the workspace
 //! root do exactly that).
@@ -89,7 +90,7 @@
 //!
 //! let sys = System::new(4096, 42);
 //! let q = Query::quantity_below_permille(30); // ~3 % selectivity
-//! let mut session = sys.session(); // one cube...
+//! let mut session = sys.session(); // one session...
 //! let reports: Vec<_> = Arch::ALL
 //!     .iter()
 //!     .map(|&arch| session.run(arch, &q))

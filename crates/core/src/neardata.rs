@@ -23,15 +23,15 @@
 //!
 //! A run takes the three steps of [`replay`](crate::replay): the
 //! answer, the key, then replay or simulate. The engines run only on a
-//! miss, and their answer must then equal the functional one, so every
-//! miss is also a differential check of the logic lowering. After a
-//! replayed run the mask and partial-sum areas keep the reset's zeros.
+//! miss, on a cube built for that run, and their answer must then
+//! equal the functional one, so every miss is also a differential
+//! check of the logic lowering.
 
 use crate::backend::ExecutablePlan;
 use crate::gather;
 use crate::replay::{self, TimedProgram, Timing};
 use crate::report::{PartitionPhase, PhaseBreakdown, RunReport};
-use crate::session::Session;
+use crate::system::System;
 use hipe_compiler::{LogicCursor, LogicScanProgram, REGION_ROWS};
 use hipe_cpu::{Core, MemoryPort};
 use hipe_db::scan::ScanResult;
@@ -131,8 +131,7 @@ fn round_robin(cursors: &mut [LogicCursor<'_>], mut f: impl FnMut(usize, LogicIn
     }
 }
 
-/// Executes a compiled logic-layer plan (HIVE or HIPE) against the
-/// session's warm image.
+/// Executes a compiled logic-layer plan (HIVE or HIPE) on `sys`.
 ///
 /// The answer comes from the functional scan on every run, and the
 /// engines run only on a miss in the system's timing memo
@@ -140,38 +139,38 @@ fn round_robin(cursors: &mut [LogicCursor<'_>], mut f: impl FnMut(usize, LogicIn
 /// depth; a plan that gathers matched tuples on the host adds the
 /// gathered mask words.
 pub(crate) fn execute(
-    session: &mut Session<'_>,
+    sys: &System,
     plan: &ExecutablePlan,
     program: &LogicScanProgram,
     predicated: bool,
 ) -> RunReport {
     let gathers = plan.query().aggregates() && program.aggregate_base().is_none();
     replay::run(
-        session,
+        sys,
         plan,
         TimedProgram::Logic(program.without_operands()),
         predicated,
         gathers,
-        |session, answer| simulate(session, plan, program, predicated, answer),
+        |hmc, answer| simulate(sys, hmc, plan, program, predicated, answer),
     )
 }
 
-/// Times `program` on a fresh engine cluster and core over the
-/// session's reset cube, then checks the engines' answer — the masks
-/// and fused partials they stored — against the functional `answer`.
+/// Times `program` on a fresh engine cluster and core over `hmc`, a
+/// new cube, then checks the engines' answer — the masks and fused
+/// partials they stored — against the functional `answer`.
 ///
 /// # Panics
 ///
 /// Panics if the engines' answer differs from `answer`: the logic
 /// lowering or the engine model is wrong.
 fn simulate(
-    session: &mut Session<'_>,
+    sys: &System,
+    hmc: &mut Hmc,
     plan: &ExecutablePlan,
     program: &LogicScanProgram,
     predicated: bool,
     answer: &ScanResult,
 ) -> Timing {
-    let sys = session.system();
     let logic_cfg = if predicated {
         sys.config().hipe
     } else {
@@ -186,7 +185,7 @@ fn simulate(
     let mut acks = vec![0 as Cycle; nparts];
     {
         let mut port = ClusterPort {
-            hmc: session.hmc_mut(),
+            hmc: &mut *hmc,
             cluster: &mut cluster,
             pending: None,
             instr_bytes: sys.config().hmc.packet_header_bytes + INSTR_FLIT_BYTES,
@@ -207,12 +206,11 @@ fn simulate(
     let scan_end = core.finish();
     // Scan-phase DRAM traffic per vault group, before the gather mixes
     // host readback into the meters.
-    let scan_group_activity = session.hmc().group_activity(nparts);
+    let scan_group_activity = hmc.group_activity(nparts);
 
     // The engines' answer. The fused aggregate is the sum of the
-    // partials they stored (pruned regions' slots are zero by the reset
-    // protocol); a host-gathered one is the host's, as is the answer's.
-    let hmc = session.hmc();
+    // partials they stored (a pruned region's slot reads 0); a
+    // host-gathered one is the host's, as is the answer's.
     let bitmask = read_mask(hmc, program, sys.layout().rows());
     let aggregate = match program.aggregate_base() {
         Some(_) => Some(
@@ -243,9 +241,7 @@ fn simulate(
     // for the paper's comparison) fetches every matched tuple's values
     // over the serial links uncached.
     if plan.query().aggregates() {
-        let mut port = gather::UncachedPort {
-            hmc: session.hmc_mut(),
-        };
+        let mut port = gather::UncachedPort { hmc: &mut *hmc };
         if let Some(agg_base) = program.aggregate_base() {
             gather::emit_partial_readback(&mut core, &mut port, agg_base, program.agg_bytes());
         } else {
@@ -281,14 +277,14 @@ fn simulate(
         core: core.stats(),
         cache: None,
         engine: Some(cluster.stats()),
-        hmc: session.hmc().stats(),
+        hmc: hmc.stats(),
     }
 }
 
 /// Reads the engine-written per-region masks (one 0/1 lane per row)
 /// back from the cube image as a row bitmask: each scanned region's
 /// 256 B chunk once, packed into its 32 bits. Pruned regions' chunks
-/// are zero by the session reset protocol, so they are never read.
+/// are never written, so they are never read.
 fn read_mask(hmc: &Hmc, program: &LogicScanProgram, rows: usize) -> Bitmask {
     let mut mask = Bitmask::zeros(rows);
     let mut lanes = [0; REGION_ROWS];
@@ -312,7 +308,7 @@ mod tests {
     use crate::backend::PlanCode;
     use crate::report::Arch;
     use crate::system::System;
-    use hipe_db::{scan, Query};
+    use hipe_db::{scan, Column, Query};
 
     fn run(sys: &System, predicated: bool, q: &Query) -> RunReport {
         let arch = if predicated { Arch::Hipe } else { Arch::Hive };
@@ -375,6 +371,40 @@ mod tests {
             // Scan ALUs plus one Mul and one AddReduce per live region.
             assert!(engine.alu_ops > 0);
         }
+    }
+
+    #[test]
+    fn fused_partials_match_per_region_reference_sums() {
+        // White-box check on the stored partials themselves: on a cube
+        // of its own, each 8 B slot holds exactly the reference sum of
+        // its 32-row region.
+        let sys = System::new(1000, 9);
+        let q = Query::q6();
+        let plan = sys.plan(Arch::Hive, &q);
+        let PlanCode::Logic {
+            program,
+            predicated,
+        } = plan.code()
+        else {
+            unreachable!("logic plan");
+        };
+        let reference = scan::reference(sys.table(), &q);
+        let mut hmc = sys.fresh_hmc();
+        simulate(&sys, &mut hmc, &plan, program, *predicated, &reference);
+        let mut total: i128 = 0;
+        for region in 0..program.regions() {
+            let expect: i128 = (region * 32..((region + 1) * 32).min(1000))
+                .filter(|&i| reference.bitmask.get(i))
+                .map(|i| {
+                    sys.table().value(Column::ExtendedPrice, i) as i128
+                        * sys.table().value(Column::Discount, i) as i128
+                })
+                .sum();
+            let stored = hmc.read_word(program.agg_addr(region)) as i128;
+            assert_eq!(stored, expect, "partial of region {region}");
+            total += stored;
+        }
+        assert_eq!(Some(total), reference.aggregate);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //!    sessions simulate under its key, and a later run with the same
 //!    key replays it instead of re-running the core, cache, cube and
 //!    engine models, the way FastSim memoizes micro-architectural
-//!    state (Schnarr and Larus, ASPLOS 1998).
+//!    state (Schnarr and Larus, ASPLOS 1998). A simulation runs on a
+//!    cube built for it alone, so it starts from the state a replay
+//!    assumes: idle banks and links, zero counters, a zero output
+//!    area.
 //!
 //! A logic-machine miss also checks the engines' answer against the
 //! functional one, so every simulated HIVE or HIPE run is a
@@ -28,12 +31,12 @@
 
 use crate::backend::ExecutablePlan;
 use crate::report::{PartitionPhase, PhaseBreakdown, RunReport};
-use crate::session::Session;
+use crate::system::System;
 use hipe_cache::CacheStats;
 use hipe_compiler::{HostScanProgram, LogicScanProgram};
 use hipe_cpu::CoreStats;
 use hipe_db::scan::ScanResult;
-use hipe_db::{Bitmask, DsmLayout, Query, REGION_ROWS};
+use hipe_db::{Bitmask, CmpOp, LineitemTable, Query, REGION_ROWS};
 use hipe_hmc::{EnergyBreakdown, Hmc, HmcStats};
 use hipe_logic::EngineStats;
 use hipe_sim::Cycle;
@@ -77,9 +80,10 @@ pub(crate) struct Timing {
     pub(crate) hmc: HmcStats,
 }
 
-/// Runs `plan` in `session`: computes its answer, then replays the
-/// timing the system recorded under the run's key, or calls
-/// `simulate` with the answer and records what it returns.
+/// Runs `plan` on `sys`: computes its answer, then replays the timing
+/// the system recorded under the run's key, or calls `simulate` with a
+/// new cube ([`System::fresh_hmc`]) and the answer, and records what it
+/// returns. The cube is dropped with the call.
 ///
 /// `program` is the plan's erased program. `depths` asks the
 /// functional scan for HIPE's guard depths, and `gathers` puts the
@@ -87,16 +91,15 @@ pub(crate) struct Timing {
 /// is never held while simulating, so two racing misses both simulate
 /// and insert the same value.
 pub(crate) fn run(
-    session: &mut Session<'_>,
+    sys: &System,
     plan: &ExecutablePlan,
     program: TimedProgram,
     depths: bool,
     gathers: bool,
-    simulate: impl FnOnce(&mut Session<'_>, &ScanResult) -> Timing,
+    simulate: impl FnOnce(&mut Hmc, &ScanResult) -> Timing,
 ) -> RunReport {
-    let sys = session.system();
     let (arch, query, scanned) = (plan.arch(), plan.query(), plan.scanned_regions());
-    let scan = functional_scan(session.hmc(), sys.layout(), query, scanned, depths);
+    let scan = functional_scan(sys.table(), query, scanned, depths);
     let gathered = if gathers {
         scanned_words(scanned)
             .map(|w| scan.mask.words()[w])
@@ -109,9 +112,9 @@ pub(crate) fn run(
         depths: scan.depths,
         gathered,
     };
-    let result = sys.finish_result(session.hmc(), query, scan.mask);
+    let result = sys.finish_result(query, scan.mask);
     let timing = sys.replay_timing(arch, &key).unwrap_or_else(|| {
-        let timing = simulate(session, &result);
+        let timing = simulate(&mut sys.fresh_hmc(), &result);
         sys.memoize_timing(arch, key, timing.clone());
         timing
     });
@@ -166,9 +169,8 @@ struct Scan {
 }
 
 /// Evaluates `query` over the 64-row mask words that touch a scanned
-/// region, a column slice at a time, reading the column values in
-/// `hmc`'s image. Every other word is zero: its rows lie in regions
-/// the zone map proved matchless. Nothing is written to the image.
+/// region, a column slice of `table` at a time. Every other word is
+/// zero: its rows lie in regions the zone map proved matchless.
 ///
 /// With `depths` set, the scan also measures each scanned region's
 /// *guard depth*: how many leading predicates keep the region's
@@ -185,14 +187,8 @@ struct Scan {
 ///
 /// With `depths` set, panics if the query has more than 255
 /// predicates: a depth is stored in one byte.
-fn functional_scan(
-    hmc: &Hmc,
-    layout: &DsmLayout,
-    query: &Query,
-    scanned: &Bitmask,
-    depths: bool,
-) -> Scan {
-    let rows = layout.rows();
+fn functional_scan(table: &LineitemTable, query: &Query, scanned: &Bitmask, depths: bool) -> Scan {
+    let rows = table.rows();
     let predicates = query.predicates();
     assert!(
         !depths || predicates.len() <= usize::from(u8::MAX),
@@ -211,13 +207,12 @@ fn functional_scan(
         let mut depth = [0u8; 2];
         let values = &mut [0; WORD_ROWS][..n];
         for p in predicates {
-            hmc.read_words(layout.value_addr(p.column, start), n)
+            table
+                .column(p.column)
+                .slice(start..start + n)
                 .widen_into(values);
-            let mut hits = if p.cmp.eval(0) { pad } else { 0 };
-            for (lane, &v) in values.iter().enumerate() {
-                hits |= (p.cmp.eval(v) as u64) << lane;
-            }
-            live &= hits;
+            let pads = if p.cmp.eval(0) { pad } else { 0 };
+            live &= pads | match_bits(p.cmp, values);
             if depths {
                 // A region stays live through a prefix of the predicates.
                 for (half, d) in depth.iter_mut().enumerate() {
@@ -242,11 +237,29 @@ fn functional_scan(
     }
 }
 
+/// The lanes of `values` (at most 64) that satisfy `cmp`, lane `i` at
+/// bit `i`. The comparison is matched once per call, and each arm runs
+/// its own loop.
+fn match_bits(cmp: CmpOp, values: &[i64]) -> u64 {
+    fn fold(values: &[i64], hit: impl Fn(i64) -> bool) -> u64 {
+        let lanes = values.iter().enumerate();
+        lanes.fold(0, |bits, (lane, &v)| bits | u64::from(hit(v)) << lane)
+    }
+    match cmp {
+        CmpOp::Lt(x) => fold(values, |v| v < x),
+        CmpOp::Le(x) => fold(values, |v| v <= x),
+        CmpOp::Gt(x) => fold(values, |v| v > x),
+        CmpOp::Ge(x) => fold(values, |v| v >= x),
+        CmpOp::Eq(x) => fold(values, |v| v == x),
+        CmpOp::Range(lo, hi) => fold(values, |v| lo <= v && v <= hi),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::system::System;
-    use hipe_db::{CmpOp, Column, ColumnPredicate};
+    use hipe_db::{Column, ColumnPredicate};
 
     /// Each scanned region's guard depth, evaluated lane by lane over
     /// the engine's 32 lanes with the lanes past the last row read as
@@ -279,6 +292,25 @@ mod tests {
     }
 
     #[test]
+    fn match_bits_agrees_with_eval_on_every_comparison() {
+        let values: Vec<i64> = (0..64).map(|i| i * 7 % 23 - 5).collect();
+        for cmp in [
+            CmpOp::Lt(3),
+            CmpOp::Le(3),
+            CmpOp::Gt(3),
+            CmpOp::Ge(3),
+            CmpOp::Eq(3),
+            CmpOp::Range(-2, 9),
+            CmpOp::Range(9, -2),
+        ] {
+            for n in [0, 1, 33, 64] {
+                let want = (0..n).fold(0u64, |bits, i| bits | u64::from(cmp.eval(values[i])) << i);
+                assert_eq!(match_bits(cmp, &values[..n]), want, "{cmp} over {n}");
+            }
+        }
+    }
+
+    #[test]
     fn guard_depths_follow_the_engine_lanes_pad_lanes_included() {
         // 4099 rows: the last region holds 3 rows and 29 pad lanes.
         let sys = System::new(4099, 2018);
@@ -296,28 +328,27 @@ mod tests {
                 false,
             ),
         ];
-        let session = sys.session();
         let all = Bitmask::ones(sys.layout().regions());
         let mut tail = Bitmask::zeros(sys.layout().regions());
         tail.set(sys.layout().regions() - 1);
         for query in &queries {
             for scanned in [&all, &tail] {
-                let scan = functional_scan(session.hmc(), sys.layout(), query, scanned, true);
+                let scan = functional_scan(sys.table(), query, scanned, true);
                 let want = direct_depths(&sys, query, scanned);
                 assert_eq!(*scan.depths, *want, "{query}");
             }
-            let scan = functional_scan(session.hmc(), sys.layout(), query, &all, true);
+            let scan = functional_scan(sys.table(), query, &all, true);
             let reference = hipe_db::scan::reference(sys.table(), query);
             assert_eq!(scan.mask, reference.bitmask, "{query}");
         }
         // `quantity < 1` matches no row, but the last region's 29 pad
         // lanes pass it: HIPE stores that region's all-zero mask.
         let none = Query::quantity_below_permille(0);
-        let scan = functional_scan(session.hmc(), sys.layout(), &none, &tail, true);
+        let scan = functional_scan(sys.table(), &none, &tail, true);
         assert_eq!(scan.mask.count_ones(), 0);
         assert_eq!(*scan.depths, [1]);
         // Without depths the scan measures nothing.
-        let scan = functional_scan(session.hmc(), sys.layout(), &none, &all, false);
+        let scan = functional_scan(sys.table(), &none, &all, false);
         assert!(scan.depths.is_empty());
     }
 }

@@ -131,8 +131,8 @@ impl SystemConfig {
 
     /// The image map of this configuration's table. The layout owns
     /// the whole map: column arrays, then the mask output area, then
-    /// the aggregate partial-sum area (the latter two are the session
-    /// reset protocol's zeroed region). With partitions > 1 every area
+    /// the aggregate partial-sum area (the latter two are the output a
+    /// simulating run's cube owns, zero until written). With partitions > 1 every area
     /// is padded to whole vault sweeps so each vault-group engine stays
     /// inside its own banks.
     fn layout(&self) -> DsmLayout {
@@ -222,9 +222,9 @@ impl std::error::Error for ConfigError {}
 /// The system's workload state — table, layout, component parameters
 /// — is immutable. Execution happens through the compile → session →
 /// execute API: [`System::backend`] resolves an [`Arch`] label to its
-/// [`Backend`], and [`session`](Self::session) opens a warm
-/// [`Session`] whose cube can run whole batches.
-/// [`run`](Self::run) is a one-shot wrapper over that API. Since
+/// [`Backend`], and [`session`](Self::session) opens a [`Session`] that
+/// can run whole batches. [`run`](Self::run) is a one-shot wrapper over
+/// that API. Since
 /// lowering is deterministic, the system also owns the plans its
 /// sessions run: [`plan`](Self::plan) lowers each `(arch, query)`
 /// once for the system's lifetime.
@@ -238,15 +238,16 @@ impl std::error::Error for ConfigError {}
 /// and, on HIPE, how many leading predicates keep each scanned
 /// region's running mask non-zero. A later run with the same key, in
 /// any session, replays that timing instead of re-running the core,
-/// cache, cube and engine models; its answer is still computed from
-/// the cube image. A HIVE or HIPE run that simulates also checks its
+/// cache, cube and engine models; its answer is still a functional
+/// scan of the table. A HIVE or HIPE run that simulates also checks its
 /// engines' answer against that one. The memo holds at most one entry
 /// per distinct query run, as the plan cache does.
 ///
-/// The table's columns are stored once, in the table's column area;
-/// every session's cube reads that buffer as the read-only image below
-/// [`mask_base`](Self::mask_base) and owns only the output area above
-/// it.
+/// The table's columns are stored once, in the table's column area. A
+/// run that simulates builds a cube of its own, which reads that
+/// buffer as the read-only image below [`mask_base`](Self::mask_base)
+/// and owns only the output area above it; the cube is dropped with
+/// the run, so no run leaves state behind.
 ///
 /// # Example
 ///
@@ -269,8 +270,8 @@ pub struct System {
     /// by the backends, and by `hipe-serve`'s scatter path (via the
     /// table-level rollup) to skip whole shards.
     zonemap: Option<ZoneMap>,
-    /// Cubes opened over the table (sessions amortize this; the batch
-    /// tests assert it stays at one).
+    /// Sessions opened over the system (the batch tests assert one
+    /// session serves a whole batch).
     materializations: AtomicU64,
     /// What the system has derived per arch: its stock plans and its
     /// timings. Keyed arch-first so a plan hit looks up
@@ -387,10 +388,11 @@ impl System {
         self.layout().mask_base()
     }
 
-    /// How many cubes have been opened over the table so far (each
-    /// [`session`](Self::session) or cold [`run`](Self::run) adds one;
-    /// warm batch runs add none). Opening one copies no table bytes:
-    /// the cube shares the table's column area.
+    /// How many sessions have been opened over the system so far: each
+    /// [`session`](Self::session) or one-shot [`run`](Self::run) adds
+    /// one, and the runs of a session add none. A session holds no
+    /// cube, so this does not count the cubes that simulating runs
+    /// build.
     pub fn materializations(&self) -> u64 {
         self.materializations.load(Ordering::Relaxed)
     }
@@ -446,16 +448,17 @@ impl System {
         cache.entry(arch).or_default().timings.insert(key, timing);
     }
 
-    /// Opens a warm execution session over a new cube.
+    /// Opens an execution session, counting it in
+    /// [`materializations`](Self::materializations).
     pub fn session(&self) -> Session<'_> {
+        self.materializations.fetch_add(1, Ordering::Relaxed);
         Session::new(self)
     }
 
-    /// Builds a cold cube over the table: the table's column area,
-    /// shared, below [`mask_base`](Self::mask_base), and a zeroed,
-    /// owned output area above it. Counts one materialization.
+    /// Builds a cube for one simulation: the table's column area,
+    /// shared, below [`mask_base`](Self::mask_base), and a zero, owned
+    /// output area above it.
     pub(crate) fn fresh_hmc(&self) -> Hmc {
-        self.materializations.fetch_add(1, Ordering::Relaxed);
         Hmc::with_shared(
             self.cfg.hmc.clone(),
             Arc::clone(self.table.column_area()),
@@ -466,22 +469,21 @@ impl System {
     /// Executes `query` on `arch` and reports results and measurements.
     ///
     /// One-shot wrapper over the session API: equivalent to opening a
-    /// fresh [`Session`] and running the query once. The run is cold in
-    /// that its cube is new; its timing may still replay one that an
-    /// earlier run on this system recorded (see [`System`]), which
-    /// reports exactly what re-simulating would. A run with nothing to
-    /// replay needs a second system with the same configuration.
+    /// [`Session`] and running the query once. Its timing may replay
+    /// one that an earlier run on this system recorded (see
+    /// [`System`]), which reports exactly what re-simulating would. A
+    /// run with nothing to replay needs a second system with the same
+    /// configuration.
     pub fn run(&self, arch: Arch, query: &Query) -> RunReport {
         self.session().run(arch, query)
     }
 
     /// Completes a scan `bitmask` into a [`ScanResult`], computing the
-    /// aggregate (if the query has one) from the values in the cube
-    /// image — i.e. from what the simulated machine actually stored.
-    pub(crate) fn finish_result(&self, hmc: &Hmc, query: &Query, bitmask: Bitmask) -> ScanResult {
+    /// aggregate (if the query has one) from the table's values.
+    pub(crate) fn finish_result(&self, query: &Query, bitmask: Bitmask) -> ScanResult {
         let matches = bitmask.count_ones();
         let aggregate = query.aggregates().then(|| {
-            let column = |c| hmc.read_words(self.layout().value_addr(c, 0), bitmask.len());
+            let column = |c| self.table.column(c);
             let (price, discount) = (column(Column::ExtendedPrice), column(Column::Discount));
             bitmask
                 .iter_ones()
@@ -507,10 +509,7 @@ mod tests {
         // of partial-sum slots (4 regions fit in a single row).
         let stride = 100u64.div_ceil(32) * 256;
         assert_eq!(sys.mask_base(), 4 * stride);
-        assert_eq!(
-            sys.fresh_hmc().image_len() as u64,
-            4 * stride + 4 * 256 + 256
-        );
+        assert_eq!(sys.layout().image_bytes(), 4 * stride + 4 * 256 + 256);
     }
 
     #[test]
@@ -612,10 +611,7 @@ mod tests {
         assert_eq!(sys.config().partitions, 4);
         assert_eq!(sys.layout().partitions(), 4);
         assert_eq!(sys.mask_base() % 8192, 0);
-        assert_eq!(
-            sys.fresh_hmc().image_len() as u64,
-            sys.layout().image_bytes()
-        );
+        assert_eq!(sys.layout().image_bytes() % 8192, 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! proves no row in the region satisfies that conjunct, hence none
 //! satisfies the conjunction. Dead regions therefore contribute
 //! exactly zero mask words and zero aggregate lanes — the same bytes a
-//! freshly reset image already holds — so pruned and unpruned runs are
+//! fresh cube's output area already holds — so pruned and unpruned runs are
 //! bit-identical.
 
 use crate::bitmask::Bitmask;

@@ -4,19 +4,29 @@ use crate::address::AddressMapping;
 use crate::config::HmcConfig;
 use crate::vault::Vault;
 use hipe_sim::{Cycle, ThroughputPipe, WordArea, Words};
-use std::sync::{Arc, OnceLock};
-
-/// Granularity of the image's dirty tracking: one 256 B block, the
-/// logic-layer engine's store size (and one DRAM row buffer).
-const DIRTY_BLOCK_BYTES: u64 = 256;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Bytes of one functional word: the image is addressed, read and
 /// written as aligned 8 B words (the shared area stores each at the
 /// width its values need).
 const WORD_BYTES: u64 = 8;
 
-/// Words per dirty-tracking block.
-const BLOCK_WORDS: usize = (DIRTY_BLOCK_BYTES / WORD_BYTES) as usize;
+/// Bytes of one block of the owned area, allocated on its first write.
+/// A multiple of the engine's 256 B store, so no store crosses a block,
+/// and large enough that the block pointers and the allocator's
+/// per-block headers stay small beside the blocks: at SF-10, 256 B
+/// blocks peaked 39 MiB higher.
+const BLOCK_BYTES: u64 = 4096;
+
+/// Words per owned block.
+const BLOCK_WORDS: usize = (BLOCK_BYTES / WORD_BYTES) as usize;
+
+/// One owned block.
+type Block = [i64; BLOCK_WORDS];
+
+/// What every owned block reads until something writes it.
+static ZERO_BLOCK: Block = [0; BLOCK_WORDS];
 
 /// Bytes of the paper's cube (8 GB): the largest image a cube can
 /// back.
@@ -98,24 +108,26 @@ impl std::ops::AddAssign for VaultActivity {
 ///   time (used to set up workloads and by engines to compute real
 ///   values).
 ///
+/// A cube is built for one simulation and dropped after it: nothing
+/// resets its timing state, counters or output, so no run can see
+/// another's.
+///
 /// The image has two parts. From address 0 sits a read-only area shared
 /// with other cubes ([`with_shared`](Self::with_shared)): the table's
 /// columns, which no run writes. Above it the cube owns its output
-/// area, and only that area is written, dirty-tracked and reset. The
-/// owned area keeps its size from construction but is allocated, all
-/// zero, on its first access: a cube that is opened and dropped
-/// without a run touching its output (a service run whose profiles
-/// are all memoized) costs the vaults' state, not the area's size.
-/// An owned word nothing wrote reads 0.
+/// area, in 4 KB blocks that are allocated, all zero, on their first
+/// write; an unwritten block reads 0 and holds no memory. So a cube
+/// costs the vaults' state plus the blocks its run stores to, not the
+/// area's size.
 ///
 /// Every word of the image is an 8 B value at an 8 B-aligned address,
 /// and the timing model moves 8 B per word. On the host, the shared
 /// area is a [`WordArea`]: buffers placed back to back, each storing
 /// its words at the width their values need (a table's columns as
 /// `u16`, `u8`, `u8` and `i32`), and a read returns them as a
-/// [`Words`] view that widens on read. A read stays inside one buffer.
-/// The owned area holds full `i64` words, since runs store masks and
-/// partial sums there.
+/// [`Words`] view that widens on read. A read stays inside one buffer,
+/// and an owned read or write inside one block. The owned area holds
+/// full `i64` words, since runs store masks and partial sums there.
 ///
 /// # Example
 ///
@@ -137,20 +149,15 @@ pub struct Hmc {
     req_link: ThroughputPipe,
     /// Cube -> host direction (responses, read payloads).
     rsp_link: ThroughputPipe,
-    /// One bit per [`DIRTY_BLOCK_BYTES`] block of `owned`: set when a
-    /// functional write touched the block since the last
-    /// [`zero_dirty_from`](Self::zero_dirty_from).
-    dirty: Vec<u64>,
     /// The read-only words from address 0 up, at their host widths.
     shared: Arc<WordArea>,
-    /// The writable words after `shared`, allocated on the first
-    /// access ([`owned`](Self::owned)). A `OnceLock` rather than a
-    /// `OnceCell`, so a cube (and a session holding one) stays `Sync`.
-    owned: OnceLock<Vec<i64>>,
-    /// Length of the owned area in words, allocated or not.
+    /// The writable words after `shared`, one [`BLOCK_WORDS`] block per
+    /// entry: `None` until the block's first write.
+    owned: Vec<Option<Box<Block>>>,
+    /// Length of the owned area in words.
     owned_words: usize,
     stats: HmcStats,
-    /// Per-vault accounting (run-scoped, reset with the timing state).
+    /// Per-vault accounting.
     vault_activity: Vec<VaultActivity>,
 }
 
@@ -183,11 +190,6 @@ impl Hmc {
         );
         let owned_words = (image_bytes - shared_bytes).div_ceil(WORD_BYTES as usize);
         let (num, den) = cfg.link_rate();
-        // The owned area is allocated on its first access (`owned`),
-        // not here: until a run touches its output, a cube holds its
-        // vaults and this bitmap (one bit per 256 B of the area), whatever
-        // the image's size.
-        let dirty = vec![0; owned_words.div_ceil(BLOCK_WORDS).div_ceil(64)];
         // Every vault starts as a copy of one, which builds the latency
         // table once per cube.
         let vaults = vec![Vault::new(&cfg); cfg.vaults];
@@ -196,9 +198,9 @@ impl Hmc {
             vaults,
             req_link: ThroughputPipe::new(num, den, cfg.link_latency),
             rsp_link: ThroughputPipe::new(num, den, cfg.link_latency),
-            dirty,
             shared,
-            owned: OnceLock::new(),
+            // One null pointer per block: no block memory yet.
+            owned: vec![None; owned_words.div_ceil(BLOCK_WORDS)],
             owned_words,
             stats: HmcStats::default(),
             vault_activity: vec![VaultActivity::default(); cfg.vaults],
@@ -308,30 +310,6 @@ impl Hmc {
         done
     }
 
-    /// Resets every run-scoped timing and accounting structure —
-    /// vaults, link pipes, stats — in place, while keeping the
-    /// memory image intact.
-    ///
-    /// This is the cube half of a warm session's reset protocol: after
-    /// the call, the cube times and meters accesses exactly like a
-    /// freshly constructed one. Output areas written by a run (e.g.
-    /// scan mask buffers) are restored separately by
-    /// [`zero_dirty_from`](Self::zero_dirty_from), which clears only the blocks
-    /// the run actually wrote.
-    pub fn reset_run_state(&mut self) {
-        for vault in &mut self.vaults {
-            vault.reset();
-        }
-        self.req_link.reset();
-        self.rsp_link.reset();
-        self.stats = HmcStats::default();
-        // The per-vault(-group) accounting the engine cluster reads is
-        // run-scoped like the aggregate stats: a warm run must start
-        // from the same zeroed meters a cold cube has, or warm != cold
-        // under partitioned execution.
-        self.vault_activity.fill(VaultActivity::default());
-    }
-
     /// Counts one logic-layer ALU operation in [`HmcStats::fu_ops`]
     /// (used by the HIVE/HIPE engine models).
     pub fn charge_logic_op(&mut self) {
@@ -339,19 +317,21 @@ impl Hmc {
     }
 
     /// Functional read of `words` aligned words at `addr`, from
-    /// whichever buffer of the shared area, or the owned area, holds
-    /// them: a view at that buffer's width. A read of the owned area
-    /// allocates it, all zero, if nothing has accessed it yet.
+    /// whichever buffer of the shared area, or block of the owned area,
+    /// holds them: a view at that buffer's width. An owned block
+    /// nothing wrote reads 0, and the read allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is not word-aligned, or if the range is outside
-    /// the image, straddles two shared buffers or straddles the owned
-    /// base.
+    /// the image, straddles two shared buffers, straddles the owned
+    /// base or crosses an owned block boundary.
     pub fn read_words(&self, addr: u64, words: usize) -> Words<'_> {
         let w = word_index(addr);
-        if let Some(o) = w.checked_sub(self.shared.len()) {
-            return Words::I64(&self.owned()[o..o + words]);
+        if w >= self.shared.len() {
+            let (block, range) = self.owned_span(addr, words);
+            let block = self.owned.get(block).and_then(Option::as_deref);
+            return Words::I64(&block.unwrap_or(&ZERO_BLOCK)[range]);
         }
         let rest = self
             .shared
@@ -379,30 +359,22 @@ impl Hmc {
     }
 
     /// Mutable functional view of `words` owned words at `addr` — the
-    /// write path: producers (engine stores, mask words) encode
-    /// straight into the cube's memory. Marks the covered blocks
-    /// dirty (see [`zero_dirty_from`](Self::zero_dirty_from)), and
-    /// allocates the owned area if nothing has accessed it yet.
+    /// write path: producers (engine stores) encode straight into the
+    /// cube's memory. Allocates the block, all zero, if nothing wrote
+    /// it yet.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is not word-aligned, lies in the shared area,
-    /// or the range is outside the image.
+    /// or the range is outside the image or crosses an owned block
+    /// boundary.
     pub fn words_mut(&mut self, addr: u64, words: usize) -> &mut [i64] {
-        let o = word_index(addr)
-            .checked_sub(self.shared.len())
-            .unwrap_or_else(|| panic!("write at {addr:#x} into the shared read-only area"));
-        assert!(o + words <= self.owned_words, "write past the image");
-        if words > 0 {
-            mark_bits(
-                &mut self.dirty,
-                o / BLOCK_WORDS,
-                (o + words - 1) / BLOCK_WORDS + 1,
-            );
+        if word_index(addr) < self.shared.len() {
+            panic!("write at {addr:#x} into the shared read-only area");
         }
-        self.owned();
-        let owned = self.owned.get_mut().expect("allocated just above");
-        &mut owned[o..o + words]
+        let (block, range) = self.owned_span(addr, words);
+        let block = self.owned[block].get_or_insert_with(|| Box::new([0; BLOCK_WORDS]));
+        &mut block[range]
     }
 
     /// Functional write of the word `v` at `addr`; see
@@ -411,60 +383,27 @@ impl Hmc {
         self.words_mut(addr, 1)[0] = v;
     }
 
-    /// Zeroes every owned word at or after `from` that lies in a
-    /// block written since the last call, then forgets all dirty marks.
-    ///
-    /// This is the image half of a warm session's reset protocol: if
-    /// the owned area from `from` on was all-zero after the last call
-    /// (as a new cube's is), it is all-zero again afterwards — at a
-    /// cost proportional to the blocks a run wrote, not to the size of
-    /// the area. The shared area is never written, so it needs no
-    /// reset, and an owned area not yet allocated is all zero and
-    /// clean, so the call does nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is not word-aligned.
-    pub fn zero_dirty_from(&mut self, from: u64) {
-        let from = word_index(from).saturating_sub(self.shared.len());
-        let Some(owned) = self.owned.get_mut() else {
-            return;
-        };
-        let first_word = (from / BLOCK_WORDS / 64).min(self.dirty.len());
-        self.dirty[..first_word].fill(0);
-        for w in first_word..self.dirty.len() {
-            let mut bits = std::mem::take(&mut self.dirty[w]);
-            while bits != 0 {
-                let block = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let lo = (block * BLOCK_WORDS).max(from);
-                let hi = ((block + 1) * BLOCK_WORDS).min(owned.len());
-                if lo < hi {
-                    owned[lo..hi].fill(0);
-                }
-            }
-        }
-    }
-
-    /// Size of the functional image in bytes (shared and owned).
-    pub fn image_len(&self) -> usize {
-        (self.shared.len() + self.owned_words) * WORD_BYTES as usize
-    }
-
     /// The read-only area: word `a / 8` holds address `a`.
     pub fn shared(&self) -> &Arc<WordArea> {
         &self.shared
     }
 
-    /// Bytes of the owned area: the memory this cube holds by itself
-    /// once the area is allocated.
-    pub fn owned_bytes(&self) -> usize {
-        self.owned_words * WORD_BYTES as usize
-    }
-
-    /// The owned area, allocated all zero on the first call.
-    fn owned(&self) -> &[i64] {
-        self.owned.get_or_init(|| vec![0; self.owned_words])
+    /// The owned block holding the aligned address `addr`, and the
+    /// `words` words from `addr` as a range inside that block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is outside the image or crosses a block
+    /// boundary.
+    fn owned_span(&self, addr: u64, words: usize) -> (usize, Range<usize>) {
+        let o = word_index(addr) - self.shared.len();
+        assert!(o + words <= self.owned_words, "access past the image");
+        let (block, at) = (o / BLOCK_WORDS, o % BLOCK_WORDS);
+        assert!(
+            at + words <= BLOCK_WORDS,
+            "{words} words at {addr:#x} cross a {BLOCK_BYTES} B block boundary"
+        );
+        (block, at..at + words)
     }
 
     /// Activity counters.
@@ -520,20 +459,6 @@ fn word_index(addr: u64) -> usize {
         "unaligned functional access at {addr:#x}"
     );
     (addr / WORD_BYTES) as usize
-}
-
-/// Sets bits `[start, end)` of a packed bitmap, a word at a time.
-fn mark_bits(words: &mut [u64], start: usize, end: usize) {
-    let (first, last) = (start / 64, (end - 1) / 64);
-    let head = !0u64 << (start % 64);
-    let tail = !0u64 >> (63 - (end - 1) % 64);
-    if first == last {
-        words[first] |= head & tail;
-        return;
-    }
-    words[first] |= head;
-    words[first + 1..last].fill(!0);
-    words[last] |= tail;
 }
 
 #[cfg(test)]
@@ -618,16 +543,18 @@ mod tests {
         ]))
     }
 
-    /// A cube over [`shared_area`] and 6 owned blocks.
+    /// A cube over [`shared_area`] (512 B) and 3 owned blocks.
     fn shared_cube() -> Hmc {
-        Hmc::with_shared(HmcConfig::paper(), shared_area(), 8 * 256)
+        Hmc::with_shared(
+            HmcConfig::paper(),
+            shared_area(),
+            512 + 3 * BLOCK_BYTES as usize,
+        )
     }
 
     #[test]
     fn reads_span_both_areas_and_writes_only_the_owned_one() {
         let mut h = shared_cube();
-        assert_eq!(h.owned_bytes(), 6 * 256);
-        assert_eq!(h.image_len(), 8 * 256);
         assert_eq!(h.read_word(8 * 63), 63);
         assert!(h.read_words(16, 3).iter().eq([2, 3, 4]));
         assert!(h.read_words(512, 32).iter().all(|v| v == 0));
@@ -639,36 +566,44 @@ mod tests {
         assert_eq!(other.read_word(8), 1);
     }
 
-    #[test]
-    fn the_owned_area_is_allocated_on_first_access() {
-        let mut h = shared_cube();
-        // Built and reset without an access: nothing allocated, and
-        // the logical sizes are the full image's.
-        h.zero_dirty_from(512);
-        assert!(h.owned.get().is_none());
-        assert_eq!(h.owned_bytes(), 6 * 256);
-        assert_eq!(h.image_len(), 8 * 256);
-        // An unwritten owned word reads 0, from a zeroed area of the
-        // full size.
-        assert_eq!(h.read_word(512 + 8 * 37), 0);
-        assert_eq!(h.owned.get().map(Vec::len), Some(6 * 32));
-        // A write allocates the area of a cube nothing read yet.
-        let mut w = shared_cube();
-        w.write_word(8 * 255, -3);
-        assert_eq!(w.owned.get().map(Vec::len), Some(6 * 32));
-        assert_eq!(w.read_word(8 * 255), -3);
-        assert_eq!((w.owned_bytes(), w.image_len()), (6 * 256, 8 * 256));
+    /// How many owned blocks hold memory.
+    fn allocated_blocks(h: &Hmc) -> usize {
+        h.owned.iter().filter(|b| b.is_some()).count()
     }
 
     #[test]
-    fn a_written_word_reads_zero_after_the_reset() {
+    fn the_owned_area_is_allocated_on_first_access() {
+        // The first access that allocates is a block's first write: a
+        // read allocates nothing.
         let mut h = shared_cube();
-        h.write_word(512 + 8 * 100, 11);
-        h.words_mut(8 * 250, 4).fill(12);
-        h.zero_dirty_from(512);
-        assert_eq!(h.read_word(512 + 8 * 100), 0);
-        assert!(h.read_words(8 * 250, 4).iter().all(|v| v == 0));
-        assert!(dirty_blocks(&h).is_empty());
+        let (block, end) = (512 + BLOCK_BYTES, 512 + 3 * BLOCK_BYTES);
+        // Unwritten blocks read 0 and allocate nothing.
+        assert!(h.read_words(512, BLOCK_WORDS).iter().all(|v| v == 0));
+        assert_eq!(h.read_word(end - 8), 0);
+        assert_eq!(allocated_blocks(&h), 0);
+        // A write allocates exactly its block; its neighbours still read
+        // 0 from no memory of their own.
+        h.write_word(block + 8, -3);
+        assert_eq!(allocated_blocks(&h), 1);
+        assert!(h.owned[1].is_some());
+        assert!(h.read_words(block, 3).iter().eq([0, -3, 0]));
+        assert!(h.read_words(512, BLOCK_WORDS).iter().all(|v| v == 0));
+        // A whole-block store fills the same one block.
+        h.words_mut(block, BLOCK_WORDS).fill(7);
+        assert_eq!(allocated_blocks(&h), 1);
+        assert!(h.read_words(block, BLOCK_WORDS).iter().all(|v| v == 7));
+    }
+
+    #[test]
+    #[should_panic(expected = "cross a 4096 B block boundary")]
+    fn owned_reads_crossing_a_block_boundary_panic() {
+        let _ = shared_cube().read_words(512 + BLOCK_BYTES - 8, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "cross a 4096 B block boundary")]
+    fn owned_writes_crossing_a_block_boundary_panic() {
+        let _ = shared_cube().words_mut(512 + 8, BLOCK_WORDS);
     }
 
     #[test]
@@ -744,24 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_run_state_keeps_memory_and_zeroes_meters() {
-        let mut h = cube();
-        h.write_word(0x80, 42);
-        h.access(0, 0, 256, AccessKind::Read);
-        assert!(h.stats().link_bytes > 0);
-        h.reset_run_state();
-        // The image survives; timing and stats are cold again.
-        assert_eq!(h.read_word(0x80), 42);
-        assert_eq!(h.stats(), HmcStats::default());
-        let mut cold = cube();
-        cold.write_word(0x80, 42);
-        assert_eq!(
-            h.access(0, 0, 256, AccessKind::Read),
-            cold.access(0, 0, 256, AccessKind::Read)
-        );
-    }
-
-    #[test]
     fn vault_activity_follows_the_interleave() {
         let mut h = cube();
         // Blocks 0 and 1 are vaults 0 and 1; block 32 wraps to vault 0.
@@ -798,86 +715,6 @@ mod tests {
     fn group_activity_rejects_uneven_splits() {
         let h = cube();
         let _ = h.group_activity(5);
-    }
-
-    #[test]
-    fn reset_run_state_clears_vault_accounting() {
-        // Regression (partitioned execution): a warm session's reset
-        // must also zero the per-vault-group meters, or the second run
-        // of a cluster reports stale balance numbers.
-        let mut h = cube();
-        h.internal_read(0, 0, 256);
-        assert!(h.vault_activity()[0].activations > 0);
-        h.reset_run_state();
-        assert!(h
-            .vault_activity()
-            .iter()
-            .all(|v| *v == VaultActivity::default()));
-        assert_eq!(h.group_activity(4)[0], VaultActivity::default());
-    }
-
-    /// Indices of the blocks currently marked dirty.
-    fn dirty_blocks(h: &Hmc) -> Vec<usize> {
-        (0..h.dirty.len() * 64)
-            .filter(|&b| h.dirty[b / 64] >> (b % 64) & 1 == 1)
-            .collect()
-    }
-
-    #[test]
-    fn write_paths_mark_exactly_the_blocks_they_touch() {
-        let mut h = cube();
-        assert!(dirty_blocks(&h).is_empty());
-        // write_word inside block 1; words_mut straddling blocks 3-4;
-        // words_mut over blocks 64..=130 (crossing bitmap words).
-        h.write_word(256 + 8, 1);
-        h.words_mut(4 * 256 - 8, 2).fill(7);
-        h.words_mut(64 * 256, 67 * 32).fill(9);
-        let mut expect = vec![1, 3, 4];
-        expect.extend(64..131);
-        assert_eq!(dirty_blocks(&h), expect);
-        // Reads and empty views never mark anything.
-        let _ = h.read_words(20 * 256, 64);
-        let _ = h.words_mut(30 * 256, 0);
-        assert_eq!(dirty_blocks(&h), expect);
-        // Blocks count from the owned base, not from address 0.
-        let mut s = shared_cube();
-        s.write_word(512 + 256, 1);
-        assert_eq!(dirty_blocks(&s), [1]);
-    }
-
-    #[test]
-    fn zero_dirty_from_clears_only_written_blocks_past_the_base() {
-        let mut h = cube();
-        // Clean non-zero words (as if stored, then forgotten).
-        h.words_mut(0, 1 << 17).fill(-85);
-        h.zero_dirty_from(1 << 20);
-        assert!(dirty_blocks(&h).is_empty());
-        assert_eq!(h.read_word(0), -85);
-        // A run dirties a block below the base and two past it.
-        h.write_word(256, 1);
-        h.write_word(100 * 256, 2);
-        h.write_word(101 * 256 + 248, 3);
-        h.zero_dirty_from(64 * 256);
-        assert!(dirty_blocks(&h).is_empty());
-        // Below the base: kept.
-        assert_eq!(h.read_word(256), 1);
-        // Past the base: the dirty blocks are zero in full ...
-        assert!(h.read_words(100 * 256, 64).iter().all(|v| v == 0));
-        // ... and clean blocks keep their words.
-        assert!(h.read_words(99 * 256, 32).iter().eq([-85; 32]));
-        assert!(h.read_words(102 * 256, 32).iter().eq([-85; 32]));
-        // A base inside a dirty block zeroes only from the base on.
-        h.words_mut(200 * 256, 32).fill(5);
-        h.zero_dirty_from(200 * 256 + 16);
-        assert!(h.read_words(200 * 256, 2).iter().eq([5; 2]));
-        assert!(h.read_words(200 * 256 + 16, 30).iter().all(|v| v == 0));
-        // Over a shared area, the reset covers the owned area only and
-        // leaves the shared words as they are.
-        let mut s = shared_cube();
-        s.words_mut(512, 6 * 32).fill(4);
-        s.zero_dirty_from(512);
-        assert!(s.read_words(512, 6 * 32).iter().all(|v| v == 0));
-        assert_eq!(s.read_word(8), 1);
     }
 
     #[test]
@@ -979,8 +816,5 @@ mod tests {
         assert!(e.link_pj() > 1e9, "{e}");
         assert!(e.cache_pj() > 0.0 && e.logic_pj() > 0.0, "{e}");
         assert!(h.stats().bytes_written > 0);
-        // A reset cube prices to zero again.
-        h.reset_run_state();
-        assert_eq!(m.price(&h.stats(), 0, 0), EnergyBreakdown::default());
     }
 }

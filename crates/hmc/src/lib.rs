@@ -28,7 +28,11 @@
 //! and times 8 B words throughout. On the host the shared area
 //! ([`WordArea`]) keeps each buffer's words at the width their values
 //! need, and reads widen them ([`Words`]); the owned area holds 8 B
-//! words.
+//! words in 4 KB blocks, each allocated on its first write.
+//!
+//! A cube carries one simulation: its banks, links, counters and
+//! output start idle and zero, and nothing resets them. A second
+//! simulation builds a second cube over the same shared area.
 //!
 //! # Example
 //!

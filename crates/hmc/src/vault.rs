@@ -71,14 +71,6 @@ impl Vault {
         }
     }
 
-    /// Returns the vault to its idle state in place: banks, command
-    /// queue and functional unit forget every request.
-    pub fn reset(&mut self) {
-        self.banks.fill(Server::new());
-        self.queue.reset();
-        self.fu = Server::new();
-    }
-
     /// Performs one bank access arriving at `cycle`; returns the cycle
     /// at which data is available (read) or durably written (write).
     ///
@@ -217,21 +209,6 @@ mod tests {
         }
         // 64 requests / 8 banks = 8 bank cycles of depth.
         assert!(last >= 8 * cfg.bank_cycle_time());
-    }
-
-    #[test]
-    fn reset_returns_to_idle() {
-        let mut v = vault();
-        let cold = v.access(0, 0, 256, false);
-        for i in 0..64 {
-            v.access(0, i % 8, 256, false);
-        }
-        v.execute_fu(0, 5);
-        v.reset();
-        assert_eq!(v.accesses(), 0);
-        assert_eq!(v.bank_busy_cycles(), 0);
-        assert_eq!(v.access(0, 0, 256, false), cold);
-        assert_eq!(v.execute_fu(0, 1), 1);
     }
 
     #[test]

@@ -11,9 +11,9 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-// Compile-time guard for host-parallel co-simulation: shard cubes and
-// their warm sessions cross worker-thread boundaries in the scatter
-// phase, so the whole cluster stack must stay `Send`.
+// Compile-time guard for host-parallel co-simulation: shard systems and
+// their sessions cross worker-thread boundaries in the scatter phase,
+// so the whole cluster stack must stay `Send`.
 const _: () = {
     fn _assert_send<T: Send>() {}
     fn _guards() {
@@ -276,8 +276,8 @@ pub struct Cluster {
     systems: Vec<System>,
     /// The service profile of every `(arch, query)` pair a service run
     /// has measured, kept for the cluster's lifetime like the shards'
-    /// plans: each shard's `System` is immutable and warm runs equal
-    /// cold runs in any order, so a measurement never goes stale.
+    /// plans: each shard's `System` is immutable and no run leaves
+    /// state behind, so a measurement never goes stale.
     profiles: Mutex<HashMap<(Arch, Query), Arc<Profile>>>,
     bounds: Vec<Range<usize>>,
     pool: WorkerPool,
@@ -382,13 +382,9 @@ impl Cluster {
         &self.systems[s]
     }
 
-    /// Global row range owned by shard `s`.
-    pub fn shard_rows(&self, s: usize) -> Range<usize> {
-        self.bounds[s].clone()
-    }
-
-    /// Total cubes opened over the shards' tables
-    /// ([`System::materializations`] summed).
+    /// Total sessions opened over the shards
+    /// ([`System::materializations`] summed): one per shard per
+    /// [`session`](Self::session).
     pub fn materializations(&self) -> u64 {
         self.systems.iter().map(System::materializations).sum()
     }
@@ -403,36 +399,34 @@ impl Cluster {
         &self.pool
     }
 
-    /// Opens a warm cluster session: one cube per shard, reading the
-    /// shard's table in place. Plans live on each shard's [`System`]
-    /// ([`System::plan`]), so a `(arch, query)` pair already lowered by
-    /// an earlier session is not lowered again. Opening fans out over
-    /// the worker pool — each shard's cube is built independently, so
-    /// the warm state is identical at every worker count.
+    /// Opens a cluster session: one [`Session`] per shard, each
+    /// counted in its shard's [`System::materializations`]. Plans live
+    /// on each shard's [`System`] ([`System::plan`]), so a
+    /// `(arch, query)` pair already lowered by an earlier session is
+    /// not lowered again. A session holds no cube, so opening one costs
+    /// no table or output memory.
     pub fn session(&self) -> ClusterSession<'_> {
         ClusterSession {
             cluster: self,
-            sessions: self
-                .pool
-                .run(self.systems.iter().collect(), |_, sys| sys.session()),
+            sessions: self.systems.iter().map(System::session).collect(),
         }
     }
 
-    /// One-shot scatter-gather run (cold: opens a cube per shard).
+    /// One-shot scatter-gather run (opens a session per shard).
     pub fn run(&self, arch: Arch, query: &Query) -> ClusterReport {
         self.session().run(arch, query)
     }
 }
 
-/// A warm execution context over every shard of a [`Cluster`].
+/// An execution context over every shard of a [`Cluster`].
 ///
-/// Like [`Session`] but N-way: creating it opens one cube per shard;
-/// every run scatter-gathers through the warm cubes, and each shard's
+/// Like [`Session`] but N-way: creating it opens one session per shard;
+/// every run scatter-gathers through them, and each shard's
 /// [`System::plan`] lowers a given `(arch, query)` exactly once.
 #[derive(Debug)]
 pub struct ClusterSession<'a> {
     cluster: &'a Cluster,
-    /// One warm session per shard, in shard order.
+    /// One session per shard, in shard order.
     sessions: Vec<Session<'a>>,
 }
 
@@ -547,7 +541,7 @@ fn combine(
     // over independent link sets), so the scan critical path is the
     // slowest shard; the host then merges the answering shards'
     // results serially (a skipped shard's answer is known to be zero
-    // without a merge step — its mask range stays the reset zeros).
+    // without a merge step — its mask range stays zero).
     let answering = skipped.iter().filter(|&&s| !s).count();
     let cycles = shard_reports
         .iter()
@@ -642,9 +636,7 @@ mod tests {
     #[test]
     fn balanced_contiguous_split() {
         let c = Cluster::new(10, 1, 3);
-        assert_eq!(c.shard_rows(0), 0..4);
-        assert_eq!(c.shard_rows(1), 4..7);
-        assert_eq!(c.shard_rows(2), 7..10);
+        assert_eq!(c.bounds, [0..4, 4..7, 7..10]);
         assert_eq!(c.rows(), 10);
         assert_eq!(c.shards(), 3);
     }
@@ -655,7 +647,7 @@ mod tests {
         let c = Cluster::new(200, 9, 3);
         let mono = LineitemTable::generate(200, 9);
         for s in 0..3 {
-            let range = c.shard_rows(s);
+            let range = c.bounds[s].clone();
             for col in Column::ALL {
                 assert_eq!(
                     c.shard(s).table().column(col),

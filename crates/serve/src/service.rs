@@ -1,5 +1,5 @@
 //! The service scheduler: a discrete-event loop driving a query
-//! stream through a warm, replicated [`Cluster`].
+//! stream through a replicated [`Cluster`].
 //!
 //! Built from the `hipe-sim` primitives the component models already
 //! use: each replica is a [`Server`] (one query resident at a time),
@@ -10,15 +10,13 @@
 //! A run is a profile lookup followed by a replay: each distinct
 //! `(arch, query)` of a mix is executed once on every shard per
 //! cluster *lifetime* — by the first run that needs it, through that
-//! run's warm session — and the cluster memoizes the measured
-//! durations, phases, skip flags and answer. Every run then replays
-//! those deterministic measurements through the event loop. The
-//! session opens even when every profile hits, so each run counts one
-//! materialization per shard. A cube allocates its output area only
-//! when a run first touches it (`hipe_hmc::Hmc`), so a run that only
-//! replays opens and drops its session at the cost of the cubes'
-//! vault state, not of the shards' sizes. Warm ≡
-//! cold and run-order independence are proven by the `hipe-core`
+//! run's session — and the cluster memoizes the measured durations,
+//! phases, skip flags and answer. Every run then replays those
+//! deterministic measurements through the event loop. The session
+//! opens even when every profile hits, so each run counts one session
+//! per shard in [`ServiceReport::materializations`]; a session holds
+//! no cube, so a run that only replays builds none. That no run leaves
+//! state behind, whatever the order, is proven by the `hipe-core`
 //! session tests, which is what makes both the memo and the replay
 //! honest. Every replica of a shard executes on the shard's one
 //! [`System`](hipe::System), so the measured duration and answer hold
@@ -399,13 +397,12 @@ pub struct ServiceReport {
     /// cluster, and zero for plans an earlier run already lowered —
     /// however many replicas serve the shard or queries were served.
     pub compilations: u64,
-    /// Cubes this run opened ([`System::materializations`](
+    /// Sessions this run opened ([`System::materializations`](
     /// hipe::System::materializations)): one per shard, even when every
-    /// profile is memoized, because the run always opens a single warm
-    /// session over the cluster. Opening one copies no table bytes,
-    /// and a cube allocates its output area only when a profiling run
-    /// first touches it, so a run whose profiles all hit allocates no
-    /// output area at all.
+    /// profile is memoized, because the run always opens a single
+    /// session over the cluster. A session holds no cube: only a
+    /// profiling run that simulates builds one, so a run whose profiles
+    /// all hit allocates no output area at all.
     pub materializations: u64,
     /// Mix queries this run actually executed on the cluster, i.e.
     /// misses of the cluster's profile memo. Like
@@ -914,7 +911,7 @@ impl<'a> Scheduler<'a> {
 /// utilization and tail latency.
 ///
 /// The service opens one [`ClusterSession`](crate::ClusterSession)
-/// (one cube per shard) and looks up each mix query's
+/// (one session per shard) and looks up each mix query's
 /// profile — its functional answer and deterministic per-shard
 /// durations — in the cluster's memo. A query the cluster has not
 /// yet measured on this arch is executed once on every shard through
@@ -996,16 +993,16 @@ pub fn try_run_service(
     let compilations_before = cluster.compilations();
     let materializations_before = cluster.materializations();
 
-    // Profiles: one warm execution of each distinct mix query on
-    // every shard per cluster lifetime, memoized by the cluster. Each
-    // shard `System`'s plan cache makes a miss compile-once;
-    // determinism (warm == cold, order independence) makes replaying a
+    // Profiles: one execution of each distinct mix query on every
+    // shard per cluster lifetime, memoized by the cluster. Each shard
+    // `System`'s plan cache makes a miss compile-once; determinism (no
+    // run leaves state behind, whatever the order) makes replaying a
     // memoized measurement in the event loop exact. Every replica of a shard executes on the
     // shard's one `System`, so the measured duration and answer hold
     // for whichever replica the routing picks — and for the survivor a
     // failover re-picks. The session opens even when every profile
-    // hits, so a run always counts one materialization per shard; the
-    // cubes allocate their output areas only if a miss runs on them.
+    // hits, so a run always counts one session per shard; a cube is
+    // built only for a miss that simulates.
     let mut session = cluster.session();
     let mut profiled = 0;
     let profiles: Vec<Arc<Profile>> = cfg

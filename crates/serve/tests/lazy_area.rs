@@ -1,5 +1,6 @@
-//! A cube allocates its output area on first access, so opening a
-//! session costs the cubes' vault state, not the shards' sizes.
+//! A session holds no cube, and a cube allocates its output blocks
+//! only when a simulating run writes them, so opening a session or
+//! replaying a run costs nothing of the shards' sizes.
 //!
 //! This binary installs a counting global allocator and measures the
 //! bytes two replay-only paths allocate against one shard's output
@@ -76,15 +77,15 @@ fn cluster() -> (Cluster, usize) {
 fn a_warm_cluster_session_opens_without_an_output_area() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (cluster, area) = cluster();
-    // Warm: plans lowered, and one cube per shard built, written and
-    // dropped.
+    // Warm: plans lowered, and one cube per shard built for the
+    // simulation, written and dropped.
     cluster.session().run(Arch::Hipe, &Query::q6());
     let before = cluster.materializations();
     let ((), bytes) = allocated_by(|| drop(cluster.session()));
     assert_eq!(cluster.materializations(), before + SHARDS as u64);
     assert!(
         bytes < area,
-        "opening {SHARDS} cubes allocated {bytes} B, one output area is {area} B"
+        "opening {SHARDS} sessions allocated {bytes} B, one output area is {area} B"
     );
 }
 
@@ -101,7 +102,8 @@ fn a_replay_only_service_run_allocates_no_output_area() {
     let first = run_service(&cluster, &cfg);
     assert_eq!(first.profiled, 2);
     let (warm, bytes) = allocated_by(|| run_service(&cluster, &cfg));
-    // Every profile hits, and the run still opens one cube per shard.
+    // Every profile hits, and the run still opens one session per
+    // shard.
     assert_eq!(warm.profiled, 0);
     assert_eq!(warm.materializations, SHARDS as u64);
     assert_eq!(warm.answers, first.answers);

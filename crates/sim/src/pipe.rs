@@ -63,14 +63,6 @@ impl ThroughputPipe {
         start + ser + self.latency
     }
 
-    /// Returns the pipe to its idle state in place: free from cycle 0,
-    /// nothing transferred.
-    pub fn reset(&mut self) {
-        self.next_free = 0;
-        self.bytes = 0;
-        self.transfers = 0;
-    }
-
     /// The cycle at which the pipe next becomes free.
     pub fn next_free(&self) -> Cycle {
         self.next_free
@@ -112,18 +104,6 @@ mod tests {
         assert_eq!(first, 101);
         // Serialization back-to-back, both see wire latency.
         assert_eq!(second, 102);
-    }
-
-    #[test]
-    fn reset_matches_a_fresh_pipe() {
-        let mut p = ThroughputPipe::new(2, 1, 5);
-        p.transfer(0, 100);
-        p.reset();
-        assert_eq!((p.next_free(), p.bytes(), p.transfers()), (0, 0, 0));
-        assert_eq!(
-            p.transfer(0, 10),
-            ThroughputPipe::new(2, 1, 5).transfer(0, 10)
-        );
     }
 
     #[test]

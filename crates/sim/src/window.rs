@@ -211,15 +211,6 @@ impl Window {
     pub fn stall_cycles(&self) -> Cycle {
         self.stall
     }
-
-    /// Returns the window to its empty state in place, keeping its
-    /// capacity and its allocation.
-    pub fn reset(&mut self) {
-        self.head = 0;
-        self.len = 0;
-        self.admitted = 0;
-        self.stall = 0;
-    }
 }
 
 #[cfg(test)]
@@ -250,19 +241,6 @@ mod tests {
         }
         // 100 ops * (100/4) = 2500, plus pipeline fill.
         assert_eq!(last, 96 / 4 * 100 + 100);
-    }
-
-    #[test]
-    fn reset_empties_the_window() {
-        let mut w = Window::new(1);
-        let _ = w.admit(0);
-        w.complete(100);
-        assert_eq!(w.admit(0), 100);
-        w.complete(200);
-        w.reset();
-        assert!(w.is_empty());
-        assert_eq!((w.admitted(), w.stall_cycles()), (0, 0));
-        assert_eq!(w.admit(0), 0);
     }
 
     #[test]

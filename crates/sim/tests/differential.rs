@@ -8,7 +8,8 @@
 //! its reference side by side, and every admission cycle, stall count
 //! and occupancy must agree. The sequences mix out-of-order completions
 //! (including completions before their own admission), groups up to the
-//! full width, capacity 1 and resets in mid-stream.
+//! full width, capacity 1 and, in mid-stream, both windows rebuilt
+//! empty.
 //!
 //! [`Samples`] selects its percentiles; the reference sorts a copy and
 //! reads the nearest rank.
@@ -65,12 +66,6 @@ impl HeapWindow {
 
     fn complete(&mut self, completion: u64) {
         self.inflight.push(Reverse(completion));
-    }
-
-    fn reset(&mut self) {
-        self.inflight.clear();
-        self.admitted = 0;
-        self.stall = 0;
     }
 }
 
@@ -136,8 +131,8 @@ fn window_matches_the_heap_reference() {
             now += rng.below(8);
             match rng.below(40) {
                 0 => {
-                    window.reset();
-                    reference.reset();
+                    window = Window::new(capacity);
+                    reference = HeapWindow::new(capacity);
                     assert!(window.is_empty(), "seed {seed} step {step}");
                 }
                 1..=8 => {

@@ -145,30 +145,3 @@ fn fused_readback_moves_fewer_link_bytes_than_the_gather() {
         gathered.phases.gather_aggregate
     );
 }
-
-#[test]
-fn fused_partials_match_per_region_reference_sums() {
-    // White-box check on the stored partials themselves: each 8 B
-    // slot holds exactly the reference sum of its 32-row region.
-    let sys = System::new(1000, 9);
-    let q = Query::q6();
-    let program = hipe_compiler::lower_logic_aggregate(&q, sys.layout(), false, None)
-        .expect("valid aggregate");
-    let mut session = sys.session();
-    session.run(Arch::Hive, &q);
-    let reference = scan::reference(sys.table(), &q);
-    let mut total: i128 = 0;
-    for region in 0..program.regions() {
-        let expect: i128 = (region * 32..((region + 1) * 32).min(1000))
-            .filter(|&i| reference.bitmask.get(i))
-            .map(|i| {
-                sys.table().value(hipe_db::Column::ExtendedPrice, i) as i128
-                    * sys.table().value(hipe_db::Column::Discount, i) as i128
-            })
-            .sum();
-        let stored = session.hmc().read_word(program.agg_addr(region)) as i128;
-        assert_eq!(stored, expect, "partial of region {region}");
-        total += stored;
-    }
-    assert_eq!(Some(total), reference.aggregate);
-}

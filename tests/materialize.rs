@@ -1,12 +1,13 @@
 //! Properties of the shared column area.
 //!
 //! The contract under test: a system stores its table's columns once,
-//! and every session's cube reads that one area as the read-only
-//! image below the mask base, owning only the output area above it —
-//! over plain, partitioned and row-offset tables, including the
-//! remainder region at the tail. The cube reads back exactly the
-//! table's values, the padding and output area read zero, and nothing
-//! can write the shared area. The area keeps each column in its own
+//! sessions hold no copy of them, and every cube a simulating run
+//! builds reads that one area as the read-only image below the mask
+//! base, owning only the output area above it — over plain,
+//! partitioned and row-offset tables, including the remainder region
+//! at the tail. The cube reads back exactly the table's values, the
+//! padding and output area read zero, and nothing can write the
+//! shared area. The area keeps each column in its own
 //! buffer at the width its values need (`u16`, `u8`, `u8`, `i32`: 8 B
 //! per row, against the model's 32 B): every value still equals what a
 //! generator of 8 B values draws, at every address the cube reads, and
@@ -49,11 +50,20 @@ fn words(from: u64, end: u64) -> usize {
     ((end - from) / COLUMN_BYTES) as usize
 }
 
+/// The cube a simulating run of `sys` builds: the table's buffer below
+/// the mask base, an owned area above it.
+fn cube(sys: &System) -> Hmc {
+    Hmc::with_shared(
+        sys.config().hmc.clone(),
+        Arc::clone(sys.table().column_area()),
+        sys.layout().image_bytes() as usize,
+    )
+}
+
 #[test]
 fn materialized_columns_round_trip_every_value() {
     for (case, sys) in systems() {
-        let session = sys.session();
-        let (hmc, layout) = (session.hmc(), sys.layout());
+        let (hmc, layout) = (cube(&sys), sys.layout());
         for c in Column::ALL {
             let read = hmc.read_words(layout.value_addr(c, 0), layout.rows());
             for (i, v) in read.iter().enumerate() {
@@ -66,50 +76,45 @@ fn materialized_columns_round_trip_every_value() {
 #[test]
 fn padding_and_the_owned_area_read_zero() {
     for (case, sys) in systems() {
-        let session = sys.session();
-        let (hmc, layout) = (session.hmc(), sys.layout());
+        let (hmc, layout) = (cube(&sys), sys.layout());
         for c in Column::ALL {
             let pad = layout.value_addr(c, layout.rows());
             let end = layout.column_base(c) + layout.column_stride();
             let padding = hmc.read_words(pad, words(pad, end));
             assert!(padding.iter().all(|v| v == 0), "{case}: {c} padding");
         }
-        let owned = hmc.read_words(
-            sys.mask_base(),
-            words(sys.mask_base(), layout.image_bytes()),
-        );
-        assert!(owned.iter().all(|v| v == 0), "{case}: output area");
+        // The output area, one 256 B row at a time: an owned read
+        // stays inside one of the cube's blocks.
+        for row in (sys.mask_base()..layout.image_bytes()).step_by(256) {
+            let owned = hmc.read_words(row, 32);
+            assert!(owned.iter().all(|v| v == 0), "{case}: output at {row:#x}");
+        }
     }
 }
 
 #[test]
 fn live_sessions_share_one_column_buffer() {
     for (case, sys) in systems() {
-        let (a, b) = (sys.session(), sys.session());
         let table = sys.table().column_area();
-        let owned = (sys.layout().image_bytes() - sys.mask_base()) as usize;
-        for s in [&a, &b] {
-            let hmc = s.hmc();
+        // Two live sessions hold no cube, so the table is the buffer's
+        // only owner.
+        let _sessions = (sys.session(), sys.session());
+        assert_eq!(Arc::strong_count(table), 1, "{case}");
+        assert_eq!(sys.materializations(), 2, "{case}");
+        // The cubes simulating runs build read that one buffer.
+        let cubes = [cube(&sys), cube(&sys)];
+        for hmc in &cubes {
             assert!(Arc::ptr_eq(hmc.shared(), table), "{case}: private copy");
-            assert_eq!(hmc.owned_bytes(), owned, "{case}");
-            assert_eq!(hmc.image_len() as u64, sys.layout().image_bytes());
         }
         // The table and the two cubes: one buffer, three owners.
         assert_eq!(Arc::strong_count(table), 3, "{case}");
-        assert_eq!(sys.materializations(), 2, "{case}");
     }
 }
 
 #[test]
 fn writes_below_the_mask_base_panic() {
     for (case, sys) in systems() {
-        // The cube a session opens: the table's buffer below the mask
-        // base, an owned area above it.
-        let mut hmc = Hmc::with_shared(
-            sys.config().hmc.clone(),
-            Arc::clone(sys.table().column_area()),
-            sys.layout().image_bytes() as usize,
-        );
+        let mut hmc = cube(&sys);
         for addr in [0, sys.mask_base() - COLUMN_BYTES] {
             let write = catch_unwind(AssertUnwindSafe(|| hmc.write_word(addr, -1)));
             assert!(write.is_err(), "{case}: write at {addr:#x} went through");
@@ -177,8 +182,7 @@ fn narrowed_tables_round_trip_the_wide_generator() {
                 ..SystemConfig::paper(rows, SEED)
             });
             let (table, layout) = (sys.table(), sys.layout());
-            let mut session = sys.session();
-            let hmc = session.hmc();
+            let hmc = cube(&sys);
             let columns: Vec<_> = Column::ALL
                 .map(|c| hmc.read_words(layout.value_addr(c, 0), rows))
                 .into();
@@ -210,7 +214,7 @@ fn narrowed_tables_round_trip_the_wide_generator() {
                 (reference.matches, reference.aggregate),
                 (matches, Some(aggregate))
             );
-            assert_eq!(session.run(Arch::Hive, &q6).result, reference, "{case}");
+            assert_eq!(sys.run(Arch::Hive, &q6).result, reference, "{case}");
         }
     }
 }
@@ -232,10 +236,7 @@ fn a_table_holds_eight_host_bytes_per_padded_row() {
 #[should_panic(expected = "unaligned functional access")]
 fn unaligned_reads_of_the_column_area_panic() {
     let sys = System::new(64, SEED);
-    let _ = sys
-        .session()
-        .hmc()
-        .read_words(sys.layout().value_addr(Column::Discount, 3) + 4, 1);
+    let _ = cube(&sys).read_words(sys.layout().value_addr(Column::Discount, 3) + 4, 1);
 }
 
 #[test]
@@ -243,15 +244,12 @@ fn unaligned_reads_of_the_column_area_panic() {
 fn reads_straddling_two_columns_panic() {
     let sys = System::new(64, SEED);
     let base = sys.layout().column_base(Column::Quantity);
-    let _ = sys.session().hmc().read_words(base - COLUMN_BYTES, 2);
+    let _ = cube(&sys).read_words(base - COLUMN_BYTES, 2);
 }
 
 #[test]
 #[should_panic(expected = "straddles the owned base")]
 fn reads_straddling_the_owned_base_panic() {
     let sys = System::new(64, SEED);
-    let _ = sys
-        .session()
-        .hmc()
-        .read_words(sys.mask_base() - COLUMN_BYTES, 2);
+    let _ = cube(&sys).read_words(sys.mask_base() - COLUMN_BYTES, 2);
 }

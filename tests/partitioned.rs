@@ -11,8 +11,8 @@
 //!    (the union of the per-partition masks *is* the single-engine
 //!    mask), across selectivities, row counts on region/partition
 //!    edges, and empty partitions.
-//! 3. **Warm == cold** — the session reset protocol also covers the
-//!    cluster's per-vault-group state.
+//! 3. **Warm == cold** — no run leaves the cluster's per-vault-group
+//!    state behind for the next.
 //! 4. **The point of it all** — at `partitions: 4` the HIVE/HIPE Q6
 //!    scan phase is >= 2.5x faster than single-engine, and per-engine
 //!    DRAM traffic stays inside each engine's own vault group.
@@ -154,9 +154,9 @@ fn empty_partitions_are_harmless_and_idle() {
 
 #[test]
 fn warm_partitioned_sessions_replay_cold_runs_exactly() {
-    // Regression for the reset protocol under partitions > 1: the
-    // cube's per-vault-group accounting (and everything else) must be
-    // reset between runs, so warm == cold measurement for measurement.
+    // Regression under partitions > 1: each simulating run starts from
+    // zero per-vault-group accounting (and everything else), so warm ==
+    // cold measurement for measurement.
     let sys = System::partitioned(8192, 77, 4);
     let q = Query::q6();
     let mut session = sys.session();

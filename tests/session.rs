@@ -1,13 +1,14 @@
 //! Integration tests of the compile → session → execute API.
 //!
-//! The contract under test: a warm [`hipe::Session`] executes whole
-//! batches against **one** table materialization, and its reset
-//! protocol makes every warm run bit- and cycle-identical to a cold
-//! run — so batches are deterministic and independent of execution
-//! order. A system replays the x86 and HMC-ISA timing of a run it has
-//! already simulated, so the cold side is a run on a second system with
-//! the same configuration (`cold_run`), never `sys.run` on the system
-//! under test.
+//! The contract under test: one [`hipe::Session`] executes whole
+//! batches (one materialization, counted per session), and no run
+//! leaves state behind — a session holds no cube, and a run that
+//! simulates does so on a cube of its own — so every run in a batch is
+//! bit- and cycle-identical to a cold run, and batches are
+//! deterministic and independent of execution order. A system replays
+//! the timing of a run it has already simulated, so the cold side is a
+//! run on a second system with the same configuration (`cold_run`),
+//! never `sys.run` on the system under test.
 
 use hipe::{Arch, RunReport, System, SystemConfig, TableShape};
 use hipe_db::Query;
@@ -121,7 +122,7 @@ fn repeated_batches_are_deterministic() {
 #[test]
 fn batch_reports_are_independent_of_execution_order() {
     // Property: the report of a query does not depend on what ran
-    // before it in the batch (the reset protocol leaves no residue).
+    // before it in the batch (no run leaves a residue).
     let sys = System::new(ROWS, SEED);
     let mut forward: Vec<Query> = workload();
     let mut session = sys.session();

@@ -4,9 +4,10 @@
 //!
 //! What the process holds is the table's one column area (8 B per
 //! row: each column at its own width, 1 to 4 B, where the model sees
-//! an 8 B value), one session's output area (about 8 B per row) and
-//! plans whose size follows the query, not the table — about 1.1 GiB
-//! in all. The
+//! an 8 B value), at most one simulating run's cube at a time, whose
+//! output blocks the engines write (about 8 B per row when every
+//! region stores its mask), and plans whose size follows the query,
+//! not the table — about 1 GiB in all. The
 //! test is ignored by default because of that footprint and its
 //! host time; run it with
 //!

@@ -2,17 +2,18 @@
 //! unpruned runs and to the reference executor, on every machine.
 //!
 //! Pruning removes timed *and* functional work: executors evaluate or
-//! read back only the plan's scanned regions, and a pruned region's
-//! mask words and aggregate lanes stay at the zeros the session reset
-//! protocol restores (it zeroes exactly the output blocks the previous
-//! run wrote) — which is what the full scan would have stored for a
-//! region with no matches. These tests sweep randomized predicates,
-//! boundary predicates sitting exactly on region summaries,
-//! partitioned and sharded/replicated layouts, fully-pruned queries,
-//! and interleaved warm runs whose output blocks differ run to run,
-//! asserting the equivalence everywhere — warm and cold. A cold run is
-//! a run on a second system with the same configuration: a system
-//! replays the x86 and HMC-ISA timing of runs it has simulated.
+//! read back only the plan's scanned regions. A simulating run gets a
+//! cube of its own, so a pruned region's mask words and aggregate
+//! lanes are never written and read 0 — which is what the full scan
+//! would have stored for a region with no matches. These tests sweep
+//! randomized predicates, boundary predicates sitting exactly on
+//! region summaries, partitioned and sharded/replicated layouts,
+//! fully-pruned queries, and interleaved runs whose output blocks
+//! differ run to run, asserting the equivalence everywhere: no run
+//! leaves state behind for the next. The "warm" side runs on the
+//! system under test, the "cold" side on a second system with the
+//! same configuration: a system replays the timing of runs it has
+//! simulated.
 
 use hipe::{Arch, RunReport, System, SystemConfig, TableShape};
 use hipe_db::{scan, CmpOp, Column, ColumnPredicate, Query, SplitMix64};
@@ -229,8 +230,8 @@ fn assert_same_report(warm: &RunReport, cold: &RunReport, what: &str) {
 #[test]
 fn interleaved_warm_runs_leave_no_residue() {
     // Consecutive runs write different output blocks (see
-    // `residue_queries`). The reset zeroes only what the last run
-    // wrote, so every warm run must still equal a cold one — arch by
+    // `residue_queries`). Each simulating run writes a cube of its
+    // own, so every warm run must still equal a cold one — arch by
     // arch, then query by query on a second session opened while the
     // first is still live.
     let rows = 4096;
